@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 from .corpus import (
     Corpus,
     CorpusFormatError,
+    JsonlFormatError,
     Document,
     Sentence,
     Token,
@@ -19,10 +20,8 @@ from .features import (
     EmptySentenceError,
     FeatureExtractor,
     FeatureLayout,
-    FeatureVector,
     LayoutMismatchError,
     dictionary_layout,
-    extract_features,
 )
 from .lexicons import (
     CategoryLexicon,
@@ -35,7 +34,6 @@ from .lexicons import (
 from .pu import (
     DegenerateTrainingSetError,
     Hyper,
-    PUExample,
     PUModel,
     SentenceClassifier,
     load_model,

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, CorpusFormatError, load_corpus, make_sentence
+from .corpus import Corpus, CorpusFormatError, JsonlFormatError, load_corpus, parse_jsonl
 from .features import (
     FeatureExtractor,
     LayoutMismatchError,
@@ -34,7 +34,6 @@ from .lexicons import LexiconFormatError, read_category_lexicon, read_scored_lex
 from .metrics import mcnemar, prf, rouge_n, wilcoxon_signed_rank
 from .pu import (
     Hyper,
-    PUExample,
     PUModel,
     SentenceClassifier,
     load_model,
@@ -55,6 +54,7 @@ from .summarize import (
     lead_words,
     random_rank,
     read_summaries,
+    summary_sentences,
     write_summaries,
 )
 from .synth import SynthParams, write_synth_bundle
@@ -254,17 +254,24 @@ def _write_resolved_config(cfg: RunConfig, command: str) -> None:
     (out / f"resolved_config.{command}.json").write_text(payload, encoding="utf-8")
 
 
+def _read_jsonl(path: Path, kind: str, parse) -> list:
+    return parse_jsonl(path.read_text(encoding="utf-8").splitlines(), kind, parse)
+
+
 def _read_extracts(path: Path) -> dict[str, list[list[int]]]:
-    extracts: dict[str, list[list[int]]] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            extracts[rec["doc_id"]] = [[int(i) for i in ext] for ext in rec["extracts"]]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"extracts line {lineno}: {exc}") from exc
-    return extracts
+    def parse(rec):
+        return rec["doc_id"], [[int(i) for i in ext] for ext in rec["extracts"]]
+
+    return dict(_read_jsonl(path, "extracts", parse))
+
+
+def _read_sentence_labels(path: Path, kind: str) -> dict[tuple[str, int], int]:
+    """0/1 label per (doc_id, sentence_id), from predictions or gold labels."""
+
+    def parse(rec):
+        return (rec["doc_id"], int(rec["sentence_id"])), int(rec["label"])
+
+    return dict(_read_jsonl(path, kind, parse))
 
 
 def compute_labels(cfg: RunConfig, corpus: Corpus):
@@ -330,16 +337,14 @@ def build_extractor(cfg: RunConfig, train_corpus: Corpus | None = None, model: P
     return FeatureExtractor(layout, scored, category)
 
 
-def build_examples(corpus: Corpus, labels, extractor: FeatureExtractor) -> list[PUExample]:
-    examples = []
-    for lab in labels:
-        if lab.flag == EXCLUDED:
-            continue
-        sent = corpus.document(lab.doc_id).sentences[lab.sentence_id]
-        examples.append(
-            PUExample(extractor.extract_or_zero(sent), 1 if lab.flag == POSITIVE else 0)
-        )
-    return examples
+def build_examples(corpus: Corpus, labels, extractor: FeatureExtractor) -> tuple[np.ndarray, np.ndarray]:
+    """Feature matrix X and 0/1 vector o over the non-excluded labels, in label order."""
+    kept = [lab for lab in labels if lab.flag != EXCLUDED]
+    X = np.empty((len(kept), extractor.layout.total_dim))
+    for i, lab in enumerate(kept):
+        X[i] = extractor.extract_or_zero(corpus.document(lab.doc_id).sentences[lab.sentence_id])
+    o = np.array([lab.flag == POSITIVE for lab in kept], dtype=np.int64)
+    return X, o
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -347,10 +352,8 @@ def cmd_train(cfg: RunConfig) -> int:
     labels = read_labels(_require_file(str(cfg.path("labels.jsonl")), "labels file"))
     sampled = sample_unlabeled(labels, cfg.label_config())
     extractor = build_extractor(cfg, train_corpus=corpus)
-    examples = build_examples(corpus, sampled, extractor)
-    model = train_pu_model(
-        examples, extractor.layout, cfg.stage1, cfg.stage2, seed=cfg.seed
-    )
+    X, o = build_examples(corpus, sampled, extractor)
+    model = train_pu_model(X, o, extractor.layout, cfg.stage1, cfg.stage2, seed=cfg.seed)
     _write_resolved_config(cfg, "train")
     save_model(model, cfg.path("model.json"))
     counts = label_counts(sampled)
@@ -396,9 +399,10 @@ def cmd_predict(cfg: RunConfig) -> int:
 def cmd_summarize(cfg: RunConfig, only_system: str | None = None) -> int:
     corpus = load_corpus(_require_file(cfg.test_corpus, "test corpus"))
     systems = (only_system,) if only_system else cfg.systems
-    classifier = None
+    probs: list[list[float]] = []
     if any(s in (INFORANK, INFOFILTER) for s in systems):
         _, classifier = _load_classifier(cfg)
+        probs = [[classifier.prob(s) for s in doc.sentences] for doc in corpus]
     budget = SummaryBudget(cfg.max_words, cfg.budget_mode)
     whole = SummaryBudget(cfg.max_words, WHOLE_SENTENCE)
     _write_resolved_config(cfg, "summarize")
@@ -408,9 +412,9 @@ def cmd_summarize(cfg: RunConfig, only_system: str | None = None) -> int:
             if system == LEADWORDS:
                 results.append(lead_words(doc, budget))
             elif system == INFORANK:
-                results.append(info_rank(doc, classifier, whole))
+                results.append(info_rank(doc, probs[di], whole))
             elif system == INFOFILTER:
-                results.append(info_filter(doc, classifier, whole))
+                results.append(info_filter(doc, probs[di], whole))
             elif system == RANDOMRANK:
                 results.append(random_rank(doc, whole, seed=(cfg.seed, di)))
         path = cfg.path(f"summaries_{system}.jsonl")
@@ -426,35 +430,17 @@ def cmd_summarize(cfg: RunConfig, only_system: str | None = None) -> int:
     return EXIT_OK
 
 
-def _read_predictions(path: Path) -> dict[tuple[str, int], dict]:
-    preds = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            rec = json.loads(line)
-            preds[(rec["doc_id"], rec["sentence_id"])] = rec
-    return preds
-
-
-def _read_gold(path: Path) -> dict[tuple[str, int], int]:
-    gold = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            rec = json.loads(line)
-            gold[(rec["doc_id"], rec["sentence_id"])] = int(rec["label"])
-    return gold
-
-
 def _classification_section(cfg: RunConfig) -> dict | None:
     pred_path = cfg.path("predictions.jsonl")
     if cfg.gold_labels is None or not pred_path.is_file():
         return None
-    gold = _read_gold(_require_file(cfg.gold_labels, "gold labels file"))
-    preds = _read_predictions(pred_path)
+    gold = _read_sentence_labels(_require_file(cfg.gold_labels, "gold labels file"), "gold labels")
+    preds = _read_sentence_labels(pred_path, "predictions")
     keys = sorted(k for k in gold if k in preds)
     if not keys:
         raise ConfigError("gold labels and predictions share no sentences")
     truth = [gold[k] for k in keys]
-    model_pred = [int(preds[k]["label"]) for k in keys]
+    model_pred = [preds[k] for k in keys]
     baseline_pred = [1] * len(keys)
 
     def report(pred):
@@ -495,7 +481,13 @@ def _rouge_section(cfg: RunConfig, corpus: Corpus) -> dict:
             ref = references.get(result.doc_id)
             if ref is None:
                 continue
-            cand = [make_sentence(0, result.text)]
+            doc = corpus.document(result.doc_id)
+            if not all(0 <= i < len(doc.sentences) for i in result.selected):
+                raise ConfigError(
+                    f"{path.name}: document {result.doc_id!r} selects sentences "
+                    "the test corpus does not have"
+                )
+            cand = summary_sentences(doc, result)
             scores = {}
             for n in cfg.rouge_orders:
                 sc = rouge_n(ref, cand, n)
@@ -677,7 +669,9 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, CorpusFormatError, LexiconFormatError, FileNotFoundError) as exc:
+    except (
+        ConfigError, CorpusFormatError, JsonlFormatError, LexiconFormatError, FileNotFoundError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # runtime failures: degenerate training, layout mismatch, ...

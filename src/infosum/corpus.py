@@ -8,13 +8,19 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 APOSTROPHES = ("'", "’")
+
+T = TypeVar("T")
 
 
 class CorpusFormatError(ValueError):
     """Malformed corpus input: bad JSON, missing fields, duplicate doc ids."""
+
+
+class JsonlFormatError(ValueError):
+    """Malformed line in a JSONL input or artifact, named by file kind and line."""
 
 
 @dataclass(frozen=True)
@@ -141,15 +147,21 @@ def build_document(
     return Document(doc_id=doc_id, section=section, sentences=sentences, summary=summary)
 
 
-def compute_idf(documents: Sequence[Document]) -> IdfTable:
-    """Document-frequency weights over article word types (summaries excluded)."""
-    n = len(documents)
+def document_frequencies(documents: Sequence[Document]) -> Counter[str]:
+    """Number of documents whose article (summary excluded) holds each word type."""
     df: Counter[str] = Counter()
     for doc in documents:
         types: set[str] = set()
         for sent in doc.sentences:
             types.update(t.lower for t in sent.tokens if t.is_word)
         df.update(types)
+    return df
+
+
+def compute_idf(documents: Sequence[Document]) -> IdfTable:
+    """Document-frequency weights over article word types (summaries excluded)."""
+    n = len(documents)
+    df = document_frequencies(documents)
     weights = {t: math.log((1.0 + n) / (1.0 + c)) + 1.0 for t, c in df.items()}
     return IdfTable(n_docs=n, weights=weights)
 
@@ -158,12 +170,35 @@ def corpus_from_documents(documents: Sequence[Document]) -> Corpus:
     return Corpus(documents=tuple(documents), idf=compute_idf(documents))
 
 
-def _iter_lines(source: Iterable[str] | IO[bytes] | IO[str]) -> Iterator[str]:
+def iter_lines(source: Iterable[str] | IO[bytes] | IO[str]) -> Iterator[str]:
+    """Lines of a text or UTF-8 byte stream, as str."""
     for line in source:
         if isinstance(line, bytes):
             yield line.decode("utf-8")
         else:
             yield line
+
+
+def parse_jsonl(lines: Iterable[str], kind: str, parse: Callable[[dict], T]) -> list[T]:
+    """`parse` applied to the JSON object on each non-blank line.
+
+    Bad JSON, a non-object line, or a missing or ill-typed field raises
+    JsonlFormatError naming `kind` and the 1-based line number.
+    """
+    out: list[T] = []
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        try:
+            rec = json.loads(raw)
+            if not isinstance(rec, dict):
+                raise TypeError("record must be a JSON object")
+            out.append(parse(rec))
+        except KeyError as exc:
+            raise JsonlFormatError(f"{kind} line {lineno}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise JsonlFormatError(f"{kind} line {lineno}: {exc}") from exc
+    return out
 
 
 def parse_corpus(source: Iterable[str] | IO[bytes] | IO[str], format: str = "jsonl") -> Corpus:
@@ -177,7 +212,7 @@ def parse_corpus(source: Iterable[str] | IO[bytes] | IO[str], format: str = "jso
         raise ValueError(f"unsupported corpus format {format!r}")
     documents: list[Document] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
+    for lineno, raw in enumerate(iter_lines(source), start=1):
         if not raw.strip():
             continue
         try:

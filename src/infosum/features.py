@@ -1,22 +1,27 @@
 """Sentence feature extraction over fixed layouts.
 
-Three feature families: per-attribute score-interval fractions from scored
-lexicons, category histograms from category lexicons, and six general
-sentence attributes. A FeatureLayout freezes block order, widths and lexicon
+Dictionary layouts hold three feature families: per-attribute score-interval
+fractions from scored lexicons, category histograms from category lexicons,
+and six general sentence attributes. BOW layouts hold raw term counts over a
+fixed vocabulary. A FeatureLayout freezes block order, widths and lexicon
 content hashes so that a trained model can detect mismatched lexicons.
+
+Every lexicon or vocabulary feature is a per-word count, so the extractor
+resolves each lowercased word type once into the columns it adds to and
+counts a sentence's columns with one bincount; dictionary blocks are then
+divided by the sentence's word count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Sentence
+from .corpus import Corpus, Sentence, document_frequencies
 from .lexicons import CategoryLexicon, ScoredLexicon, bin_index
 
 GENERAL_WIDTH = 6
@@ -43,40 +48,6 @@ class EmptySentenceError(ValueError):
 
 class LayoutMismatchError(ValueError):
     """Feature layout does not match the supplied lexicons or model."""
-
-
-def interval_fractions(
-    sentence: Sentence, lex: ScoredLexicon, attribute: str
-) -> np.ndarray:
-    """Fraction of sentence words whose score falls in each interval.
-
-    Words absent from the lexicon (or lacking the attribute) contribute to no
-    bin, so the vector sums to the in-lexicon word fraction.
-    """
-    if attribute not in lex.attributes:
-        raise ValueError(f"unknown attribute {attribute!r} for lexicon {lex.name!r}")
-    words = [t.lower for t in sentence.tokens if t.is_word]
-    if not words:
-        raise EmptySentenceError("sentence has no word tokens")
-    out = np.zeros(lex.bins)
-    for word in words:
-        entry = lex.entries.get(word)
-        if entry is None or attribute not in entry:
-            continue
-        out[bin_index(entry[attribute], lex.ranges[attribute], lex.bins)] += 1.0
-    return out / len(words)
-
-
-def category_histogram(sentence: Sentence, lex: CategoryLexicon) -> np.ndarray:
-    """Per-category fraction of sentence words; multi-category words count in each."""
-    words = [t.lower for t in sentence.tokens if t.is_word]
-    if not words:
-        raise EmptySentenceError("sentence has no word tokens")
-    out = np.zeros(len(lex.categories))
-    for word in words:
-        for cat in lex.lookup(word):
-            out[cat] += 1.0
-    return out / len(words)
 
 
 def general_features(sentence: Sentence) -> np.ndarray:
@@ -126,12 +97,6 @@ class FeatureLayout:
     category: tuple[CategorySpec, ...] = ()
     general_width: int = 0
     vocab: tuple[str, ...] | None = None
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray
-    layout_hash: str
 
 
 def dictionary_layout(
@@ -195,12 +160,7 @@ def raw_layout(dim: int, name: str = "raw") -> FeatureLayout:
 
 def bow_vocabulary(corpus: Corpus, min_df: int = 2) -> tuple[str, ...]:
     """Alphabetical word types whose document frequency is at least min_df."""
-    df: Counter[str] = Counter()
-    for doc in corpus.documents:
-        types: set[str] = set()
-        for sent in doc.sentences:
-            types.update(t.lower for t in sent.tokens if t.is_word)
-        df.update(types)
+    df = document_frequencies(corpus.documents)
     return tuple(sorted(t for t, c in df.items() if c >= min_df))
 
 
@@ -274,10 +234,10 @@ class FeatureExtractor:
         self.layout_hash = layout_hash(layout)
         self._scored: list[ScoredLexicon] = []
         self._category: list[CategoryLexicon] = []
-        self._vocab_index: dict[str, int] = {}
+        self._columns: dict[str, tuple[int, ...]] = {}
         if layout.mode == MODE_BOW:
             assert layout.vocab is not None
-            self._vocab_index = {w: i for i, w in enumerate(layout.vocab)}
+            self._columns = {w: (i,) for i, w in enumerate(layout.vocab)}
             return
         by_name_scored = {lex.name: lex for lex in scored_lexicons}
         for spec in layout.scored:
@@ -305,57 +265,54 @@ class FeatureExtractor:
                 )
             self._category.append(lex)
 
-    def _values(self, sentence: Sentence, zero_when_wordless: bool) -> np.ndarray:
-        layout = self.layout
-        out = np.zeros(layout.total_dim)
-        if layout.mode == MODE_BOW:
-            for t in sentence.tokens:
-                if t.is_word:
-                    idx = self._vocab_index.get(t.lower)
-                    if idx is not None:
-                        out[idx] += 1.0
-            return out
-        wordless = not any(t.is_word for t in sentence.tokens)
-        if wordless and not zero_when_wordless:
-            raise EmptySentenceError("sentence has no word tokens")
+    def _resolve(self, word: str) -> tuple[int, ...]:
+        """Columns one occurrence of a lowercased word adds 1 to.
+
+        BOW vocabulary words are preset in the column map, so a BOW word that
+        reaches here is out of vocabulary.
+        """
+        if self.layout.mode == MODE_BOW:
+            return ()
+        cols: list[int] = []
         pos = 0
         for lex in self._scored:
+            entry = lex.entries.get(word, {})
             for attr in lex.attributes:
-                if not wordless:
-                    out[pos : pos + lex.bins] = interval_fractions(sentence, lex, attr)
+                if attr in entry:
+                    cols.append(pos + bin_index(entry[attr], lex.ranges[attr], lex.bins))
                 pos += lex.bins
         for lex in self._category:
-            width = len(lex.categories)
-            if not wordless:
-                out[pos : pos + width] = category_histogram(sentence, lex)
-            pos += width
-        if layout.general_width:
-            out[pos : pos + GENERAL_WIDTH] = general_features(sentence)
+            cols.extend(pos + cat for cat in lex.lookup(word))
+            pos += len(lex.categories)
+        return tuple(cols)
+
+    def _values(self, sentence: Sentence, zero_when_wordless: bool) -> np.ndarray:
+        words = [t.lower for t in sentence.tokens if t.is_word]
+        bow = self.layout.mode == MODE_BOW
+        if not words and not bow and not zero_when_wordless:
+            raise EmptySentenceError("sentence has no word tokens")
+        cols = []
+        for word in words:
+            hit = self._columns.get(word)
+            if hit is None:
+                hit = self._columns[word] = self._resolve(word)
+            cols.extend(hit)
+        width = self.layout.total_dim - self.layout.general_width
+        out = np.zeros(self.layout.total_dim)
+        out[:width] = np.bincount(np.array(cols, dtype=np.intp), minlength=width)
+        if words and not bow:
+            out[:width] /= len(words)
+        if self.layout.general_width:
+            out[width:] = general_features(sentence)
         return out
 
-    def extract(self, sentence: Sentence) -> FeatureVector:
-        return FeatureVector(self._values(sentence, zero_when_wordless=False), self.layout_hash)
+    def extract(self, sentence: Sentence) -> np.ndarray:
+        return self._values(sentence, zero_when_wordless=False)
 
-    def extract_or_zero(self, sentence: Sentence) -> FeatureVector:
+    def extract_or_zero(self, sentence: Sentence) -> np.ndarray:
         """Like extract, but a wordless sentence gets zero lexicon blocks.
 
         The general block is still computed; this keeps batch pipelines total
         over real corpora where punctuation-only sentences occur.
         """
-        return FeatureVector(self._values(sentence, zero_when_wordless=True), self.layout_hash)
-
-    def matrix(self, sentences: Iterable[Sentence]) -> np.ndarray:
-        rows = [self._values(s, zero_when_wordless=True) for s in sentences]
-        if not rows:
-            return np.zeros((0, self.layout.total_dim))
-        return np.vstack(rows)
-
-
-def extract_features(
-    sentence: Sentence,
-    layout: FeatureLayout,
-    scored_lexicons: Sequence[ScoredLexicon] = (),
-    category_lexicons: Sequence[CategoryLexicon] = (),
-) -> FeatureVector:
-    """One-shot extraction; prefer a FeatureExtractor for batch work."""
-    return FeatureExtractor(layout, scored_lexicons, category_lexicons).extract(sentence)
+        return self._values(sentence, zero_when_wordless=True)

@@ -19,7 +19,9 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
+
+from .corpus import iter_lines
 
 DEFAULT_BINS = 230
 
@@ -101,14 +103,6 @@ def bin_index(score: float, score_range: tuple[float, float], bins: int) -> int:
     return min(max(idx, 0), bins - 1)
 
 
-def _iter_lines(source: Iterable[str] | IO[bytes] | IO[str]) -> Iterator[str]:
-    for line in source:
-        if isinstance(line, bytes):
-            yield line.decode("utf-8")
-        else:
-            yield line
-
-
 def load_scored_lexicon(
     source: Iterable[str] | IO[bytes] | IO[str], bins: int = DEFAULT_BINS
 ) -> ScoredLexicon:
@@ -122,7 +116,7 @@ def load_scored_lexicon(
     attributes: tuple[str, ...] = ()
     declared: dict[str, tuple[float, float]] = {}
     entries: dict[str, dict[str, float]] = {}
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
+    for lineno, raw in enumerate(iter_lines(source), start=1):
         line = raw.rstrip("\n")
         if not line.strip():
             continue
@@ -154,6 +148,10 @@ def load_scored_lexicon(
                         raise LexiconFormatError(
                             f"line {lineno}: non-numeric range in {decl!r}"
                         ) from exc
+                    if not (math.isfinite(lo) and math.isfinite(hi)):
+                        raise LexiconFormatError(
+                            f"line {lineno}: non-finite range in {decl!r}"
+                        )
                     if not lo < hi:
                         raise LexiconFormatError(
                             f"line {lineno}: empty range in {decl!r}"
@@ -176,6 +174,8 @@ def load_scored_lexicon(
             raise LexiconFormatError(
                 f"line {lineno}: non-numeric score {score_text!r}"
             ) from exc
+        if not math.isfinite(score):
+            raise LexiconFormatError(f"line {lineno}: non-finite score {score_text!r}")
         if attr in declared:
             lo, hi = declared[attr]
             if not lo <= score <= hi:
@@ -207,7 +207,7 @@ def load_category_lexicon(
     cat_index: dict[str, int] = {}
     entries: dict[str, set[int]] = {}
     wildcards: dict[str, set[int]] = {}
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
+    for lineno, raw in enumerate(iter_lines(source), start=1):
         line = raw.rstrip("\n")
         if not line.strip():
             continue

@@ -1,15 +1,18 @@
 """Two-stage learning from positive and unlabeled sentences.
 
-Stage 1 trains a logistic regression on the raw o labels (unlabeled treated
-as negative) and turns it into a label-frequency estimate e = mean LR(x)
-over the labeled positives. Each unlabeled example then becomes two copies
-carrying complementary weights w and 1 - w, where
+Training data is a feature matrix X (one row per sentence) and a 0/1 vector
+o marking the labeled positives. Stage 1 trains a logistic regression on o
+(unlabeled treated as negative) and turns it into a label-frequency
+estimate e = mean LR(x) over the labeled positives. Each unlabeled row then
+enters the relabeled set twice, carrying complementary weights w and 1 - w,
+where
 
     w = clamp01( (LR(x) / e) / ((1 - LR(x)) / (1 - e)) )
 
-is the posterior that the unlabeled example is truly positive. Stage 2
-trains a weighted linear SVM on the relabeled data, and a sigmoid fitted on
-held-out margins converts SVM scores into probabilities.
+is the posterior that the unlabeled example is truly positive. The relabeled
+set is kept as row indices into X with labels y and weights, never as a
+copy of X. Stage 2 trains a weighted linear SVM on the relabeled data, and a
+sigmoid fitted on held-out margins converts SVM scores into probabilities.
 
 Both trainers are deterministic full-batch (sub)gradient descent with a
 1/t learning-rate decay; objectives normalize the data term by total sample
@@ -32,7 +35,6 @@ from .corpus import Sentence
 from .features import (
     FeatureExtractor,
     FeatureLayout,
-    FeatureVector,
     LayoutMismatchError,
     layout_from_json,
     layout_hash,
@@ -85,26 +87,6 @@ class Hyper:
         )
 
 
-@dataclass
-class PUExample:
-    features: FeatureVector
-    o: int
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.o not in (0, 1):
-            raise ValueError(f"o must be 0 or 1, got {self.o}")
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError(f"weight must be in [0, 1], got {self.weight}")
-
-
-@dataclass
-class RelabeledExample:
-    features: FeatureVector
-    y: int
-    weight: float
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=float)
     pos = z >= 0
@@ -119,7 +101,6 @@ class Stage1Model:
     weights: np.ndarray
     bias: float
     hyper: Hyper
-    layout_hash: str
 
     def decision(self, X: np.ndarray) -> np.ndarray:
         return X @ self.weights + self.bias
@@ -183,90 +164,81 @@ def _gradient_descent(loss_and_grad, dim: int, hyper: Hyper, tag: str) -> tuple[
     return w, b
 
 
-def _stack(examples: Sequence[PUExample] | Sequence[RelabeledExample]) -> tuple[np.ndarray, str]:
-    hashes = {ex.features.layout_hash for ex in examples}
-    if len(hashes) != 1:
-        raise LayoutMismatchError("examples mix feature layouts")
-    X = np.vstack([ex.features.values for ex in examples])
-    return X, hashes.pop()
-
-
-def train_stage1(data: Sequence[PUExample], hyper: Hyper = Hyper()) -> Stage1Model:
-    """Logistic regression on o labels, treating unlabeled examples as negative."""
-    if not data:
+def train_stage1(X: np.ndarray, o: np.ndarray, hyper: Hyper = Hyper()) -> Stage1Model:
+    """Logistic regression on o labels, treating unlabeled rows as negative."""
+    if len(X) == 0:
         raise DegenerateTrainingSetError("empty training set")
-    o = np.array([ex.o for ex in data], dtype=float)
+    o = np.asarray(o, dtype=float)
     if o.min() == o.max():
         raise DegenerateTrainingSetError(
             "stage 1 needs at least one positive and one unlabeled example"
         )
-    X, lhash = _stack(data)
-    sw = np.array([ex.weight for ex in data], dtype=float)
+    sw = np.ones(len(X))
     w, b = _gradient_descent(
         lambda w, b: logistic_loss(w, b, X, o, sw, hyper.l2), X.shape[1], hyper, "stage1"
     )
-    return Stage1Model(weights=w, bias=b, hyper=hyper, layout_hash=lhash)
+    return Stage1Model(weights=w, bias=b, hyper=hyper)
 
 
-def estimate_e(model: Stage1Model, positives: Sequence[PUExample]) -> float:
-    """Label frequency p(o=1 | y=1): mean stage-1 probability over the positives."""
-    if not positives:
+def estimate_e(model: Stage1Model, X_pos: np.ndarray) -> float:
+    """Label frequency p(o=1 | y=1): mean stage-1 probability over the positive rows."""
+    if len(X_pos) == 0:
         raise ValueError("cannot estimate e from an empty positive set")
-    if any(ex.o != 1 for ex in positives):
-        raise ValueError("estimate_e expects only positives (o=1)")
-    X, lhash = _stack(positives)
-    if lhash != model.layout_hash:
-        raise LayoutMismatchError("positives do not match the stage-1 layout")
-    return float(model.predict_proba(X).mean())
+    return float(model.predict_proba(X_pos).mean())
 
 
-def unlabeled_weight(lr_x: float, e: float) -> float:
-    """Posterior weight p(y=1 | o=0) for an unlabeled example, clamped to [0, 1].
+def unlabeled_weight(lr_x: np.ndarray | float, e: float) -> np.ndarray:
+    """Posterior weight p(y=1 | o=0) per unlabeled example, clamped to [0, 1].
 
     At e = 1 the clamped ratio's continuous limit is lr_x, which is returned
     directly to avoid the division by zero.
     """
-    if not 0.0 <= lr_x <= 1.0:
+    lr = np.asarray(lr_x, dtype=float)
+    if not np.all((lr >= 0.0) & (lr <= 1.0)):
         raise ValueError(f"lr_x must be in [0, 1], got {lr_x}")
     if not 0.0 < e <= 1.0:
         raise ValueError(f"e must be in (0, 1], got {e}")
     if e == 1.0:
-        return lr_x
-    if lr_x == 1.0:
-        return 1.0
-    raw = (lr_x * (1.0 - e)) / (e * (1.0 - lr_x))
-    return min(1.0, max(0.0, raw))
+        return lr.copy()
+    with np.errstate(divide="ignore"):
+        raw = (lr * (1.0 - e)) / (e * (1.0 - lr))
+    return np.where(lr == 1.0, 1.0, np.clip(raw, 0.0, 1.0))
 
 
 def build_relabeled(
-    data: Sequence[PUExample], model: Stage1Model, e: float
-) -> list[RelabeledExample]:
-    """Positives keep weight 1; each unlabeled example becomes a (w, 1-w) pair."""
-    out: list[RelabeledExample] = []
-    for ex in data:
-        if ex.o == 1:
-            out.append(RelabeledExample(ex.features, 1, ex.weight))
-        else:
-            lr_x = float(model.predict_proba(ex.features.values[None, :])[0])
-            w = unlabeled_weight(lr_x, e)
-            out.append(RelabeledExample(ex.features, 1, w))
-            out.append(RelabeledExample(ex.features, 0, 1.0 - w))
-    return out
+    X: np.ndarray, o: np.ndarray, model: Stage1Model, e: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Relabeled set as (rows into X, labels y, weights), in row order.
+
+    Positives keep weight 1; each unlabeled row becomes a y=1 entry with
+    weight w followed by a y=0 entry with weight 1 - w.
+    """
+    unl = np.flatnonzero(np.asarray(o) == 0)
+    w_unl = unlabeled_weight(model.predict_proba(X)[unl], e)
+    copies = np.ones(len(X), dtype=np.intp)
+    copies[unl] = 2
+    rows = np.repeat(np.arange(len(X)), copies)
+    first = np.cumsum(copies)[unl] - 2  # the y=1 entry of each unlabeled row
+    y = np.ones(len(rows))
+    y[first + 1] = 0.0
+    w = np.ones(len(rows))
+    w[first] = w_unl
+    w[first + 1] = 1.0 - w_unl
+    return rows, y, w
 
 
 def train_stage2(
-    data: Sequence[RelabeledExample], hyper: Hyper = Hyper()
+    X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray, hyper: Hyper = Hyper()
 ) -> tuple[np.ndarray, float]:
-    """Instance-weighted linear SVM on relabeled data by subgradient descent."""
-    if not data:
+    """Instance-weighted linear SVM on relabeled rows by subgradient descent."""
+    if len(X) == 0:
         raise DegenerateTrainingSetError("empty relabeled set")
-    y = np.array([ex.y for ex in data], dtype=float)
-    sw = np.array([ex.weight for ex in data], dtype=float)
+    y = np.asarray(y, dtype=float)
+    sw = np.asarray(sample_weight, dtype=float)
     if sw[y == 1].sum() <= 0.0 or sw[y == 0].sum() <= 0.0:
         raise DegenerateTrainingSetError(
             "stage 2 needs positive total weight on both labels"
         )
-    X, _ = _stack(data)
     y_pm = 2.0 * y - 1.0
     return _gradient_descent(
         lambda w, b: hinge_loss(w, b, X, y_pm, sw, hyper.l2), X.shape[1], hyper, "stage2"
@@ -342,11 +314,6 @@ class PUModel:
     stage2_hyper: Hyper
     seed: int
 
-    def margin(self, features: FeatureVector) -> float:
-        if features.layout_hash != self.layout_hash:
-            raise LayoutMismatchError("feature vector does not match the model layout")
-        return float(features.values @ self.svm_weights + self.svm_bias)
-
     def margins(self, X: np.ndarray) -> np.ndarray:
         return X @ self.svm_weights + self.svm_bias
 
@@ -354,15 +321,10 @@ class PUModel:
         a, b = self.calib
         return np.clip(_sigmoid(-(a * np.asarray(margin, dtype=float) + b)), PROB_EPS, 1.0 - PROB_EPS)
 
-    def predict_prob(self, features: FeatureVector) -> float:
-        return float(self.prob_from_margin(self.margin(features)))
-
-    def predict_label(self, features: FeatureVector) -> int:
-        return int(self.predict_prob(features) >= 0.5)
-
 
 def train_pu_model(
-    data: Sequence[PUExample],
+    X: np.ndarray,
+    o: np.ndarray,
     layout: FeatureLayout,
     stage1_hyper: Hyper = Hyper(),
     stage2_hyper: Hyper = Hyper(),
@@ -370,46 +332,42 @@ def train_pu_model(
 ) -> PUModel:
     """Full two-stage pipeline with a 20% held-out calibration split.
 
-    The relabeled data is permuted with the given seed; the SVM trains on the
+    X holds one feature row per example in `layout`, o its 0/1 labels. The
+    relabeled entries are permuted with the given seed; the SVM trains on the
     remaining 80%. If the held-out slice lacks one label, calibration falls
     back to margins over the full relabeled set.
     """
-    lhash = layout_hash(layout)
-    if any(ex.features.layout_hash != lhash for ex in data):
-        raise LayoutMismatchError("training examples do not match the given layout")
-    stage1 = train_stage1(data, stage1_hyper)
-    positives = [ex for ex in data if ex.o == 1]
-    e = estimate_e(stage1, positives)
-    relabeled = build_relabeled(data, stage1, e)
+    X = np.asarray(X, dtype=float)
+    o = np.asarray(o)
+    if X.ndim != 2 or X.shape[1] != layout.total_dim or len(o) != len(X):
+        raise LayoutMismatchError("training matrix does not match the given layout")
+    if not np.isin(o, (0, 1)).all():
+        raise ValueError("o must hold only 0 and 1")
+    stage1 = train_stage1(X, o, stage1_hyper)
+    e = estimate_e(stage1, X[o == 1])
+    rows, y, w = build_relabeled(X, o, stage1, e)
     logger.info(
         "stage1 trained on %d positives + %d unlabeled; e=%.6f; relabeled size %d",
-        len(positives),
-        len(data) - len(positives),
+        int(o.sum()),
+        int(len(o) - o.sum()),
         e,
-        len(relabeled),
+        len(rows),
     )
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(relabeled))
-    n_cal = max(1, int(round(0.2 * len(relabeled))))
-    cal_idx = sorted(int(i) for i in perm[:n_cal])
-    fit_idx = sorted(int(i) for i in perm[n_cal:])
-    svm_w, svm_b = train_stage2([relabeled[i] for i in fit_idx], stage2_hyper)
-
-    def margin_set(idx: Sequence[int]):
-        X = np.vstack([relabeled[i].features.values for i in idx])
-        m = X @ svm_w + svm_b
-        y = [relabeled[i].y for i in idx]
-        w = [relabeled[i].weight for i in idx]
-        return m, y, w
-
+    perm = rng.permutation(len(rows))
+    n_cal = max(1, int(round(0.2 * len(rows))))
+    cal_idx = np.sort(perm[:n_cal])
+    fit_idx = np.sort(perm[n_cal:])
+    svm_w, svm_b = train_stage2(X[rows[fit_idx]], y[fit_idx], w[fit_idx], stage2_hyper)
+    margins = X @ svm_w + svm_b
     try:
-        A, B = calibrate(*margin_set(cal_idx))
+        A, B = calibrate(margins[rows[cal_idx]], y[cal_idx], w[cal_idx])
     except DegenerateTrainingSetError:
         logger.info("held-out calibration slice degenerate; calibrating on all relabeled data")
-        A, B = calibrate(*margin_set(list(range(len(relabeled)))))
+        A, B = calibrate(margins[rows], y, w)
     return PUModel(
         layout=layout,
-        layout_hash=lhash,
+        layout_hash=layout_hash(layout),
         stage1=stage1,
         e=e,
         svm_weights=svm_w,
@@ -432,10 +390,8 @@ class SentenceClassifier:
         self.extractor = extractor
 
     def prob(self, sentence: Sentence) -> float:
-        return self.model.predict_prob(self.extractor.extract_or_zero(sentence))
-
-    def label(self, sentence: Sentence) -> int:
-        return int(self.prob(sentence) >= 0.5)
+        x = self.extractor.extract_or_zero(sentence)
+        return float(self.model.prob_from_margin(self.model.margins(x)))
 
 
 def model_to_json(model: PUModel) -> dict:
@@ -475,7 +431,6 @@ def model_from_json(obj: dict) -> PUModel:
             weights=np.array(obj["stage1"]["weights"], dtype=float),
             bias=float(obj["stage1"]["bias"]),
             hyper=Hyper.from_json(obj["stage1"]["hyper"]),
-            layout_hash=lhash,
         )
         svm_w = np.array(obj["svm"]["weights"], dtype=float)
         if len(stage1.weights) != layout.total_dim or len(svm_w) != layout.total_dim:

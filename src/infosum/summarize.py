@@ -3,8 +3,8 @@
 Four systems share one word budget: LeadWords (opening words, truncated
 mid-sentence), InfoRank (whole sentences ranked by predicted importance),
 InfoFilter (lead order with unimportant sentences dropped), and RandomRank
-(seeded random ranking). The classifier argument is any object exposing
-prob(sentence) and label(sentence), such as pu.SentenceClassifier.
+(seeded random ranking). InfoRank and InfoFilter take the detector's
+probability for each sentence of the document, in sentence order.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Document, Sentence, word_count
+from .corpus import Document, Sentence, Token, parse_jsonl, word_count
 
 WHOLE_SENTENCE = "whole-sentence"
 TRUNCATE_WORDS = "truncate-words"
@@ -55,16 +55,17 @@ def _sentence_words(doc: Document) -> list[int]:
     return [word_count([s]) for s in doc.sentences]
 
 
-def _truncate_tokens(sentence: Sentence, n_words: int) -> str:
-    kept: list[str] = []
+def _truncate(sentence: Sentence, n_words: int) -> Sentence:
+    """The sentence's tokens up to and including its n_words-th word."""
+    kept: list[Token] = []
     taken = 0
     for tok in sentence.tokens:
-        kept.append(tok.surface)
+        kept.append(tok)
         if tok.is_word:
             taken += 1
             if taken == n_words:
                 break
-    return " ".join(kept)
+    return Sentence(sentence.id, " ".join(t.surface for t in kept), tuple(kept))
 
 
 def lead_words(doc: Document, budget: SummaryBudget) -> SummaryResult:
@@ -91,7 +92,7 @@ def lead_words(doc: Document, budget: SummaryBudget) -> SummaryResult:
             continue
         if budget.mode == TRUNCATE_WORDS and remaining > 0:
             selected.append(sent.id)
-            pieces.append(_truncate_tokens(sent, remaining))
+            pieces.append(_truncate(sent, remaining).text)
             total += remaining
         break
     return SummaryResult(
@@ -115,14 +116,22 @@ def _greedy_fill(order: Sequence[int], counts: Sequence[int], max_words: int) ->
     return sorted(chosen), total
 
 
-def info_rank(doc: Document, classifier, budget: SummaryBudget) -> SummaryResult:
+def _check_probs(doc: Document, probs: Sequence[float]) -> None:
+    if len(probs) != len(doc.sentences):
+        raise ValueError(
+            f"document {doc.doc_id!r} has {len(doc.sentences)} sentences "
+            f"but {len(probs)} probabilities"
+        )
+
+
+def info_rank(doc: Document, probs: Sequence[float], budget: SummaryBudget) -> SummaryResult:
     """Whole sentences in decreasing probability order, greedily packed.
 
     Ties rank the earlier sentence first, and the summary is emitted in
     document order. Selection depends only on the probability ordering, so
-    any strictly monotone rescaling of the classifier leaves it unchanged.
+    any strictly monotone rescaling of the probabilities leaves it unchanged.
     """
-    probs = [classifier.prob(s) for s in doc.sentences]
+    _check_probs(doc, probs)
     order = sorted(range(len(doc.sentences)), key=lambda i: (-probs[i], i))
     counts = _sentence_words(doc)
     selected, total = _greedy_fill(order, counts, budget.max_words)
@@ -136,17 +145,18 @@ def info_rank(doc: Document, classifier, budget: SummaryBudget) -> SummaryResult
     )
 
 
-def info_filter(doc: Document, classifier, budget: SummaryBudget) -> SummaryResult:
-    """Lead-order summary that skips sentences predicted unimportant.
+def info_filter(doc: Document, probs: Sequence[float], budget: SummaryBudget) -> SummaryResult:
+    """Lead-order summary that skips sentences predicted unimportant (prob < 0.5).
 
     Kept sentences are appended whole until the next one would overflow the
     budget, then scanning stops. When every sentence is predicted
     unimportant the result falls back to lead_words (all ids recorded as
     removed, fallback flagged).
     """
-    labels = [classifier.label(s) for s in doc.sentences]
-    removed = [s.id for s, lab in zip(doc.sentences, labels) if lab == 0]
-    kept = [s.id for s, lab in zip(doc.sentences, labels) if lab == 1]
+    _check_probs(doc, probs)
+    important = [p >= 0.5 for p in probs]
+    removed = [s.id for s, keep in zip(doc.sentences, important) if not keep]
+    kept = [s.id for s, keep in zip(doc.sentences, important) if keep]
     if not kept:
         lead = lead_words(doc, SummaryBudget(budget.max_words, TRUNCATE_WORDS))
         return SummaryResult(
@@ -174,6 +184,20 @@ def info_filter(doc: Document, classifier, budget: SummaryBudget) -> SummaryResu
         text=" ".join(doc.sentences[i].text for i in selected),
         word_total=total,
     )
+
+
+def summary_sentences(doc: Document, result: SummaryResult) -> list[Sentence]:
+    """The summary's sentences, the last one cut as lead_words cut it.
+
+    Only lead_words truncates (LeadWords, and InfoFilter's fallback); a cut
+    shows as fewer words in word_total than the selected sentences hold.
+    """
+    sentences = [doc.sentences[i] for i in result.selected]
+    excess = word_count(sentences) - result.word_total
+    if excess > 0:
+        last = sentences[-1]
+        sentences[-1] = _truncate(last, word_count([last]) - excess)
+    return sentences
 
 
 def random_rank(doc: Document, budget: SummaryBudget, seed) -> SummaryResult:
@@ -211,24 +235,20 @@ def summaries_to_jsonl(results: Iterable[SummaryResult]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _summary_from_record(rec: dict) -> SummaryResult:
+    return SummaryResult(
+        doc_id=rec["doc_id"],
+        system=rec["system"],
+        selected=tuple(rec["selected"]),
+        removed=tuple(rec["removed"]),
+        text=rec["text"],
+        word_total=rec["word_total"],
+        fallback=rec.get("fallback", False),
+    )
+
+
 def summaries_from_jsonl(text: str) -> list[SummaryResult]:
-    out = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        out.append(
-            SummaryResult(
-                doc_id=rec["doc_id"],
-                system=rec["system"],
-                selected=tuple(rec["selected"]),
-                removed=tuple(rec["removed"]),
-                text=rec["text"],
-                word_total=rec["word_total"],
-                fallback=rec.get("fallback", False),
-            )
-        )
-    return out
+    return parse_jsonl(text.splitlines(), "summaries", _summary_from_record)
 
 
 def write_summaries(results: Iterable[SummaryResult], path: str | Path) -> None:

@@ -16,17 +16,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Document, build_document, corpus_from_documents
-from .features import FeatureLayout, FeatureVector, layout_hash, raw_layout
+from .corpus import Document, build_document, corpus_from_documents
+from .features import FeatureLayout, raw_layout
 from .lexicons import CategoryLexicon, ScoredLexicon, category_lexicon_to_tsv, scored_lexicon_to_tsv
-from .pu import PUExample
 
 
 @dataclass
 class GaussianPUData:
-    train: list[PUExample]
+    X_train: np.ndarray
+    o: np.ndarray
     train_y: np.ndarray
-    test_features: list[FeatureVector]
+    X_test: np.ndarray
     test_y: np.ndarray
     layout: FeatureLayout
 
@@ -50,7 +50,6 @@ def gaussian_pu_dataset(
     rng = np.random.default_rng(seed)
     direction = np.ones(dim) / math.sqrt(dim)
     layout = raw_layout(dim, name="gaussian")
-    lhash = layout_hash(layout)
 
     def draw(n: int) -> tuple[np.ndarray, np.ndarray]:
         half = n // 2
@@ -64,16 +63,8 @@ def gaussian_pu_dataset(
     if o.sum() == 0 or o.sum() == n_train:
         raise ValueError("degenerate draw: adjust n_train or label_rate")
     X_test, y_test = draw(n_test)
-    train = [
-        PUExample(FeatureVector(X_train[i], lhash), int(o[i])) for i in range(n_train)
-    ]
-    test_features = [FeatureVector(X_test[i], lhash) for i in range(n_test)]
     return GaussianPUData(
-        train=train,
-        train_y=y_train,
-        test_features=test_features,
-        test_y=y_test,
-        layout=layout,
+        X_train=X_train, o=o, train_y=y_train, X_test=X_test, test_y=y_test, layout=layout
     )
 
 
@@ -192,11 +183,6 @@ def build_synth_documents(
             {"doc_id": doc_id, "sentence_id": i, "label": y} for i, y in enumerate(ys)
         )
     return documents, extracts, gold
-
-
-def synth_corpus(params: SynthParams, test: bool = False) -> Corpus:
-    documents, _, _ = build_synth_documents(params, test=test)
-    return corpus_from_documents(documents)
 
 
 def write_synth_bundle(out_dir: str | Path, params: SynthParams) -> dict[str, str]:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Document, IdfTable, Sentence
+from .corpus import Document, IdfTable, Sentence, parse_jsonl
 
 POSITIVE = "positive"
 UNLABELED = "unlabeled"
@@ -151,19 +151,15 @@ def labels_to_jsonl(labels: Iterable[WeakLabel]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _label_from_record(rec: dict) -> WeakLabel:
+    flag = rec["flag"]
+    if flag not in FLAGS:
+        raise ValueError(f"unknown label flag {flag!r}")
+    return WeakLabel(rec["doc_id"], int(rec["sentence_id"]), flag, rec.get("align_score"))
+
+
 def labels_from_jsonl(text: str) -> list[WeakLabel]:
-    labels = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        flag = rec["flag"]
-        if flag not in FLAGS:
-            raise ValueError(f"line {lineno}: unknown label flag {flag!r}")
-        labels.append(
-            WeakLabel(rec["doc_id"], int(rec["sentence_id"]), flag, rec.get("align_score"))
-        )
-    return labels
+    return parse_jsonl(text.splitlines(), "labels", _label_from_record)
 
 
 def write_labels(labels: Iterable[WeakLabel], path: str | Path) -> None:

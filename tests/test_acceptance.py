@@ -18,7 +18,6 @@ from scipy import integrate
 
 from infosum.cli import EXIT_OK, main
 from infosum.corpus import build_document, make_sentence
-from infosum.features import FeatureVector, layout_hash, raw_layout
 from infosum.metrics import f1_score, mcnemar, prf, rouge_n, spearman, wilcoxon_signed_rank
 from infosum.pu import (
     Hyper,
@@ -66,7 +65,9 @@ def test_criterion_1_estimator_recovery():
     errors = []
     for seed in SEEDS:
         data = gaussian_pu_dataset(seed=seed)
-        model = train_pu_model(data.train, data.layout, ACCEPT_HYPER, ACCEPT_HYPER, seed=seed)
+        model = train_pu_model(
+            data.X_train, data.o, data.layout, ACCEPT_HYPER, ACCEPT_HYPER, seed=seed
+        )
         errors.append(abs(model.e - 0.7))
     elapsed = time.time() - start
     _report(
@@ -81,8 +82,10 @@ def test_criterion_2_pu_gain():
     gains = []
     for seed in SEEDS:
         data = gaussian_pu_dataset(seed=seed)
-        model = train_pu_model(data.train, data.layout, ACCEPT_HYPER, ACCEPT_HYPER, seed=seed)
-        X = np.vstack([fv.values for fv in data.test_features])
+        model = train_pu_model(
+            data.X_train, data.o, data.layout, ACCEPT_HYPER, ACCEPT_HYPER, seed=seed
+        )
+        X = data.X_test
         naive = (model.stage1.predict_proba(X) >= 0.5).astype(int)
         two_stage = (np.asarray(model.prob_from_margin(model.margins(X))) >= 0.5).astype(int)
         gains.append(_f1(two_stage, data.test_y) - _f1(naive, data.test_y))
@@ -237,17 +240,6 @@ def test_criterion_7_statistics_oracles():
     )
 
 
-class _StubClassifier:
-    def __init__(self, probs):
-        self.probs = probs
-
-    def prob(self, sentence):
-        return self.probs[sentence.id]
-
-    def label(self, sentence):
-        return int(self.prob(sentence) >= 0.5)
-
-
 def _random_documents(n, seed):
     rng = np.random.default_rng(seed)
     docs = []
@@ -267,24 +259,22 @@ def test_criterion_8_summarizer_invariants():
     budget_ok = lead_equiv_ok = monotone_ok = True
     for doc in docs:
         budget = SummaryBudget(int(rng.integers(5, 120)))
-        probs = {s.id: float(rng.uniform(0.05, 0.95)) for s in doc.sentences}
-        clf = _StubClassifier(probs)
+        probs = [float(rng.uniform(0.05, 0.95)) for _ in doc.sentences]
         results = [
             lead_words(doc, budget),
-            info_rank(doc, clf, budget),
-            info_filter(doc, clf, budget),
+            info_rank(doc, probs, budget),
+            info_filter(doc, probs, budget),
             random_rank(doc, budget, seed=doc.doc_id.encode().hex().__hash__() % 2**31),
         ]
         budget_ok &= all(r.word_total <= budget.max_words for r in results)
 
-        always = _StubClassifier({s.id: 0.99 for s in doc.sentences})
-        filt = info_filter(doc, always, budget)
+        filt = info_filter(doc, [0.99] * len(doc.sentences), budget)
         lead_whole = lead_words(doc, SummaryBudget(budget.max_words, WHOLE_SENTENCE))
         lead_equiv_ok &= filt.text == lead_whole.text and filt.selected == lead_whole.selected
 
-        squashed = _StubClassifier({k: v / (1.0 + v) for k, v in probs.items()})
+        squashed = [v / (1.0 + v) for v in probs]
         monotone_ok &= (
-            info_rank(doc, clf, budget).selected
+            info_rank(doc, probs, budget).selected
             == info_rank(doc, squashed, budget).selected
         )
 
@@ -325,10 +315,9 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
     reloaded = load_model(reload_path)
     rng = np.random.default_rng(9)
     probes = rng.normal(size=(100, model.layout.total_dim))
-    bit_exact = all(
-        model.predict_prob(FeatureVector(row, model.layout_hash))
-        == reloaded.predict_prob(FeatureVector(row, model.layout_hash))
-        for row in probes
+    bit_exact = np.array_equal(
+        model.prob_from_margin(model.margins(probes)),
+        reloaded.prob_from_margin(reloaded.margins(probes)),
     )
     elapsed = time.time() - start
     _report(

@@ -112,8 +112,8 @@ class TestPipelineCompositionality:
         labels = read_labels(run_dir / "labels.jsonl")
         sampled = sample_unlabeled(labels, cfg.label_config())
         extractor = build_extractor(cfg, train_corpus=corpus)
-        examples = build_examples(corpus, sampled, extractor)
-        model = train_pu_model(examples, extractor.layout, cfg.stage1, cfg.stage2, seed=cfg.seed)
+        X, o = build_examples(corpus, sampled, extractor)
+        model = train_pu_model(X, o, extractor.layout, cfg.stage1, cfg.stage2, seed=cfg.seed)
         path = tmp_path / "inprocess.json"
         save_model(model, path)
         assert path.read_bytes() == (run_dir / "model.json").read_bytes()
@@ -171,7 +171,88 @@ class TestModesAndOverrides:
         assert not (out / "model.json").exists()
 
 
+class TestRougeCandidate:
+    def test_bigrams_stay_inside_sentences(self, tmp_path):
+        from infosum.corpus import make_sentence
+        from infosum.metrics import rouge_n
+
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps(
+            {"doc_id": "d", "sentences": ["a b", "c d"], "summary": ["a b", "c d"]}
+        ) + "\n")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(
+            {"seed": 0, "out_dir": str(tmp_path / "run"), "test_corpus": str(corpus)}
+        ))
+        assert main(["summarize", "-c", str(cfg), "--system", "leadwords"]) == EXIT_OK
+        assert main(["evaluate", "-c", str(cfg)]) == EXIT_OK
+        scores = json.loads((tmp_path / "run" / "report.json").read_text())
+        scores = scores["rouge"]["leadwords"]["per_doc"]["d"]
+        ref = [make_sentence(0, "a b"), make_sentence(1, "c d")]
+        joined = [make_sentence(0, "a b c d")]  # the summary text as one sentence
+        assert scores["r1"]["precision"] == rouge_n(ref, joined, 1).precision == 1.0
+        assert rouge_n(ref, joined, 2).precision == pytest.approx(2 / 3)
+        assert scores["r2"]["precision"] == 1.0
+
+
+BAD_LINES = ['{"doc_id": "train-0000"}', "{not json"]
+
+
+class TestBadJsonlLines:
+    """A malformed line in any JSONL input exits 2 and names the file kind and line."""
+
+    @pytest.mark.parametrize("bad_line", BAD_LINES)
+    @pytest.mark.parametrize("kind", ["extracts", "labels", "predictions", "gold labels", "summaries"])
+    def test_exit_2_names_line(self, bundle, pipeline, tmp_path, capsys, kind, bad_line):
+        _, run_dir = pipeline
+        out = tmp_path / "run"
+        out.mkdir()
+        source, dest, args = {
+            "extracts": (Path(bundle["extracts"]), tmp_path / "extracts.jsonl",
+                         ["label", "--set", f"label.extracts={tmp_path / 'extracts.jsonl'}"]),
+            "labels": (run_dir / "labels.jsonl", out / "labels.jsonl", ["train"]),
+            "predictions": (run_dir / "predictions.jsonl", out / "predictions.jsonl", ["evaluate"]),
+            "gold labels": (Path(bundle["gold_labels"]), tmp_path / "gold.jsonl",
+                            ["evaluate", "--set", f"evaluate.gold_labels={tmp_path / 'gold.jsonl'}"]),
+            "summaries": (run_dir / "summaries_leadwords.jsonl", out / "summaries_leadwords.jsonl",
+                          ["evaluate", "--set", 'systems=["leadwords"]']),
+        }[kind]
+        if kind == "gold labels":
+            (out / "predictions.jsonl").write_bytes((run_dir / "predictions.jsonl").read_bytes())
+        first = source.read_text().splitlines()[0]
+        dest.write_text(f"{first}\n{bad_line}\n")
+        capsys.readouterr()
+        code = main([args[0], "-c", bundle["config"], "--out-dir", str(out), *args[1:]])
+        assert code == EXIT_VALIDATION
+        assert f"{kind} line 2" in capsys.readouterr().err
+
+
 class TestExitCodes:
+    def test_summary_ids_outside_corpus_is_validation_error(self, bundle, pipeline, tmp_path, capsys):
+        _, run_dir = pipeline
+        out = tmp_path / "badids"
+        out.mkdir()
+        rec = json.loads((run_dir / "summaries_inforank.jsonl").read_text().splitlines()[0])
+        rec["selected"] = [99]
+        (out / "summaries_inforank.jsonl").write_text(json.dumps(rec) + "\n")
+        code = main(["evaluate", "-c", bundle["config"], "--out-dir", str(out),
+                     "--set", 'systems=["inforank"]'])
+        assert code == EXIT_VALIDATION
+        assert "selects sentences" in capsys.readouterr().err
+
+    def test_non_finite_lexicon_score_is_validation_error(self, bundle, pipeline, tmp_path, capsys):
+        _, run_dir = pipeline
+        out = tmp_path / "nanlex"
+        out.mkdir()
+        (out / "labels.jsonl").write_bytes((run_dir / "labels.jsonl").read_bytes())
+        lex = tmp_path / "nan.tsv"
+        lines = Path(bundle["scored_lexicon"]).read_text().splitlines()
+        lex.write_text("\n".join([lines[0], lines[1].rsplit("\t", 1)[0] + "\tnan"]) + "\n")
+        code = main(["train", "-c", bundle["config"], "--out-dir", str(out),
+                     "--set", f"lexicons.scored={json.dumps([str(lex)])}"])
+        assert code == EXIT_VALIDATION
+        assert "line 2: non-finite score" in capsys.readouterr().err
+
     def test_missing_config_file(self):
         assert main(["train", "-c", "/nonexistent/config.json"]) == EXIT_VALIDATION
 

@@ -56,6 +56,18 @@ class TestScoredLexicon:
         with pytest.raises(LexiconFormatError, match="line 2"):
             load_scored_lexicon(io.StringIO(tsv))
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_score(self, score):
+        tsv = f"#scored m a\nx\ta\t1\ny\ta\t{score}\n"
+        with pytest.raises(LexiconFormatError, match="line 3: non-finite score"):
+            load_scored_lexicon(io.StringIO(tsv))
+
+    @pytest.mark.parametrize("decl", ["a:nan:10", "a:0:inf", "a:-inf:inf"])
+    def test_non_finite_declared_range(self, decl):
+        tsv = f"#scored m a {decl}\nx\ta\t1\n"
+        with pytest.raises(LexiconFormatError, match="line 1: non-finite range"):
+            load_scored_lexicon(io.StringIO(tsv))
+
     def test_unknown_attribute(self):
         tsv = "#scored m a\nx\tb\t1\n"
         with pytest.raises(LexiconFormatError, match="unknown attribute"):

@@ -6,10 +6,9 @@ import pytest
 from infosum.corpus import make_sentence
 from infosum.features import (
     FeatureExtractor,
-    FeatureVector,
     LayoutMismatchError,
+    bow_layout,
     dictionary_layout,
-    layout_hash,
     raw_layout,
 )
 from infosum.lexicons import load_category_lexicon, load_scored_lexicon
@@ -17,7 +16,6 @@ from infosum.pu import (
     DegenerateTrainingSetError,
     Hyper,
     ModelFormatError,
-    PUExample,
     PUModel,
     SentenceClassifier,
     build_relabeled,
@@ -40,11 +38,6 @@ def toy_layout(dim=2):
     return raw_layout(dim, name="toy")
 
 
-def examples_from(X, o, layout):
-    lhash = layout_hash(layout)
-    return [PUExample(FeatureVector(np.asarray(x, dtype=float), lhash), int(flag)) for x, flag in zip(X, o)]
-
-
 def separable_set(n_per_side=20, spread=0.3, seed=0):
     rng = np.random.default_rng(seed)
     pos = rng.normal(loc=(1.0, 1.0), scale=spread, size=(n_per_side, 2))
@@ -56,39 +49,33 @@ def separable_set(n_per_side=20, spread=0.3, seed=0):
 
 class TestStage1:
     def test_separable_positives_above_half(self):
-        layout = toy_layout()
         X, o = separable_set()
-        model = train_stage1(examples_from(X, o, layout), TOY_HYPER)
+        model = train_stage1(X, o, TOY_HYPER)
         probs = model.predict_proba(X[:20])
         assert np.all(probs > 0.5)
 
     def test_single_class_rejected(self):
-        layout = toy_layout()
         X, _ = separable_set()
         with pytest.raises(DegenerateTrainingSetError):
-            train_stage1(examples_from(X, np.ones(len(X)), layout), TOY_HYPER)
+            train_stage1(X, np.ones(len(X)), TOY_HYPER)
 
     def test_duplicated_dataset_same_boundary(self):
-        layout = toy_layout()
         X, o = separable_set()
-        data = examples_from(X, o, layout)
-        m1 = train_stage1(data, TOY_HYPER)
-        m2 = train_stage1(data + data, TOY_HYPER)
+        m1 = train_stage1(X, o, TOY_HYPER)
+        m2 = train_stage1(np.vstack([X, X]), np.concatenate([o, o]), TOY_HYPER)
         assert np.allclose(m1.weights, m2.weights, atol=1e-6)
         assert m1.bias == pytest.approx(m2.bias, abs=1e-6)
 
     def test_outputs_in_open_interval(self):
-        layout = toy_layout()
         X, o = separable_set()
-        model = train_stage1(examples_from(X, o, layout), TOY_HYPER)
+        model = train_stage1(X, o, TOY_HYPER)
         probs = model.predict_proba(np.array([[1e6, 1e6], [-1e6, -1e6]]))
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
     def test_deterministic(self):
-        layout = toy_layout()
         X, o = separable_set()
-        m1 = train_stage1(examples_from(X, o, layout), TOY_HYPER)
-        m2 = train_stage1(examples_from(X, o, layout), TOY_HYPER)
+        m1 = train_stage1(X, o, TOY_HYPER)
+        m2 = train_stage1(X.copy(), o.copy(), TOY_HYPER)
         assert np.array_equal(m1.weights, m2.weights) and m1.bias == m2.bias
 
 
@@ -145,38 +132,23 @@ class TestGradients:
 
 class TestEstimateE:
     def test_arithmetic_mean(self):
-        layout = toy_layout(1)
-        lhash = layout_hash(layout)
         # weights chosen so the two positives score 0.8 and 0.6 exactly
-        model_w = np.array([1.0])
-        from infosum.pu import Stage1Model, _sigmoid
+        from infosum.pu import Stage1Model
 
-        model = Stage1Model(weights=model_w, bias=0.0, hyper=TOY_HYPER, layout_hash=lhash)
-        logits = [np.log(0.8 / 0.2), np.log(0.6 / 0.4)]
-        positives = [PUExample(FeatureVector(np.array([z]), lhash), 1) for z in logits]
+        model = Stage1Model(weights=np.array([1.0]), bias=0.0, hyper=TOY_HYPER)
+        positives = np.array([[np.log(0.8 / 0.2)], [np.log(0.6 / 0.4)]])
         assert estimate_e(model, positives) == pytest.approx(0.7, abs=1e-12)
 
     def test_empty_positive_set(self):
-        layout = toy_layout()
         X, o = separable_set()
-        model = train_stage1(examples_from(X, o, layout), TOY_HYPER)
+        model = train_stage1(X, o, TOY_HYPER)
         with pytest.raises(ValueError):
-            estimate_e(model, [])
-
-    def test_rejects_unlabeled(self):
-        layout = toy_layout()
-        X, o = separable_set()
-        data = examples_from(X, o, layout)
-        model = train_stage1(data, TOY_HYPER)
-        with pytest.raises(ValueError):
-            estimate_e(model, data)
+            estimate_e(model, X[:0])
 
     def test_upper_limit(self):
-        layout = toy_layout()
         X, o = separable_set(spread=0.05)
-        data = examples_from(X, o, layout)
-        model = train_stage1(data, Hyper(l2=1e-6, epochs=2000, lr0=1.0))
-        e = estimate_e(model, [ex for ex in data if ex.o == 1])
+        model = train_stage1(X, o, Hyper(l2=1e-6, epochs=2000, lr0=1.0))
+        e = estimate_e(model, X[o == 1])
         assert 0.9 < e < 1.0
 
 
@@ -206,6 +178,17 @@ class TestUnlabeledWeight:
             ws = [unlabeled_weight(lr, e) for e in grid]
             assert all(b <= a for a, b in zip(ws, ws[1:]))
 
+    def test_array_matches_elementwise(self):
+        lr = np.array([0.0, 0.2, 0.5, 0.8, 1.0])
+        assert np.array_equal(unlabeled_weight(lr, 0.5), [unlabeled_weight(v, 0.5) for v in lr])
+        assert unlabeled_weight(lr, 0.5)[-1] == 1.0
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ValueError):
+            unlabeled_weight(np.array([0.5, 1.5]), 0.5)
+        with pytest.raises(ValueError):
+            unlabeled_weight(0.5, 0.0)
+
     def test_oracle_random_pairs(self):
         rng = np.random.default_rng(123)
         for _ in range(1000):
@@ -217,80 +200,66 @@ class TestUnlabeledWeight:
 
 class TestBuildRelabeled:
     def setup_method(self):
-        layout = toy_layout()
         X, o = separable_set(n_per_side=5)
-        self.data = examples_from(X, o, layout)
-        self.model = train_stage1(self.data, TOY_HYPER)
-        self.e = estimate_e(self.model, [ex for ex in self.data if ex.o == 1])
+        # interleave so positive and unlabeled rows alternate
+        order = np.array([0, 5, 1, 6, 2, 7, 3, 8, 4, 9])
+        self.X, self.o = X[order], o[order]
+        self.model = train_stage1(self.X, self.o, TOY_HYPER)
+        self.e = estimate_e(self.model, self.X[self.o == 1])
 
     def test_size_formula(self):
-        relabeled = build_relabeled(self.data, self.model, self.e)
-        assert len(relabeled) == 5 + 2 * 5
+        rows, y, w = build_relabeled(self.X, self.o, self.model, self.e)
+        assert len(rows) == len(y) == len(w) == 5 + 2 * 5
 
     def test_pair_weights_sum_to_one(self):
-        relabeled = build_relabeled(self.data, self.model, self.e)
-        unlabeled_pairs = [r for r in relabeled[5:]]
-        for a, b in zip(unlabeled_pairs[::2], unlabeled_pairs[1::2]):
-            assert a.y == 1 and b.y == 0
-            assert a.weight + b.weight == pytest.approx(1.0, abs=1e-15)
+        rows, y, w = build_relabeled(self.X, self.o, self.model, self.e)
+        pairs = [i for i in range(len(rows)) if self.o[rows[i]] == 0]
+        for a, b in zip(pairs[::2], pairs[1::2]):
+            assert rows[a] == rows[b] and b == a + 1
+            assert y[a] == 1 and y[b] == 0
+            assert w[a] + w[b] == pytest.approx(1.0, abs=1e-15)
+            lr_x = self.model.predict_proba(self.X[rows[a]][None, :])[0]
+            assert w[a] == pytest.approx(unlabeled_weight(lr_x, self.e), abs=1e-15)
 
     def test_positives_keep_weight_one(self):
-        relabeled = build_relabeled(self.data, self.model, self.e)
-        for r in relabeled[:5]:
-            assert r.y == 1 and r.weight == 1.0
+        rows, y, w = build_relabeled(self.X, self.o, self.model, self.e)
+        pos = self.o[rows] == 1
+        assert pos.sum() == 5
+        assert np.all(y[pos] == 1) and np.all(w[pos] == 1.0)
+
+    def test_rows_in_source_order(self):
+        rows, _, _ = build_relabeled(self.X, self.o, self.model, self.e)
+        assert rows.tolist() == [0, 1, 1, 2, 3, 3, 4, 5, 5, 6, 7, 7, 8, 9, 9]
 
 
 class TestStage2:
     def test_separable_no_hinge_violations(self):
-        from infosum.pu import RelabeledExample
-
-        layout = toy_layout()
-        lhash = layout_hash(layout)
         X, o = separable_set()
-        data = [
-            RelabeledExample(FeatureVector(x, lhash), int(y), 1.0) for x, y in zip(X, o)
-        ]
-        w, b = train_stage2(data, Hyper(l2=1e-4, epochs=2000, lr0=1.0))
+        w, b = train_stage2(X, o, np.ones(len(X)), Hyper(l2=1e-4, epochs=2000, lr0=1.0))
         margins = (2.0 * o - 1.0) * (X @ w + b)
         assert np.all(margins > 0)
         assert float(np.mean(margins >= 1.0)) > 0.95
 
     def test_zero_weight_example_is_inert(self):
-        from infosum.pu import RelabeledExample
-
-        layout = toy_layout()
-        lhash = layout_hash(layout)
         X, o = separable_set(n_per_side=8)
-        base = [RelabeledExample(FeatureVector(x, lhash), int(y), 1.0) for x, y in zip(X, o)]
-        extra = base + [RelabeledExample(FeatureVector(np.array([5.0, -5.0]), lhash), 1, 0.0)]
-        w1, b1 = train_stage2(base, TOY_HYPER)
-        w2, b2 = train_stage2(extra, TOY_HYPER)
+        ones = np.ones(len(X))
+        w1, b1 = train_stage2(X, o, ones, TOY_HYPER)
+        w2, b2 = train_stage2(
+            np.vstack([X, [[5.0, -5.0]]]), np.append(o, 1), np.append(ones, 0.0), TOY_HYPER
+        )
         assert np.allclose(w1, w2, atol=1e-6) and b1 == pytest.approx(b2, abs=1e-6)
 
     def test_doubling_weights_keeps_boundary(self):
-        from infosum.pu import RelabeledExample
-
-        layout = toy_layout()
-        lhash = layout_hash(layout)
         X, o = separable_set(n_per_side=8)
-        ones = [RelabeledExample(FeatureVector(x, lhash), int(y), 1.0) for x, y in zip(X, o)]
         # weight-normalized objective: doubling all weights changes nothing
-        halves = [RelabeledExample(r.features, r.y, 0.5) for r in ones]
-        w1, b1 = train_stage2(ones, TOY_HYPER)
-        w2, b2 = train_stage2(halves, TOY_HYPER)
+        w1, b1 = train_stage2(X, o, np.ones(len(X)), TOY_HYPER)
+        w2, b2 = train_stage2(X, o, np.full(len(X), 0.5), TOY_HYPER)
         assert np.allclose(w1, w2, atol=1e-6) and b1 == pytest.approx(b2, abs=1e-6)
 
     def test_degenerate_rejected(self):
-        from infosum.pu import RelabeledExample
-
-        layout = toy_layout()
-        lhash = layout_hash(layout)
-        data = [
-            RelabeledExample(FeatureVector(np.array([1.0, 0.0]), lhash), 1, 1.0),
-            RelabeledExample(FeatureVector(np.array([0.0, 1.0]), lhash), 0, 0.0),
-        ]
+        X = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DegenerateTrainingSetError):
-            train_stage2(data, TOY_HYPER)
+            train_stage2(X, np.array([1, 0]), np.array([1.0, 0.0]), TOY_HYPER)
 
 
 class TestCalibrate:
@@ -325,36 +294,42 @@ class TestCalibrate:
 
 
 def trained_toy_model(seed=0):
-    layout = toy_layout()
     X, o = separable_set(seed=seed)
-    data = examples_from(X, o, layout)
-    return train_pu_model(data, layout, TOY_HYPER, TOY_HYPER, seed=seed), data, X, o
+    return train_pu_model(X, o, toy_layout(), TOY_HYPER, TOY_HYPER, seed=seed), X, o
 
 
 class TestPUModel:
     def test_predict_prob_deterministic_and_monotone_in_margin(self):
-        model, data, X, o = trained_toy_model()
-        fv = data[0].features
-        assert model.predict_prob(fv) == model.predict_prob(fv)
+        model, X, o = trained_toy_model()
+        assert model.prob_from_margin(model.margins(X[0])) == model.prob_from_margin(
+            model.margins(X[0])
+        )
         margins = model.margins(X)
         probs = np.asarray(model.prob_from_margin(margins))
         order = np.argsort(margins)
         assert np.all(np.diff(probs[order]) >= 0)
 
     def test_training_positives_score_higher(self):
-        model, data, X, o = trained_toy_model()
+        model, X, o = trained_toy_model()
         probs = np.asarray(model.prob_from_margin(model.margins(X)))
         assert probs[o == 1].mean() > probs[o == 0].mean()
 
     def test_layout_mismatch_on_predict(self):
-        model, _, _, _ = trained_toy_model()
-        alien = FeatureVector(np.zeros(2), layout_hash(raw_layout(2, name="other")))
+        model, _, _ = trained_toy_model()
+        alien = FeatureExtractor(bow_layout(("alpha", "beta")))  # same width, other layout
         with pytest.raises(LayoutMismatchError):
-            model.predict_prob(alien)
+            SentenceClassifier(model, alien)
+
+    def test_training_matrix_must_match_layout(self):
+        X, o = separable_set()
+        with pytest.raises(LayoutMismatchError):
+            train_pu_model(X, o, toy_layout(3), TOY_HYPER, TOY_HYPER)
+        with pytest.raises(ValueError):
+            train_pu_model(X, o + 1, toy_layout(), TOY_HYPER, TOY_HYPER)
 
     def test_fixed_seed_identical_model_bytes(self, tmp_path):
-        m1, _, _, _ = trained_toy_model(seed=3)
-        m2, _, _, _ = trained_toy_model(seed=3)
+        m1, _, _ = trained_toy_model(seed=3)
+        m2, _, _ = trained_toy_model(seed=3)
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
         save_model(m1, p1)
         save_model(m2, p2)
@@ -363,16 +338,15 @@ class TestPUModel:
 
 class TestSaveLoad:
     def test_round_trip_bit_exact_predictions(self, tmp_path):
-        model, data, X, o = trained_toy_model()
+        model, X, o = trained_toy_model()
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
         rng = np.random.default_rng(0)
-        probes = rng.normal(size=(100, 2))
-        lhash = model.layout_hash
-        for row in probes:
-            fv = FeatureVector(row, lhash)
-            assert loaded.predict_prob(fv) == model.predict_prob(fv)
+        for row in rng.normal(size=(100, 2)):
+            assert loaded.prob_from_margin(loaded.margins(row)) == model.prob_from_margin(
+                model.margins(row)
+            )
 
     def test_corrupted_file(self, tmp_path):
         path = tmp_path / "model.json"
@@ -387,7 +361,7 @@ class TestSaveLoad:
             load_model(path)
 
     def test_version_mismatch(self, tmp_path):
-        model, _, _, _ = trained_toy_model()
+        model, _, _ = trained_toy_model()
         path = tmp_path / "model.json"
         save_model(model, path)
         import json
@@ -399,7 +373,7 @@ class TestSaveLoad:
             load_model(path)
 
     def test_tampered_layout_hash(self, tmp_path):
-        model, _, _, _ = trained_toy_model()
+        model, _, _ = trained_toy_model()
         path = tmp_path / "model.json"
         save_model(model, path)
         import json
@@ -422,12 +396,11 @@ class TestSentenceClassifier:
         cats = load_category_lexicon(io.StringIO(CATS_TSV))
         layout = dictionary_layout([scored], [cats])
         ex = FeatureExtractor(layout, [scored], [cats])
-        sents_pos = [make_sentence(i, "alpha alpha alpha beta") for i in range(8)]
-        sents_neg = [make_sentence(i, "beta beta gamma delta epsilon") for i in range(8)]
-        data = [PUExample(ex.extract(s), 1) for s in sents_pos] + [
-            PUExample(ex.extract(s), 0) for s in sents_neg
-        ]
-        model = train_pu_model(data, layout, TOY_HYPER, TOY_HYPER, seed=0)
+        sents = [make_sentence(i, "alpha alpha alpha beta") for i in range(8)]
+        sents += [make_sentence(i, "beta beta gamma delta epsilon") for i in range(8)]
+        X = np.array([ex.extract(s) for s in sents])
+        o = np.array([1] * 8 + [0] * 8)
+        model = train_pu_model(X, o, layout, TOY_HYPER, TOY_HYPER, seed=0)
         return model, ex
 
     def test_mutated_lexicon_rejected_at_predict(self):
@@ -442,6 +415,7 @@ class TestSentenceClassifier:
     def test_classifier_probabilities(self):
         model, ex = self.train_text_model(SCORED_V1)
         clf = SentenceClassifier(model, ex)
-        p = clf.prob(make_sentence(0, "alpha alpha alpha beta"))
+        sent = make_sentence(0, "alpha alpha alpha beta")
+        p = clf.prob(sent)
         assert 0.0 < p < 1.0
-        assert clf.label(make_sentence(0, "alpha alpha alpha beta")) in (0, 1)
+        assert p == float(model.prob_from_margin(model.margins(ex.extract(sent))))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infosum.corpus import build_document, word_count
+from infosum.corpus import build_document, make_sentence, word_count
 from infosum.metrics import chi2_sf_1df
 from infosum.summarize import (
     TRUNCATE_WORDS,
@@ -13,22 +13,9 @@ from infosum.summarize import (
     random_rank,
     read_summaries,
     summaries_to_jsonl,
+    summary_sentences,
     write_summaries,
 )
-
-
-class StubClassifier:
-    """Fixed per-sentence probabilities keyed by sentence id."""
-
-    def __init__(self, probs, threshold=0.5):
-        self.probs = probs
-        self.threshold = threshold
-
-    def prob(self, sentence):
-        return self.probs[sentence.id]
-
-    def label(self, sentence):
-        return int(self.prob(sentence) >= self.threshold)
 
 
 def doc_with_word_counts(counts, doc_id="d"):
@@ -71,40 +58,53 @@ class TestLeadWords:
         assert word_count(joined.sentences) == 12
 
 
+class TestSummarySentences:
+    def test_whole_sentences_as_selected(self):
+        doc = build_document("d", "", ["a b", "c d", "e f"])
+        res = info_rank(doc, [0.9, 0.1, 0.8], SummaryBudget(4))
+        assert [s.text for s in summary_sentences(doc, res)] == ["a b", "e f"]
+
+    @pytest.mark.parametrize("max_words", [1, 3, 4, 5, 12, 100])
+    def test_cut_like_lead_words(self, max_words):
+        doc = build_document("d", "", ["Alpha, beta gamma.", "We're here: now !", "x y z"])
+        res = lead_words(doc, SummaryBudget(max_words))
+        sents = summary_sentences(doc, res)
+        words = [t.lower for s in sents for t in s.tokens if t.is_word]
+        assert len(words) == res.word_total
+        assert words == [t.lower for t in make_sentence(0, res.text).tokens if t.is_word]
+        assert " ".join(s.text for s in sents) == res.text
+
+
 class TestInfoRank:
     def test_greedy_with_skip(self):
         doc = doc_with_word_counts([80, 30, 15])
-        clf = StubClassifier({0: 0.9, 1: 0.8, 2: 0.7})
-        res = info_rank(doc, clf, SummaryBudget(100))
+        res = info_rank(doc, [0.9, 0.8, 0.7], SummaryBudget(100))
         assert res.selected == (0, 2)
         assert res.word_total == 95
 
     def test_ties_prefer_document_order(self):
         doc = doc_with_word_counts([40, 40, 40])
-        clf = StubClassifier({0: 0.5, 1: 0.5, 2: 0.5})
-        res = info_rank(doc, clf, SummaryBudget(80))
+        res = info_rank(doc, [0.5, 0.5, 0.5], SummaryBudget(80))
         assert res.selected == (0, 1)
 
     def test_budget_smaller_than_every_sentence(self):
         doc = doc_with_word_counts([50, 60])
-        clf = StubClassifier({0: 0.9, 1: 0.8})
-        res = info_rank(doc, clf, SummaryBudget(10))
+        res = info_rank(doc, [0.9, 0.8], SummaryBudget(10))
         assert res.selected == ()
         assert res.text == ""
         assert res.word_total == 0
 
     def test_invariant_under_monotone_transform(self):
         doc = doc_with_word_counts([30, 25, 20, 35, 10])
-        probs = {0: 0.31, 1: 0.77, 2: 0.12, 3: 0.55, 4: 0.92}
-        transformed = {k: v / (1.0 + v) for k, v in probs.items()}  # strictly monotone
-        a = info_rank(doc, StubClassifier(probs), SummaryBudget(60))
-        b = info_rank(doc, StubClassifier(transformed), SummaryBudget(60))
+        probs = [0.31, 0.77, 0.12, 0.55, 0.92]
+        transformed = [v / (1.0 + v) for v in probs]  # strictly monotone
+        a = info_rank(doc, probs, SummaryBudget(60))
+        b = info_rank(doc, transformed, SummaryBudget(60))
         assert a.selected == b.selected
 
     def test_output_in_document_order(self):
         doc = doc_with_word_counts([10, 10, 10])
-        clf = StubClassifier({0: 0.1, 1: 0.5, 2: 0.9})
-        res = info_rank(doc, clf, SummaryBudget(30))
+        res = info_rank(doc, [0.1, 0.5, 0.9], SummaryBudget(30))
         assert res.selected == (0, 1, 2)
         assert res.text.index("w2x0") > res.text.index("w1x0")
 
@@ -112,8 +112,7 @@ class TestInfoRank:
 class TestInfoFilter:
     def test_all_important_equals_whole_sentence_lead(self):
         doc = doc_with_word_counts([30, 40, 50, 20])
-        clf = StubClassifier({i: 0.9 for i in range(4)})
-        filt = info_filter(doc, clf, SummaryBudget(100))
+        filt = info_filter(doc, [0.9] * 4, SummaryBudget(100))
         lead = lead_words(doc, SummaryBudget(100, WHOLE_SENTENCE))
         assert filt.text == lead.text
         assert filt.selected == lead.selected
@@ -122,31 +121,39 @@ class TestInfoFilter:
 
     def test_first_sentence_dropped(self):
         doc = doc_with_word_counts([10, 20, 30])
-        clf = StubClassifier({0: 0.1, 1: 0.9, 2: 0.9})
-        res = info_filter(doc, clf, SummaryBudget(100))
+        res = info_filter(doc, [0.1, 0.9, 0.9], SummaryBudget(100))
         assert res.removed == (0,)
         assert res.selected == (1, 2)
         assert res.text.startswith("w1x0")
 
     def test_stops_at_first_overflowing_kept_sentence(self):
         doc = doc_with_word_counts([30, 80, 10])
-        clf = StubClassifier({i: 0.9 for i in range(3)})
-        res = info_filter(doc, clf, SummaryBudget(50))
+        res = info_filter(doc, [0.9] * 3, SummaryBudget(50))
         # sentence 1 would overflow: stop, do not skip ahead to sentence 2
         assert res.selected == (0,)
 
     def test_all_unimportant_falls_back_to_lead(self):
         doc = doc_with_word_counts([30, 40])
-        clf = StubClassifier({0: 0.1, 1: 0.1})
-        res = info_filter(doc, clf, SummaryBudget(100))
+        res = info_filter(doc, [0.1, 0.1], SummaryBudget(100))
         assert res.fallback
         assert res.removed == (0, 1)
         assert res.text == lead_words(doc, SummaryBudget(100)).text
 
+    def test_half_is_important(self):
+        doc = doc_with_word_counts([10, 10])
+        res = info_filter(doc, [0.5, np.nextafter(0.5, 0.0)], SummaryBudget(100))
+        assert res.selected == (0,) and res.removed == (1,)
+
+    def test_probability_count_must_match_sentences(self):
+        doc = doc_with_word_counts([10, 10])
+        with pytest.raises(ValueError, match="2 sentences"):
+            info_filter(doc, [0.9], SummaryBudget(100))
+        with pytest.raises(ValueError, match="2 sentences"):
+            info_rank(doc, [0.9, 0.8, 0.7], SummaryBudget(100))
+
     def test_selected_strictly_increasing(self):
         doc = doc_with_word_counts([10] * 8)
-        clf = StubClassifier({i: (0.9 if i % 2 else 0.1) for i in range(8)})
-        res = info_filter(doc, clf, SummaryBudget(30))
+        res = info_filter(doc, [0.9 if i % 2 else 0.1 for i in range(8)], SummaryBudget(30))
         assert list(res.selected) == sorted(res.selected)
         assert all(i in (1, 3, 5, 7) for i in res.selected)
 
@@ -190,12 +197,11 @@ class TestBudgetSafetyAndSerialization:
         rng = np.random.default_rng(1)
         for doc in self.random_docs():
             budget = SummaryBudget(int(rng.integers(5, 120)))
-            probs = {s.id: float(rng.random()) for s in doc.sentences}
-            clf = StubClassifier(probs)
+            probs = [float(rng.random()) for _ in doc.sentences]
             for res in (
                 lead_words(doc, budget),
-                info_rank(doc, clf, budget),
-                info_filter(doc, clf, budget),
+                info_rank(doc, probs, budget),
+                info_filter(doc, probs, budget),
                 random_rank(doc, budget, seed=7),
             ):
                 assert res.word_total <= budget.max_words
