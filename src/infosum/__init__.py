@@ -33,7 +33,6 @@ from .lexicons import (
 )
 from .pu import (
     DegenerateTrainingSetError,
-    Hyper,
     PUModel,
     SentenceClassifier,
     load_model,

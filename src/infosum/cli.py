@@ -13,13 +13,22 @@ import argparse
 import itertools
 import json
 import logging
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, CorpusFormatError, JsonlFormatError, load_corpus, parse_jsonl
+from .corpus import (
+    Corpus,
+    CorpusFormatError,
+    JsonlFormatError,
+    compute_idf,
+    load_corpus,
+    parse_jsonl,
+    to_jsonl,
+)
 from .features import (
     FeatureExtractor,
     LayoutMismatchError,
@@ -33,7 +42,8 @@ from .features import (
 from .lexicons import LexiconFormatError, read_category_lexicon, read_scored_lexicon
 from .metrics import mcnemar, prf, rouge_n, wilcoxon_signed_rank
 from .pu import (
-    Hyper,
+    L2,
+    ModelFormatError,
     PUModel,
     SentenceClassifier,
     load_model,
@@ -85,6 +95,31 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
 
 
+def _read_l2(hyper) -> tuple[float, float]:
+    """The stage-1 and stage-2 L2 penalties, the only settable training values."""
+    if not isinstance(hyper, dict) or not set(hyper) <= {"stage1", "stage2"}:
+        raise ConfigError("'hyper' may only hold 'stage1' and 'stage2'")
+    penalties = []
+    for stage in ("stage1", "stage2"):
+        block = hyper.get(stage, {})
+        if not isinstance(block, dict):
+            raise ConfigError(f"'hyper.{stage}' must be an object")
+        unknown = sorted(set(block) - {"l2"})
+        if unknown:
+            raise ConfigError(
+                f"unknown config key 'hyper.{stage}.{unknown[0]}': only l2 can be set, "
+                "the training schedule is fixed"
+            )
+        try:
+            l2 = float(block.get("l2", L2))
+        except (TypeError, ValueError):
+            l2 = math.nan
+        if not (math.isfinite(l2) and l2 >= 0.0):
+            raise ConfigError(f"'hyper.{stage}.l2' must be a finite number >= 0")
+        penalties.append(l2)
+    return penalties[0], penalties[1]
+
+
 @dataclass
 class RunConfig:
     seed: int
@@ -101,8 +136,8 @@ class RunConfig:
     feature_mode: str = MODE_DICTIONARY
     bins: int = 230
     bow_min_df: int = 2
-    stage1: Hyper = field(default_factory=Hyper)
-    stage2: Hyper = field(default_factory=Hyper)
+    stage1_l2: float = L2
+    stage2_l2: float = L2
     max_words: int = 100
     budget_mode: str = TRUNCATE_WORDS
     systems: tuple[str, ...] = SYSTEMS
@@ -118,7 +153,7 @@ class RunConfig:
         lex = raw.get("lexicons", {})
         label = raw.get("label", {})
         feats = raw.get("features", {})
-        hyper = raw.get("hyper", {})
+        stage1_l2, stage2_l2 = _read_l2(raw.get("hyper", {}))
         budget = raw.get("budget", {})
         ev = raw.get("evaluate", {})
         try:
@@ -137,8 +172,8 @@ class RunConfig:
                 feature_mode=feats.get("mode", MODE_DICTIONARY),
                 bins=int(feats.get("bins", 230)),
                 bow_min_df=int(feats.get("bow_min_df", 2)),
-                stage1=Hyper.from_json(hyper["stage1"]) if "stage1" in hyper else Hyper(),
-                stage2=Hyper.from_json(hyper["stage2"]) if "stage2" in hyper else Hyper(),
+                stage1_l2=stage1_l2,
+                stage2_l2=stage2_l2,
                 max_words=int(budget.get("max_words", 100)),
                 budget_mode=budget.get("mode", TRUNCATE_WORDS),
                 systems=tuple(raw.get("systems", SYSTEMS)),
@@ -180,7 +215,7 @@ class RunConfig:
                 "bins": self.bins,
                 "bow_min_df": self.bow_min_df,
             },
-            "hyper": {"stage1": self.stage1.to_json(), "stage2": self.stage2.to_json()},
+            "hyper": {"stage1": {"l2": self.stage1_l2}, "stage2": {"l2": self.stage2_l2}},
             "budget": {"max_words": self.max_words, "mode": self.budget_mode},
             "systems": list(self.systems),
             "evaluate": {
@@ -283,12 +318,13 @@ def compute_labels(cfg: RunConfig, corpus: Corpus):
         for doc in corpus:
             labels.extend(label_by_extract(doc, extracts.get(doc.doc_id, [])))
     else:
+        idf = compute_idf(corpus.documents)
         for doc in corpus:
             if not doc.summary:
                 raise ConfigError(
                     f"alignment labeling needs summaries; document {doc.doc_id!r} has none"
                 )
-            labels.extend(label_by_alignment(doc, label_cfg, corpus.idf))
+            labels.extend(label_by_alignment(doc, label_cfg, idf))
     return labels
 
 
@@ -353,7 +389,7 @@ def cmd_train(cfg: RunConfig) -> int:
     sampled = sample_unlabeled(labels, cfg.label_config())
     extractor = build_extractor(cfg, train_corpus=corpus)
     X, o = build_examples(corpus, sampled, extractor)
-    model = train_pu_model(X, o, extractor.layout, cfg.stage1, cfg.stage2, seed=cfg.seed)
+    model = train_pu_model(X, o, extractor.layout, cfg.stage1_l2, cfg.stage2_l2, seed=cfg.seed)
     _write_resolved_config(cfg, "train")
     save_model(model, cfg.path("model.json"))
     counts = label_counts(sampled)
@@ -373,26 +409,16 @@ def _load_classifier(cfg: RunConfig) -> tuple[PUModel, SentenceClassifier]:
 def cmd_predict(cfg: RunConfig) -> int:
     corpus = load_corpus(_require_file(cfg.test_corpus, "test corpus"))
     _, classifier = _load_classifier(cfg)
-    lines = []
+    records = []
     for doc in corpus:
         for sent in doc.sentences:
             prob = classifier.prob(sent)
-            lines.append(
-                json.dumps(
-                    {
-                        "doc_id": doc.doc_id,
-                        "sentence_id": sent.id,
-                        "prob": prob,
-                        "label": int(prob >= 0.5),
-                    },
-                    sort_keys=True,
-                )
+            records.append(
+                {"doc_id": doc.doc_id, "sentence_id": sent.id, "prob": prob, "label": int(prob >= 0.5)}
             )
     _write_resolved_config(cfg, "predict")
-    cfg.path("predictions.jsonl").write_text(
-        "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8"
-    )
-    print(f"predict: {len(lines)} sentences -> {cfg.path('predictions.jsonl')}")
+    cfg.path("predictions.jsonl").write_text(to_jsonl(records), encoding="utf-8")
+    print(f"predict: {len(records)} sentences -> {cfg.path('predictions.jsonl')}")
     return EXIT_OK
 
 
@@ -670,7 +696,8 @@ def main(argv=None) -> int:
             return cmd_evaluate(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
     except (
-        ConfigError, CorpusFormatError, JsonlFormatError, LexiconFormatError, FileNotFoundError
+        ConfigError, CorpusFormatError, JsonlFormatError, LexiconFormatError, ModelFormatError,
+        FileNotFoundError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -70,7 +70,6 @@ class IdfTable:
 @dataclass
 class Corpus:
     documents: tuple[Document, ...]
-    idf: IdfTable
     _index: dict[str, Document] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -166,10 +165,6 @@ def compute_idf(documents: Sequence[Document]) -> IdfTable:
     return IdfTable(n_docs=n, weights=weights)
 
 
-def corpus_from_documents(documents: Sequence[Document]) -> Corpus:
-    return Corpus(documents=tuple(documents), idf=compute_idf(documents))
-
-
 def iter_lines(source: Iterable[str] | IO[bytes] | IO[str]) -> Iterator[str]:
     """Lines of a text or UTF-8 byte stream, as str."""
     for line in source:
@@ -245,22 +240,28 @@ def parse_corpus(source: Iterable[str] | IO[bytes] | IO[str], format: str = "jso
         ):
             raise CorpusFormatError(f"line {lineno}: summary must be an array of strings")
         documents.append(build_document(doc_id, section, sentences, summary))
-    return corpus_from_documents(documents)
+    return Corpus(tuple(documents))
+
+
+def to_jsonl(records: Iterable[dict]) -> str:
+    """One JSON object per line, keys sorted and non-ASCII kept as UTF-8."""
+    return "".join(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n" for rec in records)
+
+
+def _document_record(doc: Document) -> dict:
+    rec: dict = {
+        "doc_id": doc.doc_id,
+        "section": doc.section,
+        "sentences": [s.text for s in doc.sentences],
+    }
+    if doc.summary is not None:
+        rec["summary"] = [s.text for s in doc.summary]
+    return rec
 
 
 def serialize_corpus(corpus: Corpus) -> str:
     """Inverse of parse_corpus: JSONL with one document object per line."""
-    lines = []
-    for doc in corpus.documents:
-        rec: dict = {
-            "doc_id": doc.doc_id,
-            "section": doc.section,
-            "sentences": [s.text for s in doc.sentences],
-        }
-        if doc.summary is not None:
-            rec["summary"] = [s.text for s in doc.summary]
-        lines.append(json.dumps(rec, ensure_ascii=False, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return to_jsonl(_document_record(doc) for doc in corpus.documents)
 
 
 def load_corpus(path: str | Path) -> Corpus:

@@ -110,7 +110,7 @@ def load_scored_lexicon(
 
     Attribute ranges come from `attr:min:max` header declarations when present
     and are computed from the data otherwise. A score outside a declared range
-    is an error.
+    is an error, and so is a computed range with a single score.
     """
     name: str | None = None
     attributes: tuple[str, ...] = ()
@@ -192,7 +192,13 @@ def load_scored_lexicon(
             continue
         observed = [attrs[attr] for attrs in entries.values() if attr in attrs]
         if observed:
-            ranges[attr] = (min(observed), max(observed))
+            lo, hi = min(observed), max(observed)
+            if lo == hi:
+                raise LexiconFormatError(
+                    f"attribute {attr!r} has the single score {lo} and no declared range; "
+                    f"declare one in the header as {attr}:min:max"
+                )
+            ranges[attr] = (lo, hi)
     return ScoredLexicon(
         name=name, attributes=attributes, entries=entries, ranges=ranges, bins=bins
     )

@@ -14,10 +14,19 @@ set is kept as row indices into X with labels y and weights, never as a
 copy of X. Stage 2 trains a weighted linear SVM on the relabeled data, and a
 sigmoid fitted on held-out margins converts SVM scores into probabilities.
 
-Both trainers are deterministic full-batch (sub)gradient descent with a
-1/t learning-rate decay; objectives normalize the data term by total sample
-weight, so duplicating the dataset or rescaling all weights leaves the
-optimization path unchanged.
+Both stages run one fixed schedule of full-batch (sub)gradient descent,
+EPOCHS steps from zero at learning rate LR0 / (1 + t / LR_TAU); only each
+stage's L2 penalty can be set. The schedule is part of the model: stopping
+after a fixed budget regularizes it, and exact solvers of the same
+objectives give a worse detector. On the benchmark bundles at seed 0,
+Newton on stage 1 (l2 = 1e-4) moves e from 0.73 to 0.96 and detector F1
+from 0.969 to 0.891 on bow-align-hivocab; pure-Python dual coordinate
+descent for the hinge SVM had not converged after 10,000 epochs (97 s) on
+paper-150; Newton on a squared hinge loses at least 3.5 % F1 on
+bow-align-hivocab at every l2 in {1e-4, 1e-3, 1e-2, 1e-1}.
+
+Objectives normalize the data term by total sample weight, so duplicating
+the dataset or rescaling all weights leaves the optimization path unchanged.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -46,6 +55,13 @@ logger = logging.getLogger(__name__)
 MODEL_VERSION = 1
 PROB_EPS = 1e-12
 
+# The fixed training schedule of both stages (see the module docstring) and
+# the default L2 penalty of each.
+EPOCHS = 4000
+LR0 = 0.08
+LR_TAU = 400.0
+L2 = 1e-4
+
 
 class DegenerateTrainingSetError(ValueError):
     """Training or calibration data carries only one effective class."""
@@ -53,38 +69,6 @@ class DegenerateTrainingSetError(ValueError):
 
 class ModelFormatError(ValueError):
     """Model file is corrupted, has a bad version, or fails its hash check."""
-
-
-@dataclass(frozen=True)
-class Hyper:
-    """Gradient-descent settings.
-
-    The learning rate at epoch t is lr0 / (1 + t / lr_tau): harmonic (1/t)
-    decay with a time constant. The default lr_tau of 1 decays from the
-    first epoch; raw count-valued features are ill-conditioned for plain
-    gradient descent and want a larger lr_tau with more epochs.
-    """
-
-    l2: float = 1.0
-    epochs: int = 200
-    lr0: float = 0.1
-    lr_tau: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.l2 < 0 or self.epochs < 1 or self.lr0 <= 0 or self.lr_tau <= 0:
-            raise ValueError(f"invalid hyperparameters {self}")
-
-    def to_json(self) -> dict:
-        return {"l2": self.l2, "epochs": self.epochs, "lr0": self.lr0, "lr_tau": self.lr_tau}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Hyper":
-        return cls(
-            l2=obj["l2"],
-            epochs=obj["epochs"],
-            lr0=obj["lr0"],
-            lr_tau=obj.get("lr_tau", 1.0),
-        )
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -100,7 +84,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class Stage1Model:
     weights: np.ndarray
     bias: float
-    hyper: Hyper
 
     def decision(self, X: np.ndarray) -> np.ndarray:
         return X @ self.weights + self.bias
@@ -151,20 +134,23 @@ def hinge_loss(
     return loss, grad_w, grad_b
 
 
-def _gradient_descent(loss_and_grad, dim: int, hyper: Hyper, tag: str) -> tuple[np.ndarray, float]:
-    w = np.zeros(dim)
+def _gradient_descent(loss, X, y, sample_weight, l2: float, tag: str) -> tuple[np.ndarray, float]:
+    """EPOCHS full-batch steps of `loss` from zero, learning rate LR0 / (1 + t / LR_TAU)."""
+    if not (math.isfinite(l2) and l2 >= 0.0):
+        raise ValueError(f"l2 must be finite and >= 0, got {l2}")
+    w = np.zeros(X.shape[1])
     b = 0.0
-    for t in range(hyper.epochs):
-        lr = hyper.lr0 / (1.0 + t / hyper.lr_tau)
-        loss, grad_w, grad_b = loss_and_grad(w, b)
+    for t in range(EPOCHS):
+        lr = LR0 / (1.0 + t / LR_TAU)
+        value, grad_w, grad_b = loss(w, b, X, y, sample_weight, l2)
         w = w - lr * grad_w
         b = b - lr * grad_b
-        if t == 0 or (t + 1) % 50 == 0 or t == hyper.epochs - 1:
-            logger.debug("%s epoch %d loss %.6f", tag, t + 1, loss)
+        if t == 0 or (t + 1) % 50 == 0 or t == EPOCHS - 1:
+            logger.debug("%s epoch %d loss %.6f", tag, t + 1, value)
     return w, b
 
 
-def train_stage1(X: np.ndarray, o: np.ndarray, hyper: Hyper = Hyper()) -> Stage1Model:
+def train_stage1(X: np.ndarray, o: np.ndarray, l2: float = L2) -> Stage1Model:
     """Logistic regression on o labels, treating unlabeled rows as negative."""
     if len(X) == 0:
         raise DegenerateTrainingSetError("empty training set")
@@ -173,11 +159,8 @@ def train_stage1(X: np.ndarray, o: np.ndarray, hyper: Hyper = Hyper()) -> Stage1
         raise DegenerateTrainingSetError(
             "stage 1 needs at least one positive and one unlabeled example"
         )
-    sw = np.ones(len(X))
-    w, b = _gradient_descent(
-        lambda w, b: logistic_loss(w, b, X, o, sw, hyper.l2), X.shape[1], hyper, "stage1"
-    )
-    return Stage1Model(weights=w, bias=b, hyper=hyper)
+    w, b = _gradient_descent(logistic_loss, X, o, np.ones(len(X)), l2, "stage1")
+    return Stage1Model(weights=w, bias=b)
 
 
 def estimate_e(model: Stage1Model, X_pos: np.ndarray) -> float:
@@ -228,7 +211,7 @@ def build_relabeled(
 
 
 def train_stage2(
-    X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray, hyper: Hyper = Hyper()
+    X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray, l2: float = L2
 ) -> tuple[np.ndarray, float]:
     """Instance-weighted linear SVM on relabeled rows by subgradient descent."""
     if len(X) == 0:
@@ -239,10 +222,7 @@ def train_stage2(
         raise DegenerateTrainingSetError(
             "stage 2 needs positive total weight on both labels"
         )
-    y_pm = 2.0 * y - 1.0
-    return _gradient_descent(
-        lambda w, b: hinge_loss(w, b, X, y_pm, sw, hyper.l2), X.shape[1], hyper, "stage2"
-    )
+    return _gradient_descent(hinge_loss, X, 2.0 * y - 1.0, sw, l2, "stage2")
 
 
 def calibrate(
@@ -311,7 +291,6 @@ class PUModel:
     svm_weights: np.ndarray
     svm_bias: float
     calib: tuple[float, float]
-    stage2_hyper: Hyper
     seed: int
 
     def margins(self, X: np.ndarray) -> np.ndarray:
@@ -322,20 +301,34 @@ class PUModel:
         return np.clip(_sigmoid(-(a * np.asarray(margin, dtype=float) + b)), PROB_EPS, 1.0 - PROB_EPS)
 
 
+def calibration_split(rows: np.ndarray, n_rows: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(fit, calibration) indices into relabeled entries whose source rows are `rows`.
+
+    A seeded 20% of the n_rows source rows is held out, and every entry of a
+    held-out row goes to calibration, so both copies of an unlabeled row fall
+    on the same side.
+    """
+    n_cal = max(1, round(0.2 * n_rows))
+    held = np.zeros(n_rows, dtype=bool)
+    held[np.random.default_rng(seed).permutation(n_rows)[:n_cal]] = True
+    return np.flatnonzero(~held[rows]), np.flatnonzero(held[rows])
+
+
 def train_pu_model(
     X: np.ndarray,
     o: np.ndarray,
     layout: FeatureLayout,
-    stage1_hyper: Hyper = Hyper(),
-    stage2_hyper: Hyper = Hyper(),
+    stage1_l2: float = L2,
+    stage2_l2: float = L2,
     seed: int = 0,
 ) -> PUModel:
     """Full two-stage pipeline with a 20% held-out calibration split.
 
     X holds one feature row per example in `layout`, o its 0/1 labels. The
-    relabeled entries are permuted with the given seed; the SVM trains on the
-    remaining 80%. If the held-out slice lacks one label, calibration falls
-    back to margins over the full relabeled set.
+    SVM trains on the relabeled entries of 80% of the rows and the sigmoid is
+    fitted on those of the rest (`calibration_split`). If the held-out slice
+    lacks one label, calibration falls back to margins over the full
+    relabeled set.
     """
     X = np.asarray(X, dtype=float)
     o = np.asarray(o)
@@ -343,7 +336,7 @@ def train_pu_model(
         raise LayoutMismatchError("training matrix does not match the given layout")
     if not np.isin(o, (0, 1)).all():
         raise ValueError("o must hold only 0 and 1")
-    stage1 = train_stage1(X, o, stage1_hyper)
+    stage1 = train_stage1(X, o, stage1_l2)
     e = estimate_e(stage1, X[o == 1])
     rows, y, w = build_relabeled(X, o, stage1, e)
     logger.info(
@@ -353,12 +346,8 @@ def train_pu_model(
         e,
         len(rows),
     )
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(rows))
-    n_cal = max(1, int(round(0.2 * len(rows))))
-    cal_idx = np.sort(perm[:n_cal])
-    fit_idx = np.sort(perm[n_cal:])
-    svm_w, svm_b = train_stage2(X[rows[fit_idx]], y[fit_idx], w[fit_idx], stage2_hyper)
+    fit_idx, cal_idx = calibration_split(rows, len(X), seed)
+    svm_w, svm_b = train_stage2(X[rows[fit_idx]], y[fit_idx], w[fit_idx], stage2_l2)
     margins = X @ svm_w + svm_b
     try:
         A, B = calibrate(margins[rows[cal_idx]], y[cal_idx], w[cal_idx])
@@ -373,7 +362,6 @@ def train_pu_model(
         svm_weights=svm_w,
         svm_bias=svm_b,
         calib=(A, B),
-        stage2_hyper=stage2_hyper,
         seed=seed,
     )
 
@@ -406,13 +394,11 @@ def model_to_json(model: PUModel) -> dict:
         "stage1": {
             "weights": model.stage1.weights.tolist(),
             "bias": model.stage1.bias,
-            "hyper": model.stage1.hyper.to_json(),
         },
         "e": model.e,
         "svm": {
             "weights": model.svm_weights.tolist(),
             "bias": model.svm_bias,
-            "hyper": model.stage2_hyper.to_json(),
         },
         "calib": {"A": model.calib[0], "B": model.calib[1]},
         "seed": model.seed,
@@ -430,7 +416,6 @@ def model_from_json(obj: dict) -> PUModel:
         stage1 = Stage1Model(
             weights=np.array(obj["stage1"]["weights"], dtype=float),
             bias=float(obj["stage1"]["bias"]),
-            hyper=Hyper.from_json(obj["stage1"]["hyper"]),
         )
         svm_w = np.array(obj["svm"]["weights"], dtype=float)
         if len(stage1.weights) != layout.total_dim or len(svm_w) != layout.total_dim:
@@ -443,7 +428,6 @@ def model_from_json(obj: dict) -> PUModel:
             svm_weights=svm_w,
             svm_bias=float(obj["svm"]["bias"]),
             calib=(float(obj["calib"]["A"]), float(obj["calib"]["B"])),
-            stage2_hyper=Hyper.from_json(obj["svm"]["hyper"]),
             seed=int(obj["seed"]),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -9,14 +9,13 @@ probability for each sentence of the document, in sentence order.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Document, Sentence, Token, parse_jsonl, word_count
+from .corpus import Document, Sentence, Token, parse_jsonl, to_jsonl, word_count
 
 WHOLE_SENTENCE = "whole-sentence"
 TRUNCATE_WORDS = "truncate-words"
@@ -216,23 +215,8 @@ def random_rank(doc: Document, budget: SummaryBudget, seed) -> SummaryResult:
     )
 
 
-def summary_to_dict(result: SummaryResult) -> dict:
-    return {
-        "doc_id": result.doc_id,
-        "system": result.system,
-        "selected": list(result.selected),
-        "removed": list(result.removed),
-        "text": result.text,
-        "word_total": result.word_total,
-        "fallback": result.fallback,
-    }
-
-
 def summaries_to_jsonl(results: Iterable[SummaryResult]) -> str:
-    lines = [
-        json.dumps(summary_to_dict(r), ensure_ascii=False, sort_keys=True) for r in results
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return to_jsonl(asdict(r) for r in results)
 
 
 def _summary_from_record(rec: dict) -> SummaryResult:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Document, build_document, corpus_from_documents
+from .corpus import Corpus, Document, build_document, save_corpus, to_jsonl
 from .features import FeatureLayout, raw_layout
 from .lexicons import CategoryLexicon, ScoredLexicon, category_lexicon_to_tsv, scored_lexicon_to_tsv
 
@@ -206,17 +206,11 @@ def write_synth_bundle(out_dir: str | Path, params: SynthParams) -> dict[str, st
 
     train_docs, train_extracts, _ = build_synth_documents(params, test=False)
     test_docs, _, test_gold = build_synth_documents(params, test=True)
-    from .corpus import save_corpus
-
-    save_corpus(corpus_from_documents(train_docs), paths["train_corpus"])
-    save_corpus(corpus_from_documents(test_docs), paths["test_corpus"])
-    extract_lines = [
-        json.dumps({"doc_id": doc.doc_id, "extracts": train_extracts[doc.doc_id]}, sort_keys=True)
-        for doc in train_docs
-    ]
-    paths["extracts"].write_text("\n".join(extract_lines) + "\n", encoding="utf-8")
-    gold_lines = [json.dumps(rec, sort_keys=True) for rec in test_gold]
-    paths["gold_labels"].write_text("\n".join(gold_lines) + "\n", encoding="utf-8")
+    save_corpus(Corpus(tuple(train_docs)), paths["train_corpus"])
+    save_corpus(Corpus(tuple(test_docs)), paths["test_corpus"])
+    extracts = ({"doc_id": d.doc_id, "extracts": train_extracts[d.doc_id]} for d in train_docs)
+    paths["extracts"].write_text(to_jsonl(extracts), encoding="utf-8")
+    paths["gold_labels"].write_text(to_jsonl(test_gold), encoding="utf-8")
 
     config = {
         "seed": params.seed,
@@ -236,8 +230,8 @@ def write_synth_bundle(out_dir: str | Path, params: SynthParams) -> dict[str, st
         },
         "features": {"mode": "dictionary", "bins": 230},
         "hyper": {
-            "stage1": {"l2": 1e-4, "epochs": 4000, "lr0": 0.08, "lr_tau": 400.0},
-            "stage2": {"l2": 1e-4, "epochs": 4000, "lr0": 0.08, "lr_tau": 400.0},
+            "stage1": {"l2": 1e-4},
+            "stage2": {"l2": 1e-4},
         },
         "budget": {"max_words": 100, "mode": "truncate-words"},
         "systems": ["leadwords", "inforank", "infofilter", "randomrank"],

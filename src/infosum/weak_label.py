@@ -9,14 +9,13 @@ training set near a configurable unlabeled:positive ratio.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Document, IdfTable, Sentence, parse_jsonl
+from .corpus import Document, IdfTable, Sentence, parse_jsonl, to_jsonl
 
 POSITIVE = "positive"
 UNLABELED = "unlabeled"
@@ -135,20 +134,7 @@ def label_counts(labels: Iterable[WeakLabel]) -> dict[str, int]:
 
 
 def labels_to_jsonl(labels: Iterable[WeakLabel]) -> str:
-    lines = [
-        json.dumps(
-            {
-                "doc_id": lab.doc_id,
-                "sentence_id": lab.sentence_id,
-                "flag": lab.flag,
-                "align_score": lab.align_score,
-            },
-            ensure_ascii=False,
-            sort_keys=True,
-        )
-        for lab in labels
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return to_jsonl(asdict(lab) for lab in labels)
 
 
 def _label_from_record(rec: dict) -> WeakLabel:

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from infosum.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, RunConfig, main
-from infosum.pu import Hyper, load_model, train_pu_model, save_model
+from infosum.pu import load_model, train_pu_model, save_model
 from infosum.synth import SynthParams, write_synth_bundle
 
 
@@ -113,7 +113,7 @@ class TestPipelineCompositionality:
         sampled = sample_unlabeled(labels, cfg.label_config())
         extractor = build_extractor(cfg, train_corpus=corpus)
         X, o = build_examples(corpus, sampled, extractor)
-        model = train_pu_model(X, o, extractor.layout, cfg.stage1, cfg.stage2, seed=cfg.seed)
+        model = train_pu_model(X, o, extractor.layout, cfg.stage1_l2, cfg.stage2_l2, seed=cfg.seed)
         path = tmp_path / "inprocess.json"
         save_model(model, path)
         assert path.read_bytes() == (run_dir / "model.json").read_bytes()
@@ -140,7 +140,6 @@ class TestModesAndOverrides:
         assert main(["label", "-c", cfg, "--out-dir", str(out)]) == EXIT_OK
         assert main([
             "train", "-c", cfg, "--out-dir", str(out), "--feature-mode", "bow",
-            "--set", "hyper.stage1.epochs=200", "--set", "hyper.stage2.epochs=200",
         ]) == EXIT_OK
         model = load_model(out / "model.json")
         assert model.layout.mode == "bow"
@@ -154,12 +153,9 @@ class TestModesAndOverrides:
         assert main([
             "train", "-c", cfg, "--out-dir", str(out),
             "--feature-mode", "dictionary-no-general",
-            "--set", "hyper.stage1.epochs=50", "--set", "hyper.stage2.epochs=50",
         ]) == EXIT_OK
         small = load_model(out / "model.json")
-        assert main(["train", "-c", cfg, "--out-dir", str(out),
-                     "--set", "hyper.stage1.epochs=50",
-                     "--set", "hyper.stage2.epochs=50"]) == EXIT_OK
+        assert main(["train", "-c", cfg, "--out-dir", str(out)]) == EXIT_OK
         full = load_model(out / "model.json")
         assert full.layout.total_dim - small.layout.total_dim == 6
 
@@ -169,6 +165,35 @@ class TestModesAndOverrides:
                      "--system", "leadwords"]) == EXIT_OK
         assert (out / "summaries_leadwords.jsonl").is_file()
         assert not (out / "model.json").exists()
+
+
+class TestTrainingConfig:
+    def test_l2_defaults_to_the_shipped_penalty(self):
+        cfg = RunConfig.from_dict({"seed": 0, "out_dir": "x"})
+        assert (cfg.stage1_l2, cfg.stage2_l2) == (1e-4, 1e-4)
+        assert cfg.to_dict()["hyper"] == {"stage1": {"l2": 1e-4}, "stage2": {"l2": 1e-4}}
+
+    def test_l2_override(self, bundle, tmp_path):
+        out = tmp_path / "l2"
+        assert main(["label", "-c", bundle["config"], "--out-dir", str(out),
+                     "--set", "hyper.stage2.l2=0.01"]) == EXIT_OK
+        resolved = json.loads((out / "resolved_config.label.json").read_text())
+        assert resolved["hyper"] == {"stage1": {"l2": 1e-4}, "stage2": {"l2": 0.01}}
+
+    @pytest.mark.parametrize("override, key", [
+        ("hyper.stage1.epochs=50", "hyper.stage1.epochs"),
+        ("hyper.stage2.lr0=0.1", "hyper.stage2.lr0"),
+        ("hyper.stage1.l2=-1", "hyper.stage1.l2"),
+        ("hyper.stage2.l2=NaN", "hyper.stage2.l2"),
+        ("hyper.stage1.l2=high", "hyper.stage1.l2"),
+        ("hyper.stage3.l2=1", "hyper"),
+    ])
+    def test_bad_training_key_is_validation_error(self, bundle, tmp_path, capsys, override, key):
+        code = main(["label", "-c", bundle["config"], "--out-dir", str(tmp_path / "run"),
+                     "--set", override])
+        assert code == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestRougeCandidate:
@@ -252,6 +277,36 @@ class TestExitCodes:
                      "--set", f"lexicons.scored={json.dumps([str(lex)])}"])
         assert code == EXIT_VALIDATION
         assert "line 2: non-finite score" in capsys.readouterr().err
+
+    def test_single_score_lexicon_is_validation_error(self, bundle, pipeline, tmp_path, capsys):
+        _, run_dir = pipeline
+        out = tmp_path / "onescore"
+        out.mkdir()
+        (out / "labels.jsonl").write_bytes((run_dir / "labels.jsonl").read_bytes())
+        lex = tmp_path / "one.tsv"
+        lex.write_text("#scored m a\nx\ta\t5\n")
+        code = main(["train", "-c", bundle["config"], "--out-dir", str(out),
+                     "--set", f"lexicons.scored={json.dumps([str(lex)])}"])
+        assert code == EXIT_VALIDATION
+        assert "attribute 'a' has the single score 5.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        "{not json",
+        '{"version": 1}',
+        "wrong version",
+    ])
+    def test_malformed_model_is_validation_error(self, bundle, pipeline, tmp_path, capsys, content):
+        _, run_dir = pipeline
+        out = tmp_path / "badmodel"
+        out.mkdir()
+        if content == "wrong version":
+            model = json.loads((run_dir / "model.json").read_text())
+            model["version"] = 99
+            content = json.dumps(model)
+        (out / "model.json").write_text(content)
+        capsys.readouterr()
+        assert main(["predict", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert "model" in capsys.readouterr().err
 
     def test_missing_config_file(self):
         assert main(["train", "-c", "/nonexistent/config.json"]) == EXIT_VALIDATION

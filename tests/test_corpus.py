@@ -6,11 +6,13 @@ from hypothesis import given, strategies as st
 
 from infosum.corpus import (
     CorpusFormatError,
+    compute_idf,
     load_corpus,
     make_sentence,
     parse_corpus,
     save_corpus,
     serialize_corpus,
+    to_jsonl,
     tokenize,
     word_count,
 )
@@ -92,7 +94,7 @@ class TestParseCorpus:
     def test_empty_stream(self):
         corpus = parse_corpus(io.StringIO(""))
         assert len(corpus) == 0
-        assert corpus.idf.weights == {}
+        assert compute_idf(corpus.documents).weights == {}
 
     def test_sentence_ids_contiguous(self):
         corpus = parse_corpus(
@@ -101,22 +103,22 @@ class TestParseCorpus:
         assert [s.id for s in corpus.documents[0].sentences] == [0, 1]
 
     def test_idf_formula(self):
-        corpus = parse_corpus(io.StringIO(CORPUS_3DOCS))
+        idf = compute_idf(parse_corpus(io.StringIO(CORPUS_3DOCS)).documents)
         # 3 documents, "iran" occurs in one of them
-        assert corpus.idf.weight("iran") == pytest.approx(math.log(4 / 2) + 1, abs=1e-12)
-        assert corpus.idf.weight("iran") == pytest.approx(1.693, abs=1e-3)
+        assert idf.weight("iran") == pytest.approx(math.log(4 / 2) + 1, abs=1e-12)
+        assert idf.weight("iran") == pytest.approx(1.693, abs=1e-3)
 
     def test_idf_excludes_summaries(self):
-        corpus = parse_corpus(io.StringIO(CORPUS_3DOCS))
+        idf = compute_idf(parse_corpus(io.StringIO(CORPUS_3DOCS)).documents)
         # "resume" appears only in a summary, so it gets the unseen weight
-        assert corpus.idf.weight("resume") == pytest.approx(math.log(4) + 1)
-        assert "resume" not in corpus.idf.weights
+        assert idf.weight("resume") == pytest.approx(math.log(4) + 1)
+        assert "resume" not in idf.weights
 
     def test_idf_at_least_one_and_monotone(self):
-        corpus = parse_corpus(io.StringIO(CORPUS_3DOCS))
-        assert all(w >= 1.0 for w in corpus.idf.weights.values())
+        idf = compute_idf(parse_corpus(io.StringIO(CORPUS_3DOCS)).documents)
+        assert all(w >= 1.0 for w in idf.weights.values())
         # df("text") = 2 > df("iran") = 1, so idf("text") < idf("iran")
-        assert corpus.idf.weight("text") < corpus.idf.weight("iran")
+        assert idf.weight("text") < idf.weight("iran")
 
     def test_malformed_record_names_line(self):
         stream = io.StringIO('{"doc_id": "a", "sentences": ["x"]}\nnot-json\n')
@@ -148,6 +150,10 @@ class TestParseCorpus:
         corpus = parse_corpus(io.StringIO(CORPUS_3DOCS))
         again = parse_corpus(io.StringIO(serialize_corpus(corpus)))
         assert again == corpus
+
+    def test_to_jsonl(self):
+        assert to_jsonl([]) == ""
+        assert to_jsonl([{"b": 1, "a": "é"}, {}]) == '{"a": "é", "b": 1}\n{}\n'
 
     def test_round_trip_files(self, tmp_path):
         corpus = parse_corpus(io.StringIO(CORPUS_3DOCS))

@@ -112,7 +112,8 @@ class TestIntervalFractions:
 
     def test_unknown_attribute(self):
         wider = load_scored_lexicon(
-            io.StringIO("#scored mrc imagery,familiarity\nalpha\tfamiliarity\t3\n"), bins=10
+            io.StringIO("#scored mrc imagery,familiarity familiarity:0:10\nalpha\tfamiliarity\t3\n"),
+            bins=10,
         )
         layout = dictionary_layout([wider], [], include_general=False)
         with pytest.raises(ValueError):

@@ -37,7 +37,7 @@ class TestScoredLexicon:
         assert lex.ranges["imagery"] == (100.0, 700.0)
 
     def test_last_wins_on_duplicates(self):
-        tsv = "#scored m a\nw\ta\t1\nw\ta\t2\n"
+        tsv = "#scored m a a:0:10\nw\ta\t1\nw\ta\t2\n"
         lex = load_scored_lexicon(io.StringIO(tsv))
         assert lex.entries["w"]["a"] == 2.0
 
@@ -45,6 +45,15 @@ class TestScoredLexicon:
         tsv = "#scored m a\nx\ta\t3\ny\ta\t9\n"
         lex = load_scored_lexicon(io.StringIO(tsv))
         assert lex.ranges["a"] == (3.0, 9.0)
+
+    @pytest.mark.parametrize("rows", ["x\ta\t5\n", "x\ta\t5\ny\ta\t5\n"])
+    def test_single_computed_score_rejected(self, rows):
+        with pytest.raises(LexiconFormatError, match="attribute 'a' has the single score 5.0"):
+            load_scored_lexicon(io.StringIO("#scored m a\n" + rows))
+
+    def test_single_score_with_declared_range(self):
+        lex = load_scored_lexicon(io.StringIO("#scored m a a:0:10\nx\ta\t5\n"))
+        assert lex.ranges["a"] == (0.0, 10.0)
 
     def test_score_outside_declared_range(self):
         tsv = "#scored m a a:0:10\nx\ta\t11\n"
@@ -74,7 +83,7 @@ class TestScoredLexicon:
             load_scored_lexicon(io.StringIO(tsv))
 
     def test_words_casefolded(self):
-        tsv = "#scored m a\nCat\ta\t1\n"
+        tsv = "#scored m a a:0:10\nCat\ta\t1\n"
         assert "cat" in load_scored_lexicon(io.StringIO(tsv)).entries
 
     def test_order_insensitive_hash(self):

@@ -14,12 +14,12 @@ from infosum.features import (
 from infosum.lexicons import load_category_lexicon, load_scored_lexicon
 from infosum.pu import (
     DegenerateTrainingSetError,
-    Hyper,
     ModelFormatError,
     PUModel,
     SentenceClassifier,
     build_relabeled,
     calibrate,
+    calibration_split,
     estimate_e,
     hinge_loss,
     load_model,
@@ -31,7 +31,7 @@ from infosum.pu import (
     unlabeled_weight,
 )
 
-TOY_HYPER = Hyper(l2=0.01, epochs=300, lr0=0.5)
+TOY_L2 = 0.01
 
 
 def toy_layout(dim=2):
@@ -50,32 +50,32 @@ def separable_set(n_per_side=20, spread=0.3, seed=0):
 class TestStage1:
     def test_separable_positives_above_half(self):
         X, o = separable_set()
-        model = train_stage1(X, o, TOY_HYPER)
+        model = train_stage1(X, o, TOY_L2)
         probs = model.predict_proba(X[:20])
         assert np.all(probs > 0.5)
 
     def test_single_class_rejected(self):
         X, _ = separable_set()
         with pytest.raises(DegenerateTrainingSetError):
-            train_stage1(X, np.ones(len(X)), TOY_HYPER)
+            train_stage1(X, np.ones(len(X)), TOY_L2)
 
     def test_duplicated_dataset_same_boundary(self):
         X, o = separable_set()
-        m1 = train_stage1(X, o, TOY_HYPER)
-        m2 = train_stage1(np.vstack([X, X]), np.concatenate([o, o]), TOY_HYPER)
+        m1 = train_stage1(X, o, TOY_L2)
+        m2 = train_stage1(np.vstack([X, X]), np.concatenate([o, o]), TOY_L2)
         assert np.allclose(m1.weights, m2.weights, atol=1e-6)
         assert m1.bias == pytest.approx(m2.bias, abs=1e-6)
 
     def test_outputs_in_open_interval(self):
         X, o = separable_set()
-        model = train_stage1(X, o, TOY_HYPER)
+        model = train_stage1(X, o, TOY_L2)
         probs = model.predict_proba(np.array([[1e6, 1e6], [-1e6, -1e6]]))
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
     def test_deterministic(self):
         X, o = separable_set()
-        m1 = train_stage1(X, o, TOY_HYPER)
-        m2 = train_stage1(X.copy(), o.copy(), TOY_HYPER)
+        m1 = train_stage1(X, o, TOY_L2)
+        m2 = train_stage1(X.copy(), o.copy(), TOY_L2)
         assert np.array_equal(m1.weights, m2.weights) and m1.bias == m2.bias
 
 
@@ -135,19 +135,19 @@ class TestEstimateE:
         # weights chosen so the two positives score 0.8 and 0.6 exactly
         from infosum.pu import Stage1Model
 
-        model = Stage1Model(weights=np.array([1.0]), bias=0.0, hyper=TOY_HYPER)
+        model = Stage1Model(weights=np.array([1.0]), bias=0.0)
         positives = np.array([[np.log(0.8 / 0.2)], [np.log(0.6 / 0.4)]])
         assert estimate_e(model, positives) == pytest.approx(0.7, abs=1e-12)
 
     def test_empty_positive_set(self):
         X, o = separable_set()
-        model = train_stage1(X, o, TOY_HYPER)
+        model = train_stage1(X, o, TOY_L2)
         with pytest.raises(ValueError):
             estimate_e(model, X[:0])
 
     def test_upper_limit(self):
         X, o = separable_set(spread=0.05)
-        model = train_stage1(X, o, Hyper(l2=1e-6, epochs=2000, lr0=1.0))
+        model = train_stage1(X, o, 1e-6)
         e = estimate_e(model, X[o == 1])
         assert 0.9 < e < 1.0
 
@@ -204,7 +204,7 @@ class TestBuildRelabeled:
         # interleave so positive and unlabeled rows alternate
         order = np.array([0, 5, 1, 6, 2, 7, 3, 8, 4, 9])
         self.X, self.o = X[order], o[order]
-        self.model = train_stage1(self.X, self.o, TOY_HYPER)
+        self.model = train_stage1(self.X, self.o, TOY_L2)
         self.e = estimate_e(self.model, self.X[self.o == 1])
 
     def test_size_formula(self):
@@ -235,7 +235,7 @@ class TestBuildRelabeled:
 class TestStage2:
     def test_separable_no_hinge_violations(self):
         X, o = separable_set()
-        w, b = train_stage2(X, o, np.ones(len(X)), Hyper(l2=1e-4, epochs=2000, lr0=1.0))
+        w, b = train_stage2(X, o, np.ones(len(X)), 1e-4)
         margins = (2.0 * o - 1.0) * (X @ w + b)
         assert np.all(margins > 0)
         assert float(np.mean(margins >= 1.0)) > 0.95
@@ -243,23 +243,23 @@ class TestStage2:
     def test_zero_weight_example_is_inert(self):
         X, o = separable_set(n_per_side=8)
         ones = np.ones(len(X))
-        w1, b1 = train_stage2(X, o, ones, TOY_HYPER)
+        w1, b1 = train_stage2(X, o, ones, TOY_L2)
         w2, b2 = train_stage2(
-            np.vstack([X, [[5.0, -5.0]]]), np.append(o, 1), np.append(ones, 0.0), TOY_HYPER
+            np.vstack([X, [[5.0, -5.0]]]), np.append(o, 1), np.append(ones, 0.0), TOY_L2
         )
         assert np.allclose(w1, w2, atol=1e-6) and b1 == pytest.approx(b2, abs=1e-6)
 
     def test_doubling_weights_keeps_boundary(self):
         X, o = separable_set(n_per_side=8)
         # weight-normalized objective: doubling all weights changes nothing
-        w1, b1 = train_stage2(X, o, np.ones(len(X)), TOY_HYPER)
-        w2, b2 = train_stage2(X, o, np.full(len(X), 0.5), TOY_HYPER)
+        w1, b1 = train_stage2(X, o, np.ones(len(X)), TOY_L2)
+        w2, b2 = train_stage2(X, o, np.full(len(X), 0.5), TOY_L2)
         assert np.allclose(w1, w2, atol=1e-6) and b1 == pytest.approx(b2, abs=1e-6)
 
     def test_degenerate_rejected(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DegenerateTrainingSetError):
-            train_stage2(X, np.array([1, 0]), np.array([1.0, 0.0]), TOY_HYPER)
+            train_stage2(X, np.array([1, 0]), np.array([1.0, 0.0]), TOY_L2)
 
 
 class TestCalibrate:
@@ -293,9 +293,37 @@ class TestCalibrate:
             calibrate([0.5, 1.0], [1, 1])
 
 
+@pytest.fixture(scope="module")
+def relabeled_rows():
+    X, o = separable_set()
+    model = train_stage1(X, o, TOY_L2)
+    rows, _, _ = build_relabeled(X, o, model, estimate_e(model, X[o == 1]))
+    return rows, len(X)
+
+
+class TestCalibrationSplit:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_no_row_on_both_sides(self, relabeled_rows, seed):
+        rows, n_rows = relabeled_rows
+        fit, cal = calibration_split(rows, n_rows, seed)
+        assert not set(rows[fit]) & set(rows[cal])
+        assert sorted(np.concatenate([fit, cal])) == list(range(len(rows)))
+        assert len(set(rows[cal])) == round(0.2 * n_rows)
+
+    def test_seeded(self, relabeled_rows):
+        rows, n_rows = relabeled_rows
+        a, b = calibration_split(rows, n_rows, 3), calibration_split(rows, n_rows, 3)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert not np.array_equal(a[1], calibration_split(rows, n_rows, 4)[1])
+
+    def test_holds_out_at_least_one_row(self):
+        fit, cal = calibration_split(np.array([0, 1, 1]), 2, 0)
+        assert len(cal) >= 1 and len(fit) + len(cal) == 3
+
+
 def trained_toy_model(seed=0):
     X, o = separable_set(seed=seed)
-    return train_pu_model(X, o, toy_layout(), TOY_HYPER, TOY_HYPER, seed=seed), X, o
+    return train_pu_model(X, o, toy_layout(), TOY_L2, TOY_L2, seed=seed), X, o
 
 
 class TestPUModel:
@@ -323,9 +351,9 @@ class TestPUModel:
     def test_training_matrix_must_match_layout(self):
         X, o = separable_set()
         with pytest.raises(LayoutMismatchError):
-            train_pu_model(X, o, toy_layout(3), TOY_HYPER, TOY_HYPER)
+            train_pu_model(X, o, toy_layout(3), TOY_L2, TOY_L2)
         with pytest.raises(ValueError):
-            train_pu_model(X, o + 1, toy_layout(), TOY_HYPER, TOY_HYPER)
+            train_pu_model(X, o + 1, toy_layout(), TOY_L2, TOY_L2)
 
     def test_fixed_seed_identical_model_bytes(self, tmp_path):
         m1, _, _ = trained_toy_model(seed=3)
@@ -372,6 +400,19 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    def test_ignores_schedule_blocks_of_older_files(self, tmp_path):
+        model, X, _ = trained_toy_model()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        import json
+
+        obj = json.loads(path.read_text())
+        schedule = {"l2": 0.01, "epochs": 300, "lr0": 0.5, "lr_tau": 1.0}
+        obj["stage1"]["hyper"] = obj["svm"]["hyper"] = schedule
+        path.write_text(json.dumps(obj))
+        loaded = load_model(path)
+        assert np.array_equal(loaded.margins(X), model.margins(X))
+
     def test_tampered_layout_hash(self, tmp_path):
         model, _, _ = trained_toy_model()
         path = tmp_path / "model.json"
@@ -400,7 +441,7 @@ class TestSentenceClassifier:
         sents += [make_sentence(i, "beta beta gamma delta epsilon") for i in range(8)]
         X = np.array([ex.extract(s) for s in sents])
         o = np.array([1] * 8 + [0] * 8)
-        model = train_pu_model(X, o, layout, TOY_HYPER, TOY_HYPER, seed=0)
+        model = train_pu_model(X, o, layout, TOY_L2, TOY_L2, seed=0)
         return model, ex
 
     def test_mutated_lexicon_rejected_at_predict(self):
