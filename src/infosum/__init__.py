@@ -9,7 +9,6 @@ from .corpus import (
     JsonlFormatError,
     Document,
     Sentence,
-    Token,
     load_corpus,
     make_sentence,
     parse_corpus,

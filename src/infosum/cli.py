@@ -150,6 +150,9 @@ class RunConfig:
             raise ConfigError("config field 'seed' is mandatory")
         if "out_dir" not in raw:
             raise ConfigError("config field 'out_dir' is mandatory")
+        for section in ("lexicons", "label", "features", "budget", "evaluate"):
+            if not isinstance(raw.get(section, {}), dict):
+                raise ConfigError(f"config section {section!r} must be an object")
         lex = raw.get("lexicons", {})
         label = raw.get("label", {})
         feats = raw.get("features", {})
@@ -276,9 +279,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "out_dir", None) is not None:
         raw["out_dir"] = args.out_dir
     if getattr(args, "label_mode", None) is not None:
-        raw.setdefault("label", {})["mode"] = args.label_mode
+        _apply_override(raw, "label.mode", args.label_mode)
     if getattr(args, "feature_mode", None) is not None:
-        raw.setdefault("features", {})["mode"] = args.feature_mode
+        _apply_override(raw, "features.mode", args.feature_mode)
     return RunConfig.from_dict(raw)
 
 
@@ -378,7 +381,14 @@ def build_examples(corpus: Corpus, labels, extractor: FeatureExtractor) -> tuple
     kept = [lab for lab in labels if lab.flag != EXCLUDED]
     X = np.empty((len(kept), extractor.layout.total_dim))
     for i, lab in enumerate(kept):
-        X[i] = extractor.extract_or_zero(corpus.document(lab.doc_id).sentences[lab.sentence_id])
+        try:
+            sentence = corpus.document(lab.doc_id).sentences[lab.sentence_id]
+        except (KeyError, IndexError):
+            raise ConfigError(
+                f"a label names sentence {lab.sentence_id} of document {lab.doc_id!r}, "
+                "which the train corpus lacks"
+            ) from None
+        X[i] = extractor.extract_or_zero(sentence)
     o = np.array([lab.flag == POSITIVE for lab in kept], dtype=np.int64)
     return X, o
 

@@ -1,4 +1,14 @@
-"""Corpus data model: tokens, sentences, documents, and JSONL ingestion."""
+"""Corpus data model: sentences, documents, and JSONL ingestion.
+
+Only this module knows the token rules. A sentence is its text, its token
+surfaces (`tokens`) and its casefolded word tokens (`words`), so
+`len(tokens) - len(words)` is its number of punctuation tokens. Joining a
+sentence's tokens, or any prefix of them, with single spaces and tokenizing
+again gives the same tokens, which is what lets a summary cut a sentence
+after its n-th word and rebuild it from the kept surfaces. A punctuation
+token never casefolds to a word, so a surface is the next word exactly when
+it casefolds to it.
+"""
 
 from __future__ import annotations
 
@@ -24,21 +34,14 @@ class JsonlFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class Token:
-    surface: str
-    lower: str
-    is_word: bool
-    is_punct: bool
-
-
-@dataclass(frozen=True)
 class Sentence:
     id: int
     text: str
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...]
+    words: tuple[str, ...]
 
     def word_types(self) -> frozenset[str]:
-        return frozenset(t.lower for t in self.tokens if t.is_word)
+        return frozenset(self.words)
 
 
 @dataclass(frozen=True)
@@ -89,15 +92,15 @@ def _is_punct_char(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split text into word and punctuation tokens.
+def tokenize(text: str) -> list[tuple[str, bool]]:
+    """Split text into (surface, is_word) tokens.
 
     Chunks are whitespace-separated; inside a chunk every maximal run of
     Unicode punctuation becomes one punctuation token. The exception is an
     apostrophe with non-punctuation characters on both sides, which stays in
     the surrounding word token ("We're" is one word).
     """
-    tokens: list[Token] = []
+    tokens: list[tuple[str, bool]] = []
     for chunk in text.split():
         raw = [_is_punct_char(c) for c in chunk]
         flags = list(raw)
@@ -113,22 +116,19 @@ def tokenize(text: str) -> list[Token]:
         start = 0
         for i in range(1, len(chunk) + 1):
             if i == len(chunk) or flags[i] != flags[start]:
-                surface = chunk[start:i]
-                is_punct = flags[start]
-                tokens.append(
-                    Token(
-                        surface=surface,
-                        lower=surface.casefold(),
-                        is_word=not is_punct,
-                        is_punct=is_punct,
-                    )
-                )
+                tokens.append((chunk[start:i], not flags[start]))
                 start = i
     return tokens
 
 
 def make_sentence(sentence_id: int, text: str) -> Sentence:
-    return Sentence(id=sentence_id, text=text, tokens=tuple(tokenize(text)))
+    pairs = tokenize(text)
+    return Sentence(
+        id=sentence_id,
+        text=text,
+        tokens=tuple(surface for surface, _ in pairs),
+        words=tuple(surface.casefold() for surface, is_word in pairs if is_word),
+    )
 
 
 def build_document(
@@ -152,7 +152,7 @@ def document_frequencies(documents: Sequence[Document]) -> Counter[str]:
     for doc in documents:
         types: set[str] = set()
         for sent in doc.sentences:
-            types.update(t.lower for t in sent.tokens if t.is_word)
+            types.update(sent.words)
         df.update(types)
     return df
 
@@ -274,4 +274,4 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def word_count(sentences: Iterable[Sentence]) -> int:
-    return sum(1 for s in sentences for t in s.tokens if t.is_word)
+    return sum(len(s.words) for s in sentences)

@@ -57,7 +57,7 @@ def general_features(sentence: Sentence) -> np.ndarray:
     return np.array(
         [
             float(len(sentence.tokens)),
-            float(sum(1 for t in sentence.tokens if t.is_punct)),
+            float(len(sentence.tokens) - len(sentence.words)),
             1.0 if "!" in text else 0.0,
             1.0 if "?" in text else 0.0,
             1.0 if ":" in text else 0.0,
@@ -287,7 +287,7 @@ class FeatureExtractor:
         return tuple(cols)
 
     def _values(self, sentence: Sentence, zero_when_wordless: bool) -> np.ndarray:
-        words = [t.lower for t in sentence.tokens if t.is_word]
+        words = sentence.words
         bow = self.layout.mode == MODE_BOW
         if not words and not bow and not zero_when_wordless:
             raise EmptySentenceError("sentence has no word tokens")

@@ -1,5 +1,4 @@
-"""Evaluation machinery: ROUGE-N, classification scores, paired tests,
-rank correlation, inter-annotator agreement, and vote aggregation.
+"""Evaluation machinery: ROUGE-N, classification scores, and paired tests.
 
 ROUGE here is the declared deterministic variant: lowercased word tokens,
 punctuation stripped, clipped n-gram counts within sentences, no stemming.
@@ -12,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,7 +51,7 @@ def _ngram_counts(sentences: Sequence[Sentence], n: int) -> tuple[Counter, int]:
     counts: Counter = Counter()
     total = 0
     for sent in sentences:
-        words = [t.lower for t in sent.tokens if t.is_word]
+        words = sent.words
         for i in range(len(words) - n + 1):
             counts[tuple(words[i : i + n])] += 1
             total += 1
@@ -206,48 +205,3 @@ def wilcoxon_signed_rank(
     z = (w - mu + 0.5) / math.sqrt(var)
     return TestResult(w, min(1.0, 2.0 * normal_sf(-z)), "wilcoxon-normal")
 
-
-def spearman(x: Sequence[float], y: Sequence[float]) -> float:
-    """Tie-aware Spearman correlation: Pearson correlation of average ranks."""
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.shape != ya.shape or xa.ndim != 1 or len(xa) < 2:
-        raise ValueError("x and y must be equal-length 1-d sequences of length >= 2")
-    rx = _average_ranks(xa)
-    ry = _average_ranks(ya)
-    dx = rx - rx.mean()
-    dy = ry - ry.mean()
-    sx = float(dx @ dx)
-    sy = float(dy @ dy)
-    if sx == 0.0 or sy == 0.0:
-        raise ValueError("zero-variance input")
-    return float(dx @ dy) / math.sqrt(sx * sy)
-
-
-def cohen_kappa(a: Sequence[Hashable], b: Sequence[Hashable]) -> float:
-    """Chance-corrected agreement (p_o - p_e) / (1 - p_e)."""
-    if len(a) != len(b) or len(a) == 0:
-        raise ValueError("annotations must share a positive length")
-    n = len(a)
-    p_o = sum(1 for x, y in zip(a, b) if x == y) / n
-    freq_a = Counter(a)
-    freq_b = Counter(b)
-    if len(freq_a) == 1 and freq_a.keys() == freq_b.keys():
-        # both annotators constant on the same label: chance agreement is 1
-        if p_o == 1.0:
-            return 1.0
-        raise ValueError("degenerate annotations: chance agreement is 1")
-    p_e = sum(freq_a[lab] * freq_b.get(lab, 0) for lab in freq_a) / (n * n)
-    return (p_o - p_e) / (1.0 - p_e)
-
-
-def majority_vote(votes: Sequence[Sequence[int]]) -> list[int]:
-    """Per item, 1 iff strictly more than half of the (odd) votes are 1."""
-    out = []
-    for i, item in enumerate(votes):
-        if len(item) == 0 or len(item) % 2 == 0:
-            raise ValueError(f"item {i}: tie-possible vote set of size {len(item)}")
-        if any(v not in (0, 1) for v in item):
-            raise ValueError(f"item {i}: votes must be 0 or 1")
-        out.append(1 if sum(item) * 2 > len(item) else 0)
-    return out

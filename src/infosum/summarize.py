@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Document, Sentence, Token, parse_jsonl, to_jsonl, word_count
+from .corpus import Document, Sentence, make_sentence, parse_jsonl, to_jsonl, word_count
 
 WHOLE_SENTENCE = "whole-sentence"
 TRUNCATE_WORDS = "truncate-words"
@@ -51,20 +51,25 @@ class SummaryResult:
 
 
 def _sentence_words(doc: Document) -> list[int]:
-    return [word_count([s]) for s in doc.sentences]
+    return [len(s.words) for s in doc.sentences]
 
 
-def _truncate(sentence: Sentence, n_words: int) -> Sentence:
-    """The sentence's tokens up to and including its n_words-th word."""
-    kept: list[Token] = []
+def _truncate(sentence: Sentence, n_words: int) -> str:
+    """The sentence's tokens up to and including its n_words-th word, space-joined.
+
+    A surface is the next word exactly when it casefolds to it, because no
+    punctuation token casefolds to a word.
+    """
+    words = sentence.words
+    kept = len(sentence.tokens)
     taken = 0
-    for tok in sentence.tokens:
-        kept.append(tok)
-        if tok.is_word:
+    for i, surface in enumerate(sentence.tokens):
+        if taken < len(words) and surface.casefold() == words[taken]:
             taken += 1
             if taken == n_words:
+                kept = i + 1
                 break
-    return Sentence(sentence.id, " ".join(t.surface for t in kept), tuple(kept))
+    return " ".join(sentence.tokens[:kept])
 
 
 def lead_words(doc: Document, budget: SummaryBudget) -> SummaryResult:
@@ -91,7 +96,7 @@ def lead_words(doc: Document, budget: SummaryBudget) -> SummaryResult:
             continue
         if budget.mode == TRUNCATE_WORDS and remaining > 0:
             selected.append(sent.id)
-            pieces.append(_truncate(sent, remaining).text)
+            pieces.append(_truncate(sent, remaining))
             total += remaining
         break
     return SummaryResult(
@@ -195,7 +200,7 @@ def summary_sentences(doc: Document, result: SummaryResult) -> list[Sentence]:
     excess = word_count(sentences) - result.word_total
     if excess > 0:
         last = sentences[-1]
-        sentences[-1] = _truncate(last, word_count([last]) - excess)
+        sentences[-1] = make_sentence(last.id, _truncate(last, len(last.words) - excess))
     return sentences
 
 

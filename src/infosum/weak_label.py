@@ -141,7 +141,10 @@ def _label_from_record(rec: dict) -> WeakLabel:
     flag = rec["flag"]
     if flag not in FLAGS:
         raise ValueError(f"unknown label flag {flag!r}")
-    return WeakLabel(rec["doc_id"], int(rec["sentence_id"]), flag, rec.get("align_score"))
+    sentence_id = int(rec["sentence_id"])
+    if sentence_id < 0:
+        raise ValueError(f"negative sentence_id {sentence_id}")
+    return WeakLabel(rec["doc_id"], sentence_id, flag, rec.get("align_score"))
 
 
 def labels_from_jsonl(text: str) -> list[WeakLabel]:

@@ -308,6 +308,52 @@ class TestExitCodes:
         assert main(["predict", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
         assert "model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", ["lexicons", "label", "features", "budget", "evaluate"])
+    def test_non_object_config_section_is_validation_error(self, bundle, tmp_path, capsys, section):
+        code = main(["label", "-c", bundle["config"], "--out-dir", str(tmp_path / "run"),
+                     "--set", f"{section}=5"])
+        assert code == EXIT_VALIDATION
+        assert f"config section {section!r} must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, section", [
+        ("label", "--label-mode=extract", "label"),
+        ("train", "--feature-mode=bow", "features"),
+    ])
+    def test_mode_flag_through_non_object_section_is_validation_error(
+        self, bundle, tmp_path, capsys, command, flag, section
+    ):
+        code = main([command, "-c", bundle["config"], "--out-dir", str(tmp_path / "run"),
+                     "--set", f"{section}=5", flag])
+        assert code == EXIT_VALIDATION
+        assert repr(section) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc_id, sentence_id", [("train-9999", 0), ("train-0000", 99)])
+    def test_labels_outside_corpus_are_validation_error(
+        self, bundle, pipeline, tmp_path, capsys, doc_id, sentence_id
+    ):
+        _, run_dir = pipeline
+        out = tmp_path / "stray"
+        out.mkdir()
+        stray = {"doc_id": doc_id, "sentence_id": sentence_id, "flag": "positive", "align_score": None}
+        labels = (run_dir / "labels.jsonl").read_text() + json.dumps(stray) + "\n"
+        (out / "labels.jsonl").write_text(labels)
+        capsys.readouterr()
+        assert main(["train", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert f"sentence {sentence_id} of document {doc_id!r}" in capsys.readouterr().err
+
+    def test_negative_label_sentence_id_names_line(self, bundle, pipeline, tmp_path, capsys):
+        _, run_dir = pipeline
+        out = tmp_path / "negative"
+        out.mkdir()
+        lines = (run_dir / "labels.jsonl").read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["sentence_id"] = -1
+        lines[1] = json.dumps(rec)
+        (out / "labels.jsonl").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["train", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert "labels line 2: negative sentence_id -1" in capsys.readouterr().err
+
     def test_missing_config_file(self):
         assert main(["train", "-c", "/nonexistent/config.json"]) == EXIT_VALIDATION
 

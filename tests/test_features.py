@@ -44,7 +44,7 @@ CATS = load_category_lexicon(
 
 def reference_values(layout, scored, category, sentence, zero_when_wordless):
     """The per-word loops FeatureExtractor replaced, kept as its oracle."""
-    words = [t.lower for t in sentence.tokens if t.is_word]
+    words = sentence.words
     out = np.zeros(layout.total_dim)
     if layout.mode == "bow":
         index = {w: i for i, w in enumerate(layout.vocab)}

@@ -69,9 +69,9 @@ class TestSummarySentences:
         doc = build_document("d", "", ["Alpha, beta gamma.", "We're here: now !", "x y z"])
         res = lead_words(doc, SummaryBudget(max_words))
         sents = summary_sentences(doc, res)
-        words = [t.lower for s in sents for t in s.tokens if t.is_word]
+        words = tuple(w for s in sents for w in s.words)
         assert len(words) == res.word_total
-        assert words == [t.lower for t in make_sentence(0, res.text).tokens if t.is_word]
+        assert words == make_sentence(0, res.text).words
         assert " ".join(s.text for s in sents) == res.text
 
 
