@@ -5,6 +5,16 @@ command takes a JSON config (-c) plus optional `--set dotted.key=value`
 overrides, writes a resolved-config copy next to its outputs, and is a pure
 function of (config, input files, seed): rerunning reproduces identical
 bytes. Exit codes: 0 success, 2 validation error, 1 runtime error.
+
+The config accepts only the keys that `RunConfig` and its sections, one
+frozen dataclass per JSON object, declare. A field's type hint is the JSON
+type its key takes (a tuple is a list, a Literal a set of choices), its
+default the value of an absent key, and a section's __post_init__ checks
+ranges, each message starting with the field's name. An unknown key at any
+depth, a section that is not an object, a value of the wrong JSON type
+(numeric strings are not converted) or one out of its range is a
+ConfigError naming the dotted key, raised when the config is loaded; every
+config error exits 2.
 """
 
 from __future__ import annotations
@@ -13,10 +23,10 @@ import argparse
 import itertools
 import json
 import logging
-import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -39,7 +49,7 @@ from .features import (
     bow_vocabulary,
     dictionary_layout,
 )
-from .lexicons import LexiconFormatError, read_category_lexicon, read_scored_lexicon
+from .lexicons import DEFAULT_BINS, LexiconFormatError, read_category_lexicon, read_scored_lexicon
 from .metrics import mcnemar, prf, rouge_n, wilcoxon_signed_rank
 from .pu import (
     L2,
@@ -56,7 +66,6 @@ from .summarize import (
     LEADWORDS,
     RANDOMRANK,
     SYSTEMS,
-    TRUNCATE_WORDS,
     WHOLE_SENTENCE,
     SummaryBudget,
     info_filter,
@@ -95,148 +104,142 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
 
 
-def _read_l2(hyper) -> tuple[float, float]:
-    """The stage-1 and stage-2 L2 penalties, the only settable training values."""
-    if not isinstance(hyper, dict) or not set(hyper) <= {"stage1", "stage2"}:
-        raise ConfigError("'hyper' may only hold 'stage1' and 'stage2'")
-    penalties = []
-    for stage in ("stage1", "stage2"):
-        block = hyper.get(stage, {})
-        if not isinstance(block, dict):
-            raise ConfigError(f"'hyper.{stage}' must be an object")
-        unknown = sorted(set(block) - {"l2"})
-        if unknown:
-            raise ConfigError(
-                f"unknown config key 'hyper.{stage}.{unknown[0]}': only l2 can be set, "
-                "the training schedule is fixed"
-            )
-        try:
-            l2 = float(block.get("l2", L2))
-        except (TypeError, ValueError):
-            l2 = math.nan
-        if not (math.isfinite(l2) and l2 >= 0.0):
-            raise ConfigError(f"'hyper.{stage}.l2' must be a finite number >= 0")
-        penalties.append(l2)
-    return penalties[0], penalties[1]
+@dataclass(frozen=True)
+class LexiconsSection:
+    scored: tuple[str, ...] = ()
+    category: tuple[str, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
+class LabelSection:
+    mode: Literal[LABEL_MODES] = "alignment"
+    extracts: str | None = None
+    t_pos: float = LabelConfig.t_pos
+    t_unl: float = LabelConfig.t_unl
+    balance_ratio: float = LabelConfig.balance_ratio
+
+    def __post_init__(self) -> None:
+        LabelConfig(self.t_pos, self.t_unl, self.balance_ratio)  # for its range checks
+
+
+@dataclass(frozen=True)
+class FeaturesSection:
+    mode: Literal[FEATURE_MODES] = MODE_DICTIONARY
+    bins: int = DEFAULT_BINS
+    bow_min_df: int = 2
+
+    def __post_init__(self) -> None:
+        if self.bins < 1:
+            raise ValueError("bins must be >= 1")
+        if self.bow_min_df < 1:
+            raise ValueError("bow_min_df must be >= 1")
+
+
+@dataclass(frozen=True)
+class StageSection:
+    l2: float = L2
+
+    def __post_init__(self) -> None:
+        if self.l2 < 0:
+            raise ValueError("l2 must be >= 0")
+
+
+@dataclass(frozen=True)
+class HyperSection:
+    """The L2 penalty of each training stage; the training schedule is fixed."""
+
+    stage1: StageSection = StageSection()
+    stage2: StageSection = StageSection()
+
+
+@dataclass(frozen=True)
+class EvaluateSection:
+    gold_labels: str | None = None
+    rouge: tuple[int, ...] = (1, 2)
+
+    def __post_init__(self) -> None:
+        if any(n < 1 for n in self.rouge):
+            raise ValueError("rouge must hold orders >= 1")
+
+
+@dataclass(frozen=True)
 class RunConfig:
     seed: int
     out_dir: str
     train_corpus: str | None = None
     test_corpus: str | None = None
-    scored_lexicons: tuple[str, ...] = ()
-    category_lexicons: tuple[str, ...] = ()
-    label_mode: str = "alignment"
-    extracts: str | None = None
-    t_pos: float = 14.0
-    t_unl: float = 10.0
-    balance_ratio: float = 1.2
-    feature_mode: str = MODE_DICTIONARY
-    bins: int = 230
-    bow_min_df: int = 2
-    stage1_l2: float = L2
-    stage2_l2: float = L2
-    max_words: int = 100
-    budget_mode: str = TRUNCATE_WORDS
-    systems: tuple[str, ...] = SYSTEMS
-    gold_labels: str | None = None
-    rouge_orders: tuple[int, ...] = (1, 2)
+    lexicons: LexiconsSection = LexiconsSection()
+    label: LabelSection = LabelSection()
+    features: FeaturesSection = FeaturesSection()
+    hyper: HyperSection = HyperSection()
+    budget: SummaryBudget = SummaryBudget()
+    systems: tuple[Literal[SYSTEMS], ...] = SYSTEMS
+    evaluate: EvaluateSection = EvaluateSection()
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if "seed" not in raw:
-            raise ConfigError("config field 'seed' is mandatory")
-        if "out_dir" not in raw:
-            raise ConfigError("config field 'out_dir' is mandatory")
-        for section in ("lexicons", "label", "features", "budget", "evaluate"):
-            if not isinstance(raw.get(section, {}), dict):
-                raise ConfigError(f"config section {section!r} must be an object")
-        lex = raw.get("lexicons", {})
-        label = raw.get("label", {})
-        feats = raw.get("features", {})
-        stage1_l2, stage2_l2 = _read_l2(raw.get("hyper", {}))
-        budget = raw.get("budget", {})
-        ev = raw.get("evaluate", {})
-        try:
-            cfg = cls(
-                seed=int(raw["seed"]),
-                out_dir=str(raw["out_dir"]),
-                train_corpus=raw.get("train_corpus"),
-                test_corpus=raw.get("test_corpus"),
-                scored_lexicons=tuple(lex.get("scored", ())),
-                category_lexicons=tuple(lex.get("category", ())),
-                label_mode=label.get("mode", "alignment"),
-                extracts=label.get("extracts"),
-                t_pos=float(label.get("t_pos", 14.0)),
-                t_unl=float(label.get("t_unl", 10.0)),
-                balance_ratio=float(label.get("balance_ratio", 1.2)),
-                feature_mode=feats.get("mode", MODE_DICTIONARY),
-                bins=int(feats.get("bins", 230)),
-                bow_min_df=int(feats.get("bow_min_df", 2)),
-                stage1_l2=stage1_l2,
-                stage2_l2=stage2_l2,
-                max_words=int(budget.get("max_words", 100)),
-                budget_mode=budget.get("mode", TRUNCATE_WORDS),
-                systems=tuple(raw.get("systems", SYSTEMS)),
-                gold_labels=ev.get("gold_labels"),
-                rouge_orders=tuple(ev.get("rouge", (1, 2))),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
-        if cfg.label_mode not in LABEL_MODES:
-            raise ConfigError(f"label mode must be one of {LABEL_MODES}")
-        if cfg.feature_mode not in FEATURE_MODES:
-            raise ConfigError(f"feature mode must be one of {FEATURE_MODES}")
-        if cfg.budget_mode not in (TRUNCATE_WORDS, WHOLE_SENTENCE):
-            raise ConfigError("budget mode must be truncate-words or whole-sentence")
-        unknown = set(cfg.systems) - set(SYSTEMS)
-        if unknown:
-            raise ConfigError(f"unknown systems {sorted(unknown)}")
-        return cfg
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "train_corpus": self.train_corpus,
-            "test_corpus": self.test_corpus,
-            "lexicons": {
-                "scored": list(self.scored_lexicons),
-                "category": list(self.category_lexicons),
-            },
-            "label": {
-                "mode": self.label_mode,
-                "extracts": self.extracts,
-                "t_pos": self.t_pos,
-                "t_unl": self.t_unl,
-                "balance_ratio": self.balance_ratio,
-            },
-            "features": {
-                "mode": self.feature_mode,
-                "bins": self.bins,
-                "bow_min_df": self.bow_min_df,
-            },
-            "hyper": {"stage1": {"l2": self.stage1_l2}, "stage2": {"l2": self.stage2_l2}},
-            "budget": {"max_words": self.max_words, "mode": self.budget_mode},
-            "systems": list(self.systems),
-            "evaluate": {
-                "gold_labels": self.gold_labels,
-                "rouge": list(self.rouge_orders),
-            },
-        }
+        return _resolve(cls, raw, "")
 
     def label_config(self) -> LabelConfig:
-        return LabelConfig(
-            t_pos=self.t_pos,
-            t_unl=self.t_unl,
-            balance_ratio=self.balance_ratio,
-            seed=self.seed,
-        )
+        return LabelConfig(self.label.t_pos, self.label.t_unl, self.label.balance_ratio, self.seed)
 
     def path(self, name: str) -> Path:
         return Path(self.out_dir) / name
+
+
+def _resolve(cls, raw, where: str):
+    """The `cls` instance that the JSON object `raw` at dotted key `where` declares."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config section {where!r} must be an object")
+    prefix = f"{where}." if where else ""
+    names = [f.name for f in fields(cls)]
+    for key in raw:
+        if key not in names:
+            raise ConfigError(
+                f"unknown config key {prefix + key!r}; {where or 'the config'} takes {', '.join(names)}"
+            )
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        if f.name in raw:
+            values[f.name] = _typed(hints[f.name], raw[f.name], prefix + f.name)
+        elif f.default is MISSING:
+            raise ConfigError(f"config field {prefix + f.name!r} is mandatory")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"config key {prefix}{exc}") from None
+
+
+def _typed(hint, value, key: str):
+    """`value` as the type `hint` of config key `key`, or a ConfigError."""
+    if is_dataclass(hint):
+        return _resolve(hint, value, key)
+    args = get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"config key {key!r} must be a list, not {value!r}")
+        return tuple(_typed(args[0], v, key) for v in value)
+    if get_origin(hint) is Literal:
+        ok, want = value in args, f"one of {', '.join(map(repr, args))}"
+    elif hint is float:
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+        want = "a finite number"
+        value = float(value) if ok else value
+    else:
+        ok, want = type(value) is hint, f"of type {hint.__name__}"
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {want}, not {value!r}")
+    return value
 
 
 def _require_file(path: str | None, what: str) -> Path:
@@ -288,7 +291,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 def _write_resolved_config(cfg: RunConfig, command: str) -> None:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
+    payload = json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"
     (out / f"resolved_config.{command}.json").write_text(payload, encoding="utf-8")
 
 
@@ -316,8 +319,8 @@ def compute_labels(cfg: RunConfig, corpus: Corpus):
     """Weak labels for every document, per the configured labeling mode."""
     label_cfg = cfg.label_config()
     labels = []
-    if cfg.label_mode == "extract":
-        extracts = _read_extracts(_require_file(cfg.extracts, "extracts file"))
+    if cfg.label.mode == "extract":
+        extracts = _read_extracts(_require_file(cfg.label.extracts, "extracts file"))
         for doc in corpus:
             labels.extend(label_by_extract(doc, extracts.get(doc.doc_id, [])))
     else:
@@ -349,31 +352,40 @@ def build_extractor(cfg: RunConfig, train_corpus: Corpus | None = None, model: P
 
     With a trained model the extractor is built against the model's own
     layout: BOW layouts embed their vocabulary, and dictionary layouts are
-    re-validated against the lexicon files so any content change surfaces as
-    a hash mismatch.
+    re-validated against the lexicon files, binned as the model was, so any
+    content change surfaces as a hash mismatch.
     """
-    if model is not None:
-        if model.layout.mode == MODE_BOW:
-            return FeatureExtractor(model.layout)
-        scored = [
-            read_scored_lexicon(_require_file(p, "scored lexicon"), bins=cfg.bins)
-            for p in cfg.scored_lexicons
-        ]
-        category = [
-            read_category_lexicon(_require_file(p, "category lexicon"))
-            for p in cfg.category_lexicons
-        ]
-        return FeatureExtractor(model.layout, scored, category)
-    if cfg.feature_mode == MODE_BOW:
+    if model is not None and model.layout.mode == MODE_BOW:
+        return FeatureExtractor(model.layout)
+    if model is None and cfg.features.mode == MODE_BOW:
         if train_corpus is None:
             raise ConfigError("bow feature mode needs the training corpus")
-        return FeatureExtractor(bow_layout(bow_vocabulary(train_corpus, cfg.bow_min_df)))
-    scored = [read_scored_lexicon(_require_file(p, "scored lexicon"), bins=cfg.bins) for p in cfg.scored_lexicons]
-    category = [read_category_lexicon(_require_file(p, "category lexicon")) for p in cfg.category_lexicons]
+        return FeatureExtractor(bow_layout(bow_vocabulary(train_corpus, cfg.features.bow_min_df)))
+    scored = [
+        read_scored_lexicon(_require_file(p, "scored lexicon"), bins=cfg.features.bins)
+        for p in cfg.lexicons.scored
+    ]
+    category = [read_category_lexicon(_require_file(p, "category lexicon")) for p in cfg.lexicons.category]
+    if model is not None:
+        bins = {spec.name: spec.bins for spec in model.layout.scored}
+        scored = [replace(lex, bins=bins.get(lex.name, lex.bins)) for lex in scored]
+        return FeatureExtractor(model.layout, scored, category)
     if not scored and not category:
         raise ConfigError("dictionary feature mode needs at least one lexicon")
-    layout = dictionary_layout(scored, category, include_general=cfg.feature_mode == MODE_DICTIONARY)
+    layout = dictionary_layout(scored, category, include_general=cfg.features.mode == MODE_DICTIONARY)
     return FeatureExtractor(layout, scored, category)
+
+
+def _check_labels(corpus: Corpus, labels) -> None:
+    """Every label names a sentence of the corpus."""
+    for lab in labels:
+        try:
+            corpus.document(lab.doc_id).sentences[lab.sentence_id]
+        except (KeyError, IndexError):
+            raise ConfigError(
+                f"a label names sentence {lab.sentence_id} of document {lab.doc_id!r}, "
+                "which the train corpus lacks"
+            ) from None
 
 
 def build_examples(corpus: Corpus, labels, extractor: FeatureExtractor) -> tuple[np.ndarray, np.ndarray]:
@@ -381,14 +393,7 @@ def build_examples(corpus: Corpus, labels, extractor: FeatureExtractor) -> tuple
     kept = [lab for lab in labels if lab.flag != EXCLUDED]
     X = np.empty((len(kept), extractor.layout.total_dim))
     for i, lab in enumerate(kept):
-        try:
-            sentence = corpus.document(lab.doc_id).sentences[lab.sentence_id]
-        except (KeyError, IndexError):
-            raise ConfigError(
-                f"a label names sentence {lab.sentence_id} of document {lab.doc_id!r}, "
-                "which the train corpus lacks"
-            ) from None
-        X[i] = extractor.extract_or_zero(sentence)
+        X[i] = extractor.extract_or_zero(corpus.document(lab.doc_id).sentences[lab.sentence_id])
     o = np.array([lab.flag == POSITIVE for lab in kept], dtype=np.int64)
     return X, o
 
@@ -396,10 +401,11 @@ def build_examples(corpus: Corpus, labels, extractor: FeatureExtractor) -> tuple
 def cmd_train(cfg: RunConfig) -> int:
     corpus = load_corpus(_require_file(cfg.train_corpus, "train corpus"))
     labels = read_labels(_require_file(str(cfg.path("labels.jsonl")), "labels file"))
+    _check_labels(corpus, labels)
     sampled = sample_unlabeled(labels, cfg.label_config())
     extractor = build_extractor(cfg, train_corpus=corpus)
     X, o = build_examples(corpus, sampled, extractor)
-    model = train_pu_model(X, o, extractor.layout, cfg.stage1_l2, cfg.stage2_l2, seed=cfg.seed)
+    model = train_pu_model(X, o, extractor.layout, cfg.hyper.stage1.l2, cfg.hyper.stage2.l2, seed=cfg.seed)
     _write_resolved_config(cfg, "train")
     save_model(model, cfg.path("model.json"))
     counts = label_counts(sampled)
@@ -439,14 +445,13 @@ def cmd_summarize(cfg: RunConfig, only_system: str | None = None) -> int:
     if any(s in (INFORANK, INFOFILTER) for s in systems):
         _, classifier = _load_classifier(cfg)
         probs = [[classifier.prob(s) for s in doc.sentences] for doc in corpus]
-    budget = SummaryBudget(cfg.max_words, cfg.budget_mode)
-    whole = SummaryBudget(cfg.max_words, WHOLE_SENTENCE)
+    whole = replace(cfg.budget, mode=WHOLE_SENTENCE)
     _write_resolved_config(cfg, "summarize")
     for system in systems:
         results = []
         for di, doc in enumerate(corpus):
             if system == LEADWORDS:
-                results.append(lead_words(doc, budget))
+                results.append(lead_words(doc, cfg.budget))
             elif system == INFORANK:
                 results.append(info_rank(doc, probs[di], whole))
             elif system == INFOFILTER:
@@ -468,9 +473,9 @@ def cmd_summarize(cfg: RunConfig, only_system: str | None = None) -> int:
 
 def _classification_section(cfg: RunConfig) -> dict | None:
     pred_path = cfg.path("predictions.jsonl")
-    if cfg.gold_labels is None or not pred_path.is_file():
+    if cfg.evaluate.gold_labels is None or not pred_path.is_file():
         return None
-    gold = _read_sentence_labels(_require_file(cfg.gold_labels, "gold labels file"), "gold labels")
+    gold = _read_sentence_labels(_require_file(cfg.evaluate.gold_labels, "gold labels file"), "gold labels")
     preds = _read_sentence_labels(pred_path, "predictions")
     keys = sorted(k for k in gold if k in preds)
     if not keys:
@@ -525,7 +530,7 @@ def _rouge_section(cfg: RunConfig, corpus: Corpus) -> dict:
                 )
             cand = summary_sentences(doc, result)
             scores = {}
-            for n in cfg.rouge_orders:
+            for n in cfg.evaluate.rouge:
                 sc = rouge_n(ref, cand, n)
                 scores[f"r{n}"] = {
                     "recall": sc.recall,
@@ -536,7 +541,7 @@ def _rouge_section(cfg: RunConfig, corpus: Corpus) -> dict:
         if not per_doc:
             continue
         means = {}
-        for n in cfg.rouge_orders:
+        for n in cfg.evaluate.rouge:
             key = f"r{n}"
             doc_ids = sorted(per_doc)
             means[key] = {
@@ -556,7 +561,7 @@ def _wilcoxon_section(cfg: RunConfig, rouge: dict) -> list[dict]:
         )
         if not shared:
             continue
-        for n in cfg.rouge_orders:
+        for n in cfg.evaluate.rouge:
             key = f"r{n}"
             xs = [rouge[sys_a]["per_doc"][d][key]["recall"] for d in shared]
             ys = [rouge[sys_b]["per_doc"][d][key]["recall"] for d in shared]
@@ -633,7 +638,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     cfg.path("report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    table = _render_table(report, cfg.rouge_orders)
+    table = _render_table(report, cfg.evaluate.rouge)
     cfg.path("report.txt").write_text(table, encoding="utf-8")
     print(table, end="")
     print(f"report -> {cfg.path('report.json')}")
@@ -706,12 +711,12 @@ def main(argv=None) -> int:
             return cmd_evaluate(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
     except (
-        ConfigError, CorpusFormatError, JsonlFormatError, LexiconFormatError, ModelFormatError,
-        FileNotFoundError,
+        ConfigError, CorpusFormatError, JsonlFormatError, LayoutMismatchError, LexiconFormatError,
+        ModelFormatError, FileNotFoundError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except Exception as exc:  # runtime failures: degenerate training, layout mismatch, ...
+    except Exception as exc:  # runtime failures: degenerate training, ...
         print(f"error: {exc}", file=sys.stderr)
         logger.debug("traceback", exc_info=exc)
         return EXIT_RUNTIME

@@ -196,15 +196,13 @@ def parse_jsonl(lines: Iterable[str], kind: str, parse: Callable[[dict], T]) -> 
     return out
 
 
-def parse_corpus(source: Iterable[str] | IO[bytes] | IO[str], format: str = "jsonl") -> Corpus:
+def parse_corpus(source: Iterable[str] | IO[bytes] | IO[str]) -> Corpus:
     """Parse a line-delimited corpus stream into a Corpus.
 
     Each record is an object with `doc_id`, `sentences` (non-empty array of
     strings), optional `section` and `summary`. Unknown fields are ignored;
     an absent or empty summary array is normalized to no summary.
     """
-    if format != "jsonl":
-        raise ValueError(f"unsupported corpus format {format!r}")
     documents: list[Document] = []
     seen: set[str] = set()
     for lineno, raw in enumerate(iter_lines(source), start=1):

@@ -25,14 +25,6 @@ from .corpus import Corpus, Sentence, document_frequencies
 from .lexicons import CategoryLexicon, ScoredLexicon, bin_index
 
 GENERAL_WIDTH = 6
-GENERAL_FEATURE_NAMES = (
-    "token_count",
-    "punct_count",
-    "has_exclamation",
-    "has_question",
-    "has_colon",
-    "has_double_quote",
-)
 DOUBLE_QUOTE_MARKS = ('"', "“", "”")
 LAYOUT_VERSION = 1
 

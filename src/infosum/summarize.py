@@ -36,7 +36,7 @@ class SummaryBudget:
         if self.max_words < 1:
             raise ValueError("max_words must be >= 1")
         if self.mode not in (WHOLE_SENTENCE, TRUNCATE_WORDS):
-            raise ValueError(f"unknown budget mode {self.mode!r}")
+            raise ValueError(f"mode must be {WHOLE_SENTENCE!r} or {TRUNCATE_WORDS!r}, not {self.mode!r}")
 
 
 @dataclass(frozen=True)

@@ -236,12 +236,6 @@ def write_synth_bundle(out_dir: str | Path, params: SynthParams) -> dict[str, st
         "budget": {"max_words": 100, "mode": "truncate-words"},
         "systems": ["leadwords", "inforank", "infofilter", "randomrank"],
         "evaluate": {"gold_labels": str(paths["gold_labels"])},
-        "synth": {
-            "n_train_docs": params.n_train_docs,
-            "n_test_docs": params.n_test_docs,
-            "sentences_per_doc": params.sentences_per_doc,
-            "label_rate": params.label_rate,
-        },
     }
     paths["config"].write_text(
         json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -113,7 +114,7 @@ class TestPipelineCompositionality:
         sampled = sample_unlabeled(labels, cfg.label_config())
         extractor = build_extractor(cfg, train_corpus=corpus)
         X, o = build_examples(corpus, sampled, extractor)
-        model = train_pu_model(X, o, extractor.layout, cfg.stage1_l2, cfg.stage2_l2, seed=cfg.seed)
+        model = train_pu_model(X, o, extractor.layout, cfg.hyper.stage1.l2, cfg.hyper.stage2.l2, seed=cfg.seed)
         path = tmp_path / "inprocess.json"
         save_model(model, path)
         assert path.read_bytes() == (run_dir / "model.json").read_bytes()
@@ -170,8 +171,8 @@ class TestModesAndOverrides:
 class TestTrainingConfig:
     def test_l2_defaults_to_the_shipped_penalty(self):
         cfg = RunConfig.from_dict({"seed": 0, "out_dir": "x"})
-        assert (cfg.stage1_l2, cfg.stage2_l2) == (1e-4, 1e-4)
-        assert cfg.to_dict()["hyper"] == {"stage1": {"l2": 1e-4}, "stage2": {"l2": 1e-4}}
+        assert (cfg.hyper.stage1.l2, cfg.hyper.stage2.l2) == (1e-4, 1e-4)
+        assert asdict(cfg)["hyper"] == {"stage1": {"l2": 1e-4}, "stage2": {"l2": 1e-4}}
 
     def test_l2_override(self, bundle, tmp_path):
         out = tmp_path / "l2"
@@ -194,6 +195,47 @@ class TestTrainingConfig:
         assert code == EXIT_VALIDATION
         assert key in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+
+# (override, what stderr must say): each names its dotted key
+BAD_CONFIG_OVERRIDES = [
+    ("label.tpos=6", "unknown config key 'label.tpos'"),
+    ("budget.max_word=50", "unknown config key 'budget.max_word'"),
+    ("featurs.mode=bow", "unknown config key 'featurs'"),
+    ('synth={"n_train_docs": 60}', "unknown config key 'synth'"),
+    ("systems=leadwords", "'systems' must be a list"),
+    ('lexicons.scored="x.tsv"', "'lexicons.scored' must be a list"),
+    ("seed=1.7", "'seed' must be of type int"),
+    ("seed=true", "'seed' must be of type int"),
+    ("seed=-1", "seed must be >= 0"),
+    ("budget.max_words=0", "budget.max_words must be >= 1"),
+    ("label.balance_ratio=0", "label.balance_ratio must be positive"),
+    ("label.t_unl=20", "label.t_unl (20.0) must be strictly below t_pos"),
+    ("features.bins=0", "features.bins must be >= 1"),
+    ("features.bow_min_df=0", "features.bow_min_df must be >= 1"),
+    ("evaluate.rouge=[0]", "evaluate.rouge must hold orders >= 1"),
+    ('label.t_pos="14"', "'label.t_pos' must be a finite number"),
+    pytest.param("label.t_pos=1" + "0" * 400, "'label.t_pos' must be a finite number", id="huge-int"),
+    ("label.mode=bogus", "'label.mode' must be one of"),
+]
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("override, message", BAD_CONFIG_OVERRIDES)
+    def test_bad_key_or_value_exits_2_at_load(self, bundle, tmp_path, capsys, override, message):
+        code = main(["label", "-c", bundle["config"], "--out-dir", str(tmp_path / "run"),
+                     "--set", override])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_resolved_config_resolves_to_itself(self, bundle):
+        cfg = RunConfig.from_dict(json.loads(Path(bundle["config"]).read_text()))
+        assert RunConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
+
+    def test_numbers_keep_their_declared_type(self):
+        cfg = RunConfig.from_dict({"seed": 0, "out_dir": "x", "label": {"t_pos": 12}})
+        assert type(cfg.label.t_pos) is float and cfg.label.t_pos == 12.0
 
 
 class TestRougeCandidate:
@@ -340,6 +382,48 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["train", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
         assert f"sentence {sentence_id} of document {doc_id!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_unlabeled_label_outside_corpus_exits_2_for_any_seed(
+        self, bundle, pipeline, tmp_path, capsys, seed
+    ):
+        _, run_dir = pipeline
+        out = tmp_path / "stray"
+        out.mkdir()
+        stray = {"doc_id": "nope", "sentence_id": 0, "flag": "unlabeled", "align_score": None}
+        labels = (run_dir / "labels.jsonl").read_text() + json.dumps(stray) + "\n"
+        (out / "labels.jsonl").write_text(labels)
+        capsys.readouterr()
+        code = main(["train", "-c", bundle["config"], "--out-dir", str(out), "--seed", str(seed)])
+        assert code == EXIT_VALIDATION
+        assert "document 'nope'" in capsys.readouterr().err
+
+    def test_edited_lexicon_at_predict_is_validation_error(self, bundle, pipeline, tmp_path, capsys):
+        _, run_dir = pipeline
+        out = tmp_path / "edited"
+        out.mkdir()
+        (out / "model.json").write_bytes((run_dir / "model.json").read_bytes())
+        lex = tmp_path / "edited.tsv"
+        lines = Path(bundle["scored_lexicon"]).read_text().splitlines()
+        word, attr, score = lines[1].split("\t")
+        lines[1] = "\t".join([word, attr, str(float(score) + 1.0)])
+        lex.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["predict", "-c", bundle["config"], "--out-dir", str(out),
+                     "--set", f"lexicons.scored={json.dumps([str(lex)])}"])
+        assert code == EXIT_VALIDATION
+        assert "does not match layout" in capsys.readouterr().err
+
+    def test_predict_bins_the_lexicons_as_the_model_was_trained(self, bundle, pipeline, tmp_path):
+        _, run_dir = pipeline
+        out = tmp_path / "bins"
+        out.mkdir()
+        (out / "model.json").write_bytes((run_dir / "model.json").read_bytes())
+        code = main(["predict", "-c", bundle["config"], "--out-dir", str(out),
+                     "--set", "features.bins=100"])
+        assert code == EXIT_OK
+        predictions = (out / "predictions.jsonl").read_bytes()
+        assert predictions == (run_dir / "predictions.jsonl").read_bytes()
 
     def test_negative_label_sentence_id_names_line(self, bundle, pipeline, tmp_path, capsys):
         _, run_dir = pipeline
