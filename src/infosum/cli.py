@@ -76,6 +76,7 @@ from .summarize import (
     summary_sentences,
     write_summaries,
 )
+from .sparse import CsrMatrix
 from .synth import SynthParams, write_synth_bundle
 from .weak_label import (
     EXCLUDED,
@@ -388,14 +389,20 @@ def _check_labels(corpus: Corpus, labels) -> None:
             ) from None
 
 
-def build_examples(corpus: Corpus, labels, extractor: FeatureExtractor) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix X and 0/1 vector o over the non-excluded labels, in label order."""
+def build_examples(corpus: Corpus, labels, extractor: FeatureExtractor) -> tuple[CsrMatrix, np.ndarray]:
+    """Feature matrix X and 0/1 vector o over the non-excluded labels, in label order.
+
+    X is a CsrMatrix: each row keeps the nonzero columns and values of the
+    sentence's `extract_or_zero` vector. No dense n x d matrix is built.
+    """
     kept = [lab for lab in labels if lab.flag != EXCLUDED]
-    X = np.empty((len(kept), extractor.layout.total_dim))
-    for i, lab in enumerate(kept):
-        X[i] = extractor.extract_or_zero(corpus.document(lab.doc_id).sentences[lab.sentence_id])
+    rows = []
+    for lab in kept:
+        x = extractor.extract_or_zero(corpus.document(lab.doc_id).sentences[lab.sentence_id])
+        cols = np.flatnonzero(x)
+        rows.append((cols, x[cols]))
     o = np.array([lab.flag == POSITIVE for lab in kept], dtype=np.int64)
-    return X, o
+    return CsrMatrix.from_rows(rows, extractor.layout.total_dim), o
 
 
 def cmd_train(cfg: RunConfig) -> int:

@@ -27,7 +27,8 @@ DEFAULT_BINS = 230
 
 
 class LexiconFormatError(ValueError):
-    """Malformed lexicon input, reported with a line number."""
+    """Malformed lexicon input, reported with a line number, or a lexicon name
+    that clashes with another lexicon or a feature block."""
 
 
 def _hash_payload(payload: object) -> str:

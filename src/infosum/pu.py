@@ -14,6 +14,12 @@ set is kept as row indices into X with labels y and weights, never as a
 copy of X. Stage 2 trains a weighted linear SVM on the relabeled data, and a
 sigmoid fitted on held-out margins converts SVM scores into probabilities.
 
+The CLI passes X as a `sparse.CsrMatrix`; the functions here use only
+`len`, `.shape`, `X @ w` and `X.T @ r`, so a dense array works as well.
+Subsets of X (the positives for e, the relabeled rows of stage 2) are
+`sparse.SelectedRows` views: margins are `(X @ w)[rows]`, and the gradient
+sums each entry's coefficient into its source row before one `X.T` product.
+
 Both stages run one fixed schedule of full-batch (sub)gradient descent,
 EPOCHS steps from zero at learning rate LR0 / (1 + t / LR_TAU); only each
 stage's L2 penalty can be set. The schedule is part of the model: stopping
@@ -49,6 +55,7 @@ from .features import (
     layout_hash,
     layout_to_json,
 )
+from .sparse import CsrMatrix, SelectedRows
 
 logger = logging.getLogger(__name__)
 
@@ -315,7 +322,7 @@ def calibration_split(rows: np.ndarray, n_rows: int, seed: int) -> tuple[np.ndar
 
 
 def train_pu_model(
-    X: np.ndarray,
+    X: CsrMatrix | np.ndarray,
     o: np.ndarray,
     layout: FeatureLayout,
     stage1_l2: float = L2,
@@ -330,14 +337,15 @@ def train_pu_model(
     lacks one label, calibration falls back to margins over the full
     relabeled set.
     """
-    X = np.asarray(X, dtype=float)
+    if not isinstance(X, CsrMatrix):
+        X = np.asarray(X, dtype=float)
     o = np.asarray(o)
-    if X.ndim != 2 or X.shape[1] != layout.total_dim or len(o) != len(X):
+    if len(X.shape) != 2 or X.shape[1] != layout.total_dim or len(o) != len(X):
         raise LayoutMismatchError("training matrix does not match the given layout")
     if not np.isin(o, (0, 1)).all():
         raise ValueError("o must hold only 0 and 1")
     stage1 = train_stage1(X, o, stage1_l2)
-    e = estimate_e(stage1, X[o == 1])
+    e = estimate_e(stage1, SelectedRows(X, np.flatnonzero(o == 1)))
     rows, y, w = build_relabeled(X, o, stage1, e)
     logger.info(
         "stage1 trained on %d positives + %d unlabeled; e=%.6f; relabeled size %d",
@@ -347,7 +355,7 @@ def train_pu_model(
         len(rows),
     )
     fit_idx, cal_idx = calibration_split(rows, len(X), seed)
-    svm_w, svm_b = train_stage2(X[rows[fit_idx]], y[fit_idx], w[fit_idx], stage2_l2)
+    svm_w, svm_b = train_stage2(SelectedRows(X, rows[fit_idx]), y[fit_idx], w[fit_idx], stage2_l2)
     margins = X @ svm_w + svm_b
     try:
         A, B = calibrate(margins[rows[cal_idx]], y[cal_idx], w[cal_idx])

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -36,6 +39,16 @@ class TestSynthCommand:
                      "extracts_train.jsonl", "gold_test.jsonl",
                      "synthmrc.tsv", "synthcats.tsv"):
             assert (out / name).is_file()
+
+
+def test_cli_import_loads_no_scipy():
+    """The CLI's runtime needs numpy alone; importing scipy.sparse would cost every
+    command about 22 MB of resident memory."""
+    code = "import sys, infosum.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestPipelineArtifacts:
@@ -331,6 +344,34 @@ class TestExitCodes:
                      "--set", f"lexicons.scored={json.dumps([str(lex)])}"])
         assert code == EXIT_VALIDATION
         assert "attribute 'a' has the single score 5.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, rename, message", [
+        ("scored", None, "two lexicons are named 'synthmrc'"),
+        ("category", None, "two lexicons are named 'synthcats'"),
+        ("scored", "general", "lexicon name 'general' is reserved"),
+        ("category", "bow", "lexicon name 'bow' is reserved"),
+    ])
+    def test_clashing_lexicon_name_is_validation_error(
+        self, bundle, pipeline, tmp_path, capsys, kind, rename, message
+    ):
+        _, run_dir = pipeline
+        out = tmp_path / "clash"
+        out.mkdir()
+        (out / "labels.jsonl").write_bytes((run_dir / "labels.jsonl").read_bytes())
+        lex = Path(bundle[f"{kind}_lexicon"])
+        if rename is None:
+            paths = [str(lex), str(lex)]
+        else:
+            text = lex.read_text()
+            name = text.split(" ")[1]  # the header is `#scored <name> ...` or `#categories <name> ...`
+            renamed = tmp_path / f"{rename}.tsv"
+            renamed.write_text(text.replace(f" {name} ", f" {rename} ", 1))
+            paths = [str(renamed)]
+        capsys.readouterr()
+        code = main(["train", "-c", bundle["config"], "--out-dir", str(out),
+                     "--set", f"lexicons.{kind}={json.dumps(paths)}"])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [
         "{not json",

@@ -30,6 +30,7 @@ from infosum.pu import (
     train_stage2,
     unlabeled_weight,
 )
+from infosum.sparse import CsrMatrix
 
 TOY_L2 = 0.01
 
@@ -354,6 +355,18 @@ class TestPUModel:
             train_pu_model(X, o, toy_layout(3), TOY_L2, TOY_L2)
         with pytest.raises(ValueError):
             train_pu_model(X, o + 1, toy_layout(), TOY_L2, TOY_L2)
+
+    def test_sparse_and_dense_matrices_train_the_same_model(self):
+        X, o = separable_set()
+        X = np.hstack([X, np.zeros((len(X), 1)), (X[:, :1] > 1.2) * 1.0])  # an empty column, a sparse one
+        X[3] = 0.0  # an empty row
+        sparse = CsrMatrix.from_rows([(np.flatnonzero(x), x[x != 0]) for x in X], X.shape[1])
+        dense_model = train_pu_model(X, o, toy_layout(4), TOY_L2, TOY_L2, seed=1)
+        sparse_model = train_pu_model(sparse, o, toy_layout(4), TOY_L2, TOY_L2, seed=1)
+        assert sparse_model.e == pytest.approx(dense_model.e, rel=1e-12)
+        np.testing.assert_allclose(sparse_model.stage1.weights, dense_model.stage1.weights, atol=1e-10)
+        np.testing.assert_allclose(sparse_model.svm_weights, dense_model.svm_weights, atol=1e-10)
+        np.testing.assert_allclose(sparse_model.calib, dense_model.calib, rtol=1e-9)
 
     def test_fixed_seed_identical_model_bytes(self, tmp_path):
         m1, _, _ = trained_toy_model(seed=3)
