@@ -8,10 +8,17 @@ again gives the same tokens, which is what lets a summary cut a sentence
 after its n-th word and rebuild it from the kept surfaces. A punctuation
 token never casefolds to a word, so a surface is the next word exactly when
 it casefolds to it.
+
+A chunk's tokens depend on that whitespace-separated chunk alone, and
+text repeats its chunks (the synth corpora: 424 distinct in 174,000), so
+`tokenize` splits each distinct chunk once per process and keeps its tokens
+as a tuple in a memo bounded at CHUNK_MEMO_SIZE chunks, least recently used
+dropped first.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import unicodedata
@@ -21,6 +28,10 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 APOSTROPHES = ("'", "’")
+# Chunks the memo of `tokenize` holds. Full, it takes about 17 MB (measured
+# with random 3-14 character chunks); the benchmark corpora have 424 and
+# 4,279 distinct chunks.
+CHUNK_MEMO_SIZE = 65_536
 
 T = TypeVar("T")
 
@@ -102,23 +113,31 @@ def tokenize(text: str) -> list[tuple[str, bool]]:
     """
     tokens: list[tuple[str, bool]] = []
     for chunk in text.split():
-        raw = [_is_punct_char(c) for c in chunk]
-        flags = list(raw)
-        for i, ch in enumerate(chunk):
-            if (
-                raw[i]
-                and ch in APOSTROPHES
-                and 0 < i < len(chunk) - 1
-                and not raw[i - 1]
-                and not raw[i + 1]
-            ):
-                flags[i] = False
-        start = 0
-        for i in range(1, len(chunk) + 1):
-            if i == len(chunk) or flags[i] != flags[start]:
-                tokens.append((chunk[start:i], not flags[start]))
-                start = i
+        tokens.extend(_chunk_tokens(chunk))
     return tokens
+
+
+@functools.lru_cache(maxsize=CHUNK_MEMO_SIZE)
+def _chunk_tokens(chunk: str) -> tuple[tuple[str, bool], ...]:
+    """The tokens of one whitespace-free chunk, which depend on it alone."""
+    raw = [_is_punct_char(c) for c in chunk]
+    flags = list(raw)
+    for i, ch in enumerate(chunk):
+        if (
+            raw[i]
+            and ch in APOSTROPHES
+            and 0 < i < len(chunk) - 1
+            and not raw[i - 1]
+            and not raw[i + 1]
+        ):
+            flags[i] = False
+    tokens = []
+    start = 0
+    for i in range(1, len(chunk) + 1):
+        if i == len(chunk) or flags[i] != flags[start]:
+            tokens.append((chunk[start:i], not flags[start]))
+            start = i
+    return tuple(tokens)
 
 
 def make_sentence(sentence_id: int, text: str) -> Sentence:

@@ -5,7 +5,10 @@ import unicodedata
 import pytest
 from hypothesis import example, given, strategies as st
 
+from infosum import corpus
 from infosum.corpus import (
+    APOSTROPHES,
+    CHUNK_MEMO_SIZE,
     CorpusFormatError,
     compute_idf,
     load_corpus,
@@ -71,6 +74,43 @@ class TestTokenize:
             prefix = make_sentence(0, " ".join(sent.tokens[:k]))
             assert prefix.tokens == sent.tokens[:k]
         assert prefix.words == sent.words
+
+
+def direct_tokenize(text):
+    """The token rules without the chunk memo: the loop `tokenize` ran before it."""
+    tokens = []
+    for chunk in text.split():
+        raw = [unicodedata.category(c).startswith("P") for c in chunk]
+        flags = list(raw)
+        for i, ch in enumerate(chunk):
+            if raw[i] and ch in APOSTROPHES and 0 < i < len(chunk) - 1 and not raw[i - 1] and not raw[i + 1]:
+                flags[i] = False
+        start = 0
+        for i in range(1, len(chunk) + 1):
+            if i == len(chunk) or flags[i] != flags[start]:
+                tokens.append((chunk[start:i], not flags[start]))
+                start = i
+    return tokens
+
+
+# letters, both apostrophes, punctuation that forms runs with them, spaces
+EDGE_TEXT = st.text(alphabet=st.sampled_from("ab'’.,!-\"… \t\n"), max_size=40)
+
+
+class TestChunkMemo:
+    @given(st.one_of(EDGE_TEXT, st.text(alphabet=st.characters(codec="utf-8"), max_size=60)))
+    @example(text="We're ''not'' a'' ''b 'a' '' ’’a’b’ it's... a'.b x'-y")
+    @example(text="'a a' ' a''b a'’b")
+    def test_memoized_equals_direct(self, text):
+        first = tokenize(text)
+        assert first == direct_tokenize(text)
+        again = tokenize(text)  # every chunk now comes from the memo
+        assert again == first and again is not first
+        again.append(("extra", True))
+        assert tokenize(text) == first
+
+    def test_memo_is_bounded(self):
+        assert corpus._chunk_tokens.cache_info().maxsize == CHUNK_MEMO_SIZE
 
 
 class TestWordCount:

@@ -1,8 +1,13 @@
 import io
+import logging
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from infosum import pu
 from infosum.corpus import make_sentence
 from infosum.features import (
     FeatureExtractor,
@@ -13,6 +18,9 @@ from infosum.features import (
 )
 from infosum.lexicons import load_category_lexicon, load_scored_lexicon
 from infosum.pu import (
+    EPOCHS,
+    LR0,
+    LR_TAU,
     DegenerateTrainingSetError,
     ModelFormatError,
     PUModel,
@@ -30,7 +38,7 @@ from infosum.pu import (
     train_stage2,
     unlabeled_weight,
 )
-from infosum.sparse import CsrMatrix
+from infosum.sparse import CsrMatrix, SelectedRows
 
 TOY_L2 = 0.01
 
@@ -129,6 +137,135 @@ class TestGradients:
             num = central_diff(lambda w_, b_: hinge_loss(w_, b_, X, y, sw, l2)[0], w, b)
             assert rel_err((gw, gb), num) < 1e-5
             checked += 1
+
+
+# The training loop as it ran before its per-epoch work was trimmed: the
+# two-branch sigmoid, out-of-place arithmetic and the loss value on every
+# epoch. The trimmed loop must give the same bits.
+
+
+def masked_sigmoid(z):
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def eager_logistic_loss(w, b, X, y, sample_weight, l2):
+    total = float(sample_weight.sum())
+    z = X @ w + b
+    per = np.logaddexp(0.0, z) - y * z
+    loss = float(sample_weight @ per) / total + 0.5 * l2 * float(w @ w)
+    resid = sample_weight * (masked_sigmoid(z) - y) / total
+    return loss, X.T @ resid + l2 * w, float(resid.sum())
+
+
+def eager_hinge_loss(w, b, X, y_pm, sample_weight, l2):
+    total = float(sample_weight.sum())
+    margins = y_pm * (X @ w + b)
+    slack = np.maximum(0.0, 1.0 - margins)
+    loss = float(sample_weight @ slack) / total + 0.5 * l2 * float(w @ w)
+    coef = np.where(margins < 1.0, -y_pm, 0.0) * sample_weight / total
+    return loss, X.T @ coef + l2 * w, float(coef.sum())
+
+
+def eager_descent(loss, X, y, sample_weight, l2):
+    """(w, b, loss value per epoch from 1, gradient norm at the last epoch)."""
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    values = {}
+    for t in range(EPOCHS):
+        lr = LR0 / (1.0 + t / LR_TAU)
+        values[t + 1], grad_w, grad_b = loss(w, b, X, y, sample_weight, l2)
+        grad_norm = math.hypot(float(np.linalg.norm(grad_w)), grad_b)
+        w = w - lr * grad_w
+        b = b - lr * grad_b
+    return w, b, values, grad_norm
+
+
+def overlapping_set(n=120, d=6, seed=0):
+    """Sparse rows (one of them empty) whose classes overlap, so hinge terms stay active."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.4)
+    X[5] = 0.0
+    y = X @ rng.normal(size=d) + rng.normal(scale=0.5, size=n) > 0
+    return X, (y & (rng.random(n) < 0.6)).astype(int)
+
+
+def as_csr(X):
+    return CsrMatrix.from_rows([(np.flatnonzero(x), x[x != 0]) for x in X], X.shape[1])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestEagerReference:
+    @given(arrays(np.float64, st.integers(0, 40), elements=st.floats(allow_nan=True, allow_infinity=True)))
+    @example(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 1e308, -1e308]))
+    @example(np.array([5e-324, -5e-324, 36.7, -36.7, 709.8, -709.8, 1.0, -1.0]))
+    def test_sigmoid_has_the_bits_of_the_masked_form(self, z):
+        assert same_bits(pu._sigmoid(z), masked_sigmoid(z))
+
+    @pytest.mark.parametrize(
+        "loss, eager, labels",
+        [(logistic_loss, eager_logistic_loss, (0.0, 1.0)), (hinge_loss, eager_hinge_loss, (-1.0, 1.0))],
+    )
+    @pytest.mark.parametrize("matrix", ["dense", "csr", "selected"])
+    def test_gradient_bits_with_and_without_the_value(self, loss, eager, labels, matrix):
+        rng = np.random.default_rng(3)
+        X, _ = overlapping_set()
+        X = {"dense": X, "csr": as_csr(X), "selected": SelectedRows(as_csr(X), rng.integers(0, len(X), 150))}[matrix]
+        y = rng.choice(labels, size=len(X))
+        sw = rng.uniform(0.0, 1.0, size=len(X))
+        w, b = rng.normal(size=X.shape[1]), float(rng.normal())
+        ref_value, ref_gw, ref_gb = eager(w, b, X, y, sw, 0.01)
+        value, gw, gb = loss(w, b, X, y, sw, 0.01)
+        assert value == ref_value and same_bits(gw, ref_gw) and same_bits(gb, ref_gb)
+        value, gw, gb = loss(w, b, X, y, sw, 0.01, value=False)
+        assert value is None and same_bits(gw, ref_gw) and same_bits(gb, ref_gb)
+
+    @pytest.mark.parametrize("matrix", ["dense", "csr"])
+    def test_train_pu_model_has_the_bits_of_the_eager_loop(self, monkeypatch, matrix):
+        X, o = overlapping_set()
+        X = X if matrix == "dense" else as_csr(X)
+        model = train_pu_model(X, o, toy_layout(6), TOY_L2, TOY_L2, seed=2)
+        with monkeypatch.context() as m:
+            m.setattr(pu, "_sigmoid", masked_sigmoid)
+            m.setattr(pu, "logistic_loss", eager_logistic_loss)
+            m.setattr(pu, "hinge_loss", eager_hinge_loss)
+            m.setattr(pu, "_gradient_descent", lambda loss, X, y, sw, l2, tag: eager_descent(loss, X, y, sw, l2)[:2])
+            ref = train_pu_model(X, o, toy_layout(6), TOY_L2, TOY_L2, seed=2)
+        assert same_bits(model.stage1.weights, ref.stage1.weights)
+        assert same_bits(model.stage1.bias, ref.stage1.bias)
+        assert same_bits(model.e, ref.e)
+        assert same_bits(model.svm_weights, ref.svm_weights)
+        assert same_bits(model.svm_bias, ref.svm_bias)
+        assert same_bits(model.calib, ref.calib)
+
+
+class TestLoggedLosses:
+    @pytest.mark.parametrize("stage", ["stage1", "stage2"])
+    def test_logged_values_follow_the_eager_formula(self, caplog, stage):
+        X, o = overlapping_set()
+        sw = np.random.default_rng(1).uniform(0.1, 1.0, size=len(X))
+        with caplog.at_level(logging.DEBUG, logger="infosum.pu"):
+            if stage == "stage1":
+                train_stage1(X, o, TOY_L2)
+                _, _, values, grad_norm = eager_descent(eager_logistic_loss, X, o * 1.0, np.ones(len(X)), TOY_L2)
+            else:
+                train_stage2(X, o, sw, TOY_L2)
+                _, _, values, grad_norm = eager_descent(eager_hinge_loss, X, 2.0 * o - 1.0, sw, TOY_L2)
+        epochs = [1, *range(50, EPOCHS + 1, 50)]
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == [
+            f"{stage} epoch {t} loss {values[t]:.6f}" for t in epochs
+        ]
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
+            f"{stage} final loss {values[EPOCHS]:.6f}, gradient norm {grad_norm:.3e}"
+        ]
 
 
 class TestEstimateE:
