@@ -35,12 +35,14 @@ from .corpus import (
     CorpusFormatError,
     JsonlFormatError,
     compute_idf,
+    json_int,
     load_corpus,
     parse_jsonl,
     to_jsonl,
 )
 from .features import (
     FeatureExtractor,
+    FeatureLayout,
     LayoutMismatchError,
     MODE_BOW,
     MODE_DICTIONARY,
@@ -54,7 +56,6 @@ from .metrics import mcnemar, prf, rouge_n, wilcoxon_signed_rank
 from .pu import (
     L2,
     ModelFormatError,
-    PUModel,
     SentenceClassifier,
     load_model,
     save_model,
@@ -302,7 +303,7 @@ def _read_jsonl(path: Path, kind: str, parse) -> list:
 
 def _read_extracts(path: Path) -> dict[str, list[list[int]]]:
     def parse(rec):
-        return rec["doc_id"], [[int(i) for i in ext] for ext in rec["extracts"]]
+        return rec["doc_id"], [[json_int(i, "extract id") for i in ext] for ext in rec["extracts"]]
 
     return dict(_read_jsonl(path, "extracts", parse))
 
@@ -311,7 +312,10 @@ def _read_sentence_labels(path: Path, kind: str) -> dict[tuple[str, int], int]:
     """0/1 label per (doc_id, sentence_id), from predictions or gold labels."""
 
     def parse(rec):
-        return (rec["doc_id"], int(rec["sentence_id"])), int(rec["label"])
+        label = json_int(rec["label"], "label")
+        if label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, not {label}")
+        return (rec["doc_id"], json_int(rec["sentence_id"], "sentence_id")), label
 
     return dict(_read_jsonl(path, kind, parse))
 
@@ -323,7 +327,10 @@ def compute_labels(cfg: RunConfig, corpus: Corpus):
     if cfg.label.mode == "extract":
         extracts = _read_extracts(_require_file(cfg.label.extracts, "extracts file"))
         for doc in corpus:
-            labels.extend(label_by_extract(doc, extracts.get(doc.doc_id, [])))
+            try:
+                labels.extend(label_by_extract(doc, extracts.get(doc.doc_id, [])))
+            except ValueError as exc:
+                raise ConfigError(f"extracts: {exc}") from None
     else:
         idf = compute_idf(corpus.documents)
         for doc in corpus:
@@ -348,17 +355,17 @@ def cmd_label(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def build_extractor(cfg: RunConfig, train_corpus: Corpus | None = None, model: PUModel | None = None) -> FeatureExtractor:
-    """Extractor for the configured feature mode.
+def build_extractor(cfg: RunConfig, train_corpus: Corpus | None = None, layout: FeatureLayout | None = None) -> FeatureExtractor:
+    """Extractor for the configured feature mode, or for a trained model's `layout`.
 
-    With a trained model the extractor is built against the model's own
-    layout: BOW layouts embed their vocabulary, and dictionary layouts are
-    re-validated against the lexicon files, binned as the model was, so any
-    content change surfaces as a hash mismatch.
+    A model's layout comes from its model file: BOW layouts embed their
+    vocabulary, and dictionary layouts are re-validated against the lexicon
+    files, binned as the model was, so any content change surfaces as a
+    hash mismatch.
     """
-    if model is not None and model.layout.mode == MODE_BOW:
-        return FeatureExtractor(model.layout)
-    if model is None and cfg.features.mode == MODE_BOW:
+    if layout is not None and layout.mode == MODE_BOW:
+        return FeatureExtractor(layout)
+    if layout is None and cfg.features.mode == MODE_BOW:
         if train_corpus is None:
             raise ConfigError("bow feature mode needs the training corpus")
         return FeatureExtractor(bow_layout(bow_vocabulary(train_corpus, cfg.features.bow_min_df)))
@@ -367,10 +374,10 @@ def build_extractor(cfg: RunConfig, train_corpus: Corpus | None = None, model: P
         for p in cfg.lexicons.scored
     ]
     category = [read_category_lexicon(_require_file(p, "category lexicon")) for p in cfg.lexicons.category]
-    if model is not None:
-        bins = {spec.name: spec.bins for spec in model.layout.scored}
+    if layout is not None:
+        bins = {spec.name: spec.bins for spec in layout.scored}
         scored = [replace(lex, bins=bins.get(lex.name, lex.bins)) for lex in scored]
-        return FeatureExtractor(model.layout, scored, category)
+        return FeatureExtractor(layout, scored, category)
     if not scored and not category:
         raise ConfigError("dictionary feature mode needs at least one lexicon")
     layout = dictionary_layout(scored, category, include_general=cfg.features.mode == MODE_DICTIONARY)
@@ -412,9 +419,9 @@ def cmd_train(cfg: RunConfig) -> int:
     sampled = sample_unlabeled(labels, cfg.label_config())
     extractor = build_extractor(cfg, train_corpus=corpus)
     X, o = build_examples(corpus, sampled, extractor)
-    model = train_pu_model(X, o, extractor.layout, cfg.hyper.stage1.l2, cfg.hyper.stage2.l2, seed=cfg.seed)
+    model = train_pu_model(X, o, cfg.hyper.stage1.l2, cfg.hyper.stage2.l2, seed=cfg.seed)
     _write_resolved_config(cfg, "train")
-    save_model(model, cfg.path("model.json"))
+    save_model(model, extractor.layout, cfg.path("model.json"))
     counts = label_counts(sampled)
     print(
         f"train: positives={counts[POSITIVE]} unlabeled={counts[UNLABELED]} "
@@ -423,15 +430,14 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_classifier(cfg: RunConfig) -> tuple[PUModel, SentenceClassifier]:
-    model = load_model(_require_file(str(cfg.path("model.json")), "model file"))
-    extractor = build_extractor(cfg, model=model)
-    return model, SentenceClassifier(model, extractor)
+def _load_classifier(cfg: RunConfig) -> SentenceClassifier:
+    model, layout = load_model(_require_file(str(cfg.path("model.json")), "model file"))
+    return SentenceClassifier(model, build_extractor(cfg, layout=layout))
 
 
 def cmd_predict(cfg: RunConfig) -> int:
     corpus = load_corpus(_require_file(cfg.test_corpus, "test corpus"))
-    _, classifier = _load_classifier(cfg)
+    classifier = _load_classifier(cfg)
     records = []
     for doc in corpus:
         for sent in doc.sentences:
@@ -450,7 +456,7 @@ def cmd_summarize(cfg: RunConfig, only_system: str | None = None) -> int:
     systems = (only_system,) if only_system else cfg.systems
     probs: list[list[float]] = []
     if any(s in (INFORANK, INFOFILTER) for s in systems):
-        _, classifier = _load_classifier(cfg)
+        classifier = _load_classifier(cfg)
         probs = [[classifier.prob(s) for s in doc.sentences] for doc in corpus]
     whole = replace(cfg.budget, mode=WHOLE_SENTENCE)
     _write_resolved_config(cfg, "summarize")

@@ -215,6 +215,13 @@ def parse_jsonl(lines: Iterable[str], kind: str, parse: Callable[[dict], T]) -> 
     return out
 
 
+def json_int(value, field: str) -> int:
+    """`value` if it is a JSON integer; a bool, float or string raises TypeError naming `field`."""
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an integer, not {value!r}")
+    return value
+
+
 def parse_corpus(source: Iterable[str] | IO[bytes] | IO[str]) -> Corpus:
     """Parse a line-delimited corpus stream into a Corpus.
 

@@ -3,8 +3,10 @@
 Dictionary layouts hold three feature families: per-attribute score-interval
 fractions from scored lexicons, category histograms from category lexicons,
 and six general sentence attributes. BOW layouts hold raw term counts over a
-fixed vocabulary. A FeatureLayout freezes block order, widths and lexicon
-content hashes so that a trained model can detect mismatched lexicons.
+fixed vocabulary; there is no other kind of layout. A FeatureLayout freezes
+block order, widths and lexicon content hashes. `pu.save_model` writes it
+beside the model, and an extractor built on it rejects lexicons whose
+content has changed since.
 
 Every lexicon or vocabulary feature is a per-word count, so the extractor
 resolves each lowercased word type once into the columns it adds to and
@@ -35,7 +37,6 @@ LAYOUT_VERSION = 1
 MODE_DICTIONARY = "dictionary"
 MODE_DICTIONARY_NO_GENERAL = "dictionary-no-general"
 MODE_BOW = "bow"
-MODE_RAW = "raw"
 
 
 class EmptySentenceError(ValueError):
@@ -148,13 +149,6 @@ def bow_layout(vocab: Sequence[str]) -> FeatureLayout:
     )
 
 
-def raw_layout(dim: int, name: str = "raw") -> FeatureLayout:
-    """Opaque layout for feature vectors produced outside this module."""
-    if dim < 1:
-        raise ValueError("raw layout needs dim >= 1")
-    return FeatureLayout(mode=MODE_RAW, blocks=(Block(name, 0, dim),), total_dim=dim)
-
-
 def bow_vocabulary(corpus: Corpus, min_df: int = 2) -> tuple[str, ...]:
     """Alphabetical word types whose document frequency is at least min_df."""
     df = document_frequencies(corpus.documents)
@@ -225,10 +219,7 @@ class FeatureExtractor:
         scored_lexicons: Sequence[ScoredLexicon] = (),
         category_lexicons: Sequence[CategoryLexicon] = (),
     ):
-        if layout.mode == MODE_RAW:
-            raise LayoutMismatchError("raw layouts are not extractable from sentences")
         self.layout = layout
-        self.layout_hash = layout_hash(layout)
         self._scored: list[ScoredLexicon] = []
         self._category: list[CategoryLexicon] = []
         self._columns: dict[str, tuple[int, ...]] = {}

@@ -14,9 +14,11 @@ set is kept as row indices into X with labels y and weights, never as a
 copy of X. Stage 2 trains a weighted linear SVM on the relabeled data, and a
 sigmoid fitted on held-out margins converts SVM scores into probabilities.
 
-The CLI passes X as a `sparse.CsrMatrix`; the functions here use only
-`len`, `.shape`, `X @ w` and `X.T @ r`, so a dense array works as well.
-Subsets of X (the positives for e, the relabeled rows of stage 2) are
+The learner sees only (X, o): a `PUModel` holds no feature layout, and
+`save_model` writes it beside the `FeatureLayout` of X's columns. The CLI
+passes X as a `sparse.CsrMatrix`; the functions here use only `len`,
+`.shape`, `X @ w` and `X.T @ r`, so a dense array works as well. Subsets
+of X (the positives for e, the relabeled rows of stage 2) are
 `sparse.SelectedRows` views: margins are `(X @ w)[rows]`, and the gradient
 sums each entry's coefficient into its source row before one `X.T` product.
 
@@ -327,8 +329,6 @@ def calibrate(
 
 @dataclass
 class PUModel:
-    layout: FeatureLayout
-    layout_hash: str
     stage1: Stage1Model
     e: float
     svm_weights: np.ndarray
@@ -360,24 +360,20 @@ def calibration_split(rows: np.ndarray, n_rows: int, seed: int) -> tuple[np.ndar
 def train_pu_model(
     X: CsrMatrix | np.ndarray,
     o: np.ndarray,
-    layout: FeatureLayout,
     stage1_l2: float = L2,
     stage2_l2: float = L2,
     seed: int = 0,
 ) -> PUModel:
     """Full two-stage pipeline with a 20% held-out calibration split.
 
-    X holds one feature row per example in `layout`, o its 0/1 labels. The
-    SVM trains on the relabeled entries of 80% of the rows and the sigmoid is
-    fitted on those of the rest (`calibration_split`). If the held-out slice
-    lacks one label, calibration falls back to margins over the full
-    relabeled set.
+    X holds one feature row per example, o its 0/1 labels. The SVM trains on
+    the relabeled entries of 80% of the rows and the sigmoid is fitted on
+    those of the rest (`calibration_split`). If the held-out slice lacks one
+    label, calibration falls back to margins over the full relabeled set.
     """
     if not isinstance(X, CsrMatrix):
         X = np.asarray(X, dtype=float)
     o = np.asarray(o)
-    if len(X.shape) != 2 or X.shape[1] != layout.total_dim or len(o) != len(X):
-        raise LayoutMismatchError("training matrix does not match the given layout")
     if not np.isin(o, (0, 1)).all():
         raise ValueError("o must hold only 0 and 1")
     stage1 = train_stage1(X, o, stage1_l2)
@@ -399,8 +395,6 @@ def train_pu_model(
         logger.info("held-out calibration slice degenerate; calibrating on all relabeled data")
         A, B = calibrate(margins[rows], y, w)
     return PUModel(
-        layout=layout,
-        layout_hash=layout_hash(layout),
         stage1=stage1,
         e=e,
         svm_weights=svm_w,
@@ -411,12 +405,12 @@ def train_pu_model(
 
 
 class SentenceClassifier:
-    """Couples a trained model with a feature extractor for the same layout."""
+    """Couples a trained model with an extractor on the layout `load_model` returned with it."""
 
     def __init__(self, model: PUModel, extractor: FeatureExtractor):
-        if extractor.layout_hash != model.layout_hash:
+        if extractor.layout.total_dim != len(model.svm_weights):
             raise LayoutMismatchError(
-                "extractor layout does not match the model (lexicon content changed?)"
+                f"extractor gives {extractor.layout.total_dim} features, the model takes {len(model.svm_weights)}"
             )
         self.model = model
         self.extractor = extractor
@@ -426,14 +420,14 @@ class SentenceClassifier:
         return float(self.model.prob_from_margin(self.model.margins(x)))
 
 
-def model_to_json(model: PUModel) -> dict:
+def model_to_json(model: PUModel, layout: FeatureLayout) -> dict:
     return {
         "version": MODEL_VERSION,
-        "layout": layout_to_json(model.layout),
-        "layout_hash": model.layout_hash,
+        "layout": layout_to_json(layout),
+        "layout_hash": layout_hash(layout),
         "lexicon_hashes": {
-            **{s.name: s.content_hash for s in model.layout.scored},
-            **{c.name: c.content_hash for c in model.layout.category},
+            **{s.name: s.content_hash for s in layout.scored},
+            **{c.name: c.content_hash for c in layout.category},
         },
         "stage1": {
             "weights": model.stage1.weights.tolist(),
@@ -449,13 +443,12 @@ def model_to_json(model: PUModel) -> dict:
     }
 
 
-def model_from_json(obj: dict) -> PUModel:
+def model_from_json(obj: dict) -> tuple[PUModel, FeatureLayout]:
     try:
         if obj["version"] != MODEL_VERSION:
             raise ModelFormatError(f"unsupported model version {obj['version']!r}")
         layout = layout_from_json(obj["layout"])
-        lhash = layout_hash(layout)
-        if lhash != obj["layout_hash"]:
+        if layout_hash(layout) != obj["layout_hash"]:
             raise ModelFormatError("layout hash mismatch: model file is inconsistent")
         stage1 = Stage1Model(
             weights=np.array(obj["stage1"]["weights"], dtype=float),
@@ -465,30 +458,29 @@ def model_from_json(obj: dict) -> PUModel:
         if len(stage1.weights) != layout.total_dim or len(svm_w) != layout.total_dim:
             raise ModelFormatError("weight vector length does not match the layout")
         return PUModel(
-            layout=layout,
-            layout_hash=lhash,
             stage1=stage1,
             e=float(obj["e"]),
             svm_weights=svm_w,
             svm_bias=float(obj["svm"]["bias"]),
             calib=(float(obj["calib"]["A"]), float(obj["calib"]["B"])),
             seed=int(obj["seed"]),
-        )
+        ), layout
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ModelFormatError):
             raise
         raise ModelFormatError(f"malformed model file: {exc}") from exc
 
 
-def save_model(model: PUModel, path: str | Path) -> None:
-    """Versioned JSON; floats use shortest round-trip decimals so reloads are bit-exact."""
+def save_model(model: PUModel, layout: FeatureLayout, path: str | Path) -> None:
+    """Versioned JSON of a model and its layout; shortest round-trip floats make reloads bit-exact."""
     payload = json.dumps(
-        model_to_json(model), indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False
+        model_to_json(model, layout), indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False
     )
     Path(path).write_text(payload + "\n", encoding="utf-8")
 
 
-def load_model(path: str | Path) -> PUModel:
+def load_model(path: str | Path) -> tuple[PUModel, FeatureLayout]:
+    """The model and the feature layout that `save_model` wrote to `path`."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         obj = json.loads(text)

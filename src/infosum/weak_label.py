@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Document, IdfTable, Sentence, parse_jsonl, to_jsonl
+from .corpus import Document, IdfTable, Sentence, json_int, parse_jsonl, to_jsonl
 
 POSITIVE = "positive"
 UNLABELED = "unlabeled"
@@ -141,7 +141,7 @@ def _label_from_record(rec: dict) -> WeakLabel:
     flag = rec["flag"]
     if flag not in FLAGS:
         raise ValueError(f"unknown label flag {flag!r}")
-    sentence_id = int(rec["sentence_id"])
+    sentence_id = json_int(rec["sentence_id"], "sentence_id")
     if sentence_id < 0:
         raise ValueError(f"negative sentence_id {sentence_id}")
     return WeakLabel(rec["doc_id"], sentence_id, flag, rec.get("align_score"))

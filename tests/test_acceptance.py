@@ -36,7 +36,9 @@ from infosum.summarize import (
     random_rank,
     summaries_to_jsonl,
 )
-from infosum.synth import SynthParams, gaussian_pu_dataset, write_synth_bundle
+from infosum.synth import SynthParams, write_synth_bundle
+
+from pu_data import gaussian_pu_dataset
 
 # The recovery criteria pin their own recorded L2 penalty (strong L2
 # shrinks probabilities toward the base rate); training runs the fixed
@@ -64,9 +66,7 @@ def test_criterion_1_estimator_recovery():
     errors = []
     for seed in SEEDS:
         data = gaussian_pu_dataset(seed=seed)
-        model = train_pu_model(
-            data.X_train, data.o, data.layout, ACCEPT_L2, ACCEPT_L2, seed=seed
-        )
+        model = train_pu_model(data.X_train, data.o, ACCEPT_L2, ACCEPT_L2, seed=seed)
         errors.append(abs(model.e - 0.7))
     elapsed = time.time() - start
     _report(
@@ -81,9 +81,7 @@ def test_criterion_2_pu_gain():
     gains = []
     for seed in SEEDS:
         data = gaussian_pu_dataset(seed=seed)
-        model = train_pu_model(
-            data.X_train, data.o, data.layout, ACCEPT_L2, ACCEPT_L2, seed=seed
-        )
+        model = train_pu_model(data.X_train, data.o, ACCEPT_L2, ACCEPT_L2, seed=seed)
         X = data.X_test
         naive = (model.stage1.predict_proba(X) >= 0.5).astype(int)
         two_stage = (np.asarray(model.prob_from_margin(model.margins(X))) >= 0.5).astype(int)
@@ -305,12 +303,12 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
         first[k] == second[k] for k in first
     )
 
-    model = load_model(run_dir / "model.json")
+    model, layout = load_model(run_dir / "model.json")
     reload_path = tmp_path / "reload.json"
-    save_model(model, reload_path)
-    reloaded = load_model(reload_path)
+    save_model(model, layout, reload_path)
+    reloaded, _ = load_model(reload_path)
     rng = np.random.default_rng(9)
-    probes = rng.normal(size=(100, model.layout.total_dim))
+    probes = rng.normal(size=(100, layout.total_dim))
     bit_exact = np.array_equal(
         model.prob_from_margin(model.margins(probes)),
         reloaded.prob_from_margin(reloaded.margins(probes)),

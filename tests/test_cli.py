@@ -86,7 +86,7 @@ class TestPipelineArtifacts:
 
     def test_model_e_recovers_label_rate(self, pipeline):
         _, run_dir = pipeline
-        model = load_model(run_dir / "model.json")
+        model, _ = load_model(run_dir / "model.json")
         assert abs(model.e - 0.7) <= 0.1
 
     def test_report_classification_beats_baseline(self, pipeline):
@@ -127,9 +127,9 @@ class TestPipelineCompositionality:
         sampled = sample_unlabeled(labels, cfg.label_config())
         extractor = build_extractor(cfg, train_corpus=corpus)
         X, o = build_examples(corpus, sampled, extractor)
-        model = train_pu_model(X, o, extractor.layout, cfg.hyper.stage1.l2, cfg.hyper.stage2.l2, seed=cfg.seed)
+        model = train_pu_model(X, o, cfg.hyper.stage1.l2, cfg.hyper.stage2.l2, seed=cfg.seed)
         path = tmp_path / "inprocess.json"
-        save_model(model, path)
+        save_model(model, extractor.layout, path)
         assert path.read_bytes() == (run_dir / "model.json").read_bytes()
 
 
@@ -155,9 +155,9 @@ class TestModesAndOverrides:
         assert main([
             "train", "-c", cfg, "--out-dir", str(out), "--feature-mode", "bow",
         ]) == EXIT_OK
-        model = load_model(out / "model.json")
-        assert model.layout.mode == "bow"
-        assert model.layout.vocab is not None
+        _, layout = load_model(out / "model.json")
+        assert layout.mode == "bow"
+        assert layout.vocab is not None
         assert main(["predict", "-c", cfg, "--out-dir", str(out)]) == EXIT_OK
 
     def test_no_general_mode_shrinks_layout_by_six(self, bundle, tmp_path):
@@ -168,10 +168,10 @@ class TestModesAndOverrides:
             "train", "-c", cfg, "--out-dir", str(out),
             "--feature-mode", "dictionary-no-general",
         ]) == EXIT_OK
-        small = load_model(out / "model.json")
+        _, small = load_model(out / "model.json")
         assert main(["train", "-c", cfg, "--out-dir", str(out)]) == EXIT_OK
-        full = load_model(out / "model.json")
-        assert full.layout.total_dim - small.layout.total_dim == 6
+        _, full = load_model(out / "model.json")
+        assert full.total_dim - small.total_dim == 6
 
     def test_summarize_single_system_without_model(self, bundle, tmp_path):
         out = tmp_path / "leadonly"
@@ -278,13 +278,26 @@ class TestRougeCandidate:
 BAD_LINES = ['{"doc_id": "train-0000"}', "{not json"]
 
 
+STRICT_FIELDS = [
+    ("extracts", {"extracts": [["1"]]}),
+    ("extracts", {"extracts": [[1.7]]}),
+    ("extracts", {"extracts": [[True]]}),
+    ("labels", {"sentence_id": "1"}),
+    ("labels", {"sentence_id": 1.0}),
+    ("labels", {"sentence_id": True}),
+    ("gold labels", {"label": 2}),
+    ("gold labels", {"label": True}),
+    ("gold labels", {"sentence_id": 1.9}),
+    ("predictions", {"label": -1}),
+    ("predictions", {"sentence_id": "0"}),
+]
+
+
 class TestBadJsonlLines:
     """A malformed line in any JSONL input exits 2 and names the file kind and line."""
 
-    @pytest.mark.parametrize("bad_line", BAD_LINES)
-    @pytest.mark.parametrize("kind", ["extracts", "labels", "predictions", "gold labels", "summaries"])
-    def test_exit_2_names_line(self, bundle, pipeline, tmp_path, capsys, kind, bad_line):
-        _, run_dir = pipeline
+    def run_with_line_2(self, bundle, run_dir, tmp_path, kind, line2):
+        """Run the command that reads `kind`, on its first line followed by `line2`."""
         out = tmp_path / "run"
         out.mkdir()
         source, dest, args = {
@@ -300,11 +313,35 @@ class TestBadJsonlLines:
         if kind == "gold labels":
             (out / "predictions.jsonl").write_bytes((run_dir / "predictions.jsonl").read_bytes())
         first = source.read_text().splitlines()[0]
-        dest.write_text(f"{first}\n{bad_line}\n")
+        dest.write_text(f"{first}\n{line2(json.loads(first))}\n")
+        return main([args[0], "-c", bundle["config"], "--out-dir", str(out), *args[1:]])
+
+    @pytest.mark.parametrize("bad_line", BAD_LINES)
+    @pytest.mark.parametrize("kind", ["extracts", "labels", "predictions", "gold labels", "summaries"])
+    def test_exit_2_names_line(self, bundle, pipeline, tmp_path, capsys, kind, bad_line):
+        _, run_dir = pipeline
         capsys.readouterr()
-        code = main([args[0], "-c", bundle["config"], "--out-dir", str(out), *args[1:]])
+        code = self.run_with_line_2(bundle, run_dir, tmp_path, kind, lambda first: bad_line)
         assert code == EXIT_VALIDATION
         assert f"{kind} line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,fields", STRICT_FIELDS, ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+    def test_ill_typed_id_or_label_exits_2_names_line(self, bundle, pipeline, tmp_path, capsys, kind, fields):
+        """Ids are JSON integers, and a gold or predicted label is 0 or 1: nothing is converted."""
+        _, run_dir = pipeline
+        capsys.readouterr()
+        code = self.run_with_line_2(bundle, run_dir, tmp_path, kind, lambda first: json.dumps({**first, **fields}))
+        assert code == EXIT_VALIDATION
+        assert f"{kind} line 2" in capsys.readouterr().err
+
+    def test_extract_id_out_of_range_exits_2_names_document(self, bundle, pipeline, tmp_path, capsys):
+        _, run_dir = pipeline
+        capsys.readouterr()
+        code = self.run_with_line_2(
+            bundle, run_dir, tmp_path, "extracts", lambda first: json.dumps({**first, "extracts": [[99]]})
+        )
+        assert code == EXIT_VALIDATION
+        assert "extract sentence id 99 out of range for document 'train-0000'" in capsys.readouterr().err
 
 
 class TestExitCodes:

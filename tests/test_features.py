@@ -15,7 +15,6 @@ from infosum.features import (
     layout_from_json,
     layout_hash,
     layout_to_json,
-    raw_layout,
 )
 from infosum.lexicons import (
     CategoryLexicon,
@@ -298,10 +297,6 @@ class TestExtractFeatures:
         vec = ex.extract_or_zero(make_sentence(0, "..."))
         assert vec[:12].sum() == 0.0
         assert vec[12] == 1.0  # one punctuation token
-
-    def test_raw_layout_not_extractable(self):
-        with pytest.raises(LayoutMismatchError):
-            FeatureExtractor(raw_layout(4))
 
 
 class TestBow:

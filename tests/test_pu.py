@@ -14,7 +14,6 @@ from infosum.features import (
     LayoutMismatchError,
     bow_layout,
     dictionary_layout,
-    raw_layout,
 )
 from infosum.lexicons import load_category_lexicon, load_scored_lexicon
 from infosum.pu import (
@@ -43,8 +42,7 @@ from infosum.sparse import CsrMatrix, SelectedRows
 TOY_L2 = 0.01
 
 
-def toy_layout(dim=2):
-    return raw_layout(dim, name="toy")
+TOY_LAYOUT = bow_layout(("alpha", "beta"))  # a layout as wide as separable_set's X
 
 
 def separable_set(n_per_side=20, spread=0.3, seed=0):
@@ -232,13 +230,13 @@ class TestEagerReference:
     def test_train_pu_model_has_the_bits_of_the_eager_loop(self, monkeypatch, matrix):
         X, o = overlapping_set()
         X = X if matrix == "dense" else as_csr(X)
-        model = train_pu_model(X, o, toy_layout(6), TOY_L2, TOY_L2, seed=2)
+        model = train_pu_model(X, o, TOY_L2, TOY_L2, seed=2)
         with monkeypatch.context() as m:
             m.setattr(pu, "_sigmoid", masked_sigmoid)
             m.setattr(pu, "logistic_loss", eager_logistic_loss)
             m.setattr(pu, "hinge_loss", eager_hinge_loss)
             m.setattr(pu, "_gradient_descent", lambda loss, X, y, sw, l2, tag: eager_descent(loss, X, y, sw, l2)[:2])
-            ref = train_pu_model(X, o, toy_layout(6), TOY_L2, TOY_L2, seed=2)
+            ref = train_pu_model(X, o, TOY_L2, TOY_L2, seed=2)
         assert same_bits(model.stage1.weights, ref.stage1.weights)
         assert same_bits(model.stage1.bias, ref.stage1.bias)
         assert same_bits(model.e, ref.e)
@@ -461,7 +459,7 @@ class TestCalibrationSplit:
 
 def trained_toy_model(seed=0):
     X, o = separable_set(seed=seed)
-    return train_pu_model(X, o, toy_layout(), TOY_L2, TOY_L2, seed=seed), X, o
+    return train_pu_model(X, o, TOY_L2, TOY_L2, seed=seed), X, o
 
 
 class TestPUModel:
@@ -482,24 +480,22 @@ class TestPUModel:
 
     def test_layout_mismatch_on_predict(self):
         model, _, _ = trained_toy_model()
-        alien = FeatureExtractor(bow_layout(("alpha", "beta")))  # same width, other layout
+        alien = FeatureExtractor(bow_layout(("alpha", "beta", "gamma")))  # 3 features, model takes 2
         with pytest.raises(LayoutMismatchError):
             SentenceClassifier(model, alien)
 
-    def test_training_matrix_must_match_layout(self):
+    def test_labels_must_be_zero_or_one(self):
         X, o = separable_set()
-        with pytest.raises(LayoutMismatchError):
-            train_pu_model(X, o, toy_layout(3), TOY_L2, TOY_L2)
         with pytest.raises(ValueError):
-            train_pu_model(X, o + 1, toy_layout(), TOY_L2, TOY_L2)
+            train_pu_model(X, o + 1, TOY_L2, TOY_L2)
 
     def test_sparse_and_dense_matrices_train_the_same_model(self):
         X, o = separable_set()
         X = np.hstack([X, np.zeros((len(X), 1)), (X[:, :1] > 1.2) * 1.0])  # an empty column, a sparse one
         X[3] = 0.0  # an empty row
         sparse = CsrMatrix.from_rows([(np.flatnonzero(x), x[x != 0]) for x in X], X.shape[1])
-        dense_model = train_pu_model(X, o, toy_layout(4), TOY_L2, TOY_L2, seed=1)
-        sparse_model = train_pu_model(sparse, o, toy_layout(4), TOY_L2, TOY_L2, seed=1)
+        dense_model = train_pu_model(X, o, TOY_L2, TOY_L2, seed=1)
+        sparse_model = train_pu_model(sparse, o, TOY_L2, TOY_L2, seed=1)
         assert sparse_model.e == pytest.approx(dense_model.e, rel=1e-12)
         np.testing.assert_allclose(sparse_model.stage1.weights, dense_model.stage1.weights, atol=1e-10)
         np.testing.assert_allclose(sparse_model.svm_weights, dense_model.svm_weights, atol=1e-10)
@@ -509,8 +505,8 @@ class TestPUModel:
         m1, _, _ = trained_toy_model(seed=3)
         m2, _, _ = trained_toy_model(seed=3)
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
-        save_model(m1, p1)
-        save_model(m2, p2)
+        save_model(m1, TOY_LAYOUT, p1)
+        save_model(m2, TOY_LAYOUT, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -518,8 +514,9 @@ class TestSaveLoad:
     def test_round_trip_bit_exact_predictions(self, tmp_path):
         model, X, o = trained_toy_model()
         path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
+        save_model(model, TOY_LAYOUT, path)
+        loaded, layout = load_model(path)
+        assert layout == TOY_LAYOUT
         rng = np.random.default_rng(0)
         for row in rng.normal(size=(100, 2)):
             assert loaded.prob_from_margin(loaded.margins(row)) == model.prob_from_margin(
@@ -541,7 +538,7 @@ class TestSaveLoad:
     def test_version_mismatch(self, tmp_path):
         model, _, _ = trained_toy_model()
         path = tmp_path / "model.json"
-        save_model(model, path)
+        save_model(model, TOY_LAYOUT, path)
         import json
 
         obj = json.loads(path.read_text())
@@ -553,20 +550,20 @@ class TestSaveLoad:
     def test_ignores_schedule_blocks_of_older_files(self, tmp_path):
         model, X, _ = trained_toy_model()
         path = tmp_path / "model.json"
-        save_model(model, path)
+        save_model(model, TOY_LAYOUT, path)
         import json
 
         obj = json.loads(path.read_text())
         schedule = {"l2": 0.01, "epochs": 300, "lr0": 0.5, "lr_tau": 1.0}
         obj["stage1"]["hyper"] = obj["svm"]["hyper"] = schedule
         path.write_text(json.dumps(obj))
-        loaded = load_model(path)
+        loaded, _ = load_model(path)
         assert np.array_equal(loaded.margins(X), model.margins(X))
 
     def test_tampered_layout_hash(self, tmp_path):
         model, _, _ = trained_toy_model()
         path = tmp_path / "model.json"
-        save_model(model, path)
+        save_model(model, TOY_LAYOUT, path)
         import json
 
         obj = json.loads(path.read_text())
@@ -591,17 +588,17 @@ class TestSentenceClassifier:
         sents += [make_sentence(i, "beta beta gamma delta epsilon") for i in range(8)]
         X = np.array([ex.extract(s) for s in sents])
         o = np.array([1] * 8 + [0] * 8)
-        model = train_pu_model(X, o, layout, TOY_L2, TOY_L2, seed=0)
+        model = train_pu_model(X, o, TOY_L2, TOY_L2, seed=0)
         return model, ex
 
-    def test_mutated_lexicon_rejected_at_predict(self):
-        model, _ = self.train_text_model(SCORED_V1)
+    def test_mutated_lexicon_rejected_at_predict(self, tmp_path):
+        model, ex = self.train_text_model(SCORED_V1)
+        save_model(model, ex.layout, tmp_path / "model.json")
+        _, layout = load_model(tmp_path / "model.json")
         scored2 = load_scored_lexicon(io.StringIO(SCORED_V2), bins=10)
         cats = load_category_lexicon(io.StringIO(CATS_TSV))
-        layout2 = dictionary_layout([scored2], [cats])
-        ex2 = FeatureExtractor(layout2, [scored2], [cats])
         with pytest.raises(LayoutMismatchError):
-            SentenceClassifier(model, ex2)
+            FeatureExtractor(layout, [scored2], [cats])
 
     def test_classifier_probabilities(self):
         model, ex = self.train_text_model(SCORED_V1)
