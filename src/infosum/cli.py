@@ -1,7 +1,21 @@
 """Command-line pipeline: corpus -> labels -> features -> model -> summaries -> report.
 
-Subcommands: synth, label, train, predict, summarize, evaluate. Every
-command takes a JSON config (-c) plus optional `--set dotted.key=value`
+Subcommands: synth, label, train, predict, summarize, evaluate. Each
+command after synth reads its inputs and writes its artifacts in the out
+dir:
+
+    label      train corpus (extracts in extract mode) -> labels.jsonl
+    train      train corpus, lexicons, labels.jsonl    -> model.json
+    predict    test corpus, lexicons, model.json       -> predictions.jsonl
+    summarize  test corpus, predictions.jsonl          -> summaries_<system>.jsonl
+    evaluate   test corpus, gold labels, predictions.jsonl,
+               summaries_<system>.jsonl                -> report.json, report.txt
+
+Predict is the only command that scores test sentences. Summarize takes
+each sentence's probability for InfoRank and InfoFilter from the `prob`
+fields of predictions.jsonl; LeadWords and RandomRank need no predictions.
+
+Every command takes a JSON config (-c) plus optional `--set dotted.key=value`
 overrides, writes a resolved-config copy next to its outputs, and is a pure
 function of (config, input files, seed): rerunning reproduces identical
 bytes. Exit codes: 0 success, 2 validation error, 1 runtime error.
@@ -308,14 +322,29 @@ def _read_extracts(path: Path) -> dict[str, list[list[int]]]:
     return dict(_read_jsonl(path, "extracts", parse))
 
 
-def _read_sentence_labels(path: Path, kind: str) -> dict[tuple[str, int], int]:
-    """0/1 label per (doc_id, sentence_id), from predictions or gold labels."""
+def _read_sentence_labels(path: Path, kind: str) -> dict[tuple[str, int], tuple[int, float | None]]:
+    """(label, prob) per (doc_id, sentence_id), in file order, from predictions or gold labels.
+
+    A label is 0 or 1. A prediction's prob is a finite number in [0, 1]; gold
+    labels carry none (None). A repeated (doc_id, sentence_id) is an error.
+    """
+    seen: set[tuple[str, int]] = set()
 
     def parse(rec):
+        key = (rec["doc_id"], json_int(rec["sentence_id"], "sentence_id"))
         label = json_int(rec["label"], "label")
         if label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, not {label}")
-        return (rec["doc_id"], json_int(rec["sentence_id"], "sentence_id")), label
+        prob = None
+        if kind == "predictions":
+            prob = rec["prob"]
+            if type(prob) not in (int, float) or not 0.0 <= prob <= 1.0:  # a nan fails the range
+                raise ValueError(f"prob must be a number in [0, 1], not {prob!r}")
+            prob = float(prob)
+        if key in seen:
+            raise ValueError(f"sentence {key[1]} of document {key[0]!r} appears twice")
+        seen.add(key)
+        return key, (label, prob)
 
     return dict(_read_jsonl(path, kind, parse))
 
@@ -384,16 +413,18 @@ def build_extractor(cfg: RunConfig, train_corpus: Corpus | None = None, layout: 
     return FeatureExtractor(layout, scored, category)
 
 
-def _check_labels(corpus: Corpus, labels) -> None:
-    """Every label names a sentence of the corpus."""
-    for lab in labels:
+def _check_in_corpus(corpus: Corpus, keys, what: str, corpus_name: str) -> None:
+    """Every (doc_id, sentence_id) of `keys` names a sentence of the corpus."""
+    for doc_id, sentence_id in keys:
         try:
-            corpus.document(lab.doc_id).sentences[lab.sentence_id]
-        except (KeyError, IndexError):
+            found = 0 <= sentence_id < len(corpus.document(doc_id).sentences)
+        except KeyError:
+            found = False
+        if not found:
             raise ConfigError(
-                f"a label names sentence {lab.sentence_id} of document {lab.doc_id!r}, "
-                "which the train corpus lacks"
-            ) from None
+                f"{what} names sentence {sentence_id} of document {doc_id!r}, "
+                f"which the {corpus_name} corpus lacks"
+            )
 
 
 def build_examples(corpus: Corpus, labels, extractor: FeatureExtractor) -> tuple[CsrMatrix, np.ndarray]:
@@ -415,7 +446,7 @@ def build_examples(corpus: Corpus, labels, extractor: FeatureExtractor) -> tuple
 def cmd_train(cfg: RunConfig) -> int:
     corpus = load_corpus(_require_file(cfg.train_corpus, "train corpus"))
     labels = read_labels(_require_file(str(cfg.path("labels.jsonl")), "labels file"))
-    _check_labels(corpus, labels)
+    _check_in_corpus(corpus, ((lab.doc_id, lab.sentence_id) for lab in labels), "a label", "train")
     sampled = sample_unlabeled(labels, cfg.label_config())
     extractor = build_extractor(cfg, train_corpus=corpus)
     X, o = build_examples(corpus, sampled, extractor)
@@ -430,14 +461,10 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_classifier(cfg: RunConfig) -> SentenceClassifier:
-    model, layout = load_model(_require_file(str(cfg.path("model.json")), "model file"))
-    return SentenceClassifier(model, build_extractor(cfg, layout=layout))
-
-
 def cmd_predict(cfg: RunConfig) -> int:
     corpus = load_corpus(_require_file(cfg.test_corpus, "test corpus"))
-    classifier = _load_classifier(cfg)
+    model, layout = load_model(_require_file(str(cfg.path("model.json")), "model file"))
+    classifier = SentenceClassifier(model, build_extractor(cfg, layout=layout))
     records = []
     for doc in corpus:
         for sent in doc.sentences:
@@ -451,13 +478,33 @@ def cmd_predict(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _test_probs(cfg: RunConfig, corpus: Corpus) -> list[list[float]]:
+    """Each test document's probabilities in sentence order, from predictions of exactly its sentences."""
+    path = cfg.path("predictions.jsonl")
+    if not path.is_file():
+        raise ConfigError(f"predictions not found: {path}; run predict first")
+    preds = _read_sentence_labels(path, "predictions")
+    _check_in_corpus(corpus, preds, "predictions.jsonl is stale: a prediction", "test")
+    probs = []
+    for doc in corpus:
+        row = []
+        for sent in doc.sentences:
+            pred = preds.get((doc.doc_id, sent.id))
+            if pred is None:
+                raise ConfigError(
+                    f"predictions lack sentence {sent.id} of document {doc.doc_id!r}; run predict again"
+                )
+            row.append(pred[1])
+        probs.append(row)
+    return probs
+
+
 def cmd_summarize(cfg: RunConfig, only_system: str | None = None) -> int:
     corpus = load_corpus(_require_file(cfg.test_corpus, "test corpus"))
     systems = (only_system,) if only_system else cfg.systems
     probs: list[list[float]] = []
     if any(s in (INFORANK, INFOFILTER) for s in systems):
-        classifier = _load_classifier(cfg)
-        probs = [[classifier.prob(s) for s in doc.sentences] for doc in corpus]
+        probs = _test_probs(cfg, corpus)
     whole = replace(cfg.budget, mode=WHOLE_SENTENCE)
     _write_resolved_config(cfg, "summarize")
     for system in systems:
@@ -493,8 +540,8 @@ def _classification_section(cfg: RunConfig) -> dict | None:
     keys = sorted(k for k in gold if k in preds)
     if not keys:
         raise ConfigError("gold labels and predictions share no sentences")
-    truth = [gold[k] for k in keys]
-    model_pred = [preds[k] for k in keys]
+    truth = [gold[k][0] for k in keys]
+    model_pred = [preds[k][0] for k in keys]
     baseline_pred = [1] * len(keys)
 
     def report(pred):

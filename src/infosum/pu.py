@@ -17,10 +17,11 @@ sigmoid fitted on held-out margins converts SVM scores into probabilities.
 The learner sees only (X, o): a `PUModel` holds no feature layout, and
 `save_model` writes it beside the `FeatureLayout` of X's columns. The CLI
 passes X as a `sparse.CsrMatrix`; the functions here use only `len`,
-`.shape`, `X @ w` and `X.T @ r`, so a dense array works as well. Subsets
-of X (the positives for e, the relabeled rows of stage 2) are
-`sparse.SelectedRows` views: margins are `(X @ w)[rows]`, and the gradient
-sums each entry's coefficient into its source row before one `X.T` product.
+`.shape`, `X @ w` and `X.T @ r`, so a dense array works as well. Stage 1
+scores X once: e and the unlabeled weights both read that one vector of
+probabilities. The relabeled rows of stage 2 are a `sparse.SelectedRows`
+view: margins are `(X @ w)[rows]`, and the gradient sums each entry's
+coefficient into its source row before one `X.T` product.
 
 Both stages run one fixed schedule of full-batch (sub)gradient descent,
 EPOCHS steps from zero at learning rate LR0 / (1 + t / LR_TAU); only each
@@ -208,11 +209,11 @@ def train_stage1(X: np.ndarray, o: np.ndarray, l2: float = L2) -> Stage1Model:
     return Stage1Model(weights=w, bias=b)
 
 
-def estimate_e(model: Stage1Model, X_pos: np.ndarray) -> float:
-    """Label frequency p(o=1 | y=1): mean stage-1 probability over the positive rows."""
-    if len(X_pos) == 0:
+def estimate_e(p_pos: np.ndarray) -> float:
+    """Label frequency p(o=1 | y=1): the mean of the positives' stage-1 probabilities."""
+    if len(p_pos) == 0:
         raise ValueError("cannot estimate e from an empty positive set")
-    return float(model.predict_proba(X_pos).mean())
+    return float(np.mean(p_pos))
 
 
 def unlabeled_weight(lr_x: np.ndarray | float, e: float) -> np.ndarray:
@@ -234,18 +235,19 @@ def unlabeled_weight(lr_x: np.ndarray | float, e: float) -> np.ndarray:
 
 
 def build_relabeled(
-    X: np.ndarray, o: np.ndarray, model: Stage1Model, e: float
+    p1: np.ndarray, o: np.ndarray, e: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Relabeled set as (rows into X, labels y, weights), in row order.
 
-    Positives keep weight 1; each unlabeled row becomes a y=1 entry with
-    weight w followed by a y=0 entry with weight 1 - w.
+    p1 holds each row's stage-1 probability. Positives keep weight 1; each
+    unlabeled row becomes a y=1 entry with weight w followed by a y=0 entry
+    with weight 1 - w.
     """
     unl = np.flatnonzero(np.asarray(o) == 0)
-    w_unl = unlabeled_weight(model.predict_proba(X)[unl], e)
-    copies = np.ones(len(X), dtype=np.intp)
+    w_unl = unlabeled_weight(p1[unl], e)
+    copies = np.ones(len(o), dtype=np.intp)
     copies[unl] = 2
-    rows = np.repeat(np.arange(len(X)), copies)
+    rows = np.repeat(np.arange(len(o)), copies)
     first = np.cumsum(copies)[unl] - 2  # the y=1 entry of each unlabeled row
     y = np.ones(len(rows))
     y[first + 1] = 0.0
@@ -377,8 +379,9 @@ def train_pu_model(
     if not np.isin(o, (0, 1)).all():
         raise ValueError("o must hold only 0 and 1")
     stage1 = train_stage1(X, o, stage1_l2)
-    e = estimate_e(stage1, SelectedRows(X, np.flatnonzero(o == 1)))
-    rows, y, w = build_relabeled(X, o, stage1, e)
+    p1 = stage1.predict_proba(X)
+    e = estimate_e(p1[o == 1])
+    rows, y, w = build_relabeled(p1, o, e)
     logger.info(
         "stage1 trained on %d positives + %d unlabeled; e=%.6f; relabeled size %d",
         int(o.sum()),

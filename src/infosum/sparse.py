@@ -16,8 +16,7 @@ reduceat returns the next element, not 0, for an empty segment, so the
 sums are taken over the non-empty rows only and scattered into zeros.
 
 SelectedRows reads rows of a matrix, repeats allowed, through the matrix
-without copying them: the positives that estimate e and the relabeled set
-of stage 2 are such selections.
+without copying them: the relabeled set of stage 2 is such a selection.
 """
 
 from __future__ import annotations

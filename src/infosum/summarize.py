@@ -4,7 +4,9 @@ Four systems share one word budget: LeadWords (opening words, truncated
 mid-sentence), InfoRank (whole sentences ranked by predicted importance),
 InfoFilter (lead order with unimportant sentences dropped), and RandomRank
 (seeded random ranking). InfoRank and InfoFilter take the detector's
-probability for each sentence of the document, in sentence order.
+probability for each sentence of the document, in sentence order. These
+are the `prob` fields of predictions.jsonl, which `infosum predict` writes
+and `infosum summarize` reads: no summarizer scores a sentence itself.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Document, Sentence, make_sentence, parse_jsonl, to_jsonl, word_count
+from .corpus import Document, Sentence, json_int, make_sentence, parse_jsonl, to_jsonl, word_count
 
 WHOLE_SENTENCE = "whole-sentence"
 TRUNCATE_WORDS = "truncate-words"
@@ -224,14 +226,21 @@ def summaries_to_jsonl(results: Iterable[SummaryResult]) -> str:
     return to_jsonl(asdict(r) for r in results)
 
 
+def _sentence_ids(value, field: str) -> tuple[int, ...]:
+    """`value` as a tuple if it is a JSON array of integers; otherwise TypeError naming `field`."""
+    if type(value) is not list:
+        raise TypeError(f"{field} must be an array of integers, not {value!r}")
+    return tuple(json_int(i, f"{field} id") for i in value)
+
+
 def _summary_from_record(rec: dict) -> SummaryResult:
     return SummaryResult(
         doc_id=rec["doc_id"],
         system=rec["system"],
-        selected=tuple(rec["selected"]),
-        removed=tuple(rec["removed"]),
+        selected=_sentence_ids(rec["selected"], "selected"),
+        removed=_sentence_ids(rec["removed"], "removed"),
         text=rec["text"],
-        word_total=rec["word_total"],
+        word_total=json_int(rec["word_total"], "word_total"),
         fallback=rec.get("fallback", False),
     )
 

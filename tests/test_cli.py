@@ -181,6 +181,58 @@ class TestModesAndOverrides:
         assert not (out / "model.json").exists()
 
 
+class TestSummarizeFromPredictions:
+    """InfoRank and InfoFilter read each test sentence's probability from predictions.jsonl."""
+
+    def out_dir(self, run_dir, out, predictions, model=True):
+        """`out` holding `predictions` (None: no file) and, if `model`, a copy of the trained
+        model, so that only the predictions can make summarize fail."""
+        out.mkdir()
+        if predictions is not None:
+            (out / "predictions.jsonl").write_text(predictions)
+        if model:
+            (out / "model.json").write_bytes((run_dir / "model.json").read_bytes())
+        return out
+
+    def test_needs_no_model_and_no_lexicon(self, bundle, pipeline, tmp_path):
+        _, run_dir = pipeline
+        predictions = (run_dir / "predictions.jsonl").read_text()
+        out = self.out_dir(run_dir, tmp_path / "only", predictions, model=False)
+        assert main(["summarize", "-c", bundle["config"], "--out-dir", str(out),
+                     "--set", 'lexicons.scored=["missing.tsv"]']) == EXIT_OK
+        for system in ("leadwords", "inforank", "infofilter", "randomrank"):
+            name = f"summaries_{system}.jsonl"
+            assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_without_predictions_exits_2(self, bundle, pipeline, tmp_path, capsys):
+        _, run_dir = pipeline
+        out = self.out_dir(run_dir, tmp_path / "none", None)
+        capsys.readouterr()
+        assert main(["summarize", "-c", bundle["config"], "--out-dir", str(out),
+                     "--system", "inforank"]) == EXIT_VALIDATION
+        assert "run predict first" in capsys.readouterr().err
+
+    def test_missing_sentence_exits_2_names_it(self, bundle, pipeline, tmp_path, capsys):
+        _, run_dir = pipeline
+        lines = (run_dir / "predictions.jsonl").read_text().splitlines()
+        dropped = json.loads(lines.pop(3))
+        out = self.out_dir(run_dir, tmp_path / "short", "\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["summarize", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert (f"sentence {dropped['sentence_id']} of document {dropped['doc_id']!r}"
+                in capsys.readouterr().err)
+
+    def test_extra_document_exits_2_names_it(self, bundle, pipeline, tmp_path, capsys):
+        _, run_dir = pipeline
+        extra = {"doc_id": "test-9999", "sentence_id": 0, "prob": 0.75, "label": 1}
+        predictions = (run_dir / "predictions.jsonl").read_text() + json.dumps(extra) + "\n"
+        out = self.out_dir(run_dir, tmp_path / "stale", predictions)
+        capsys.readouterr()
+        assert main(["summarize", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "sentence 0 of document 'test-9999'" in err and "stale" in err
+
+
 class TestTrainingConfig:
     def test_l2_defaults_to_the_shipped_penalty(self):
         cfg = RunConfig.from_dict({"seed": 0, "out_dir": "x"})
@@ -288,16 +340,29 @@ STRICT_FIELDS = [
     ("gold labels", {"label": 2}),
     ("gold labels", {"label": True}),
     ("gold labels", {"sentence_id": 1.9}),
+    ("gold labels", {}),  # line 2 repeats line 1's sentence
+    ("predictions", {}),
     ("predictions", {"label": -1}),
     ("predictions", {"sentence_id": "0"}),
+    ("predictions", {"prob": True}),
+    ("predictions", {"prob": "0.5"}),
+    ("predictions", {"prob": None}),
+    ("predictions", {"prob": 1.5}),
+    ("predictions", {"prob": -0.25}),
+    ("predictions", {"prob": float("nan")}),
+    ("summaries", {"selected": [0.0, 1.0]}),
+    ("summaries", {"selected": [True]}),
+    ("summaries", {"selected": "01"}),
+    ("summaries", {"removed": ["1"]}),
+    ("summaries", {"word_total": 12.0}),
 ]
 
 
 class TestBadJsonlLines:
     """A malformed line in any JSONL input exits 2 and names the file kind and line."""
 
-    def run_with_line_2(self, bundle, run_dir, tmp_path, kind, line2):
-        """Run the command that reads `kind`, on its first line followed by `line2`."""
+    def run_with_line_2(self, bundle, run_dir, tmp_path, kind, line2, command=None):
+        """Run `command` (by default the one that reads `kind`) on its first line followed by `line2`."""
         out = tmp_path / "run"
         out.mkdir()
         source, dest, args = {
@@ -314,7 +379,7 @@ class TestBadJsonlLines:
             (out / "predictions.jsonl").write_bytes((run_dir / "predictions.jsonl").read_bytes())
         first = source.read_text().splitlines()[0]
         dest.write_text(f"{first}\n{line2(json.loads(first))}\n")
-        return main([args[0], "-c", bundle["config"], "--out-dir", str(out), *args[1:]])
+        return main([command or args[0], "-c", bundle["config"], "--out-dir", str(out), *args[1:]])
 
     @pytest.mark.parametrize("bad_line", BAD_LINES)
     @pytest.mark.parametrize("kind", ["extracts", "labels", "predictions", "gold labels", "summaries"])
@@ -327,12 +392,23 @@ class TestBadJsonlLines:
 
     @pytest.mark.parametrize("kind,fields", STRICT_FIELDS, ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
     def test_ill_typed_id_or_label_exits_2_names_line(self, bundle, pipeline, tmp_path, capsys, kind, fields):
-        """Ids are JSON integers, and a gold or predicted label is 0 or 1: nothing is converted."""
+        """Ids, summary id lists and word totals are JSON integers, a gold or predicted label is
+        0 or 1, and a prediction's prob is a number in [0, 1]: nothing is converted. A sentence
+        is labeled or predicted once."""
         _, run_dir = pipeline
         capsys.readouterr()
         code = self.run_with_line_2(bundle, run_dir, tmp_path, kind, lambda first: json.dumps({**first, **fields}))
         assert code == EXIT_VALIDATION
         assert f"{kind} line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields", [{}, {"prob": True}], ids=["repeat", "bool-prob"])
+    def test_summarize_reads_predictions_as_evaluate_does(self, bundle, pipeline, tmp_path, capsys, fields):
+        _, run_dir = pipeline
+        capsys.readouterr()
+        code = self.run_with_line_2(bundle, run_dir, tmp_path, "predictions",
+                                    lambda first: json.dumps({**first, **fields}), command="summarize")
+        assert code == EXIT_VALIDATION
+        assert "predictions line 2" in capsys.readouterr().err
 
     def test_extract_id_out_of_range_exits_2_names_document(self, bundle, pipeline, tmp_path, capsys):
         _, run_dir = pipeline

@@ -273,18 +273,18 @@ class TestEstimateE:
 
         model = Stage1Model(weights=np.array([1.0]), bias=0.0)
         positives = np.array([[np.log(0.8 / 0.2)], [np.log(0.6 / 0.4)]])
-        assert estimate_e(model, positives) == pytest.approx(0.7, abs=1e-12)
+        assert estimate_e(model.predict_proba(positives)) == pytest.approx(0.7, abs=1e-12)
 
     def test_empty_positive_set(self):
         X, o = separable_set()
         model = train_stage1(X, o, TOY_L2)
         with pytest.raises(ValueError):
-            estimate_e(model, X[:0])
+            estimate_e(model.predict_proba(X[:0]))
 
     def test_upper_limit(self):
         X, o = separable_set(spread=0.05)
         model = train_stage1(X, o, 1e-6)
-        e = estimate_e(model, X[o == 1])
+        e = estimate_e(model.predict_proba(X)[o == 1])
         assert 0.9 < e < 1.0
 
 
@@ -341,14 +341,15 @@ class TestBuildRelabeled:
         order = np.array([0, 5, 1, 6, 2, 7, 3, 8, 4, 9])
         self.X, self.o = X[order], o[order]
         self.model = train_stage1(self.X, self.o, TOY_L2)
-        self.e = estimate_e(self.model, self.X[self.o == 1])
+        self.p1 = self.model.predict_proba(self.X)
+        self.e = estimate_e(self.p1[self.o == 1])
 
     def test_size_formula(self):
-        rows, y, w = build_relabeled(self.X, self.o, self.model, self.e)
+        rows, y, w = build_relabeled(self.p1, self.o, self.e)
         assert len(rows) == len(y) == len(w) == 5 + 2 * 5
 
     def test_pair_weights_sum_to_one(self):
-        rows, y, w = build_relabeled(self.X, self.o, self.model, self.e)
+        rows, y, w = build_relabeled(self.p1, self.o, self.e)
         pairs = [i for i in range(len(rows)) if self.o[rows[i]] == 0]
         for a, b in zip(pairs[::2], pairs[1::2]):
             assert rows[a] == rows[b] and b == a + 1
@@ -358,13 +359,13 @@ class TestBuildRelabeled:
             assert w[a] == pytest.approx(unlabeled_weight(lr_x, self.e), abs=1e-15)
 
     def test_positives_keep_weight_one(self):
-        rows, y, w = build_relabeled(self.X, self.o, self.model, self.e)
+        rows, y, w = build_relabeled(self.p1, self.o, self.e)
         pos = self.o[rows] == 1
         assert pos.sum() == 5
         assert np.all(y[pos] == 1) and np.all(w[pos] == 1.0)
 
     def test_rows_in_source_order(self):
-        rows, _, _ = build_relabeled(self.X, self.o, self.model, self.e)
+        rows, _, _ = build_relabeled(self.p1, self.o, self.e)
         assert rows.tolist() == [0, 1, 1, 2, 3, 3, 4, 5, 5, 6, 7, 7, 8, 9, 9]
 
 
@@ -433,7 +434,8 @@ class TestCalibrate:
 def relabeled_rows():
     X, o = separable_set()
     model = train_stage1(X, o, TOY_L2)
-    rows, _, _ = build_relabeled(X, o, model, estimate_e(model, X[o == 1]))
+    p1 = model.predict_proba(X)
+    rows, _, _ = build_relabeled(p1, o, estimate_e(p1[o == 1]))
     return rows, len(X)
 
 
