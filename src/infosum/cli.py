@@ -325,8 +325,9 @@ def _read_extracts(path: Path) -> dict[str, list[list[int]]]:
 def _read_sentence_labels(path: Path, kind: str) -> dict[tuple[str, int], tuple[int, float | None]]:
     """(label, prob) per (doc_id, sentence_id), in file order, from predictions or gold labels.
 
-    A label is 0 or 1. A prediction's prob is a finite number in [0, 1]; gold
-    labels carry none (None). A repeated (doc_id, sentence_id) is an error.
+    A label is 0 or 1. A prediction's prob is a finite number in [0, 1] and
+    its label is `int(prob >= 0.5)`, as predict writes it; gold labels carry
+    no prob (None). A repeated (doc_id, sentence_id) is an error.
     """
     seen: set[tuple[str, int]] = set()
 
@@ -341,6 +342,8 @@ def _read_sentence_labels(path: Path, kind: str) -> dict[tuple[str, int], tuple[
             if type(prob) not in (int, float) or not 0.0 <= prob <= 1.0:  # a nan fails the range
                 raise ValueError(f"prob must be a number in [0, 1], not {prob!r}")
             prob = float(prob)
+            if label != int(prob >= 0.5):
+                raise ValueError(f"label {label} disagrees with prob {prob!r}: label must be int(prob >= 0.5)")
         if key in seen:
             raise ValueError(f"sentence {key[1]} of document {key[0]!r} appears twice")
         seen.add(key)
@@ -531,12 +534,13 @@ def cmd_summarize(cfg: RunConfig, only_system: str | None = None) -> int:
     return EXIT_OK
 
 
-def _classification_section(cfg: RunConfig) -> dict | None:
+def _classification_section(cfg: RunConfig, corpus: Corpus) -> dict | None:
     pred_path = cfg.path("predictions.jsonl")
     if cfg.evaluate.gold_labels is None or not pred_path.is_file():
         return None
     gold = _read_sentence_labels(_require_file(cfg.evaluate.gold_labels, "gold labels file"), "gold labels")
     preds = _read_sentence_labels(pred_path, "predictions")
+    _check_in_corpus(corpus, preds, "predictions.jsonl is stale: a prediction", "test")
     keys = sorted(k for k in gold if k in preds)
     if not keys:
         raise ConfigError("gold labels and predictions share no sentences")
@@ -683,7 +687,7 @@ def _render_table(report: dict, rouge_orders) -> str:
 def cmd_evaluate(cfg: RunConfig) -> int:
     corpus = load_corpus(_require_file(cfg.test_corpus, "test corpus"))
     report: dict = {}
-    classification = _classification_section(cfg)
+    classification = _classification_section(cfg, corpus)
     if classification:
         report["classification"] = classification
     rouge = _rouge_section(cfg, corpus)

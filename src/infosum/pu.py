@@ -17,11 +17,14 @@ sigmoid fitted on held-out margins converts SVM scores into probabilities.
 The learner sees only (X, o): a `PUModel` holds no feature layout, and
 `save_model` writes it beside the `FeatureLayout` of X's columns. The CLI
 passes X as a `sparse.CsrMatrix`; the functions here use only `len`,
-`.shape`, `X @ w` and `X.T @ r`, so a dense array works as well. Stage 1
-scores X once: e and the unlabeled weights both read that one vector of
-probabilities. The relabeled rows of stage 2 are a `sparse.SelectedRows`
-view: margins are `(X @ w)[rows]`, and the gradient sums each entry's
-coefficient into its source row before one `X.T` product.
+`.shape`, `X[rows]`, `X @ w` and `X.T @ r`, so a dense array works as well.
+Stage 1 scores X once: e and the unlabeled weights both read that one
+vector of probabilities. Stage 2 reads only its fit rows: `train_pu_model`
+copies the distinct source rows of the fit entries out of X once, so no
+epoch multiplies a row held out for calibration. The relabeled entries are
+a `sparse.SelectedRows` view of that copy, since each unlabeled row enters
+twice: margins are `(X_fit @ w)[rows]`, and the gradient sums each entry's
+coefficient into its source row before one `X_fit.T` product.
 
 Both stages run one fixed schedule of full-batch (sub)gradient descent,
 EPOCHS steps from zero at learning rate LR0 / (1 + t / LR_TAU); only each
@@ -390,7 +393,8 @@ def train_pu_model(
         len(rows),
     )
     fit_idx, cal_idx = calibration_split(rows, len(X), seed)
-    svm_w, svm_b = train_stage2(SelectedRows(X, rows[fit_idx]), y[fit_idx], w[fit_idx], stage2_l2)
+    fit_rows, fit_entries = np.unique(rows[fit_idx], return_inverse=True)
+    svm_w, svm_b = train_stage2(SelectedRows(X[fit_rows], fit_entries), y[fit_idx], w[fit_idx], stage2_l2)
     margins = X @ svm_w + svm_b
     try:
         A, B = calibrate(margins[rows[cal_idx]], y[cal_idx], w[cal_idx])

@@ -245,8 +245,19 @@ def _summary_from_record(rec: dict) -> SummaryResult:
     )
 
 
-def summaries_from_jsonl(text: str) -> list[SummaryResult]:
-    return parse_jsonl(text.splitlines(), "summaries", _summary_from_record)
+def summaries_from_jsonl(text: str, kind: str = "summaries") -> list[SummaryResult]:
+    """The summaries on the lines of `text`; a system summarizing a document twice is an error."""
+    seen: set[tuple[str, str]] = set()
+
+    def parse(rec: dict) -> SummaryResult:
+        result = _summary_from_record(rec)
+        key = (result.system, result.doc_id)
+        if key in seen:
+            raise ValueError(f"{result.system} summarizes document {result.doc_id!r} twice")
+        seen.add(key)
+        return result
+
+    return parse_jsonl(text.splitlines(), kind, parse)
 
 
 def write_summaries(results: Iterable[SummaryResult], path: str | Path) -> None:
@@ -254,4 +265,6 @@ def write_summaries(results: Iterable[SummaryResult], path: str | Path) -> None:
 
 
 def read_summaries(path: str | Path) -> list[SummaryResult]:
-    return summaries_from_jsonl(Path(path).read_text(encoding="utf-8"))
+    """The summaries in `path`; an error names the file and the line."""
+    path = Path(path)
+    return summaries_from_jsonl(path.read_text(encoding="utf-8"), f"{path.name}: summaries")

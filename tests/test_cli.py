@@ -232,6 +232,17 @@ class TestSummarizeFromPredictions:
         err = capsys.readouterr().err
         assert "sentence 0 of document 'test-9999'" in err and "stale" in err
 
+    def test_evaluate_rejects_stale_predictions_as_summarize_does(self, bundle, pipeline, tmp_path, capsys):
+        _, run_dir = pipeline
+        extra = {"doc_id": "test-9999", "sentence_id": 0, "prob": 0.75, "label": 1}
+        predictions = (run_dir / "predictions.jsonl").read_text() + json.dumps(extra) + "\n"
+        out = self.out_dir(run_dir, tmp_path / "stale", predictions, model=False)
+        capsys.readouterr()
+        assert main(["evaluate", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "predictions.jsonl is stale" in err and "sentence 0 of document 'test-9999'" in err
+        assert not (out / "report.json").exists()
+
 
 class TestTrainingConfig:
     def test_l2_defaults_to_the_shipped_penalty(self):
@@ -409,6 +420,30 @@ class TestBadJsonlLines:
                                     lambda first: json.dumps({**first, **fields}), command="summarize")
         assert code == EXIT_VALIDATION
         assert "predictions line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "summarize"])
+    def test_label_disagreeing_with_prob_exits_2_names_line(self, bundle, pipeline, tmp_path, capsys, command):
+        """Evaluate reads a prediction's label and InfoFilter its prob, so the two must agree."""
+        _, run_dir = pipeline
+        capsys.readouterr()
+        code = self.run_with_line_2(
+            bundle, run_dir, tmp_path, "predictions",
+            lambda first: json.dumps({**first, "sentence_id": first["sentence_id"] + 1, "label": 1 - first["label"]}),
+            command=command,
+        )
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "predictions line 2" in err and "disagrees with prob" in err
+
+    def test_document_summarized_twice_exits_2_names_file_line_and_document(self, bundle, pipeline, tmp_path,
+                                                                              capsys):
+        _, run_dir = pipeline
+        capsys.readouterr()
+        code = self.run_with_line_2(bundle, run_dir, tmp_path, "summaries", lambda first: json.dumps(first))
+        assert code == EXIT_VALIDATION
+        first = json.loads((run_dir / "summaries_leadwords.jsonl").read_text().splitlines()[0])
+        assert (f"summaries_leadwords.jsonl: summaries line 2: leadwords summarizes document {first['doc_id']!r} twice"
+                in capsys.readouterr().err)
 
     def test_extract_id_out_of_range_exits_2_names_document(self, bundle, pipeline, tmp_path, capsys):
         _, run_dir = pipeline

@@ -503,6 +503,22 @@ class TestPUModel:
         np.testing.assert_allclose(sparse_model.svm_weights, dense_model.svm_weights, atol=1e-10)
         np.testing.assert_allclose(sparse_model.calib, dense_model.calib, rtol=1e-9)
 
+    @pytest.mark.parametrize("matrix", ["dense", "csr"])
+    def test_stage2_multiplies_only_the_fit_rows(self, monkeypatch, matrix):
+        X, o = overlapping_set()
+        seen = []
+        monkeypatch.setattr(pu, "train_stage2", lambda X, y, sw, l2: (seen.append(X), train_stage2(X, y, sw, l2))[1])
+        model = train_pu_model(X if matrix == "dense" else as_csr(X), o, TOY_L2, TOY_L2, seed=2)
+        p1 = model.stage1.predict_proba(X)
+        rows, _, _ = build_relabeled(p1, o, estimate_e(p1[o == 1]))
+        fit, cal = calibration_split(rows, len(X), 2)
+        fit_rows = np.unique(rows[fit])
+        [selection] = seen
+        held = np.column_stack([selection.X @ unit for unit in np.eye(X.shape[1])])
+        assert np.array_equal(held, X[fit_rows])
+        assert not set(fit_rows) & set(rows[cal])
+        assert np.array_equal(fit_rows[selection.rows], rows[fit])
+
     def test_fixed_seed_identical_model_bytes(self, tmp_path):
         m1, _, _ = trained_toy_model(seed=3)
         m2, _, _ = trained_toy_model(seed=3)

@@ -87,6 +87,55 @@ def test_arrays_hold_the_nonzero_entries_row_by_row(A):
     assert np.array_equal(X.indices, c) and np.array_equal(X.data, A[r, c])
 
 
+def per_entry_product(X, v):
+    """`X @ v` in the form that multiplies every stored entry: reduceat over the non-empty rows."""
+    out = np.zeros(len(X))
+    filled = np.diff(X.indptr) > 0
+    if filled.any():
+        out[filled] = np.add.reduceat(X.data * v[X.indices], X.indptr[:-1][filled])
+    return out
+
+
+# Few distinct values, 0.0 beside -0.0, so (column, value) pairs repeat; and
+# other doubles, subnormals included, since the bits must match exactly. The
+# bound keeps every product and sum finite.
+STORED = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0]), st.floats(-1e100, 1e100))
+
+
+@st.composite
+def stored_matrices(draw):
+    """A CsrMatrix with stored entries drawn directly: zeros and repeated columns
+    within a row are kept, and rows and columns may be empty."""
+    n = draw(st.integers(0, 7))
+    d = draw(st.integers(1, 7))
+    rows = [draw(st.lists(st.tuples(st.integers(0, d - 1), STORED), max_size=8)) for _ in range(n)]
+    X = CsrMatrix.from_rows(
+        [(np.array([c for c, _ in row], dtype=np.intp), np.array([v for _, v in row])) for row in rows], d
+    )
+    return X, draw(arrays(float, d, elements=STORED)), draw(arrays(float, n, elements=STORED))
+
+
+@given(stored_matrices())
+@example(  # row 2 and column 0 sum to -0.0 if the pair table took -0.0 for 0.0
+    (CsrMatrix([0, 2, 2, 3, 5], [0, 1, 0, 2, 2], [0.0, -0.0, -0.0, 2.0, 2.0], 4),
+     np.array([-1.0, 2.0, 0.0, 5.0]), np.array([-0.0, 3.0, 1.0, 0.0]))
+)
+def test_products_have_the_bits_of_the_per_entry_form(case):
+    X, w, r = case
+    assert np.array_equal((X @ w).view(np.int64), per_entry_product(X, w).view(np.int64))
+    assert np.array_equal((X.T @ r).view(np.int64), per_entry_product(X.T, r).view(np.int64))
+
+
+@given(dense_matrices(), st.data())
+def test_row_selection_is_the_dense_row_subset(A, data):
+    rows = np.array(data.draw(st.permutations(range(len(A)))), dtype=np.intp)[: data.draw(st.integers(0, len(A)))]
+    X = csr(A)[rows]
+    want = csr(A[rows])
+    assert X.shape == want.shape == A[rows].shape
+    assert np.array_equal(X.indptr, want.indptr) and np.array_equal(X.indices, want.indices)
+    assert np.array_equal(X.data, want.data)
+
+
 def test_empty_rows_and_columns_sum_to_zero_not_the_next_entry():
     X = csr([[0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
     assert np.array_equal(X @ np.array([1.0, 10.0, 100.0]), [0.0, 20.0, 0.0, 4.0])
