@@ -5,9 +5,8 @@ __version__ = "0.1.0"
 
 from .corpus import (
     Corpus,
-    CorpusFormatError,
-    JsonlFormatError,
     Document,
+    InputFormatError,
     Sentence,
     load_corpus,
     make_sentence,

@@ -18,7 +18,10 @@ fields of predictions.jsonl; LeadWords and RandomRank need no predictions.
 Every command takes a JSON config (-c) plus optional `--set dotted.key=value`
 overrides, writes a resolved-config copy next to its outputs, and is a pure
 function of (config, input files, seed): rerunning reproduces identical
-bytes. Exit codes: 0 success, 2 validation error, 1 runtime error.
+bytes. Exit codes: 0 success, 2 validation error, 1 runtime error. An
+input file that does not parse (bytes that are not UTF-8, bad JSON, a bad
+field) is a validation error named by file kind and line, and so is a
+labels file without both positive and unlabeled sentences.
 
 The config accepts only the keys that `RunConfig` and its sections, one
 frozen dataclass per JSON object, declare. A field's type hint is the JSON
@@ -46,13 +49,13 @@ import numpy as np
 
 from .corpus import (
     Corpus,
-    CorpusFormatError,
-    JsonlFormatError,
+    InputFormatError,
     compute_idf,
     json_int,
     load_corpus,
-    parse_jsonl,
-    to_jsonl,
+    read_json,
+    read_jsonl,
+    write_jsonl,
 )
 from .features import (
     FeatureExtractor,
@@ -65,11 +68,10 @@ from .features import (
     bow_vocabulary,
     dictionary_layout,
 )
-from .lexicons import DEFAULT_BINS, LexiconFormatError, read_category_lexicon, read_scored_lexicon
+from .lexicons import DEFAULT_BINS, read_category_lexicon, read_scored_lexicon
 from .metrics import mcnemar, prf, rouge_n, wilcoxon_signed_rank
 from .pu import (
     L2,
-    ModelFormatError,
     SentenceClassifier,
     load_model,
     save_model,
@@ -174,6 +176,8 @@ class EvaluateSection:
     rouge: tuple[int, ...] = (1, 2)
 
     def __post_init__(self) -> None:
+        if not self.rouge:
+            raise ValueError("rouge must hold at least one order")
         if any(n < 1 for n in self.rouge):
             raise ValueError("rouge must hold orders >= 1")
 
@@ -281,13 +285,7 @@ def _apply_override(raw: dict, dotted: str, value: str) -> None:
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    path = _require_file(args.config, "config file")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+    raw = read_json(_require_file(args.config, "config file"), "config")
     for override in args.set or ():
         if "=" not in override:
             raise ConfigError(f"--set expects dotted.key=value, got {override!r}")
@@ -297,10 +295,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raw["seed"] = args.seed
     if getattr(args, "out_dir", None) is not None:
         raw["out_dir"] = args.out_dir
-    if getattr(args, "label_mode", None) is not None:
-        _apply_override(raw, "label.mode", args.label_mode)
-    if getattr(args, "feature_mode", None) is not None:
-        _apply_override(raw, "features.mode", args.feature_mode)
     return RunConfig.from_dict(raw)
 
 
@@ -311,15 +305,11 @@ def _write_resolved_config(cfg: RunConfig, command: str) -> None:
     (out / f"resolved_config.{command}.json").write_text(payload, encoding="utf-8")
 
 
-def _read_jsonl(path: Path, kind: str, parse) -> list:
-    return parse_jsonl(path.read_text(encoding="utf-8").splitlines(), kind, parse)
-
-
 def _read_extracts(path: Path) -> dict[str, list[list[int]]]:
     def parse(rec):
         return rec["doc_id"], [[json_int(i, "extract id") for i in ext] for ext in rec["extracts"]]
 
-    return dict(_read_jsonl(path, "extracts", parse))
+    return dict(read_jsonl(path, "extracts", parse))
 
 
 def _read_sentence_labels(path: Path, kind: str) -> dict[tuple[str, int], tuple[int, float | None]]:
@@ -349,7 +339,7 @@ def _read_sentence_labels(path: Path, kind: str) -> dict[tuple[str, int], tuple[
         seen.add(key)
         return key, (label, prob)
 
-    return dict(_read_jsonl(path, kind, parse))
+    return dict(read_jsonl(path, kind, parse))
 
 
 def compute_labels(cfg: RunConfig, corpus: Corpus):
@@ -450,6 +440,10 @@ def cmd_train(cfg: RunConfig) -> int:
     corpus = load_corpus(_require_file(cfg.train_corpus, "train corpus"))
     labels = read_labels(_require_file(str(cfg.path("labels.jsonl")), "labels file"))
     _check_in_corpus(corpus, ((lab.doc_id, lab.sentence_id) for lab in labels), "a label", "train")
+    held = label_counts(labels)
+    for flag in (POSITIVE, UNLABELED):
+        if not held[flag]:
+            raise ConfigError(f"labels.jsonl holds no {flag} label; training needs positive and unlabeled ones")
     sampled = sample_unlabeled(labels, cfg.label_config())
     extractor = build_extractor(cfg, train_corpus=corpus)
     X, o = build_examples(corpus, sampled, extractor)
@@ -476,7 +470,7 @@ def cmd_predict(cfg: RunConfig) -> int:
                 {"doc_id": doc.doc_id, "sentence_id": sent.id, "prob": prob, "label": int(prob >= 0.5)}
             )
     _write_resolved_config(cfg, "predict")
-    cfg.path("predictions.jsonl").write_text(to_jsonl(records), encoding="utf-8")
+    write_jsonl(records, cfg.path("predictions.jsonl"))
     print(f"predict: {len(records)} sentences -> {cfg.path('predictions.jsonl')}")
     return EXIT_OK
 
@@ -582,7 +576,7 @@ def _rouge_section(cfg: RunConfig, corpus: Corpus) -> dict:
         if not path.is_file():
             continue
         per_doc: dict[str, dict] = {}
-        for result in read_summaries(path):
+        for result in read_summaries(path, system):
             ref = references.get(result.doc_id)
             if ref is None:
                 continue
@@ -745,10 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir")
         return p
 
-    label = add_common(sub.add_parser("label", help="produce weak PU labels"))
-    label.add_argument("--label-mode", choices=LABEL_MODES)
-    train = add_common(sub.add_parser("train", help="train the two-stage detector"))
-    train.add_argument("--feature-mode", choices=FEATURE_MODES)
+    add_common(sub.add_parser("label", help="produce weak PU labels"))
+    add_common(sub.add_parser("train", help="train the two-stage detector"))
     add_common(sub.add_parser("predict", help="score test-corpus sentences"))
     summ = add_common(sub.add_parser("summarize", help="run summarizers"))
     summ.add_argument("--system", choices=SYSTEMS)
@@ -774,10 +766,7 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (
-        ConfigError, CorpusFormatError, JsonlFormatError, LayoutMismatchError, LexiconFormatError,
-        ModelFormatError, FileNotFoundError,
-    ) as exc:
+    except (ConfigError, InputFormatError, LayoutMismatchError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # runtime failures: degenerate training, ...

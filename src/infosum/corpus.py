@@ -14,6 +14,14 @@ text repeats its chunks (the synth corpora: 424 distinct in 174,000), so
 `tokenize` splits each distinct chunk once per process and keeps its tokens
 as a tuple in a memo bounded at CHUNK_MEMO_SIZE chunks, least recently used
 dropped first.
+
+Every input file is read here: a line file (corpus, extracts, labels,
+predictions, gold labels, summaries, lexicons) one line at a time by
+`read_lines`, a JSON file (model, config) whole by `read_json`. Bytes are
+UTF-8, a line ends at a line feed alone (U+2028, U+2029 and U+0085 are text,
+as `to_jsonl` writes them), and blank lines are skipped. Undecodable bytes,
+bad JSON and a bad field all raise InputFormatError naming the file kind and
+the 1-based line. Every JSONL artifact is written by `write_jsonl`.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 APOSTROPHES = ("'", "’")
 # Chunks the memo of `tokenize` holds. Full, it takes about 17 MB (measured
@@ -36,12 +44,8 @@ CHUNK_MEMO_SIZE = 65_536
 T = TypeVar("T")
 
 
-class CorpusFormatError(ValueError):
-    """Malformed corpus input: bad JSON, missing fields, duplicate doc ids."""
-
-
-class JsonlFormatError(ValueError):
-    """Malformed line in a JSONL input or artifact, named by file kind and line."""
+class InputFormatError(ValueError):
+    """Malformed input file, named by its kind and, for a line file, the 1-based line."""
 
 
 @dataclass(frozen=True)
@@ -157,7 +161,7 @@ def build_document(
     summary_texts: Sequence[str] | None = None,
 ) -> Document:
     if not sentence_texts:
-        raise CorpusFormatError(f"document {doc_id!r} has no sentences")
+        raise ValueError(f"document {doc_id!r} has no sentences")
     sentences = tuple(make_sentence(i, t) for i, t in enumerate(sentence_texts))
     summary = None
     if summary_texts:
@@ -184,35 +188,69 @@ def compute_idf(documents: Sequence[Document]) -> IdfTable:
     return IdfTable(n_docs=n, weights=weights)
 
 
-def iter_lines(source: Iterable[str] | IO[bytes] | IO[str]) -> Iterator[str]:
-    """Lines of a text or UTF-8 byte stream, as str."""
-    for line in source:
+def numbered_lines(lines: Iterable[bytes] | Iterable[str], kind: str) -> Iterator[tuple[int, str]]:
+    """The 1-based number and the text of each non-blank line; bytes lines are decoded as UTF-8."""
+    for lineno, line in enumerate(lines, start=1):
         if isinstance(line, bytes):
-            yield line.decode("utf-8")
-        else:
-            yield line
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InputFormatError(f"{kind} line {lineno}: not valid UTF-8: {exc}") from None
+        if line.strip():
+            yield lineno, line
 
 
-def parse_jsonl(lines: Iterable[str], kind: str, parse: Callable[[dict], T]) -> list[T]:
-    """`parse` applied to the JSON object on each non-blank line.
+def read_lines(path: str | Path, kind: str) -> Iterator[tuple[int, str]]:
+    """`numbered_lines` of the file at `path`, read one line at a time."""
+    with open(path, "rb") as fh:
+        yield from numbered_lines(fh, kind)
 
-    Bad JSON, a non-object line, or a missing or ill-typed field raises
-    JsonlFormatError naming `kind` and the 1-based line number.
-    """
+
+def read_json(path: str | Path, kind: str) -> dict:
+    """The JSON object that the whole UTF-8 file at `path` holds."""
+    data = Path(path).read_bytes()
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise InputFormatError(f"{kind} line {lineno}: not valid UTF-8: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"{kind}: invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise InputFormatError(f"{kind} must hold a JSON object")
+    return obj
+
+
+def parse_jsonl(lines: Iterable[tuple[int, str]], kind: str, parse: Callable[[dict], T]) -> list[T]:
+    """`parse` applied to the JSON object on each numbered line; bad JSON, a
+    non-object line, or a missing or ill-typed field names `kind` and the line."""
     out: list[T] = []
-    for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
+    for lineno, line in lines:
         try:
-            rec = json.loads(raw)
+            rec = json.loads(line)
             if not isinstance(rec, dict):
                 raise TypeError("record must be a JSON object")
             out.append(parse(rec))
         except KeyError as exc:
-            raise JsonlFormatError(f"{kind} line {lineno}: missing field {exc}") from exc
+            raise InputFormatError(f"{kind} line {lineno}: missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
-            raise JsonlFormatError(f"{kind} line {lineno}: {exc}") from exc
+            raise InputFormatError(f"{kind} line {lineno}: {exc}") from exc
     return out
+
+
+def read_jsonl(path: str | Path, kind: str, parse: Callable[[dict], T]) -> list[T]:
+    """`parse` applied to each record of the JSONL file at `path`."""
+    return parse_jsonl(read_lines(path, kind), kind, parse)
+
+
+def to_jsonl(records: Iterable[dict]) -> str:
+    """One JSON object per line, keys sorted and non-ASCII kept as UTF-8."""
+    return "".join(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n" for rec in records)
+
+
+def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
+    """`to_jsonl` of `records`, written to `path` as UTF-8."""
+    Path(path).write_text(to_jsonl(records), encoding="utf-8")
 
 
 def json_int(value, field: str) -> int:
@@ -222,54 +260,44 @@ def json_int(value, field: str) -> int:
     return value
 
 
-def parse_corpus(source: Iterable[str] | IO[bytes] | IO[str]) -> Corpus:
-    """Parse a line-delimited corpus stream into a Corpus.
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
 
-    Each record is an object with `doc_id`, `sentences` (non-empty array of
-    strings), optional `section` and `summary`. Unknown fields are ignored;
-    an absent or empty summary array is normalized to no summary.
-    """
-    documents: list[Document] = []
+
+def _corpus(lines: Iterable[tuple[int, str]]) -> Corpus:
+    """The documents on the numbered lines: objects with a unique `doc_id`, `sentences` (a
+    non-empty array of strings), and optional `section` and `summary`. Unknown fields are
+    ignored; an absent or empty summary array is normalized to no summary."""
     seen: set[str] = set()
-    for lineno, raw in enumerate(iter_lines(source), start=1):
-        if not raw.strip():
-            continue
-        try:
-            rec = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(rec, dict):
-            raise CorpusFormatError(f"line {lineno}: record must be a JSON object")
+
+    def parse(rec: dict) -> Document:
         doc_id = rec.get("doc_id")
         if not isinstance(doc_id, str) or not doc_id:
-            raise CorpusFormatError(f"line {lineno}: missing or invalid doc_id")
+            raise ValueError("missing or invalid doc_id")
         if doc_id in seen:
-            raise CorpusFormatError(f"line {lineno}: duplicate doc_id {doc_id!r}")
+            raise ValueError(f"duplicate doc_id {doc_id!r}")
         seen.add(doc_id)
         section = rec.get("section", "")
         if not isinstance(section, str):
-            raise CorpusFormatError(f"line {lineno}: section must be a string")
+            raise TypeError("section must be a string")
         sentences = rec.get("sentences")
-        if (
-            not isinstance(sentences, list)
-            or not sentences
-            or not all(isinstance(s, str) for s in sentences)
-        ):
-            raise CorpusFormatError(
-                f"line {lineno}: sentences must be a non-empty array of strings"
-            )
+        if not sentences or not _is_strings(sentences):
+            raise TypeError("sentences must be a non-empty array of strings")
         summary = rec.get("summary")
-        if summary is not None and (
-            not isinstance(summary, list) or not all(isinstance(s, str) for s in summary)
-        ):
-            raise CorpusFormatError(f"line {lineno}: summary must be an array of strings")
-        documents.append(build_document(doc_id, section, sentences, summary))
-    return Corpus(tuple(documents))
+        if summary is not None and not _is_strings(summary):
+            raise TypeError("summary must be an array of strings")
+        return build_document(doc_id, section, sentences, summary)
+
+    return Corpus(tuple(parse_jsonl(lines, "corpus", parse)))
 
 
-def to_jsonl(records: Iterable[dict]) -> str:
-    """One JSON object per line, keys sorted and non-ASCII kept as UTF-8."""
-    return "".join(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n" for rec in records)
+def parse_corpus(lines: Iterable[bytes] | Iterable[str]) -> Corpus:
+    """The corpus on `lines`, an open file or a list of lines."""
+    return _corpus(numbered_lines(lines, "corpus"))
+
+
+def load_corpus(path: str | Path) -> Corpus:
+    return _corpus(read_lines(path, "corpus"))
 
 
 def _document_record(doc: Document) -> dict:
@@ -283,18 +311,9 @@ def _document_record(doc: Document) -> dict:
     return rec
 
 
-def serialize_corpus(corpus: Corpus) -> str:
-    """Inverse of parse_corpus: JSONL with one document object per line."""
-    return to_jsonl(_document_record(doc) for doc in corpus.documents)
-
-
-def load_corpus(path: str | Path) -> Corpus:
-    with open(path, "rb") as fh:
-        return parse_corpus(fh)
-
-
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    Path(path).write_text(serialize_corpus(corpus), encoding="utf-8")
+    """The inverse of `load_corpus`: one document object per line."""
+    write_jsonl(map(_document_record, corpus.documents), path)
 
 
 def word_count(sentences: Iterable[Sentence]) -> int:

@@ -10,6 +10,8 @@ be supplied by the user instead of being bundled:
 
 Lines starting with `#` (other than the header) are comments. Words are
 casefolded on load; a trailing `*` marks a prefix-match (wildcard) entry.
+Files are read by `infosum.corpus.read_lines`, and an error names the
+lexicon kind and the line.
 """
 
 from __future__ import annotations
@@ -19,16 +21,18 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable
 
-from .corpus import iter_lines
+from .corpus import InputFormatError, numbered_lines, read_lines
 
 DEFAULT_BINS = 230
+SCORED = "scored lexicon"
+CATEGORY = "category lexicon"
 
 
-class LexiconFormatError(ValueError):
-    """Malformed lexicon input, reported with a line number, or a lexicon name
-    that clashes with another lexicon or a feature block."""
+class LexiconFormatError(InputFormatError):
+    """Malformed lexicon input, reported with the kind and line number, or a
+    lexicon name that clashes with another lexicon or a feature block."""
 
 
 def _hash_payload(payload: object) -> str:
@@ -104,10 +108,42 @@ def bin_index(score: float, score_range: tuple[float, float], bins: int) -> int:
     return min(max(idx, 0), bins - 1)
 
 
-def load_scored_lexicon(
-    source: Iterable[str] | IO[bytes] | IO[str], bins: int = DEFAULT_BINS
-) -> ScoredLexicon:
-    """Load a scored lexicon; duplicate (word, attribute) rows keep the last score.
+def _header(line: str) -> tuple[str, tuple[str, ...], list[str]]:
+    """Name, comma-separated names and further fields of a `#scored` or `#categories` header."""
+    parts = line.split()
+    if len(parts) < 3:
+        raise ValueError(f"{parts[0]} header needs a name and a comma-separated list")
+    names = tuple(a for a in parts[2].split(",") if a)
+    if not names:
+        raise ValueError(f"{parts[0]} header has an empty list")
+    return parts[1], names, parts[3:]
+
+
+def _scored_header(line: str) -> tuple[str, tuple[str, ...], dict[str, tuple[float, float]]]:
+    """Name, attributes and declared ranges of a `#scored` header line."""
+    name, attributes, decls = _header(line)
+    declared: dict[str, tuple[float, float]] = {}
+    for decl in decls:
+        bits = decl.split(":")
+        if len(bits) != 3:
+            raise ValueError(f"bad range declaration {decl!r}")
+        attr = bits[0]
+        if attr not in attributes:
+            raise ValueError(f"range for unknown attribute {attr!r}")
+        try:
+            lo, hi = float(bits[1]), float(bits[2])
+        except ValueError:
+            raise ValueError(f"non-numeric range in {decl!r}") from None
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"non-finite range in {decl!r}")
+        if not lo < hi:
+            raise ValueError(f"empty range in {decl!r}")
+        declared[attr] = (lo, hi)
+    return name, attributes, declared
+
+
+def _scored_lexicon(lines: Iterable[tuple[int, str]], bins: int) -> ScoredLexicon:
+    """The scored lexicon on the numbered lines; duplicate (word, attribute) rows keep the last score.
 
     Attribute ranges come from `attr:min:max` header declarations when present
     and are computed from the data otherwise. A score outside a declared range
@@ -117,76 +153,35 @@ def load_scored_lexicon(
     attributes: tuple[str, ...] = ()
     declared: dict[str, tuple[float, float]] = {}
     entries: dict[str, dict[str, float]] = {}
-    for lineno, raw in enumerate(iter_lines(source), start=1):
+    for lineno, raw in lines:
         line = raw.rstrip("\n")
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            if name is None and line.startswith("#scored"):
-                parts = line.split()
-                if len(parts) < 3:
-                    raise LexiconFormatError(
-                        f"line {lineno}: scored header needs a name and attribute list"
-                    )
-                name = parts[1]
-                attributes = tuple(a for a in parts[2].split(",") if a)
-                if not attributes:
-                    raise LexiconFormatError(f"line {lineno}: empty attribute list")
-                for decl in parts[3:]:
-                    bits = decl.split(":")
-                    if len(bits) != 3:
-                        raise LexiconFormatError(
-                            f"line {lineno}: bad range declaration {decl!r}"
-                        )
-                    attr = bits[0]
-                    if attr not in attributes:
-                        raise LexiconFormatError(
-                            f"line {lineno}: range for unknown attribute {attr!r}"
-                        )
-                    try:
-                        lo, hi = float(bits[1]), float(bits[2])
-                    except ValueError as exc:
-                        raise LexiconFormatError(
-                            f"line {lineno}: non-numeric range in {decl!r}"
-                        ) from exc
-                    if not (math.isfinite(lo) and math.isfinite(hi)):
-                        raise LexiconFormatError(
-                            f"line {lineno}: non-finite range in {decl!r}"
-                        )
-                    if not lo < hi:
-                        raise LexiconFormatError(
-                            f"line {lineno}: empty range in {decl!r}"
-                        )
-                    declared[attr] = (lo, hi)
-            continue
-        if name is None:
-            raise LexiconFormatError(f"line {lineno}: data before #scored header")
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise LexiconFormatError(
-                f"line {lineno}: expected word<TAB>attribute<TAB>score"
-            )
-        word, attr, score_text = fields
-        if attr not in attributes:
-            raise LexiconFormatError(f"line {lineno}: unknown attribute {attr!r}")
         try:
-            score = float(score_text)
-        except ValueError as exc:
-            raise LexiconFormatError(
-                f"line {lineno}: non-numeric score {score_text!r}"
-            ) from exc
-        if not math.isfinite(score):
-            raise LexiconFormatError(f"line {lineno}: non-finite score {score_text!r}")
-        if attr in declared:
-            lo, hi = declared[attr]
+            if line.startswith("#"):
+                if name is None and line.startswith("#scored"):
+                    name, attributes, declared = _scored_header(line)
+                continue
+            if name is None:
+                raise ValueError("data before #scored header")
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ValueError("expected word<TAB>attribute<TAB>score")
+            word, attr, score_text = fields
+            if attr not in attributes:
+                raise ValueError(f"unknown attribute {attr!r}")
+            try:
+                score = float(score_text)
+            except ValueError:
+                raise ValueError(f"non-numeric score {score_text!r}") from None
+            if not math.isfinite(score):
+                raise ValueError(f"non-finite score {score_text!r}")
+            lo, hi = declared.get(attr, (-math.inf, math.inf))
             if not lo <= score <= hi:
-                raise LexiconFormatError(
-                    f"line {lineno}: score {score} outside declared range "
-                    f"[{lo}, {hi}] for {attr!r}"
-                )
+                raise ValueError(f"score {score} outside declared range [{lo}, {hi}] for {attr!r}")
+        except ValueError as exc:
+            raise LexiconFormatError(f"{SCORED} line {lineno}: {exc}") from None
         entries.setdefault(word.casefold(), {})[attr] = score
     if name is None:
-        raise LexiconFormatError("missing #scored header")
+        raise LexiconFormatError(f"{SCORED}: missing #scored header")
     ranges = dict(declared)
     for attr in attributes:
         if attr in ranges:
@@ -196,7 +191,7 @@ def load_scored_lexicon(
             lo, hi = min(observed), max(observed)
             if lo == hi:
                 raise LexiconFormatError(
-                    f"attribute {attr!r} has the single score {lo} and no declared range; "
+                    f"{SCORED}: attribute {attr!r} has the single score {lo} and no declared range; "
                     f"declare one in the header as {attr}:min:max"
                 )
             ranges[attr] = (lo, hi)
@@ -205,61 +200,62 @@ def load_scored_lexicon(
     )
 
 
-def load_category_lexicon(
-    source: Iterable[str] | IO[bytes] | IO[str],
-) -> CategoryLexicon:
-    """Load a category lexicon; duplicate word rows union their categories."""
+def _category_lexicon(lines: Iterable[tuple[int, str]]) -> CategoryLexicon:
+    """The category lexicon on the numbered lines; duplicate word rows union their categories."""
     name: str | None = None
     categories: tuple[str, ...] = ()
     cat_index: dict[str, int] = {}
     entries: dict[str, set[int]] = {}
     wildcards: dict[str, set[int]] = {}
-    for lineno, raw in enumerate(iter_lines(source), start=1):
+    for lineno, raw in lines:
         line = raw.rstrip("\n")
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            if name is None and line.startswith("#categories"):
-                parts = line.split()
-                if len(parts) < 3:
-                    raise LexiconFormatError(
-                        f"line {lineno}: categories header needs a name and category list"
-                    )
-                name = parts[1]
-                categories = tuple(c for c in parts[2].split(",") if c)
-                if not categories:
-                    raise LexiconFormatError(f"line {lineno}: empty category list")
-                if len(set(categories)) != len(categories):
-                    raise LexiconFormatError(f"line {lineno}: duplicate category names")
-                cat_index = {c: i for i, c in enumerate(categories)}
-            continue
-        if name is None:
-            raise LexiconFormatError(f"line {lineno}: data before #categories header")
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise LexiconFormatError(f"line {lineno}: expected word<TAB>cat1,cat2,...")
-        word, cat_text = fields
-        ids: set[int] = set()
-        for cat in cat_text.split(","):
-            cat = cat.strip()
-            if not cat:
+        try:
+            if line.startswith("#"):
+                if name is None and line.startswith("#categories"):
+                    name, categories, _ = _header(line)
+                    if len(set(categories)) != len(categories):
+                        raise ValueError("duplicate category names")
+                    cat_index = {c: i for i, c in enumerate(categories)}
                 continue
-            if cat not in cat_index:
-                raise LexiconFormatError(f"line {lineno}: unknown category {cat!r}")
-            ids.add(cat_index[cat])
+            if name is None:
+                raise ValueError("data before #categories header")
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ValueError("expected word<TAB>cat1,cat2,...")
+            word, cat_text = fields
+            ids: set[int] = set()
+            for cat in cat_text.split(","):
+                cat = cat.strip()
+                if not cat:
+                    continue
+                if cat not in cat_index:
+                    raise ValueError(f"unknown category {cat!r}")
+                ids.add(cat_index[cat])
+        except ValueError as exc:
+            raise LexiconFormatError(f"{CATEGORY} line {lineno}: {exc}") from None
         word = word.casefold()
         if word.endswith("*"):
             wildcards.setdefault(word[:-1], set()).update(ids)
         else:
             entries.setdefault(word, set()).update(ids)
     if name is None:
-        raise LexiconFormatError("missing #categories header")
+        raise LexiconFormatError(f"{CATEGORY}: missing #categories header")
     return CategoryLexicon(
         name=name,
         categories=categories,
         entries={w: frozenset(c) for w, c in entries.items()},
         wildcards={w: frozenset(c) for w, c in wildcards.items()},
     )
+
+
+def load_scored_lexicon(lines: Iterable[bytes] | Iterable[str], bins: int = DEFAULT_BINS) -> ScoredLexicon:
+    """The scored lexicon on `lines`, an open file or a list of lines."""
+    return _scored_lexicon(numbered_lines(lines, SCORED), bins)
+
+
+def load_category_lexicon(lines: Iterable[bytes] | Iterable[str]) -> CategoryLexicon:
+    """The category lexicon on `lines`, an open file or a list of lines."""
+    return _category_lexicon(numbered_lines(lines, CATEGORY))
 
 
 def scored_lexicon_to_tsv(lex: ScoredLexicon) -> str:
@@ -289,10 +285,8 @@ def category_lexicon_to_tsv(lex: CategoryLexicon) -> str:
 
 
 def read_scored_lexicon(path: str | Path, bins: int = DEFAULT_BINS) -> ScoredLexicon:
-    with open(path, "rb") as fh:
-        return load_scored_lexicon(fh, bins=bins)
+    return _scored_lexicon(read_lines(path, SCORED), bins)
 
 
 def read_category_lexicon(path: str | Path) -> CategoryLexicon:
-    with open(path, "rb") as fh:
-        return load_category_lexicon(fh)
+    return _category_lexicon(read_lines(path, CATEGORY))

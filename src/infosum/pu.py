@@ -58,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Sentence
+from .corpus import InputFormatError, Sentence, read_json
 from .features import (
     FeatureExtractor,
     FeatureLayout,
@@ -86,7 +86,7 @@ class DegenerateTrainingSetError(ValueError):
     """Training or calibration data carries only one effective class."""
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(InputFormatError):
     """Model file is corrupted, has a bad version, or fails its hash check."""
 
 
@@ -488,11 +488,4 @@ def save_model(model: PUModel, layout: FeatureLayout, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> tuple[PUModel, FeatureLayout]:
     """The model and the feature layout that `save_model` wrote to `path`."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ModelFormatError("model file must contain a JSON object")
-    return model_from_json(obj)
+    return model_from_json(read_json(path, "model"))

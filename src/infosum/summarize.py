@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Document, Sentence, json_int, make_sentence, parse_jsonl, to_jsonl, word_count
+from .corpus import Document, Sentence, json_int, make_sentence, read_jsonl, word_count, write_jsonl
 
 WHOLE_SENTENCE = "whole-sentence"
 TRUNCATE_WORDS = "truncate-words"
@@ -222,10 +222,6 @@ def random_rank(doc: Document, budget: SummaryBudget, seed) -> SummaryResult:
     )
 
 
-def summaries_to_jsonl(results: Iterable[SummaryResult]) -> str:
-    return to_jsonl(asdict(r) for r in results)
-
-
 def _sentence_ids(value, field: str) -> tuple[int, ...]:
     """`value` as a tuple if it is a JSON array of integers; otherwise TypeError naming `field`."""
     if type(value) is not list:
@@ -245,26 +241,25 @@ def _summary_from_record(rec: dict) -> SummaryResult:
     )
 
 
-def summaries_from_jsonl(text: str, kind: str = "summaries") -> list[SummaryResult]:
-    """The summaries on the lines of `text`; a system summarizing a document twice is an error."""
-    seen: set[tuple[str, str]] = set()
+def write_summaries(results: Iterable[SummaryResult], path: str | Path) -> None:
+    write_jsonl(map(asdict, results), path)
+
+
+def read_summaries(path: str | Path, system: str) -> list[SummaryResult]:
+    """The summaries of `system` in `path`; an error names the file and the line.
+
+    A record of another system and a document summarized twice are errors.
+    """
+    path = Path(path)
+    seen: set[str] = set()
 
     def parse(rec: dict) -> SummaryResult:
         result = _summary_from_record(rec)
-        key = (result.system, result.doc_id)
-        if key in seen:
-            raise ValueError(f"{result.system} summarizes document {result.doc_id!r} twice")
-        seen.add(key)
+        if result.system != system:
+            raise ValueError(f"system is {result.system!r}, but the file holds {system} summaries")
+        if result.doc_id in seen:
+            raise ValueError(f"{system} summarizes document {result.doc_id!r} twice")
+        seen.add(result.doc_id)
         return result
 
-    return parse_jsonl(text.splitlines(), kind, parse)
-
-
-def write_summaries(results: Iterable[SummaryResult], path: str | Path) -> None:
-    Path(path).write_text(summaries_to_jsonl(results), encoding="utf-8")
-
-
-def read_summaries(path: str | Path) -> list[SummaryResult]:
-    """The summaries in `path`; an error names the file and the line."""
-    path = Path(path)
-    return summaries_from_jsonl(path.read_text(encoding="utf-8"), f"{path.name}: summaries")
+    return read_jsonl(path, f"{path.name}: summaries", parse)

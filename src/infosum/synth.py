@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Document, build_document, save_corpus, to_jsonl
+from .corpus import Corpus, Document, build_document, save_corpus, write_jsonl
 from .lexicons import CategoryLexicon, ScoredLexicon, category_lexicon_to_tsv, scored_lexicon_to_tsv
 
 
@@ -158,8 +158,8 @@ def write_synth_bundle(out_dir: str | Path, params: SynthParams) -> dict[str, st
     save_corpus(Corpus(tuple(train_docs)), paths["train_corpus"])
     save_corpus(Corpus(tuple(test_docs)), paths["test_corpus"])
     extracts = ({"doc_id": d.doc_id, "extracts": train_extracts[d.doc_id]} for d in train_docs)
-    paths["extracts"].write_text(to_jsonl(extracts), encoding="utf-8")
-    paths["gold_labels"].write_text(to_jsonl(test_gold), encoding="utf-8")
+    write_jsonl(extracts, paths["extracts"])
+    write_jsonl(test_gold, paths["gold_labels"])
 
     config = {
         "seed": params.seed,

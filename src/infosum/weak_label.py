@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Document, IdfTable, Sentence, json_int, parse_jsonl, to_jsonl
+from .corpus import Document, IdfTable, Sentence, json_int, read_jsonl, write_jsonl
 
 POSITIVE = "positive"
 UNLABELED = "unlabeled"
@@ -133,10 +133,6 @@ def label_counts(labels: Iterable[WeakLabel]) -> dict[str, int]:
     return counts
 
 
-def labels_to_jsonl(labels: Iterable[WeakLabel]) -> str:
-    return to_jsonl(asdict(lab) for lab in labels)
-
-
 def _label_from_record(rec: dict) -> WeakLabel:
     flag = rec["flag"]
     if flag not in FLAGS:
@@ -147,13 +143,9 @@ def _label_from_record(rec: dict) -> WeakLabel:
     return WeakLabel(rec["doc_id"], sentence_id, flag, rec.get("align_score"))
 
 
-def labels_from_jsonl(text: str) -> list[WeakLabel]:
-    return parse_jsonl(text.splitlines(), "labels", _label_from_record)
-
-
 def write_labels(labels: Iterable[WeakLabel], path: str | Path) -> None:
-    Path(path).write_text(labels_to_jsonl(labels), encoding="utf-8")
+    write_jsonl(map(asdict, labels), path)
 
 
 def read_labels(path: str | Path) -> list[WeakLabel]:
-    return labels_from_jsonl(Path(path).read_text(encoding="utf-8"))
+    return read_jsonl(path, "labels", _label_from_record)

@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from scipy import integrate
 
 from infosum.cli import EXIT_OK, main
-from infosum.corpus import build_document, make_sentence
+from infosum.corpus import build_document, make_sentence, to_jsonl
 from infosum.metrics import f1_score, mcnemar, prf, rouge_n, wilcoxon_signed_rank
 from infosum.pu import (
     hinge_loss,
@@ -34,7 +35,6 @@ from infosum.summarize import (
     info_rank,
     lead_words,
     random_rank,
-    summaries_to_jsonl,
 )
 from infosum.synth import SynthParams, write_synth_bundle
 
@@ -274,7 +274,7 @@ def test_criterion_8_summarizer_invariants():
 
     fixed = [random_rank(doc, SummaryBudget(40), seed=9) for doc in docs]
     again = [random_rank(doc, SummaryBudget(40), seed=9) for doc in docs]
-    bytes_ok = summaries_to_jsonl(fixed).encode() == summaries_to_jsonl(again).encode()
+    bytes_ok = to_jsonl(map(asdict, fixed)).encode() == to_jsonl(map(asdict, again)).encode()
 
     _report(
         "criterion-8 summarizer invariants on 100 random documents",

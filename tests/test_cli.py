@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from infosum.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, RunConfig, main
+from infosum.cli import EXIT_OK, EXIT_VALIDATION, RunConfig, main
 from infosum.pu import load_model, train_pu_model, save_model
 from infosum.synth import SynthParams, write_synth_bundle
 
@@ -137,7 +137,7 @@ class TestModesAndOverrides:
     def test_alignment_mode_smoke(self, bundle, tmp_path, capsys):
         out = tmp_path / "alignrun"
         code = main([
-            "label", "-c", bundle["config"], "--label-mode", "alignment",
+            "label", "-c", bundle["config"], "--set", "label.mode=alignment",
             "--out-dir", str(out), "--set", "label.t_pos=6", "--set", "label.t_unl=3",
         ])
         assert code == EXIT_OK
@@ -153,7 +153,7 @@ class TestModesAndOverrides:
         cfg = bundle["config"]
         assert main(["label", "-c", cfg, "--out-dir", str(out)]) == EXIT_OK
         assert main([
-            "train", "-c", cfg, "--out-dir", str(out), "--feature-mode", "bow",
+            "train", "-c", cfg, "--out-dir", str(out), "--set", "features.mode=bow",
         ]) == EXIT_OK
         _, layout = load_model(out / "model.json")
         assert layout.mode == "bow"
@@ -166,7 +166,7 @@ class TestModesAndOverrides:
         assert main(["label", "-c", cfg, "--out-dir", str(out)]) == EXIT_OK
         assert main([
             "train", "-c", cfg, "--out-dir", str(out),
-            "--feature-mode", "dictionary-no-general",
+            "--set", "features.mode=dictionary-no-general",
         ]) == EXIT_OK
         _, small = load_model(out / "model.json")
         assert main(["train", "-c", cfg, "--out-dir", str(out)]) == EXIT_OK
@@ -290,6 +290,7 @@ BAD_CONFIG_OVERRIDES = [
     ("features.bins=0", "features.bins must be >= 1"),
     ("features.bow_min_df=0", "features.bow_min_df must be >= 1"),
     ("evaluate.rouge=[0]", "evaluate.rouge must hold orders >= 1"),
+    ("evaluate.rouge=[]", "evaluate.rouge must hold at least one order"),
     ('label.t_pos="14"', "'label.t_pos' must be a finite number"),
     pytest.param("label.t_pos=1" + "0" * 400, "'label.t_pos' must be a finite number", id="huge-int"),
     ("label.mode=bogus", "'label.mode' must be one of"),
@@ -546,17 +547,17 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         assert f"config section {section!r} must be an object" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, flag, section", [
-        ("label", "--label-mode=extract", "label"),
-        ("train", "--feature-mode=bow", "features"),
+    @pytest.mark.parametrize("command, mode, section", [
+        ("label", "extract", "label"),
+        ("train", "bow", "features"),
     ])
-    def test_mode_flag_through_non_object_section_is_validation_error(
-        self, bundle, tmp_path, capsys, command, flag, section
+    def test_mode_override_through_non_object_section_is_validation_error(
+        self, bundle, tmp_path, capsys, command, mode, section
     ):
         code = main([command, "-c", bundle["config"], "--out-dir", str(tmp_path / "run"),
-                     "--set", f"{section}=5", flag])
+                     "--set", f"{section}=5", "--set", f"{section}.mode={mode}"])
         assert code == EXIT_VALIDATION
-        assert repr(section) in capsys.readouterr().err
+        assert f"cannot override through non-object key {section!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc_id, sentence_id", [("train-9999", 0), ("train-0000", 99)])
     def test_labels_outside_corpus_are_validation_error(
@@ -643,7 +644,7 @@ class TestExitCodes:
         out = tmp_path / "empty"
         assert main(["evaluate", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
 
-    def test_degenerate_training_is_runtime_error(self, bundle, tmp_path):
+    def test_labels_without_unlabeled_exit_2_at_train(self, bundle, tmp_path, capsys):
         out = tmp_path / "degen"
         out.mkdir()
         labels = [
@@ -651,9 +652,99 @@ class TestExitCodes:
             for i in range(4)
         ]
         (out / "labels.jsonl").write_text("\n".join(labels) + "\n")
-        assert main(["train", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_RUNTIME
+        capsys.readouterr()
+        assert main(["train", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert "labels.jsonl holds no unlabeled label" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+    def test_alignment_labels_without_positives_exit_2_at_train(self, bundle, tmp_path, capsys):
+        out = tmp_path / "nopos"
+        assert main(["label", "-c", bundle["config"], "--out-dir", str(out), "--set", "label.mode=alignment",
+                     "--set", "label.t_pos=1000", "--set", "label.t_unl=999"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["train", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert "labels.jsonl holds no positive label" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+    def test_summaries_of_another_system_exit_2_naming_file_and_line(self, bundle, pipeline, tmp_path, capsys):
+        _, run_dir = pipeline
+        out = tmp_path / "swapped"
+        out.mkdir()
+        (out / "summaries_inforank.jsonl").write_bytes((run_dir / "summaries_leadwords.jsonl").read_bytes())
+        capsys.readouterr()
+        assert main(["evaluate", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert ("summaries_inforank.jsonl: summaries line 1: system is 'leadwords'"
+                in capsys.readouterr().err)
+        assert not (out / "report.json").exists()
 
     def test_unknown_system_rejected(self, bundle, tmp_path):
         out = tmp_path / "badsys"
         assert main(["summarize", "-c", bundle["config"], "--out-dir", str(out),
                      "--set", 'systems=["leadwords","bogus"]']) == EXIT_VALIDATION
+
+
+def with_bad_byte_on_line_2(source, dest):
+    """`source` copied to `dest` with a byte that is not UTF-8 in the middle of its line 2."""
+    lines = Path(source).read_bytes().split(b"\n")
+    mid = len(lines[1]) // 2
+    lines[1] = lines[1][:mid] + b"\xff" + lines[1][mid:]
+    Path(dest).write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("kind", [
+    "corpus", "extracts", "labels", "scored lexicon", "category lexicon",
+    "predictions", "gold labels", "summaries", "model", "config",
+])
+def test_input_not_utf8_exits_2_naming_kind_and_line(bundle, pipeline, tmp_path, capsys, kind):
+    """Every input kind is decoded by one reader: a stray byte is a validation error, not a crash."""
+    _, run_dir = pipeline
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in ("labels.jsonl", "model.json", "predictions.jsonl"):
+        (out / name).write_bytes((run_dir / name).read_bytes())
+    # kind -> (file read, where its bad copy goes, command that reads it, config key naming the copy)
+    source, dest, command, key = {
+        "corpus": (bundle["train_corpus"], tmp_path / "corpus.jsonl", "label", "train_corpus"),
+        "extracts": (bundle["extracts"], tmp_path / "extracts.jsonl", "label", "label.extracts"),
+        "labels": (run_dir / "labels.jsonl", out / "labels.jsonl", "train", None),
+        "scored lexicon": (bundle["scored_lexicon"], tmp_path / "scored.tsv", "train", "lexicons.scored"),
+        "category lexicon": (bundle["category_lexicon"], tmp_path / "category.tsv", "train", "lexicons.category"),
+        "predictions": (run_dir / "predictions.jsonl", out / "predictions.jsonl", "summarize", None),
+        "gold labels": (bundle["gold_labels"], tmp_path / "gold.jsonl", "evaluate", "evaluate.gold_labels"),
+        "summaries": (run_dir / "summaries_leadwords.jsonl", out / "summaries_leadwords.jsonl", "evaluate", None),
+        "model": (run_dir / "model.json", out / "model.json", "predict", None),
+        "config": (bundle["config"], tmp_path / "config.json", "label", None),
+    }[kind]
+    with_bad_byte_on_line_2(source, dest)
+    config = dest if kind == "config" else bundle["config"]
+    args = [command, "-c", str(config), "--out-dir", str(out)]
+    if key is not None:
+        value = json.dumps([str(dest)]) if key.startswith("lexicons.") else str(dest)
+        args += ["--set", f"{key}={value}"]
+    capsys.readouterr()
+    assert main(args) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{kind} line 2: not valid UTF-8" in err
+
+
+def test_line_separators_inside_a_sentence_survive_the_pipeline(tmp_path):
+    """U+2028, U+2029 and U+0085 are text, not line ends, in every file the pipeline reads back."""
+    paths = write_synth_bundle(tmp_path / "bundle", SynthParams(n_train_docs=20, n_test_docs=5, seed=0))
+    test_corpus = Path(paths["test_corpus"])
+    lines = test_corpus.read_bytes().split(b"\n")
+    doc = json.loads(lines[0])
+    sentence = doc["sentences"][0]
+    for separator in ("\u2028", "\u2029", "\x85"):
+        sentence = sentence.replace(" ", separator, 1)
+    doc["sentences"][0] = sentence
+    lines[0] = json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    test_corpus.write_bytes(b"\n".join(lines))
+    for command in ("label", "train", "predict", "summarize", "evaluate"):
+        assert main([command, "-c", paths["config"]]) == EXIT_OK, command
+    run_dir = Path(json.loads(Path(paths["config"]).read_text())["out_dir"])
+    lead = json.loads((run_dir / "summaries_leadwords.jsonl").read_bytes().split(b"\n")[0])
+    assert lead["doc_id"] == doc["doc_id"] and sentence in lead["text"]
+    report = json.loads((run_dir / "report.json").read_text())
+    assert set(report["rouge"]) == {"leadwords", "inforank", "infofilter", "randomrank"}
+    for row in report["rouge"].values():
+        assert doc["doc_id"] in row["per_doc"]

@@ -9,13 +9,12 @@ from infosum import corpus
 from infosum.corpus import (
     APOSTROPHES,
     CHUNK_MEMO_SIZE,
-    CorpusFormatError,
+    InputFormatError,
     compute_idf,
     load_corpus,
     make_sentence,
     parse_corpus,
     save_corpus,
-    serialize_corpus,
     to_jsonl,
     tokenize,
     word_count,
@@ -166,18 +165,18 @@ class TestParseCorpus:
 
     def test_malformed_record_names_line(self):
         stream = io.StringIO('{"doc_id": "a", "sentences": ["x"]}\nnot-json\n')
-        with pytest.raises(CorpusFormatError, match="line 2"):
+        with pytest.raises(InputFormatError, match="corpus line 2"):
             parse_corpus(stream)
 
     def test_duplicate_doc_id(self):
         stream = io.StringIO(
             '{"doc_id": "a", "sentences": ["x"]}\n{"doc_id": "a", "sentences": ["y"]}'
         )
-        with pytest.raises(CorpusFormatError, match="duplicate"):
+        with pytest.raises(InputFormatError, match="corpus line 2: duplicate"):
             parse_corpus(stream)
 
     def test_empty_sentences_rejected(self):
-        with pytest.raises(CorpusFormatError):
+        with pytest.raises(InputFormatError, match="corpus line 1: sentences must be a non-empty array"):
             parse_corpus(io.StringIO('{"doc_id": "a", "sentences": []}'))
 
     def test_unknown_fields_ignored(self):
@@ -190,10 +189,11 @@ class TestParseCorpus:
         corpus = parse_corpus(io.BytesIO(CORPUS_3DOCS.encode("utf-8")))
         assert len(corpus) == 3
 
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         corpus = parse_corpus(io.StringIO(CORPUS_3DOCS))
-        again = parse_corpus(io.StringIO(serialize_corpus(corpus)))
-        assert again == corpus
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(corpus, path)
+        assert parse_corpus(io.BytesIO(path.read_bytes())) == corpus
 
     def test_to_jsonl(self):
         assert to_jsonl([]) == ""

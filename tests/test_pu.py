@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from infosum import pu
-from infosum.corpus import make_sentence
+from infosum.corpus import InputFormatError, make_sentence
 from infosum.features import (
     FeatureExtractor,
     LayoutMismatchError,
@@ -544,7 +544,7 @@ class TestSaveLoad:
     def test_corrupted_file(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{not valid json", encoding="utf-8")
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(InputFormatError, match="model: invalid JSON"):
             load_model(path)
 
     def test_missing_fields(self, tmp_path):

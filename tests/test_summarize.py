@@ -12,7 +12,6 @@ from infosum.summarize import (
     lead_words,
     random_rank,
     read_summaries,
-    summaries_to_jsonl,
     summary_sentences,
     write_summaries,
 )
@@ -206,13 +205,12 @@ class TestBudgetSafetyAndSerialization:
             ):
                 assert res.word_total <= budget.max_words
 
-    def test_jsonl_round_trip(self):
+    def test_jsonl_round_trip(self, tmp_path):
         doc = doc_with_word_counts([10, 20])
-        results = [
-            lead_words(doc, SummaryBudget(15)),
-            random_rank(doc, SummaryBudget(15), seed=3),
-        ]
-        assert read_summaries_text(summaries_to_jsonl(results)) == results
+        for result in (lead_words(doc, SummaryBudget(15)), random_rank(doc, SummaryBudget(15), seed=3)):
+            path = tmp_path / f"summaries_{result.system}.jsonl"
+            write_summaries([result], path)
+            assert read_summaries(path, result.system) == [result]
 
     def test_byte_identical_outputs_for_fixed_seed(self, tmp_path):
         docs = self.random_docs(n=10, seed=5)
@@ -222,9 +220,3 @@ class TestBudgetSafetyAndSerialization:
                 [random_rank(doc, SummaryBudget(30), seed=11) for doc in docs], out
             )
         assert out1.read_bytes() == out2.read_bytes()
-
-
-def read_summaries_text(text):
-    from infosum.summarize import summaries_from_jsonl
-
-    return summaries_from_jsonl(text)

@@ -13,9 +13,9 @@ from infosum.weak_label import (
     label_by_alignment,
     label_by_extract,
     label_counts,
-    labels_from_jsonl,
-    labels_to_jsonl,
+    read_labels,
     sample_unlabeled,
+    write_labels,
 )
 
 FLAT_IDF = IdfTable(n_docs=0, weights={})
@@ -221,10 +221,12 @@ class TestSampleUnlabeled:
 
 
 class TestLabelSerialization:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         labels = [
             WeakLabel("d", 0, POSITIVE, 15.5),
             WeakLabel("d", 1, UNLABELED, None),
             WeakLabel("e", 0, EXCLUDED, 12.0),
         ]
-        assert labels_from_jsonl(labels_to_jsonl(labels)) == labels
+        path = tmp_path / "labels.jsonl"
+        write_labels(labels, path)
+        assert read_labels(path) == labels
