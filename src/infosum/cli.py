@@ -15,6 +15,22 @@ Predict is the only command that scores test sentences. Summarize takes
 each sentence's probability for InfoRank and InfoFilter from the `prob`
 fields of predictions.jsonl; LeadWords and RandomRank need no predictions.
 
+Each command runs in a process of its own and imports only the modules it
+runs. This file's top level imports the config schema's modules, none of
+which loads numpy: `constants`, `corpus`, `weak_label` and `summarize`.
+The rest is imported inside the command that uses it:
+
+    label      nothing more (no numpy)
+    train      lexicons, features, sparse, pu and numpy
+    predict    lexicons, features, sparse, pu and numpy
+    summarize  numpy, for RandomRank only
+    evaluate   report, with metrics and numpy
+    synth      synth and numpy
+
+So a command pays neither the import nor, without a bytecode cache, the
+compile time of code it never runs; at the package root `infosum` imports
+only `corpus`.
+
 Every command takes a JSON config (-c) plus optional `--set dotted.key=value`
 overrides, writes a resolved-config copy next to its outputs, and is a pure
 function of (config, input files, seed): rerunning reproduces identical
@@ -37,16 +53,14 @@ config error exits 2.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import logging
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Literal, get_args, get_origin, get_type_hints
 
-import numpy as np
-
+from .constants import DEFAULT_BINS, FEATURE_MODES, L2, MODE_BOW, MODE_DICTIONARY
 from .corpus import (
     Corpus,
     InputFormatError,
@@ -57,26 +71,6 @@ from .corpus import (
     read_jsonl,
     write_jsonl,
 )
-from .features import (
-    FeatureExtractor,
-    FeatureLayout,
-    LayoutMismatchError,
-    MODE_BOW,
-    MODE_DICTIONARY,
-    MODE_DICTIONARY_NO_GENERAL,
-    bow_layout,
-    bow_vocabulary,
-    dictionary_layout,
-)
-from .lexicons import DEFAULT_BINS, read_category_lexicon, read_scored_lexicon
-from .metrics import mcnemar, prf, rouge_n, wilcoxon_signed_rank
-from .pu import (
-    L2,
-    SentenceClassifier,
-    load_model,
-    save_model,
-    train_pu_model,
-)
 from .summarize import (
     INFOFILTER,
     INFORANK,
@@ -85,16 +79,14 @@ from .summarize import (
     SYSTEMS,
     WHOLE_SENTENCE,
     SummaryBudget,
+    SummaryResult,
     info_filter,
     info_rank,
     lead_words,
     random_rank,
     read_summaries,
-    summary_sentences,
     write_summaries,
 )
-from .sparse import CsrMatrix
-from .synth import SynthParams, write_synth_bundle
 from .weak_label import (
     EXCLUDED,
     POSITIVE,
@@ -108,13 +100,18 @@ from .weak_label import (
     write_labels,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .features import FeatureExtractor, FeatureLayout
+    from .sparse import CsrMatrix
+
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
 
-FEATURE_MODES = (MODE_DICTIONARY, MODE_DICTIONARY_NO_GENERAL, MODE_BOW)
 LABEL_MODES = ("alignment", "extract")
 
 
@@ -385,6 +382,9 @@ def build_extractor(cfg: RunConfig, train_corpus: Corpus | None = None, layout: 
     files, binned as the model was, so any content change surfaces as a
     hash mismatch.
     """
+    from .features import FeatureExtractor, bow_layout, bow_vocabulary, dictionary_layout
+    from .lexicons import read_category_lexicon, read_scored_lexicon
+
     if layout is not None and layout.mode == MODE_BOW:
         return FeatureExtractor(layout)
     if layout is None and cfg.features.mode == MODE_BOW:
@@ -424,12 +424,16 @@ def build_examples(corpus: Corpus, labels, extractor: FeatureExtractor) -> tuple
     """Feature matrix X and 0/1 vector o over the non-excluded labels, in label order.
 
     X is a CsrMatrix: each row keeps the nonzero columns and values of the
-    sentence's `extract_or_zero` vector. No dense n x d matrix is built.
+    sentence's `extract` vector. No dense n x d matrix is built.
     """
+    import numpy as np
+
+    from .sparse import CsrMatrix
+
     kept = [lab for lab in labels if lab.flag != EXCLUDED]
     rows = []
     for lab in kept:
-        x = extractor.extract_or_zero(corpus.document(lab.doc_id).sentences[lab.sentence_id])
+        x = extractor.extract(corpus.document(lab.doc_id).sentences[lab.sentence_id])
         cols = np.flatnonzero(x)
         rows.append((cols, x[cols]))
     o = np.array([lab.flag == POSITIVE for lab in kept], dtype=np.int64)
@@ -437,6 +441,8 @@ def build_examples(corpus: Corpus, labels, extractor: FeatureExtractor) -> tuple
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    from .pu import save_model, train_pu_model
+
     corpus = load_corpus(_require_file(cfg.train_corpus, "train corpus"))
     labels = read_labels(_require_file(str(cfg.path("labels.jsonl")), "labels file"))
     _check_in_corpus(corpus, ((lab.doc_id, lab.sentence_id) for lab in labels), "a label", "train")
@@ -459,6 +465,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
+    from .pu import SentenceClassifier, load_model
+
     corpus = load_corpus(_require_file(cfg.test_corpus, "test corpus"))
     model, layout = load_model(_require_file(str(cfg.path("model.json")), "model file"))
     classifier = SentenceClassifier(model, build_extractor(cfg, layout=layout))
@@ -528,166 +536,48 @@ def cmd_summarize(cfg: RunConfig, only_system: str | None = None) -> int:
     return EXIT_OK
 
 
-def _classification_section(cfg: RunConfig, corpus: Corpus) -> dict | None:
-    pred_path = cfg.path("predictions.jsonl")
-    if cfg.evaluate.gold_labels is None or not pred_path.is_file():
-        return None
-    gold = _read_sentence_labels(_require_file(cfg.evaluate.gold_labels, "gold labels file"), "gold labels")
-    preds = _read_sentence_labels(pred_path, "predictions")
-    _check_in_corpus(corpus, preds, "predictions.jsonl is stale: a prediction", "test")
-    keys = sorted(k for k in gold if k in preds)
-    if not keys:
-        raise ConfigError("gold labels and predictions share no sentences")
-    truth = [gold[k][0] for k in keys]
-    model_pred = [preds[k][0] for k in keys]
-    baseline_pred = [1] * len(keys)
-
-    def report(pred):
-        tp = sum(1 for p, t in zip(pred, truth) if p == 1 and t == 1)
-        fp = sum(1 for p, t in zip(pred, truth) if p == 1 and t == 0)
-        fn = sum(1 for p, t in zip(pred, truth) if p == 0 and t == 1)
-        tn = sum(1 for p, t in zip(pred, truth) if p == 0 and t == 0)
-        r = prf(tp, fp, fn, tn)
-        return {
-            "tp": r.tp, "fp": r.fp, "fn": r.fn, "tn": r.tn,
-            "precision": r.precision, "recall": r.recall, "f1": r.f1,
-        }
-
-    test = mcnemar(model_pred, baseline_pred, truth)
-    return {
-        "n": len(keys),
-        "model": report(model_pred),
-        "baseline_all_positive": report(baseline_pred),
-        "mcnemar_model_vs_baseline": {
-            "statistic": test.statistic,
-            "p_value": test.p_value,
-            "method": test.method,
-        },
-    }
-
-
-def _rouge_section(cfg: RunConfig, corpus: Corpus) -> dict:
-    rouge: dict = {}
-    references = {
-        doc.doc_id: list(doc.summary) for doc in corpus if doc.summary is not None
-    }
+def _evaluated_summaries(cfg: RunConfig, corpus: Corpus) -> dict[str, list[SummaryResult]]:
+    """Each configured system's summaries of the test documents that have a
+    reference summary, in system order; a system with none is left out."""
+    referenced = {doc.doc_id: doc for doc in corpus if doc.summary is not None}
+    summaries = {}
     for system in cfg.systems:
         path = cfg.path(f"summaries_{system}.jsonl")
         if not path.is_file():
             continue
-        per_doc: dict[str, dict] = {}
+        kept = []
         for result in read_summaries(path, system):
-            ref = references.get(result.doc_id)
-            if ref is None:
+            doc = referenced.get(result.doc_id)
+            if doc is None:
                 continue
-            doc = corpus.document(result.doc_id)
             if not all(0 <= i < len(doc.sentences) for i in result.selected):
                 raise ConfigError(
                     f"{path.name}: document {result.doc_id!r} selects sentences "
                     "the test corpus does not have"
                 )
-            cand = summary_sentences(doc, result)
-            scores = {}
-            for n in cfg.evaluate.rouge:
-                sc = rouge_n(ref, cand, n)
-                scores[f"r{n}"] = {
-                    "recall": sc.recall,
-                    "precision": sc.precision,
-                    "f1": sc.f1,
-                }
-            per_doc[result.doc_id] = scores
-        if not per_doc:
-            continue
-        means = {}
-        for n in cfg.evaluate.rouge:
-            key = f"r{n}"
-            doc_ids = sorted(per_doc)
-            means[key] = {
-                stat: float(np.mean([per_doc[d][key][stat] for d in doc_ids]))
-                for stat in ("recall", "precision", "f1")
-            }
-        rouge[system] = {"n_docs": len(per_doc), "mean": means, "per_doc": per_doc}
-    return rouge
-
-
-def _wilcoxon_section(cfg: RunConfig, rouge: dict) -> list[dict]:
-    tests = []
-    present = [s for s in cfg.systems if s in rouge]
-    for sys_a, sys_b in itertools.combinations(present, 2):
-        shared = sorted(
-            set(rouge[sys_a]["per_doc"]) & set(rouge[sys_b]["per_doc"])
-        )
-        if not shared:
-            continue
-        for n in cfg.evaluate.rouge:
-            key = f"r{n}"
-            xs = [rouge[sys_a]["per_doc"][d][key]["recall"] for d in shared]
-            ys = [rouge[sys_b]["per_doc"][d][key]["recall"] for d in shared]
-            result = wilcoxon_signed_rank(xs, ys)
-            tests.append(
-                {
-                    "system_a": sys_a,
-                    "system_b": sys_b,
-                    "metric": f"{key}-recall",
-                    "n": len(shared),
-                    "statistic": result.statistic,
-                    "p_value": result.p_value,
-                    "method": result.method,
-                }
-            )
-    return tests
-
-
-def _render_table(report: dict, rouge_orders) -> str:
-    lines = []
-    cls = report.get("classification")
-    if cls:
-        lines.append("Importance detection")
-        lines.append(f"{'model':<22}{'precision':>10}{'recall':>10}{'f-1':>10}")
-        for name, row in (
-            ("detector", cls["model"]),
-            ("baseline-all-pos", cls["baseline_all_positive"]),
-        ):
-            lines.append(
-                f"{name:<22}{row['precision']:>10.3f}{row['recall']:>10.3f}{row['f1']:>10.3f}"
-            )
-        test = cls["mcnemar_model_vs_baseline"]
-        lines.append(
-            f"mcnemar detector vs baseline: statistic={test['statistic']:.4f} "
-            f"p={test['p_value']:.6g}"
-        )
-        lines.append("")
-    if report.get("rouge"):
-        header = f"{'system':<14}" + "".join(f"{'R-' + str(n):>8}" for n in rouge_orders)
-        lines.append("Summarization (ROUGE recall, %)")
-        lines.append(header)
-        for system, row in report["rouge"].items():
-            cells = "".join(
-                f"{100.0 * row['mean'][f'r{n}']['recall']:>8.1f}" for n in rouge_orders
-            )
-            lines.append(f"{system:<14}{cells}")
-        lines.append("")
-    if report.get("wilcoxon"):
-        lines.append("Paired Wilcoxon signed-rank (per-document ROUGE recall)")
-        for t in report["wilcoxon"]:
-            lines.append(
-                f"{t['system_a']} vs {t['system_b']:<12} {t['metric']:<10} "
-                f"n={t['n']:<4} W={t['statistic']:<8.1f} p={t['p_value']:.6g}"
-            )
-        lines.append("")
-    return "\n".join(lines) + ("\n" if lines else "")
+            kept.append(result)
+        if kept:
+            summaries[system] = kept
+    return summaries
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
+    from .report import classification_section, render_table, rouge_section, wilcoxon_section
+
     corpus = load_corpus(_require_file(cfg.test_corpus, "test corpus"))
     report: dict = {}
-    classification = _classification_section(cfg, corpus)
-    if classification:
-        report["classification"] = classification
-    rouge = _rouge_section(cfg, corpus)
-    if rouge:
-        report["rouge"] = rouge
-        report["wilcoxon"] = _wilcoxon_section(cfg, rouge)
+    pred_path = cfg.path("predictions.jsonl")
+    if cfg.evaluate.gold_labels is not None and pred_path.is_file():
+        gold = _read_sentence_labels(_require_file(cfg.evaluate.gold_labels, "gold labels file"), "gold labels")
+        preds = _read_sentence_labels(pred_path, "predictions")
+        _check_in_corpus(corpus, preds, "predictions.jsonl is stale: a prediction", "test")
+        if gold.keys().isdisjoint(preds):
+            raise ConfigError("gold labels and predictions share no sentences")
+        report["classification"] = classification_section(gold, preds)
+    summaries = _evaluated_summaries(cfg, corpus)
+    if summaries:
+        report["rouge"] = rouge_section(corpus, summaries, cfg.evaluate.rouge)
+        report["wilcoxon"] = wilcoxon_section(report["rouge"], cfg.evaluate.rouge)
     if not report:
         raise ConfigError(
             "nothing to evaluate: run predict (with gold labels configured) or summarize first"
@@ -696,7 +586,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     cfg.path("report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    table = _render_table(report, cfg.evaluate.rouge)
+    table = render_table(report, cfg.evaluate.rouge)
     cfg.path("report.txt").write_text(table, encoding="utf-8")
     print(table, end="")
     print(f"report -> {cfg.path('report.json')}")
@@ -704,6 +594,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import SynthParams, write_synth_bundle
+
     params = SynthParams(
         n_train_docs=args.train_docs,
         n_test_docs=args.test_docs,
@@ -766,7 +658,7 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, InputFormatError, LayoutMismatchError, FileNotFoundError) as exc:
+    except (ConfigError, InputFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # runtime failures: degenerate training, ...

@@ -244,8 +244,13 @@ def read_jsonl(path: str | Path, kind: str, parse: Callable[[dict], T]) -> list[
 
 
 def to_jsonl(records: Iterable[dict]) -> str:
-    """One JSON object per line, keys sorted and non-ASCII kept as UTF-8."""
-    return "".join(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n" for rec in records)
+    """One JSON object per line, keys sorted and non-ASCII kept as UTF-8.
+
+    NaN and the infinities are not JSON: a record holding one raises ValueError.
+    """
+    return "".join(
+        json.dumps(rec, ensure_ascii=False, sort_keys=True, allow_nan=False) + "\n" for rec in records
+    )
 
 
 def write_jsonl(records: Iterable[dict], path: str | Path) -> None:

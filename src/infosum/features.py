@@ -27,23 +27,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Sentence, document_frequencies
+from .constants import MODE_BOW, MODE_DICTIONARY, MODE_DICTIONARY_NO_GENERAL
+from .corpus import Corpus, InputFormatError, Sentence, document_frequencies
 from .lexicons import CategoryLexicon, LexiconFormatError, ScoredLexicon, bin_index
 
 GENERAL_WIDTH = 6
 DOUBLE_QUOTE_MARKS = ('"', "“", "”")
 LAYOUT_VERSION = 1
 
-MODE_DICTIONARY = "dictionary"
-MODE_DICTIONARY_NO_GENERAL = "dictionary-no-general"
-MODE_BOW = "bow"
 
-
-class EmptySentenceError(ValueError):
-    """Raised when a lexicon feature is requested for a sentence with no words."""
-
-
-class LayoutMismatchError(ValueError):
+class LayoutMismatchError(InputFormatError):
     """Feature layout does not match the supplied lexicons or model."""
 
 
@@ -274,11 +267,13 @@ class FeatureExtractor:
             pos += len(lex.categories)
         return tuple(cols)
 
-    def _values(self, sentence: Sentence, zero_when_wordless: bool) -> np.ndarray:
+    def extract(self, sentence: Sentence) -> np.ndarray:
+        """The sentence's vector; a wordless sentence gets zero lexicon blocks.
+
+        The general block is still computed, so punctuation-only sentences,
+        which real corpora hold, get a vector like any other.
+        """
         words = sentence.words
-        bow = self.layout.mode == MODE_BOW
-        if not words and not bow and not zero_when_wordless:
-            raise EmptySentenceError("sentence has no word tokens")
         cols = []
         for word in words:
             hit = self._columns.get(word)
@@ -288,19 +283,11 @@ class FeatureExtractor:
         width = self.layout.total_dim - self.layout.general_width
         out = np.zeros(self.layout.total_dim)
         out[:width] = np.bincount(np.array(cols, dtype=np.intp), minlength=width)
-        if words and not bow:
+        if words and self.layout.mode != MODE_BOW:
             out[:width] /= len(words)
         if self.layout.general_width:
             out[width:] = general_features(sentence)
         return out
 
-    def extract(self, sentence: Sentence) -> np.ndarray:
-        return self._values(sentence, zero_when_wordless=False)
-
-    def extract_or_zero(self, sentence: Sentence) -> np.ndarray:
-        """Like extract, but a wordless sentence gets zero lexicon blocks.
-
-        The general block is still computed; this keeps batch pipelines total
-        over real corpora where punctuation-only sentences occur.
-        """
-        return self._values(sentence, zero_when_wordless=True)
+    # The same method under a second name, which perfbench/tracer.py wraps.
+    extract_or_zero = extract

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from .constants import DEFAULT_BINS
 from .corpus import InputFormatError, numbered_lines, read_lines
 
-DEFAULT_BINS = 230
 SCORED = "scored lexicon"
 CATEGORY = "category lexicon"
 

@@ -58,6 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .constants import L2
 from .corpus import InputFormatError, Sentence, read_json
 from .features import (
     FeatureExtractor,
@@ -74,12 +75,11 @@ logger = logging.getLogger(__name__)
 MODEL_VERSION = 1
 PROB_EPS = 1e-12
 
-# The fixed training schedule of both stages (see the module docstring) and
-# the default L2 penalty of each.
+# The fixed training schedule of both stages (see the module docstring);
+# the default L2 penalty of each is `constants.L2`.
 EPOCHS = 4000
 LR0 = 0.08
 LR_TAU = 400.0
-L2 = 1e-4
 
 
 class DegenerateTrainingSetError(ValueError):
@@ -423,7 +423,7 @@ class SentenceClassifier:
         self.extractor = extractor
 
     def prob(self, sentence: Sentence) -> float:
-        x = self.extractor.extract_or_zero(sentence)
+        x = self.extractor.extract(sentence)
         return float(self.model.prob_from_margin(self.model.margins(x)))
 
 
@@ -450,6 +450,17 @@ def model_to_json(model: PUModel, layout: FeatureLayout) -> dict:
     }
 
 
+def _finite(value, field: str):
+    """`value` as a float, or as a float array if it is a list.
+
+    NaN or an infinity anywhere in it is a ModelFormatError naming `field`.
+    """
+    out = np.array(value, dtype=float)
+    if not np.isfinite(out).all():
+        raise ModelFormatError(f"model field {field!r} holds NaN or an infinity; it must be finite")
+    return out if out.ndim else float(out)
+
+
 def model_from_json(obj: dict) -> tuple[PUModel, FeatureLayout]:
     try:
         if obj["version"] != MODEL_VERSION:
@@ -458,18 +469,18 @@ def model_from_json(obj: dict) -> tuple[PUModel, FeatureLayout]:
         if layout_hash(layout) != obj["layout_hash"]:
             raise ModelFormatError("layout hash mismatch: model file is inconsistent")
         stage1 = Stage1Model(
-            weights=np.array(obj["stage1"]["weights"], dtype=float),
-            bias=float(obj["stage1"]["bias"]),
+            weights=_finite(obj["stage1"]["weights"], "stage1.weights"),
+            bias=_finite(obj["stage1"]["bias"], "stage1.bias"),
         )
-        svm_w = np.array(obj["svm"]["weights"], dtype=float)
+        svm_w = _finite(obj["svm"]["weights"], "svm.weights")
         if len(stage1.weights) != layout.total_dim or len(svm_w) != layout.total_dim:
             raise ModelFormatError("weight vector length does not match the layout")
         return PUModel(
             stage1=stage1,
-            e=float(obj["e"]),
+            e=_finite(obj["e"], "e"),
             svm_weights=svm_w,
-            svm_bias=float(obj["svm"]["bias"]),
-            calib=(float(obj["calib"]["A"]), float(obj["calib"]["B"])),
+            svm_bias=_finite(obj["svm"]["bias"], "svm.bias"),
+            calib=(_finite(obj["calib"]["A"], "calib.A"), _finite(obj["calib"]["B"], "calib.B")),
             seed=int(obj["seed"]),
         ), layout
     except (KeyError, TypeError, ValueError) as exc:

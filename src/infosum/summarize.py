@@ -11,11 +11,9 @@ and `infosum summarize` reads: no summarizer scores a sentence itself.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .corpus import Document, Sentence, json_int, make_sentence, read_jsonl, word_count, write_jsonl
 
@@ -208,6 +206,8 @@ def summary_sentences(doc: Document, result: SummaryResult) -> list[Sentence]:
 
 def random_rank(doc: Document, budget: SummaryBudget, seed) -> SummaryResult:
     """Seeded uniform ranking followed by the same greedy fill as info_rank."""
+    import numpy as np  # here, so summarizing with the other systems loads no numpy
+
     rng = np.random.default_rng(seed)
     order = [int(i) for i in rng.permutation(len(doc.sentences))]
     counts = _sentence_words(doc)
@@ -242,7 +242,7 @@ def _summary_from_record(rec: dict) -> SummaryResult:
 
 
 def write_summaries(results: Iterable[SummaryResult], path: str | Path) -> None:
-    write_jsonl(map(asdict, results), path)
+    write_jsonl(map(vars, results), path)
 
 
 def read_summaries(path: str | Path, system: str) -> list[SummaryResult]:

@@ -9,11 +9,9 @@ training set near a configurable unlabeled:positive ratio.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .corpus import Document, IdfTable, Sentence, json_int, read_jsonl, write_jsonl
 
@@ -114,6 +112,8 @@ def sample_unlabeled(labels: Sequence[WeakLabel], cfg: LabelConfig) -> list[Weak
     pool = [i for i, lab in enumerate(labels) if lab.flag == UNLABELED]
     target = min(len(pool), int(round(cfg.balance_ratio * n_pos)))
     if target < len(pool):
+        import numpy as np  # here, so `infosum label` loads no numpy
+
         rng = np.random.default_rng(cfg.seed)
         picked = rng.choice(len(pool), size=target, replace=False)
         keep = {pool[int(i)] for i in picked}
@@ -144,7 +144,7 @@ def _label_from_record(rec: dict) -> WeakLabel:
 
 
 def write_labels(labels: Iterable[WeakLabel], path: str | Path) -> None:
-    write_jsonl(map(asdict, labels), path)
+    write_jsonl(map(vars, labels), path)
 
 
 def read_labels(path: str | Path) -> list[WeakLabel]:

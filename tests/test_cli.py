@@ -51,6 +51,35 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+# What each command must leave unimported: label needs no numpy, only train
+# and predict read lexicons and run the learner, and only evaluate scores ROUGE.
+LEARNER = ("infosum.lexicons", "infosum.features", "infosum.pu", "infosum.sparse")
+NOT_LOADED = {
+    "label": ("numpy", *LEARNER, "infosum.metrics", "infosum.synth"),
+    "train": ("infosum.metrics", "infosum.synth"),
+    "predict": ("infosum.metrics", "infosum.synth"),
+    "summarize": (*LEARNER, "infosum.synth"),
+    "evaluate": (*LEARNER, "infosum.synth"),
+}
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    paths = write_synth_bundle(tmp_path, SynthParams(n_train_docs=20, n_test_docs=5))
+    code = (
+        "import json, sys, infosum.cli\n"
+        "rc = infosum.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([rc, sorted(sys.modules)]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for command, unwanted in NOT_LOADED.items():
+        proc = subprocess.run([sys.executable, "-c", code, command, "-c", paths["config"]],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rc, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert rc == EXIT_OK, proc.stderr
+        assert sorted(set(unwanted) & set(loaded)) == [], command
+
+
 class TestPipelineArtifacts:
     def test_all_artifacts_exist(self, pipeline):
         _, run_dir = pipeline
@@ -539,6 +568,18 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["predict", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
         assert "model" in capsys.readouterr().err
+
+    def test_non_finite_model_number_exits_2_naming_field(self, bundle, pipeline, tmp_path, capsys):
+        _, run_dir = pipeline
+        out = tmp_path / "nanmodel"
+        out.mkdir()
+        model = json.loads((run_dir / "model.json").read_text())
+        model["calib"]["A"] = float("nan")
+        (out / "model.json").write_text(json.dumps(model))
+        capsys.readouterr()
+        assert main(["predict", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert "model field 'calib.A' holds NaN or an infinity" in capsys.readouterr().err
+        assert not (out / "predictions.jsonl").exists()
 
     @pytest.mark.parametrize("section", ["lexicons", "label", "features", "budget", "evaluate"])
     def test_non_object_config_section_is_validation_error(self, bundle, tmp_path, capsys, section):

@@ -199,6 +199,11 @@ class TestParseCorpus:
         assert to_jsonl([]) == ""
         assert to_jsonl([{"b": 1, "a": "é"}, {}]) == '{"a": "é", "b": 1}\n{}\n'
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_to_jsonl_rejects_non_finite_numbers(self, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            to_jsonl([{"prob": value}])
+
     def test_round_trip_files(self, tmp_path):
         corpus = parse_corpus(io.StringIO(CORPUS_3DOCS))
         path = tmp_path / "corpus.jsonl"

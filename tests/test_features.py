@@ -5,7 +5,6 @@ import pytest
 
 from infosum.corpus import load_corpus, make_sentence, parse_corpus
 from infosum.features import (
-    EmptySentenceError,
     FeatureExtractor,
     LayoutMismatchError,
     bow_layout,
@@ -41,7 +40,7 @@ CATS = load_category_lexicon(
 )
 
 
-def reference_values(layout, scored, category, sentence, zero_when_wordless):
+def reference_values(layout, scored, category, sentence):
     """The per-word loops FeatureExtractor replaced, kept as its oracle."""
     words = sentence.words
     out = np.zeros(layout.total_dim)
@@ -51,8 +50,6 @@ def reference_values(layout, scored, category, sentence, zero_when_wordless):
             if word in index:
                 out[index[word]] += 1.0
         return out
-    if not words and not zero_when_wordless:
-        raise EmptySentenceError("sentence has no word tokens")
     pos = 0
     for lex in scored:
         for attr in lex.attributes:
@@ -105,9 +102,8 @@ class TestIntervalFractions:
         vec = scored_block(sent)
         assert vec[1] == pytest.approx(1.0)
 
-    def test_empty_sentence_error(self):
-        with pytest.raises(EmptySentenceError):
-            scored_block(make_sentence(0, "..."))
+    def test_wordless_sentence_is_zero(self):
+        assert scored_block(make_sentence(0, "...")).tolist() == [0.0] * 10
 
     def test_unknown_attribute(self):
         wider = load_scored_lexicon(
@@ -142,9 +138,8 @@ class TestCategoryHistogram:
         vec = category_block(make_sentence(0, "absurd alpha"))
         assert vec[CATS.categories.index("NEG")] == pytest.approx(1.0)
 
-    def test_empty_sentence_error(self):
-        with pytest.raises(EmptySentenceError):
-            category_block(make_sentence(0, "!!"))
+    def test_wordless_sentence_is_zero(self):
+        assert category_block(make_sentence(0, "!!")).tolist() == [0.0] * 2
 
 
 class TestGeneralFeatures:
@@ -285,16 +280,13 @@ class TestExtractFeatures:
         with pytest.raises(LayoutMismatchError):
             FeatureExtractor(layout, [other], [CATS])
 
-    def test_extract_propagates_empty_sentence(self):
-        layout = dictionary_layout([SCORED], [CATS])
-        ex = FeatureExtractor(layout, [SCORED], [CATS])
-        with pytest.raises(EmptySentenceError):
-            ex.extract(make_sentence(0, "..."))
+    def test_extract_or_zero_is_extract(self):
+        assert FeatureExtractor.extract_or_zero is FeatureExtractor.extract
 
-    def test_extract_or_zero_keeps_general_block(self):
+    def test_wordless_sentence_keeps_general_block(self):
         layout = dictionary_layout([SCORED], [CATS])
         ex = FeatureExtractor(layout, [SCORED], [CATS])
-        vec = ex.extract_or_zero(make_sentence(0, "..."))
+        vec = ex.extract(make_sentence(0, "..."))
         assert vec[:12].sum() == 0.0
         assert vec[12] == 1.0  # one punctuation token
 
@@ -356,16 +348,7 @@ HAND_SENTENCES = [
 def assert_matches_reference(layout, scored, category, sentences):
     ex = FeatureExtractor(layout, scored, category)
     for sent in sentences:
-        assert np.array_equal(
-            ex.extract_or_zero(sent), reference_values(layout, scored, category, sent, True)
-        ), sent.text
-        try:
-            want = reference_values(layout, scored, category, sent, False)
-        except EmptySentenceError:
-            with pytest.raises(EmptySentenceError):
-                ex.extract(sent)
-        else:
-            assert np.array_equal(ex.extract(sent), want), sent.text
+        assert np.array_equal(ex.extract(sent), reference_values(layout, scored, category, sent)), sent.text
 
 
 class TestMatchesReference:

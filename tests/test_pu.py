@@ -590,6 +590,33 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError, match="hash"):
             load_model(path)
 
+    @pytest.fixture(scope="class")
+    def model_text(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(trained_toy_model()[0], TOY_LAYOUT, path)
+        return path.read_text()
+
+    @pytest.mark.parametrize("field", [
+        "e", "stage1.weights", "stage1.bias", "svm.weights", "svm.bias", "calib.A", "calib.B",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_names_its_field(self, tmp_path, model_text, field, value):
+        import json
+
+        obj = json.loads(model_text)
+        *parents, key = field.split(".")
+        node = obj
+        for name in parents:
+            node = node[name]
+        if isinstance(node[key], list):
+            node[key][-1] = value
+        else:
+            node[key] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(obj))  # json writes NaN, Infinity and -Infinity
+        with pytest.raises(ModelFormatError, match=f"model field '{field}' holds NaN or an infinity"):
+            load_model(path)
+
 
 SCORED_V1 = "#scored mrc imagery imagery:0:100\nalpha\timagery\t10\nbeta\timagery\t90\n"
 SCORED_V2 = "#scored mrc imagery imagery:0:100\nalpha\timagery\t11\nbeta\timagery\t90\n"
