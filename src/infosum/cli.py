@@ -23,7 +23,7 @@ The rest is imported inside the command that uses it:
     label      nothing more (no numpy)
     train      lexicons, features, sparse, pu and numpy
     predict    lexicons, features, sparse, pu and numpy
-    summarize  numpy, for RandomRank only
+    summarize  nothing more (no numpy)
     evaluate   report, with metrics and numpy
     synth      synth and numpy
 
@@ -538,7 +538,12 @@ def cmd_summarize(cfg: RunConfig, only_system: str | None = None) -> int:
 
 def _evaluated_summaries(cfg: RunConfig, corpus: Corpus) -> dict[str, list[SummaryResult]]:
     """Each configured system's summaries of the test documents that have a
-    reference summary, in system order; a system with none is left out."""
+    reference summary, in system order; a system with none is left out.
+
+    A summary must select sentences of its document, and its word_total
+    must be their words, or fewer by cutting only the last one, to at least
+    one word (as lead_words cuts).
+    """
     referenced = {doc.doc_id: doc for doc in corpus if doc.summary is not None}
     summaries = {}
     for system in cfg.systems:
@@ -554,6 +559,14 @@ def _evaluated_summaries(cfg: RunConfig, corpus: Corpus) -> dict[str, list[Summa
                 raise ConfigError(
                     f"{path.name}: document {result.doc_id!r} selects sentences "
                     "the test corpus does not have"
+                )
+            lengths = [len(doc.sentences[i].words) for i in result.selected]
+            excess = sum(lengths) - result.word_total
+            if excess and not (lengths and 0 < excess < lengths[-1]):
+                raise ConfigError(
+                    f"{path.name}: document {result.doc_id!r} has word_total {result.word_total}, "
+                    f"but its selected sentences hold {sum(lengths)} words and only the last "
+                    "may be cut, to at least one word"
                 )
             kept.append(result)
         if kept:

@@ -2,14 +2,17 @@
 
 ROUGE here is the declared deterministic variant: lowercased word tokens,
 punctuation stripped, clipped n-gram counts within sentences, no stemming.
+`RougeTexts` numbers the words of many reference/candidate pairs once and
+counts every pair's n-grams with a few numpy sorts; `rouge_n` is its
+one-pair case.
 Tail probabilities come from the platform erfc; tests check them against a
 numerical integration oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,26 +50,68 @@ class TestResult:
     method: str
 
 
-def _ngram_counts(sentences: Sequence[Sentence], n: int) -> tuple[Counter, int]:
-    """Count of each n-gram within a sentence, and their total; Counter.update counts in C."""
-    counts: Counter = Counter()
-    for sent in sentences:
-        words = sent.words
-        counts.update(zip(*(words[i:] for i in range(n))))
-    return counts, sum(counts.values())
+class RougeTexts:
+    """Reference and candidate texts, paired by position, with every word as an integer id.
+
+    A text is a sequence of sentences. The words are numbered once, here;
+    `counts(n)` then finds every pair's n-gram counts in a few array passes.
+    """
+
+    def __init__(
+        self, references: Sequence[Sequence[Sentence]], candidates: Sequence[Sequence[Sentence]]
+    ) -> None:
+        if len(references) != len(candidates):
+            raise ValueError("references and candidates must pair up")
+        self.pairs = len(references)
+        words: list[str] = []
+        lengths: list[int] = []
+        owners: list[int] = []  # text of each sentence: reference i is i, its candidate pairs + i
+        for owner, text in enumerate(itertools.chain(references, candidates)):
+            for sent in text:
+                words += sent.words
+                lengths.append(len(sent.words))
+                owners.append(owner)
+        vocab = {word: i for i, word in enumerate(dict.fromkeys(words))}
+        self.ids = np.fromiter(map(vocab.__getitem__, words), dtype=np.int64, count=len(words))
+        self.vocab_size = len(vocab)
+        lengths_arr = np.array(lengths, dtype=np.int64)
+        self.owner = np.repeat(np.array(owners, dtype=np.int64), lengths_arr)
+        # Words from each word to the end of its sentence, itself included.
+        self.room = np.repeat(np.cumsum(lengths_arr), lengths_arr) - np.arange(len(words))
+
+    def counts(self, n: int) -> tuple[list[int], list[int], list[int]]:
+        """Each pair's clipped n-gram overlap, reference n-grams and candidate n-grams.
+
+        An n-gram lies within one sentence, and the overlap counts each
+        n-gram min(reference count, candidate count) times.
+        """
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        starts = np.flatnonzero(self.room >= n)
+        code = self.ids[starts]
+        for k in range(1, n):  # number the distinct (k+1)-grams from the k-grams
+            code = np.unique(code * self.vocab_size + self.ids[starts + k], return_inverse=True)[1]
+        width = int(code.max()) + 1 if len(code) else 1
+        owner = self.owner[starts]
+        keys, counts = np.unique(owner * width + code, return_counts=True)
+        split = np.searchsorted(keys, self.pairs * width)
+        shared, in_ref, in_cand = np.intersect1d(
+            keys[:split], keys[split:] - self.pairs * width, assume_unique=True, return_indices=True
+        )
+        clipped = np.minimum(counts[:split][in_ref], counts[split:][in_cand])
+        overlap = np.bincount(shared // width, weights=clipped, minlength=self.pairs)
+        totals = np.bincount(owner, minlength=2 * self.pairs)
+        return (
+            overlap.astype(np.int64).tolist(),
+            totals[: self.pairs].tolist(),
+            totals[self.pairs :].tolist(),
+        )
 
 
-def rouge_n(
-    reference: Sequence[Sentence], candidate: Sequence[Sentence], n: int
-) -> RougeScore:
-    """Clipped n-gram overlap; n-grams do not cross sentence boundaries."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ref_counts, ref_total = _ngram_counts(reference, n)
-    cand_counts, cand_total = _ngram_counts(candidate, n)
-    overlap = sum(min(c, cand_counts[g]) for g, c in ref_counts.items() if g in cand_counts)
-    recall = overlap / ref_total if ref_total else 0.0
-    precision = overlap / cand_total if cand_total else 0.0
+def rouge_score(n: int, overlap: int, ref_count: int, cand_count: int) -> RougeScore:
+    """Recall, precision and F1 of an overlap; each is 0.0 where its denominator is 0."""
+    recall = overlap / ref_count if ref_count else 0.0
+    precision = overlap / cand_count if cand_count else 0.0
     f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
     return RougeScore(
         n=n,
@@ -74,9 +119,17 @@ def rouge_n(
         precision=precision,
         f1=f1,
         overlap_count=overlap,
-        ref_count=ref_total,
-        cand_count=cand_total,
+        ref_count=ref_count,
+        cand_count=cand_count,
     )
+
+
+def rouge_n(
+    reference: Sequence[Sentence], candidate: Sequence[Sentence], n: int
+) -> RougeScore:
+    """Clipped n-gram overlap of one pair; n-grams do not cross sentence boundaries."""
+    overlap, ref_counts, cand_counts = RougeTexts([reference], [candidate]).counts(n)
+    return rouge_score(n, overlap[0], ref_counts[0], cand_counts[0])
 
 
 def f1_score(precision: float, recall: float) -> float:

@@ -475,13 +475,18 @@ def model_from_json(obj: dict) -> tuple[PUModel, FeatureLayout]:
         svm_w = _finite(obj["svm"]["weights"], "svm.weights")
         if len(stage1.weights) != layout.total_dim or len(svm_w) != layout.total_dim:
             raise ModelFormatError("weight vector length does not match the layout")
+        e, seed = obj["e"], obj["seed"]
+        if type(e) not in (int, float) or not 0 < _finite(e, "e") <= 1:
+            raise ModelFormatError(f"model field 'e' must be a number in (0, 1], not {e!r}")
+        if type(seed) is not int or seed < 0:
+            raise ModelFormatError(f"model field 'seed' must be an integer >= 0, not {seed!r}")
         return PUModel(
             stage1=stage1,
-            e=_finite(obj["e"], "e"),
+            e=float(e),
             svm_weights=svm_w,
             svm_bias=_finite(obj["svm"]["bias"], "svm.bias"),
             calib=(_finite(obj["calib"]["A"], "calib.A"), _finite(obj["calib"]["B"], "calib.B")),
-            seed=int(obj["seed"]),
+            seed=seed,
         ), layout
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ModelFormatError):

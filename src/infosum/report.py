@@ -3,6 +3,9 @@
 `infosum evaluate` reads and checks its inputs, then builds report.json
 from these sections and report.txt with `render_table`. Only evaluate
 imports this module, so no other command loads `metrics` or compiles it.
+The ROUGE section counts all of a system's summaries in one pass per
+order; the scores and their means are the same floats that per-pair
+`metrics.rouge_n` calls give.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .metrics import mcnemar, prf, rouge_n, wilcoxon_signed_rank
+from .metrics import RougeScore, RougeTexts, mcnemar, prf, rouge_score, wilcoxon_signed_rank
 from .summarize import SummaryResult, summary_sentences
 
 SentenceLabels = Mapping[tuple[str, int], tuple[int, float | None]]
+ROUGE_STATS = ("recall", "precision", "f1")
 
 
 def classification_section(gold: SentenceLabels, preds: SentenceLabels) -> dict:
@@ -56,33 +60,35 @@ def rouge_section(corpus: Corpus, summaries: Mapping[str, Sequence[SummaryResult
     documents' reference summaries, for each n in `orders`.
 
     `summaries` maps each system to its summaries of documents that have a
-    reference summary; the report keeps its system order.
+    reference summary; the report keeps its system order. A system's
+    summaries are the pairs of one `RougeTexts`, counted in one pass per n.
     """
     rouge: dict = {}
     for system, results in summaries.items():
-        per_doc: dict[str, dict] = {}
-        for result in results:
-            doc = corpus.document(result.doc_id)
-            cand = summary_sentences(doc, result)
-            scores = {}
-            for n in orders:
-                sc = rouge_n(list(doc.summary), cand, n)
-                scores[f"r{n}"] = {
-                    "recall": sc.recall,
-                    "precision": sc.precision,
-                    "f1": sc.f1,
-                }
-            per_doc[result.doc_id] = scores
+        docs = [corpus.document(result.doc_id) for result in results]
+        texts = RougeTexts(
+            [doc.summary for doc in docs],
+            [summary_sentences(doc, result) for doc, result in zip(docs, results)],
+        )
+        counts = {n: list(zip(*texts.counts(n))) for n in orders}
+        per_doc = {
+            result.doc_id: {f"r{n}": _stats(rouge_score(n, *counts[n][i])) for n in orders}
+            for i, result in enumerate(results)
+        }
         means = {}
         for n in orders:
             key = f"r{n}"
             doc_ids = sorted(per_doc)
             means[key] = {
                 stat: float(np.mean([per_doc[d][key][stat] for d in doc_ids]))
-                for stat in ("recall", "precision", "f1")
+                for stat in ROUGE_STATS
             }
         rouge[system] = {"n_docs": len(per_doc), "mean": means, "per_doc": per_doc}
     return rouge
+
+
+def _stats(score: RougeScore) -> dict[str, float]:
+    return {stat: getattr(score, stat) for stat in ROUGE_STATS}
 
 
 def wilcoxon_section(rouge: dict, orders) -> list[dict]:

@@ -51,14 +51,15 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-# What each command must leave unimported: label needs no numpy, only train
-# and predict read lexicons and run the learner, and only evaluate scores ROUGE.
+# What each command must leave unimported: label and summarize need no numpy,
+# only train and predict read lexicons and run the learner, and only evaluate
+# scores ROUGE.
 LEARNER = ("infosum.lexicons", "infosum.features", "infosum.pu", "infosum.sparse")
 NOT_LOADED = {
     "label": ("numpy", *LEARNER, "infosum.metrics", "infosum.synth"),
     "train": ("infosum.metrics", "infosum.synth"),
     "predict": ("infosum.metrics", "infosum.synth"),
-    "summarize": (*LEARNER, "infosum.synth"),
+    "summarize": ("numpy", *LEARNER, "infosum.metrics", "infosum.synth"),
     "evaluate": (*LEARNER, "infosum.synth"),
 }
 
@@ -498,6 +499,33 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         assert "selects sentences" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("word_total", ["zero", "all but the last sentence", "too many", "negative"])
+    def test_impossible_word_total_exits_2_naming_file_and_document(
+        self, bundle, pipeline, tmp_path, capsys, word_total
+    ):
+        """A summary's word_total must come from cutting its last sentence to one word or more."""
+        from infosum.corpus import load_corpus
+
+        _, run_dir = pipeline
+        out = tmp_path / "badtotal"
+        out.mkdir()
+        rec = json.loads((run_dir / "summaries_leadwords.jsonl").read_text().splitlines()[0])
+        doc = load_corpus(bundle["test_corpus"]).document(rec["doc_id"])
+        lengths = [len(doc.sentences[i].words) for i in rec["selected"]]
+        rec["word_total"] = {
+            "zero": 0,
+            "all but the last sentence": sum(lengths) - lengths[-1],
+            "too many": 5000,
+            "negative": -3,
+        }[word_total]
+        (out / "summaries_leadwords.jsonl").write_text(json.dumps(rec) + "\n")
+        code = main(["evaluate", "-c", bundle["config"], "--out-dir", str(out),
+                     "--set", 'systems=["leadwords"]'])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"summaries_leadwords.jsonl: document {rec['doc_id']!r} has word_total {rec['word_total']}" in err
+        assert not (out / "report.json").exists()
+
     def test_non_finite_lexicon_score_is_validation_error(self, bundle, pipeline, tmp_path, capsys):
         _, run_dir = pipeline
         out = tmp_path / "nanlex"
@@ -579,6 +607,27 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["predict", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
         assert "model field 'calib.A' holds NaN or an infinity" in capsys.readouterr().err
+        assert not (out / "predictions.jsonl").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", 3.9, "model field 'seed' must be an integer >= 0, not 3.9"),
+        ("seed", "3", "model field 'seed' must be an integer >= 0, not '3'"),
+        ("seed", True, "model field 'seed' must be an integer >= 0, not True"),
+        ("seed", -1, "model field 'seed' must be an integer >= 0, not -1"),
+        ("e", 7.5, "model field 'e' must be a number in (0, 1], not 7.5"),
+        ("e", 0, "model field 'e' must be a number in (0, 1], not 0"),
+        ("e", True, "model field 'e' must be a number in (0, 1], not True"),
+    ])
+    def test_bad_seed_or_e_exits_2_naming_field(self, bundle, pipeline, tmp_path, capsys, field, value, message):
+        _, run_dir = pipeline
+        out = tmp_path / "badfield"
+        out.mkdir()
+        model = json.loads((run_dir / "model.json").read_text())
+        model[field] = value
+        (out / "model.json").write_text(json.dumps(model))
+        capsys.readouterr()
+        assert main(["predict", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
         assert not (out / "predictions.jsonl").exists()
 
     @pytest.mark.parametrize("section", ["lexicons", "label", "features", "budget", "evaluate"])

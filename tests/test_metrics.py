@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import integrate
 
-from infosum.corpus import make_sentence
+from infosum.corpus import build_document, make_sentence
 from infosum.metrics import (
-    _ngram_counts,
+    RougeTexts,
     chi2_sf_1df,
     f1_score,
     mcnemar,
@@ -18,6 +18,7 @@ from infosum.metrics import (
     rouge_n,
     wilcoxon_signed_rank,
 )
+from infosum.summarize import SummaryResult, summary_sentences
 
 
 def sents(*texts):
@@ -51,21 +52,72 @@ def loop_ngram_counts(sentences, n):
     return counts, total
 
 
-@given(
-    st.lists(st.lists(st.sampled_from(["a", "b", "cc", "d", "."]), max_size=7), max_size=5),
-    st.integers(1, 3),
-)
-@example([], 1)
-@example([[]], 2)
-@example([["a"]], 1)
-@example([["a"], ["b", "a"], []], 2)
-@example([["a", "b", "a"]], 3)
-def test_ngram_counts_equal_the_loop(word_lists, n):
-    sentences = sents(*(" ".join(words) for words in word_lists))
-    counts, total = _ngram_counts(sentences, n)
-    ref_counts, ref_total = loop_ngram_counts(sentences, n)
-    assert counts == ref_counts and list(counts) == list(ref_counts)
-    assert total == ref_total
+WORD_LISTS = st.lists(st.lists(st.sampled_from(["a", "b", "cc", "d", "."]), max_size=7), max_size=5)
+
+
+@given(WORD_LISTS, WORD_LISTS, st.integers(1, 3))
+@example([], [], 1)
+@example([[]], [["a"]], 2)
+@example([["a"]], [["a"]], 1)
+@example([["a"], ["b", "a"], []], [["b", "a", "b", "a"]], 2)
+@example([["a", "b", "a"]], [["a", "b", "a"], ["a", "b", "a"]], 3)
+def test_rouge_counts_equal_the_loop(ref_lists, cand_lists, n):
+    """The bulk counter against per-position loops: Counter totals, clipped by `&`."""
+    reference = sents(*(" ".join(words) for words in ref_lists))
+    candidate = sents(*(" ".join(words) for words in cand_lists))
+    overlap, ref_total, cand_total = RougeTexts([reference], [candidate]).counts(n)
+    ref_counts, ref_loop_total = loop_ngram_counts(reference, n)
+    cand_counts, cand_loop_total = loop_ngram_counts(candidate, n)
+    assert overlap == [sum((ref_counts & cand_counts).values())]
+    assert (ref_total, cand_total) == ([ref_loop_total], [cand_loop_total])
+
+
+class TestRougeTexts:
+    def random_pairs(self, seed):
+        """Pairs over a small vocabulary: empty references, sentences shorter than
+        4 words, and candidates cut as lead_words cuts them."""
+        rng = np.random.default_rng(seed)
+        vocab = [f"w{i}" for i in range(6)] + ["W0", "!"]
+
+        def text(max_sentences):
+            return [
+                " ".join(rng.choice(vocab, size=rng.integers(0, 9)))
+                for _ in range(rng.integers(0, max_sentences + 1))
+            ]
+
+        pairs, cuts = [], 0
+        for i in range(60):
+            doc = build_document(f"d{i}", "", text(5) or ["w1"])
+            reference = sents(*text(3))
+            selected = tuple(sorted({int(j) for j in rng.choice(len(doc.sentences), size=rng.integers(0, 4))}))
+            words = sum(len(doc.sentences[j].words) for j in selected)
+            last = len(doc.sentences[selected[-1]].words) if selected else 0
+            cut = int(rng.integers(0, last)) if last > 1 else 0
+            cuts += cut > 0
+            result = SummaryResult(f"d{i}", "leadwords", selected, (), "", words - cut)
+            pairs.append((reference, summary_sentences(doc, result)))
+        return pairs, cuts
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_brute_force_oracle(self, n):
+        pairs, cuts = self.random_pairs(seed=n)
+        assert cuts and any(not ref for ref, _ in pairs)
+        assert any(0 < len(s.words) < n for _, cand in pairs for s in cand) or n == 1
+        texts = RougeTexts([ref for ref, _ in pairs], [cand for _, cand in pairs])
+        got = list(zip(*texts.counts(n)))
+        assert got == [brute_force_rouge_counts(ref, cand, n) for ref, cand in pairs]
+
+    def test_counts_are_python_ints(self):
+        texts = RougeTexts([sents("a b a")], [sents("a a")])
+        assert texts.counts(1) == ([2], [3], [2])
+        assert all(type(c) is int for column in texts.counts(2) for c in column)
+
+    def test_no_pairs(self):
+        assert RougeTexts([], []).counts(2) == ([], [], [])
+
+    def test_references_and_candidates_must_pair_up(self):
+        with pytest.raises(ValueError, match="pair up"):
+            RougeTexts([sents("a")], [])
 
 
 class TestRouge:
