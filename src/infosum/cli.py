@@ -39,15 +39,11 @@ input file that does not parse (bytes that are not UTF-8, bad JSON, a bad
 field) is a validation error named by file kind and line, and so is a
 labels file without both positive and unlabeled sentences.
 
-The config accepts only the keys that `RunConfig` and its sections, one
-frozen dataclass per JSON object, declare. A field's type hint is the JSON
-type its key takes (a tuple is a list, a Literal a set of choices), its
-default the value of an absent key, and a section's __post_init__ checks
-ranges, each message starting with the field's name. An unknown key at any
-depth, a section that is not an object, a value of the wrong JSON type
-(numeric strings are not converted) or one out of its range is a
-ConfigError naming the dotted key, raised when the config is loaded; every
-config error exits 2.
+The config is `RunConfig`, one frozen dataclass per JSON object, read by
+the decoder of every record (`corpus.decode`; its rule is in the `corpus`
+docstring). An unknown key at any depth, a value of the wrong JSON type or
+one out of its range is a ConfigError naming the dotted key, raised when
+the config is loaded; every config error exits 2.
 """
 
 from __future__ import annotations
@@ -56,16 +52,16 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Literal, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Literal
 
 from .constants import DEFAULT_BINS, FEATURE_MODES, L2, MODE_BOW, MODE_DICTIONARY
 from .corpus import (
     Corpus,
     InputFormatError,
     compute_idf,
-    json_int,
+    decode,
     load_corpus,
     read_json,
     read_jsonl,
@@ -199,64 +195,16 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        return _resolve(cls, raw, "")
+        try:
+            return decode(cls, raw, "config")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def label_config(self) -> LabelConfig:
         return LabelConfig(self.label.t_pos, self.label.t_unl, self.label.balance_ratio, self.seed)
 
     def path(self, name: str) -> Path:
         return Path(self.out_dir) / name
-
-
-def _resolve(cls, raw, where: str):
-    """The `cls` instance that the JSON object `raw` at dotted key `where` declares."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config section {where!r} must be an object")
-    prefix = f"{where}." if where else ""
-    names = [f.name for f in fields(cls)]
-    for key in raw:
-        if key not in names:
-            raise ConfigError(
-                f"unknown config key {prefix + key!r}; {where or 'the config'} takes {', '.join(names)}"
-            )
-    hints = get_type_hints(cls)
-    values = {}
-    for f in fields(cls):
-        if f.name in raw:
-            values[f.name] = _typed(hints[f.name], raw[f.name], prefix + f.name)
-        elif f.default is MISSING:
-            raise ConfigError(f"config field {prefix + f.name!r} is mandatory")
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"config key {prefix}{exc}") from None
-
-
-def _typed(hint, value, key: str):
-    """`value` as the type `hint` of config key `key`, or a ConfigError."""
-    if is_dataclass(hint):
-        return _resolve(hint, value, key)
-    args = get_args(hint)
-    if type(None) in args:
-        if value is None:
-            return None
-        (hint,) = (a for a in args if a is not type(None))
-        args = get_args(hint)
-    if get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            raise ConfigError(f"config key {key!r} must be a list, not {value!r}")
-        return tuple(_typed(args[0], v, key) for v in value)
-    if get_origin(hint) is Literal:
-        ok, want = value in args, f"one of {', '.join(map(repr, args))}"
-    elif hint is float:
-        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
-        want = "a finite number"
-        value = float(value) if ok else value
-    else:
-        ok, want = type(value) is hint, f"of type {hint.__name__}"
-    if not ok:
-        raise ConfigError(f"config key {key!r} must be {want}, not {value!r}")
-    return value
 
 
 def _require_file(path: str | None, what: str) -> Path:
@@ -302,39 +250,54 @@ def _write_resolved_config(cfg: RunConfig, command: str) -> None:
     (out / f"resolved_config.{command}.json").write_text(payload, encoding="utf-8")
 
 
-def _read_extracts(path: Path) -> dict[str, list[list[int]]]:
-    def parse(rec):
-        return rec["doc_id"], [[json_int(i, "extract id") for i in ext] for ext in rec["extracts"]]
+@dataclass(frozen=True)
+class Extracts:
+    """An extracts line: the human extracts of a training document, each a list of sentence ids."""
 
-    return dict(read_jsonl(path, "extracts", parse))
+    doc_id: str
+    extracts: tuple[tuple[int, ...], ...]
 
 
-def _read_sentence_labels(path: Path, kind: str) -> dict[tuple[str, int], tuple[int, float | None]]:
-    """(label, prob) per (doc_id, sentence_id), in file order, from predictions or gold labels.
+@dataclass(frozen=True)
+class SentenceLabel:
+    """A gold labels line: the 0/1 label of a test sentence."""
 
-    A label is 0 or 1. A prediction's prob is a finite number in [0, 1] and
-    its label is `int(prob >= 0.5)`, as predict writes it; gold labels carry
-    no prob (None). A repeated (doc_id, sentence_id) is an error.
-    """
+    doc_id: str
+    sentence_id: int
+    label: int
+
+    def __post_init__(self) -> None:
+        if self.label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, not {self.label}")
+
+
+@dataclass(frozen=True)
+class Prediction(SentenceLabel):
+    """A predictions line: prob in [0, 1] and label `int(prob >= 0.5)`, as predict writes them."""
+
+    prob: float
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not 0.0 <= self.prob <= 1.0:
+            raise ValueError(f"prob must be a number in [0, 1], not {self.prob!r}")
+        if self.label != int(self.prob >= 0.5):
+            raise ValueError(f"label {self.label} disagrees with prob {self.prob!r}: label must be int(prob >= 0.5)")
+
+
+def _read_sentence_labels(path: Path, kind: str) -> dict[tuple[str, int], SentenceLabel]:
+    """Each record of a predictions file (a Prediction) or a gold labels file (a
+    SentenceLabel) by its (doc_id, sentence_id), in file order; a repeat is an error."""
+    cls = Prediction if kind == "predictions" else SentenceLabel
     seen: set[tuple[str, int]] = set()
 
     def parse(rec):
-        key = (rec["doc_id"], json_int(rec["sentence_id"], "sentence_id"))
-        label = json_int(rec["label"], "label")
-        if label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, not {label}")
-        prob = None
-        if kind == "predictions":
-            prob = rec["prob"]
-            if type(prob) not in (int, float) or not 0.0 <= prob <= 1.0:  # a nan fails the range
-                raise ValueError(f"prob must be a number in [0, 1], not {prob!r}")
-            prob = float(prob)
-            if label != int(prob >= 0.5):
-                raise ValueError(f"label {label} disagrees with prob {prob!r}: label must be int(prob >= 0.5)")
+        record = decode(cls, rec)
+        key = (record.doc_id, record.sentence_id)
         if key in seen:
             raise ValueError(f"sentence {key[1]} of document {key[0]!r} appears twice")
         seen.add(key)
-        return key, (label, prob)
+        return key, record
 
     return dict(read_jsonl(path, kind, parse))
 
@@ -344,7 +307,8 @@ def compute_labels(cfg: RunConfig, corpus: Corpus):
     label_cfg = cfg.label_config()
     labels = []
     if cfg.label.mode == "extract":
-        extracts = _read_extracts(_require_file(cfg.label.extracts, "extracts file"))
+        path = _require_file(cfg.label.extracts, "extracts file")
+        extracts = {r.doc_id: r.extracts for r in read_jsonl(path, "extracts", lambda rec: decode(Extracts, rec))}
         for doc in corpus:
             try:
                 labels.extend(label_by_extract(doc, extracts.get(doc.doc_id, [])))
@@ -499,20 +463,19 @@ def _test_probs(cfg: RunConfig, corpus: Corpus) -> list[list[float]]:
                 raise ConfigError(
                     f"predictions lack sentence {sent.id} of document {doc.doc_id!r}; run predict again"
                 )
-            row.append(pred[1])
+            row.append(pred.prob)
         probs.append(row)
     return probs
 
 
-def cmd_summarize(cfg: RunConfig, only_system: str | None = None) -> int:
+def cmd_summarize(cfg: RunConfig) -> int:
     corpus = load_corpus(_require_file(cfg.test_corpus, "test corpus"))
-    systems = (only_system,) if only_system else cfg.systems
     probs: list[list[float]] = []
-    if any(s in (INFORANK, INFOFILTER) for s in systems):
+    if any(s in (INFORANK, INFOFILTER) for s in cfg.systems):
         probs = _test_probs(cfg, corpus)
     whole = replace(cfg.budget, mode=WHOLE_SENTENCE)
     _write_resolved_config(cfg, "summarize")
-    for system in systems:
+    for system in cfg.systems:
         results = []
         for di, doc in enumerate(corpus):
             if system == LEADWORDS:
@@ -538,22 +501,28 @@ def cmd_summarize(cfg: RunConfig, only_system: str | None = None) -> int:
 
 def _evaluated_summaries(cfg: RunConfig, corpus: Corpus) -> dict[str, list[SummaryResult]]:
     """Each configured system's summaries of the test documents that have a
-    reference summary, in system order; a system with none is left out.
+    reference summary, in system order; a system with no file is left out.
 
-    A summary must select sentences of its document, and its word_total
-    must be their words, or fewer by cutting only the last one, to at least
-    one word (as lead_words cuts).
+    A file summarizes exactly the test documents. A summary must select
+    sentences of its document, and its word_total must be their words, or
+    fewer by cutting only the last one, to at least one word (as lead_words
+    cuts).
     """
-    referenced = {doc.doc_id: doc for doc in corpus if doc.summary is not None}
+    documents = {doc.doc_id: doc for doc in corpus}
     summaries = {}
     for system in cfg.systems:
         path = cfg.path(f"summaries_{system}.jsonl")
         if not path.is_file():
             continue
+        results = read_summaries(path, system)
         kept = []
-        for result in read_summaries(path, system):
-            doc = referenced.get(result.doc_id)
+        for result in results:
+            doc = documents.get(result.doc_id)
             if doc is None:
+                raise ConfigError(
+                    f"{path.name}: document {result.doc_id!r} is not in the test corpus; run summarize again"
+                )
+            if doc.summary is None:
                 continue
             if not all(0 <= i < len(doc.sentences) for i in result.selected):
                 raise ConfigError(
@@ -569,6 +538,9 @@ def _evaluated_summaries(cfg: RunConfig, corpus: Corpus) -> dict[str, list[Summa
                     "may be cut, to at least one word"
                 )
             kept.append(result)
+        missing = documents.keys() - {result.doc_id for result in results}
+        if missing:
+            raise ConfigError(f"{path.name} lacks test document {min(missing)!r}; run summarize again")
         if kept:
             summaries[system] = kept
     return summaries
@@ -647,8 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("label", help="produce weak PU labels"))
     add_common(sub.add_parser("train", help="train the two-stage detector"))
     add_common(sub.add_parser("predict", help="score test-corpus sentences"))
-    summ = add_common(sub.add_parser("summarize", help="run summarizers"))
-    summ.add_argument("--system", choices=SYSTEMS)
+    add_common(sub.add_parser("summarize", help="run summarizers"))
     add_common(sub.add_parser("evaluate", help="write evaluation report"))
     return parser
 
@@ -667,7 +638,7 @@ def main(argv=None) -> int:
         if args.command == "predict":
             return cmd_predict(cfg)
         if args.command == "summarize":
-            return cmd_summarize(cfg, getattr(args, "system", None))
+            return cmd_summarize(cfg)
         if args.command == "evaluate":
             return cmd_evaluate(cfg)
         raise ConfigError(f"unknown command {args.command!r}")

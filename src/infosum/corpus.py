@@ -22,6 +22,17 @@ UTF-8, a line ends at a line feed alone (U+2028, U+2029 and U+0085 are text,
 as `to_jsonl` writes them), and blank lines are skipped. Undecodable bytes,
 bad JSON and a bad field all raise InputFormatError naming the file kind and
 the 1-based line. Every JSONL artifact is written by `write_jsonl`.
+
+A JSON object becomes a record, a frozen dataclass, by one rule (`decode`):
+each field's type hint is its key's JSON type, exactly (a bool is not an
+int, a numeric string not a number). A float is finite (an int converts), a
+tuple a list, a Literal a set of choices, `X | None` also takes null, and a
+dataclass a nested object. An undeclared key or an absent field without a
+default is an error, __post_init__ checks what types cannot, and every
+message names the dotted field. The config, labels, extracts, predictions,
+gold labels, summaries and the model's layout are read so; the corpus reader
+(which ignores unknown fields) and the top level of `model.json` (which
+older files extend) check their own fields.
 """
 
 from __future__ import annotations
@@ -29,11 +40,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Literal, Sequence, TypeVar, get_args, get_origin, get_type_hints
 
 APOSTROPHES = ("'", "’")
 # Chunks the memo of `tokenize` holds. Full, it takes about 17 MB (measured
@@ -223,7 +235,7 @@ def read_json(path: str | Path, kind: str) -> dict:
 
 def parse_jsonl(lines: Iterable[tuple[int, str]], kind: str, parse: Callable[[dict], T]) -> list[T]:
     """`parse` applied to the JSON object on each numbered line; bad JSON, a
-    non-object line, or a missing or ill-typed field names `kind` and the line."""
+    non-object line, or a TypeError or ValueError of `parse` names `kind` and the line."""
     out: list[T] = []
     for lineno, line in lines:
         try:
@@ -231,8 +243,6 @@ def parse_jsonl(lines: Iterable[tuple[int, str]], kind: str, parse: Callable[[di
             if not isinstance(rec, dict):
                 raise TypeError("record must be a JSON object")
             out.append(parse(rec))
-        except KeyError as exc:
-            raise InputFormatError(f"{kind} line {lineno}: missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise InputFormatError(f"{kind} line {lineno}: {exc}") from exc
     return out
@@ -258,11 +268,75 @@ def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
     Path(path).write_text(to_jsonl(records), encoding="utf-8")
 
 
-def json_int(value, field: str) -> int:
-    """`value` if it is a JSON integer; a bool, float or string raises TypeError naming `field`."""
-    if type(value) is not int:
-        raise TypeError(f"{field} must be an integer, not {value!r}")
-    return value
+def decode(cls: type[T], value, noun: str = "record") -> T:
+    """The record `cls` that the JSON value `value` declares, by the rule in the module
+    docstring; a mismatch is a ValueError naming the dotted field as a `noun` key."""
+    return _checker(cls)(value, "", noun)
+
+
+@functools.cache
+def _checker(hint) -> Callable[[object, str, str], object]:
+    """The check of a JSON value at a dotted key against the type `hint`, which returns it typed."""
+    if is_dataclass(hint):
+        return _record_checker(hint)
+    args = get_args(hint)
+    if type(None) in args:
+        check = _checker(next(a for a in args if a is not type(None)))
+        return lambda value, key, noun: None if value is None else check(value, key, noun)
+    if get_origin(hint) is tuple:
+        check = _checker(args[0])
+
+        def check_list(value, key, noun):
+            if type(value) not in (list, tuple):  # a tuple where `asdict` left one
+                raise ValueError(f"{noun} key {key!r} must be a list, not {value!r}")
+            return tuple([check(v, key, noun) for v in value])
+
+        return check_list
+    if get_origin(hint) is Literal:
+        types, want = {type(a) for a in args}, f"one of {', '.join(map(repr, args))}"
+
+        def check_value(value, key, noun):
+            if type(value) in types and value in args:
+                return value
+            raise ValueError(f"{noun} key {key!r} must be {want}, not {value!r}")
+    elif hint is float:
+        def check_value(value, key, noun):
+            if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+                return float(value)
+            raise ValueError(f"{noun} key {key!r} must be a finite number, not {value!r}")
+    else:
+        def check_value(value, key, noun):
+            if type(value) is hint:
+                return value
+            raise ValueError(f"{noun} key {key!r} must be of type {hint.__name__}, not {value!r}")
+    return check_value
+
+
+def _record_checker(cls) -> Callable[[object, str, str], object]:
+    hints = get_type_hints(cls)
+    specs = [(f.name, _checker(hints[f.name]), f.default is MISSING) for f in fields(cls)]
+    names = frozenset(name for name, _, _ in specs)
+    takes = ", ".join(name for name, _, _ in specs)
+
+    def check_record(value, key, noun):
+        if not isinstance(value, dict):
+            raise ValueError(f"{noun} section {key!r} must be an object" if key else f"{noun} must be a JSON object")
+        prefix = f"{key}." if key else ""
+        if not names.issuperset(value):
+            unknown = next(k for k in value if k not in names)
+            raise ValueError(f"unknown {noun} key {prefix + unknown!r}; {key or 'the ' + noun} takes {takes}")
+        kwargs = {}
+        for name, check, mandatory in specs:  # a loop: a comprehension is slower here on Python 3.11
+            if name in value:
+                kwargs[name] = check(value[name], prefix + name, noun)
+            elif mandatory:
+                raise ValueError(f"{noun} field {prefix + name!r} is mandatory")
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{prefix}{exc}") from None
+
+    return check_record
 
 
 def _is_strings(value) -> bool:

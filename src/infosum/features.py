@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass
+from typing import Literal, Sequence
 
 import numpy as np
 
-from .constants import MODE_BOW, MODE_DICTIONARY, MODE_DICTIONARY_NO_GENERAL
-from .corpus import Corpus, InputFormatError, Sentence, document_frequencies
+from .constants import FEATURE_MODES, MODE_BOW, MODE_DICTIONARY, MODE_DICTIONARY_NO_GENERAL
+from .corpus import Corpus, InputFormatError, Sentence, decode, document_frequencies
 from .lexicons import CategoryLexicon, LexiconFormatError, ScoredLexicon, bin_index
 
 GENERAL_WIDTH = 6
@@ -80,13 +80,32 @@ class CategorySpec:
 
 @dataclass(frozen=True)
 class FeatureLayout:
-    mode: str
+    mode: Literal[FEATURE_MODES]
     blocks: tuple[Block, ...]
     total_dim: int
     scored: tuple[ScoredSpec, ...] = ()
     category: tuple[CategorySpec, ...] = ()
     general_width: int = 0
     vocab: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        offset = 0
+        for block in self.blocks:
+            if block.offset != offset or block.width < 0:
+                raise ValueError(f"layout block {block.name!r} must start at offset {offset} with a width >= 0")
+            offset += block.width
+        if self.total_dim != offset:
+            raise ValueError(f"layout total_dim must be {offset}, the sum of its block widths, not {self.total_dim}")
+        general = GENERAL_WIDTH if self.mode == MODE_DICTIONARY else 0
+        if self.general_width != general:
+            raise ValueError(f"layout general_width must be {general} in {self.mode} mode, not {self.general_width}")
+        if self.mode != MODE_BOW:
+            if self.vocab is not None:
+                raise ValueError(f"a {self.mode} layout holds no vocabulary")
+        elif self.vocab is None or len(self.vocab) != self.total_dim:
+            raise ValueError(f"a bow layout holds total_dim ({self.total_dim}) vocabulary words")
+        elif len(set(self.vocab)) != len(self.vocab):
+            raise ValueError("bow vocabulary contains duplicates")
 
 
 def dictionary_layout(
@@ -132,8 +151,6 @@ def dictionary_layout(
 
 
 def bow_layout(vocab: Sequence[str]) -> FeatureLayout:
-    if len(set(vocab)) != len(vocab):
-        raise ValueError("bow vocabulary contains duplicates")
     return FeatureLayout(
         mode=MODE_BOW,
         blocks=(Block("bow", 0, len(vocab)),),
@@ -149,53 +166,16 @@ def bow_vocabulary(corpus: Corpus, min_df: int = 2) -> tuple[str, ...]:
 
 
 def layout_to_json(layout: FeatureLayout) -> dict:
-    return {
-        "version": LAYOUT_VERSION,
-        "mode": layout.mode,
-        "blocks": [
-            {"name": b.name, "offset": b.offset, "width": b.width} for b in layout.blocks
-        ],
-        "total_dim": layout.total_dim,
-        "scored": [
-            {
-                "name": s.name,
-                "attributes": list(s.attributes),
-                "bins": s.bins,
-                "content_hash": s.content_hash,
-            }
-            for s in layout.scored
-        ],
-        "category": [
-            {
-                "name": c.name,
-                "categories": list(c.categories),
-                "content_hash": c.content_hash,
-            }
-            for c in layout.category
-        ],
-        "general_width": layout.general_width,
-        "vocab": list(layout.vocab) if layout.vocab is not None else None,
-    }
+    return {"version": LAYOUT_VERSION, **asdict(layout)}
 
 
 def layout_from_json(obj: dict) -> FeatureLayout:
-    if obj.get("version") != LAYOUT_VERSION:
-        raise LayoutMismatchError(f"unsupported layout version {obj.get('version')!r}")
-    return FeatureLayout(
-        mode=obj["mode"],
-        blocks=tuple(Block(b["name"], b["offset"], b["width"]) for b in obj["blocks"]),
-        total_dim=obj["total_dim"],
-        scored=tuple(
-            ScoredSpec(s["name"], tuple(s["attributes"]), s["bins"], s["content_hash"])
-            for s in obj["scored"]
-        ),
-        category=tuple(
-            CategorySpec(c["name"], tuple(c["categories"]), c["content_hash"])
-            for c in obj["category"]
-        ),
-        general_width=obj["general_width"],
-        vocab=tuple(obj["vocab"]) if obj.get("vocab") is not None else None,
-    )
+    """The layout that `layout_to_json` gave `obj`; a bad field raises ValueError naming it."""
+    body = {**obj}
+    version = body.pop("version", None)
+    if version != LAYOUT_VERSION:
+        raise LayoutMismatchError(f"unsupported layout version {version!r}")
+    return decode(FeatureLayout, body, "layout")
 
 
 def layout_hash(layout: FeatureLayout) -> str:
@@ -217,7 +197,6 @@ class FeatureExtractor:
         self._category: list[CategoryLexicon] = []
         self._columns: dict[str, tuple[int, ...]] = {}
         if layout.mode == MODE_BOW:
-            assert layout.vocab is not None
             self._columns = {w: (i,) for i, w in enumerate(layout.vocab)}
             return
         by_name_scored = {lex.name: lex for lex in scored_lexicons}

@@ -112,12 +112,11 @@ def rouge_score(n: int, overlap: int, ref_count: int, cand_count: int) -> RougeS
     """Recall, precision and F1 of an overlap; each is 0.0 where its denominator is 0."""
     recall = overlap / ref_count if ref_count else 0.0
     precision = overlap / cand_count if cand_count else 0.0
-    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
     return RougeScore(
         n=n,
         recall=recall,
         precision=precision,
-        f1=f1,
+        f1=f1_score(precision, recall),
         overlap_count=overlap,
         ref_count=ref_count,
         cand_count=cand_count,

@@ -11,7 +11,7 @@ order; the scores and their means are the same floats that per-pair
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -19,7 +19,10 @@ from .corpus import Corpus
 from .metrics import RougeScore, RougeTexts, mcnemar, prf, rouge_score, wilcoxon_signed_rank
 from .summarize import SummaryResult, summary_sentences
 
-SentenceLabels = Mapping[tuple[str, int], tuple[int, float | None]]
+if TYPE_CHECKING:
+    from .cli import SentenceLabel
+
+SentenceLabels = Mapping[tuple[str, int], "SentenceLabel"]
 ROUGE_STATS = ("recall", "precision", "f1")
 
 
@@ -27,8 +30,8 @@ def classification_section(gold: SentenceLabels, preds: SentenceLabels) -> dict:
     """Detector and all-positive baseline scores over the sentences both files label,
     and McNemar's test between the two."""
     keys = sorted(k for k in gold if k in preds)
-    truth = [gold[k][0] for k in keys]
-    model_pred = [preds[k][0] for k in keys]
+    truth = [gold[k].label for k in keys]
+    model_pred = [preds[k].label for k in keys]
     baseline_pred = [1] * len(keys)
 
     def report(pred):

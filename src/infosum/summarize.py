@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Literal, Sequence
 
-from .corpus import Document, Sentence, json_int, make_sentence, read_jsonl, word_count, write_jsonl
+from .corpus import Document, Sentence, decode, make_sentence, read_jsonl, word_count, write_jsonl
 
 WHOLE_SENTENCE = "whole-sentence"
 TRUNCATE_WORDS = "truncate-words"
@@ -34,13 +34,11 @@ SYSTEMS = (LEADWORDS, INFORANK, INFOFILTER, RANDOMRANK)
 @dataclass(frozen=True)
 class SummaryBudget:
     max_words: int = 100
-    mode: str = TRUNCATE_WORDS
+    mode: Literal[(WHOLE_SENTENCE, TRUNCATE_WORDS)] = TRUNCATE_WORDS
 
     def __post_init__(self) -> None:
         if self.max_words < 1:
             raise ValueError("max_words must be >= 1")
-        if self.mode not in (WHOLE_SENTENCE, TRUNCATE_WORDS):
-            raise ValueError(f"mode must be {WHOLE_SENTENCE!r} or {TRUNCATE_WORDS!r}, not {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -316,25 +314,6 @@ def random_rank(doc: Document, budget: SummaryBudget, seed) -> SummaryResult:
     )
 
 
-def _sentence_ids(value, field: str) -> tuple[int, ...]:
-    """`value` as a tuple if it is a JSON array of integers; otherwise TypeError naming `field`."""
-    if type(value) is not list:
-        raise TypeError(f"{field} must be an array of integers, not {value!r}")
-    return tuple(json_int(i, f"{field} id") for i in value)
-
-
-def _summary_from_record(rec: dict) -> SummaryResult:
-    return SummaryResult(
-        doc_id=rec["doc_id"],
-        system=rec["system"],
-        selected=_sentence_ids(rec["selected"], "selected"),
-        removed=_sentence_ids(rec["removed"], "removed"),
-        text=rec["text"],
-        word_total=json_int(rec["word_total"], "word_total"),
-        fallback=rec.get("fallback", False),
-    )
-
-
 def write_summaries(results: Iterable[SummaryResult], path: str | Path) -> None:
     write_jsonl(map(vars, results), path)
 
@@ -348,7 +327,7 @@ def read_summaries(path: str | Path, system: str) -> list[SummaryResult]:
     seen: set[str] = set()
 
     def parse(rec: dict) -> SummaryResult:
-        result = _summary_from_record(rec)
+        result = decode(SummaryResult, rec)
         if result.system != system:
             raise ValueError(f"system is {result.system!r}, but the file holds {system} summaries")
         if result.doc_id in seen:

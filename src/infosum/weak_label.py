@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Literal, Sequence
 
-from .corpus import Document, IdfTable, Sentence, json_int, read_jsonl, write_jsonl
+from .corpus import Document, IdfTable, Sentence, decode, read_jsonl, write_jsonl
 
 POSITIVE = "positive"
 UNLABELED = "unlabeled"
@@ -25,8 +25,12 @@ FLAGS = (POSITIVE, UNLABELED, EXCLUDED)
 class WeakLabel:
     doc_id: str
     sentence_id: int
-    flag: str
+    flag: Literal[FLAGS]
     align_score: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.sentence_id < 0:
+            raise ValueError(f"negative sentence_id {self.sentence_id}")
 
 
 @dataclass(frozen=True)
@@ -133,19 +137,9 @@ def label_counts(labels: Iterable[WeakLabel]) -> dict[str, int]:
     return counts
 
 
-def _label_from_record(rec: dict) -> WeakLabel:
-    flag = rec["flag"]
-    if flag not in FLAGS:
-        raise ValueError(f"unknown label flag {flag!r}")
-    sentence_id = json_int(rec["sentence_id"], "sentence_id")
-    if sentence_id < 0:
-        raise ValueError(f"negative sentence_id {sentence_id}")
-    return WeakLabel(rec["doc_id"], sentence_id, flag, rec.get("align_score"))
-
-
 def write_labels(labels: Iterable[WeakLabel], path: str | Path) -> None:
     write_jsonl(map(vars, labels), path)
 
 
 def read_labels(path: str | Path) -> list[WeakLabel]:
-    return read_jsonl(path, "labels", _label_from_record)
+    return read_jsonl(path, "labels", lambda rec: decode(WeakLabel, rec))

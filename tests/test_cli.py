@@ -206,7 +206,7 @@ class TestModesAndOverrides:
     def test_summarize_single_system_without_model(self, bundle, tmp_path):
         out = tmp_path / "leadonly"
         assert main(["summarize", "-c", bundle["config"], "--out-dir", str(out),
-                     "--system", "leadwords"]) == EXIT_OK
+                     "--set", 'systems=["leadwords"]']) == EXIT_OK
         assert (out / "summaries_leadwords.jsonl").is_file()
         assert not (out / "model.json").exists()
 
@@ -239,7 +239,7 @@ class TestSummarizeFromPredictions:
         out = self.out_dir(run_dir, tmp_path / "none", None)
         capsys.readouterr()
         assert main(["summarize", "-c", bundle["config"], "--out-dir", str(out),
-                     "--system", "inforank"]) == EXIT_VALIDATION
+                     "--set", 'systems=["inforank"]']) == EXIT_VALIDATION
         assert "run predict first" in capsys.readouterr().err
 
     def test_missing_sentence_exits_2_names_it(self, bundle, pipeline, tmp_path, capsys):
@@ -358,7 +358,7 @@ class TestRougeCandidate:
         cfg.write_text(json.dumps(
             {"seed": 0, "out_dir": str(tmp_path / "run"), "test_corpus": str(corpus)}
         ))
-        assert main(["summarize", "-c", str(cfg), "--system", "leadwords"]) == EXIT_OK
+        assert main(["summarize", "-c", str(cfg), "--set", 'systems=["leadwords"]']) == EXIT_OK
         assert main(["evaluate", "-c", str(cfg)]) == EXIT_OK
         scores = json.loads((tmp_path / "run" / "report.json").read_text())
         scores = scores["rouge"]["leadwords"]["per_doc"]["d"]
@@ -397,6 +397,28 @@ STRICT_FIELDS = [
     ("summaries", {"selected": "01"}),
     ("summaries", {"removed": ["1"]}),
     ("summaries", {"word_total": 12.0}),
+    # Every decoded kind: a doc_id that is not a string, and a key the record does not
+    # declare. A label is positive, a gold label or prediction names sentence 1, and a
+    # summary a document the corpus lacks, so that only the bad field can fail the file.
+    ("extracts", {"doc_id": ["train-0000"]}),
+    ("extracts", {"doc_id": 5}),
+    ("extracts", {"extract": [[1]]}),
+    ("labels", {"doc_id": ["train-0000"]}),
+    ("labels", {"doc_id": 5}),
+    ("labels", {"flag": "positive", "score": 1.0}),
+    ("labels", {"flag": "positive", "align_score": float("nan")}),
+    ("labels", {"flag": "bogus"}),
+    ("gold labels", {"sentence_id": 1, "doc_id": ["test-0000"]}),
+    ("gold labels", {"sentence_id": 1, "doc_id": 5}),
+    ("gold labels", {"sentence_id": 1, "prob": 0.5}),
+    ("predictions", {"sentence_id": 1, "doc_id": ["test-0000"]}),
+    ("predictions", {"sentence_id": 1, "doc_id": 5}),
+    ("predictions", {"sentence_id": 1, "score": 0.5}),
+    ("summaries", {"doc_id": ["test-0000"]}),
+    ("summaries", {"doc_id": 5}),
+    ("summaries", {"doc_id": "test-9999", "rouge": 1.0}),
+    ("summaries", {"doc_id": "test-9999", "text": 5}),
+    ("summaries", {"doc_id": "test-9999", "fallback": "no"}),
 ]
 
 
@@ -434,9 +456,10 @@ class TestBadJsonlLines:
 
     @pytest.mark.parametrize("kind,fields", STRICT_FIELDS, ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
     def test_ill_typed_id_or_label_exits_2_names_line(self, bundle, pipeline, tmp_path, capsys, kind, fields):
-        """Ids, summary id lists and word totals are JSON integers, a gold or predicted label is
-        0 or 1, and a prediction's prob is a number in [0, 1]: nothing is converted. A sentence
-        is labeled or predicted once."""
+        """Every field has its exact JSON type: ids, summary id lists and word totals are JSON
+        integers, a gold or predicted label is 0 or 1, a prediction's prob is a number in [0, 1],
+        and no record holds a key its kind does not declare; nothing is converted. A sentence is
+        labeled or predicted once."""
         _, run_dir = pipeline
         capsys.readouterr()
         code = self.run_with_line_2(bundle, run_dir, tmp_path, kind, lambda first: json.dumps({**first, **fields}))
@@ -526,6 +549,28 @@ class TestExitCodes:
         assert f"summaries_leadwords.jsonl: document {rec['doc_id']!r} has word_total {rec['word_total']}" in err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("stale", ["document the corpus lacks", "document missing"])
+    def test_stale_summaries_exit_2_naming_file_and_document(self, bundle, pipeline, tmp_path, capsys, stale):
+        """A summaries file summarizes exactly the test documents, as predictions cover exactly
+        the test sentences."""
+        _, run_dir = pipeline
+        out = tmp_path / "stale"
+        out.mkdir()
+        lines = (run_dir / "summaries_leadwords.jsonl").read_text().splitlines()
+        if stale == "document the corpus lacks":
+            lines.append(json.dumps({**json.loads(lines[0]), "doc_id": "nope"}))
+            message = "summaries_leadwords.jsonl: document 'nope' is not in the test corpus"
+        else:
+            message = f"summaries_leadwords.jsonl lacks test document {json.loads(lines[1])['doc_id']!r}"
+            lines = lines[:1]
+        (out / "summaries_leadwords.jsonl").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["evaluate", "-c", bundle["config"], "--out-dir", str(out), "--set", 'systems=["leadwords"]'])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert message in err and "run summarize again" in err
+        assert not (out / "report.json").exists()
+
     def test_non_finite_lexicon_score_is_validation_error(self, bundle, pipeline, tmp_path, capsys):
         _, run_dir = pipeline
         out = tmp_path / "nanlex"
@@ -607,6 +652,27 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["predict", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
         assert "model field 'calib.A' holds NaN or an infinity" in capsys.readouterr().err
+        assert not (out / "predictions.jsonl").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("general_width", 7, "layout general_width must be 6 in dictionary mode, not 7"),
+        ("mode", "bogus", "layout key 'mode' must be one of"),
+    ])
+    def test_inconsistent_layout_exits_2_naming_field(self, bundle, pipeline, tmp_path, capsys, field, value, message):
+        """A layout edited consistently with its hash still has to hold together."""
+        import hashlib
+
+        _, run_dir = pipeline
+        out = tmp_path / "badlayout"
+        out.mkdir()
+        model = json.loads((run_dir / "model.json").read_text())
+        model["layout"][field] = value
+        blob = json.dumps(model["layout"], sort_keys=True, separators=(",", ":"))
+        model["layout_hash"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        (out / "model.json").write_text(json.dumps(model))
+        capsys.readouterr()
+        assert main(["predict", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
         assert not (out / "predictions.jsonl").exists()
 
     @pytest.mark.parametrize("field, value, message", [

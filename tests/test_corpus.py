@@ -1,6 +1,8 @@
 import io
 import math
 import unicodedata
+from dataclasses import dataclass
+from typing import Literal
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -215,3 +217,100 @@ class TestParseCorpus:
             io.StringIO('{"doc_id": "a", "sentences": ["x"], "summary": []}')
         )
         assert corpus.documents[0].summary is None
+
+
+@dataclass(frozen=True)
+class Inner:
+    n: int
+
+
+@dataclass(frozen=True)
+class Outer:
+    name: str
+    inner: Inner
+    mode: Literal["a", "b"] = "a"
+    ratio: float = 1.0
+    ids: tuple[int, ...] = ()
+    note: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.ratio < 0:
+            raise ValueError("ratio must be >= 0")
+
+
+class TestDecode:
+    def test_declared_record(self):
+        got = corpus.decode(Outer, {"name": "x", "inner": {"n": 2}, "mode": "b", "ratio": 3, "ids": [1, 2]})
+        assert got == Outer("x", Inner(2), "b", 3.0, (1, 2))
+        assert type(got.ratio) is float and type(got.ids) is tuple
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"name": "x", "inner": {"n": True}}, "record key 'inner.n' must be of type int, not True"),
+        ({"name": "x", "inner": {"n": 1.0}}, "record key 'inner.n' must be of type int, not 1.0"),
+        ({"name": 5, "inner": {"n": 1}}, "record key 'name' must be of type str, not 5"),
+        ({"name": "x", "inner": {"n": 1}, "ratio": math.nan}, "record key 'ratio' must be a finite number, not nan"),
+        ({"name": "x", "inner": {"n": 1}, "ratio": math.inf}, "record key 'ratio' must be a finite number"),
+        ({"name": "x", "inner": {"n": 1}, "ratio": "1"}, "record key 'ratio' must be a finite number"),
+        ({"name": "x", "inner": {"n": 1}, "ratio": False}, "record key 'ratio' must be a finite number"),
+        ({"name": "x", "inner": {"n": 1}, "mode": "c"}, "record key 'mode' must be one of 'a', 'b', not 'c'"),
+        ({"name": "x", "inner": {"n": 1}, "ids": "12"}, "record key 'ids' must be a list, not '12'"),
+        ({"name": "x", "inner": {"n": 1}, "ids": [1, "2"]}, "record key 'ids' must be of type int, not '2'"),
+        ({"name": "x", "inner": {"n": 1}, "note": 3}, "record key 'note' must be of type str, not 3"),
+        ({"name": "x", "inner": 5}, "record section 'inner' must be an object"),
+        ({"name": "x", "inner": {"n": 1, "m": 2}}, "unknown record key 'inner.m'; inner takes n"),
+        ({"name": "x", "inner": {"n": 1}, "extra": 0}, "unknown record key 'extra'; the record takes name, inner"),
+        ({"inner": {"n": 1}}, "record field 'name' is mandatory"),
+        ({"name": "x", "inner": {}}, "record field 'inner.n' is mandatory"),
+        ({"name": "x", "inner": {"n": 1}, "ratio": -1}, "ratio must be >= 0"),
+        ([1], "record must be a JSON object"),
+    ])
+    def test_mismatch_names_the_dotted_field(self, raw, message):
+        with pytest.raises(ValueError) as info:
+            corpus.decode(Outer, raw)
+        assert str(info.value).startswith(message)
+
+    def test_null_only_where_declared(self):
+        assert corpus.decode(Outer, {"name": "x", "inner": {"n": 1}, "note": None}).note is None
+        with pytest.raises(ValueError, match="record key 'name' must be of type str, not None"):
+            corpus.decode(Outer, {"name": None, "inner": {"n": 1}})
+
+    def test_noun_words_the_message(self):
+        with pytest.raises(ValueError, match="unknown config key 'inner.m'"):
+            corpus.decode(Outer, {"name": "x", "inner": {"n": 1, "m": 2}}, "config")
+
+    def test_checkers_are_built_once_per_class(self):
+        corpus.decode(Outer, {"name": "x", "inner": {"n": 1}})
+        before = corpus._checker.cache_info()
+        corpus.decode(Outer, {"name": "y", "inner": {"n": 2}})
+        after = corpus._checker.cache_info()
+        assert after.misses == before.misses and after.hits == before.hits + 1
+
+
+def test_decoding_a_written_record_gives_it_back():
+    """Every record kind that a command writes reads back, through the decoder, as an equal record."""
+    import json
+    from dataclasses import asdict
+
+    from infosum.cli import Extracts, Prediction, RunConfig, SentenceLabel
+    from infosum.features import bow_layout, dictionary_layout, layout_from_json, layout_to_json
+    from infosum.lexicons import load_category_lexicon, load_scored_lexicon
+    from infosum.summarize import SummaryResult
+    from infosum.weak_label import WeakLabel
+
+    scored = load_scored_lexicon(io.StringIO("#scored m a a:0:10\nx\ta\t5\n"), bins=4)
+    category = load_category_lexicon(io.StringIO("#categories c one\nx\tone\n"))
+    records = [
+        WeakLabel("d", 0, "positive", 15.5),
+        WeakLabel("d", 1, "unlabeled"),
+        Extracts("d", ((0, 2), ())),
+        SentenceLabel("d", 3, 1),
+        Prediction("d", 3, 0, 0.25),
+        SummaryResult("d", "infofilter", (0, 1), (2,), "A b. C d.", 4, fallback=True),
+        RunConfig.from_dict({"seed": 3, "out_dir": "run", "systems": ["inforank"]}),
+    ]
+    for record in records:
+        assert corpus.decode(type(record), json.loads(to_jsonl([asdict(record)]))) == record
+    for layout in (bow_layout(("b", "a")), dictionary_layout([scored], [category]),
+                   dictionary_layout([scored], [category], include_general=False)):
+        written = json.loads(json.dumps(layout_to_json(layout)))
+        assert layout_from_json(written) == layout

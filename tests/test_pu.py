@@ -590,6 +590,37 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError, match="hash"):
             load_model(path)
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda lay: lay.update(general_width=7), "layout general_width must be 0 in bow mode, not 7"),
+        (lambda lay: lay.update(mode="bogus"), "layout key 'mode' must be one of"),
+        (lambda lay: lay.update(mode="dictionary"), "layout general_width must be 6 in dictionary mode"),
+        (lambda lay: lay.update(total_dim=3), "layout total_dim must be 2, the sum of its block widths, not 3"),
+        (lambda lay: lay["blocks"][0].update(offset=1), "layout block 'bow' must start at offset 0"),
+        (lambda lay: lay["blocks"][0].update(width="2"), "layout key 'blocks.width' must be of type int"),
+        (lambda lay: lay["blocks"].append({"name": "x", "offset": 2, "width": 1}), "layout total_dim must be 3"),
+        (lambda lay: lay.update(vocab=None), "a bow layout holds total_dim (2) vocabulary words"),
+        (lambda lay: lay.update(vocab=["alpha", "alpha"]), "bow vocabulary contains duplicates"),
+        (lambda lay: lay.update(vocab=["alpha", 2]), "layout key 'vocab' must be of type str, not 2"),
+        (lambda lay: lay.update(extra=1), "unknown layout key 'extra'"),
+        (lambda lay: lay.pop("total_dim"), "layout field 'total_dim' is mandatory"),
+        (lambda lay: lay.update(version=2), "unsupported layout version 2"),
+        (lambda lay: lay.clear(), "unsupported layout version None"),
+    ])
+    def test_inconsistent_layout_is_rejected_after_its_hash(self, tmp_path, model_text, mutate, message):
+        """A layout edited together with its hash is still decoded and checked field by field."""
+        import hashlib
+        import json
+
+        obj = json.loads(model_text)
+        mutate(obj["layout"])
+        blob = json.dumps(obj["layout"], sort_keys=True, separators=(",", ":"))
+        obj["layout_hash"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert message in str(info.value)
+
     @pytest.fixture(scope="class")
     def model_text(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("model") / "model.json"
