@@ -17,15 +17,15 @@ fields of predictions.jsonl; LeadWords and RandomRank need no predictions.
 
 Each command runs in a process of its own and imports only the modules it
 runs. This file's top level imports the config schema's modules, none of
-which loads numpy: `constants`, `corpus`, `weak_label` and `summarize`.
-The rest is imported inside the command that uses it:
+which loads numpy: `constants`, `corpus`, `weak_label` and `summarize`
+(with `rng`). The rest is imported inside the command that uses it:
 
     label      nothing more (no numpy)
     train      lexicons, features, sparse, pu and numpy
     predict    lexicons, features, sparse, pu and numpy
     summarize  nothing more (no numpy)
     evaluate   report, with metrics and numpy
-    synth      synth and numpy
+    synth      synth and lexicons (no numpy)
 
 So a command pays neither the import nor, without a bytecode cache, the
 compile time of code it never runs; at the package root `infosum` imports
@@ -307,13 +307,23 @@ def compute_labels(cfg: RunConfig, corpus: Corpus):
     label_cfg = cfg.label_config()
     labels = []
     if cfg.label.mode == "extract":
-        path = _require_file(cfg.label.extracts, "extracts file")
-        extracts = {r.doc_id: r.extracts for r in read_jsonl(path, "extracts", lambda rec: decode(Extracts, rec))}
-        for doc in corpus:
+        by_doc: dict[str, list] = {}
+
+        def parse(rec: dict) -> None:
+            """Label the document an extracts line names: once, and only a train document."""
+            record = decode(Extracts, rec)
             try:
-                labels.extend(label_by_extract(doc, extracts.get(doc.doc_id, [])))
-            except ValueError as exc:
-                raise ConfigError(f"extracts: {exc}") from None
+                doc = corpus.document(record.doc_id)
+            except KeyError:
+                raise ValueError(f"document {record.doc_id!r} is not in the train corpus") from None
+            doc_labels = label_by_extract(doc, record.extracts)
+            if record.doc_id in by_doc:
+                raise ValueError(f"document {record.doc_id!r} appears twice")
+            by_doc[record.doc_id] = doc_labels
+
+        read_jsonl(_require_file(cfg.label.extracts, "extracts file"), "extracts", parse)
+        for doc in corpus:
+            labels.extend(by_doc[doc.doc_id] if doc.doc_id in by_doc else label_by_extract(doc, ()))
     else:
         idf = compute_idf(corpus.documents)
         for doc in corpus:
@@ -556,6 +566,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         gold = _read_sentence_labels(_require_file(cfg.evaluate.gold_labels, "gold labels file"), "gold labels")
         preds = _read_sentence_labels(pred_path, "predictions")
         _check_in_corpus(corpus, preds, "predictions.jsonl is stale: a prediction", "test")
+        _check_in_corpus(corpus, gold, "a gold label", "test")
         if gold.keys().isdisjoint(preds):
             raise ConfigError("gold labels and predictions share no sentences")
         report["classification"] = classification_section(gold, preds)
@@ -581,13 +592,16 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     from .synth import SynthParams, write_synth_bundle
 
-    params = SynthParams(
-        n_train_docs=args.train_docs,
-        n_test_docs=args.test_docs,
-        sentences_per_doc=args.sentences,
-        label_rate=args.label_rate,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    try:
+        params = SynthParams(
+            n_train_docs=args.train_docs,
+            n_test_docs=args.test_docs,
+            sentences_per_doc=args.sentences,
+            label_rate=args.label_rate,
+            seed=args.seed if args.seed is not None else 0,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"synth: {exc}") from None
     paths = write_synth_bundle(args.out_dir, params)
     print(f"synth bundle -> {args.out_dir} (config: {paths['config']})")
     return EXIT_OK

@@ -379,21 +379,5 @@ def load_corpus(path: str | Path) -> Corpus:
     return _corpus(read_lines(path, "corpus"))
 
 
-def _document_record(doc: Document) -> dict:
-    rec: dict = {
-        "doc_id": doc.doc_id,
-        "section": doc.section,
-        "sentences": [s.text for s in doc.sentences],
-    }
-    if doc.summary is not None:
-        rec["summary"] = [s.text for s in doc.summary]
-    return rec
-
-
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """The inverse of `load_corpus`: one document object per line."""
-    write_jsonl(map(_document_record, corpus.documents), path)
-
-
 def word_count(sentences: Iterable[Sentence]) -> int:
     return sum(len(s.words) for s in sentences)

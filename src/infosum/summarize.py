@@ -9,8 +9,8 @@ are the `prob` fields of predictions.jsonl, which `infosum predict` writes
 and `infosum summarize` reads: no summarizer scores a sentence itself.
 
 This module imports no numpy. RandomRank's order is numpy's
-`default_rng(seed).permutation(n)`, drawn by a pure-Python copy of numpy's
-seeding (SeedSequence), PCG64 generator and shuffle.
+`default_rng(seed).permutation(n)`, drawn by `rng`, the package's
+pure-Python copy of numpy's seeding, PCG64 generator and shuffle.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
 from .corpus import Document, Sentence, decode, make_sentence, read_jsonl, word_count, write_jsonl
+from .rng import default_rng
 
 WHOLE_SENTENCE = "whole-sentence"
 TRUNCATE_WORDS = "truncate-words"
@@ -206,102 +207,12 @@ def summary_sentences(doc: Document, result: SummaryResult) -> list[Sentence]:
     return sentences
 
 
-# numpy's SeedSequence and PCG64 constants (numpy/random/bit_generator.pyx, pcg64.h).
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _entropy_words(entropy) -> list[int]:
-    """A seed as SeedSequence splits it: each non-negative int in 32-bit words, low word
-    first (0 is one word), the words of a tuple's items in order."""
-    if isinstance(entropy, int):
-        if entropy < 0:
-            raise ValueError("a seed must be non-negative")
-        words = [entropy & _MASK32]
-        while entropy := entropy >> 32:
-            words.append(entropy & _MASK32)
-        return words
-    return [w for item in entropy for w in _entropy_words(item)]
-
-
-def _seed_state(entropy) -> list[int]:
-    """numpy's `SeedSequence(entropy).generate_state(8, uint32)`: the 32-bit hash mix
-    of the seed words into a pool of four, then eight words drawn from the pool."""
-    words = _entropy_words(entropy)
-    hash_const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    state = []
-    hash_const = _INIT_B
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const & _MASK32
-        state.append(value ^ value >> 16)
-    return state
-
-
-def _uint32_stream(seed):
-    """The 32-bit draws of `np.random.default_rng(seed)`: PCG64's 128-bit LCG with
-    XSL-RR output, each 64-bit output giving its low half, then its high half."""
-    words = _seed_state(seed)
-    # generate_state(4, uint64) pairs the words little-end first; PCG64 takes
-    # the first two as the high and low halves of its initial state, the last
-    # two as its stream. Seeding steps from 0, adds the state and steps again.
-    init = words[1] << 96 | words[0] << 64 | words[3] << 32 | words[2]
-    inc = (words[5] << 96 | words[4] << 64 | words[7] << 32 | words[6]) << 1 & _MASK128 | 1
-    state = (inc + init) * _PCG_MULT + inc & _MASK128
-    while True:
-        state = state * _PCG_MULT + inc & _MASK128
-        rot = state >> 122
-        xored = (state >> 64 ^ state) & 0xFFFFFFFFFFFFFFFF
-        out = (xored >> rot | xored << (64 - rot)) & 0xFFFFFFFFFFFFFFFF
-        yield out & _MASK32
-        yield out >> 32
-
-
-def _permutation(seed, n: int) -> list[int]:
-    """`np.random.default_rng(seed).permutation(n)` without numpy, for n < 2**32:
-    Fisher-Yates from the top, each index drawn by masked rejection."""
-    order = list(range(n))
-    draws = _uint32_stream(seed)
-    for i in range(n - 1, 0, -1):
-        mask = (1 << i.bit_length()) - 1
-        j = next(draws) & mask
-        while j > i:
-            j = next(draws) & mask
-        order[i], order[j] = order[j], order[i]
-    return order
-
-
 def random_rank(doc: Document, budget: SummaryBudget, seed) -> SummaryResult:
     """Seeded uniform ranking followed by the same greedy fill as info_rank.
 
-    The ranking is numpy's `default_rng(seed).permutation`, drawn by `_permutation`.
+    The ranking is numpy's `default_rng(seed).permutation`, drawn by `rng`.
     """
-    order = _permutation(seed, len(doc.sentences))
+    order = default_rng(seed).permutation(len(doc.sentences))
     counts = _sentence_words(doc)
     selected, total = _greedy_fill(order, counts, budget.max_words)
     return SummaryResult(

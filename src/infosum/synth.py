@@ -3,6 +3,15 @@
 `write_synth_bundle` emits a small text corpus plus matching lexicons,
 extracts, gold labels and a ready-to-run pipeline config, so the CLI can be
 exercised end to end without licensed data.
+
+Every draw comes from `rng`, the package's pure-Python copy of numpy's
+`default_rng`: its SeedSequence seeding and PCG64 stream, `random`,
+`uniform` and Lemire-bounded `integers`, so this module imports no numpy and
+writes the bytes numpy's generator gave. The lexicons draw from seed
+(seed, 17), the train split from (seed, 59) and the test split from
+(seed, 101). The texts are written as drawn, never tokenized.
+tests/test_synth.py pins the sha256 of every file of two bundles, and
+tests/test_rng.py compares each draw with numpy.
 """
 
 from __future__ import annotations
@@ -11,15 +20,16 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .corpus import Corpus, Document, build_document, save_corpus, write_jsonl
+from .corpus import write_jsonl
 from .lexicons import CategoryLexicon, ScoredLexicon, category_lexicon_to_tsv, scored_lexicon_to_tsv
+from .rng import Generator, default_rng
 
 
 SCORED_ATTRIBUTES = ("imagery", "concreteness")
 SCORE_RANGE = (100.0, 700.0)
 CATEGORIES = ("IMP", "BKG", "COMMON")
+# Words per pool: imp, bkg and com are lexicon words, puff is filler.
+POOL_SIZES = {"imp": 160, "bkg": 160, "com": 40, "puff": 60}
 
 
 def _vocab(prefix: str, n: int) -> list[str]:
@@ -28,17 +38,17 @@ def _vocab(prefix: str, n: int) -> list[str]:
 
 def build_synth_lexicons(seed: int = 0) -> tuple[ScoredLexicon, CategoryLexicon]:
     """Scored and category lexicons whose word pools separate two sentence classes."""
-    rng = np.random.default_rng((seed, 17))
-    imp = _vocab("imp", 160)
-    bkg = _vocab("bkg", 160)
-    com = _vocab("com", 40)
+    rng = default_rng((seed, 17))
+    imp = _vocab("imp", POOL_SIZES["imp"])
+    bkg = _vocab("bkg", POOL_SIZES["bkg"])
+    com = _vocab("com", POOL_SIZES["com"])
     bands = {"imp": (520.0, 680.0), "bkg": (120.0, 280.0), "com": (350.0, 450.0)}
     entries: dict[str, dict[str, float]] = {}
     for words, key in ((imp, "imp"), (bkg, "bkg"), (com, "com")):
         lo, hi = bands[key]
         for word in words:
             entries[word] = {
-                attr: float(rng.uniform(lo, hi)) for attr in SCORED_ATTRIBUTES
+                attr: rng.uniform(lo, hi) for attr in SCORED_ATTRIBUTES
             }
     scored = ScoredLexicon(
         name="synthmrc",
@@ -66,9 +76,19 @@ class SynthParams:
     crossover_rate: float = 0.06
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("n_train_docs", "n_test_docs", "sentences_per_doc"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, not {getattr(self, name)!r}")
+        for name in ("label_rate", "positive_rate", "signal_rate", "crossover_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], not {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed!r}")
 
-def _make_sentence_words(rng: np.random.Generator, positive: bool, params: SynthParams) -> str:
-    length = int(rng.integers(8, 15))
+
+def _make_sentence_words(rng: Generator, positive: bool, params: SynthParams) -> str:
+    length = rng.integers(8, 15)
     own = "imp" if positive else "bkg"
     other = "bkg" if positive else "imp"
     words = []
@@ -82,8 +102,7 @@ def _make_sentence_words(rng: np.random.Generator, positive: bool, params: Synth
             pool = "com"
         else:
             pool = "puff"
-        sizes = {"imp": 160, "bkg": 160, "com": 40, "puff": 60}
-        words.append(f"{pool}{int(rng.integers(sizes[pool])):03d}")
+        words.append(f"{pool}{rng.integers(POOL_SIZES[pool]):03d}")
     text = " ".join(words)
     u = rng.random()
     if u < 0.08:
@@ -97,21 +116,20 @@ def _make_sentence_words(rng: np.random.Generator, positive: bool, params: Synth
     return text
 
 
-def build_synth_documents(
-    params: SynthParams, test: bool = False
-) -> tuple[list[Document], dict[str, list[list[int]]], list[dict]]:
-    """Documents plus per-document extracts and gold sentence labels.
+def synth_records(params: SynthParams, test: bool = False) -> tuple[list[dict], list[dict], list[dict]]:
+    """The corpus, extracts and gold label records of the train or test split.
 
     Each sentence is truly important (y=1) with probability positive_rate and
     draws mostly from the imp pool if so, the bkg pool otherwise. A truly
     important sentence enters the (single) extract with probability
-    label_rate; the extract's texts double as the reference summary.
+    label_rate; the extract's texts double as the reference summary, and a
+    document with an empty extract has none.
     """
-    rng = np.random.default_rng((params.seed, 101 if test else 59))
+    rng = default_rng((params.seed, 101 if test else 59))
     n_docs = params.n_test_docs if test else params.n_train_docs
     prefix = "test" if test else "train"
-    documents = []
-    extracts: dict[str, list[list[int]]] = {}
+    documents: list[dict] = []
+    extracts: list[dict] = []
     gold: list[dict] = []
     for d in range(n_docs):
         doc_id = f"{prefix}-{d:04d}"
@@ -122,15 +140,13 @@ def build_synth_documents(
             y = 1 if rng.random() < params.positive_rate else 0
             ys.append(y)
             texts.append(_make_sentence_words(rng, y == 1, params))
-        extract = [
-            i for i, y in enumerate(ys) if y == 1 and rng.random() < params.label_rate
-        ]
-        summary = [texts[i] for i in extract] or None
-        documents.append(build_document(doc_id, section, texts, summary))
-        extracts[doc_id] = [extract]
-        gold.extend(
-            {"doc_id": doc_id, "sentence_id": i, "label": y} for i, y in enumerate(ys)
-        )
+        extract = [i for i, y in enumerate(ys) if y == 1 and rng.random() < params.label_rate]
+        document = {"doc_id": doc_id, "section": section, "sentences": texts}
+        if extract:
+            document["summary"] = [texts[i] for i in extract]
+        documents.append(document)
+        extracts.append({"doc_id": doc_id, "extracts": [extract]})
+        gold.extend({"doc_id": doc_id, "sentence_id": i, "label": y} for i, y in enumerate(ys))
     return documents, extracts, gold
 
 
@@ -153,12 +169,11 @@ def write_synth_bundle(out_dir: str | Path, params: SynthParams) -> dict[str, st
         category_lexicon_to_tsv(category), encoding="utf-8"
     )
 
-    train_docs, train_extracts, _ = build_synth_documents(params, test=False)
-    test_docs, _, test_gold = build_synth_documents(params, test=True)
-    save_corpus(Corpus(tuple(train_docs)), paths["train_corpus"])
-    save_corpus(Corpus(tuple(test_docs)), paths["test_corpus"])
-    extracts = ({"doc_id": d.doc_id, "extracts": train_extracts[d.doc_id]} for d in train_docs)
-    write_jsonl(extracts, paths["extracts"])
+    train_docs, train_extracts, _ = synth_records(params, test=False)
+    test_docs, _, test_gold = synth_records(params, test=True)
+    write_jsonl(train_docs, paths["train_corpus"])
+    write_jsonl(test_docs, paths["test_corpus"])
+    write_jsonl(train_extracts, paths["extracts"])
     write_jsonl(test_gold, paths["gold_labels"])
 
     config = {

@@ -40,6 +40,20 @@ class TestSynthCommand:
                      "synthmrc.tsv", "synthcats.tsv"):
             assert (out / name).is_file()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--sentences", "0", "sentences_per_doc must be >= 1, not 0"),
+        ("--train-docs", "-3", "n_train_docs must be >= 1, not -3"),
+        ("--test-docs", "0", "n_test_docs must be >= 1, not 0"),
+        ("--label-rate", "1.5", "label_rate must lie in [0, 1], not 1.5"),
+        ("--label-rate", "nan", "label_rate must lie in [0, 1], not nan"),
+        ("--seed", "-1", "seed must be >= 0, not -1"),
+    ])
+    def test_out_of_range_exits_2_and_writes_nothing(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "b"
+        assert main(["synth", "--out-dir", str(out), flag, value]) == EXIT_VALIDATION
+        assert f"error: synth: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_cli_import_loads_no_scipy():
     """The CLI's runtime needs numpy alone; importing scipy.sparse would cost every
@@ -51,9 +65,9 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-# What each command must leave unimported: label and summarize need no numpy,
-# only train and predict read lexicons and run the learner, and only evaluate
-# scores ROUGE.
+# What each command must leave unimported: label, summarize and synth need no
+# numpy, only train and predict run the learner (synth writes lexicons but
+# reads none), and only evaluate scores ROUGE.
 LEARNER = ("infosum.lexicons", "infosum.features", "infosum.pu", "infosum.sparse")
 NOT_LOADED = {
     "label": ("numpy", *LEARNER, "infosum.metrics", "infosum.synth"),
@@ -61,6 +75,7 @@ NOT_LOADED = {
     "predict": ("infosum.metrics", "infosum.synth"),
     "summarize": ("numpy", *LEARNER, "infosum.metrics", "infosum.synth"),
     "evaluate": (*LEARNER, "infosum.synth"),
+    "synth": ("numpy", "infosum.features", "infosum.pu", "infosum.sparse", "infosum.metrics"),
 }
 
 
@@ -73,7 +88,8 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     for command, unwanted in NOT_LOADED.items():
-        proc = subprocess.run([sys.executable, "-c", code, command, "-c", paths["config"]],
+        args = ["--out-dir", str(tmp_path / "synth"), "--train-docs", "2"] if command == "synth" else ["-c", paths["config"]]
+        proc = subprocess.run([sys.executable, "-c", code, command, *args],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         rc, loaded = json.loads(proc.stdout.splitlines()[-1])
@@ -499,6 +515,18 @@ class TestBadJsonlLines:
         assert (f"summaries_leadwords.jsonl: summaries line 2: leadwords summarizes document {first['doc_id']!r} twice"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"extracts": []}, "document 'train-0000' appears twice"),
+        ({"doc_id": "nope"}, "document 'nope' is not in the train corpus"),
+    ], ids=["repeat", "unknown"])
+    def test_extracts_of_a_repeated_or_unknown_document_exit_2_names_line(self, bundle, pipeline, tmp_path, capsys,
+                                                                          fields, message):
+        _, run_dir = pipeline
+        capsys.readouterr()
+        code = self.run_with_line_2(bundle, run_dir, tmp_path, "extracts", lambda first: json.dumps({**first, **fields}))
+        assert code == EXIT_VALIDATION
+        assert f"extracts line 2: {message}" in capsys.readouterr().err
+
     def test_extract_id_out_of_range_exits_2_names_document(self, bundle, pipeline, tmp_path, capsys):
         _, run_dir = pipeline
         capsys.readouterr()
@@ -728,6 +756,22 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["train", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
         assert f"sentence {sentence_id} of document {doc_id!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc_id, sentence_id", [("nope", 0), ("test-0000", 99)])
+    def test_gold_label_outside_test_corpus_exits_2(self, bundle, pipeline, tmp_path, capsys, doc_id, sentence_id):
+        _, run_dir = pipeline
+        out = tmp_path / "stray"
+        out.mkdir()
+        (out / "predictions.jsonl").write_bytes((run_dir / "predictions.jsonl").read_bytes())
+        gold = tmp_path / "gold.jsonl"
+        stray = {"doc_id": doc_id, "sentence_id": sentence_id, "label": 1}
+        gold.write_text(Path(bundle["gold_labels"]).read_text() + json.dumps(stray) + "\n")
+        capsys.readouterr()
+        code = main(["evaluate", "-c", bundle["config"], "--out-dir", str(out), "--set", f"evaluate.gold_labels={gold}"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"a gold label names sentence {sentence_id} of document {doc_id!r}, which the test corpus lacks" in err
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_unlabeled_label_outside_corpus_exits_2_for_any_seed(

@@ -7,7 +7,6 @@ from infosum.summarize import (
     TRUNCATE_WORDS,
     WHOLE_SENTENCE,
     SummaryBudget,
-    _permutation,
     info_filter,
     info_rank,
     lead_words,
@@ -182,41 +181,6 @@ class TestRandomRank:
         stat = sum((c - expected) ** 2 / expected for c in counts)
         # 3 dof; 0.999 quantile is 16.27, seeded so this is deterministic
         assert stat < 16.27
-
-
-class TestPermutation:
-    """`_permutation` is numpy's `default_rng(seed).permutation(n)`, drawn without numpy."""
-
-    # Orders numpy 2.4 gives; they pin the contract whatever numpy is installed.
-    GOLDEN = [
-        (0, 10, [4, 6, 2, 7, 3, 5, 9, 0, 8, 1]),
-        ((0, 0), 12, [9, 2, 7, 4, 5, 11, 0, 3, 6, 10, 8, 1]),
-        ((3, 299), 16, [11, 9, 5, 1, 15, 7, 10, 6, 14, 3, 2, 13, 4, 12, 8, 0]),
-        (2**32, 9, [1, 3, 6, 7, 8, 0, 4, 2, 5]),
-        ((2**64 + 1, 7), 14, [6, 12, 10, 8, 2, 11, 5, 1, 13, 3, 0, 7, 4, 9]),
-    ]
-
-    @pytest.mark.parametrize("seed, n, order", GOLDEN)
-    def test_golden_orders(self, seed, n, order):
-        assert _permutation(seed, n) == order
-
-    @pytest.mark.parametrize("seed", [
-        0, 1, 42, 2**32 - 1, 2**32, 2**32 + 1, 2**64 + 3, 2**130 + 7,
-        (0, 0), (0, 1), (5, 299), (2**32, 3), (1, 2**33), (1, 2, 3, 4, 5),
-    ])
-    def test_equals_numpy_for_n_up_to_1000(self, seed):
-        for n in [*range(40), 63, 64, 65, 255, 256, 257, 1000]:
-            assert _permutation(seed, n) == np.random.default_rng(seed).permutation(n).tolist(), n
-
-    def test_equals_numpy_for_each_document_seed(self):
-        for di in range(300):
-            for n in (1, 7, 12, 30):
-                expected = np.random.default_rng((11, di)).permutation(n).tolist()
-                assert _permutation((11, di), n) == expected
-
-    def test_negative_seed_is_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            _permutation((0, -1), 5)
 
 
 class TestBudgetSafetyAndSerialization:
