@@ -11,9 +11,14 @@ dir:
     evaluate   test corpus, gold labels, predictions.jsonl,
                summaries_<system>.jsonl                -> report.json, report.txt
 
-Predict is the only command that scores test sentences. Summarize takes
-each sentence's probability for InfoRank and InfoFilter from the `prob`
-fields of predictions.jsonl; LeadWords and RandomRank need no predictions.
+Predict is the only command that scores test sentences. It stacks every
+test sentence's sparse feature row into one CsrMatrix and scores it with
+the product train uses (`pu.SentenceClassifier.prob`). No artifact's
+bytes depend on the BLAS kernel; `pu` says what still varies by host.
+Summarize takes each sentence's probability for InfoRank and InfoFilter
+from the `prob` fields of predictions.jsonl; LeadWords and RandomRank need
+no predictions. Summarize and evaluate both require a prediction for
+exactly each test sentence.
 
 Each command runs in a process of its own and imports only the modules it
 runs. This file's top level imports the config schema's modules, none of
@@ -397,19 +402,14 @@ def _check_in_corpus(corpus: Corpus, keys, what: str, corpus_name: str) -> None:
 def build_examples(corpus: Corpus, labels, extractor: FeatureExtractor) -> tuple[CsrMatrix, np.ndarray]:
     """Feature matrix X and 0/1 vector o over the non-excluded labels, in label order.
 
-    X is a CsrMatrix: each row keeps the nonzero columns and values of the
-    sentence's `extract` vector. No dense n x d matrix is built.
+    X is a CsrMatrix of each sentence's sparse `extract` row.
     """
     import numpy as np
 
     from .sparse import CsrMatrix
 
     kept = [lab for lab in labels if lab.flag != EXCLUDED]
-    rows = []
-    for lab in kept:
-        x = extractor.extract(corpus.document(lab.doc_id).sentences[lab.sentence_id])
-        cols = np.flatnonzero(x)
-        rows.append((cols, x[cols]))
+    rows = (extractor.extract(corpus.document(lab.doc_id).sentences[lab.sentence_id]) for lab in kept)
     o = np.array([lab.flag == POSITIVE for lab in kept], dtype=np.int64)
     return CsrMatrix.from_rows(rows, extractor.layout.total_dim), o
 
@@ -444,38 +444,38 @@ def cmd_predict(cfg: RunConfig) -> int:
     corpus = load_corpus(_require_file(cfg.test_corpus, "test corpus"))
     model, layout = load_model(_require_file(str(cfg.path("model.json")), "model file"))
     classifier = SentenceClassifier(model, build_extractor(cfg, layout=layout))
-    records = []
-    for doc in corpus:
-        for sent in doc.sentences:
-            prob = classifier.prob(sent)
-            records.append(
-                {"doc_id": doc.doc_id, "sentence_id": sent.id, "prob": prob, "label": int(prob >= 0.5)}
-            )
+    sentences = [(doc.doc_id, sent) for doc in corpus for sent in doc.sentences]
+    probs = classifier.prob([sent for _, sent in sentences]).tolist()
+    records = [
+        {"doc_id": doc_id, "sentence_id": sent.id, "prob": prob, "label": int(prob >= 0.5)}
+        for (doc_id, sent), prob in zip(sentences, probs)
+    ]
     _write_resolved_config(cfg, "predict")
     write_jsonl(records, cfg.path("predictions.jsonl"))
     print(f"predict: {len(records)} sentences -> {cfg.path('predictions.jsonl')}")
     return EXIT_OK
 
 
-def _test_probs(cfg: RunConfig, corpus: Corpus) -> list[list[float]]:
-    """Each test document's probabilities in sentence order, from predictions of exactly its sentences."""
-    path = cfg.path("predictions.jsonl")
-    if not path.is_file():
-        raise ConfigError(f"predictions not found: {path}; run predict first")
+def _read_predictions(path: Path, corpus: Corpus) -> dict[tuple[str, int], Prediction]:
+    """The predictions at `path`, which must hold exactly the test corpus's sentences."""
     preds = _read_sentence_labels(path, "predictions")
     _check_in_corpus(corpus, preds, "predictions.jsonl is stale: a prediction", "test")
-    probs = []
     for doc in corpus:
-        row = []
         for sent in doc.sentences:
-            pred = preds.get((doc.doc_id, sent.id))
-            if pred is None:
+            if (doc.doc_id, sent.id) not in preds:
                 raise ConfigError(
                     f"predictions lack sentence {sent.id} of document {doc.doc_id!r}; run predict again"
                 )
-            row.append(pred.prob)
-        probs.append(row)
-    return probs
+    return preds
+
+
+def _test_probs(cfg: RunConfig, corpus: Corpus) -> list[list[float]]:
+    """Each test document's probabilities in sentence order."""
+    path = cfg.path("predictions.jsonl")
+    if not path.is_file():
+        raise ConfigError(f"predictions not found: {path}; run predict first")
+    preds = _read_predictions(path, corpus)
+    return [[preds[(doc.doc_id, sent.id)].prob for sent in doc.sentences] for doc in corpus]
 
 
 def cmd_summarize(cfg: RunConfig) -> int:
@@ -564,8 +564,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     pred_path = cfg.path("predictions.jsonl")
     if cfg.evaluate.gold_labels is not None and pred_path.is_file():
         gold = _read_sentence_labels(_require_file(cfg.evaluate.gold_labels, "gold labels file"), "gold labels")
-        preds = _read_sentence_labels(pred_path, "predictions")
-        _check_in_corpus(corpus, preds, "predictions.jsonl is stale: a prediction", "test")
+        preds = _read_predictions(pred_path, corpus)
         _check_in_corpus(corpus, gold, "a gold label", "test")
         if gold.keys().isdisjoint(preds):
             raise ConfigError("gold labels and predictions share no sentences")

@@ -10,12 +10,15 @@ content has changed since.
 
 Every lexicon or vocabulary feature is a per-word count, so the extractor
 resolves each lowercased word type once into the columns it adds to and
-counts a sentence's columns with one bincount; dictionary blocks are then
-divided by the sentence's word count.
+counts a sentence's columns; dictionary blocks are then divided by the
+sentence's word count.
 
-A sentence's features are a dense vector. Most entries are zero (96-98 %
-on the benchmark bundles), so the training matrix keeps only each row's
-nonzero columns and values (`cli.build_examples`, `sparse.CsrMatrix`).
+A sentence's features are one sparse row: its nonzero columns in ascending
+order and their values, computed in pure Python. Most entries are zero
+(96-98 % on the benchmark bundles). Train and predict both stack these rows
+into a `sparse.CsrMatrix` and score it with the same numpy product, so a
+sentence gets the same margin in either command and no BLAS kernel enters
+it (`pu` says what still varies by host).
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from typing import Literal, Sequence
-
-import numpy as np
 
 from .constants import FEATURE_MODES, MODE_BOW, MODE_DICTIONARY, MODE_DICTIONARY_NO_GENERAL
 from .corpus import Corpus, InputFormatError, Sentence, decode, document_frequencies
@@ -40,19 +41,17 @@ class LayoutMismatchError(InputFormatError):
     """Feature layout does not match the supplied lexicons or model."""
 
 
-def general_features(sentence: Sentence) -> np.ndarray:
+def general_features(sentence: Sentence) -> tuple[float, ...]:
     """Token count, punctuation count, and four contains-mark flags."""
     text = sentence.text
     double_quote = any(m in text for m in DOUBLE_QUOTE_MARKS) or "''" in text
-    return np.array(
-        [
-            float(len(sentence.tokens)),
-            float(len(sentence.tokens) - len(sentence.words)),
-            1.0 if "!" in text else 0.0,
-            1.0 if "?" in text else 0.0,
-            1.0 if ":" in text else 0.0,
-            1.0 if double_quote else 0.0,
-        ]
+    return (
+        float(len(sentence.tokens)),
+        float(len(sentence.tokens) - len(sentence.words)),
+        1.0 if "!" in text else 0.0,
+        1.0 if "?" in text else 0.0,
+        1.0 if ":" in text else 0.0,
+        1.0 if double_quote else 0.0,
     )
 
 
@@ -184,7 +183,7 @@ def layout_hash(layout: FeatureLayout) -> str:
 
 
 class FeatureExtractor:
-    """Maps sentences to fixed-layout vectors, validating lexicons against the layout."""
+    """Maps sentences to sparse fixed-layout rows, validating lexicons against the layout."""
 
     def __init__(
         self,
@@ -246,27 +245,29 @@ class FeatureExtractor:
             pos += len(lex.categories)
         return tuple(cols)
 
-    def extract(self, sentence: Sentence) -> np.ndarray:
-        """The sentence's vector; a wordless sentence gets zero lexicon blocks.
+    def extract(self, sentence: Sentence) -> tuple[list[int], list[float]]:
+        """The sentence's nonzero columns, ascending, and their values.
 
-        The general block is still computed, so punctuation-only sentences,
-        which real corpora hold, get a vector like any other.
+        A wordless sentence has no lexicon entries; its general block is
+        still computed, so punctuation-only sentences, which real corpora
+        hold, get a row like any other.
         """
         words = sentence.words
-        cols = []
+        counts: dict[int, int] = {}
         for word in words:
             hit = self._columns.get(word)
             if hit is None:
                 hit = self._columns[word] = self._resolve(word)
-            cols.extend(hit)
-        width = self.layout.total_dim - self.layout.general_width
-        out = np.zeros(self.layout.total_dim)
-        out[:width] = np.bincount(np.array(cols, dtype=np.intp), minlength=width)
-        if words and self.layout.mode != MODE_BOW:
-            out[:width] /= len(words)
-        if self.layout.general_width:
-            out[width:] = general_features(sentence)
-        return out
+            for col in hit:
+                counts[col] = counts.get(col, 0) + 1
+        scale = 1 if self.layout.mode == MODE_BOW else len(words)
+        cols = sorted(counts)
+        values = [counts[col] / scale for col in cols]
+        general = general_features(sentence) if self.layout.general_width else ()
+        offset = self.layout.total_dim - self.layout.general_width
+        cols += [offset + i for i, value in enumerate(general) if value]
+        values += [value for value in general if value]
+        return cols, values
 
     # The same method under a second name, which perfbench/tracer.py wraps.
     extract_or_zero = extract

@@ -16,8 +16,9 @@ sigmoid fitted on held-out margins converts SVM scores into probabilities.
 
 The learner sees only (X, o): a `PUModel` holds no feature layout, and
 `save_model` writes it beside the `FeatureLayout` of X's columns. The CLI
-passes X as a `sparse.CsrMatrix`; the functions here use only `len`,
-`.shape`, `X[rows]`, `X @ w` and `X.T @ r`, so a dense array works as well.
+passes X as a `sparse.CsrMatrix` of one sparse row per sentence; the
+functions here use only `len`, `.shape`, `X[rows]`, `X @ w` and `X.T @ r`,
+so a dense array works as well.
 Stage 1 scores X once: e and the unlabeled weights both read that one
 vector of probabilities. Stage 2 reads only its fit rows: `train_pu_model`
 copies the distinct source rows of the fit entries out of X once, so no
@@ -25,6 +26,15 @@ epoch multiplies a row held out for calibration. The relabeled entries are
 a `sparse.SelectedRows` view of that copy, since each unlabeled row enters
 twice: margins are `(X_fit @ w)[rows]`, and the gradient sums each entry's
 coefficient into its source row before one `X_fit.T` product.
+
+Predict scores with train's product: `SentenceClassifier.prob` stacks the
+test sentences' rows into one CsrMatrix and calls `PUModel.margins`, the
+formula train uses for its calibration margins. With X a CsrMatrix, no step
+that writes model.json or predictions.jsonl calls BLAS: the CSR products
+are numpy gathers and `reduceat`, and `calibrate` takes its sums with numpy
+reductions, so those bytes do not depend on the OpenBLAS kernel the CPU
+selects. They still depend on numpy's float64 `exp`, which takes an
+AVX-512 path on a CPU that has one and a scalar path elsewhere.
 
 Both stages run one fixed schedule of full-batch (sub)gradient descent,
 EPOCHS steps from zero at learning rate LR0 / (1 + t / LR_TAU); only each
@@ -284,6 +294,9 @@ def calibrate(
 
     Uses smoothed targets (n+1)/(n+2) and 1/(n+2) so perfectly separated
     margins still give a finite slope; solved by damped Newton iterations.
+    Weighted sums are numpy reductions, not BLAS dot products, and the line
+    search ignores loss changes below rounding, so the order of the inputs
+    moves (A, B) by rounding alone.
     """
     m = np.asarray(margins, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -299,7 +312,7 @@ def calibrate(
     def loss_at(a: float, b: float) -> float:
         u = -(a * m + b)
         per = np.logaddexp(0.0, u) - t * u
-        return float(sw @ per)
+        return float((sw * per).sum())
 
     A = 0.0
     B = math.log((n_neg + 1.0) / (n_pos + 1.0))
@@ -307,21 +320,24 @@ def calibrate(
     for _ in range(100):
         p = _sigmoid(-(A * m + B))
         d = sw * (p - t)
-        grad_a = -float(d @ m)
+        grad_a = -float((d * m).sum())
         grad_b = -float(d.sum())
         h = sw * p * (1.0 - p)
-        h_aa = float(h @ (m * m))
-        h_ab = float(h @ m)
+        h_aa = float((h * (m * m)).sum())
+        h_ab = float((h * m).sum())
         h_bb = float(h.sum())
         det = h_aa * h_bb - h_ab * h_ab
         if det <= 1e-24:
             break
         step_a = (h_bb * grad_a - h_ab * grad_b) / det
         step_b = (h_aa * grad_b - h_ab * grad_a) / det
+        # A rise below 1e-13 of the loss is rounding, not a worse fit. Without
+        # this margin the search can reject the last Newton step on noise and
+        # stop short of the optimum, at a point set by the order of the sums.
         scale = 1.0
         for _ in range(30):
             cand = loss_at(A - scale * step_a, B - scale * step_b)
-            if cand <= prev:
+            if cand <= prev + 1e-13 * abs(prev):
                 break
             scale *= 0.5
         A -= scale * step_a
@@ -422,9 +438,11 @@ class SentenceClassifier:
         self.model = model
         self.extractor = extractor
 
-    def prob(self, sentence: Sentence) -> float:
-        x = self.extractor.extract(sentence)
-        return float(self.model.prob_from_margin(self.model.margins(x)))
+    def prob(self, sentences: Sequence[Sentence]) -> np.ndarray:
+        """Each sentence's probability, from one CsrMatrix of their `extract` rows."""
+        rows = (self.extractor.extract(sentence) for sentence in sentences)
+        X = CsrMatrix.from_rows(rows, self.extractor.layout.total_dim)
+        return self.model.prob_from_margin(self.model.margins(X))
 
 
 def model_to_json(model: PUModel, layout: FeatureLayout) -> dict:
@@ -473,8 +491,12 @@ def model_from_json(obj: dict) -> tuple[PUModel, FeatureLayout]:
             bias=_finite(obj["stage1"]["bias"], "stage1.bias"),
         )
         svm_w = _finite(obj["svm"]["weights"], "svm.weights")
-        if len(stage1.weights) != layout.total_dim or len(svm_w) != layout.total_dim:
-            raise ModelFormatError("weight vector length does not match the layout")
+        for field, weights in (("stage1.weights", stage1.weights), ("svm.weights", svm_w)):
+            if len(weights) != layout.total_dim:
+                raise ModelFormatError(
+                    f"model field {field!r} holds {len(weights)} weights; "
+                    f"its layout has {layout.total_dim} columns"
+                )
         e, seed = obj["e"], obj["seed"]
         if type(e) not in (int, float) or not 0 < _finite(e, "e") <= 1:
             raise ModelFormatError(f"model field 'e' must be a number in (0, 1], not {e!r}")

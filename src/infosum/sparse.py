@@ -1,8 +1,8 @@
 """Compressed sparse row (CSR) matrices in numpy alone.
 
 Sentence feature rows are mostly zero (1.7-4.3 % nonzero on the benchmark
-bundles), so PU training holds its feature matrix as a CsrMatrix. The type
-supports what training does with X and nothing more: `len`, `.shape`,
+bundles), so train and predict hold their feature matrices as a CsrMatrix.
+The type supports what training does with X and nothing more: `len`, `.shape`,
 `X[rows]`, `X @ w` and `X.T @ r`; dense numpy arrays support the same
 operations, so the training code accepts either. scipy.sparse is not used:
 on a 2-vCPU VM, importing it after numpy raised peak resident memory from
@@ -29,6 +29,8 @@ relabeled set of stage 2 is such a selection.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
@@ -71,11 +73,13 @@ class CsrMatrix:
 
     @classmethod
     def from_rows(cls, rows, n_cols: int) -> CsrMatrix:
-        """Matrix whose rows are the given (columns, values) pairs."""
-        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
-        np.cumsum([len(cols) for cols, _ in rows], out=indptr[1:])
-        indices = np.concatenate([np.zeros(0, dtype=np.intp), *(cols for cols, _ in rows)])
-        data = np.concatenate([np.zeros(0), *(vals for _, vals in rows)])
+        """Matrix whose rows are the given (columns, values) pairs, read once into
+        flat typed buffers, so `rows` may be a generator and no row is kept."""
+        indptr, indices, data = array("q", [0]), array("q"), array("d")
+        for cols, vals in rows:
+            indices.extend(cols)
+            data.extend(vals)
+            indptr.append(len(indices))
         return cls(indptr, indices, data, n_cols)
 
     def __len__(self) -> int:

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import asdict
@@ -7,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from infosum.cli import EXIT_OK, EXIT_VALIDATION, RunConfig, main
+from infosum.cli import EXIT_OK, EXIT_VALIDATION, RunConfig, build_extractor, main
+from infosum.corpus import load_corpus
 from infosum.pu import load_model, train_pu_model, save_model
+from infosum.sparse import CsrMatrix
 from infosum.synth import SynthParams, write_synth_bundle
 
 
@@ -97,6 +100,39 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         assert sorted(set(unwanted) & set(loaded)) == [], command
 
 
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
+    """Train and predict write the same bytes whichever OpenBLAS kernel runs them.
+
+    The three kernels' runs go side by side, one command at a time.
+    """
+    paths = write_synth_bundle(tmp_path, SynthParams(n_train_docs=20, n_test_docs=5))
+    assert main(["label", "-c", paths["config"], "--out-dir", str(tmp_path / "labels")]) == EXIT_OK
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("OPENBLAS_CORETYPE", None)
+    runs = {}
+    for coretype in (None, "Nehalem", "Prescott"):
+        out = tmp_path / (coretype or "default")
+        out.mkdir()
+        (out / "labels.jsonl").write_bytes((tmp_path / "labels" / "labels.jsonl").read_bytes())
+        runs[coretype] = (out, env if coretype is None else {**env, "OPENBLAS_CORETYPE": coretype})
+    for command in ("train", "predict"):
+        procs = [subprocess.Popen([sys.executable, "-m", "infosum.cli", command, "-c", paths["config"],
+                                   "--out-dir", str(out)], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                  text=True, env=run_env)
+                 for out, run_env in runs.values()]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == EXIT_OK, err
+    artifacts = {
+        coretype: [(out / name).read_bytes() for name in ("model.json", "predictions.jsonl")]
+        for coretype, (out, _) in runs.items()
+    }
+    assert artifacts["Nehalem"] == artifacts[None]
+    assert artifacts["Prescott"] == artifacts[None]
+
+
 class TestPipelineArtifacts:
     def test_all_artifacts_exist(self, pipeline):
         _, run_dir = pipeline
@@ -158,6 +194,20 @@ class TestPipelineArtifacts:
             assert main([command, "-c", cfg_path]) == EXIT_OK
         for name, blob in snapshot.items():
             assert (run_dir / name).read_bytes() == blob, name
+
+    def test_each_prediction_is_its_row_scored_by_the_training_product(self, pipeline):
+        """Predict scores all test sentences at once; each gets the bits of its own one-row matrix."""
+        cfg_path, run_dir = pipeline
+        cfg = RunConfig.from_dict(json.loads(Path(cfg_path).read_text()))
+        model, layout = load_model(run_dir / "model.json")
+        extractor = build_extractor(cfg, layout=layout)
+        sentences = [(doc.doc_id, sent) for doc in load_corpus(cfg.test_corpus) for sent in doc.sentences]
+        predictions = [json.loads(line) for line in (run_dir / "predictions.jsonl").read_text().splitlines()]
+        assert len(predictions) == len(sentences)
+        for pred, (doc_id, sent) in zip(predictions, sentences):
+            row = CsrMatrix.from_rows([extractor.extract(sent)], layout.total_dim)
+            assert (pred["doc_id"], pred["sentence_id"]) == (doc_id, sent.id)
+            assert pred["prob"] == model.prob_from_margin(model.margins(row))[0], (doc_id, sent.id)
 
 
 class TestPipelineCompositionality:
@@ -258,15 +308,17 @@ class TestSummarizeFromPredictions:
                      "--set", 'systems=["inforank"]']) == EXIT_VALIDATION
         assert "run predict first" in capsys.readouterr().err
 
-    def test_missing_sentence_exits_2_names_it(self, bundle, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["summarize", "evaluate"])
+    def test_missing_sentence_exits_2_names_it(self, bundle, pipeline, tmp_path, capsys, command):
         _, run_dir = pipeline
         lines = (run_dir / "predictions.jsonl").read_text().splitlines()
         dropped = json.loads(lines.pop(3))
         out = self.out_dir(run_dir, tmp_path / "short", "\n".join(lines) + "\n")
         capsys.readouterr()
-        assert main(["summarize", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
-        assert (f"sentence {dropped['sentence_id']} of document {dropped['doc_id']!r}"
+        assert main([command, "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert (f"predictions lack sentence {dropped['sentence_id']} of document {dropped['doc_id']!r}"
                 in capsys.readouterr().err)
+        assert not (out / "report.json").exists()
 
     def test_extra_document_exits_2_names_it(self, bundle, pipeline, tmp_path, capsys):
         _, run_dir = pipeline
@@ -700,6 +752,23 @@ class TestExitCodes:
         (out / "model.json").write_text(json.dumps(model))
         capsys.readouterr()
         assert main(["predict", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (out / "predictions.jsonl").exists()
+
+    @pytest.mark.parametrize("field, delta", [("svm", -1), ("stage1", 2)])
+    def test_wrong_weight_count_exits_2_naming_field(self, bundle, pipeline, tmp_path, capsys, field, delta):
+        """The weights must match the layout: the sparse product would not notice extra ones."""
+        _, run_dir = pipeline
+        out = tmp_path / "badweights"
+        out.mkdir()
+        model = json.loads((run_dir / "model.json").read_text())
+        dim = model["layout"]["total_dim"]
+        weights = model[field]["weights"]
+        model[field]["weights"] = weights[:delta] if delta < 0 else weights + [0.5] * delta
+        (out / "model.json").write_text(json.dumps(model))
+        capsys.readouterr()
+        assert main(["predict", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
+        message = f"model field '{field}.weights' holds {dim + delta} weights; its layout has {dim} columns"
         assert message in capsys.readouterr().err
         assert not (out / "predictions.jsonl").exists()
 

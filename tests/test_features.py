@@ -74,15 +74,25 @@ def reference_values(layout, scored, category, sentence):
     return out
 
 
+def vector(extractor, sentence):
+    """The sentence's row as a dense vector; the row must hold ascending columns and nonzero values."""
+    cols, values = extractor.extract(sentence)
+    assert cols == sorted(set(cols)) and len(values) == len(cols) and all(values)
+    assert all(type(c) is int for c in cols) and all(type(v) is float for v in values)
+    out = np.zeros(extractor.layout.total_dim)
+    out[cols] = values
+    return out
+
+
 def scored_block(sentence, lex=SCORED):
     """The lexicon's interval fractions, through a scored-only extractor."""
     layout = dictionary_layout([lex], [], include_general=False)
-    return FeatureExtractor(layout, [lex]).extract(sentence)
+    return vector(FeatureExtractor(layout, [lex]), sentence)
 
 
 def category_block(sentence, lex=CATS):
     layout = dictionary_layout([], [lex], include_general=False)
-    return FeatureExtractor(layout, [], [lex]).extract(sentence)
+    return vector(FeatureExtractor(layout, [], [lex]), sentence)
 
 
 class TestIntervalFractions:
@@ -145,10 +155,10 @@ class TestCategoryHistogram:
 class TestGeneralFeatures:
     def test_hello_world(self):
         vec = general_features(make_sentence(0, "Hello, world!"))
-        assert vec.tolist() == [4.0, 2.0, 1.0, 0.0, 0.0, 0.0]
+        assert vec == (4.0, 2.0, 1.0, 0.0, 0.0, 0.0)
 
     def test_empty_sentence(self):
-        assert general_features(make_sentence(0, "")).tolist() == [0.0] * 6
+        assert general_features(make_sentence(0, "")) == (0.0,) * 6
 
     def test_double_apostrophe_quote_convention(self):
         vec = general_features(
@@ -255,13 +265,13 @@ class TestLayout:
 class TestExtractFeatures:
     def test_full_vector(self):
         layout = dictionary_layout([SCORED], [CATS])
-        vec = FeatureExtractor(layout, [SCORED], [CATS]).extract(make_sentence(0, "alpha absurd!"))
+        vec = vector(FeatureExtractor(layout, [SCORED], [CATS]), make_sentence(0, "alpha absurd!"))
         assert vec.shape == (10 + 2 + 6,)
         assert vec[-6] == 3.0  # token count feature leads the general block
 
     def test_out_of_lexicon_only_general_nonzero(self):
         layout = dictionary_layout([SCORED], [CATS])
-        vec = FeatureExtractor(layout, [SCORED], [CATS]).extract(make_sentence(0, "zeta eta."))
+        vec = vector(FeatureExtractor(layout, [SCORED], [CATS]), make_sentence(0, "zeta eta."))
         assert vec[:12].sum() == 0.0
         assert vec[12:].sum() > 0.0
 
@@ -269,7 +279,7 @@ class TestExtractFeatures:
         layout = dictionary_layout([SCORED], [CATS])
         ex = FeatureExtractor(layout, [SCORED], [CATS])
         s = make_sentence(0, "alpha absurd gamma?")
-        assert np.array_equal(ex.extract(s), ex.extract(s))
+        assert ex.extract(s) == ex.extract(s)
 
     def test_mismatched_lexicon_rejected(self):
         layout = dictionary_layout([SCORED], [CATS])
@@ -286,7 +296,7 @@ class TestExtractFeatures:
     def test_wordless_sentence_keeps_general_block(self):
         layout = dictionary_layout([SCORED], [CATS])
         ex = FeatureExtractor(layout, [SCORED], [CATS])
-        vec = ex.extract(make_sentence(0, "..."))
+        vec = vector(ex, make_sentence(0, "..."))
         assert vec[:12].sum() == 0.0
         assert vec[12] == 1.0  # one punctuation token
 
@@ -304,12 +314,11 @@ class TestBow:
     def test_term_counts(self):
         layout = bow_layout(("alpha", "beta"))
         ex = FeatureExtractor(layout)
-        vec = ex.extract(make_sentence(0, "alpha alpha gamma"))
-        assert vec.tolist() == [2.0, 0.0]
+        assert ex.extract(make_sentence(0, "alpha alpha gamma")) == ([0], [2.0])
 
     def test_wordless_sentence_is_zero_vector(self):
         ex = FeatureExtractor(bow_layout(("alpha",)))
-        assert ex.extract(make_sentence(0, "...")).tolist() == [0.0]
+        assert ex.extract(make_sentence(0, "...")) == ([], [])
 
 
 WILDCARD_CATS = load_category_lexicon(
@@ -348,7 +357,7 @@ HAND_SENTENCES = [
 def assert_matches_reference(layout, scored, category, sentences):
     ex = FeatureExtractor(layout, scored, category)
     for sent in sentences:
-        assert np.array_equal(ex.extract(sent), reference_values(layout, scored, category, sent)), sent.text
+        assert np.array_equal(vector(ex, sent), reference_values(layout, scored, category, sent)), sent.text
 
 
 class TestMatchesReference:
@@ -363,16 +372,14 @@ class TestMatchesReference:
 
     def test_clamped_scores_land_in_edge_bins(self):
         layout = dictionary_layout([CLAMPED], [], include_general=False)
-        vec = FeatureExtractor(layout, [CLAMPED]).extract(make_sentence(0, "below above top"))
+        vec = vector(FeatureExtractor(layout, [CLAMPED]), make_sentence(0, "below above top"))
         imagery, concreteness = vec[:7], vec[7:]
         assert imagery[0] == pytest.approx(1 / 3) and imagery[6] == pytest.approx(2 / 3)
         assert concreteness[0] == pytest.approx(1 / 3) and concreteness[6] == pytest.approx(1 / 3)
 
     def test_wildcard_and_multi_category_counts(self):
         layout = dictionary_layout([], [WILDCARD_CATS], include_general=False)
-        vec = FeatureExtractor(layout, [], [WILDCARD_CATS]).extract(
-            make_sentence(0, "happy hat the dog")
-        )
+        vec = vector(FeatureExtractor(layout, [], [WILDCARD_CATS]), make_sentence(0, "happy hat the dog"))
         # happy: POSEMO, AFFECT, FUNC (wildcards and exact entry); hat: FUNC; the: FUNC
         assert vec.tolist() == [0.25, 0.25, 0.75]
 
