@@ -11,10 +11,12 @@ dir:
     evaluate   test corpus, gold labels, predictions.jsonl,
                summaries_<system>.jsonl                -> report.json, report.txt
 
-Predict is the only command that scores test sentences. It stacks every
-test sentence's sparse feature row into one CsrMatrix and scores it with
-the product train uses (`pu.SentenceClassifier.prob`). No artifact's
-bytes depend on the BLAS kernel; `pu` says what still varies by host.
+Predict is the only command that scores test sentences. It stacks the
+sparse feature rows of a fixed block of test sentences at a time into a
+CsrMatrix and scores it with the product train uses
+(`pu.SentenceClassifier.prob`); a sentence's score does not depend on its
+block. No artifact's bytes depend on the BLAS kernel; `pu` says what still
+varies by host.
 Summarize takes each sentence's probability for InfoRank and InfoFilter
 from the `prob` fields of predictions.jsonl; LeadWords and RandomRank need
 no predictions. Summarize and evaluate both require a prediction for
@@ -34,7 +36,9 @@ which loads numpy: `constants`, `corpus`, `weak_label` and `summarize`
 
 So a command pays neither the import nor, without a bytecode cache, the
 compile time of code it never runs; at the package root `infosum` imports
-only `corpus`.
+only `corpus`. No command loads numpy.random, since `rng` draws numpy's
+streams in pure Python, nor OpenSSL, since `lexicons` hashes with CPython's
+own SHA-256.
 
 Every command takes a JSON config (-c) plus optional `--set dotted.key=value`
 overrides, writes a resolved-config copy next to its outputs, and is a pure
@@ -556,19 +560,27 @@ def _evaluated_summaries(cfg: RunConfig, corpus: Corpus) -> dict[str, list[Summa
     return summaries
 
 
+def _classification(cfg: RunConfig, corpus: Corpus, pred_path: Path) -> dict:
+    """The report's classification section: gold labels against predictions.
+    A function of its own, so their records are freed before the ROUGE section."""
+    from .report import classification_section
+
+    gold = _read_sentence_labels(_require_file(cfg.evaluate.gold_labels, "gold labels file"), "gold labels")
+    preds = _read_predictions(pred_path, corpus)
+    _check_in_corpus(corpus, gold, "a gold label", "test")
+    if gold.keys().isdisjoint(preds):
+        raise ConfigError("gold labels and predictions share no sentences")
+    return classification_section(gold, preds)
+
+
 def cmd_evaluate(cfg: RunConfig) -> int:
-    from .report import classification_section, render_table, rouge_section, wilcoxon_section
+    from .report import render_table, rouge_section, wilcoxon_section
 
     corpus = load_corpus(_require_file(cfg.test_corpus, "test corpus"))
     report: dict = {}
     pred_path = cfg.path("predictions.jsonl")
     if cfg.evaluate.gold_labels is not None and pred_path.is_file():
-        gold = _read_sentence_labels(_require_file(cfg.evaluate.gold_labels, "gold labels file"), "gold labels")
-        preds = _read_predictions(pred_path, corpus)
-        _check_in_corpus(corpus, gold, "a gold label", "test")
-        if gold.keys().isdisjoint(preds):
-            raise ConfigError("gold labels and predictions share no sentences")
-        report["classification"] = classification_section(gold, preds)
+        report["classification"] = _classification(cfg, corpus, pred_path)
     summaries = _evaluated_summaries(cfg, corpus)
     if summaries:
         report["rouge"] = rouge_section(corpus, summaries, cfg.evaluate.rouge)

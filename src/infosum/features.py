@@ -5,8 +5,9 @@ fractions from scored lexicons, category histograms from category lexicons,
 and six general sentence attributes. BOW layouts hold raw term counts over a
 fixed vocabulary; there is no other kind of layout. A FeatureLayout freezes
 block order, widths and lexicon content hashes. `pu.save_model` writes it
-beside the model, and an extractor built on it rejects lexicons whose
-content has changed since.
+beside the model with its hash (`layout_hash`, the SHA-256 of its JSON,
+taken without OpenSSL as `lexicons` says), and an extractor built on it
+rejects lexicons whose content has changed since.
 
 Every lexicon or vocabulary feature is a per-word count, so the extractor
 resolves each lowercased word type once into the columns it adds to and
@@ -23,14 +24,13 @@ it (`pu` says what still varies by host).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass
 from typing import Literal, Sequence
 
 from .constants import FEATURE_MODES, MODE_BOW, MODE_DICTIONARY, MODE_DICTIONARY_NO_GENERAL
 from .corpus import Corpus, InputFormatError, Sentence, decode, document_frequencies
-from .lexicons import CategoryLexicon, LexiconFormatError, ScoredLexicon, bin_index
+from .lexicons import CategoryLexicon, LexiconFormatError, ScoredLexicon, bin_index, sha256_hex
 
 GENERAL_WIDTH = 6
 DOUBLE_QUOTE_MARKS = ('"', "“", "”")
@@ -178,8 +178,8 @@ def layout_from_json(obj: dict) -> FeatureLayout:
 
 
 def layout_hash(layout: FeatureLayout) -> str:
-    blob = json.dumps(layout_to_json(layout), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """The SHA-256 of the layout's canonical JSON, by the built-in module `lexicons` names."""
+    return sha256_hex(json.dumps(layout_to_json(layout), sort_keys=True, separators=(",", ":")))
 
 
 class FeatureExtractor:

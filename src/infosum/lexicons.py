@@ -12,11 +12,16 @@ Lines starting with `#` (other than the header) are comments. Words are
 casefolded on load; a trailing `*` marks a prefix-match (wildcard) entry.
 Files are read by `infosum.corpus.read_lines`, and an error names the
 lexicon kind and the line.
+
+A lexicon's content hash, and a feature layout's (`features.layout_hash`),
+is the SHA-256 of its canonical JSON, taken by `sha256_hex` from CPython's
+built-in module (`_sha256`, `_sha2` from Python 3.12). `hashlib` would load
+`_hashlib`, which maps OpenSSL's libcrypto: 3.5 MB more resident memory in
+train and predict. It is the fallback on a Python built without them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -25,6 +30,14 @@ from typing import Iterable
 
 from .constants import DEFAULT_BINS
 from .corpus import InputFormatError, numbered_lines, read_lines
+
+try:
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 SCORED = "scored lexicon"
 CATEGORY = "category lexicon"
@@ -35,9 +48,13 @@ class LexiconFormatError(InputFormatError):
     lexicon name that clashes with another lexicon or a feature block."""
 
 
+def sha256_hex(text: str) -> str:
+    """The hex SHA-256 digest of `text` in UTF-8."""
+    return sha256(text.encode("utf-8")).hexdigest()
+
+
 def _hash_payload(payload: object) -> str:
-    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256_hex(json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":")))
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,15 @@ twice: margins are `(X_fit @ w)[rows]`, and the gradient sums each entry's
 coefficient into its source row before one `X_fit.T` product.
 
 Predict scores with train's product: `SentenceClassifier.prob` stacks the
-test sentences' rows into one CsrMatrix and calls `PUModel.margins`, the
-formula train uses for its calibration margins. With X a CsrMatrix, no step
-that writes model.json or predictions.jsonl calls BLAS: the CSR products
-are numpy gathers and `reduceat`, and `calibrate` takes its sums with numpy
-reductions, so those bytes do not depend on the OpenBLAS kernel the CPU
-selects. They still depend on numpy's float64 `exp`, which takes an
+rows of each PROB_BLOCK test sentences into a CsrMatrix and calls
+`PUModel.margins`, the formula train uses for its calibration margins. A
+row's margin and probability depend on that row alone, so the blocks give
+each sentence the bits one matrix of all of them would, without holding
+all their entries at once (72,605 on the paper-150 test corpus, 5.3 MB of
+heap). With X a CsrMatrix, no step that writes model.json or
+predictions.jsonl calls BLAS: the CSR products are numpy gathers and
+`reduceat`, and `calibrate` takes its sums with numpy reductions, so those
+bytes do not depend on the OpenBLAS kernel the CPU selects. They still depend on numpy's float64 `exp`, which takes an
 AVX-512 path on a CPU that has one and a scalar path elsewhere.
 
 Both stages run one fixed schedule of full-batch (sub)gradient descent,
@@ -78,6 +81,7 @@ from .features import (
     layout_hash,
     layout_to_json,
 )
+from .rng import default_rng
 from .sparse import CsrMatrix, SelectedRows
 
 logger = logging.getLogger(__name__)
@@ -90,6 +94,9 @@ PROB_EPS = 1e-12
 EPOCHS = 4000
 LR0 = 0.08
 LR_TAU = 400.0
+
+# Sentences whose rows `SentenceClassifier.prob` stacks into one CsrMatrix.
+PROB_BLOCK = 512
 
 
 class DegenerateTrainingSetError(ValueError):
@@ -368,13 +375,14 @@ class PUModel:
 def calibration_split(rows: np.ndarray, n_rows: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(fit, calibration) indices into relabeled entries whose source rows are `rows`.
 
-    A seeded 20% of the n_rows source rows is held out, and every entry of a
+    A seeded 20% of the n_rows source rows, the first of numpy's
+    `default_rng(seed).permutation(n_rows)`, is held out, and every entry of a
     held-out row goes to calibration, so both copies of an unlabeled row fall
     on the same side.
     """
     n_cal = max(1, round(0.2 * n_rows))
     held = np.zeros(n_rows, dtype=bool)
-    held[np.random.default_rng(seed).permutation(n_rows)[:n_cal]] = True
+    held[default_rng(seed).permutation(n_rows)[:n_cal]] = True
     return np.flatnonzero(~held[rows]), np.flatnonzero(held[rows])
 
 
@@ -439,10 +447,14 @@ class SentenceClassifier:
         self.extractor = extractor
 
     def prob(self, sentences: Sequence[Sentence]) -> np.ndarray:
-        """Each sentence's probability, from one CsrMatrix of their `extract` rows."""
-        rows = (self.extractor.extract(sentence) for sentence in sentences)
-        X = CsrMatrix.from_rows(rows, self.extractor.layout.total_dim)
-        return self.model.prob_from_margin(self.model.margins(X))
+        """Each sentence's probability, from a CsrMatrix of the `extract` rows of
+        each PROB_BLOCK sentences in turn."""
+        out = np.empty(len(sentences))
+        for start in range(0, len(sentences), PROB_BLOCK):
+            block = sentences[start:start + PROB_BLOCK]
+            X = CsrMatrix.from_rows(map(self.extractor.extract, block), self.extractor.layout.total_dim)
+            out[start:start + len(block)] = self.model.prob_from_margin(self.model.margins(X))
+        return out
 
 
 def model_to_json(model: PUModel, layout: FeatureLayout) -> dict:

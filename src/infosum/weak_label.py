@@ -4,7 +4,8 @@ Two regimes: extract membership (a sentence is positive when it appears in
 at least one human extract) and alignment thresholds (positive when the best
 IDF-weighted overlap with a summary sentence clears t_pos, unlabeled at or
 below t_unl, excluded in between). Balanced unlabeled sampling keeps the
-training set near a configurable unlabeled:positive ratio.
+training set near a configurable unlabeled:positive ratio, drawn from
+`infosum.rng`, so this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
 from .corpus import Document, IdfTable, Sentence, decode, read_jsonl, write_jsonl
+from .rng import default_rng
 
 POSITIVE = "positive"
 UNLABELED = "unlabeled"
@@ -110,17 +112,15 @@ def sample_unlabeled(labels: Sequence[WeakLabel], cfg: LabelConfig) -> list[Weak
     """Keep every positive plus a seeded uniform sample of the unlabeled pool.
 
     The target pool size is round(balance_ratio * positives); excluded labels
-    never enter the training set. Input order is preserved.
+    never enter the training set. The sample is numpy's
+    `default_rng(seed).choice(len(pool), target, replace=False)`; only its
+    set is used, and input order is preserved.
     """
     n_pos = sum(1 for lab in labels if lab.flag == POSITIVE)
     pool = [i for i, lab in enumerate(labels) if lab.flag == UNLABELED]
     target = min(len(pool), int(round(cfg.balance_ratio * n_pos)))
     if target < len(pool):
-        import numpy as np  # here, so `infosum label` loads no numpy
-
-        rng = np.random.default_rng(cfg.seed)
-        picked = rng.choice(len(pool), size=target, replace=False)
-        keep = {pool[int(i)] for i in picked}
+        keep = {pool[i] for i in default_rng(cfg.seed).choice(len(pool), target)}
     else:
         keep = set(pool)
     out = []

@@ -70,15 +70,16 @@ def test_cli_import_loads_no_scipy():
 
 # What each command must leave unimported: label, summarize and synth need no
 # numpy, only train and predict run the learner (synth writes lexicons but
-# reads none), and only evaluate scores ROUGE.
+# reads none), and only evaluate scores ROUGE. No command needs numpy.random
+# (`infosum.rng` draws its streams) or `_hashlib`, which maps OpenSSL's libcrypto.
 LEARNER = ("infosum.lexicons", "infosum.features", "infosum.pu", "infosum.sparse")
 NOT_LOADED = {
-    "label": ("numpy", *LEARNER, "infosum.metrics", "infosum.synth"),
-    "train": ("infosum.metrics", "infosum.synth"),
-    "predict": ("infosum.metrics", "infosum.synth"),
-    "summarize": ("numpy", *LEARNER, "infosum.metrics", "infosum.synth"),
-    "evaluate": (*LEARNER, "infosum.synth"),
-    "synth": ("numpy", "infosum.features", "infosum.pu", "infosum.sparse", "infosum.metrics"),
+    "label": ("numpy", *LEARNER, "infosum.metrics", "infosum.synth", "_hashlib"),
+    "train": ("numpy.random", "infosum.metrics", "infosum.synth", "_hashlib"),
+    "predict": ("numpy.random", "infosum.metrics", "infosum.synth", "_hashlib"),
+    "summarize": ("numpy", *LEARNER, "infosum.metrics", "infosum.synth", "_hashlib"),
+    "evaluate": ("numpy.random", *LEARNER, "infosum.synth", "_hashlib"),
+    "synth": ("numpy", "infosum.features", "infosum.pu", "infosum.sparse", "infosum.metrics", "_hashlib"),
 }
 
 
@@ -98,6 +99,16 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         rc, loaded = json.loads(proc.stdout.splitlines()[-1])
         assert rc == EXIT_OK, proc.stderr
         assert sorted(set(unwanted) & set(loaded)) == [], command
+
+
+@pytest.mark.parametrize("text", ["", "abc", "ü ∑ 😀 \u2028", '{"a":[1,2]}' * 5000])
+def test_sha256_hex_is_hashlibs_digest(text):
+    """The content and layout hashes keep their values without OpenSSL."""
+    import hashlib
+
+    from infosum.lexicons import sha256_hex
+
+    assert sha256_hex(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),

@@ -113,6 +113,17 @@ class TestChunkMemo:
 
     def test_memo_is_bounded(self):
         assert corpus._chunk_tokens.cache_info().maxsize == CHUNK_MEMO_SIZE
+        assert corpus._word.cache_info().maxsize == CHUNK_MEMO_SIZE
+
+    def test_one_str_object_per_distinct_word(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl([
+            {"doc_id": "a", "sentences": ["The cat sat.", "THE CAT, the cat!"], "summary": ["The Cat"]},
+            {"doc_id": "b", "sentences": ["Straße strasse STRASSE cat's Cat's"]},
+        ], path)
+        words = [w for doc in load_corpus(path) for s in (*doc.sentences, *(doc.summary or ())) for w in s.words]
+        assert len(words) == 14
+        assert len({id(w) for w in words}) == len(set(words)) == 5
 
 
 class TestWordCount:

@@ -701,3 +701,14 @@ class TestSentenceClassifier:
             row = CsrMatrix.from_rows([ex.extract(sent)], ex.layout.total_dim)
             assert p == model.prob_from_margin(model.margins(row))[0]
         assert clf.prob([]).shape == (0,)
+
+    def test_blocks_score_as_one_matrix(self):
+        model, ex = self.train_text_model(SCORED_V1)
+        draw = np.random.default_rng(5)
+        words = np.array(["alpha", "beta", "gamma", "delta", "epsilon", "!", "?", ":", '"'])
+        sents = [make_sentence(i, " ".join(draw.choice(words, size=draw.integers(1, 12))))
+                 for i in range(2 * pu.PROB_BLOCK + 7)]
+        X = CsrMatrix.from_rows([ex.extract(s) for s in sents], ex.layout.total_dim)
+        whole = model.prob_from_margin(model.margins(X))
+        assert len(np.unique(whole)) > 100
+        assert same_bits(SentenceClassifier(model, ex).prob(sents), whole)

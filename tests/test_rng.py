@@ -130,3 +130,32 @@ class TestPermutation:
     def test_more_than_2_to_32_items_raises(self):
         with pytest.raises(ValueError, match="at most 2\\*\\*32"):
             default_rng(0).permutation(2**32 + 1)
+
+
+class TestChoice:
+    """`choice(n, size)` is numpy's `default_rng(seed).choice(n, size, replace=False)`."""
+
+    # numpy shuffles a tail of 0, ..., n - 1 when n > 10000 and size > n // 50, and
+    # otherwise runs Floyd's algorithm: both edges of that rule, from each side, and
+    # the smallest and largest samples.
+    EDGES = [(n, size) for n in (10_000, 10_001) for size in (1, n // 50, n // 50 + 1, n - 1)]
+    SMALL = [(0, 0), (1, 0), (1, 1), (2, 1), (7, 3), (50, 49), (300, 300), (20_000, 20_000)]
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 + 3, 2**130 + 7, (0, 17), (2**70, 5)], ids=repr)
+    @pytest.mark.parametrize("n, size", EDGES + SMALL)
+    def test_equals_numpy(self, seed, n, size):
+        ours, theirs = default_rng(seed), np.random.default_rng(seed)
+        picked = ours.choice(n, size)
+        expected = theirs.choice(n, size, replace=False).tolist()
+        assert len(picked) == size and set(picked) == set(expected)
+        assert picked == expected  # in numpy's order, which keeps the stream in step
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("n, size", [(5, 6), (5, -1), (0, 1)])
+    def test_size_out_of_range_raises(self, n, size):
+        with pytest.raises(ValueError, match="distinct items"):
+            default_rng(0).choice(n, size)
+
+    def test_more_than_2_to_32_items_raises(self):
+        with pytest.raises(ValueError, match="at most 2\\*\\*32"):
+            default_rng(0).choice(2**32 + 1, 1)

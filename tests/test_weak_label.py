@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -218,6 +219,13 @@ class TestSampleUnlabeled:
         kept = sample_unlabeled(labels, LabelConfig(seed=9))
         ids = [l.sentence_id for l in kept]
         assert ids == sorted(ids)
+
+    def test_keeps_numpys_sample_of_the_pool(self):
+        labels = make_labels(40, 300, 20)
+        pool = [lab for lab in labels if lab.flag == UNLABELED]
+        picked = np.random.default_rng(4).choice(len(pool), size=48, replace=False)
+        kept = sample_unlabeled(labels, LabelConfig(seed=4))
+        assert [lab for lab in kept if lab.flag == UNLABELED] == [pool[i] for i in sorted(picked)]
 
 
 class TestLabelSerialization:
