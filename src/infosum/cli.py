@@ -19,8 +19,15 @@ block. No artifact's bytes depend on the BLAS kernel; `pu` says what still
 varies by host.
 Summarize takes each sentence's probability for InfoRank and InfoFilter
 from the `prob` fields of predictions.jsonl; LeadWords and RandomRank need
-no predictions. Summarize and evaluate both require a prediction for
-exactly each test sentence.
+no predictions.
+
+Each record file is checked against its corpus as it is read: labels,
+predictions and gold labels by `corpus.read_sentence_records`, summaries by
+`summarize.read_summaries` (with the cut rule beside `lead_words`). A line
+naming a sentence or document its corpus lacks, or one an earlier line
+named, fails at that line. Here, summarize and evaluate check only that the
+predictions cover every test sentence, and evaluate that a summaries file
+covers every test document.
 
 Each command runs in a process of its own and imports only the modules it
 runs. This file's top level imports the config schema's modules, none of
@@ -74,6 +81,7 @@ from .corpus import (
     load_corpus,
     read_json,
     read_jsonl,
+    read_sentence_records,
     write_jsonl,
 )
 from .summarize import (
@@ -182,6 +190,8 @@ class EvaluateSection:
             raise ValueError("rouge must hold at least one order")
         if any(n < 1 for n in self.rouge):
             raise ValueError("rouge must hold orders >= 1")
+        if len(set(self.rouge)) < len(self.rouge):
+            raise ValueError(f"rouge must not repeat an order: {list(self.rouge)}")
 
 
 @dataclass(frozen=True)
@@ -201,6 +211,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if len(set(self.systems)) < len(self.systems):
+            raise ValueError(f"systems must not repeat a system: {list(self.systems)}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -294,23 +306,6 @@ class Prediction(SentenceLabel):
             raise ValueError(f"label {self.label} disagrees with prob {self.prob!r}: label must be int(prob >= 0.5)")
 
 
-def _read_sentence_labels(path: Path, kind: str) -> dict[tuple[str, int], SentenceLabel]:
-    """Each record of a predictions file (a Prediction) or a gold labels file (a
-    SentenceLabel) by its (doc_id, sentence_id), in file order; a repeat is an error."""
-    cls = Prediction if kind == "predictions" else SentenceLabel
-    seen: set[tuple[str, int]] = set()
-
-    def parse(rec):
-        record = decode(cls, rec)
-        key = (record.doc_id, record.sentence_id)
-        if key in seen:
-            raise ValueError(f"sentence {key[1]} of document {key[0]!r} appears twice")
-        seen.add(key)
-        return key, record
-
-    return dict(read_jsonl(path, kind, parse))
-
-
 def compute_labels(cfg: RunConfig, corpus: Corpus):
     """Weak labels for every document, per the configured labeling mode."""
     label_cfg = cfg.label_config()
@@ -389,20 +384,6 @@ def build_extractor(cfg: RunConfig, train_corpus: Corpus | None = None, layout: 
     return FeatureExtractor(layout, scored, category)
 
 
-def _check_in_corpus(corpus: Corpus, keys, what: str, corpus_name: str) -> None:
-    """Every (doc_id, sentence_id) of `keys` names a sentence of the corpus."""
-    for doc_id, sentence_id in keys:
-        try:
-            found = 0 <= sentence_id < len(corpus.document(doc_id).sentences)
-        except KeyError:
-            found = False
-        if not found:
-            raise ConfigError(
-                f"{what} names sentence {sentence_id} of document {doc_id!r}, "
-                f"which the {corpus_name} corpus lacks"
-            )
-
-
 def build_examples(corpus: Corpus, labels, extractor: FeatureExtractor) -> tuple[CsrMatrix, np.ndarray]:
     """Feature matrix X and 0/1 vector o over the non-excluded labels, in label order.
 
@@ -422,8 +403,7 @@ def cmd_train(cfg: RunConfig) -> int:
     from .pu import save_model, train_pu_model
 
     corpus = load_corpus(_require_file(cfg.train_corpus, "train corpus"))
-    labels = read_labels(_require_file(str(cfg.path("labels.jsonl")), "labels file"))
-    _check_in_corpus(corpus, ((lab.doc_id, lab.sentence_id) for lab in labels), "a label", "train")
+    labels = read_labels(_require_file(str(cfg.path("labels.jsonl")), "labels file"), corpus)
     held = label_counts(labels)
     for flag in (POSITIVE, UNLABELED):
         if not held[flag]:
@@ -462,8 +442,7 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 def _read_predictions(path: Path, corpus: Corpus) -> dict[tuple[str, int], Prediction]:
     """The predictions at `path`, which must hold exactly the test corpus's sentences."""
-    preds = _read_sentence_labels(path, "predictions")
-    _check_in_corpus(corpus, preds, "predictions.jsonl is stale: a prediction", "test")
+    preds = read_sentence_records(path, "predictions", Prediction, corpus, "test")
     for doc in corpus:
         for sent in doc.sentences:
             if (doc.doc_id, sent.id) not in preds:
@@ -517,44 +496,19 @@ def _evaluated_summaries(cfg: RunConfig, corpus: Corpus) -> dict[str, list[Summa
     """Each configured system's summaries of the test documents that have a
     reference summary, in system order; a system with no file is left out.
 
-    A file summarizes exactly the test documents. A summary must select
-    sentences of its document, and its word_total must be their words, or
-    fewer by cutting only the last one, to at least one word (as lead_words
-    cuts).
+    `read_summaries` checks each summary against its document; a file must
+    also summarize every test document.
     """
-    documents = {doc.doc_id: doc for doc in corpus}
     summaries = {}
     for system in cfg.systems:
         path = cfg.path(f"summaries_{system}.jsonl")
         if not path.is_file():
             continue
-        results = read_summaries(path, system)
-        kept = []
-        for result in results:
-            doc = documents.get(result.doc_id)
-            if doc is None:
-                raise ConfigError(
-                    f"{path.name}: document {result.doc_id!r} is not in the test corpus; run summarize again"
-                )
-            if doc.summary is None:
-                continue
-            if not all(0 <= i < len(doc.sentences) for i in result.selected):
-                raise ConfigError(
-                    f"{path.name}: document {result.doc_id!r} selects sentences "
-                    "the test corpus does not have"
-                )
-            lengths = [len(doc.sentences[i].words) for i in result.selected]
-            excess = sum(lengths) - result.word_total
-            if excess and not (lengths and 0 < excess < lengths[-1]):
-                raise ConfigError(
-                    f"{path.name}: document {result.doc_id!r} has word_total {result.word_total}, "
-                    f"but its selected sentences hold {sum(lengths)} words and only the last "
-                    "may be cut, to at least one word"
-                )
-            kept.append(result)
-        missing = documents.keys() - {result.doc_id for result in results}
+        results = read_summaries(path, system, corpus)
+        missing = {doc.doc_id for doc in corpus}.difference(result.doc_id for result in results)
         if missing:
             raise ConfigError(f"{path.name} lacks test document {min(missing)!r}; run summarize again")
+        kept = [result for result in results if corpus.document(result.doc_id).summary is not None]
         if kept:
             summaries[system] = kept
     return summaries
@@ -565,12 +519,11 @@ def _classification(cfg: RunConfig, corpus: Corpus, pred_path: Path) -> dict:
     A function of its own, so their records are freed before the ROUGE section."""
     from .report import classification_section
 
-    gold = _read_sentence_labels(_require_file(cfg.evaluate.gold_labels, "gold labels file"), "gold labels")
-    preds = _read_predictions(pred_path, corpus)
-    _check_in_corpus(corpus, gold, "a gold label", "test")
-    if gold.keys().isdisjoint(preds):
-        raise ConfigError("gold labels and predictions share no sentences")
-    return classification_section(gold, preds)
+    gold_path = _require_file(cfg.evaluate.gold_labels, "gold labels file")
+    gold = read_sentence_records(gold_path, "gold labels", SentenceLabel, corpus, "test")
+    if not gold:
+        raise ConfigError(f"gold labels file {gold_path} holds no labels")
+    return classification_section(gold, _read_predictions(pred_path, corpus))
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:

@@ -27,6 +27,10 @@ as `to_jsonl` writes them), and blank lines are skipped. Undecodable bytes,
 bad JSON and a bad field all raise InputFormatError naming the file kind and
 the 1-based line. Every JSONL artifact is written by `write_jsonl`.
 
+Labels, predictions and gold labels are read by `read_sentence_records`,
+which fails at a line naming a sentence its corpus lacks or one an earlier
+line named; summaries by `summarize.read_summaries`.
+
 A JSON object becomes a record, a frozen dataclass, by one rule (`decode`):
 each field's type hint is its key's JSON type, exactly (a bool is not an
 int, a numeric string not a number). A float is finite (an int converts), a
@@ -261,6 +265,28 @@ def parse_jsonl(lines: Iterable[tuple[int, str]], kind: str, parse: Callable[[di
 def read_jsonl(path: str | Path, kind: str, parse: Callable[[dict], T]) -> list[T]:
     """`parse` applied to each record of the JSONL file at `path`."""
     return parse_jsonl(read_lines(path, kind), kind, parse)
+
+
+def read_sentence_records(
+    path: str | Path, kind: str, cls: type[T], corpus: Corpus, corpus_name: str
+) -> dict[tuple[str, int], T]:
+    """Each record `cls` (with a `doc_id` and a `sentence_id`) of the JSONL file at `path`
+    by its (doc_id, sentence_id), in file order. A line that names a sentence the corpus
+    lacks, or one that an earlier line named, is an error at that line."""
+    records: dict[tuple[str, int], T] = {}
+
+    def parse(rec: dict) -> None:
+        record = decode(cls, rec)
+        doc_id, sentence_id = key = record.doc_id, record.sentence_id
+        doc = corpus._index.get(doc_id)
+        if doc is None or not 0 <= sentence_id < len(doc.sentences):
+            raise ValueError(f"sentence {sentence_id} of document {doc_id!r} is not in the {corpus_name} corpus")
+        if key in records:
+            raise ValueError(f"sentence {sentence_id} of document {doc_id!r} appears twice")
+        records[key] = record
+
+    read_jsonl(path, kind, parse)
+    return records
 
 
 def to_jsonl(records: Iterable[dict]) -> str:

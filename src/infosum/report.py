@@ -27,9 +27,9 @@ ROUGE_STATS = ("recall", "precision", "f1")
 
 
 def classification_section(gold: SentenceLabels, preds: SentenceLabels) -> dict:
-    """Detector and all-positive baseline scores over the sentences both files label,
-    and McNemar's test between the two."""
-    keys = sorted(k for k in gold if k in preds)
+    """Detector and all-positive baseline scores over the gold-labeled sentences, each of
+    which `preds` holds, and McNemar's test between the two."""
+    keys = sorted(gold)
     truth = [gold[k].label for k in keys]
     model_pred = [preds[k].label for k in keys]
     baseline_pred = [1] * len(keys)

@@ -8,6 +8,9 @@ probability for each sentence of the document, in sentence order. These
 are the `prob` fields of predictions.jsonl, which `infosum predict` writes
 and `infosum summarize` reads: no summarizer scores a sentence itself.
 
+Only lead_words cuts a sentence: the last it selects, to at least one word.
+`_words_cut` holds that rule for `read_summaries` and `summary_sentences`.
+
 This module imports no numpy. RandomRank's order is numpy's
 `default_rng(seed).permutation(n)`, drawn by `rng`, the package's
 pure-Python copy of numpy's seeding, PCG64 generator and shuffle.
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
-from .corpus import Document, Sentence, decode, make_sentence, read_jsonl, word_count, write_jsonl
+from .corpus import Corpus, Document, Sentence, decode, make_sentence, read_jsonl, write_jsonl
 from .rng import default_rng
 
 WHOLE_SENTENCE = "whole-sentence"
@@ -112,6 +115,19 @@ def lead_words(doc: Document, budget: SummaryBudget) -> SummaryResult:
     )
 
 
+def _words_cut(doc: Document, result: SummaryResult) -> int:
+    """The words lead_words cut from the summary's last sentence, so fewer than it holds;
+    a word_total that no such cut gives is a ValueError."""
+    lengths = [len(doc.sentences[i].words) for i in result.selected]
+    cut = sum(lengths) - result.word_total
+    if cut and not (lengths and 0 < cut < lengths[-1]):
+        raise ValueError(
+            f"document {doc.doc_id!r} has word_total {result.word_total}, but its selected "
+            f"sentences hold {sum(lengths)} words and only the last may be cut, to at least one word"
+        )
+    return cut
+
+
 def _greedy_fill(order: Sequence[int], counts: Sequence[int], max_words: int) -> tuple[list[int], int]:
     """Take sentences along `order` while they fit; oversized ones are skipped."""
     chosen: list[int] = []
@@ -194,16 +210,12 @@ def info_filter(doc: Document, probs: Sequence[float], budget: SummaryBudget) ->
 
 
 def summary_sentences(doc: Document, result: SummaryResult) -> list[Sentence]:
-    """The summary's sentences, the last one cut as lead_words cut it.
-
-    Only lead_words truncates (LeadWords, and InfoFilter's fallback); a cut
-    shows as fewer words in word_total than the selected sentences hold.
-    """
+    """The summary's sentences, the last one cut as lead_words cut it."""
     sentences = [doc.sentences[i] for i in result.selected]
-    excess = word_count(sentences) - result.word_total
-    if excess > 0:
+    cut = _words_cut(doc, result)
+    if cut:
         last = sentences[-1]
-        sentences[-1] = make_sentence(last.id, _truncate(last, len(last.words) - excess))
+        sentences[-1] = make_sentence(last.id, _truncate(last, len(last.words) - cut))
     return sentences
 
 
@@ -229,11 +241,10 @@ def write_summaries(results: Iterable[SummaryResult], path: str | Path) -> None:
     write_jsonl(map(vars, results), path)
 
 
-def read_summaries(path: str | Path, system: str) -> list[SummaryResult]:
-    """The summaries of `system` in `path`; an error names the file and the line.
-
-    A record of another system and a document summarized twice are errors.
-    """
+def read_summaries(path: str | Path, system: str, corpus: Corpus) -> list[SummaryResult]:
+    """The summaries of `system` in `path`; an error names the file and the line. A record
+    of another system, of a document summarized twice or absent from the test `corpus`, or
+    with a selection or word_total its document cannot have is an error."""
     path = Path(path)
     seen: set[str] = set()
 
@@ -244,6 +255,13 @@ def read_summaries(path: str | Path, system: str) -> list[SummaryResult]:
         if result.doc_id in seen:
             raise ValueError(f"{system} summarizes document {result.doc_id!r} twice")
         seen.add(result.doc_id)
+        try:
+            doc = corpus.document(result.doc_id)
+        except KeyError:
+            raise ValueError(f"document {result.doc_id!r} is not in the test corpus; run summarize again") from None
+        if not all(0 <= i < len(doc.sentences) for i in result.selected):
+            raise ValueError(f"document {result.doc_id!r} selects sentences the test corpus does not have")
+        _words_cut(doc, result)
         return result
 
     return read_jsonl(path, f"{path.name}: summaries", parse)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
-from .corpus import Document, IdfTable, Sentence, decode, read_jsonl, write_jsonl
+from .corpus import Corpus, Document, IdfTable, Sentence, read_sentence_records, write_jsonl
 from .rng import default_rng
 
 POSITIVE = "positive"
@@ -141,5 +141,6 @@ def write_labels(labels: Iterable[WeakLabel], path: str | Path) -> None:
     write_jsonl(map(vars, labels), path)
 
 
-def read_labels(path: str | Path) -> list[WeakLabel]:
-    return read_jsonl(path, "labels", lambda rec: decode(WeakLabel, rec))
+def read_labels(path: str | Path, corpus: Corpus) -> list[WeakLabel]:
+    """The labels at `path` in file order, each of a distinct sentence of the train `corpus`."""
+    return list(read_sentence_records(path, "labels", WeakLabel, corpus, "train").values())

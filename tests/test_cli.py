@@ -230,7 +230,7 @@ class TestPipelineCompositionality:
 
         cfg = RunConfig.from_dict(json.loads(Path(cfg_path).read_text()))
         corpus = load_corpus(cfg.train_corpus)
-        labels = read_labels(run_dir / "labels.jsonl")
+        labels = read_labels(run_dir / "labels.jsonl", corpus)
         sampled = sample_unlabeled(labels, cfg.label_config())
         extractor = build_extractor(cfg, train_corpus=corpus)
         X, o = build_examples(corpus, sampled, extractor)
@@ -335,21 +335,23 @@ class TestSummarizeFromPredictions:
         _, run_dir = pipeline
         extra = {"doc_id": "test-9999", "sentence_id": 0, "prob": 0.75, "label": 1}
         predictions = (run_dir / "predictions.jsonl").read_text() + json.dumps(extra) + "\n"
+        line = predictions.count("\n")
         out = self.out_dir(run_dir, tmp_path / "stale", predictions)
         capsys.readouterr()
         assert main(["summarize", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert "sentence 0 of document 'test-9999'" in err and "stale" in err
+        assert (f"predictions line {line}: sentence 0 of document 'test-9999' is not in the test corpus"
+                in capsys.readouterr().err)
 
     def test_evaluate_rejects_stale_predictions_as_summarize_does(self, bundle, pipeline, tmp_path, capsys):
         _, run_dir = pipeline
         extra = {"doc_id": "test-9999", "sentence_id": 0, "prob": 0.75, "label": 1}
         predictions = (run_dir / "predictions.jsonl").read_text() + json.dumps(extra) + "\n"
+        line = predictions.count("\n")
         out = self.out_dir(run_dir, tmp_path / "stale", predictions, model=False)
         capsys.readouterr()
         assert main(["evaluate", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert "predictions.jsonl is stale" in err and "sentence 0 of document 'test-9999'" in err
+        assert (f"predictions line {line}: sentence 0 of document 'test-9999' is not in the test corpus"
+                in capsys.readouterr().err)
         assert not (out / "report.json").exists()
 
 
@@ -400,6 +402,8 @@ BAD_CONFIG_OVERRIDES = [
     ("features.bow_min_df=0", "features.bow_min_df must be >= 1"),
     ("evaluate.rouge=[0]", "evaluate.rouge must hold orders >= 1"),
     ("evaluate.rouge=[]", "evaluate.rouge must hold at least one order"),
+    ("evaluate.rouge=[1,1]", "evaluate.rouge must not repeat an order: [1, 1]"),
+    ('systems=["leadwords","leadwords"]', "systems must not repeat a system: ['leadwords', 'leadwords']"),
     ('label.t_pos="14"', "'label.t_pos' must be a finite number"),
     pytest.param("label.t_pos=1" + "0" * 400, "'label.t_pos' must be a finite number", id="huge-int"),
     ("label.mode=bogus", "'label.mode' must be one of"),
@@ -458,6 +462,7 @@ STRICT_FIELDS = [
     ("labels", {"sentence_id": "1"}),
     ("labels", {"sentence_id": 1.0}),
     ("labels", {"sentence_id": True}),
+    ("labels", {}),  # line 2 repeats line 1's sentence
     ("gold labels", {"label": 2}),
     ("gold labels", {"label": True}),
     ("gold labels", {"sentence_id": 1.9}),
@@ -611,7 +616,8 @@ class TestExitCodes:
         code = main(["evaluate", "-c", bundle["config"], "--out-dir", str(out),
                      "--set", 'systems=["inforank"]'])
         assert code == EXIT_VALIDATION
-        assert "selects sentences" in capsys.readouterr().err
+        assert (f"summaries_inforank.jsonl: summaries line 1: document {rec['doc_id']!r} selects sentences"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("word_total", ["zero", "all but the last sentence", "too many", "negative"])
     def test_impossible_word_total_exits_2_naming_file_and_document(
@@ -637,7 +643,8 @@ class TestExitCodes:
                      "--set", 'systems=["leadwords"]'])
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert f"summaries_leadwords.jsonl: document {rec['doc_id']!r} has word_total {rec['word_total']}" in err
+        assert (f"summaries_leadwords.jsonl: summaries line 1: document {rec['doc_id']!r} "
+                f"has word_total {rec['word_total']}") in err
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("stale", ["document the corpus lacks", "document missing"])
@@ -650,7 +657,7 @@ class TestExitCodes:
         lines = (run_dir / "summaries_leadwords.jsonl").read_text().splitlines()
         if stale == "document the corpus lacks":
             lines.append(json.dumps({**json.loads(lines[0]), "doc_id": "nope"}))
-            message = "summaries_leadwords.jsonl: document 'nope' is not in the test corpus"
+            message = f"summaries_leadwords.jsonl: summaries line {len(lines)}: document 'nope' is not in the test corpus"
         else:
             message = f"summaries_leadwords.jsonl lacks test document {json.loads(lines[1])['doc_id']!r}"
             lines = lines[:1]
@@ -834,8 +841,30 @@ class TestExitCodes:
         labels = (run_dir / "labels.jsonl").read_text() + json.dumps(stray) + "\n"
         (out / "labels.jsonl").write_text(labels)
         capsys.readouterr()
+        line = labels.count("\n")
         assert main(["train", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
-        assert f"sentence {sentence_id} of document {doc_id!r}" in capsys.readouterr().err
+        assert (f"labels line {line}: sentence {sentence_id} of document {doc_id!r} is not in the train corpus"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("conflict", [False, True], ids=["repeat", "conflict"])
+    def test_sentence_labeled_twice_exits_2_naming_line(self, bundle, pipeline, tmp_path, capsys, conflict):
+        """A sentence has one label: a repeated line, or a line that labels it again with the
+        other flag, would change the positive and unlabeled counts train learns from."""
+        _, run_dir = pipeline
+        out = tmp_path / "twice"
+        out.mkdir()
+        labels = (run_dir / "labels.jsonl").read_text()
+        first = json.loads(labels.splitlines()[0])
+        if conflict:
+            first["flag"] = "unlabeled" if first["flag"] == "positive" else "positive"
+        labels += json.dumps(first) + "\n"
+        (out / "labels.jsonl").write_text(labels)
+        line = labels.count("\n")
+        capsys.readouterr()
+        assert main(["train", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert (f"labels line {line}: sentence {first['sentence_id']} of document {first['doc_id']!r} appears twice"
+                in capsys.readouterr().err)
+        assert not (out / "model.json").exists()
 
     @pytest.mark.parametrize("doc_id, sentence_id", [("nope", 0), ("test-0000", 99)])
     def test_gold_label_outside_test_corpus_exits_2(self, bundle, pipeline, tmp_path, capsys, doc_id, sentence_id):
@@ -846,11 +875,25 @@ class TestExitCodes:
         gold = tmp_path / "gold.jsonl"
         stray = {"doc_id": doc_id, "sentence_id": sentence_id, "label": 1}
         gold.write_text(Path(bundle["gold_labels"]).read_text() + json.dumps(stray) + "\n")
+        line = gold.read_text().count("\n")
         capsys.readouterr()
         code = main(["evaluate", "-c", bundle["config"], "--out-dir", str(out), "--set", f"evaluate.gold_labels={gold}"])
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert f"a gold label names sentence {sentence_id} of document {doc_id!r}, which the test corpus lacks" in err
+        assert f"gold labels line {line}: sentence {sentence_id} of document {doc_id!r} is not in the test corpus" in err
+        assert not (out / "report.json").exists()
+
+    def test_empty_gold_labels_file_exits_2_naming_it(self, bundle, pipeline, tmp_path, capsys):
+        _, run_dir = pipeline
+        out = tmp_path / "nogold"
+        out.mkdir()
+        (out / "predictions.jsonl").write_bytes((run_dir / "predictions.jsonl").read_bytes())
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text("")
+        capsys.readouterr()
+        code = main(["evaluate", "-c", bundle["config"], "--out-dir", str(out), "--set", f"evaluate.gold_labels={gold}"])
+        assert code == EXIT_VALIDATION
+        assert f"gold labels file {gold} holds no labels" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
@@ -864,9 +907,10 @@ class TestExitCodes:
         labels = (run_dir / "labels.jsonl").read_text() + json.dumps(stray) + "\n"
         (out / "labels.jsonl").write_text(labels)
         capsys.readouterr()
+        line = labels.count("\n")
         code = main(["train", "-c", bundle["config"], "--out-dir", str(out), "--seed", str(seed)])
         assert code == EXIT_VALIDATION
-        assert "document 'nope'" in capsys.readouterr().err
+        assert f"labels line {line}: sentence 0 of document 'nope'" in capsys.readouterr().err
 
     def test_edited_lexicon_at_predict_is_validation_error(self, bundle, pipeline, tmp_path, capsys):
         _, run_dir = pipeline
@@ -971,13 +1015,9 @@ def with_bad_byte_on_line_2(source, dest):
     Path(dest).write_bytes(b"\n".join(lines))
 
 
-@pytest.mark.parametrize("kind", [
-    "corpus", "extracts", "labels", "scored lexicon", "category lexicon",
-    "predictions", "gold labels", "summaries", "model", "config",
-])
-def test_input_not_utf8_exits_2_naming_kind_and_line(bundle, pipeline, tmp_path, capsys, kind):
-    """Every input kind is decoded by one reader: a stray byte is a validation error, not a crash."""
-    _, run_dir = pipeline
+def run_on_bad_copy(bundle, run_dir, tmp_path, kind, write_copy):
+    """Run the command that reads the input `kind` on a copy of it that `write_copy(source, dest)`
+    writes; every other input is the pipeline's own."""
     out = tmp_path / "run"
     out.mkdir()
     for name in ("labels.jsonl", "model.json", "predictions.jsonl"):
@@ -995,16 +1035,55 @@ def test_input_not_utf8_exits_2_naming_kind_and_line(bundle, pipeline, tmp_path,
         "model": (run_dir / "model.json", out / "model.json", "predict", None),
         "config": (bundle["config"], tmp_path / "config.json", "label", None),
     }[kind]
-    with_bad_byte_on_line_2(source, dest)
+    write_copy(source, dest)
     config = dest if kind == "config" else bundle["config"]
     args = [command, "-c", str(config), "--out-dir", str(out)]
     if key is not None:
         value = json.dumps([str(dest)]) if key.startswith("lexicons.") else str(dest)
         args += ["--set", f"{key}={value}"]
+    return main(args)
+
+
+@pytest.mark.parametrize("kind", [
+    "corpus", "extracts", "labels", "scored lexicon", "category lexicon",
+    "predictions", "gold labels", "summaries", "model", "config",
+])
+def test_input_not_utf8_exits_2_naming_kind_and_line(bundle, pipeline, tmp_path, capsys, kind):
+    """Every input kind is decoded by one reader: a stray byte is a validation error, not a crash."""
+    _, run_dir = pipeline
     capsys.readouterr()
-    assert main(args) == EXIT_VALIDATION
+    assert run_on_bad_copy(bundle, run_dir, tmp_path, kind, with_bad_byte_on_line_2) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert f"{kind} line 2: not valid UTF-8" in err
+
+
+# (input kind, line 2 of its copy as a function of the source's lines, what stderr says after
+# "<kind> line 2: "): the checks of the corpus reader and the lexicon readers.
+BAD_CORPUS_AND_LEXICON_LINES = [
+    ("corpus", lambda lines: lines[0], "duplicate doc_id 'train-0000'"),
+    ("corpus", lambda lines: json.dumps({**json.loads(lines[1]), "section": 5}), "section must be a string"),
+    ("corpus", lambda lines: json.dumps({**json.loads(lines[1]), "sentences": []}),
+     "sentences must be a non-empty array of strings"),
+    ("scored lexicon", lambda lines: lines[1].split("\t")[0] + "\tbogus\t300", "unknown attribute 'bogus'"),
+    ("category lexicon", lambda lines: lines[1].split("\t")[0] + "\tbogus", "unknown category 'bogus'"),
+]
+
+
+@pytest.mark.parametrize("kind, line_2, message", BAD_CORPUS_AND_LEXICON_LINES,
+                         ids=["repeated-doc_id", "section-not-string", "no-sentences", "unknown-attribute",
+                              "unknown-category"])
+def test_bad_corpus_or_lexicon_line_exits_2_naming_kind_and_line(bundle, pipeline, tmp_path, capsys, kind, line_2,
+                                                                 message):
+    _, run_dir = pipeline
+
+    def write_copy(source, dest):
+        lines = Path(source).read_text(encoding="utf-8").splitlines()
+        lines[1] = line_2(lines)
+        Path(dest).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    capsys.readouterr()
+    assert run_on_bad_copy(bundle, run_dir, tmp_path, kind, write_copy) == EXIT_VALIDATION
+    assert f"{kind} line 2: {message}" in capsys.readouterr().err
 
 
 def test_line_separators_inside_a_sentence_survive_the_pipeline(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infosum.corpus import build_document, make_sentence, word_count
+from infosum.corpus import Corpus, build_document, make_sentence, word_count
 from infosum.metrics import chi2_sf_1df
 from infosum.summarize import (
     TRUNCATE_WORDS,
@@ -210,7 +210,7 @@ class TestBudgetSafetyAndSerialization:
         for result in (lead_words(doc, SummaryBudget(15)), random_rank(doc, SummaryBudget(15), seed=3)):
             path = tmp_path / f"summaries_{result.system}.jsonl"
             write_summaries([result], path)
-            assert read_summaries(path, result.system) == [result]
+            assert read_summaries(path, result.system, Corpus((doc,))) == [result]
 
     def test_byte_identical_outputs_for_fixed_seed(self, tmp_path):
         docs = self.random_docs(n=10, seed=5)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from infosum.corpus import IdfTable, build_document, make_sentence
+from infosum.corpus import Corpus, IdfTable, build_document, make_sentence
 from infosum.weak_label import (
     EXCLUDED,
     POSITIVE,
@@ -237,4 +237,5 @@ class TestLabelSerialization:
         ]
         path = tmp_path / "labels.jsonl"
         write_labels(labels, path)
-        assert read_labels(path) == labels
+        corpus = Corpus((build_document("d", "", ["A b.", "C d."]), build_document("e", "", ["E f."])))
+        assert read_labels(path, corpus) == labels
