@@ -72,7 +72,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Literal
 
-from .constants import DEFAULT_BINS, FEATURE_MODES, L2, MODE_BOW, MODE_DICTIONARY
+from .constants import DEFAULT_BINS, FEATURE_MODES, L2, L2_MAX, MODE_BOW, MODE_DICTIONARY
 from .corpus import (
     Corpus,
     InputFormatError,
@@ -170,6 +170,8 @@ class StageSection:
     def __post_init__(self) -> None:
         if self.l2 < 0:
             raise ValueError("l2 must be >= 0")
+        if self.l2 > L2_MAX:
+            raise ValueError(f"l2 must be <= {L2_MAX} (2 / the initial learning rate); training diverges above it")
 
 
 @dataclass(frozen=True)

@@ -126,13 +126,17 @@ def bin_index(score: float, score_range: tuple[float, float], bins: int) -> int:
 
 
 def _header(line: str) -> tuple[str, tuple[str, ...], list[str]]:
-    """Name, comma-separated names and further fields of a `#scored` or `#categories` header."""
+    """Name, comma-separated names and further fields of a `#scored` or `#categories` header;
+    the list may not repeat a name."""
     parts = line.split()
     if len(parts) < 3:
         raise ValueError(f"{parts[0]} header needs a name and a comma-separated list")
     names = tuple(a for a in parts[2].split(",") if a)
     if not names:
         raise ValueError(f"{parts[0]} header has an empty list")
+    repeated = next((a for i, a in enumerate(names) if a in names[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"{parts[0]} header lists {repeated!r} twice")
     return parts[1], names, parts[3:]
 
 
@@ -147,6 +151,8 @@ def _scored_header(line: str) -> tuple[str, tuple[str, ...], dict[str, tuple[flo
         attr = bits[0]
         if attr not in attributes:
             raise ValueError(f"range for unknown attribute {attr!r}")
+        if attr in declared:
+            raise ValueError(f"second range for attribute {attr!r}")
         try:
             lo, hi = float(bits[1]), float(bits[2])
         except ValueError:
@@ -230,8 +236,6 @@ def _category_lexicon(lines: Iterable[tuple[int, str]]) -> CategoryLexicon:
             if line.startswith("#"):
                 if name is None and line.startswith("#categories"):
                     name, categories, _ = _header(line)
-                    if len(set(categories)) != len(categories):
-                        raise ValueError("duplicate category names")
                     cat_index = {c: i for i, c in enumerate(categories)}
                 continue
             if name is None:

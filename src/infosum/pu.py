@@ -3,16 +3,18 @@
 Training data is a feature matrix X (one row per sentence) and a 0/1 vector
 o marking the labeled positives. Stage 1 trains a logistic regression on o
 (unlabeled treated as negative) and turns it into a label-frequency
-estimate e = mean LR(x) over the labeled positives. Each unlabeled row then
-enters the relabeled set twice, carrying complementary weights w and 1 - w,
-where
+estimate e = mean LR(x) over the labeled positives. Each row then carries a
+weight as a positive and a weight as a negative: 1 and 0 for a labeled
+positive, w and 1 - w for an unlabeled row, where
 
     w = clamp01( (LR(x) / e) / ((1 - LR(x)) / (1 - e)) )
 
-is the posterior that the unlabeled example is truly positive. The relabeled
-set is kept as row indices into X with labels y and weights, never as a
-copy of X. Stage 2 trains a weighted linear SVM on the relabeled data, and a
-sigmoid fitted on held-out margins converts SVM scores into probabilities.
+is the posterior that the unlabeled example is truly positive. This is
+Elkan & Noto's weighting, which counts an unlabeled example once as a
+positive of weight w and once as a negative of weight 1 - w; here both
+counts sit on the one row. Stage 2 trains a linear SVM on the two-sided
+weighted hinge loss of those rows (`hinge_loss`), and a sigmoid fitted on
+held-out margins converts SVM scores into probabilities.
 
 The learner sees only (X, o): a `PUModel` holds no feature layout, and
 `save_model` writes it beside the `FeatureLayout` of X's columns. The CLI
@@ -21,11 +23,8 @@ functions here use only `len`, `.shape`, `X[rows]`, `X @ w` and `X.T @ r`,
 so a dense array works as well.
 Stage 1 scores X once: e and the unlabeled weights both read that one
 vector of probabilities. Stage 2 reads only its fit rows: `train_pu_model`
-copies the distinct source rows of the fit entries out of X once, so no
-epoch multiplies a row held out for calibration. The relabeled entries are
-a `sparse.SelectedRows` view of that copy, since each unlabeled row enters
-twice: margins are `(X_fit @ w)[rows]`, and the gradient sums each entry's
-coefficient into its source row before one `X_fit.T` product.
+copies them out of X once, so no epoch multiplies a row held out for
+calibration, and each epoch multiplies each fit row once.
 
 Predict scores with train's product: `SentenceClassifier.prob` stacks the
 rows of each PROB_BLOCK test sentences into a CsrMatrix and calls
@@ -71,7 +70,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import L2
+from .constants import L2, L2_MAX
 from .corpus import InputFormatError, Sentence, read_json
 from .features import (
     FeatureExtractor,
@@ -82,7 +81,7 @@ from .features import (
     layout_to_json,
 )
 from .rng import default_rng
-from .sparse import CsrMatrix, SelectedRows
+from .sparse import CsrMatrix
 
 logger = logging.getLogger(__name__)
 
@@ -90,7 +89,8 @@ MODEL_VERSION = 1
 PROB_EPS = 1e-12
 
 # The fixed training schedule of both stages (see the module docstring);
-# the default L2 penalty of each is `constants.L2`.
+# the default L2 penalty of each is `constants.L2`, and its bound
+# `constants.L2_MAX` is 2 / LR0 (see `_gradient_descent`).
 EPOCHS = 4000
 LR0 = 0.08
 LR_TAU = 400.0
@@ -163,40 +163,53 @@ def hinge_loss(
     w: np.ndarray,
     b: float,
     X: np.ndarray,
-    y_pm: np.ndarray,
-    sample_weight: np.ndarray,
+    pos: np.ndarray,
+    neg: np.ndarray,
     l2: float,
     value: bool = True,
 ) -> tuple[float | None, np.ndarray, float]:
-    """Weight-normalized hinge loss with an L2 penalty; labels in {-1, +1}.
+    """Two-sided weighted hinge loss with an L2 penalty on w (not b).
 
-    Returns (loss, grad_w, grad_b); the loss is None unless `value`. The
-    subgradient at the hinge point (margin exactly 1) is taken as 0.
+    Row i, with margin m_i = X[i] @ w + b, is a positive of weight pos[i] and
+    a negative of weight neg[i] at once:
+
+        sum_i pos[i] * max(0, 1 - m_i) + neg[i] * max(0, 1 + m_i),
+
+    divided by the total weight. Returns (loss, grad_w, grad_b); the loss is
+    None unless `value`. The subgradient at a hinge point (m_i exactly 1 for
+    the positive term, -1 for the negative one) is taken as 0.
     """
-    total = float(sample_weight.sum())
+    total = float(pos.sum()) + float(neg.sum())
     margins = X @ w
     margins += b
-    margins *= y_pm
     loss = None
     if value:
-        slack = np.maximum(0.0, 1.0 - margins)
-        loss = float(sample_weight @ slack) / total + 0.5 * l2 * float(w @ w)
-    coef = np.where(margins < 1.0, -y_pm, 0.0)
-    coef *= sample_weight
+        slack = float(pos @ np.maximum(0.0, 1.0 - margins)) + float(neg @ np.maximum(0.0, 1.0 + margins))
+        loss = slack / total + 0.5 * l2 * float(w @ w)
+    coef = neg * (margins > -1.0)
     coef /= total
+    active = pos * (margins < 1.0)
+    active /= total
+    coef -= active
     grad_w = X.T @ coef
     grad_w += l2 * w
     return loss, grad_w, float(coef.sum())
 
 
-def _gradient_descent(loss, X, y, sample_weight, l2: float, tag: str) -> tuple[np.ndarray, float]:
-    """EPOCHS full-batch steps of `loss` from zero, learning rate LR0 / (1 + t / LR_TAU).
+def _gradient_descent(loss, X, u, v, l2: float, tag: str) -> tuple[np.ndarray, float]:
+    """EPOCHS full-batch steps of `loss(w, b, X, u, v, l2)` from zero, learning
+    rate LR0 / (1 + t / LR_TAU).
 
-    The loss value is asked for only on the epochs that are logged (see the
-    module docstring).
+    u and v are the loss's two arrays of one number per row: labels and
+    weights for `logistic_loss`, positive and negative weights for
+    `hinge_loss`. The loss value is asked for only on the epochs that are
+    logged (see the module docstring). l2 may not exceed L2_MAX = 2 / LR0.
+    Apart from the data term, the first steps multiply w by 1 - LR0 * l2,
+    which is below -1 above that bound: w grows with each step until the
+    decaying rate brings it back or it overflows to NaN.
     """
-    if not (math.isfinite(l2) and l2 >= 0.0):
-        raise ValueError(f"l2 must be finite and >= 0, got {l2}")
+    if not (math.isfinite(l2) and 0.0 <= l2 <= L2_MAX):
+        raise ValueError(f"l2 must be in [0, {L2_MAX}], got {l2}")
     debug = logger.isEnabledFor(logging.DEBUG)
     w = np.zeros(X.shape[1])
     b = 0.0
@@ -204,7 +217,7 @@ def _gradient_descent(loss, X, y, sample_weight, l2: float, tag: str) -> tuple[n
         lr = LR0 / (1.0 + t / LR_TAU)
         last = t == EPOCHS - 1
         logged = last or (debug and (t == 0 or (t + 1) % 50 == 0))
-        value, grad_w, grad_b = loss(w, b, X, y, sample_weight, l2, value=logged)
+        value, grad_w, grad_b = loss(w, b, X, u, v, l2, value=logged)
         if logged:
             logger.debug("%s epoch %d loss %.6f", tag, t + 1, value)
         if last:
@@ -254,42 +267,34 @@ def unlabeled_weight(lr_x: np.ndarray | float, e: float) -> np.ndarray:
     return np.where(lr == 1.0, 1.0, np.clip(raw, 0.0, 1.0))
 
 
-def build_relabeled(
-    p1: np.ndarray, o: np.ndarray, e: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Relabeled set as (rows into X, labels y, weights), in row order.
+def build_relabeled(p1: np.ndarray, o: np.ndarray, e: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's weight as a positive and its weight as a negative, (pos, neg).
 
-    p1 holds each row's stage-1 probability. Positives keep weight 1; each
-    unlabeled row becomes a y=1 entry with weight w followed by a y=0 entry
-    with weight 1 - w.
+    p1 holds each row's stage-1 probability. A labeled positive gets 1 and 0;
+    an unlabeled row gets w = `unlabeled_weight(p1, e)` and 1 - w.
     """
-    unl = np.flatnonzero(np.asarray(o) == 0)
-    w_unl = unlabeled_weight(p1[unl], e)
-    copies = np.ones(len(o), dtype=np.intp)
-    copies[unl] = 2
-    rows = np.repeat(np.arange(len(o)), copies)
-    first = np.cumsum(copies)[unl] - 2  # the y=1 entry of each unlabeled row
-    y = np.ones(len(rows))
-    y[first + 1] = 0.0
-    w = np.ones(len(rows))
-    w[first] = w_unl
-    w[first + 1] = 1.0 - w_unl
-    return rows, y, w
+    unl = np.asarray(o) == 0
+    pos = np.ones(len(o))
+    pos[unl] = unlabeled_weight(p1[unl], e)
+    neg = np.zeros(len(o))
+    neg[unl] = 1.0 - pos[unl]
+    return pos, neg
 
 
 def train_stage2(
-    X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray, l2: float = L2
+    X: np.ndarray, pos: np.ndarray, neg: np.ndarray, l2: float = L2
 ) -> tuple[np.ndarray, float]:
-    """Instance-weighted linear SVM on relabeled rows by subgradient descent."""
+    """Linear SVM on rows weighted as positives by `pos` and as negatives by
+    `neg` (`hinge_loss`), by subgradient descent."""
     if len(X) == 0:
-        raise DegenerateTrainingSetError("empty relabeled set")
-    y = np.asarray(y, dtype=float)
-    sw = np.asarray(sample_weight, dtype=float)
-    if sw[y == 1].sum() <= 0.0 or sw[y == 0].sum() <= 0.0:
+        raise DegenerateTrainingSetError("empty training set")
+    pos = np.asarray(pos, dtype=float)
+    neg = np.asarray(neg, dtype=float)
+    if pos.sum() <= 0.0 or neg.sum() <= 0.0:
         raise DegenerateTrainingSetError(
             "stage 2 needs positive total weight on both labels"
         )
-    return _gradient_descent(hinge_loss, X, 2.0 * y - 1.0, sw, l2, "stage2")
+    return _gradient_descent(hinge_loss, X, pos, neg, l2, "stage2")
 
 
 def calibrate(
@@ -372,18 +377,23 @@ class PUModel:
         return np.clip(_sigmoid(-(a * np.asarray(margin, dtype=float) + b)), PROB_EPS, 1.0 - PROB_EPS)
 
 
-def calibration_split(rows: np.ndarray, n_rows: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(fit, calibration) indices into relabeled entries whose source rows are `rows`.
+def calibration_split(n_rows: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(fit, calibration) row indices, each ascending.
 
-    A seeded 20% of the n_rows source rows, the first of numpy's
-    `default_rng(seed).permutation(n_rows)`, is held out, and every entry of a
-    held-out row goes to calibration, so both copies of an unlabeled row fall
-    on the same side.
+    A seeded 20% of the n_rows rows, at least one, is held out for
+    calibration: the first of numpy's `default_rng(seed).permutation(n_rows)`.
     """
     n_cal = max(1, round(0.2 * n_rows))
     held = np.zeros(n_rows, dtype=bool)
     held[default_rng(seed).permutation(n_rows)[:n_cal]] = True
-    return np.flatnonzero(~held[rows]), np.flatnonzero(held[rows])
+    return np.flatnonzero(~held), np.flatnonzero(held)
+
+
+def _calibrate_rows(margins: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> tuple[float, float]:
+    """`calibrate` on each row's margin twice: with label 1 and weight pos, and
+    with label 0 and weight neg."""
+    labels = np.repeat([1, 0], len(margins))
+    return calibrate(np.concatenate([margins, margins]), labels, np.concatenate([pos, neg]))
 
 
 def train_pu_model(
@@ -396,9 +406,10 @@ def train_pu_model(
     """Full two-stage pipeline with a 20% held-out calibration split.
 
     X holds one feature row per example, o its 0/1 labels. The SVM trains on
-    the relabeled entries of 80% of the rows and the sigmoid is fitted on
-    those of the rest (`calibration_split`). If the held-out slice lacks one
-    label, calibration falls back to margins over the full relabeled set.
+    80% of the rows, with their weights from `build_relabeled`, and the
+    sigmoid is fitted on the margins of the rest (`calibration_split`). If
+    the held-out rows lack weight on one side, calibration falls back to the
+    margins of all rows.
     """
     if not isinstance(X, CsrMatrix):
         X = np.asarray(X, dtype=float)
@@ -408,23 +419,21 @@ def train_pu_model(
     stage1 = train_stage1(X, o, stage1_l2)
     p1 = stage1.predict_proba(X)
     e = estimate_e(p1[o == 1])
-    rows, y, w = build_relabeled(p1, o, e)
+    pos, neg = build_relabeled(p1, o, e)
     logger.info(
-        "stage1 trained on %d positives + %d unlabeled; e=%.6f; relabeled size %d",
+        "stage1 trained on %d positives + %d unlabeled; e=%.6f",
         int(o.sum()),
         int(len(o) - o.sum()),
         e,
-        len(rows),
     )
-    fit_idx, cal_idx = calibration_split(rows, len(X), seed)
-    fit_rows, fit_entries = np.unique(rows[fit_idx], return_inverse=True)
-    svm_w, svm_b = train_stage2(SelectedRows(X[fit_rows], fit_entries), y[fit_idx], w[fit_idx], stage2_l2)
+    fit, cal = calibration_split(len(X), seed)
+    svm_w, svm_b = train_stage2(X[fit], pos[fit], neg[fit], stage2_l2)
     margins = X @ svm_w + svm_b
     try:
-        A, B = calibrate(margins[rows[cal_idx]], y[cal_idx], w[cal_idx])
+        A, B = _calibrate_rows(margins[cal], pos[cal], neg[cal])
     except DegenerateTrainingSetError:
-        logger.info("held-out calibration slice degenerate; calibrating on all relabeled data")
-        A, B = calibrate(margins[rows], y, w)
+        logger.info("held-out calibration rows degenerate; calibrating on all rows")
+        A, B = _calibrate_rows(margins, pos, neg)
     return PUModel(
         stage1=stage1,
         e=e,
@@ -462,10 +471,6 @@ def model_to_json(model: PUModel, layout: FeatureLayout) -> dict:
         "version": MODEL_VERSION,
         "layout": layout_to_json(layout),
         "layout_hash": layout_hash(layout),
-        "lexicon_hashes": {
-            **{s.name: s.content_hash for s in layout.scored},
-            **{c.name: c.content_hash for c in layout.category},
-        },
         "stage1": {
             "weights": model.stage1.weights.tolist(),
             "bias": model.stage1.bias,

@@ -23,9 +23,7 @@ row's stored entries in stored order. reduceat returns the next element,
 not 0, for an empty segment, so the sums are taken over the non-empty rows
 only and scattered into zeros.
 
-`X[rows]` copies the given rows into a new matrix. SelectedRows reads rows
-of a matrix, repeats allowed, through the matrix without copying them: the
-relabeled set of stage 2 is such a selection.
+`X[rows]` copies the given rows into a new matrix.
 """
 
 from __future__ import annotations
@@ -114,35 +112,3 @@ class CsrMatrix:
             self._transpose._transpose = self
         return self._transpose
 
-
-class SelectedRows:
-    """Rows `rows` of X (repeats allowed) without a copy of them.
-
-    `S @ w` is `(X @ w)[rows]`. `S.T @ r` first sums each entry of r into
-    its source row with bincount, then multiplies by X.T. X may be a
-    CsrMatrix or a dense array.
-    """
-
-    def __init__(self, X, rows):
-        self.X = X
-        self.rows = np.asarray(rows, dtype=np.intp)
-        self.shape = (len(self.rows), X.shape[1])
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __matmul__(self, w: np.ndarray) -> np.ndarray:
-        return (self.X @ w)[self.rows]
-
-    @property
-    def T(self) -> _SelectedRowsTranspose:
-        return _SelectedRowsTranspose(self)
-
-
-class _SelectedRowsTranspose:
-    def __init__(self, selection: SelectedRows):
-        self.selection = selection
-
-    def __matmul__(self, r: np.ndarray) -> np.ndarray:
-        sel = self.selection
-        return sel.X.T @ np.bincount(sel.rows, weights=r, minlength=len(sel.X))

@@ -361,6 +361,16 @@ class TestTrainingConfig:
         assert (cfg.hyper.stage1.l2, cfg.hyper.stage2.l2) == (1e-4, 1e-4)
         assert asdict(cfg)["hyper"] == {"stage1": {"l2": 1e-4}, "stage2": {"l2": 1e-4}}
 
+    def test_l2_at_its_bound_trains(self, bundle, pipeline, tmp_path):
+        """25 is 2 / pu.LR0, the largest penalty the config accepts."""
+        _, run_dir = pipeline
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "labels.jsonl").write_bytes((run_dir / "labels.jsonl").read_bytes())
+        assert main(["train", "-c", bundle["config"], "--out-dir", str(out),
+                     "--set", "hyper.stage1.l2=25", "--set", "hyper.stage2.l2=25"]) == EXIT_OK
+        assert (out / "model.json").exists()
+
     def test_l2_override(self, bundle, tmp_path):
         out = tmp_path / "l2"
         assert main(["label", "-c", bundle["config"], "--out-dir", str(out),
@@ -407,6 +417,8 @@ BAD_CONFIG_OVERRIDES = [
     ('label.t_pos="14"', "'label.t_pos' must be a finite number"),
     pytest.param("label.t_pos=1" + "0" * 400, "'label.t_pos' must be a finite number", id="huge-int"),
     ("label.mode=bogus", "'label.mode' must be one of"),
+    ("hyper.stage1.l2=100", "hyper.stage1.l2 must be <= 25.0"),
+    ("hyper.stage2.l2=100", "hyper.stage2.l2 must be <= 25.0"),
 ]
 
 
@@ -1057,33 +1069,60 @@ def test_input_not_utf8_exits_2_naming_kind_and_line(bundle, pipeline, tmp_path,
     assert f"{kind} line 2: not valid UTF-8" in err
 
 
-# (input kind, line 2 of its copy as a function of the source's lines, what stderr says after
-# "<kind> line 2: "): the checks of the corpus reader and the lexicon readers.
+def scored_header(lines, ranges):
+    """The synth scored lexicon's header with the range declarations `ranges`."""
+    return " ".join(lines[0].split()[:3] + [ranges])
+
+
+# (input kind, line number N, line N of its copy as a function of the source's lines, what
+# stderr says after "<kind> line N: "): the checks of the corpus reader and the lexicon readers.
 BAD_CORPUS_AND_LEXICON_LINES = [
-    ("corpus", lambda lines: lines[0], "duplicate doc_id 'train-0000'"),
-    ("corpus", lambda lines: json.dumps({**json.loads(lines[1]), "section": 5}), "section must be a string"),
-    ("corpus", lambda lines: json.dumps({**json.loads(lines[1]), "sentences": []}),
-     "sentences must be a non-empty array of strings"),
-    ("scored lexicon", lambda lines: lines[1].split("\t")[0] + "\tbogus\t300", "unknown attribute 'bogus'"),
-    ("category lexicon", lambda lines: lines[1].split("\t")[0] + "\tbogus", "unknown category 'bogus'"),
+    pytest.param("corpus", 2, lambda lines: lines[0], "duplicate doc_id 'train-0000'", id="repeated-doc_id"),
+    pytest.param("corpus", 2, lambda lines: json.dumps({**json.loads(lines[1]), "section": 5}),
+                 "section must be a string", id="section-not-string"),
+    pytest.param("corpus", 2, lambda lines: json.dumps({**json.loads(lines[1]), "sentences": []}),
+                 "sentences must be a non-empty array of strings", id="no-sentences"),
+    pytest.param("corpus", 2, lambda lines: json.dumps({k: v for k, v in json.loads(lines[1]).items() if k != "doc_id"}),
+                 "missing or invalid doc_id", id="no-doc_id"),
+    pytest.param("corpus", 2, lambda lines: json.dumps({**json.loads(lines[1]), "summary": "one string"}),
+                 "summary must be an array of strings", id="summary-not-strings"),
+    pytest.param("scored lexicon", 2, lambda lines: lines[1].split("\t")[0] + "\tbogus\t300",
+                 "unknown attribute 'bogus'", id="unknown-attribute"),
+    pytest.param("scored lexicon", 1, lambda lines: lines[1], "data before #scored header", id="row-before-header"),
+    pytest.param("scored lexicon", 2, lambda lines: lines[1].replace("\t", " "),
+                 "expected word<TAB>attribute<TAB>score", id="row-without-tabs"),
+    pytest.param("scored lexicon", 2, lambda lines: lines[1].rsplit("\t", 1)[0] + "\thigh",
+                 "non-numeric score 'high'", id="non-numeric-score"),
+    pytest.param("scored lexicon", 2, lambda lines: lines[1].rsplit("\t", 1)[0] + "\t900",
+                 "score 900.0 outside declared range [100.0, 700.0]", id="score-out-of-range"),
+    pytest.param("scored lexicon", 1, lambda lines: scored_header(lines, "imagery:100"),
+                 "bad range declaration 'imagery:100'", id="bad-header-range"),
+    pytest.param("scored lexicon", 1, lambda lines: scored_header(lines, "imagery:100:inf"),
+                 "non-finite range in 'imagery:100:inf'", id="non-finite-header-range"),
+    pytest.param("scored lexicon", 1, lambda lines: scored_header(lines, "imagery:100:700 imagery:0:1000"),
+                 "second range for attribute 'imagery'", id="repeated-header-range"),
+    pytest.param("scored lexicon", 1, lambda lines: lines[0].replace(",", ",imagery,", 1),
+                 "#scored header lists 'imagery' twice", id="repeated-attribute"),
+    pytest.param("category lexicon", 2, lambda lines: lines[1].split("\t")[0] + "\tbogus",
+                 "unknown category 'bogus'", id="unknown-category"),
+    pytest.param("category lexicon", 1, lambda lines: lines[0] + ",IMP",
+                 "#categories header lists 'IMP' twice", id="repeated-category"),
 ]
 
 
-@pytest.mark.parametrize("kind, line_2, message", BAD_CORPUS_AND_LEXICON_LINES,
-                         ids=["repeated-doc_id", "section-not-string", "no-sentences", "unknown-attribute",
-                              "unknown-category"])
-def test_bad_corpus_or_lexicon_line_exits_2_naming_kind_and_line(bundle, pipeline, tmp_path, capsys, kind, line_2,
-                                                                 message):
+@pytest.mark.parametrize("kind, lineno, new_line, message", BAD_CORPUS_AND_LEXICON_LINES)
+def test_bad_corpus_or_lexicon_line_exits_2_naming_kind_and_line(bundle, pipeline, tmp_path, capsys, kind, lineno,
+                                                                 new_line, message):
     _, run_dir = pipeline
 
     def write_copy(source, dest):
         lines = Path(source).read_text(encoding="utf-8").splitlines()
-        lines[1] = line_2(lines)
+        lines[lineno - 1] = new_line(lines)
         Path(dest).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     capsys.readouterr()
     assert run_on_bad_copy(bundle, run_dir, tmp_path, kind, write_copy) == EXIT_VALIDATION
-    assert f"{kind} line 2: {message}" in capsys.readouterr().err
+    assert f"{kind} line {lineno}: {message}" in capsys.readouterr().err
 
 
 def test_line_separators_inside_a_sentence_survive_the_pipeline(tmp_path):

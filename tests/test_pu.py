@@ -37,7 +37,8 @@ from infosum.pu import (
     train_stage2,
     unlabeled_weight,
 )
-from infosum.sparse import CsrMatrix, SelectedRows
+from infosum.constants import L2_MAX
+from infosum.sparse import CsrMatrix
 
 TOY_L2 = 0.01
 
@@ -124,15 +125,14 @@ class TestGradients:
         while checked < 20:
             n, d = int(rng.integers(3, 12)), int(rng.integers(1, 11))
             X = rng.normal(size=(n, d))
-            y = rng.choice([-1.0, 1.0], size=n)
-            sw = rng.uniform(0.1, 1.0, size=n)
+            pos, neg = rng.uniform(0.1, 1.0, size=(2, n))
             l2 = float(rng.uniform(0.0, 1.0))
             w = rng.normal(size=d)
             b = float(rng.normal())
-            if np.min(np.abs(1.0 - y * (X @ w + b))) < 1e-3:
+            if np.min(np.abs(1.0 - np.abs(X @ w + b))) < 1e-3:
                 continue  # too close to a hinge kink for finite differences
-            _, gw, gb = hinge_loss(w, b, X, y, sw, l2)
-            num = central_diff(lambda w_, b_: hinge_loss(w_, b_, X, y, sw, l2)[0], w, b)
+            _, gw, gb = hinge_loss(w, b, X, pos, neg, l2)
+            num = central_diff(lambda w_, b_: hinge_loss(w_, b_, X, pos, neg, l2)[0], w, b)
             assert rel_err((gw, gb), num) < 1e-5
             checked += 1
 
@@ -160,23 +160,23 @@ def eager_logistic_loss(w, b, X, y, sample_weight, l2):
     return loss, X.T @ resid + l2 * w, float(resid.sum())
 
 
-def eager_hinge_loss(w, b, X, y_pm, sample_weight, l2):
-    total = float(sample_weight.sum())
-    margins = y_pm * (X @ w + b)
-    slack = np.maximum(0.0, 1.0 - margins)
-    loss = float(sample_weight @ slack) / total + 0.5 * l2 * float(w @ w)
-    coef = np.where(margins < 1.0, -y_pm, 0.0) * sample_weight / total
+def eager_hinge_loss(w, b, X, pos, neg, l2):
+    total = float(pos.sum()) + float(neg.sum())
+    margins = X @ w + b
+    slack = float(pos @ np.maximum(0.0, 1.0 - margins)) + float(neg @ np.maximum(0.0, 1.0 + margins))
+    loss = slack / total + 0.5 * l2 * float(w @ w)
+    coef = np.where(margins > -1.0, neg, 0.0) / total - np.where(margins < 1.0, pos, 0.0) / total
     return loss, X.T @ coef + l2 * w, float(coef.sum())
 
 
-def eager_descent(loss, X, y, sample_weight, l2):
+def eager_descent(loss, X, u, v, l2):
     """(w, b, loss value per epoch from 1, gradient norm at the last epoch)."""
     w = np.zeros(X.shape[1])
     b = 0.0
     values = {}
     for t in range(EPOCHS):
         lr = LR0 / (1.0 + t / LR_TAU)
-        values[t + 1], grad_w, grad_b = loss(w, b, X, y, sample_weight, l2)
+        values[t + 1], grad_w, grad_b = loss(w, b, X, u, v, l2)
         grad_norm = math.hypot(float(np.linalg.norm(grad_w)), grad_b)
         w = w - lr * grad_w
         b = b - lr * grad_b
@@ -190,6 +190,19 @@ def overlapping_set(n=120, d=6, seed=0):
     X[5] = 0.0
     y = X @ rng.normal(size=d) + rng.normal(scale=0.5, size=n) > 0
     return X, (y & (rng.random(n) < 0.6)).astype(int)
+
+
+def logistic_data(rng, n):
+    """Labels and sample weights."""
+    return rng.choice((0.0, 1.0), size=n), rng.uniform(0.0, 1.0, size=n)
+
+
+def hinge_data(rng, n):
+    """Positive and negative weights as `build_relabeled` gives them: 1 and 0 for a
+    labeled row, w and 1 - w for an unlabeled one; w is drawn and may be 0 or 1."""
+    w = rng.choice((0.0, 1.0, *rng.uniform(0.0, 1.0, size=8)), size=n)
+    labeled = rng.random(n) < 0.3
+    return np.where(labeled, 1.0, w), np.where(labeled, 0.0, 1.0 - w)
 
 
 def as_csr(X):
@@ -209,21 +222,22 @@ class TestEagerReference:
         assert same_bits(pu._sigmoid(z), masked_sigmoid(z))
 
     @pytest.mark.parametrize(
-        "loss, eager, labels",
-        [(logistic_loss, eager_logistic_loss, (0.0, 1.0)), (hinge_loss, eager_hinge_loss, (-1.0, 1.0))],
+        "loss, eager, draw",
+        [(logistic_loss, eager_logistic_loss, logistic_data), (hinge_loss, eager_hinge_loss, hinge_data)],
     )
     @pytest.mark.parametrize("matrix", ["dense", "csr", "selected"])
-    def test_gradient_bits_with_and_without_the_value(self, loss, eager, labels, matrix):
+    def test_gradient_bits_with_and_without_the_value(self, loss, eager, draw, matrix):
+        """"selected" is the rows `train_pu_model` copies out for stage 2: a CsrMatrix of
+        chosen rows of another, here with repeats."""
         rng = np.random.default_rng(3)
         X, _ = overlapping_set()
-        X = {"dense": X, "csr": as_csr(X), "selected": SelectedRows(as_csr(X), rng.integers(0, len(X), 150))}[matrix]
-        y = rng.choice(labels, size=len(X))
-        sw = rng.uniform(0.0, 1.0, size=len(X))
+        X = {"dense": X, "csr": as_csr(X), "selected": as_csr(X)[rng.integers(0, len(X), 150)]}[matrix]
+        u, v = draw(rng, len(X))
         w, b = rng.normal(size=X.shape[1]), float(rng.normal())
-        ref_value, ref_gw, ref_gb = eager(w, b, X, y, sw, 0.01)
-        value, gw, gb = loss(w, b, X, y, sw, 0.01)
+        ref_value, ref_gw, ref_gb = eager(w, b, X, u, v, 0.01)
+        value, gw, gb = loss(w, b, X, u, v, 0.01)
         assert value == ref_value and same_bits(gw, ref_gw) and same_bits(gb, ref_gb)
-        value, gw, gb = loss(w, b, X, y, sw, 0.01, value=False)
+        value, gw, gb = loss(w, b, X, u, v, 0.01, value=False)
         assert value is None and same_bits(gw, ref_gw) and same_bits(gb, ref_gb)
 
     @pytest.mark.parametrize("matrix", ["dense", "csr"])
@@ -235,7 +249,7 @@ class TestEagerReference:
             m.setattr(pu, "_sigmoid", masked_sigmoid)
             m.setattr(pu, "logistic_loss", eager_logistic_loss)
             m.setattr(pu, "hinge_loss", eager_hinge_loss)
-            m.setattr(pu, "_gradient_descent", lambda loss, X, y, sw, l2, tag: eager_descent(loss, X, y, sw, l2)[:2])
+            m.setattr(pu, "_gradient_descent", lambda loss, X, u, v, l2, tag: eager_descent(loss, X, u, v, l2)[:2])
             ref = train_pu_model(X, o, TOY_L2, TOY_L2, seed=2)
         assert same_bits(model.stage1.weights, ref.stage1.weights)
         assert same_bits(model.stage1.bias, ref.stage1.bias)
@@ -245,18 +259,51 @@ class TestEagerReference:
         assert same_bits(model.calib, ref.calib)
 
 
+def duplicated_entry_hinge_loss(w, b, X, pos, neg, l2):
+    """Stage 2's objective in the form it had before a row carried two weights: each
+    row enters twice, as a +1 entry of weight pos and a -1 entry of weight neg, and the
+    one-sided weighted hinge loss sums over the entries."""
+    rows = np.repeat(np.arange(len(X)), 2)
+    y_pm = np.tile([1.0, -1.0], len(X))
+    sw = np.column_stack([pos, neg]).ravel()
+    total = float(sw.sum())
+    margins = y_pm * (X[rows] @ w + b)
+    loss = float(sw @ np.maximum(0.0, 1.0 - margins)) / total + 0.5 * l2 * float(w @ w)
+    coef = np.where(margins < 1.0, -y_pm, 0.0) * sw / total
+    return loss, X[rows].T @ coef + l2 * w, float(coef.sum())
+
+
+class TestTwoSidedHinge:
+    def test_equals_the_duplicated_entry_objective(self):
+        rng = np.random.default_rng(13)
+        exact = set()
+        for _ in range(20):
+            n, d = int(rng.integers(4, 40)), int(rng.integers(1, 11))
+            X = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.5)
+            X[0] = 0.0  # an empty row
+            pos, neg = hinge_data(rng, n)
+            exact.update({0.0, 1.0}.intersection(pos))  # 1 on every labeled row, 0 on an unlabeled one
+            l2 = float(rng.uniform(0.0, 1.0))
+            w, b = rng.normal(size=d), float(rng.normal())
+            loss, gw, gb = hinge_loss(w, b, X, pos, neg, l2)
+            ref_loss, ref_gw, ref_gb = duplicated_entry_hinge_loss(w, b, X, pos, neg, l2)
+            assert loss == pytest.approx(ref_loss, rel=1e-12)
+            assert rel_err((gw, gb), (ref_gw, ref_gb)) <= 1e-12
+        assert exact == {0.0, 1.0}
+
+
 class TestLoggedLosses:
     @pytest.mark.parametrize("stage", ["stage1", "stage2"])
     def test_logged_values_follow_the_eager_formula(self, caplog, stage):
         X, o = overlapping_set()
-        sw = np.random.default_rng(1).uniform(0.1, 1.0, size=len(X))
+        pos, neg = hinge_data(np.random.default_rng(1), len(X))
         with caplog.at_level(logging.DEBUG, logger="infosum.pu"):
             if stage == "stage1":
                 train_stage1(X, o, TOY_L2)
                 _, _, values, grad_norm = eager_descent(eager_logistic_loss, X, o * 1.0, np.ones(len(X)), TOY_L2)
             else:
-                train_stage2(X, o, sw, TOY_L2)
-                _, _, values, grad_norm = eager_descent(eager_hinge_loss, X, 2.0 * o - 1.0, sw, TOY_L2)
+                train_stage2(X, pos, neg, TOY_L2)
+                _, _, values, grad_norm = eager_descent(eager_hinge_loss, X, pos, neg, TOY_L2)
         epochs = [1, *range(50, EPOCHS + 1, 50)]
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == [
             f"{stage} epoch {t} loss {values[t]:.6f}" for t in epochs
@@ -344,59 +391,68 @@ class TestBuildRelabeled:
         self.p1 = self.model.predict_proba(self.X)
         self.e = estimate_e(self.p1[self.o == 1])
 
-    def test_size_formula(self):
-        rows, y, w = build_relabeled(self.p1, self.o, self.e)
-        assert len(rows) == len(y) == len(w) == 5 + 2 * 5
+    def test_one_pair_of_weights_per_row(self):
+        pos, neg = build_relabeled(self.p1, self.o, self.e)
+        assert pos.shape == neg.shape == (10,)
 
-    def test_pair_weights_sum_to_one(self):
-        rows, y, w = build_relabeled(self.p1, self.o, self.e)
-        pairs = [i for i in range(len(rows)) if self.o[rows[i]] == 0]
-        for a, b in zip(pairs[::2], pairs[1::2]):
-            assert rows[a] == rows[b] and b == a + 1
-            assert y[a] == 1 and y[b] == 0
-            assert w[a] + w[b] == pytest.approx(1.0, abs=1e-15)
-            lr_x = self.model.predict_proba(self.X[rows[a]][None, :])[0]
-            assert w[a] == pytest.approx(unlabeled_weight(lr_x, self.e), abs=1e-15)
+    def test_positives_get_one_and_zero(self):
+        pos, neg = build_relabeled(self.p1, self.o, self.e)
+        labeled = self.o == 1
+        assert labeled.sum() == 5
+        assert np.all(pos[labeled] == 1.0) and np.all(neg[labeled] == 0.0)
 
-    def test_positives_keep_weight_one(self):
-        rows, y, w = build_relabeled(self.p1, self.o, self.e)
-        pos = self.o[rows] == 1
-        assert pos.sum() == 5
-        assert np.all(y[pos] == 1) and np.all(w[pos] == 1.0)
-
-    def test_rows_in_source_order(self):
-        rows, _, _ = build_relabeled(self.p1, self.o, self.e)
-        assert rows.tolist() == [0, 1, 1, 2, 3, 3, 4, 5, 5, 6, 7, 7, 8, 9, 9]
+    def test_unlabeled_rows_get_w_and_one_minus_w(self):
+        pos, neg = build_relabeled(self.p1, self.o, self.e)
+        for i in np.flatnonzero(self.o == 0):
+            lr_x = self.model.predict_proba(self.X[i][None, :])[0]
+            assert pos[i] == pytest.approx(unlabeled_weight(lr_x, self.e), abs=1e-15)
+            assert neg[i] == 1.0 - pos[i]
 
 
 class TestStage2:
     def test_separable_no_hinge_violations(self):
         X, o = separable_set()
-        w, b = train_stage2(X, o, np.ones(len(X)), 1e-4)
+        w, b = train_stage2(X, o, 1 - o, 1e-4)
         margins = (2.0 * o - 1.0) * (X @ w + b)
         assert np.all(margins > 0)
         assert float(np.mean(margins >= 1.0)) > 0.95
 
     def test_zero_weight_example_is_inert(self):
         X, o = separable_set(n_per_side=8)
-        ones = np.ones(len(X))
-        w1, b1 = train_stage2(X, o, ones, TOY_L2)
-        w2, b2 = train_stage2(
-            np.vstack([X, [[5.0, -5.0]]]), np.append(o, 1), np.append(ones, 0.0), TOY_L2
-        )
+        w1, b1 = train_stage2(X, o, 1 - o, TOY_L2)
+        w2, b2 = train_stage2(np.vstack([X, [[5.0, -5.0]]]), np.append(o, 0), np.append(1 - o, 0), TOY_L2)
         assert np.allclose(w1, w2, atol=1e-6) and b1 == pytest.approx(b2, abs=1e-6)
 
     def test_doubling_weights_keeps_boundary(self):
         X, o = separable_set(n_per_side=8)
         # weight-normalized objective: doubling all weights changes nothing
-        w1, b1 = train_stage2(X, o, np.ones(len(X)), TOY_L2)
-        w2, b2 = train_stage2(X, o, np.full(len(X), 0.5), TOY_L2)
+        w1, b1 = train_stage2(X, o, 1 - o, TOY_L2)
+        w2, b2 = train_stage2(X, 0.5 * o, 0.5 * (1 - o), TOY_L2)
         assert np.allclose(w1, w2, atol=1e-6) and b1 == pytest.approx(b2, abs=1e-6)
 
     def test_degenerate_rejected(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DegenerateTrainingSetError):
-            train_stage2(X, np.array([1, 0]), np.array([1.0, 0.0]), TOY_L2)
+            train_stage2(X, np.array([1.0, 0.0]), np.array([0.0, 0.0]), TOY_L2)
+
+
+class TestL2Bound:
+    def test_bound_is_two_over_the_initial_learning_rate(self):
+        assert L2_MAX == 2 / LR0
+
+    def test_above_the_bound_is_rejected_before_training(self):
+        X, o = separable_set()
+        above = float(np.nextafter(L2_MAX, np.inf))
+        with pytest.raises(ValueError, match=f"l2 must be in \\[0, {L2_MAX}\\]"):
+            train_stage1(X, o, above)
+        with pytest.raises(ValueError, match=f"l2 must be in \\[0, {L2_MAX}\\]"):
+            train_stage2(X, o, 1 - o, above)
+
+    def test_the_bound_itself_trains_a_finite_model(self):
+        X, o = separable_set()
+        model = train_pu_model(X, o, L2_MAX, L2_MAX)
+        values = [model.stage1.weights, model.stage1.bias, model.e, model.svm_weights, model.svm_bias, model.calib]
+        assert all(np.isfinite(v).all() for v in values)
 
 
 class TestCalibrate:
@@ -445,33 +501,22 @@ class TestCalibrate:
         assert max(np.ptp(a), np.ptp(b)) <= 1e-13 * abs(a[0])  # B is near 0: measured on A's scale
 
 
-@pytest.fixture(scope="module")
-def relabeled_rows():
-    X, o = separable_set()
-    model = train_stage1(X, o, TOY_L2)
-    p1 = model.predict_proba(X)
-    rows, _, _ = build_relabeled(p1, o, estimate_e(p1[o == 1]))
-    return rows, len(X)
-
-
 class TestCalibrationSplit:
     @pytest.mark.parametrize("seed", range(5))
-    def test_no_row_on_both_sides(self, relabeled_rows, seed):
-        rows, n_rows = relabeled_rows
-        fit, cal = calibration_split(rows, n_rows, seed)
-        assert not set(rows[fit]) & set(rows[cal])
-        assert sorted(np.concatenate([fit, cal])) == list(range(len(rows)))
-        assert len(set(rows[cal])) == round(0.2 * n_rows)
+    def test_disjoint_row_sets_that_cover_every_row(self, seed):
+        fit, cal = calibration_split(40, seed)
+        assert not set(fit) & set(cal)
+        assert sorted(np.concatenate([fit, cal])) == list(range(40))
+        assert len(cal) == round(0.2 * 40)
 
-    def test_seeded(self, relabeled_rows):
-        rows, n_rows = relabeled_rows
-        a, b = calibration_split(rows, n_rows, 3), calibration_split(rows, n_rows, 3)
+    def test_seeded(self):
+        a, b = calibration_split(40, 3), calibration_split(40, 3)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-        assert not np.array_equal(a[1], calibration_split(rows, n_rows, 4)[1])
+        assert not np.array_equal(a[1], calibration_split(40, 4)[1])
 
     def test_holds_out_at_least_one_row(self):
-        fit, cal = calibration_split(np.array([0, 1, 1]), 2, 0)
-        assert len(cal) >= 1 and len(fit) + len(cal) == 3
+        fit, cal = calibration_split(2, 0)
+        assert len(cal) == 1 and len(fit) == 1
 
 
 def trained_toy_model(seed=0):
@@ -522,17 +567,16 @@ class TestPUModel:
     def test_stage2_multiplies_only_the_fit_rows(self, monkeypatch, matrix):
         X, o = overlapping_set()
         seen = []
-        monkeypatch.setattr(pu, "train_stage2", lambda X, y, sw, l2: (seen.append(X), train_stage2(X, y, sw, l2))[1])
+        monkeypatch.setattr(pu, "train_stage2", lambda *args: (seen.append(args), train_stage2(*args))[1])
         model = train_pu_model(X if matrix == "dense" else as_csr(X), o, TOY_L2, TOY_L2, seed=2)
-        p1 = model.stage1.predict_proba(X)
-        rows, _, _ = build_relabeled(p1, o, estimate_e(p1[o == 1]))
-        fit, cal = calibration_split(rows, len(X), 2)
-        fit_rows = np.unique(rows[fit])
-        [selection] = seen
-        held = np.column_stack([selection.X @ unit for unit in np.eye(X.shape[1])])
-        assert np.array_equal(held, X[fit_rows])
-        assert not set(fit_rows) & set(rows[cal])
-        assert np.array_equal(fit_rows[selection.rows], rows[fit])
+        p1 = model.stage1.predict_proba(X if matrix == "dense" else as_csr(X))
+        pos, neg = build_relabeled(p1, o, estimate_e(p1[o == 1]))
+        fit, cal = calibration_split(len(X), 2)
+        [(X_fit, pos_fit, neg_fit, _)] = seen
+        assert len(X_fit) == len(fit) == len(X) - len(cal)
+        held = np.column_stack([X_fit @ unit for unit in np.eye(X.shape[1])])
+        assert np.array_equal(held, X[fit])
+        assert np.array_equal(pos_fit, pos[fit]) and np.array_equal(neg_fit, neg[fit])
 
     def test_fixed_seed_identical_model_bytes(self, tmp_path):
         m1, _, _ = trained_toy_model(seed=3)
@@ -592,6 +636,23 @@ class TestSaveLoad:
         path.write_text(json.dumps(obj))
         loaded, _ = load_model(path)
         assert np.array_equal(loaded.margins(X), model.margins(X))
+
+    def test_ignores_lexicon_hashes_of_older_files(self, tmp_path):
+        """Files written before the block was dropped still load and predict the same."""
+        model, ex = TestSentenceClassifier().train_text_model(SCORED_V1)
+        path = tmp_path / "model.json"
+        save_model(model, ex.layout, path)
+        import json
+
+        obj = json.loads(path.read_text())
+        assert "lexicon_hashes" not in obj
+        layout = obj["layout"]
+        obj["lexicon_hashes"] = {lex["name"]: lex["content_hash"] for lex in layout["scored"] + layout["category"]}
+        assert len(obj["lexicon_hashes"]) == 2
+        path.write_text(json.dumps(obj))
+        loaded, _ = load_model(path)
+        sents = [make_sentence(0, "alpha alpha beta"), make_sentence(1, "gamma beta")]
+        assert same_bits(SentenceClassifier(loaded, ex).prob(sents), SentenceClassifier(model, ex).prob(sents))
 
     def test_tampered_layout_hash(self, tmp_path):
         model, _, _ = trained_toy_model()
