@@ -38,7 +38,7 @@ which loads numpy: `constants`, `corpus`, `weak_label` and `summarize`
     train      lexicons, features, sparse, pu and numpy
     predict    lexicons, features, sparse, pu and numpy
     summarize  nothing more (no numpy)
-    evaluate   report, with metrics and numpy
+    evaluate   report and metrics (no numpy)
     synth      synth and lexicons (no numpy)
 
 So a command pays neither the import nor, without a bytecode cache, the

@@ -2,21 +2,18 @@
 
 ROUGE here is the declared deterministic variant: lowercased word tokens,
 punctuation stripped, clipped n-gram counts within sentences, no stemming.
-`RougeTexts` numbers the words of many reference/candidate pairs once and
-counts every pair's n-grams with a few numpy sorts; `rouge_n` is its
-one-pair case.
+`rouge_n` counts one pair's n-grams in a `Counter` per text.
 Tail probabilities come from the platform erfc; tests check them against a
-numerical integration oracle.
+numerical integration oracle. This module loads no numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .corpus import Sentence
 
@@ -50,66 +47,19 @@ class TestResult:
     method: str
 
 
-class RougeTexts:
-    """Reference and candidate texts, paired by position, with every word as an integer id.
+def rouge_n(
+    reference: Sequence[Sentence], candidate: Sequence[Sentence], n: int
+) -> RougeScore:
+    """Clipped n-gram overlap of one pair; n-grams do not cross sentence boundaries.
 
-    A text is a sequence of sentences. The words are numbered once, here;
-    `counts(n)` then finds every pair's n-gram counts in a few array passes.
+    The overlap counts each n-gram min(reference count, candidate count)
+    times. Recall, precision and F1 are each 0.0 where their denominator is 0.
     """
-
-    def __init__(
-        self, references: Sequence[Sequence[Sentence]], candidates: Sequence[Sequence[Sentence]]
-    ) -> None:
-        if len(references) != len(candidates):
-            raise ValueError("references and candidates must pair up")
-        self.pairs = len(references)
-        words: list[str] = []
-        lengths: list[int] = []
-        owners: list[int] = []  # text of each sentence: reference i is i, its candidate pairs + i
-        for owner, text in enumerate(itertools.chain(references, candidates)):
-            for sent in text:
-                words += sent.words
-                lengths.append(len(sent.words))
-                owners.append(owner)
-        vocab = {word: i for i, word in enumerate(dict.fromkeys(words))}
-        self.ids = np.fromiter(map(vocab.__getitem__, words), dtype=np.int64, count=len(words))
-        self.vocab_size = len(vocab)
-        lengths_arr = np.array(lengths, dtype=np.int64)
-        self.owner = np.repeat(np.array(owners, dtype=np.int64), lengths_arr)
-        # Words from each word to the end of its sentence, itself included.
-        self.room = np.repeat(np.cumsum(lengths_arr), lengths_arr) - np.arange(len(words))
-
-    def counts(self, n: int) -> tuple[list[int], list[int], list[int]]:
-        """Each pair's clipped n-gram overlap, reference n-grams and candidate n-grams.
-
-        An n-gram lies within one sentence, and the overlap counts each
-        n-gram min(reference count, candidate count) times.
-        """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        starts = np.flatnonzero(self.room >= n)
-        code = self.ids[starts]
-        for k in range(1, n):  # number the distinct (k+1)-grams from the k-grams
-            code = np.unique(code * self.vocab_size + self.ids[starts + k], return_inverse=True)[1]
-        width = int(code.max()) + 1 if len(code) else 1
-        owner = self.owner[starts]
-        keys, counts = np.unique(owner * width + code, return_counts=True)
-        split = np.searchsorted(keys, self.pairs * width)
-        shared, in_ref, in_cand = np.intersect1d(
-            keys[:split], keys[split:] - self.pairs * width, assume_unique=True, return_indices=True
-        )
-        clipped = np.minimum(counts[:split][in_ref], counts[split:][in_cand])
-        overlap = np.bincount(shared // width, weights=clipped, minlength=self.pairs)
-        totals = np.bincount(owner, minlength=2 * self.pairs)
-        return (
-            overlap.astype(np.int64).tolist(),
-            totals[: self.pairs].tolist(),
-            totals[self.pairs :].tolist(),
-        )
-
-
-def rouge_score(n: int, overlap: int, ref_count: int, cand_count: int) -> RougeScore:
-    """Recall, precision and F1 of an overlap; each is 0.0 where its denominator is 0."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    ref, cand = _ngram_counts(reference, n), _ngram_counts(candidate, n)
+    overlap = sum((ref & cand).values())
+    ref_count, cand_count = ref.total(), cand.total()
     recall = overlap / ref_count if ref_count else 0.0
     precision = overlap / cand_count if cand_count else 0.0
     return RougeScore(
@@ -123,12 +73,11 @@ def rouge_score(n: int, overlap: int, ref_count: int, cand_count: int) -> RougeS
     )
 
 
-def rouge_n(
-    reference: Sequence[Sentence], candidate: Sequence[Sentence], n: int
-) -> RougeScore:
-    """Clipped n-gram overlap of one pair; n-grams do not cross sentence boundaries."""
-    overlap, ref_counts, cand_counts = RougeTexts([reference], [candidate]).counts(n)
-    return rouge_score(n, overlap[0], ref_counts[0], cand_counts[0])
+def _ngram_counts(sentences: Sequence[Sentence], n: int) -> Counter:
+    counts: Counter = Counter()
+    for sent in sentences:
+        counts.update(zip(*(sent.words[i:] for i in range(n))))
+    return counts
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -176,22 +125,20 @@ def mcnemar(pred_a: Sequence[int], pred_b: Sequence[int], truth: Sequence[int]) 
     return TestResult(stat, chi2_sf_1df(stat), "mcnemar-chi2")
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
-    sorted_vals = values[order]
-    i = 0
-    n = len(values)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+def _average_ranks(values: Sequence[float]) -> list[float]:
+    """1-based ranks of `values`; tied values share the mean of their ranks."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    below = 0
+    for _, group in itertools.groupby(order, key=values.__getitem__):
+        tied = list(group)
+        for i in tied:
+            ranks[i] = below + (len(tied) + 1) / 2.0
+        below += len(tied)
     return ranks
 
 
-def _wilcoxon_exact_p(ranks: np.ndarray, w: float) -> float:
+def _wilcoxon_exact_p(ranks: Sequence[float], w: float) -> float:
     # Ranks are multiples of 1/2; doubling makes the sign-flip distribution
     # an integer-valued subset-sum, counted exactly by dynamic programming.
     doubled = [int(round(2.0 * r)) for r in ranks]
@@ -218,25 +165,22 @@ def wilcoxon_signed_rank(
     """
     if mode not in ("auto", "exact", "normal"):
         raise ValueError(f"unknown mode {mode!r}")
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.shape != ya.shape or xa.ndim != 1:
-        raise ValueError("x and y must be equal-length 1-d sequences")
-    d = xa - ya
-    d = d[d != 0]
+    if len(x) != len(y):
+        raise ValueError("x and y must be equal-length sequences")
+    d = [diff for diff in (float(a) - float(b) for a, b in zip(x, y)) if diff != 0]
     n = len(d)
     if n == 0:
         return TestResult(0.0, 1.0, "wilcoxon-exact")
-    ranks = _average_ranks(np.abs(d))
-    w_pos = float(ranks[d > 0].sum())
-    w_neg = float(ranks[d < 0].sum())
+    abs_d = [abs(diff) for diff in d]
+    ranks = _average_ranks(abs_d)
+    w_pos = math.fsum(r for r, diff in zip(ranks, d) if diff > 0)
+    w_neg = math.fsum(r for r, diff in zip(ranks, d) if diff < 0)
     w = min(w_pos, w_neg)
     if mode == "exact" or (mode == "auto" and n <= 25):
         return TestResult(w, _wilcoxon_exact_p(ranks, w), "wilcoxon-exact")
     mu = n * (n + 1) / 4.0
-    _, tie_counts = np.unique(np.abs(d), return_counts=True)
     var = n * (n + 1) * (2 * n + 1) / 24.0 - float(
-        sum(t**3 - t for t in tie_counts)
+        sum(t**3 - t for t in Counter(abs_d).values())
     ) / 48.0
     if var <= 0:
         return TestResult(w, 1.0, "wilcoxon-normal")

@@ -3,20 +3,19 @@
 `infosum evaluate` reads and checks its inputs, then builds report.json
 from these sections and report.txt with `render_table`. Only evaluate
 imports this module, so no other command loads `metrics` or compiles it.
-The ROUGE section counts all of a system's summaries in one pass per
-order; the scores and their means are the same floats that per-pair
-`metrics.rouge_n` calls give.
+The ROUGE section scores each summary with `metrics.rouge_n`; each mean is
+the exact sum of its scores (`math.fsum`), rounded once and divided by
+their number. Neither module loads numpy.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
-
 from .corpus import Corpus
-from .metrics import RougeScore, RougeTexts, mcnemar, prf, rouge_score, wilcoxon_signed_rank
+from .metrics import RougeScore, mcnemar, prf, rouge_n, wilcoxon_signed_rank
 from .summarize import SummaryResult, summary_sentences
 
 if TYPE_CHECKING:
@@ -63,29 +62,22 @@ def rouge_section(corpus: Corpus, summaries: Mapping[str, Sequence[SummaryResult
     documents' reference summaries, for each n in `orders`.
 
     `summaries` maps each system to its summaries of documents that have a
-    reference summary; the report keeps its system order. A system's
-    summaries are the pairs of one `RougeTexts`, counted in one pass per n.
+    reference summary; the report keeps its system order.
     """
     rouge: dict = {}
     for system, results in summaries.items():
-        docs = [corpus.document(result.doc_id) for result in results]
-        texts = RougeTexts(
-            [doc.summary for doc in docs],
-            [summary_sentences(doc, result) for doc, result in zip(docs, results)],
-        )
-        counts = {n: list(zip(*texts.counts(n))) for n in orders}
-        per_doc = {
-            result.doc_id: {f"r{n}": _stats(rouge_score(n, *counts[n][i])) for n in orders}
-            for i, result in enumerate(results)
-        }
-        means = {}
-        for n in orders:
-            key = f"r{n}"
-            doc_ids = sorted(per_doc)
-            means[key] = {
-                stat: float(np.mean([per_doc[d][key][stat] for d in doc_ids]))
+        per_doc = {}
+        for result in results:
+            doc = corpus.document(result.doc_id)
+            candidate = summary_sentences(doc, result)
+            per_doc[result.doc_id] = {f"r{n}": _stats(rouge_n(doc.summary, candidate, n)) for n in orders}
+        means = {
+            f"r{n}": {
+                stat: math.fsum(row[f"r{n}"][stat] for row in per_doc.values()) / len(per_doc)
                 for stat in ROUGE_STATS
             }
+            for n in orders
+        }
         rouge[system] = {"n_docs": len(per_doc), "mean": means, "per_doc": per_doc}
     return rouge
 

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from scipy import integrate
+from scipy.stats import wilcoxon
 
 from infosum.corpus import build_document, make_sentence
 from infosum.metrics import (
-    RougeTexts,
     chi2_sf_1df,
     f1_score,
     mcnemar,
@@ -62,17 +62,19 @@ WORD_LISTS = st.lists(st.lists(st.sampled_from(["a", "b", "cc", "d", "."]), max_
 @example([["a"], ["b", "a"], []], [["b", "a", "b", "a"]], 2)
 @example([["a", "b", "a"]], [["a", "b", "a"], ["a", "b", "a"]], 3)
 def test_rouge_counts_equal_the_loop(ref_lists, cand_lists, n):
-    """The bulk counter against per-position loops: Counter totals, clipped by `&`."""
+    """`rouge_n`'s counts against per-position loops: Counter totals, clipped by `&`."""
     reference = sents(*(" ".join(words) for words in ref_lists))
     candidate = sents(*(" ".join(words) for words in cand_lists))
-    overlap, ref_total, cand_total = RougeTexts([reference], [candidate]).counts(n)
+    score = rouge_n(reference, candidate, n)
     ref_counts, ref_loop_total = loop_ngram_counts(reference, n)
     cand_counts, cand_loop_total = loop_ngram_counts(candidate, n)
-    assert overlap == [sum((ref_counts & cand_counts).values())]
-    assert (ref_total, cand_total) == ([ref_loop_total], [cand_loop_total])
+    assert score.overlap_count == sum((ref_counts & cand_counts).values())
+    assert (score.ref_count, score.cand_count) == (ref_loop_total, cand_loop_total)
 
 
 class TestRougeTexts:
+    """`rouge_n` on many reference and candidate texts, as evaluate scores them."""
+
     def random_pairs(self, seed):
         """Pairs over a small vocabulary: empty references, sentences shorter than
         4 words, and candidates cut as lead_words cuts them."""
@@ -103,21 +105,16 @@ class TestRougeTexts:
         pairs, cuts = self.random_pairs(seed=n)
         assert cuts and any(not ref for ref, _ in pairs)
         assert any(0 < len(s.words) < n for _, cand in pairs for s in cand) or n == 1
-        texts = RougeTexts([ref for ref, _ in pairs], [cand for _, cand in pairs])
-        got = list(zip(*texts.counts(n)))
-        assert got == [brute_force_rouge_counts(ref, cand, n) for ref, cand in pairs]
+        got = [rouge_n(ref, cand, n) for ref, cand in pairs]
+        assert [(s.overlap_count, s.ref_count, s.cand_count) for s in got] == [
+            brute_force_rouge_counts(ref, cand, n) for ref, cand in pairs
+        ]
 
     def test_counts_are_python_ints(self):
-        texts = RougeTexts([sents("a b a")], [sents("a a")])
-        assert texts.counts(1) == ([2], [3], [2])
-        assert all(type(c) is int for column in texts.counts(2) for c in column)
-
-    def test_no_pairs(self):
-        assert RougeTexts([], []).counts(2) == ([], [], [])
-
-    def test_references_and_candidates_must_pair_up(self):
-        with pytest.raises(ValueError, match="pair up"):
-            RougeTexts([sents("a")], [])
+        score = rouge_n(sents("a b a"), sents("a a"), 1)
+        assert (score.overlap_count, score.ref_count, score.cand_count) == (2, 3, 2)
+        score = rouge_n(sents("a b a"), sents("a a"), 2)
+        assert all(type(c) is int for c in (score.overlap_count, score.ref_count, score.cand_count))
 
 
 class TestRouge:
@@ -325,6 +322,17 @@ class TestWilcoxon:
             exact = wilcoxon_signed_rank(x, y, mode="exact").p_value
             approx = wilcoxon_signed_rank(x, y, mode="normal").p_value
             assert abs(exact - approx) <= 0.02
+
+    def test_normal_with_ties_matches_scipy(self):
+        """The tie correction of the normal approximation, against scipy's."""
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            x = np.round(rng.normal(loc=0.2, size=40), 1)
+            y = np.round(rng.normal(size=40), 1)
+            expected = wilcoxon(x, y, zero_method="wilcox", correction=True, method="approx")
+            got = wilcoxon_signed_rank(x.tolist(), y.tolist(), mode="normal")
+            assert got.statistic == expected.statistic
+            assert got.p_value == pytest.approx(expected.pvalue, rel=1e-12)
 
     def test_tied_differences_average_ranks(self):
         x = [2.0, 2.0, 5.0, 7.0]
