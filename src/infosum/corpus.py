@@ -38,9 +38,10 @@ tuple a list, a Literal a set of choices, `X | None` also takes null, and a
 dataclass a nested object. An undeclared key or an absent field without a
 default is an error, __post_init__ checks what types cannot, and every
 message names the dotted field. The config, labels, extracts, predictions,
-gold labels, summaries and the model's layout are read so; the corpus reader
-(which ignores unknown fields) and the top level of `model.json` (which
-older files extend) check their own fields.
+gold labels, summaries and `model.json` (its layout too) are read so; only
+the corpus reader, which ignores unknown fields, checks its own.
+`pu.load_model` first drops the keys that older model files carry and
+nothing reads: `lexicon_hashes`, and `hyper` in `stage1` and `svm`.
 """
 
 from __future__ import annotations

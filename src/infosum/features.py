@@ -4,10 +4,11 @@ Dictionary layouts hold three feature families: per-attribute score-interval
 fractions from scored lexicons, category histograms from category lexicons,
 and six general sentence attributes. BOW layouts hold raw term counts over a
 fixed vocabulary; there is no other kind of layout. A FeatureLayout freezes
-block order, widths and lexicon content hashes. `pu.save_model` writes it
-beside the model with its hash (`layout_hash`, the SHA-256 of its JSON,
-taken without OpenSSL as `lexicons` says), and an extractor built on it
-rejects lexicons whose content has changed since.
+block order, widths and lexicon content hashes, and its `version` is one of
+its fields, so its JSON is `asdict` of it and `corpus.decode` reads it back.
+`pu.save_model` writes it beside the model with its hash (`layout_hash`,
+the SHA-256 of that JSON, taken without OpenSSL as `lexicons` says), and an
+extractor built on it rejects lexicons whose content has changed since.
 
 Every lexicon or vocabulary feature is a per-word count, so the extractor
 resolves each lowercased word type once into the columns it adds to and
@@ -25,11 +26,12 @@ it (`pu` says what still varies by host).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Literal, Sequence
 
 from .constants import FEATURE_MODES, MODE_BOW, MODE_DICTIONARY, MODE_DICTIONARY_NO_GENERAL
-from .corpus import Corpus, InputFormatError, Sentence, decode, document_frequencies
+from .corpus import Corpus, InputFormatError, Sentence, document_frequencies
 from .lexicons import CategoryLexicon, LexiconFormatError, ScoredLexicon, bin_index, sha256_hex
 
 GENERAL_WIDTH = 6
@@ -79,6 +81,7 @@ class CategorySpec:
 
 @dataclass(frozen=True)
 class FeatureLayout:
+    version: Literal[LAYOUT_VERSION]
     mode: Literal[FEATURE_MODES]
     blocks: tuple[Block, ...]
     total_dim: int
@@ -91,20 +94,24 @@ class FeatureLayout:
         offset = 0
         for block in self.blocks:
             if block.offset != offset or block.width < 0:
-                raise ValueError(f"layout block {block.name!r} must start at offset {offset} with a width >= 0")
+                raise ValueError(
+                    f"blocks entry {block.name!r} must start at offset {offset} with a width >= 0, "
+                    f"not at {block.offset} with width {block.width}"
+                )
             offset += block.width
         if self.total_dim != offset:
-            raise ValueError(f"layout total_dim must be {offset}, the sum of its block widths, not {self.total_dim}")
+            raise ValueError(f"total_dim must be {offset}, the sum of its block widths, not {self.total_dim}")
         general = GENERAL_WIDTH if self.mode == MODE_DICTIONARY else 0
         if self.general_width != general:
-            raise ValueError(f"layout general_width must be {general} in {self.mode} mode, not {self.general_width}")
+            raise ValueError(f"general_width must be {general} in {self.mode} mode, not {self.general_width}")
         if self.mode != MODE_BOW:
             if self.vocab is not None:
-                raise ValueError(f"a {self.mode} layout holds no vocabulary")
+                raise ValueError(f"vocab must be null in {self.mode} mode, not {len(self.vocab)} words")
         elif self.vocab is None or len(self.vocab) != self.total_dim:
-            raise ValueError(f"a bow layout holds total_dim ({self.total_dim}) vocabulary words")
+            got = None if self.vocab is None else f"{len(self.vocab)} words"
+            raise ValueError(f"vocab must hold total_dim ({self.total_dim}) words in bow mode, not {got}")
         elif len(set(self.vocab)) != len(self.vocab):
-            raise ValueError("bow vocabulary contains duplicates")
+            raise ValueError(f"vocab must not repeat a word: {Counter(self.vocab).most_common(1)[0][0]!r}")
 
 
 def dictionary_layout(
@@ -140,6 +147,7 @@ def dictionary_layout(
         general_width = GENERAL_WIDTH
         offset += GENERAL_WIDTH
     return FeatureLayout(
+        version=LAYOUT_VERSION,
         mode=MODE_DICTIONARY if include_general else MODE_DICTIONARY_NO_GENERAL,
         blocks=tuple(blocks),
         total_dim=offset,
@@ -151,6 +159,7 @@ def dictionary_layout(
 
 def bow_layout(vocab: Sequence[str]) -> FeatureLayout:
     return FeatureLayout(
+        version=LAYOUT_VERSION,
         mode=MODE_BOW,
         blocks=(Block("bow", 0, len(vocab)),),
         total_dim=len(vocab),
@@ -164,22 +173,9 @@ def bow_vocabulary(corpus: Corpus, min_df: int = 2) -> tuple[str, ...]:
     return tuple(sorted(t for t, c in df.items() if c >= min_df))
 
 
-def layout_to_json(layout: FeatureLayout) -> dict:
-    return {"version": LAYOUT_VERSION, **asdict(layout)}
-
-
-def layout_from_json(obj: dict) -> FeatureLayout:
-    """The layout that `layout_to_json` gave `obj`; a bad field raises ValueError naming it."""
-    body = {**obj}
-    version = body.pop("version", None)
-    if version != LAYOUT_VERSION:
-        raise LayoutMismatchError(f"unsupported layout version {version!r}")
-    return decode(FeatureLayout, body, "layout")
-
-
 def layout_hash(layout: FeatureLayout) -> str:
     """The SHA-256 of the layout's canonical JSON, by the built-in module `lexicons` names."""
-    return sha256_hex(json.dumps(layout_to_json(layout), sort_keys=True, separators=(",", ":")))
+    return sha256_hex(json.dumps(asdict(layout), sort_keys=True, separators=(",", ":")))
 
 
 class FeatureExtractor:

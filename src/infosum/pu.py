@@ -16,11 +16,15 @@ counts sit on the one row. Stage 2 trains a linear SVM on the two-sided
 weighted hinge loss of those rows (`hinge_loss`), and a sigmoid fitted on
 held-out margins converts SVM scores into probabilities.
 
-The learner sees only (X, o): a `PUModel` holds no feature layout, and
-`save_model` writes it beside the `FeatureLayout` of X's columns. The CLI
-passes X as a `sparse.CsrMatrix` of one sparse row per sentence; the
-functions here use only `len`, `.shape`, `X[rows]`, `X @ w` and `X.T @ r`,
-so a dense array works as well.
+The learner sees only (X, o): a `PUModel` holds no feature layout. Each
+stage is a `Linear` score, X @ weights + bias, and the calibration is a
+`Calib`. `save_model` writes a `ModelFile`, the model beside the
+`FeatureLayout` of X's columns, and `load_model` reads it back with
+`corpus.decode`, so model.json's fields are declared once, by these records,
+for the writer and the reader alike. The CLI passes X as a
+`sparse.CsrMatrix` of one sparse row per sentence; the functions here use
+only `len`, `.shape`, `X[rows]`, `X @ w` and `X.T @ r`, so a dense array
+works as well.
 Stage 1 scores X once: e and the unlabeled weights both read that one
 vector of probabilities. Stage 2 reads only its fit rows: `train_pu_model`
 copies them out of X once, so no epoch multiplies a row held out for
@@ -28,15 +32,16 @@ calibration, and each epoch multiplies each fit row once.
 
 Predict scores with train's product: `SentenceClassifier.prob` stacks the
 rows of each PROB_BLOCK test sentences into a CsrMatrix and calls
-`PUModel.margins`, the formula train uses for its calibration margins. A
+`PUModel.margins`, the `Linear` train uses for its calibration margins. A
 row's margin and probability depend on that row alone, so the blocks give
 each sentence the bits one matrix of all of them would, without holding
 all their entries at once (72,605 on the paper-150 test corpus, 5.3 MB of
 heap). With X a CsrMatrix, no step that writes model.json or
 predictions.jsonl calls BLAS: the CSR products are numpy gathers and
 `reduceat`, and `calibrate` takes its sums with numpy reductions, so those
-bytes do not depend on the OpenBLAS kernel the CPU selects. They still depend on numpy's float64 `exp`, which takes an
-AVX-512 path on a CPU that has one and a scalar path elsewhere.
+bytes do not depend on the OpenBLAS kernel the CPU selects. They still
+depend on numpy's float64 `exp`, which takes an AVX-512 path on a CPU that
+has one and a scalar path elsewhere.
 
 Both stages run one fixed schedule of full-batch (sub)gradient descent,
 EPOCHS steps from zero at learning rate LR0 / (1 + t / LR_TAU); only each
@@ -64,22 +69,15 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
 from .constants import L2, L2_MAX
-from .corpus import InputFormatError, Sentence, read_json
-from .features import (
-    FeatureExtractor,
-    FeatureLayout,
-    LayoutMismatchError,
-    layout_from_json,
-    layout_hash,
-    layout_to_json,
-)
+from .corpus import InputFormatError, Sentence, decode, read_json
+from .features import FeatureExtractor, FeatureLayout, LayoutMismatchError, layout_hash
 from .rng import default_rng
 from .sparse import CsrMatrix
 
@@ -117,16 +115,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
-@dataclass
-class Stage1Model:
-    weights: np.ndarray
+@dataclass(frozen=True)
+class Linear:
+    """The affine score X @ weights + bias: stage 1's logit and the SVM's margin."""
+
+    weights: tuple[float, ...]
     bias: float
 
     def decision(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.weights + self.bias
+        return X @ np.array(self.weights) + self.bias
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Positive-class probabilities, clipped into the open interval (0, 1)."""
+        """The logistic probability of `decision`, clipped into the open interval (0, 1)."""
         return np.clip(_sigmoid(self.decision(X)), PROB_EPS, 1.0 - PROB_EPS)
 
 
@@ -229,7 +229,7 @@ def _gradient_descent(loss, X, u, v, l2: float, tag: str) -> tuple[np.ndarray, f
     return w, b
 
 
-def train_stage1(X: np.ndarray, o: np.ndarray, l2: float = L2) -> Stage1Model:
+def train_stage1(X: np.ndarray, o: np.ndarray, l2: float = L2) -> Linear:
     """Logistic regression on o labels, treating unlabeled rows as negative."""
     if len(X) == 0:
         raise DegenerateTrainingSetError("empty training set")
@@ -239,7 +239,7 @@ def train_stage1(X: np.ndarray, o: np.ndarray, l2: float = L2) -> Stage1Model:
             "stage 1 needs at least one positive and one unlabeled example"
         )
     w, b = _gradient_descent(logistic_loss, X, o, np.ones(len(X)), l2, "stage1")
-    return Stage1Model(weights=w, bias=b)
+    return Linear(tuple(w.tolist()), b)
 
 
 def estimate_e(p_pos: np.ndarray) -> float:
@@ -281,9 +281,7 @@ def build_relabeled(p1: np.ndarray, o: np.ndarray, e: float) -> tuple[np.ndarray
     return pos, neg
 
 
-def train_stage2(
-    X: np.ndarray, pos: np.ndarray, neg: np.ndarray, l2: float = L2
-) -> tuple[np.ndarray, float]:
+def train_stage2(X: np.ndarray, pos: np.ndarray, neg: np.ndarray, l2: float = L2) -> Linear:
     """Linear SVM on rows weighted as positives by `pos` and as negatives by
     `neg` (`hinge_loss`), by subgradient descent."""
     if len(X) == 0:
@@ -294,7 +292,8 @@ def train_stage2(
         raise DegenerateTrainingSetError(
             "stage 2 needs positive total weight on both labels"
         )
-    return _gradient_descent(hinge_loss, X, pos, neg, l2, "stage2")
+    w, b = _gradient_descent(hinge_loss, X, pos, neg, l2, "stage2")
+    return Linear(tuple(w.tolist()), b)
 
 
 def calibrate(
@@ -360,21 +359,63 @@ def calibrate(
     return A, B
 
 
-@dataclass
+@dataclass(frozen=True)
+class Calib:
+    """The sigmoid p = 1 / (1 + exp(A * margin + B)) that `calibrate` fits."""
+
+    A: float
+    B: float
+
+
+@dataclass(frozen=True)
 class PUModel:
-    stage1: Stage1Model
+    """Stage 1, its label frequency e, the SVM, the SVM's calibration and the
+    seed of the calibration split."""
+
+    stage1: Linear
     e: float
-    svm_weights: np.ndarray
-    svm_bias: float
-    calib: tuple[float, float]
+    svm: Linear
+    calib: Calib
     seed: int
 
     def margins(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.svm_weights + self.svm_bias
+        return self.svm.decision(X)
 
     def prob_from_margin(self, margin: np.ndarray | float) -> np.ndarray | float:
-        a, b = self.calib
-        return np.clip(_sigmoid(-(a * np.asarray(margin, dtype=float) + b)), PROB_EPS, 1.0 - PROB_EPS)
+        z = -(self.calib.A * np.asarray(margin, dtype=float) + self.calib.B)
+        return np.clip(_sigmoid(z), PROB_EPS, 1.0 - PROB_EPS)
+
+
+@dataclass(frozen=True)
+class _ModelHeader:
+    version: Literal[MODEL_VERSION]
+    layout: FeatureLayout
+    layout_hash: str
+
+
+@dataclass(frozen=True)
+class ModelFile(PUModel, _ModelHeader):
+    """model.json: the fields of a `_ModelHeader`, then those of a `PUModel`.
+
+    A dataclass takes its bases' fields in reverse MRO order, so `decode`
+    reads a file's version and layout before its numbers. `save_model`
+    writes `asdict` of one, and `load_model` decodes one.
+    """
+
+    def __post_init__(self) -> None:
+        if self.layout_hash != layout_hash(self.layout):
+            raise ValueError("layout hash mismatch: model file is inconsistent")
+        for name in ("stage1", "svm"):
+            count = len(getattr(self, name).weights)
+            if count != self.layout.total_dim:
+                raise ValueError(
+                    f"model field '{name}.weights' holds {count} weights; "
+                    f"its layout has {self.layout.total_dim} columns"
+                )
+        if not 0.0 < self.e <= 1.0:
+            raise ValueError(f"model field 'e' must be in (0, 1], not {self.e!r}")
+        if self.seed < 0:
+            raise ValueError(f"model field 'seed' must be >= 0, not {self.seed!r}")
 
 
 def calibration_split(n_rows: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -427,30 +468,23 @@ def train_pu_model(
         e,
     )
     fit, cal = calibration_split(len(X), seed)
-    svm_w, svm_b = train_stage2(X[fit], pos[fit], neg[fit], stage2_l2)
-    margins = X @ svm_w + svm_b
+    svm = train_stage2(X[fit], pos[fit], neg[fit], stage2_l2)
+    margins = svm.decision(X)
     try:
-        A, B = _calibrate_rows(margins[cal], pos[cal], neg[cal])
+        calib = Calib(*_calibrate_rows(margins[cal], pos[cal], neg[cal]))
     except DegenerateTrainingSetError:
         logger.info("held-out calibration rows degenerate; calibrating on all rows")
-        A, B = _calibrate_rows(margins, pos, neg)
-    return PUModel(
-        stage1=stage1,
-        e=e,
-        svm_weights=svm_w,
-        svm_bias=svm_b,
-        calib=(A, B),
-        seed=seed,
-    )
+        calib = Calib(*_calibrate_rows(margins, pos, neg))
+    return PUModel(stage1=stage1, e=e, svm=svm, calib=calib, seed=seed)
 
 
 class SentenceClassifier:
     """Couples a trained model with an extractor on the layout `load_model` returned with it."""
 
     def __init__(self, model: PUModel, extractor: FeatureExtractor):
-        if extractor.layout.total_dim != len(model.svm_weights):
+        if extractor.layout.total_dim != len(model.svm.weights):
             raise LayoutMismatchError(
-                f"extractor gives {extractor.layout.total_dim} features, the model takes {len(model.svm_weights)}"
+                f"extractor gives {extractor.layout.total_dim} features, the model takes {len(model.svm.weights)}"
             )
         self.model = model
         self.extractor = extractor
@@ -466,81 +500,35 @@ class SentenceClassifier:
         return out
 
 
-def model_to_json(model: PUModel, layout: FeatureLayout) -> dict:
-    return {
-        "version": MODEL_VERSION,
-        "layout": layout_to_json(layout),
-        "layout_hash": layout_hash(layout),
-        "stage1": {
-            "weights": model.stage1.weights.tolist(),
-            "bias": model.stage1.bias,
-        },
-        "e": model.e,
-        "svm": {
-            "weights": model.svm_weights.tolist(),
-            "bias": model.svm_bias,
-        },
-        "calib": {"A": model.calib[0], "B": model.calib[1]},
-        "seed": model.seed,
-    }
-
-
-def _finite(value, field: str):
-    """`value` as a float, or as a float array if it is a list.
-
-    NaN or an infinity anywhere in it is a ModelFormatError naming `field`.
-    """
-    out = np.array(value, dtype=float)
-    if not np.isfinite(out).all():
-        raise ModelFormatError(f"model field {field!r} holds NaN or an infinity; it must be finite")
-    return out if out.ndim else float(out)
-
-
-def model_from_json(obj: dict) -> tuple[PUModel, FeatureLayout]:
-    try:
-        if obj["version"] != MODEL_VERSION:
-            raise ModelFormatError(f"unsupported model version {obj['version']!r}")
-        layout = layout_from_json(obj["layout"])
-        if layout_hash(layout) != obj["layout_hash"]:
-            raise ModelFormatError("layout hash mismatch: model file is inconsistent")
-        stage1 = Stage1Model(
-            weights=_finite(obj["stage1"]["weights"], "stage1.weights"),
-            bias=_finite(obj["stage1"]["bias"], "stage1.bias"),
-        )
-        svm_w = _finite(obj["svm"]["weights"], "svm.weights")
-        for field, weights in (("stage1.weights", stage1.weights), ("svm.weights", svm_w)):
-            if len(weights) != layout.total_dim:
-                raise ModelFormatError(
-                    f"model field {field!r} holds {len(weights)} weights; "
-                    f"its layout has {layout.total_dim} columns"
-                )
-        e, seed = obj["e"], obj["seed"]
-        if type(e) not in (int, float) or not 0 < _finite(e, "e") <= 1:
-            raise ModelFormatError(f"model field 'e' must be a number in (0, 1], not {e!r}")
-        if type(seed) is not int or seed < 0:
-            raise ModelFormatError(f"model field 'seed' must be an integer >= 0, not {seed!r}")
-        return PUModel(
-            stage1=stage1,
-            e=float(e),
-            svm_weights=svm_w,
-            svm_bias=_finite(obj["svm"]["bias"], "svm.bias"),
-            calib=(_finite(obj["calib"]["A"], "calib.A"), _finite(obj["calib"]["B"], "calib.B")),
-            seed=seed,
-        ), layout
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ModelFormatError):
-            raise
-        raise ModelFormatError(f"malformed model file: {exc}") from exc
-
-
 def save_model(model: PUModel, layout: FeatureLayout, path: str | Path) -> None:
-    """Versioned JSON of a model and its layout; shortest round-trip floats make reloads bit-exact."""
-    payload = json.dumps(
-        model_to_json(model, layout), indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False
+    """`asdict` of the ModelFile of a model and its layout, as JSON with sorted keys;
+    shortest round-trip floats make reloads bit-exact."""
+    record = ModelFile(
+        version=MODEL_VERSION,
+        layout=layout,
+        layout_hash=layout_hash(layout),
+        **{f.name: getattr(model, f.name) for f in fields(PUModel)},
     )
+    payload = json.dumps(asdict(record), indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
     Path(path).write_text(payload + "\n", encoding="utf-8")
 
 
 def load_model(path: str | Path) -> tuple[PUModel, FeatureLayout]:
-    """The model and the feature layout that `save_model` wrote to `path`."""
-    return model_from_json(read_json(path, "model"))
+    """The model and the feature layout that `save_model` wrote to `path`.
+
+    The model is the decoded ModelFile; a field it does not declare, or one
+    that fails its checks, is a ModelFormatError naming the dotted field.
+    """
+    obj = read_json(path, "model")
+    # Files written while the training schedule could be set carry a `hyper`
+    # block in `stage1` and `svm`, and files written before the layout alone
+    # held the lexicon content hashes carry `lexicon_hashes`. Nothing reads them.
+    obj.pop("lexicon_hashes", None)
+    for stage in (obj.get("stage1"), obj.get("svm")):
+        if isinstance(stage, dict):
+            stage.pop("hyper", None)
+    try:
+        record = decode(ModelFile, obj, "model")
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None
+    return record, record.layout

@@ -623,22 +623,26 @@ class TestBadJsonlLines:
 BAD_MODEL_FILES = [
     (None, "{not json",
      "model: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-    (None, '{"version": 1}', "malformed model file: 'layout'"),
-    ("version", 99, "unsupported model version 99"),
-    ("stage1.weights", float("nan"), "model field 'stage1.weights' holds NaN or an infinity; it must be finite"),
-    ("stage1.bias", float("inf"), "model field 'stage1.bias' holds NaN or an infinity; it must be finite"),
-    ("svm.weights", float("-inf"), "model field 'svm.weights' holds NaN or an infinity; it must be finite"),
-    ("svm.bias", float("nan"), "model field 'svm.bias' holds NaN or an infinity; it must be finite"),
-    ("calib.A", float("nan"), "model field 'calib.A' holds NaN or an infinity; it must be finite"),
-    ("calib.B", float("inf"), "model field 'calib.B' holds NaN or an infinity; it must be finite"),
-    ("e", float("nan"), "model field 'e' holds NaN or an infinity; it must be finite"),
-    ("seed", 3.9, "model field 'seed' must be an integer >= 0, not 3.9"),
-    ("seed", "3", "model field 'seed' must be an integer >= 0, not '3'"),
-    ("seed", True, "model field 'seed' must be an integer >= 0, not True"),
-    ("seed", -1, "model field 'seed' must be an integer >= 0, not -1"),
-    ("e", 7.5, "model field 'e' must be a number in (0, 1], not 7.5"),
-    ("e", 0, "model field 'e' must be a number in (0, 1], not 0"),
-    ("e", True, "model field 'e' must be a number in (0, 1], not True"),
+    (None, '{"version": 1}', "model field 'layout' is mandatory"),
+    ("version", 99, "model key 'version' must be one of 1, not 99"),
+    ("stage1.weights", float("nan"), "model key 'stage1.weights' must be a finite number, not nan"),
+    ("stage1.bias", float("inf"), "model key 'stage1.bias' must be a finite number, not inf"),
+    ("svm.weights", float("-inf"), "model key 'svm.weights' must be a finite number, not -inf"),
+    ("svm.bias", float("nan"), "model key 'svm.bias' must be a finite number, not nan"),
+    ("calib.A", float("nan"), "model key 'calib.A' must be a finite number, not nan"),
+    ("calib.B", float("inf"), "model key 'calib.B' must be a finite number, not inf"),
+    ("e", float("nan"), "model key 'e' must be a finite number, not nan"),
+    ("seed", 3.9, "model key 'seed' must be of type int, not 3.9"),
+    ("seed", "3", "model key 'seed' must be of type int, not '3'"),
+    ("seed", True, "model key 'seed' must be of type int, not True"),
+    ("seed", -1, "model field 'seed' must be >= 0, not -1"),
+    ("e", 7.5, "model field 'e' must be in (0, 1], not 7.5"),
+    ("e", 0, "model field 'e' must be in (0, 1], not 0.0"),
+    ("e", True, "model key 'e' must be a finite number, not True"),
+    ("extra", 1, "unknown model key 'extra'; the model takes version, layout, layout_hash, stage1, e, svm, calib, seed"),
+    ("calib.C", 0.5, "unknown model key 'calib.C'; calib takes A, B"),
+    ("stage1", [0.5], "model section 'stage1' must be an object"),
+    ("svm", {"weights": "0.5", "bias": 0.5}, "model key 'svm.weights' must be a list, not '0.5'"),
 ]
 
 
@@ -706,19 +710,6 @@ class TestExitCodes:
         assert message in err and "run summarize again" in err
         assert not (out / "report.json").exists()
 
-    def test_non_finite_lexicon_score_is_validation_error(self, bundle, pipeline, tmp_path, capsys):
-        _, run_dir = pipeline
-        out = tmp_path / "nanlex"
-        out.mkdir()
-        (out / "labels.jsonl").write_bytes((run_dir / "labels.jsonl").read_bytes())
-        lex = tmp_path / "nan.tsv"
-        lines = Path(bundle["scored_lexicon"]).read_text().splitlines()
-        lex.write_text("\n".join([lines[0], lines[1].rsplit("\t", 1)[0] + "\tnan"]) + "\n")
-        code = main(["train", "-c", bundle["config"], "--out-dir", str(out),
-                     "--set", f"lexicons.scored={json.dumps([str(lex)])}"])
-        assert code == EXIT_VALIDATION
-        assert "line 2: non-finite score" in capsys.readouterr().err
-
     def test_single_score_lexicon_is_validation_error(self, bundle, pipeline, tmp_path, capsys):
         _, run_dir = pipeline
         out = tmp_path / "onescore"
@@ -772,7 +763,7 @@ class TestExitCodes:
             parent = model
             for key in parents:
                 parent = parent[key]
-            if isinstance(parent[last], list):  # a weight vector: its first weight
+            if isinstance(parent.get(last), list):  # a weight vector: its first weight
                 parent[last][0] = value
             else:
                 parent[last] = value
@@ -784,8 +775,8 @@ class TestExitCodes:
         assert not (out / "predictions.jsonl").exists()
 
     @pytest.mark.parametrize("field, value, message", [
-        ("general_width", 7, "layout general_width must be 6 in dictionary mode, not 7"),
-        ("mode", "bogus", "layout key 'mode' must be one of"),
+        ("general_width", 7, "layout.general_width must be 6 in dictionary mode, not 7"),
+        ("mode", "bogus", "model key 'layout.mode' must be one of"),
     ])
     def test_inconsistent_layout_exits_2_naming_field(self, bundle, pipeline, tmp_path, capsys, field, value, message):
         """A layout edited consistently with its hash still has to hold together."""
@@ -1091,6 +1082,8 @@ BAD_CORPUS_AND_LEXICON_LINES = [
                  "expected word<TAB>attribute<TAB>score", id="row-without-tabs"),
     pytest.param("scored lexicon", 2, lambda lines: lines[1].rsplit("\t", 1)[0] + "\thigh",
                  "non-numeric score 'high'", id="non-numeric-score"),
+    pytest.param("scored lexicon", 2, lambda lines: lines[1].rsplit("\t", 1)[0] + "\tnan",
+                 "non-finite score 'nan'", id="non-finite-score"),
     pytest.param("scored lexicon", 2, lambda lines: lines[1].rsplit("\t", 1)[0] + "\t900",
                  "score 900.0 outside declared range [100.0, 700.0]", id="score-out-of-range"),
     pytest.param("scored lexicon", 1, lambda lines: scored_header(lines, "imagery:100"),

@@ -303,7 +303,7 @@ def test_decoding_a_written_record_gives_it_back():
     from dataclasses import asdict
 
     from infosum.cli import Extracts, Prediction, RunConfig, SentenceLabel
-    from infosum.features import bow_layout, dictionary_layout, layout_from_json, layout_to_json
+    from infosum.features import bow_layout, dictionary_layout
     from infosum.lexicons import load_category_lexicon, load_scored_lexicon
     from infosum.summarize import SummaryResult
     from infosum.weak_label import WeakLabel
@@ -318,10 +318,9 @@ def test_decoding_a_written_record_gives_it_back():
         Prediction("d", 3, 0, 0.25),
         SummaryResult("d", "infofilter", (0, 1), (2,), "A b. C d.", 4, fallback=True),
         RunConfig.from_dict({"seed": 3, "out_dir": "run", "systems": ["inforank"]}),
+        bow_layout(("b", "a")),
+        dictionary_layout([scored], [category]),
+        dictionary_layout([scored], [category], include_general=False),
     ]
     for record in records:
         assert corpus.decode(type(record), json.loads(to_jsonl([asdict(record)]))) == record
-    for layout in (bow_layout(("b", "a")), dictionary_layout([scored], [category]),
-                   dictionary_layout([scored], [category], include_general=False)):
-        written = json.loads(json.dumps(layout_to_json(layout)))
-        assert layout_from_json(written) == layout

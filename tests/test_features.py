@@ -1,19 +1,20 @@
 import io
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from infosum.corpus import load_corpus, make_sentence, parse_corpus
+from infosum.corpus import decode, load_corpus, make_sentence, parse_corpus
 from infosum.features import (
     FeatureExtractor,
+    FeatureLayout,
     LayoutMismatchError,
     bow_layout,
     bow_vocabulary,
     dictionary_layout,
     general_features,
-    layout_from_json,
     layout_hash,
-    layout_to_json,
 )
 from infosum.lexicons import (
     CategoryLexicon,
@@ -244,7 +245,7 @@ class TestLayout:
     def test_layout_json_round_trip(self):
         scored, liwc, inquirer = paper_sized_lexicons()
         layout = dictionary_layout([scored], [liwc, inquirer])
-        again = layout_from_json(layout_to_json(layout))
+        again = decode(FeatureLayout, json.loads(json.dumps(asdict(layout))), "layout")
         assert again == layout
         assert layout_hash(again) == layout_hash(layout)
 

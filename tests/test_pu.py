@@ -1,6 +1,8 @@
 import io
 import logging
 import math
+import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from infosum.pu import (
     LR0,
     LR_TAU,
     DegenerateTrainingSetError,
+    Linear,
     ModelFormatError,
     PUModel,
     SentenceClassifier,
@@ -254,9 +257,9 @@ class TestEagerReference:
         assert same_bits(model.stage1.weights, ref.stage1.weights)
         assert same_bits(model.stage1.bias, ref.stage1.bias)
         assert same_bits(model.e, ref.e)
-        assert same_bits(model.svm_weights, ref.svm_weights)
-        assert same_bits(model.svm_bias, ref.svm_bias)
-        assert same_bits(model.calib, ref.calib)
+        assert same_bits(model.svm.weights, ref.svm.weights)
+        assert same_bits(model.svm.bias, ref.svm.bias)
+        assert same_bits(astuple(model.calib), astuple(ref.calib))
 
 
 def duplicated_entry_hinge_loss(w, b, X, pos, neg, l2):
@@ -316,9 +319,7 @@ class TestLoggedLosses:
 class TestEstimateE:
     def test_arithmetic_mean(self):
         # weights chosen so the two positives score 0.8 and 0.6 exactly
-        from infosum.pu import Stage1Model
-
-        model = Stage1Model(weights=np.array([1.0]), bias=0.0)
+        model = Linear(weights=(1.0,), bias=0.0)
         positives = np.array([[np.log(0.8 / 0.2)], [np.log(0.6 / 0.4)]])
         assert estimate_e(model.predict_proba(positives)) == pytest.approx(0.7, abs=1e-12)
 
@@ -412,23 +413,22 @@ class TestBuildRelabeled:
 class TestStage2:
     def test_separable_no_hinge_violations(self):
         X, o = separable_set()
-        w, b = train_stage2(X, o, 1 - o, 1e-4)
-        margins = (2.0 * o - 1.0) * (X @ w + b)
+        margins = (2.0 * o - 1.0) * train_stage2(X, o, 1 - o, 1e-4).decision(X)
         assert np.all(margins > 0)
         assert float(np.mean(margins >= 1.0)) > 0.95
 
     def test_zero_weight_example_is_inert(self):
         X, o = separable_set(n_per_side=8)
-        w1, b1 = train_stage2(X, o, 1 - o, TOY_L2)
-        w2, b2 = train_stage2(np.vstack([X, [[5.0, -5.0]]]), np.append(o, 0), np.append(1 - o, 0), TOY_L2)
-        assert np.allclose(w1, w2, atol=1e-6) and b1 == pytest.approx(b2, abs=1e-6)
+        m1 = train_stage2(X, o, 1 - o, TOY_L2)
+        m2 = train_stage2(np.vstack([X, [[5.0, -5.0]]]), np.append(o, 0), np.append(1 - o, 0), TOY_L2)
+        assert np.allclose(m1.weights, m2.weights, atol=1e-6) and m1.bias == pytest.approx(m2.bias, abs=1e-6)
 
     def test_doubling_weights_keeps_boundary(self):
         X, o = separable_set(n_per_side=8)
         # weight-normalized objective: doubling all weights changes nothing
-        w1, b1 = train_stage2(X, o, 1 - o, TOY_L2)
-        w2, b2 = train_stage2(X, 0.5 * o, 0.5 * (1 - o), TOY_L2)
-        assert np.allclose(w1, w2, atol=1e-6) and b1 == pytest.approx(b2, abs=1e-6)
+        m1 = train_stage2(X, o, 1 - o, TOY_L2)
+        m2 = train_stage2(X, 0.5 * o, 0.5 * (1 - o), TOY_L2)
+        assert np.allclose(m1.weights, m2.weights, atol=1e-6) and m1.bias == pytest.approx(m2.bias, abs=1e-6)
 
     def test_degenerate_rejected(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -451,7 +451,7 @@ class TestL2Bound:
     def test_the_bound_itself_trains_a_finite_model(self):
         X, o = separable_set()
         model = train_pu_model(X, o, L2_MAX, L2_MAX)
-        values = [model.stage1.weights, model.stage1.bias, model.e, model.svm_weights, model.svm_bias, model.calib]
+        values = [model.stage1.weights, model.stage1.bias, model.e, model.svm.weights, model.svm.bias, astuple(model.calib)]
         assert all(np.isfinite(v).all() for v in values)
 
 
@@ -560,8 +560,8 @@ class TestPUModel:
         sparse_model = train_pu_model(sparse, o, TOY_L2, TOY_L2, seed=1)
         assert sparse_model.e == pytest.approx(dense_model.e, rel=1e-12)
         np.testing.assert_allclose(sparse_model.stage1.weights, dense_model.stage1.weights, atol=1e-10)
-        np.testing.assert_allclose(sparse_model.svm_weights, dense_model.svm_weights, atol=1e-10)
-        np.testing.assert_allclose(sparse_model.calib, dense_model.calib, rtol=1e-9)
+        np.testing.assert_allclose(sparse_model.svm.weights, dense_model.svm.weights, atol=1e-10)
+        np.testing.assert_allclose(astuple(sparse_model.calib), astuple(dense_model.calib), rtol=1e-9)
 
     @pytest.mark.parametrize("matrix", ["dense", "csr"])
     def test_stage2_multiplies_only_the_fit_rows(self, monkeypatch, matrix):
@@ -599,6 +599,19 @@ class TestSaveLoad:
             assert loaded.prob_from_margin(loaded.margins(row)) == model.prob_from_margin(
                 model.margins(row)
             )
+
+    @pytest.mark.parametrize("mode", ["dictionary", "bow"])
+    def test_resaving_a_loaded_model_rewrites_its_bytes(self, tmp_path, mode):
+        if mode == "dictionary":
+            model, ex = TestSentenceClassifier().train_text_model(SCORED_V1)
+            layout = ex.layout
+        else:
+            model, layout = trained_toy_model()[0], TOY_LAYOUT
+        assert layout.mode == mode
+        path, again = tmp_path / "model.json", tmp_path / "again.json"
+        save_model(model, layout, path)
+        save_model(*load_model(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_corrupted_file(self, tmp_path):
         path = tmp_path / "model.json"
@@ -667,20 +680,22 @@ class TestSaveLoad:
             load_model(path)
 
     @pytest.mark.parametrize("mutate, message", [
-        (lambda lay: lay.update(general_width=7), "layout general_width must be 0 in bow mode, not 7"),
-        (lambda lay: lay.update(mode="bogus"), "layout key 'mode' must be one of"),
-        (lambda lay: lay.update(mode="dictionary"), "layout general_width must be 6 in dictionary mode"),
-        (lambda lay: lay.update(total_dim=3), "layout total_dim must be 2, the sum of its block widths, not 3"),
-        (lambda lay: lay["blocks"][0].update(offset=1), "layout block 'bow' must start at offset 0"),
-        (lambda lay: lay["blocks"][0].update(width="2"), "layout key 'blocks.width' must be of type int"),
-        (lambda lay: lay["blocks"].append({"name": "x", "offset": 2, "width": 1}), "layout total_dim must be 3"),
-        (lambda lay: lay.update(vocab=None), "a bow layout holds total_dim (2) vocabulary words"),
-        (lambda lay: lay.update(vocab=["alpha", "alpha"]), "bow vocabulary contains duplicates"),
-        (lambda lay: lay.update(vocab=["alpha", 2]), "layout key 'vocab' must be of type str, not 2"),
-        (lambda lay: lay.update(extra=1), "unknown layout key 'extra'"),
-        (lambda lay: lay.pop("total_dim"), "layout field 'total_dim' is mandatory"),
-        (lambda lay: lay.update(version=2), "unsupported layout version 2"),
-        (lambda lay: lay.clear(), "unsupported layout version None"),
+        (lambda lay: lay.update(general_width=7), "layout.general_width must be 0 in bow mode, not 7"),
+        (lambda lay: lay.update(mode="bogus"), "model key 'layout.mode' must be one of"),
+        (lambda lay: lay.update(mode="dictionary"), "layout.general_width must be 6 in dictionary mode, not 0"),
+        (lambda lay: lay.update(total_dim=3), "layout.total_dim must be 2, the sum of its block widths, not 3"),
+        (lambda lay: lay["blocks"][0].update(offset=1),
+         "layout.blocks entry 'bow' must start at offset 0 with a width >= 0, not at 1 with width 2"),
+        (lambda lay: lay["blocks"][0].update(width="2"), "model key 'layout.blocks.width' must be of type int, not '2'"),
+        (lambda lay: lay["blocks"].append({"name": "x", "offset": 2, "width": 1}),
+         "layout.total_dim must be 3, the sum of its block widths, not 2"),
+        (lambda lay: lay.update(vocab=None), "layout.vocab must hold total_dim (2) words in bow mode, not None"),
+        (lambda lay: lay.update(vocab=["alpha", "alpha"]), "layout.vocab must not repeat a word: 'alpha'"),
+        (lambda lay: lay.update(vocab=["alpha", 2]), "model key 'layout.vocab' must be of type str, not 2"),
+        (lambda lay: lay.update(extra=1), "unknown model key 'layout.extra'"),
+        (lambda lay: lay.pop("total_dim"), "model field 'layout.total_dim' is mandatory"),
+        (lambda lay: lay.update(version=2), "model key 'layout.version' must be one of 1, not 2"),
+        (lambda lay: lay.clear(), "model field 'layout.version' is mandatory"),
     ])
     def test_inconsistent_layout_is_rejected_after_its_hash(self, tmp_path, model_text, mutate, message):
         """A layout edited together with its hash is still decoded and checked field by field."""
@@ -721,7 +736,7 @@ class TestSaveLoad:
             node[key] = value
         path = tmp_path / "model.json"
         path.write_text(json.dumps(obj))  # json writes NaN, Infinity and -Infinity
-        with pytest.raises(ModelFormatError, match=f"model field '{field}' holds NaN or an infinity"):
+        with pytest.raises(ModelFormatError, match=re.escape(f"model key '{field}' must be a finite number, not {value!r}")):
             load_model(path)
 
 
