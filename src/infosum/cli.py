@@ -51,9 +51,11 @@ Every command takes a JSON config (-c) plus optional `--set dotted.key=value`
 overrides, writes a resolved-config copy next to its outputs, and is a pure
 function of (config, input files, seed): rerunning reproduces identical
 bytes. Exit codes: 0 success, 2 validation error, 1 runtime error. An
-input file that does not parse (bytes that are not UTF-8, bad JSON, a bad
-field) is a validation error named by file kind and line, and so is a
-labels file without both positive and unlabeled sentences.
+input file that does not parse (bytes that are not UTF-8, bad JSON, a key
+given twice in one object, a bad field) is a validation error named by file
+kind and line. So are a labels file without both positive and unlabeled
+sentences and a `label.balance_ratio` that samples none of the unlabeled
+ones; train fails on them before it extracts a feature.
 
 The config is `RunConfig`, one frozen dataclass per JSON object, read by
 the decoder of every record (`corpus.decode`; its rule is in the `corpus`
@@ -68,6 +70,7 @@ import argparse
 import json
 import logging
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Literal
@@ -90,7 +93,6 @@ from .summarize import (
     LEADWORDS,
     RANDOMRANK,
     SYSTEMS,
-    WHOLE_SENTENCE,
     SummaryBudget,
     SummaryResult,
     info_filter,
@@ -411,12 +413,17 @@ def cmd_train(cfg: RunConfig) -> int:
         if not held[flag]:
             raise ConfigError(f"labels.jsonl holds no {flag} label; training needs positive and unlabeled ones")
     sampled = sample_unlabeled(labels, cfg.label_config())
+    counts = label_counts(sampled)
+    if not counts[UNLABELED]:
+        raise ConfigError(
+            f"label.balance_ratio {cfg.label.balance_ratio} samples none of the {held[UNLABELED]} unlabeled "
+            f"sentences for {held[POSITIVE]} positive ones; training needs at least one"
+        )
     extractor = build_extractor(cfg, train_corpus=corpus)
     X, o = build_examples(corpus, sampled, extractor)
     model = train_pu_model(X, o, cfg.hyper.stage1.l2, cfg.hyper.stage2.l2, seed=cfg.seed)
     _write_resolved_config(cfg, "train")
     save_model(model, extractor.layout, cfg.path("model.json"))
-    counts = label_counts(sampled)
     print(
         f"train: positives={counts[POSITIVE]} unlabeled={counts[UNLABELED]} "
         f"dim={extractor.layout.total_dim} e={model.e:.6f} -> {cfg.path('model.json')}"
@@ -468,27 +475,21 @@ def cmd_summarize(cfg: RunConfig) -> int:
     probs: list[list[float]] = []
     if any(s in (INFORANK, INFOFILTER) for s in cfg.systems):
         probs = _test_probs(cfg, corpus)
-    whole = replace(cfg.budget, mode=WHOLE_SENTENCE)
     _write_resolved_config(cfg, "summarize")
+    summarizers = {
+        LEADWORDS: lambda di, doc: lead_words(doc, cfg.budget),
+        INFORANK: lambda di, doc: info_rank(doc, probs[di], cfg.budget),
+        INFOFILTER: lambda di, doc: info_filter(doc, probs[di], cfg.budget),
+        RANDOMRANK: lambda di, doc: random_rank(doc, cfg.budget, seed=(cfg.seed, di)),
+    }
     for system in cfg.systems:
-        results = []
-        for di, doc in enumerate(corpus):
-            if system == LEADWORDS:
-                results.append(lead_words(doc, cfg.budget))
-            elif system == INFORANK:
-                results.append(info_rank(doc, probs[di], whole))
-            elif system == INFOFILTER:
-                results.append(info_filter(doc, probs[di], whole))
-            elif system == RANDOMRANK:
-                results.append(random_rank(doc, whole, seed=(cfg.seed, di)))
+        summarize = summarizers[system]
+        results = [summarize(di, doc) for di, doc in enumerate(corpus)]
         path = cfg.path(f"summaries_{system}.jsonl")
         write_summaries(results, path)
         extra = ""
         if system == INFOFILTER:
-            removed_counts = sorted(len(r.removed) for r in results)
-            hist: dict[int, int] = {}
-            for c in removed_counts:
-                hist[c] = hist.get(c, 0) + 1
+            hist = Counter(len(r.removed) for r in results)
             extra = " removed-histogram " + json.dumps(hist, sort_keys=True)
         print(f"summarize[{system}]: {len(results)} documents -> {path}{extra}")
     return EXIT_OK

@@ -24,8 +24,8 @@ predictions, gold labels, summaries, lexicons) one line at a time by
 `read_lines`, a JSON file (model, config) whole by `read_json`. Bytes are
 UTF-8, a line ends at a line feed alone (U+2028, U+2029 and U+0085 are text,
 as `to_jsonl` writes them), and blank lines are skipped. Undecodable bytes,
-bad JSON and a bad field all raise InputFormatError naming the file kind and
-the 1-based line. Every JSONL artifact is written by `write_jsonl`.
+bad JSON, a key given twice in one object and a bad field all raise
+InputFormatError naming the file kind and the 1-based line. Every JSONL artifact is written by `write_jsonl`.
 
 Labels, predictions and gold labels are read by `read_sentence_records`,
 which fails at a line naming a sentence its corpus lacks or one an earlier
@@ -233,16 +233,33 @@ def read_lines(path: str | Path, kind: str) -> Iterator[tuple[int, str]]:
         yield from numbered_lines(fh, kind)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is a ValueError naming it."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"key {key!r} is given twice")
+            seen.add(key)
+    return obj
+
+
+_parse_json = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
+
+
 def read_json(path: str | Path, kind: str) -> dict:
     """The JSON object that the whole UTF-8 file at `path` holds."""
     data = Path(path).read_bytes()
     try:
-        obj = json.loads(data.decode("utf-8"))
+        obj = _parse_json(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise InputFormatError(f"{kind} line {lineno}: not valid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{kind}: invalid JSON: {exc}") from None
+    except ValueError as exc:  # a repeated key
+        raise InputFormatError(f"{kind}: {exc}") from None
     if not isinstance(obj, dict):
         raise InputFormatError(f"{kind} must hold a JSON object")
     return obj
@@ -254,7 +271,7 @@ def parse_jsonl(lines: Iterable[tuple[int, str]], kind: str, parse: Callable[[di
     out: list[T] = []
     for lineno, line in lines:
         try:
-            rec = json.loads(line)
+            rec = _parse_json(line)
             if not isinstance(rec, dict):
                 raise TypeError("record must be a JSON object")
             out.append(parse(rec))

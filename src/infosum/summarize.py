@@ -2,14 +2,19 @@
 
 Four systems share one word budget: LeadWords (opening words, truncated
 mid-sentence), InfoRank (whole sentences ranked by predicted importance),
-InfoFilter (lead order with unimportant sentences dropped), and RandomRank
-(seeded random ranking). InfoRank and InfoFilter take the detector's
-probability for each sentence of the document, in sentence order. These
-are the `prob` fields of predictions.jsonl, which `infosum predict` writes
-and `infosum summarize` reads: no summarizer scores a sentence itself.
+InfoFilter (LeadWords over the sentences predicted important, whole
+sentences only), and RandomRank (seeded random ranking). InfoRank and
+InfoFilter take the detector's probability for each sentence of the
+document, in sentence order. These are the `prob` fields of
+predictions.jsonl, which `infosum predict` writes and `infosum summarize`
+reads: no summarizer scores a sentence itself.
 
-Only lead_words cuts a sentence: the last it selects, to at least one word.
-`_words_cut` holds that rule for `read_summaries` and `summary_sentences`.
+InfoRank and RandomRank share one ranked fill: whole sentences taken in rank
+order while they fit, emitted in document order. Only lead_words reads the
+budget's mode, and only it cuts a sentence: the last it selects, to at least
+one word. `_words_cut` holds that rule for `read_summaries` and
+`summary_sentences`. A ranked fill's last sentence in document order need
+not be its last selected, so it never cuts one.
 
 This module imports no numpy. RandomRank's order is numpy's
 `default_rng(seed).permutation(n)`, drawn by `rng`, the package's
@@ -18,7 +23,7 @@ pure-Python copy of numpy's seeding, PCG64 generator and shuffle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
@@ -56,10 +61,6 @@ class SummaryResult:
     fallback: bool = False
 
 
-def _sentence_words(doc: Document) -> list[int]:
-    return [len(s.words) for s in doc.sentences]
-
-
 def _truncate(sentence: Sentence, n_words: int) -> str:
     """The sentence's tokens up to and including its n_words-th word, space-joined.
 
@@ -87,11 +88,11 @@ def lead_words(doc: Document, budget: SummaryBudget) -> SummaryResult:
     """
     if not doc.sentences:
         raise ValueError(f"document {doc.doc_id!r} is empty")
-    counts = _sentence_words(doc)
     selected: list[int] = []
     pieces: list[str] = []
     total = 0
-    for sent, wc in zip(doc.sentences, counts):
+    for sent in doc.sentences:
+        wc = len(sent.words)
         remaining = budget.max_words - total
         if wc <= remaining:
             selected.append(sent.id)
@@ -128,15 +129,19 @@ def _words_cut(doc: Document, result: SummaryResult) -> int:
     return cut
 
 
-def _greedy_fill(order: Sequence[int], counts: Sequence[int], max_words: int) -> tuple[list[int], int]:
-    """Take sentences along `order` while they fit; oversized ones are skipped."""
-    chosen: list[int] = []
+def _ranked_fill(doc: Document, system: str, order: Iterable[int], budget: SummaryBudget) -> SummaryResult:
+    """Whole sentences taken along `order` while they fit, an oversized one skipped,
+    and emitted in document order."""
+    selected: list[int] = []
     total = 0
     for i in order:
-        if total + counts[i] <= max_words:
-            chosen.append(i)
-            total += counts[i]
-    return sorted(chosen), total
+        wc = len(doc.sentences[i].words)
+        if total + wc <= budget.max_words:
+            selected.append(i)
+            total += wc
+    selected.sort()
+    text = " ".join(doc.sentences[i].text for i in selected)
+    return SummaryResult(doc.doc_id, system, tuple(selected), (), text, total)
 
 
 def _check_probs(doc: Document, probs: Sequence[float]) -> None:
@@ -148,65 +153,33 @@ def _check_probs(doc: Document, probs: Sequence[float]) -> None:
 
 
 def info_rank(doc: Document, probs: Sequence[float], budget: SummaryBudget) -> SummaryResult:
-    """Whole sentences in decreasing probability order, greedily packed.
+    """The ranked fill in decreasing probability order.
 
-    Ties rank the earlier sentence first, and the summary is emitted in
-    document order. Selection depends only on the probability ordering, so
-    any strictly monotone rescaling of the probabilities leaves it unchanged.
+    Ties rank the earlier sentence first. Selection depends only on the
+    probability ordering, so any strictly monotone rescaling of the
+    probabilities leaves it unchanged.
     """
     _check_probs(doc, probs)
-    order = sorted(range(len(doc.sentences)), key=lambda i: (-probs[i], i))
-    counts = _sentence_words(doc)
-    selected, total = _greedy_fill(order, counts, budget.max_words)
-    return SummaryResult(
-        doc_id=doc.doc_id,
-        system=INFORANK,
-        selected=tuple(selected),
-        removed=(),
-        text=" ".join(doc.sentences[i].text for i in selected),
-        word_total=total,
-    )
+    return _ranked_fill(doc, INFORANK, sorted(range(len(doc.sentences)), key=lambda i: (-probs[i], i)), budget)
 
 
 def info_filter(doc: Document, probs: Sequence[float], budget: SummaryBudget) -> SummaryResult:
-    """Lead-order summary that skips sentences predicted unimportant (prob < 0.5).
+    """lead_words over the sentences predicted important (prob >= 0.5), whole sentences only.
 
-    Kept sentences are appended whole until the next one would overflow the
-    budget, then scanning stops. When every sentence is predicted
-    unimportant the result falls back to lead_words (all ids recorded as
-    removed, fallback flagged).
+    Kept sentences are taken in document order until the next one would
+    overflow the budget; the budget's mode is not read. When every sentence
+    is predicted unimportant, the result is lead_words of the whole document
+    in truncate-words mode, with fallback flagged. Either way every sentence
+    below 0.5 is recorded as removed.
     """
     _check_probs(doc, probs)
-    important = [p >= 0.5 for p in probs]
-    removed = [s.id for s, keep in zip(doc.sentences, important) if not keep]
-    kept = [s.id for s, keep in zip(doc.sentences, important) if keep]
-    if not kept:
-        lead = lead_words(doc, SummaryBudget(budget.max_words, TRUNCATE_WORDS))
-        return SummaryResult(
-            doc_id=doc.doc_id,
-            system=INFOFILTER,
-            selected=lead.selected,
-            removed=tuple(removed),
-            text=lead.text,
-            word_total=lead.word_total,
-            fallback=True,
-        )
-    counts = _sentence_words(doc)
-    selected: list[int] = []
-    total = 0
-    for i in kept:
-        if total + counts[i] > budget.max_words:
-            break
-        selected.append(i)
-        total += counts[i]
-    return SummaryResult(
-        doc_id=doc.doc_id,
-        system=INFOFILTER,
-        selected=tuple(selected),
-        removed=tuple(removed),
-        text=" ".join(doc.sentences[i].text for i in selected),
-        word_total=total,
-    )
+    kept = tuple(s for s, p in zip(doc.sentences, probs) if p >= 0.5)
+    removed = tuple(s.id for s, p in zip(doc.sentences, probs) if p < 0.5)
+    if kept:
+        lead = lead_words(replace(doc, sentences=kept), replace(budget, mode=WHOLE_SENTENCE))
+    else:
+        lead = lead_words(doc, replace(budget, mode=TRUNCATE_WORDS))
+    return replace(lead, system=INFOFILTER, removed=removed, fallback=not kept)
 
 
 def summary_sentences(doc: Document, result: SummaryResult) -> list[Sentence]:
@@ -220,21 +193,9 @@ def summary_sentences(doc: Document, result: SummaryResult) -> list[Sentence]:
 
 
 def random_rank(doc: Document, budget: SummaryBudget, seed) -> SummaryResult:
-    """Seeded uniform ranking followed by the same greedy fill as info_rank.
-
-    The ranking is numpy's `default_rng(seed).permutation`, drawn by `rng`.
-    """
-    order = default_rng(seed).permutation(len(doc.sentences))
-    counts = _sentence_words(doc)
-    selected, total = _greedy_fill(order, counts, budget.max_words)
-    return SummaryResult(
-        doc_id=doc.doc_id,
-        system=RANDOMRANK,
-        selected=tuple(selected),
-        removed=(),
-        text=" ".join(doc.sentences[i].text for i in selected),
-        word_total=total,
-    )
+    """The ranked fill in a seeded uniform order: numpy's
+    `default_rng(seed).permutation`, drawn by `rng`."""
+    return _ranked_fill(doc, RANDOMRANK, default_rng(seed).permutation(len(doc.sentences)), budget)
 
 
 def write_summaries(results: Iterable[SummaryResult], path: str | Path) -> None:

@@ -311,6 +311,22 @@ class TestSummarizeFromPredictions:
             name = f"summaries_{system}.jsonl"
             assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
 
+    def test_only_leadwords_reads_the_budget_mode(self, bundle, pipeline, tmp_path):
+        """InfoRank and RandomRank take whole sentences in rank order, and InfoFilter whole kept
+        sentences in lead order, in either mode; only LeadWords cuts a sentence. Once InfoFilter
+        fills its budget (ROADMAP item 1), InfoFilter leaves this list."""
+        _, run_dir = pipeline
+        predictions = (run_dir / "predictions.jsonl").read_text()
+        runs = {}
+        for name, overrides in (("default", []), ("whole", ["--set", "budget.mode=whole-sentence"])):
+            out = self.out_dir(run_dir, tmp_path / name, predictions, model=False)
+            assert main(["summarize", "-c", bundle["config"], "--out-dir", str(out), *overrides]) == EXIT_OK
+            runs[name] = {system: (out / f"summaries_{system}.jsonl").read_bytes()
+                          for system in ("leadwords", "inforank", "infofilter", "randomrank")}
+        for system in ("inforank", "infofilter", "randomrank"):
+            assert runs["default"][system] == runs["whole"][system], system
+        assert runs["default"]["leadwords"] != runs["whole"]["leadwords"]
+
     def test_without_predictions_exits_2(self, bundle, pipeline, tmp_path, capsys):
         _, run_dir = pipeline
         out = self.out_dir(run_dir, tmp_path / "none", None)
@@ -618,11 +634,12 @@ class TestBadJsonlLines:
 
 
 # (dotted field of the trained model.json set to value, or None and the whole
-# file's text; the error line predict must print). A value for a weight vector
-# replaces its first weight.
+# file's text, or the text as a function of the trained model's; the error line
+# predict must print). A value for a weight vector replaces its first weight.
 BAD_MODEL_FILES = [
     (None, "{not json",
      "model: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    pytest.param(None, lambda text: '{"seed": 7,' + text[1:], "model: key 'seed' is given twice", id="repeated-key"),
     (None, '{"version": 1}', "model field 'layout' is mandatory"),
     ("version", 99, "model key 'version' must be one of 1, not 99"),
     ("stage1.weights", float("nan"), "model key 'stage1.weights' must be a finite number, not nan"),
@@ -756,7 +773,7 @@ class TestExitCodes:
         out = tmp_path / "badmodel"
         out.mkdir()
         if field is None:
-            content = value
+            content = value((run_dir / "model.json").read_text()) if callable(value) else value
         else:
             model = json.loads((run_dir / "model.json").read_text())
             *parents, last = field.split(".")
@@ -982,6 +999,18 @@ class TestExitCodes:
         assert "labels.jsonl holds no unlabeled label" in capsys.readouterr().err
         assert not (out / "model.json").exists()
 
+    def test_balance_ratio_sampling_no_unlabeled_exits_2_at_train(self, bundle, pipeline, tmp_path, capsys):
+        _, run_dir = pipeline
+        out = tmp_path / "tiny-ratio"
+        out.mkdir()
+        (out / "labels.jsonl").write_bytes((run_dir / "labels.jsonl").read_bytes())
+        capsys.readouterr()
+        assert main(["train", "-c", bundle["config"], "--out-dir", str(out),
+                     "--set", "label.balance_ratio=0.0001"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "error: label.balance_ratio 0.0001 samples none of the" in err
+        assert not (out / "model.json").exists()
+
     def test_alignment_labels_without_positives_exit_2_at_train(self, bundle, tmp_path, capsys):
         out = tmp_path / "nopos"
         assert main(["label", "-c", bundle["config"], "--out-dir", str(out), "--set", "label.mode=alignment",
@@ -1058,6 +1087,19 @@ def test_input_not_utf8_exits_2_naming_kind_and_line(bundle, pipeline, tmp_path,
     assert f"{kind} line 2: not valid UTF-8" in err
 
 
+def test_config_key_given_twice_exits_2_naming_it(bundle, pipeline, tmp_path, capsys):
+    """A repeated key is an error, not its last value silently taken."""
+    _, run_dir = pipeline
+
+    def write_copy(source, dest):
+        Path(dest).write_text('{"seed": 7,' + Path(source).read_text(encoding="utf-8")[1:], encoding="utf-8")
+
+    capsys.readouterr()
+    assert run_on_bad_copy(bundle, run_dir, tmp_path, "config", write_copy) == EXIT_VALIDATION
+    assert "error: config: key 'seed' is given twice" in capsys.readouterr().err.splitlines()
+    assert not (tmp_path / "run" / "resolved_config.label.json").exists()
+
+
 def scored_header(lines, ranges):
     """The synth scored lexicon's header with the range declarations `ranges`."""
     return " ".join(lines[0].split()[:3] + [ranges])
@@ -1069,6 +1111,8 @@ BAD_CORPUS_AND_LEXICON_LINES = [
     pytest.param("corpus", 2, lambda lines: lines[0], "duplicate doc_id 'train-0000'", id="repeated-doc_id"),
     pytest.param("corpus", 2, lambda lines: json.dumps({**json.loads(lines[1]), "section": 5}),
                  "section must be a string", id="section-not-string"),
+    pytest.param("corpus", 2, lambda lines: '{"section": "other",' + lines[1][1:],
+                 "key 'section' is given twice", id="repeated-key"),
     pytest.param("corpus", 2, lambda lines: json.dumps({**json.loads(lines[1]), "sentences": []}),
                  "sentences must be a non-empty array of strings", id="no-sentences"),
     pytest.param("corpus", 2, lambda lines: json.dumps({k: v for k, v in json.loads(lines[1]).items() if k != "doc_id"}),
