@@ -25,7 +25,8 @@ predictions, gold labels, summaries, lexicons) one line at a time by
 UTF-8, a line ends at a line feed alone (U+2028, U+2029 and U+0085 are text,
 as `to_jsonl` writes them), and blank lines are skipped. Undecodable bytes,
 bad JSON, a key given twice in one object and a bad field all raise
-InputFormatError naming the file kind and the 1-based line. Every JSONL artifact is written by `write_jsonl`.
+InputFormatError naming the file kind and the 1-based line. Every JSONL
+artifact is written by `write_jsonl`.
 
 Labels, predictions and gold labels are read by `read_sentence_records`,
 which fails at a line naming a sentence its corpus lacks or one an earlier
