@@ -61,7 +61,8 @@ The config is `RunConfig`, one frozen dataclass per JSON object, read by
 the decoder of every record (`corpus.decode`; its rule is in the `corpus`
 docstring). An unknown key at any depth, a value of the wrong JSON type or
 one out of its range is a ConfigError naming the dotted key, raised when
-the config is loaded; every config error exits 2.
+the config is loaded, and so is a `--set` value that gives a key twice in
+one object; every config error exits 2.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ from .constants import DEFAULT_BINS, FEATURE_MODES, L2, L2_MAX, MODE_BOW, MODE_D
 from .corpus import (
     Corpus,
     InputFormatError,
+    _parse_json,
     compute_idf,
     decode,
     load_corpus,
@@ -249,9 +251,11 @@ def _apply_override(raw: dict, dotted: str, value: str) -> None:
         if not isinstance(node, dict):
             raise ConfigError(f"cannot override through non-object key {key!r}")
     try:
-        node[keys[-1]] = json.loads(value)
+        node[keys[-1]] = _parse_json(value)
     except json.JSONDecodeError:
         node[keys[-1]] = value
+    except ValueError as exc:  # a repeated key
+        raise ConfigError(f"config key {dotted!r}: {exc}") from None
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:

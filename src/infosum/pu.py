@@ -1,11 +1,12 @@
 """Two-stage learning from positive and unlabeled sentences.
 
 Training data is a feature matrix X (one row per sentence) and a 0/1 vector
-o marking the labeled positives. Stage 1 trains a logistic regression on o
-(unlabeled treated as negative) and turns it into a label-frequency
-estimate e = mean LR(x) over the labeled positives. Each row then carries a
-weight as a positive and a weight as a negative: 1 and 0 for a labeled
-positive, w and 1 - w for an unlabeled row, where
+o marking the labeled positives. Every fit here reads its rows in one form,
+(pos, neg): row i is a positive of weight pos[i] and a negative of weight
+neg[i] at once. Stage 1 trains a logistic regression on the rows (o, 1 - o),
+unlabeled treated as negative (`logistic_loss`), and turns it into a
+label-frequency estimate e = mean LR(x) over the labeled positives. Stage 2
+weights a labeled positive 1 and 0, and an unlabeled row w and 1 - w, where
 
     w = clamp01( (LR(x) / e) / ((1 - LR(x)) / (1 - e)) )
 
@@ -14,7 +15,8 @@ Elkan & Noto's weighting, which counts an unlabeled example once as a
 positive of weight w and once as a negative of weight 1 - w; here both
 counts sit on the one row. Stage 2 trains a linear SVM on the two-sided
 weighted hinge loss of those rows (`hinge_loss`), and a sigmoid fitted on
-held-out margins converts SVM scores into probabilities.
+the held-out rows' margins and weights (`calibrate`) converts SVM scores
+into probabilities.
 
 The learner sees only (X, o): a `PUModel` holds no feature layout. Each
 stage is a `Linear` score, X @ weights + bias, and the calibration is a
@@ -60,7 +62,7 @@ exactly as the out-of-place formulas would. The loss value itself is
 computed only on the epochs that `_gradient_descent` logs: the first, every
 50th and the last at DEBUG, and the last, with its gradient norm, at INFO.
 
-Objectives normalize the data term by total sample weight, so duplicating
+Objectives normalize the data term by the total weight, so duplicating
 the dataset or rescaling all weights leaves the optimization path unchanged.
 """
 
@@ -134,25 +136,33 @@ def logistic_loss(
     w: np.ndarray,
     b: float,
     X: np.ndarray,
-    y: np.ndarray,
-    sample_weight: np.ndarray,
+    pos: np.ndarray,
+    neg: np.ndarray,
     l2: float,
     value: bool = True,
 ) -> tuple[float | None, np.ndarray, float]:
-    """Weight-normalized logistic loss with an L2 penalty on w (not b).
+    """Two-sided weighted logistic loss with an L2 penalty on w (not b).
 
-    Returns (loss, grad_w, grad_b); the loss is None unless `value`.
+    Row i, with logit z_i = X[i] @ w + b, is a positive of weight pos[i] and
+    a negative of weight neg[i] at once:
+
+        sum_i pos[i] * log(1 + exp(-z_i)) + neg[i] * log(1 + exp(z_i)),
+
+    divided by the total weight. Returns (loss, grad_w, grad_b); the loss is
+    None unless `value`. Row i's gradient term is ((pos[i] + neg[i]) *
+    sigmoid(z_i) - pos[i]) / total; for 0/1 labels y given as (y, 1 - y), it
+    rounds as (sigmoid(z_i) - y) / n does.
     """
-    total = float(sample_weight.sum())
+    total = float(pos.sum()) + float(neg.sum())
     z = X @ w
     z += b
     loss = None
     if value:
-        per = np.logaddexp(0.0, z) - y * z
-        loss = float(sample_weight @ per) / total + 0.5 * l2 * float(w @ w)
+        data = float(pos @ np.logaddexp(0.0, -z)) + float(neg @ np.logaddexp(0.0, z))
+        loss = data / total + 0.5 * l2 * float(w @ w)
     resid = _sigmoid(z)
-    resid -= y
-    resid *= sample_weight
+    resid *= pos + neg
+    resid -= pos
     resid /= total
     grad_w = X.T @ resid
     grad_w += l2 * w
@@ -196,18 +206,30 @@ def hinge_loss(
     return loss, grad_w, float(coef.sum())
 
 
-def _gradient_descent(loss, X, u, v, l2: float, tag: str) -> tuple[np.ndarray, float]:
-    """EPOCHS full-batch steps of `loss(w, b, X, u, v, l2)` from zero, learning
-    rate LR0 / (1 + t / LR_TAU).
+def _require_both_sides(pos: np.ndarray, neg: np.ndarray, what: str) -> None:
+    """A DegenerateTrainingSetError unless the rows carry weight as a positive and as a
+    negative; an empty set carries neither."""
+    if not (pos.sum() > 0.0 and neg.sum() > 0.0):
+        raise DegenerateTrainingSetError(
+            f"{what} needs weight on both sides, not {pos.sum()} and {neg.sum()} over {len(pos)} rows"
+        )
 
-    u and v are the loss's two arrays of one number per row: labels and
-    weights for `logistic_loss`, positive and negative weights for
-    `hinge_loss`. The loss value is asked for only on the epochs that are
-    logged (see the module docstring). l2 may not exceed L2_MAX = 2 / LR0.
-    Apart from the data term, the first steps multiply w by 1 - LR0 * l2,
-    which is below -1 above that bound: w grows with each step until the
-    decaying rate brings it back or it overflows to NaN.
+
+def _gradient_descent(loss, X, pos, neg, l2: float, tag: str) -> tuple[np.ndarray, float]:
+    """EPOCHS full-batch steps of `loss(w, b, X, pos, neg, l2)` from zero,
+    learning rate LR0 / (1 + t / LR_TAU).
+
+    pos and neg are each row's weight as a positive and as a negative, the
+    form of both losses; rows without weight on both sides are rejected here.
+    The loss value is asked for only on the epochs that are logged (see the
+    module docstring). l2 may not exceed L2_MAX = 2 / LR0. Apart from the
+    data term, the first steps multiply w by 1 - LR0 * l2, which is below -1
+    above that bound: w grows with each step until the decaying rate brings
+    it back or it overflows to NaN.
     """
+    pos = np.asarray(pos, dtype=float)
+    neg = np.asarray(neg, dtype=float)
+    _require_both_sides(pos, neg, tag)
     if not (math.isfinite(l2) and 0.0 <= l2 <= L2_MAX):
         raise ValueError(f"l2 must be in [0, {L2_MAX}], got {l2}")
     debug = logger.isEnabledFor(logging.DEBUG)
@@ -217,7 +239,7 @@ def _gradient_descent(loss, X, u, v, l2: float, tag: str) -> tuple[np.ndarray, f
         lr = LR0 / (1.0 + t / LR_TAU)
         last = t == EPOCHS - 1
         logged = last or (debug and (t == 0 or (t + 1) % 50 == 0))
-        value, grad_w, grad_b = loss(w, b, X, u, v, l2, value=logged)
+        value, grad_w, grad_b = loss(w, b, X, pos, neg, l2, value=logged)
         if logged:
             logger.debug("%s epoch %d loss %.6f", tag, t + 1, value)
         if last:
@@ -230,15 +252,10 @@ def _gradient_descent(loss, X, u, v, l2: float, tag: str) -> tuple[np.ndarray, f
 
 
 def train_stage1(X: np.ndarray, o: np.ndarray, l2: float = L2) -> Linear:
-    """Logistic regression on o labels, treating unlabeled rows as negative."""
-    if len(X) == 0:
-        raise DegenerateTrainingSetError("empty training set")
+    """Logistic regression on o labels, treating unlabeled rows as negative: the
+    rows (o, 1 - o) of `logistic_loss`."""
     o = np.asarray(o, dtype=float)
-    if o.min() == o.max():
-        raise DegenerateTrainingSetError(
-            "stage 1 needs at least one positive and one unlabeled example"
-        )
-    w, b = _gradient_descent(logistic_loss, X, o, np.ones(len(X)), l2, "stage1")
+    w, b = _gradient_descent(logistic_loss, X, o, 1.0 - o, l2, "stage1")
     return Linear(tuple(w.tolist()), b)
 
 
@@ -273,64 +290,51 @@ def build_relabeled(p1: np.ndarray, o: np.ndarray, e: float) -> tuple[np.ndarray
     p1 holds each row's stage-1 probability. A labeled positive gets 1 and 0;
     an unlabeled row gets w = `unlabeled_weight(p1, e)` and 1 - w.
     """
-    unl = np.asarray(o) == 0
-    pos = np.ones(len(o))
-    pos[unl] = unlabeled_weight(p1[unl], e)
-    neg = np.zeros(len(o))
-    neg[unl] = 1.0 - pos[unl]
-    return pos, neg
+    pos = np.where(np.asarray(o) == 1, 1.0, unlabeled_weight(p1, e))
+    return pos, 1.0 - pos
 
 
 def train_stage2(X: np.ndarray, pos: np.ndarray, neg: np.ndarray, l2: float = L2) -> Linear:
     """Linear SVM on rows weighted as positives by `pos` and as negatives by
     `neg` (`hinge_loss`), by subgradient descent."""
-    if len(X) == 0:
-        raise DegenerateTrainingSetError("empty training set")
-    pos = np.asarray(pos, dtype=float)
-    neg = np.asarray(neg, dtype=float)
-    if pos.sum() <= 0.0 or neg.sum() <= 0.0:
-        raise DegenerateTrainingSetError(
-            "stage 2 needs positive total weight on both labels"
-        )
     w, b = _gradient_descent(hinge_loss, X, pos, neg, l2, "stage2")
     return Linear(tuple(w.tolist()), b)
 
 
-def calibrate(
-    margins: Sequence[float],
-    labels: Sequence[int],
-    sample_weight: Sequence[float] | None = None,
-) -> tuple[float, float]:
+def calibrate(margins: Sequence[float], pos: Sequence[float], neg: Sequence[float]) -> tuple[float, float]:
     """Fit p = 1 / (1 + exp(A*m + B)) on margins by weighted logistic regression.
 
-    Uses smoothed targets (n+1)/(n+2) and 1/(n+2) so perfectly separated
-    margins still give a finite slope; solved by damped Newton iterations.
-    Weighted sums are numpy reductions, not BLAS dot products, and the line
-    search ignores loss changes below rounding, so the order of the inputs
-    moves (A, B) by rounding alone.
+    Row i, at margin m_i, is a positive of weight pos[i] and a negative of
+    weight neg[i]. With n+ and n- the two weight totals, the targets are
+    smoothed to (n+ + 1)/(n+ + 2) and 1/(n- + 2), so perfectly separated
+    margins still give a finite slope: the loss at u = -(A*m + B) is
+    sum sw * log(1 + exp(u)) - t * u, with sw = pos + neg and target mass
+    t = pos * (n+ + 1)/(n+ + 2) + neg / (n- + 2), solved by damped Newton
+    iterations. Weighted sums are numpy reductions, not BLAS dot products,
+    and the line search ignores loss changes below rounding, so the order of
+    the inputs moves (A, B) by rounding alone.
     """
     m = np.asarray(margins, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if m.shape != y.shape or m.ndim != 1 or len(m) == 0:
-        raise ValueError("margins and labels must be equal-length 1-d sequences")
-    sw = np.ones_like(m) if sample_weight is None else np.asarray(sample_weight, dtype=float)
-    n_pos = float(sw[y == 1].sum())
-    n_neg = float(sw[y == 0].sum())
-    if n_pos <= 0.0 or n_neg <= 0.0:
-        raise DegenerateTrainingSetError("calibration needs weight on both labels")
-    t = np.where(y == 1, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
+    pos = np.asarray(pos, dtype=float)
+    neg = np.asarray(neg, dtype=float)
+    if m.ndim != 1 or pos.shape != m.shape or neg.shape != m.shape:
+        raise ValueError("margins, pos and neg must be equal-length 1-d sequences")
+    _require_both_sides(pos, neg, "calibration")
+    n_pos = float(pos.sum())
+    n_neg = float(neg.sum())
+    sw = pos + neg
+    t = pos * ((n_pos + 1.0) / (n_pos + 2.0)) + neg / (n_neg + 2.0)
 
     def loss_at(a: float, b: float) -> float:
         u = -(a * m + b)
-        per = np.logaddexp(0.0, u) - t * u
-        return float((sw * per).sum())
+        return float((sw * np.logaddexp(0.0, u) - t * u).sum())
 
     A = 0.0
     B = math.log((n_neg + 1.0) / (n_pos + 1.0))
     prev = loss_at(A, B)
     for _ in range(100):
         p = _sigmoid(-(A * m + B))
-        d = sw * (p - t)
+        d = sw * p - t
         grad_a = -float((d * m).sum())
         grad_b = -float(d.sum())
         h = sw * p * (1.0 - p)
@@ -430,13 +434,6 @@ def calibration_split(n_rows: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(~held), np.flatnonzero(held)
 
 
-def _calibrate_rows(margins: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> tuple[float, float]:
-    """`calibrate` on each row's margin twice: with label 1 and weight pos, and
-    with label 0 and weight neg."""
-    labels = np.repeat([1, 0], len(margins))
-    return calibrate(np.concatenate([margins, margins]), labels, np.concatenate([pos, neg]))
-
-
 def train_pu_model(
     X: CsrMatrix | np.ndarray,
     o: np.ndarray,
@@ -471,10 +468,10 @@ def train_pu_model(
     svm = train_stage2(X[fit], pos[fit], neg[fit], stage2_l2)
     margins = svm.decision(X)
     try:
-        calib = Calib(*_calibrate_rows(margins[cal], pos[cal], neg[cal]))
+        calib = Calib(*calibrate(margins[cal], pos[cal], neg[cal]))
     except DegenerateTrainingSetError:
         logger.info("held-out calibration rows degenerate; calibrating on all rows")
-        calib = Calib(*_calibrate_rows(margins, pos, neg))
+        calib = Calib(*calibrate(margins, pos, neg))
     return PUModel(stage1=stage1, e=e, svm=svm, calib=calib, seed=seed)
 
 

@@ -59,7 +59,8 @@ def classification_section(gold: SentenceLabels, preds: SentenceLabels) -> dict:
 
 def rouge_section(corpus: Corpus, summaries: Mapping[str, Sequence[SummaryResult]], orders) -> dict:
     """Per-document and mean ROUGE-n of each system's summaries against their
-    documents' reference summaries, for each n in `orders`.
+    documents' reference summaries, for each n in `orders`, and the summaries'
+    mean word_total (`mean_words`).
 
     `summaries` maps each system to its summaries of documents that have a
     reference summary; the report keeps its system order.
@@ -78,7 +79,12 @@ def rouge_section(corpus: Corpus, summaries: Mapping[str, Sequence[SummaryResult
             }
             for n in orders
         }
-        rouge[system] = {"n_docs": len(per_doc), "mean": means, "per_doc": per_doc}
+        rouge[system] = {
+            "n_docs": len(per_doc),
+            "mean": means,
+            "mean_words": math.fsum(result.word_total for result in results) / len(per_doc),
+            "per_doc": per_doc,
+        }
     return rouge
 
 
@@ -136,14 +142,14 @@ def render_table(report: dict, rouge_orders) -> str:
         )
         lines.append("")
     if report.get("rouge"):
-        header = f"{'system':<14}" + "".join(f"{'R-' + str(n):>8}" for n in rouge_orders)
+        header = f"{'system':<14}" + "".join(f"{'R-' + str(n):>8}" for n in rouge_orders) + f"{'words':>8}"
         lines.append("Summarization (ROUGE recall, %)")
         lines.append(header)
         for system, row in report["rouge"].items():
             cells = "".join(
                 f"{100.0 * row['mean'][f'r{n}']['recall']:>8.1f}" for n in rouge_orders
             )
-            lines.append(f"{system:<14}{cells}")
+            lines.append(f"{system:<14}{cells}{row['mean_words']:>8.1f}")
         lines.append("")
     if report.get("wilcoxon"):
         lines.append("Paired Wilcoxon signed-rank (per-document ROUGE recall)")

@@ -10,7 +10,9 @@ predictions.jsonl, which `infosum predict` writes and `infosum summarize`
 reads: no summarizer scores a sentence itself.
 
 InfoRank and RandomRank share one ranked fill: whole sentences taken in rank
-order while they fit, emitted in document order. Only lead_words reads the
+order while they fit, emitted in document order. Every summarizer emits its
+sentences once each, in document order, so a selection is strictly
+ascending, and `read_summaries` rejects any other. Only lead_words reads the
 budget's mode, and only it cuts a sentence: the last it selects, to at least
 one word. `_words_cut` holds that rule for `read_summaries` and
 `summary_sentences`. A ranked fill's last sentence in document order need
@@ -205,7 +207,8 @@ def write_summaries(results: Iterable[SummaryResult], path: str | Path) -> None:
 def read_summaries(path: str | Path, system: str, corpus: Corpus) -> list[SummaryResult]:
     """The summaries of `system` in `path`; an error names the file and the line. A record
     of another system, of a document summarized twice or absent from the test `corpus`, or
-    with a selection or word_total its document cannot have is an error."""
+    with a selection or word_total its document cannot have (a selection that is not
+    strictly ascending included) is an error."""
     path = Path(path)
     seen: set[str] = set()
 
@@ -222,6 +225,9 @@ def read_summaries(path: str | Path, system: str, corpus: Corpus) -> list[Summar
             raise ValueError(f"document {result.doc_id!r} is not in the test corpus; run summarize again") from None
         if not all(0 <= i < len(doc.sentences) for i in result.selected):
             raise ValueError(f"document {result.doc_id!r} selects sentences the test corpus does not have")
+        if any(a >= b for a, b in zip(result.selected, result.selected[1:])):
+            raise ValueError(f"document {result.doc_id!r} selects sentences {list(result.selected)}, "
+                             "not each once in ascending order")
         _words_cut(doc, result)
         return result
 

@@ -152,14 +152,14 @@ def test_criterion_5_gradient_checks():
         w = rng.normal(size=d)
         b = float(rng.normal())
         y01 = rng.integers(0, 2, size=n).astype(float)
-        _, gw, gb = logistic_loss(w, b, X, y01, sw, l2)
-        num = _central_diff(lambda w_, b_: logistic_loss(w_, b_, X, y01, sw, l2)[0], w, b)
+        pos, neg = sw * y01, sw * (1.0 - y01)
+        _, gw, gb = logistic_loss(w, b, X, pos, neg, l2)
+        num = _central_diff(lambda w_, b_: logistic_loss(w_, b_, X, pos, neg, l2)[0], w, b)
         worst = max(worst, _grad_rel_err((gw, gb), num))
 
         ypm = 2.0 * y01 - 1.0
         if np.min(np.abs(1.0 - ypm * (X @ w + b))) < 1e-3:
             continue  # hinge kink too close for central differences
-        pos, neg = sw * y01, sw * (1.0 - y01)
         _, gw, gb = hinge_loss(w, b, X, pos, neg, l2)
         num = _central_diff(lambda w_, b_: hinge_loss(w_, b_, X, pos, neg, l2)[0], w, b)
         worst = max(worst, _grad_rel_err((gw, gb), num))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import platform
 import subprocess
@@ -195,6 +196,20 @@ class TestPipelineArtifacts:
         assert set(report["rouge"]) == {"leadwords", "inforank", "infofilter", "randomrank"}
         for row in report["rouge"].values():
             assert 0.0 <= row["mean"]["r1"]["recall"] <= 1.0
+
+    def test_report_mean_words_is_the_summaries_mean_word_total(self, pipeline):
+        _, run_dir = pipeline
+        report = json.loads((run_dir / "report.json").read_text())
+        table = (run_dir / "report.txt").read_text().splitlines()
+        header = table.index("Summarization (ROUGE recall, %)") + 1
+        assert table[header].endswith("   words")
+        for system, row in report["rouge"].items():
+            lines = (run_dir / f"summaries_{system}.jsonl").read_text().splitlines()
+            totals = [json.loads(line)["word_total"] for line in lines]
+            assert row["n_docs"] == len(totals)
+            assert row["mean_words"] == math.fsum(totals) / len(totals)
+            row_line = next(line for line in table[header + 1:] if line.startswith(f"{system:<14}"))
+            assert row_line.endswith(f"{row['mean_words']:>8.1f}")
 
     def test_byte_identical_rerun(self, pipeline):
         cfg_path, run_dir = pipeline
@@ -431,6 +446,7 @@ BAD_CONFIG_OVERRIDES = [
     ("evaluate.rouge=[1,1]", "evaluate.rouge must not repeat an order: [1, 1]"),
     ('systems=["leadwords","leadwords"]', "systems must not repeat a system: ['leadwords', 'leadwords']"),
     ('label.t_pos="14"', "'label.t_pos' must be a finite number"),
+    ('label={"mode": "extract", "mode": "alignment"}', "config key 'label': key 'mode' is given twice"),
     pytest.param("label.t_pos=1" + "0" * 400, "'label.t_pos' must be a finite number", id="huge-int"),
     ("label.mode=bogus", "'label.mode' must be one of"),
     ("hyper.stage1.l2=100", "hyper.stage1.l2 must be <= 25.0"),
@@ -664,12 +680,14 @@ BAD_MODEL_FILES = [
 
 
 class TestExitCodes:
-    def test_summary_ids_outside_corpus_is_validation_error(self, bundle, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("selected", [[99], [0, 0], [1, 0]], ids=["outside", "repeated", "descending"])
+    def test_summary_ids_outside_corpus_is_validation_error(self, bundle, pipeline, tmp_path, capsys, selected):
+        """A selection must name sentences of the document, each once, in ascending order."""
         _, run_dir = pipeline
         out = tmp_path / "badids"
         out.mkdir()
         rec = json.loads((run_dir / "summaries_inforank.jsonl").read_text().splitlines()[0])
-        rec["selected"] = [99]
+        rec["selected"] = selected
         (out / "summaries_inforank.jsonl").write_text(json.dumps(rec) + "\n")
         code = main(["evaluate", "-c", bundle["config"], "--out-dir", str(out),
                      "--set", 'systems=["inforank"]'])

@@ -113,13 +113,12 @@ class TestGradients:
         for _ in range(20):
             n, d = int(rng.integers(3, 12)), int(rng.integers(1, 11))
             X = rng.normal(size=(n, d))
-            y = rng.integers(0, 2, size=n).astype(float)
-            sw = rng.uniform(0.1, 1.0, size=n)
+            pos, neg = rng.uniform(0.1, 1.0, size=(2, n))
             l2 = float(rng.uniform(0.0, 1.0))
             w = rng.normal(size=d)
             b = float(rng.normal())
-            loss, gw, gb = logistic_loss(w, b, X, y, sw, l2)
-            num = central_diff(lambda w_, b_: logistic_loss(w_, b_, X, y, sw, l2)[0], w, b)
+            loss, gw, gb = logistic_loss(w, b, X, pos, neg, l2)
+            num = central_diff(lambda w_, b_: logistic_loss(w_, b_, X, pos, neg, l2)[0], w, b)
             assert rel_err((gw, gb), num) < 1e-5
 
     def test_hinge_subgradient_matches_at_differentiable_points(self):
@@ -154,7 +153,18 @@ def masked_sigmoid(z):
     return out
 
 
-def eager_logistic_loss(w, b, X, y, sample_weight, l2):
+def eager_logistic_loss(w, b, X, pos, neg, l2):
+    total = float(pos.sum()) + float(neg.sum())
+    z = X @ w + b
+    data = float(pos @ np.logaddexp(0.0, -z)) + float(neg @ np.logaddexp(0.0, z))
+    loss = data / total + 0.5 * l2 * float(w @ w)
+    resid = ((pos + neg) * masked_sigmoid(z) - pos) / total
+    return loss, X.T @ resid + l2 * w, float(resid.sum())
+
+
+def labeled_logistic_loss(w, b, X, y, sample_weight, l2):
+    """Stage 1's loss in the form it had before its rows were (pos, neg): 0/1 labels
+    y and sample weights."""
     total = float(sample_weight.sum())
     z = X @ w + b
     per = np.logaddexp(0.0, z) - y * z
@@ -196,8 +206,8 @@ def overlapping_set(n=120, d=6, seed=0):
 
 
 def logistic_data(rng, n):
-    """Labels and sample weights."""
-    return rng.choice((0.0, 1.0), size=n), rng.uniform(0.0, 1.0, size=n)
+    """Positive and negative weights drawn on their own, about a fifth of them 0."""
+    return rng.uniform(0.0, 1.0, size=(2, n)) * (rng.random((2, n)) < 0.8)
 
 
 def hinge_data(rng, n):
@@ -242,6 +252,19 @@ class TestEagerReference:
         assert value == ref_value and same_bits(gw, ref_gw) and same_bits(gb, ref_gb)
         value, gw, gb = loss(w, b, X, u, v, 0.01, value=False)
         assert value is None and same_bits(gw, ref_gw) and same_bits(gb, ref_gb)
+
+    @pytest.mark.parametrize("matrix", ["dense", "csr"])
+    def test_zero_one_rows_give_the_gradient_bits_of_labels(self, matrix):
+        """Stage 1's rows (y, 1 - y) step as its labels y with unit weights did."""
+        rng = np.random.default_rng(4)
+        X, o = overlapping_set()
+        X = X if matrix == "dense" else as_csr(X)
+        y = o * 1.0
+        for _ in range(5):
+            w, b = rng.normal(size=X.shape[1]), float(rng.normal())
+            _, ref_gw, ref_gb = labeled_logistic_loss(w, b, X, y, np.ones(len(y)), 0.01)
+            _, gw, gb = logistic_loss(w, b, X, y, 1.0 - y, 0.01, value=False)
+            assert same_bits(gw, ref_gw) and same_bits(gb, ref_gb)
 
     @pytest.mark.parametrize("matrix", ["dense", "csr"])
     def test_train_pu_model_has_the_bits_of_the_eager_loop(self, monkeypatch, matrix):
@@ -303,7 +326,7 @@ class TestLoggedLosses:
         with caplog.at_level(logging.DEBUG, logger="infosum.pu"):
             if stage == "stage1":
                 train_stage1(X, o, TOY_L2)
-                _, _, values, grad_norm = eager_descent(eager_logistic_loss, X, o * 1.0, np.ones(len(X)), TOY_L2)
+                _, _, values, grad_norm = eager_descent(eager_logistic_loss, X, o * 1.0, 1.0 - o, TOY_L2)
             else:
                 train_stage2(X, pos, neg, TOY_L2)
                 _, _, values, grad_norm = eager_descent(eager_hinge_loss, X, pos, neg, TOY_L2)
@@ -459,7 +482,7 @@ class TestCalibrate:
     def test_symmetric_margins_give_zero_intercept(self):
         margins = np.concatenate([np.linspace(0.2, 2.0, 40), -np.linspace(0.2, 2.0, 40)])
         labels = np.array([1] * 40 + [0] * 40)
-        a, b = calibrate(margins, labels)
+        a, b = calibrate(margins, labels, 1 - labels)
         assert a < 0
         assert b == pytest.approx(0.0, abs=1e-9)
 
@@ -467,7 +490,7 @@ class TestCalibrate:
         rng = np.random.default_rng(5)
         margins = rng.normal(size=200)
         labels = (margins + rng.normal(scale=0.5, size=200) > 0).astype(int)
-        a, b = calibrate(margins, labels)
+        a, b = calibrate(margins, labels, 1 - labels)
         assert a < 0
         grid = np.linspace(-3, 3, 50)
         probs = 1.0 / (1.0 + np.exp(a * grid + b))
@@ -476,14 +499,14 @@ class TestCalibrate:
     def test_separated_margins_threshold(self):
         margins = np.array([-2.0, -1.5, -1.0, 1.0, 1.5, 2.0])
         labels = np.array([0, 0, 0, 1, 1, 1])
-        a, b = calibrate(margins, labels)
+        a, b = calibrate(margins, labels, 1 - labels)
         probs = 1.0 / (1.0 + np.exp(a * margins + b))
         assert np.all(probs[labels == 1] > 0.5)
         assert np.all(probs[labels == 0] < 0.5)
 
     def test_degenerate_labels(self):
-        with pytest.raises(DegenerateTrainingSetError):
-            calibrate([0.5, 1.0], [1, 1])
+        with pytest.raises(DegenerateTrainingSetError, match="calibration needs weight on both sides"):
+            calibrate([0.5, 1.0], [1, 1], [0, 0])
 
     @pytest.mark.parametrize("seed", [17, 19])
     def test_input_order_moves_the_fit_by_rounding_alone(self, seed):
@@ -493,12 +516,26 @@ class TestCalibrate:
         labels = (rng.random(500) < 0.5).astype(float)
         margins = rng.normal(size=500) + 1.5 * (2 * labels - 1)
         weights = rng.random(500)
+        pos, neg = weights * labels, weights * (1 - labels)
         fits = []
         for k in range(8):
             order = np.random.default_rng(100 + k).permutation(500)
-            fits.append(calibrate(margins[order], labels[order], weights[order]))
+            fits.append(calibrate(margins[order], pos[order], neg[order]))
         a, b = np.array(fits).T
         assert max(np.ptp(a), np.ptp(b)) <= 1e-13 * abs(a[0])  # B is near 0: measured on A's scale
+
+    @pytest.mark.parametrize("seed", [17, 19, 23])
+    def test_splitting_rows_into_one_sided_rows_moves_the_fit_by_rounding_alone(self, seed):
+        """A row that is a positive of weight pos and a negative of weight neg fits as the
+        two rows (pos, 0) and (0, neg) at its margin, the form calibration once took."""
+        rng = np.random.default_rng(seed)
+        pos, neg = hinge_data(rng, 500)
+        margins = rng.normal(size=500) + 1.5 * (pos - neg)
+        a, b = calibrate(margins, pos, neg)
+        zeros = np.zeros(500)
+        split_a, split_b = calibrate(np.concatenate([margins, margins]), np.concatenate([pos, zeros]),
+                                     np.concatenate([zeros, neg]))
+        assert max(abs(split_a - a), abs(split_b - b)) <= 1e-13 * abs(a)  # B is near 0: measured on A's scale
 
 
 class TestCalibrationSplit:
