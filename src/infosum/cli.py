@@ -425,7 +425,7 @@ def cmd_train(cfg: RunConfig) -> int:
         )
     extractor = build_extractor(cfg, train_corpus=corpus)
     X, o = build_examples(corpus, sampled, extractor)
-    model = train_pu_model(X, o, cfg.hyper.stage1.l2, cfg.hyper.stage2.l2, seed=cfg.seed)
+    model, _ = train_pu_model(X, o, cfg.hyper.stage1.l2, cfg.hyper.stage2.l2, seed=cfg.seed)
     _write_resolved_config(cfg, "train")
     save_model(model, extractor.layout, cfg.path("model.json"))
     print(

@@ -41,8 +41,6 @@ default is an error, __post_init__ checks what types cannot, and every
 message names the dotted field. The config, labels, extracts, predictions,
 gold labels, summaries and `model.json` (its layout too) are read so; only
 the corpus reader, which ignores unknown fields, checks its own.
-`pu.load_model` first drops the keys that older model files carry and
-nothing reads: `lexicon_hashes`, and `hyper` in `stage1` and `svm`.
 """
 
 from __future__ import annotations
@@ -216,22 +214,17 @@ def compute_idf(documents: Sequence[Document]) -> IdfTable:
     return IdfTable(n_docs=n, weights=weights)
 
 
-def numbered_lines(lines: Iterable[bytes] | Iterable[str], kind: str) -> Iterator[tuple[int, str]]:
-    """The 1-based number and the text of each non-blank line; bytes lines are decoded as UTF-8."""
-    for lineno, line in enumerate(lines, start=1):
-        if isinstance(line, bytes):
+def read_lines(path: str | Path, kind: str) -> Iterator[tuple[int, str]]:
+    """The 1-based number and the text of each non-blank line of the file at `path`,
+    read one line at a time and decoded as UTF-8."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
             try:
-                line = line.decode("utf-8")
+                text = line.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise InputFormatError(f"{kind} line {lineno}: not valid UTF-8: {exc}") from None
-        if line.strip():
-            yield lineno, line
-
-
-def read_lines(path: str | Path, kind: str) -> Iterator[tuple[int, str]]:
-    """`numbered_lines` of the file at `path`, read one line at a time."""
-    with open(path, "rb") as fh:
-        yield from numbered_lines(fh, kind)
+            if text.strip():
+                yield lineno, text
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -266,11 +259,11 @@ def read_json(path: str | Path, kind: str) -> dict:
     return obj
 
 
-def parse_jsonl(lines: Iterable[tuple[int, str]], kind: str, parse: Callable[[dict], T]) -> list[T]:
-    """`parse` applied to the JSON object on each numbered line; bad JSON, a
-    non-object line, or a TypeError or ValueError of `parse` names `kind` and the line."""
+def read_jsonl(path: str | Path, kind: str, parse: Callable[[dict], T]) -> list[T]:
+    """`parse` applied to the JSON object on each line of the JSONL file at `path`; bad
+    JSON, a non-object line, or a TypeError or ValueError of `parse` names `kind` and the line."""
     out: list[T] = []
-    for lineno, line in lines:
+    for lineno, line in read_lines(path, kind):
         try:
             rec = _parse_json(line)
             if not isinstance(rec, dict):
@@ -279,11 +272,6 @@ def parse_jsonl(lines: Iterable[tuple[int, str]], kind: str, parse: Callable[[di
         except (TypeError, ValueError) as exc:
             raise InputFormatError(f"{kind} line {lineno}: {exc}") from exc
     return out
-
-
-def read_jsonl(path: str | Path, kind: str, parse: Callable[[dict], T]) -> list[T]:
-    """`parse` applied to each record of the JSONL file at `path`."""
-    return parse_jsonl(read_lines(path, kind), kind, parse)
 
 
 def read_sentence_records(
@@ -398,9 +386,9 @@ def _is_strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(s, str) for s in value)
 
 
-def _corpus(lines: Iterable[tuple[int, str]]) -> Corpus:
-    """The documents on the numbered lines: objects with a unique `doc_id`, `sentences` (a
-    non-empty array of strings), and optional `section` and `summary`. Unknown fields are
+def load_corpus(path: str | Path) -> Corpus:
+    """The documents of the JSONL file at `path`: objects with a unique `doc_id`, `sentences`
+    (a non-empty array of strings), and optional `section` and `summary`. Unknown fields are
     ignored; an absent or empty summary array is normalized to no summary."""
     seen: set[str] = set()
 
@@ -422,17 +410,4 @@ def _corpus(lines: Iterable[tuple[int, str]]) -> Corpus:
             raise TypeError("summary must be an array of strings")
         return build_document(doc_id, section, sentences, summary)
 
-    return Corpus(tuple(parse_jsonl(lines, "corpus", parse)))
-
-
-def parse_corpus(lines: Iterable[bytes] | Iterable[str]) -> Corpus:
-    """The corpus on `lines`, an open file or a list of lines."""
-    return _corpus(numbered_lines(lines, "corpus"))
-
-
-def load_corpus(path: str | Path) -> Corpus:
-    return _corpus(read_lines(path, "corpus"))
-
-
-def word_count(sentences: Iterable[Sentence]) -> int:
-    return sum(len(s.words) for s in sentences)
+    return Corpus(tuple(read_jsonl(path, "corpus", parse)))

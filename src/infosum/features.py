@@ -3,12 +3,14 @@
 Dictionary layouts hold three feature families: per-attribute score-interval
 fractions from scored lexicons, category histograms from category lexicons,
 and six general sentence attributes. BOW layouts hold raw term counts over a
-fixed vocabulary; there is no other kind of layout. A FeatureLayout freezes
-block order, widths and lexicon content hashes, and its `version` is one of
-its fields, so its JSON is `asdict` of it and `corpus.decode` reads it back.
-`pu.save_model` writes it beside the model with its hash (`layout_hash`,
-the SHA-256 of that JSON, taken without OpenSSL as `lexicons` says), and an
-extractor built on it rejects lexicons whose content has changed since.
+fixed vocabulary; there is no other kind of layout. A FeatureLayout stores
+each fact that fixes the columns once: the mode, each lexicon's name, its
+attributes and bins or its categories, and its content hash, or the
+vocabulary. Block order follows from the specs, and `total_dim` and
+`general_width` are derived from them, once per layout. Its JSON is `asdict`
+of it, `pu.save_model` writes it inside model.json, `corpus.decode` reads it
+back, and an extractor built on it rejects lexicons whose content has
+changed since.
 
 Every lexicon or vocabulary feature is a per-word count, so the extractor
 resolves each lowercased word type once into the columns it adds to and
@@ -25,18 +27,17 @@ it (`pu` says what still varies by host).
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Sequence
 
 from .constants import FEATURE_MODES, MODE_BOW, MODE_DICTIONARY, MODE_DICTIONARY_NO_GENERAL
 from .corpus import Corpus, InputFormatError, Sentence, document_frequencies
-from .lexicons import CategoryLexicon, LexiconFormatError, ScoredLexicon, bin_index, sha256_hex
+from .lexicons import CategoryLexicon, LexiconFormatError, ScoredLexicon, bin_index
 
 GENERAL_WIDTH = 6
 DOUBLE_QUOTE_MARKS = ('"', "“", "”")
-LAYOUT_VERSION = 1
 
 
 class LayoutMismatchError(InputFormatError):
@@ -58,13 +59,6 @@ def general_features(sentence: Sentence) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class Block:
-    name: str
-    offset: int
-    width: int
-
-
-@dataclass(frozen=True)
 class ScoredSpec:
     name: str
     attributes: tuple[str, ...]
@@ -81,37 +75,36 @@ class CategorySpec:
 
 @dataclass(frozen=True)
 class FeatureLayout:
-    version: Literal[LAYOUT_VERSION]
+    """The feature mode and what fixes its columns: the lexicon specs of a
+    dictionary layout, or the vocabulary of a BOW one. Each width is derived."""
+
     mode: Literal[FEATURE_MODES]
-    blocks: tuple[Block, ...]
-    total_dim: int
     scored: tuple[ScoredSpec, ...] = ()
     category: tuple[CategorySpec, ...] = ()
-    general_width: int = 0
     vocab: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        offset = 0
-        for block in self.blocks:
-            if block.offset != offset or block.width < 0:
-                raise ValueError(
-                    f"blocks entry {block.name!r} must start at offset {offset} with a width >= 0, "
-                    f"not at {block.offset} with width {block.width}"
-                )
-            offset += block.width
-        if self.total_dim != offset:
-            raise ValueError(f"total_dim must be {offset}, the sum of its block widths, not {self.total_dim}")
-        general = GENERAL_WIDTH if self.mode == MODE_DICTIONARY else 0
-        if self.general_width != general:
-            raise ValueError(f"general_width must be {general} in {self.mode} mode, not {self.general_width}")
         if self.mode != MODE_BOW:
             if self.vocab is not None:
                 raise ValueError(f"vocab must be null in {self.mode} mode, not {len(self.vocab)} words")
-        elif self.vocab is None or len(self.vocab) != self.total_dim:
-            got = None if self.vocab is None else f"{len(self.vocab)} words"
-            raise ValueError(f"vocab must hold total_dim ({self.total_dim}) words in bow mode, not {got}")
+        elif self.vocab is None:
+            raise ValueError("vocab must be a list of words in bow mode, not None")
         elif len(set(self.vocab)) != len(self.vocab):
             raise ValueError(f"vocab must not repeat a word: {Counter(self.vocab).most_common(1)[0][0]!r}")
+
+    @cached_property
+    def general_width(self) -> int:
+        """The width of the general block, which ends the row in dictionary mode."""
+        return GENERAL_WIDTH if self.mode == MODE_DICTIONARY else 0
+
+    @cached_property
+    def total_dim(self) -> int:
+        """The row's width: a column per vocabulary word, or in order a block of
+        bins per scored attribute, a column per category and the general block."""
+        if self.mode == MODE_BOW:
+            return len(self.vocab)
+        scored = sum(len(spec.attributes) * spec.bins for spec in self.scored)
+        return scored + sum(len(spec.categories) for spec in self.category) + self.general_width
 
 
 def dictionary_layout(
@@ -119,63 +112,30 @@ def dictionary_layout(
     category_lexicons: Sequence[CategoryLexicon],
     include_general: bool = True,
 ) -> FeatureLayout:
-    """Blocks in order: scored lexicon attributes, category lexicons, general."""
+    """The specs of the scored lexicons, then of the category lexicons, in order."""
     names = [lex.name for lex in scored_lexicons] + [lex.name for lex in category_lexicons]
     for i, name in enumerate(names):
         if name in ("general", "bow"):
             raise LexiconFormatError(f"lexicon name {name!r} is reserved for a feature block")
         if name in names[:i]:
             raise LexiconFormatError(f"two lexicons are named {name!r}; lexicon names must be unique")
-    blocks: list[Block] = []
-    offset = 0
-    scored_specs = []
-    for lex in scored_lexicons:
-        for attr in lex.attributes:
-            blocks.append(Block(f"{lex.name}:{attr}", offset, lex.bins))
-            offset += lex.bins
-        scored_specs.append(
-            ScoredSpec(lex.name, lex.attributes, lex.bins, lex.content_hash())
-        )
-    category_specs = []
-    for lex in category_lexicons:
-        blocks.append(Block(lex.name, offset, len(lex.categories)))
-        offset += len(lex.categories)
-        category_specs.append(CategorySpec(lex.name, lex.categories, lex.content_hash()))
-    general_width = 0
-    if include_general:
-        blocks.append(Block("general", offset, GENERAL_WIDTH))
-        general_width = GENERAL_WIDTH
-        offset += GENERAL_WIDTH
     return FeatureLayout(
-        version=LAYOUT_VERSION,
         mode=MODE_DICTIONARY if include_general else MODE_DICTIONARY_NO_GENERAL,
-        blocks=tuple(blocks),
-        total_dim=offset,
-        scored=tuple(scored_specs),
-        category=tuple(category_specs),
-        general_width=general_width,
+        scored=tuple(
+            ScoredSpec(lex.name, lex.attributes, lex.bins, lex.content_hash()) for lex in scored_lexicons
+        ),
+        category=tuple(CategorySpec(lex.name, lex.categories, lex.content_hash()) for lex in category_lexicons),
     )
 
 
 def bow_layout(vocab: Sequence[str]) -> FeatureLayout:
-    return FeatureLayout(
-        version=LAYOUT_VERSION,
-        mode=MODE_BOW,
-        blocks=(Block("bow", 0, len(vocab)),),
-        total_dim=len(vocab),
-        vocab=tuple(vocab),
-    )
+    return FeatureLayout(mode=MODE_BOW, vocab=tuple(vocab))
 
 
 def bow_vocabulary(corpus: Corpus, min_df: int = 2) -> tuple[str, ...]:
     """Alphabetical word types whose document frequency is at least min_df."""
     df = document_frequencies(corpus.documents)
     return tuple(sorted(t for t, c in df.items() if c >= min_df))
-
-
-def layout_hash(layout: FeatureLayout) -> str:
-    """The SHA-256 of the layout's canonical JSON, by the built-in module `lexicons` names."""
-    return sha256_hex(json.dumps(asdict(layout), sort_keys=True, separators=(",", ":")))
 
 
 class FeatureExtractor:

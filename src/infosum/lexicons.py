@@ -10,11 +10,11 @@ be supplied by the user instead of being bundled:
 
 Lines starting with `#` (other than the header) are comments. Words are
 casefolded on load; a trailing `*` marks a prefix-match (wildcard) entry.
-Files are read by `infosum.corpus.read_lines`, and an error names the
-lexicon kind and the line.
+`read_scored_lexicon` and `read_category_lexicon` read a file through
+`infosum.corpus.read_lines`, and an error names the lexicon kind and the line.
 
-A lexicon's content hash, and a feature layout's (`features.layout_hash`),
-is the SHA-256 of its canonical JSON, taken by `sha256_hex` from CPython's
+A lexicon's content hash is the SHA-256 of its canonical JSON, which a
+feature layout records for each lexicon, taken by `sha256_hex` from CPython's
 built-in module (`_sha256`, `_sha2` from Python 3.12). `hashlib` would load
 `_hashlib`, which maps OpenSSL's libcrypto: 3.5 MB more resident memory in
 train and predict. It is the fallback on a Python built without them.
@@ -26,10 +26,9 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 from .constants import DEFAULT_BINS
-from .corpus import InputFormatError, numbered_lines, read_lines
+from .corpus import InputFormatError, read_lines
 
 try:
     from _sha256 import sha256
@@ -165,8 +164,8 @@ def _scored_header(line: str) -> tuple[str, tuple[str, ...], dict[str, tuple[flo
     return name, attributes, declared
 
 
-def _scored_lexicon(lines: Iterable[tuple[int, str]], bins: int) -> ScoredLexicon:
-    """The scored lexicon on the numbered lines; duplicate (word, attribute) rows keep the last score.
+def read_scored_lexicon(path: str | Path, bins: int = DEFAULT_BINS) -> ScoredLexicon:
+    """The scored lexicon in the file at `path`; duplicate (word, attribute) rows keep the last score.
 
     Attribute ranges come from `attr:min:max` header declarations when present
     and are computed from the data otherwise. A score outside a declared range
@@ -176,7 +175,7 @@ def _scored_lexicon(lines: Iterable[tuple[int, str]], bins: int) -> ScoredLexico
     attributes: tuple[str, ...] = ()
     declared: dict[str, tuple[float, float]] = {}
     entries: dict[str, dict[str, float]] = {}
-    for lineno, raw in lines:
+    for lineno, raw in read_lines(path, SCORED):
         line = raw.rstrip("\n")
         try:
             if line.startswith("#"):
@@ -223,14 +222,14 @@ def _scored_lexicon(lines: Iterable[tuple[int, str]], bins: int) -> ScoredLexico
     )
 
 
-def _category_lexicon(lines: Iterable[tuple[int, str]]) -> CategoryLexicon:
-    """The category lexicon on the numbered lines; duplicate word rows union their categories."""
+def read_category_lexicon(path: str | Path) -> CategoryLexicon:
+    """The category lexicon in the file at `path`; duplicate word rows union their categories."""
     name: str | None = None
     categories: tuple[str, ...] = ()
     cat_index: dict[str, int] = {}
     entries: dict[str, set[int]] = {}
     wildcards: dict[str, set[int]] = {}
-    for lineno, raw in lines:
+    for lineno, raw in read_lines(path, CATEGORY):
         line = raw.rstrip("\n")
         try:
             if line.startswith("#"):
@@ -269,16 +268,6 @@ def _category_lexicon(lines: Iterable[tuple[int, str]]) -> CategoryLexicon:
     )
 
 
-def load_scored_lexicon(lines: Iterable[bytes] | Iterable[str], bins: int = DEFAULT_BINS) -> ScoredLexicon:
-    """The scored lexicon on `lines`, an open file or a list of lines."""
-    return _scored_lexicon(numbered_lines(lines, SCORED), bins)
-
-
-def load_category_lexicon(lines: Iterable[bytes] | Iterable[str]) -> CategoryLexicon:
-    """The category lexicon on `lines`, an open file or a list of lines."""
-    return _category_lexicon(numbered_lines(lines, CATEGORY))
-
-
 def scored_lexicon_to_tsv(lex: ScoredLexicon) -> str:
     decls = " ".join(f"{a}:{lo!r}:{hi!r}" for a, (lo, hi) in sorted(lex.ranges.items()))
     header = f"#scored {lex.name} {','.join(lex.attributes)}"
@@ -303,11 +292,3 @@ def category_lexicon_to_tsv(lex: CategoryLexicon) -> str:
         for w, ids in sorted(lex.wildcards.items())
     ]
     return "\n".join([header, *rows]) + "\n"
-
-
-def read_scored_lexicon(path: str | Path, bins: int = DEFAULT_BINS) -> ScoredLexicon:
-    return _scored_lexicon(read_lines(path, SCORED), bins)
-
-
-def read_category_lexicon(path: str | Path) -> CategoryLexicon:
-    return _category_lexicon(read_lines(path, CATEGORY))

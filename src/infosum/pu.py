@@ -20,10 +20,12 @@ into probabilities.
 
 The learner sees only (X, o): a `PUModel` holds no feature layout. Each
 stage is a `Linear` score, X @ weights + bias, and the calibration is a
-`Calib`. `save_model` writes a `ModelFile`, the model beside the
-`FeatureLayout` of X's columns, and `load_model` reads it back with
-`corpus.decode`, so model.json's fields are declared once, by these records,
-for the writer and the reader alike. The CLI passes X as a
+`Calib`. `train_pu_model` returns the model, which holds only what predict
+reads (e, the SVM, its calibration and the split's seed), and stage 1 beside
+it. `save_model` writes a `ModelFile`, the model beside the `FeatureLayout` of
+X's columns, and `load_model` reads it back with `corpus.decode`, so
+model.json's fields are declared once, by that record, for the writer and
+the reader alike. The CLI passes X as a
 `sparse.CsrMatrix` of one sparse row per sentence; the functions here use
 only `len`, `.shape`, `X[rows]`, `X @ w` and `X.T @ r`, so a dense array
 works as well.
@@ -71,7 +73,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Literal, Sequence
 
@@ -79,13 +81,18 @@ import numpy as np
 
 from .constants import L2, L2_MAX
 from .corpus import InputFormatError, Sentence, decode, read_json
-from .features import FeatureExtractor, FeatureLayout, LayoutMismatchError, layout_hash
+from .features import FeatureExtractor, FeatureLayout, LayoutMismatchError
 from .rng import default_rng
 from .sparse import CsrMatrix
 
 logger = logging.getLogger(__name__)
 
-MODEL_VERSION = 1
+# Version 2 dropped stage 1, `layout_hash` and the layout's derived fields
+# (`version`, `blocks`, `total_dim`, `general_width`). `decode` looks for
+# undeclared keys before it reads any field, so a version-1 file fails at the
+# first key it holds that version 2 dropped; the new number still marks the
+# format, and a file that lost those keys but says version 1 fails on it.
+MODEL_VERSION = 2
 PROB_EPS = 1e-12
 
 # The fixed training schedule of both stages (see the module docstring);
@@ -104,7 +111,7 @@ class DegenerateTrainingSetError(ValueError):
 
 
 class ModelFormatError(InputFormatError):
-    """Model file is corrupted, has a bad version, or fails its hash check."""
+    """Model file is corrupted, has a bad version, or fails a check of its fields."""
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -373,10 +380,9 @@ class Calib:
 
 @dataclass(frozen=True)
 class PUModel:
-    """Stage 1, its label frequency e, the SVM, the SVM's calibration and the
-    seed of the calibration split."""
+    """What predict reads of a trained model: the label frequency e, the SVM,
+    the SVM's calibration and the seed of the calibration split."""
 
-    stage1: Linear
     e: float
     svm: Linear
     calib: Calib
@@ -391,31 +397,26 @@ class PUModel:
 
 
 @dataclass(frozen=True)
-class _ModelHeader:
-    version: Literal[MODEL_VERSION]
-    layout: FeatureLayout
-    layout_hash: str
-
-
-@dataclass(frozen=True)
-class ModelFile(PUModel, _ModelHeader):
-    """model.json: the fields of a `_ModelHeader`, then those of a `PUModel`.
-
-    A dataclass takes its bases' fields in reverse MRO order, so `decode`
-    reads a file's version and layout before its numbers. `save_model`
-    writes `asdict` of one, and `load_model` decodes one.
+class ModelFile:
+    """model.json: its format version, the FeatureLayout of the model's columns,
+    then the fields of a `PUModel`. `save_model` writes `asdict` of one, and
+    `load_model` decodes one, so `decode` reads the version and the layout
+    before the numbers.
     """
 
+    version: Literal[MODEL_VERSION]
+    layout: FeatureLayout
+    e: float
+    svm: Linear
+    calib: Calib
+    seed: int
+
     def __post_init__(self) -> None:
-        if self.layout_hash != layout_hash(self.layout):
-            raise ValueError("layout hash mismatch: model file is inconsistent")
-        for name in ("stage1", "svm"):
-            count = len(getattr(self, name).weights)
-            if count != self.layout.total_dim:
-                raise ValueError(
-                    f"model field '{name}.weights' holds {count} weights; "
-                    f"its layout has {self.layout.total_dim} columns"
-                )
+        count = len(self.svm.weights)
+        if count != self.layout.total_dim:
+            raise ValueError(
+                f"model field 'svm.weights' holds {count} weights; its layout has {self.layout.total_dim} columns"
+            )
         if not 0.0 < self.e <= 1.0:
             raise ValueError(f"model field 'e' must be in (0, 1], not {self.e!r}")
         if self.seed < 0:
@@ -440,8 +441,9 @@ def train_pu_model(
     stage1_l2: float = L2,
     stage2_l2: float = L2,
     seed: int = 0,
-) -> PUModel:
-    """Full two-stage pipeline with a 20% held-out calibration split.
+) -> tuple[PUModel, Linear]:
+    """Full two-stage pipeline with a 20% held-out calibration split: the model
+    and, beside it, stage 1, which nothing reads after training.
 
     X holds one feature row per example, o its 0/1 labels. The SVM trains on
     80% of the rows, with their weights from `build_relabeled`, and the
@@ -472,7 +474,7 @@ def train_pu_model(
     except DegenerateTrainingSetError:
         logger.info("held-out calibration rows degenerate; calibrating on all rows")
         calib = Calib(*calibrate(margins, pos, neg))
-    return PUModel(stage1=stage1, e=e, svm=svm, calib=calib, seed=seed)
+    return PUModel(e=e, svm=svm, calib=calib, seed=seed), stage1
 
 
 class SentenceClassifier:
@@ -500,12 +502,7 @@ class SentenceClassifier:
 def save_model(model: PUModel, layout: FeatureLayout, path: str | Path) -> None:
     """`asdict` of the ModelFile of a model and its layout, as JSON with sorted keys;
     shortest round-trip floats make reloads bit-exact."""
-    record = ModelFile(
-        version=MODEL_VERSION,
-        layout=layout,
-        layout_hash=layout_hash(layout),
-        **{f.name: getattr(model, f.name) for f in fields(PUModel)},
-    )
+    record = ModelFile(MODEL_VERSION, layout, model.e, model.svm, model.calib, model.seed)
     payload = json.dumps(asdict(record), indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
     Path(path).write_text(payload + "\n", encoding="utf-8")
 
@@ -513,19 +510,13 @@ def save_model(model: PUModel, layout: FeatureLayout, path: str | Path) -> None:
 def load_model(path: str | Path) -> tuple[PUModel, FeatureLayout]:
     """The model and the feature layout that `save_model` wrote to `path`.
 
-    The model is the decoded ModelFile; a field it does not declare, or one
-    that fails its checks, is a ModelFormatError naming the dotted field.
+    A key the ModelFile does not declare, or a field that fails its checks, is a
+    ModelFormatError naming the dotted key; a version-1 file fails at the first
+    key that version 2 dropped (see MODEL_VERSION).
     """
     obj = read_json(path, "model")
-    # Files written while the training schedule could be set carry a `hyper`
-    # block in `stage1` and `svm`, and files written before the layout alone
-    # held the lexicon content hashes carry `lexicon_hashes`. Nothing reads them.
-    obj.pop("lexicon_hashes", None)
-    for stage in (obj.get("stage1"), obj.get("svm")):
-        if isinstance(stage, dict):
-            stage.pop("hyper", None)
     try:
         record = decode(ModelFile, obj, "model")
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
-    return record, record.layout
+    return PUModel(record.e, record.svm, record.calib, record.seed), record.layout

@@ -2,21 +2,21 @@
 
 Four systems share one word budget: LeadWords (opening words, truncated
 mid-sentence), InfoRank (whole sentences ranked by predicted importance),
-InfoFilter (LeadWords over the sentences predicted important, whole
-sentences only), and RandomRank (seeded random ranking). InfoRank and
-InfoFilter take the detector's probability for each sentence of the
-document, in sentence order. These are the `prob` fields of
-predictions.jsonl, which `infosum predict` writes and `infosum summarize`
-reads: no summarizer scores a sentence itself.
+InfoFilter (LeadWords over the sentences predicted important), and
+RandomRank (seeded random ranking). InfoRank and InfoFilter take the
+detector's probability for each sentence of the document, in sentence
+order. These are the `prob` fields of predictions.jsonl, which `infosum
+predict` writes and `infosum summarize` reads: no summarizer scores a
+sentence itself.
 
 InfoRank and RandomRank share one ranked fill: whole sentences taken in rank
 order while they fit, emitted in document order. Every summarizer emits its
 sentences once each, in document order, so a selection is strictly
-ascending, and `read_summaries` rejects any other. Only lead_words reads the
-budget's mode, and only it cuts a sentence: the last it selects, to at least
-one word. `_words_cut` holds that rule for `read_summaries` and
-`summary_sentences`. A ranked fill's last sentence in document order need
-not be its last selected, so it never cuts one.
+ascending, and `read_summaries` rejects any other. Only lead_words, which
+InfoFilter runs, reads the budget's mode, and only it cuts a sentence: the
+last it selects, to at least one word. `_words_cut` holds that rule for
+`read_summaries` and `summary_sentences`. A ranked fill's last sentence in
+document order need not be its last selected, so it never cuts one.
 
 This module imports no numpy. RandomRank's order is numpy's
 `default_rng(seed).permutation(n)`, drawn by `rng`, the package's
@@ -166,19 +166,20 @@ def info_rank(doc: Document, probs: Sequence[float], budget: SummaryBudget) -> S
 
 
 def info_filter(doc: Document, probs: Sequence[float], budget: SummaryBudget) -> SummaryResult:
-    """lead_words over the sentences predicted important (prob >= 0.5), whole sentences only.
+    """lead_words over the sentences predicted important (prob >= 0.5), in the budget's mode.
 
-    Kept sentences are taken in document order until the next one would
-    overflow the budget; the budget's mode is not read. When every sentence
-    is predicted unimportant, the result is lead_words of the whole document
-    in truncate-words mode, with fallback flagged. Either way every sentence
+    Kept sentences are taken in document order; in truncate-words mode the
+    first one that would overflow the budget is cut to fill it, and in
+    whole-sentence mode selection stops before it. When every sentence is
+    predicted unimportant, the result is lead_words of the whole document in
+    truncate-words mode, with fallback flagged. Either way every sentence
     below 0.5 is recorded as removed.
     """
     _check_probs(doc, probs)
     kept = tuple(s for s, p in zip(doc.sentences, probs) if p >= 0.5)
     removed = tuple(s.id for s, p in zip(doc.sentences, probs) if p < 0.5)
     if kept:
-        lead = lead_words(replace(doc, sentences=kept), replace(budget, mode=WHOLE_SENTENCE))
+        lead = lead_words(replace(doc, sentences=kept), budget)
     else:
         lead = lead_words(doc, replace(budget, mode=TRUNCATE_WORDS))
     return replace(lead, system=INFOFILTER, removed=removed, fallback=not kept)

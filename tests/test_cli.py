@@ -249,7 +249,7 @@ class TestPipelineCompositionality:
         sampled = sample_unlabeled(labels, cfg.label_config())
         extractor = build_extractor(cfg, train_corpus=corpus)
         X, o = build_examples(corpus, sampled, extractor)
-        model = train_pu_model(X, o, cfg.hyper.stage1.l2, cfg.hyper.stage2.l2, seed=cfg.seed)
+        model, _ = train_pu_model(X, o, cfg.hyper.stage1.l2, cfg.hyper.stage2.l2, seed=cfg.seed)
         path = tmp_path / "inprocess.json"
         save_model(model, extractor.layout, path)
         assert path.read_bytes() == (run_dir / "model.json").read_bytes()
@@ -327,9 +327,10 @@ class TestSummarizeFromPredictions:
             assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
 
     def test_only_leadwords_reads_the_budget_mode(self, bundle, pipeline, tmp_path):
-        """InfoRank and RandomRank take whole sentences in rank order, and InfoFilter whole kept
-        sentences in lead order, in either mode; only LeadWords cuts a sentence. Once InfoFilter
-        fills its budget (ROADMAP item 1), InfoFilter leaves this list."""
+        """InfoRank and RandomRank take whole sentences in rank order in either mode, and only
+        LeadWords cuts a sentence. InfoFilter reads the mode through LeadWords, but on this
+        bundle its kept sentences never reach the 100-word budget, so it writes the same
+        summaries in both modes too."""
         _, run_dir = pipeline
         predictions = (run_dir / "predictions.jsonl").read_text()
         runs = {}
@@ -656,10 +657,9 @@ BAD_MODEL_FILES = [
     (None, "{not json",
      "model: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     pytest.param(None, lambda text: '{"seed": 7,' + text[1:], "model: key 'seed' is given twice", id="repeated-key"),
-    (None, '{"version": 1}', "model field 'layout' is mandatory"),
-    ("version", 99, "model key 'version' must be one of 1, not 99"),
-    ("stage1.weights", float("nan"), "model key 'stage1.weights' must be a finite number, not nan"),
-    ("stage1.bias", float("inf"), "model key 'stage1.bias' must be a finite number, not inf"),
+    (None, '{"version": 2}', "model field 'layout' is mandatory"),
+    ("version", 1, "model key 'version' must be one of 2, not 1"),
+    ("version", 99, "model key 'version' must be one of 2, not 99"),
     ("svm.weights", float("-inf"), "model key 'svm.weights' must be a finite number, not -inf"),
     ("svm.bias", float("nan"), "model key 'svm.bias' must be a finite number, not nan"),
     ("calib.A", float("nan"), "model key 'calib.A' must be a finite number, not nan"),
@@ -672,9 +672,9 @@ BAD_MODEL_FILES = [
     ("e", 7.5, "model field 'e' must be in (0, 1], not 7.5"),
     ("e", 0, "model field 'e' must be in (0, 1], not 0.0"),
     ("e", True, "model key 'e' must be a finite number, not True"),
-    ("extra", 1, "unknown model key 'extra'; the model takes version, layout, layout_hash, stage1, e, svm, calib, seed"),
+    ("extra", 1, "unknown model key 'extra'; the model takes version, layout, e, svm, calib, seed"),
     ("calib.C", 0.5, "unknown model key 'calib.C'; calib takes A, B"),
-    ("stage1", [0.5], "model section 'stage1' must be an object"),
+    ("calib", [0.5], "model section 'calib' must be an object"),
     ("svm", {"weights": "0.5", "bias": 0.5}, "model key 'svm.weights' must be a list, not '0.5'"),
 ]
 
@@ -810,41 +810,71 @@ class TestExitCodes:
         assert not (out / "predictions.jsonl").exists()
 
     @pytest.mark.parametrize("field, value, message", [
-        ("general_width", 7, "layout.general_width must be 6 in dictionary mode, not 7"),
+        ("general_width", 7, "unknown model key 'layout.general_width'; layout takes mode, scored, category, vocab"),
         ("mode", "bogus", "model key 'layout.mode' must be one of"),
+        ("vocab", ["a"], "layout.vocab must be null in dictionary mode, not 1 words"),
     ])
     def test_inconsistent_layout_exits_2_naming_field(self, bundle, pipeline, tmp_path, capsys, field, value, message):
-        """A layout edited consistently with its hash still has to hold together."""
-        import hashlib
-
+        """A layout is decoded and checked field by field, and stores no width of its own."""
         _, run_dir = pipeline
         out = tmp_path / "badlayout"
         out.mkdir()
         model = json.loads((run_dir / "model.json").read_text())
         model["layout"][field] = value
-        blob = json.dumps(model["layout"], sort_keys=True, separators=(",", ":"))
-        model["layout_hash"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
         (out / "model.json").write_text(json.dumps(model))
         capsys.readouterr()
         assert main(["predict", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
         assert not (out / "predictions.jsonl").exists()
 
-    @pytest.mark.parametrize("field, delta", [("svm", -1), ("stage1", 2)])
+    @pytest.mark.parametrize("field, delta", [("svm", -1), ("svm", 1)])
     def test_wrong_weight_count_exits_2_naming_field(self, bundle, pipeline, tmp_path, capsys, field, delta):
-        """The weights must match the layout: the sparse product would not notice extra ones."""
+        """The weights must match the width the layout's specs imply: the sparse product
+        would not notice extra ones."""
         _, run_dir = pipeline
         out = tmp_path / "badweights"
         out.mkdir()
         model = json.loads((run_dir / "model.json").read_text())
-        dim = model["layout"]["total_dim"]
         weights = model[field]["weights"]
+        dim = len(weights)
         model[field]["weights"] = weights[:delta] if delta < 0 else weights + [0.5] * delta
         (out / "model.json").write_text(json.dumps(model))
         capsys.readouterr()
         assert main(["predict", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
         message = f"model field '{field}.weights' holds {dim + delta} weights; its layout has {dim} columns"
         assert message in capsys.readouterr().err
+        assert not (out / "predictions.jsonl").exists()
+
+    def test_model_of_version_1_exits_2_at_its_first_dropped_key(self, bundle, pipeline, tmp_path, capsys):
+        """A version-1 model.json also held stage 1, `layout_hash` and the layout's version,
+        blocks, total_dim and general_width. It fails at `layout_hash`, the first of those
+        keys in its sorted order, before its version is read: `decode` checks for
+        undeclared keys before it reads any field."""
+        import hashlib
+
+        _, run_dir = pipeline
+        out = tmp_path / "version1"
+        out.mkdir()
+        model = json.loads((run_dir / "model.json").read_text())
+        layout = model["layout"]
+        blocks, offset = [], 0
+        for spec in layout["scored"]:
+            for attr in spec["attributes"]:
+                blocks.append({"name": f"{spec['name']}:{attr}", "offset": offset, "width": spec["bins"]})
+                offset += spec["bins"]
+        for spec in layout["category"]:
+            blocks.append({"name": spec["name"], "offset": offset, "width": len(spec["categories"])})
+            offset += len(spec["categories"])
+        blocks.append({"name": "general", "offset": offset, "width": 6})
+        layout.update(version=1, blocks=blocks, total_dim=offset + 6, general_width=6)
+        blob = json.dumps(layout, sort_keys=True, separators=(",", ":"))
+        model.update(version=1, layout_hash=hashlib.sha256(blob.encode("utf-8")).hexdigest(),
+                     stage1={"weights": [0.0] * (offset + 6), "bias": 0.0})
+        (out / "model.json").write_text(json.dumps(model, indent=2, sort_keys=True) + "\n")
+        capsys.readouterr()
+        assert main(["predict", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
+        message = "error: unknown model key 'layout_hash'; the model takes version, layout, e, svm, calib, seed"
+        assert message in capsys.readouterr().err.splitlines()
         assert not (out / "predictions.jsonl").exists()
 
     @pytest.mark.parametrize("section", ["lexicons", "label", "features", "budget", "evaluate"])

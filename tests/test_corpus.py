@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import unicodedata
@@ -16,11 +15,9 @@ from infosum.corpus import (
     compute_idf,
     load_corpus,
     make_sentence,
-    parse_corpus,
     to_jsonl,
     write_jsonl,
     tokenize,
-    word_count,
 )
 
 
@@ -126,18 +123,6 @@ class TestChunkMemo:
         assert len({id(w) for w in words}) == len(set(words)) == 5
 
 
-class TestWordCount:
-    def test_empty(self):
-        assert word_count([]) == 0
-
-    def test_single_sentence(self):
-        assert word_count([make_sentence(0, "Hello, world!")]) == 2
-
-    def test_additive(self):
-        s = make_sentence(0, "Hello, world!")
-        assert word_count([s, s]) == 4
-
-
 CORPUS_3DOCS = "\n".join(
     [
         '{"doc_id": "a", "section": "Business", "sentences": ["iran nuclear talks", "more text here"], "summary": ["talks resume"]}',
@@ -147,67 +132,70 @@ CORPUS_3DOCS = "\n".join(
 )
 
 
-class TestParseCorpus:
-    def test_empty_stream(self):
-        corpus = parse_corpus(io.StringIO(""))
+@pytest.fixture
+def corpus_of(tmp_path):
+    """The corpus that `load_corpus` reads from a file holding the given text."""
+    def load(text):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(text, encoding="utf-8")
+        return load_corpus(path)
+    return load
+
+
+class TestLoadCorpus:
+    def test_empty_file(self, corpus_of):
+        corpus = corpus_of("")
         assert len(corpus) == 0
         assert compute_idf(corpus.documents).weights == {}
 
-    def test_sentence_ids_contiguous(self):
-        corpus = parse_corpus(
-            io.StringIO('{"doc_id": "a", "section": "", "sentences": ["one", "two"]}')
-        )
+    def test_sentence_ids_contiguous(self, corpus_of):
+        corpus = corpus_of('{"doc_id": "a", "section": "", "sentences": ["one", "two"]}')
         assert [s.id for s in corpus.documents[0].sentences] == [0, 1]
 
-    def test_idf_formula(self):
-        idf = compute_idf(parse_corpus(io.StringIO(CORPUS_3DOCS)).documents)
+    def test_idf_formula(self, corpus_of):
+        idf = compute_idf(corpus_of(CORPUS_3DOCS).documents)
         # 3 documents, "iran" occurs in one of them
         assert idf.weight("iran") == pytest.approx(math.log(4 / 2) + 1, abs=1e-12)
         assert idf.weight("iran") == pytest.approx(1.693, abs=1e-3)
 
-    def test_idf_excludes_summaries(self):
-        idf = compute_idf(parse_corpus(io.StringIO(CORPUS_3DOCS)).documents)
+    def test_idf_excludes_summaries(self, corpus_of):
+        idf = compute_idf(corpus_of(CORPUS_3DOCS).documents)
         # "resume" appears only in a summary, so it gets the unseen weight
         assert idf.weight("resume") == pytest.approx(math.log(4) + 1)
         assert "resume" not in idf.weights
 
-    def test_idf_at_least_one_and_monotone(self):
-        idf = compute_idf(parse_corpus(io.StringIO(CORPUS_3DOCS)).documents)
+    def test_idf_at_least_one_and_monotone(self, corpus_of):
+        idf = compute_idf(corpus_of(CORPUS_3DOCS).documents)
         assert all(w >= 1.0 for w in idf.weights.values())
         # df("text") = 2 > df("iran") = 1, so idf("text") < idf("iran")
         assert idf.weight("text") < idf.weight("iran")
 
-    def test_malformed_record_names_line(self):
-        stream = io.StringIO('{"doc_id": "a", "sentences": ["x"]}\nnot-json\n')
+    def test_malformed_record_names_line(self, corpus_of):
         with pytest.raises(InputFormatError, match="corpus line 2"):
-            parse_corpus(stream)
+            corpus_of('{"doc_id": "a", "sentences": ["x"]}\nnot-json\n')
 
-    def test_duplicate_doc_id(self):
-        stream = io.StringIO(
-            '{"doc_id": "a", "sentences": ["x"]}\n{"doc_id": "a", "sentences": ["y"]}'
-        )
+    def test_blank_lines_are_skipped_but_counted(self, corpus_of):
+        assert len(corpus_of('\n{"doc_id": "a", "sentences": ["x"]}\n  \n\n{"doc_id": "b", "sentences": ["y"]}\n')) == 2
+        with pytest.raises(InputFormatError, match="corpus line 4: duplicate"):
+            corpus_of('{"doc_id": "a", "sentences": ["x"]}\n\n \n{"doc_id": "a", "sentences": ["y"]}\n')
+
+    def test_duplicate_doc_id(self, corpus_of):
         with pytest.raises(InputFormatError, match="corpus line 2: duplicate"):
-            parse_corpus(stream)
+            corpus_of('{"doc_id": "a", "sentences": ["x"]}\n{"doc_id": "a", "sentences": ["y"]}')
 
-    def test_empty_sentences_rejected(self):
+    def test_empty_sentences_rejected(self, corpus_of):
         with pytest.raises(InputFormatError, match="corpus line 1: sentences must be a non-empty array"):
-            parse_corpus(io.StringIO('{"doc_id": "a", "sentences": []}'))
+            corpus_of('{"doc_id": "a", "sentences": []}')
 
-    def test_unknown_fields_ignored(self):
-        corpus = parse_corpus(
-            io.StringIO('{"doc_id": "a", "sentences": ["x"], "extra": 5}')
-        )
+    def test_unknown_fields_ignored(self, corpus_of):
+        corpus = corpus_of('{"doc_id": "a", "sentences": ["x"], "extra": 5}')
         assert corpus.documents[0].doc_id == "a"
 
-    def test_bytes_stream(self):
-        corpus = parse_corpus(io.BytesIO(CORPUS_3DOCS.encode("utf-8")))
-        assert len(corpus) == 3
-
-    def test_round_trip(self):
-        """Records rewritten by the JSONL writer, keys sorted, parse back to the same corpus."""
-        corpus = parse_corpus(io.StringIO(CORPUS_3DOCS))
+    def test_round_trip(self, corpus_of):
+        """Records rewritten by the JSONL writer, keys sorted, load back as the same corpus."""
+        corpus = corpus_of(CORPUS_3DOCS)
         records = [json.loads(line) for line in CORPUS_3DOCS.splitlines()]
-        assert parse_corpus(io.BytesIO(to_jsonl(records).encode("utf-8"))) == corpus
+        assert corpus_of(to_jsonl(records)) == corpus
 
     def test_to_jsonl(self):
         assert to_jsonl([]) == ""
@@ -218,16 +206,14 @@ class TestParseCorpus:
         with pytest.raises(ValueError, match="not JSON compliant"):
             to_jsonl([{"prob": value}])
 
-    def test_round_trip_files(self, tmp_path):
-        corpus = parse_corpus(io.StringIO(CORPUS_3DOCS))
-        path = tmp_path / "corpus.jsonl"
+    def test_round_trip_files(self, tmp_path, corpus_of):
+        corpus = corpus_of(CORPUS_3DOCS)
+        path = tmp_path / "written.jsonl"
         write_jsonl((json.loads(line) for line in CORPUS_3DOCS.splitlines()), path)
         assert load_corpus(path) == corpus
 
-    def test_empty_summary_normalized_to_none(self):
-        corpus = parse_corpus(
-            io.StringIO('{"doc_id": "a", "sentences": ["x"], "summary": []}')
-        )
+    def test_empty_summary_normalized_to_none(self, corpus_of):
+        corpus = corpus_of('{"doc_id": "a", "sentences": ["x"], "summary": []}')
         assert corpus.documents[0].summary is None
 
 
@@ -304,12 +290,12 @@ def test_decoding_a_written_record_gives_it_back():
 
     from infosum.cli import Extracts, Prediction, RunConfig, SentenceLabel
     from infosum.features import bow_layout, dictionary_layout
-    from infosum.lexicons import load_category_lexicon, load_scored_lexicon
+    from infosum.lexicons import CategoryLexicon, ScoredLexicon
     from infosum.summarize import SummaryResult
     from infosum.weak_label import WeakLabel
 
-    scored = load_scored_lexicon(io.StringIO("#scored m a a:0:10\nx\ta\t5\n"), bins=4)
-    category = load_category_lexicon(io.StringIO("#categories c one\nx\tone\n"))
+    scored = ScoredLexicon("m", ("a",), {"x": {"a": 5.0}}, {"a": (0.0, 10.0)}, bins=4)
+    category = CategoryLexicon("c", ("one",), {"x": frozenset({0})}, {})
     records = [
         WeakLabel("d", 0, "positive", 15.5),
         WeakLabel("d", 1, "unlabeled"),

@@ -1,11 +1,10 @@
-import io
 import json
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from infosum.corpus import decode, load_corpus, make_sentence, parse_corpus
+from infosum.corpus import decode, load_corpus, make_sentence, write_jsonl
 from infosum.features import (
     FeatureExtractor,
     FeatureLayout,
@@ -14,30 +13,28 @@ from infosum.features import (
     bow_vocabulary,
     dictionary_layout,
     general_features,
-    layout_hash,
 )
 from infosum.lexicons import (
     CategoryLexicon,
     ScoredLexicon,
     bin_index,
-    load_category_lexicon,
-    load_scored_lexicon,
     read_category_lexicon,
     read_scored_lexicon,
 )
 from infosum.synth import SynthParams, write_synth_bundle
 
-SCORED = load_scored_lexicon(
-    io.StringIO(
-        "#scored mrc imagery imagery:0:100\n"
-        "alpha\timagery\t10\n"
-        "beta\timagery\t10\n"
-        "gamma\timagery\t90\n"
-    ),
+SCORED = ScoredLexicon(
+    name="mrc",
+    attributes=("imagery",),
+    entries={"alpha": {"imagery": 10.0}, "beta": {"imagery": 10.0}, "gamma": {"imagery": 90.0}},
+    ranges={"imagery": (0.0, 100.0)},
     bins=10,
 )
-CATS = load_category_lexicon(
-    io.StringIO("#categories inq NEG,VICE\nabsurd\tNEG,VICE\nalpha\tNEG\n")
+CATS = CategoryLexicon(
+    name="inq",
+    categories=("NEG", "VICE"),
+    entries={"absurd": frozenset({0, 1}), "alpha": frozenset({0})},
+    wildcards={},
 )
 
 
@@ -117,8 +114,11 @@ class TestIntervalFractions:
         assert scored_block(make_sentence(0, "...")).tolist() == [0.0] * 10
 
     def test_unknown_attribute(self):
-        wider = load_scored_lexicon(
-            io.StringIO("#scored mrc imagery,familiarity familiarity:0:10\nalpha\tfamiliarity\t3\n"),
+        wider = ScoredLexicon(
+            name="mrc",
+            attributes=("imagery", "familiarity"),
+            entries={"alpha": {"familiarity": 3.0}},
+            ranges={"familiarity": (0.0, 10.0)},
             bins=10,
         )
         layout = dictionary_layout([wider], [], include_general=False)
@@ -218,17 +218,26 @@ class TestLayout:
         scored, liwc, inquirer = paper_sized_lexicons()
         layout = dictionary_layout([scored], [liwc, inquirer])
         assert layout.total_dim == 1632
-        mrc_width = sum(b.width for b in layout.blocks if b.name.startswith("mrc:"))
-        assert mrc_width == 1380
+        assert dictionary_layout([scored], [], include_general=False).total_dim == 1380
 
-    def test_blocks_contiguous(self):
-        scored, liwc, inquirer = paper_sized_lexicons()
-        layout = dictionary_layout([scored], [liwc, inquirer])
-        offset = 0
-        for block in layout.blocks:
-            assert block.offset == offset
-            offset += block.width
-        assert offset == layout.total_dim
+    @pytest.mark.parametrize("mode, width", [("dictionary", 35), ("dictionary-no-general", 29), ("bow", 3)])
+    def test_derived_width_is_the_extractor_column_count(self, mode, width):
+        """total_dim counts every column extract writes: the lexicon columns (10 + 2 * 7 + 2 + 3
+        here) lie below the general block's offset, and the general block ends at the last column."""
+        scored, category = [SCORED, CLAMPED], [CATS, WILDCARD_CATS]
+        if mode == "bow":
+            layout = bow_layout(("alpha", "happy", "the"))
+        else:
+            layout = dictionary_layout(scored, category, include_general=mode == "dictionary")
+        assert (layout.mode, layout.total_dim) == (mode, width)
+        # "the" adds to the last lexicon column and the last vocabulary word's, and
+        # the marks set all six general features
+        cols, _ = FeatureExtractor(layout, scored, category).extract(make_sentence(0, 'top the! why? so: "x"'))
+        offset = layout.total_dim - layout.general_width
+        lexicon = [col for col in cols if col < offset]
+        assert lexicon[-1] == offset - 1
+        assert cols[len(lexicon):] == list(range(offset, layout.total_dim))
+        assert layout.general_width == (6 if mode == "dictionary" else 0)
 
     def test_no_general_mode_smaller_by_six(self):
         scored, liwc, inquirer = paper_sized_lexicons()
@@ -236,22 +245,20 @@ class TestLayout:
         without = dictionary_layout([scored], [liwc, inquirer], include_general=False)
         assert with_g.total_dim - without.total_dim == 6
 
-    def test_layout_hash_stable_across_builds(self):
+    def test_layout_stable_across_builds(self):
         scored, liwc, inquirer = paper_sized_lexicons()
-        h1 = layout_hash(dictionary_layout([scored], [liwc, inquirer]))
-        h2 = layout_hash(dictionary_layout([scored], [liwc, inquirer]))
-        assert h1 == h2
+        assert dictionary_layout([scored], [liwc, inquirer]) == dictionary_layout([scored], [liwc, inquirer])
 
     def test_layout_json_round_trip(self):
         scored, liwc, inquirer = paper_sized_lexicons()
         layout = dictionary_layout([scored], [liwc, inquirer])
         again = decode(FeatureLayout, json.loads(json.dumps(asdict(layout))), "layout")
         assert again == layout
-        assert layout_hash(again) == layout_hash(layout)
+        assert again.total_dim == layout.total_dim
 
-    def test_hash_changes_with_lexicon_content(self):
+    def test_layout_changes_with_lexicon_content(self):
         scored, liwc, inquirer = paper_sized_lexicons()
-        h1 = layout_hash(dictionary_layout([scored], [liwc]))
+        layout = dictionary_layout([scored], [liwc])
         mutated = ScoredLexicon(
             name=scored.name,
             attributes=scored.attributes,
@@ -259,8 +266,7 @@ class TestLayout:
             ranges=scored.ranges,
             bins=scored.bins,
         )
-        h2 = layout_hash(dictionary_layout([mutated], [liwc]))
-        assert h1 != h2
+        assert dictionary_layout([mutated], [liwc]) != layout
 
 
 class TestExtractFeatures:
@@ -284,8 +290,11 @@ class TestExtractFeatures:
 
     def test_mismatched_lexicon_rejected(self):
         layout = dictionary_layout([SCORED], [CATS])
-        other = load_scored_lexicon(
-            io.StringIO("#scored mrc imagery imagery:0:100\nalpha\timagery\t11\n"),
+        other = ScoredLexicon(
+            name="mrc",
+            attributes=("imagery",),
+            entries={"alpha": {"imagery": 11.0}},
+            ranges={"imagery": (0.0, 100.0)},
             bins=10,
         )
         with pytest.raises(LayoutMismatchError):
@@ -303,14 +312,11 @@ class TestExtractFeatures:
 
 
 class TestBow:
-    def test_vocabulary_min_df(self):
-        corpus = parse_corpus(
-            io.StringIO(
-                '{"doc_id": "a", "sentences": ["shared unique1"]}\n'
-                '{"doc_id": "b", "sentences": ["shared unique2"]}\n'
-            )
-        )
-        assert bow_vocabulary(corpus, min_df=2) == ("shared",)
+    def test_vocabulary_min_df(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl([{"doc_id": "a", "sentences": ["shared unique1"]},
+                     {"doc_id": "b", "sentences": ["shared unique2"]}], path)
+        assert bow_vocabulary(load_corpus(path), min_df=2) == ("shared",)
 
     def test_term_counts(self):
         layout = bow_layout(("alpha", "beta"))
@@ -322,14 +328,11 @@ class TestBow:
         assert ex.extract(make_sentence(0, "...")) == ([], [])
 
 
-WILDCARD_CATS = load_category_lexicon(
-    io.StringIO(
-        "#categories liwc POSEMO,AFFECT,FUNC\n"
-        "happ*\tPOSEMO,AFFECT\n"
-        "ha*\tFUNC\n"
-        "happy\tAFFECT,FUNC\n"
-        "the\tFUNC\n"
-    )
+WILDCARD_CATS = CategoryLexicon(
+    name="liwc",
+    categories=("POSEMO", "AFFECT", "FUNC"),
+    entries={"happy": frozenset({1, 2}), "the": frozenset({2})},
+    wildcards={"happ": frozenset({0, 1}), "ha": frozenset({2})},
 )
 CLAMPED = ScoredLexicon(
     name="clamped",

@@ -1,14 +1,13 @@
-import io
-
 import pytest
 from hypothesis import given, strategies as st
 
+from infosum.constants import DEFAULT_BINS
 from infosum.lexicons import (
     LexiconFormatError,
     bin_index,
     category_lexicon_to_tsv,
-    load_category_lexicon,
-    load_scored_lexicon,
+    read_category_lexicon,
+    read_scored_lexicon,
     scored_lexicon_to_tsv,
 )
 
@@ -25,77 +24,97 @@ happ*\tPOSEMO
 """
 
 
+@pytest.fixture
+def scored(tmp_path):
+    """The scored lexicon that `read_scored_lexicon` reads from a file holding the given TSV."""
+    def read(tsv, bins=DEFAULT_BINS):
+        path = tmp_path / "scored.tsv"
+        path.write_text(tsv, encoding="utf-8")
+        return read_scored_lexicon(path, bins)
+    return read
+
+
+@pytest.fixture
+def category(tmp_path):
+    """The category lexicon that `read_category_lexicon` reads from a file holding the given TSV."""
+    def read(tsv):
+        path = tmp_path / "category.tsv"
+        path.write_text(tsv, encoding="utf-8")
+        return read_category_lexicon(path)
+    return read
+
+
 class TestScoredLexicon:
-    def test_header_only(self):
-        lex = load_scored_lexicon(io.StringIO("#scored mrc imagery\n"))
+    def test_header_only(self, scored):
+        lex = scored("#scored mrc imagery\n")
         assert lex.name == "mrc"
         assert lex.entries == {}
 
-    def test_basic_load(self):
-        lex = load_scored_lexicon(io.StringIO(SCORED_TSV))
+    def test_basic_load(self, scored):
+        lex = scored(SCORED_TSV)
         assert lex.entries["cat"] == {"imagery": 600.0, "concreteness": 610.0}
         assert lex.ranges["imagery"] == (100.0, 700.0)
 
-    def test_last_wins_on_duplicates(self):
+    def test_last_wins_on_duplicates(self, scored):
         tsv = "#scored m a a:0:10\nw\ta\t1\nw\ta\t2\n"
-        lex = load_scored_lexicon(io.StringIO(tsv))
+        lex = scored(tsv)
         assert lex.entries["w"]["a"] == 2.0
 
-    def test_range_computed_from_data(self):
+    def test_range_computed_from_data(self, scored):
         tsv = "#scored m a\nx\ta\t3\ny\ta\t9\n"
-        lex = load_scored_lexicon(io.StringIO(tsv))
+        lex = scored(tsv)
         assert lex.ranges["a"] == (3.0, 9.0)
 
     @pytest.mark.parametrize("rows", ["x\ta\t5\n", "x\ta\t5\ny\ta\t5\n"])
-    def test_single_computed_score_rejected(self, rows):
+    def test_single_computed_score_rejected(self, scored, rows):
         with pytest.raises(LexiconFormatError, match="attribute 'a' has the single score 5.0"):
-            load_scored_lexicon(io.StringIO("#scored m a\n" + rows))
+            scored("#scored m a\n" + rows)
 
-    def test_single_score_with_declared_range(self):
-        lex = load_scored_lexicon(io.StringIO("#scored m a a:0:10\nx\ta\t5\n"))
+    def test_single_score_with_declared_range(self, scored):
+        lex = scored("#scored m a a:0:10\nx\ta\t5\n")
         assert lex.ranges["a"] == (0.0, 10.0)
 
-    def test_score_outside_declared_range(self):
+    def test_score_outside_declared_range(self, scored):
         tsv = "#scored m a a:0:10\nx\ta\t11\n"
         with pytest.raises(LexiconFormatError, match="line 2"):
-            load_scored_lexicon(io.StringIO(tsv))
+            scored(tsv)
 
-    def test_non_numeric_score(self):
+    def test_non_numeric_score(self, scored):
         tsv = "#scored m a\nx\ta\thigh\n"
         with pytest.raises(LexiconFormatError, match="line 2"):
-            load_scored_lexicon(io.StringIO(tsv))
+            scored(tsv)
 
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN"])
-    def test_non_finite_score(self, score):
+    def test_non_finite_score(self, scored, score):
         tsv = f"#scored m a\nx\ta\t1\ny\ta\t{score}\n"
         with pytest.raises(LexiconFormatError, match="line 3: non-finite score"):
-            load_scored_lexicon(io.StringIO(tsv))
+            scored(tsv)
 
     @pytest.mark.parametrize("decl", ["a:nan:10", "a:0:inf", "a:-inf:inf"])
-    def test_non_finite_declared_range(self, decl):
+    def test_non_finite_declared_range(self, scored, decl):
         tsv = f"#scored m a {decl}\nx\ta\t1\n"
         with pytest.raises(LexiconFormatError, match="line 1: non-finite range"):
-            load_scored_lexicon(io.StringIO(tsv))
+            scored(tsv)
 
-    def test_unknown_attribute(self):
+    def test_unknown_attribute(self, scored):
         tsv = "#scored m a\nx\tb\t1\n"
         with pytest.raises(LexiconFormatError, match="unknown attribute"):
-            load_scored_lexicon(io.StringIO(tsv))
+            scored(tsv)
 
-    def test_words_casefolded(self):
+    def test_words_casefolded(self, scored):
         tsv = "#scored m a a:0:10\nCat\ta\t1\n"
-        assert "cat" in load_scored_lexicon(io.StringIO(tsv)).entries
+        assert "cat" in scored(tsv).entries
 
-    def test_order_insensitive_hash(self):
+    def test_order_insensitive_hash(self, scored):
         a = "#scored m a\nx\ta\t1\ny\ta\t2\n"
         b = "#scored m a\ny\ta\t2\nx\ta\t1\n"
-        lex_a = load_scored_lexicon(io.StringIO(a))
-        lex_b = load_scored_lexicon(io.StringIO(b))
+        lex_a = scored(a)
+        lex_b = scored(b)
         assert lex_a.content_hash() == lex_b.content_hash()
 
-    def test_tsv_round_trip(self):
-        lex = load_scored_lexicon(io.StringIO(SCORED_TSV))
-        again = load_scored_lexicon(io.StringIO(scored_lexicon_to_tsv(lex)))
+    def test_tsv_round_trip(self, scored):
+        lex = scored(SCORED_TSV)
+        again = scored(scored_lexicon_to_tsv(lex))
         assert again.content_hash() == lex.content_hash()
 
 
@@ -140,45 +159,45 @@ class TestBinIndex:
 
 
 class TestCategoryLexicon:
-    def test_paper_example_absurd(self):
-        lex = load_category_lexicon(io.StringIO(CATEGORY_TSV))
+    def test_paper_example_absurd(self, category):
+        lex = category(CATEGORY_TSV)
         names = {lex.categories[i] for i in lex.lookup("absurd")}
         assert names == {"NEG", "VICE"}
 
-    def test_wildcard_prefix(self):
-        lex = load_category_lexicon(io.StringIO(CATEGORY_TSV))
+    def test_wildcard_prefix(self, category):
+        lex = category(CATEGORY_TSV)
         assert {lex.categories[i] for i in lex.lookup("happiness")} == {"POSEMO"}
         assert {lex.categories[i] for i in lex.lookup("happ")} == {"POSEMO"}
 
-    def test_absent_word_empty(self):
-        lex = load_category_lexicon(io.StringIO(CATEGORY_TSV))
+    def test_absent_word_empty(self, category):
+        lex = category(CATEGORY_TSV)
         assert lex.lookup("zebra") == frozenset()
 
-    def test_union_of_exact_and_wildcard(self):
+    def test_union_of_exact_and_wildcard(self, category):
         tsv = "#categories c A,B\nhappy\tA\nhapp*\tB\n"
-        lex = load_category_lexicon(io.StringIO(tsv))
+        lex = category(tsv)
         assert {lex.categories[i] for i in lex.lookup("happy")} == {"A", "B"}
 
-    def test_lookup_within_declared_categories(self):
-        lex = load_category_lexicon(io.StringIO(CATEGORY_TSV))
+    def test_lookup_within_declared_categories(self, category):
+        lex = category(CATEGORY_TSV)
         for word in ("absurd", "happiest", "nothing"):
             assert all(i < len(lex.categories) for i in lex.lookup(word))
 
-    def test_unknown_category_label(self):
+    def test_unknown_category_label(self, category):
         tsv = "#categories c A\nword\tB\n"
         with pytest.raises(LexiconFormatError, match="line 2"):
-            load_category_lexicon(io.StringIO(tsv))
+            category(tsv)
 
-    def test_duplicate_rows_union(self):
+    def test_duplicate_rows_union(self, category):
         tsv = "#categories c A,B\nw\tA\nw\tB\n"
-        lex = load_category_lexicon(io.StringIO(tsv))
+        lex = category(tsv)
         assert {lex.categories[i] for i in lex.lookup("w")} == {"A", "B"}
 
-    def test_tsv_round_trip(self):
-        lex = load_category_lexicon(io.StringIO(CATEGORY_TSV))
-        again = load_category_lexicon(io.StringIO(category_lexicon_to_tsv(lex)))
+    def test_tsv_round_trip(self, category):
+        lex = category(CATEGORY_TSV)
+        again = category(category_lexicon_to_tsv(lex))
         assert again.content_hash() == lex.content_hash()
 
-    def test_missing_header(self):
+    def test_missing_header(self, category):
         with pytest.raises(LexiconFormatError):
-            load_category_lexicon(io.StringIO("word\tA\n"))
+            category("word\tA\n")

@@ -1,4 +1,3 @@
-import io
 import logging
 import math
 import re
@@ -17,7 +16,7 @@ from infosum.features import (
     bow_layout,
     dictionary_layout,
 )
-from infosum.lexicons import load_category_lexicon, load_scored_lexicon
+from infosum.lexicons import CategoryLexicon, ScoredLexicon
 from infosum.pu import (
     EPOCHS,
     LR0,
@@ -270,15 +269,15 @@ class TestEagerReference:
     def test_train_pu_model_has_the_bits_of_the_eager_loop(self, monkeypatch, matrix):
         X, o = overlapping_set()
         X = X if matrix == "dense" else as_csr(X)
-        model = train_pu_model(X, o, TOY_L2, TOY_L2, seed=2)
+        model, stage1 = train_pu_model(X, o, TOY_L2, TOY_L2, seed=2)
         with monkeypatch.context() as m:
             m.setattr(pu, "_sigmoid", masked_sigmoid)
             m.setattr(pu, "logistic_loss", eager_logistic_loss)
             m.setattr(pu, "hinge_loss", eager_hinge_loss)
             m.setattr(pu, "_gradient_descent", lambda loss, X, u, v, l2, tag: eager_descent(loss, X, u, v, l2)[:2])
-            ref = train_pu_model(X, o, TOY_L2, TOY_L2, seed=2)
-        assert same_bits(model.stage1.weights, ref.stage1.weights)
-        assert same_bits(model.stage1.bias, ref.stage1.bias)
+            ref, ref_stage1 = train_pu_model(X, o, TOY_L2, TOY_L2, seed=2)
+        assert same_bits(stage1.weights, ref_stage1.weights)
+        assert same_bits(stage1.bias, ref_stage1.bias)
         assert same_bits(model.e, ref.e)
         assert same_bits(model.svm.weights, ref.svm.weights)
         assert same_bits(model.svm.bias, ref.svm.bias)
@@ -473,8 +472,8 @@ class TestL2Bound:
 
     def test_the_bound_itself_trains_a_finite_model(self):
         X, o = separable_set()
-        model = train_pu_model(X, o, L2_MAX, L2_MAX)
-        values = [model.stage1.weights, model.stage1.bias, model.e, model.svm.weights, model.svm.bias, astuple(model.calib)]
+        model, stage1 = train_pu_model(X, o, L2_MAX, L2_MAX)
+        values = [stage1.weights, stage1.bias, model.e, model.svm.weights, model.svm.bias, astuple(model.calib)]
         assert all(np.isfinite(v).all() for v in values)
 
 
@@ -558,7 +557,7 @@ class TestCalibrationSplit:
 
 def trained_toy_model(seed=0):
     X, o = separable_set(seed=seed)
-    return train_pu_model(X, o, TOY_L2, TOY_L2, seed=seed), X, o
+    return train_pu_model(X, o, TOY_L2, TOY_L2, seed=seed)[0], X, o
 
 
 class TestPUModel:
@@ -593,10 +592,10 @@ class TestPUModel:
         X = np.hstack([X, np.zeros((len(X), 1)), (X[:, :1] > 1.2) * 1.0])  # an empty column, a sparse one
         X[3] = 0.0  # an empty row
         sparse = CsrMatrix.from_rows([(np.flatnonzero(x), x[x != 0]) for x in X], X.shape[1])
-        dense_model = train_pu_model(X, o, TOY_L2, TOY_L2, seed=1)
-        sparse_model = train_pu_model(sparse, o, TOY_L2, TOY_L2, seed=1)
+        dense_model, dense_stage1 = train_pu_model(X, o, TOY_L2, TOY_L2, seed=1)
+        sparse_model, sparse_stage1 = train_pu_model(sparse, o, TOY_L2, TOY_L2, seed=1)
         assert sparse_model.e == pytest.approx(dense_model.e, rel=1e-12)
-        np.testing.assert_allclose(sparse_model.stage1.weights, dense_model.stage1.weights, atol=1e-10)
+        np.testing.assert_allclose(sparse_stage1.weights, dense_stage1.weights, atol=1e-10)
         np.testing.assert_allclose(sparse_model.svm.weights, dense_model.svm.weights, atol=1e-10)
         np.testing.assert_allclose(astuple(sparse_model.calib), astuple(dense_model.calib), rtol=1e-9)
 
@@ -605,8 +604,8 @@ class TestPUModel:
         X, o = overlapping_set()
         seen = []
         monkeypatch.setattr(pu, "train_stage2", lambda *args: (seen.append(args), train_stage2(*args))[1])
-        model = train_pu_model(X if matrix == "dense" else as_csr(X), o, TOY_L2, TOY_L2, seed=2)
-        p1 = model.stage1.predict_proba(X if matrix == "dense" else as_csr(X))
+        _, stage1 = train_pu_model(X if matrix == "dense" else as_csr(X), o, TOY_L2, TOY_L2, seed=2)
+        p1 = stage1.predict_proba(X if matrix == "dense" else as_csr(X))
         pos, neg = build_relabeled(p1, o, estimate_e(p1[o == 1]))
         fit, cal = calibration_split(len(X), 2)
         [(X_fit, pos_fit, neg_fit, _)] = seen
@@ -637,13 +636,13 @@ class TestSaveLoad:
                 model.margins(row)
             )
 
-    @pytest.mark.parametrize("mode", ["dictionary", "bow"])
+    @pytest.mark.parametrize("mode", ["dictionary", "dictionary-no-general", "bow"])
     def test_resaving_a_loaded_model_rewrites_its_bytes(self, tmp_path, mode):
-        if mode == "dictionary":
-            model, ex = TestSentenceClassifier().train_text_model(SCORED_V1)
-            layout = ex.layout
-        else:
+        if mode == "bow":
             model, layout = trained_toy_model()[0], TOY_LAYOUT
+        else:
+            model, ex = TestSentenceClassifier().train_text_model(SCORED_V1, include_general=mode == "dictionary")
+            layout = ex.layout
         assert layout.mode == mode
         path, again = tmp_path / "model.json", tmp_path / "again.json"
         save_model(model, layout, path)
@@ -674,75 +673,23 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
-    def test_ignores_schedule_blocks_of_older_files(self, tmp_path):
-        model, X, _ = trained_toy_model()
-        path = tmp_path / "model.json"
-        save_model(model, TOY_LAYOUT, path)
-        import json
-
-        obj = json.loads(path.read_text())
-        schedule = {"l2": 0.01, "epochs": 300, "lr0": 0.5, "lr_tau": 1.0}
-        obj["stage1"]["hyper"] = obj["svm"]["hyper"] = schedule
-        path.write_text(json.dumps(obj))
-        loaded, _ = load_model(path)
-        assert np.array_equal(loaded.margins(X), model.margins(X))
-
-    def test_ignores_lexicon_hashes_of_older_files(self, tmp_path):
-        """Files written before the block was dropped still load and predict the same."""
-        model, ex = TestSentenceClassifier().train_text_model(SCORED_V1)
-        path = tmp_path / "model.json"
-        save_model(model, ex.layout, path)
-        import json
-
-        obj = json.loads(path.read_text())
-        assert "lexicon_hashes" not in obj
-        layout = obj["layout"]
-        obj["lexicon_hashes"] = {lex["name"]: lex["content_hash"] for lex in layout["scored"] + layout["category"]}
-        assert len(obj["lexicon_hashes"]) == 2
-        path.write_text(json.dumps(obj))
-        loaded, _ = load_model(path)
-        sents = [make_sentence(0, "alpha alpha beta"), make_sentence(1, "gamma beta")]
-        assert same_bits(SentenceClassifier(loaded, ex).prob(sents), SentenceClassifier(model, ex).prob(sents))
-
-    def test_tampered_layout_hash(self, tmp_path):
-        model, _, _ = trained_toy_model()
-        path = tmp_path / "model.json"
-        save_model(model, TOY_LAYOUT, path)
-        import json
-
-        obj = json.loads(path.read_text())
-        obj["layout_hash"] = "0" * 64
-        path.write_text(json.dumps(obj))
-        with pytest.raises(ModelFormatError, match="hash"):
-            load_model(path)
-
     @pytest.mark.parametrize("mutate, message", [
-        (lambda lay: lay.update(general_width=7), "layout.general_width must be 0 in bow mode, not 7"),
         (lambda lay: lay.update(mode="bogus"), "model key 'layout.mode' must be one of"),
-        (lambda lay: lay.update(mode="dictionary"), "layout.general_width must be 6 in dictionary mode, not 0"),
-        (lambda lay: lay.update(total_dim=3), "layout.total_dim must be 2, the sum of its block widths, not 3"),
-        (lambda lay: lay["blocks"][0].update(offset=1),
-         "layout.blocks entry 'bow' must start at offset 0 with a width >= 0, not at 1 with width 2"),
-        (lambda lay: lay["blocks"][0].update(width="2"), "model key 'layout.blocks.width' must be of type int, not '2'"),
-        (lambda lay: lay["blocks"].append({"name": "x", "offset": 2, "width": 1}),
-         "layout.total_dim must be 3, the sum of its block widths, not 2"),
-        (lambda lay: lay.update(vocab=None), "layout.vocab must hold total_dim (2) words in bow mode, not None"),
+        (lambda lay: lay.update(mode="dictionary"), "layout.vocab must be null in dictionary mode, not 2 words"),
+        (lambda lay: lay.update(vocab=None), "layout.vocab must be a list of words in bow mode, not None"),
         (lambda lay: lay.update(vocab=["alpha", "alpha"]), "layout.vocab must not repeat a word: 'alpha'"),
         (lambda lay: lay.update(vocab=["alpha", 2]), "model key 'layout.vocab' must be of type str, not 2"),
+        (lambda lay: lay.update(vocab=["alpha"]), "model field 'svm.weights' holds 2 weights; its layout has 1 columns"),
         (lambda lay: lay.update(extra=1), "unknown model key 'layout.extra'"),
-        (lambda lay: lay.pop("total_dim"), "model field 'layout.total_dim' is mandatory"),
-        (lambda lay: lay.update(version=2), "model key 'layout.version' must be one of 1, not 2"),
-        (lambda lay: lay.clear(), "model field 'layout.version' is mandatory"),
+        (lambda lay: lay.update(total_dim=2), "unknown model key 'layout.total_dim'; layout takes mode, scored, category, vocab"),
+        (lambda lay: lay.clear(), "model field 'layout.mode' is mandatory"),
     ])
-    def test_inconsistent_layout_is_rejected_after_its_hash(self, tmp_path, model_text, mutate, message):
-        """A layout edited together with its hash is still decoded and checked field by field."""
-        import hashlib
+    def test_inconsistent_layout_is_rejected(self, tmp_path, model_text, mutate, message):
+        """A layout is decoded and checked field by field, and its width is derived, not read."""
         import json
 
         obj = json.loads(model_text)
         mutate(obj["layout"])
-        blob = json.dumps(obj["layout"], sort_keys=True, separators=(",", ":"))
-        obj["layout_hash"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
         path = tmp_path / "model.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(ModelFormatError) as info:
@@ -755,9 +702,7 @@ class TestSaveLoad:
         save_model(trained_toy_model()[0], TOY_LAYOUT, path)
         return path.read_text()
 
-    @pytest.mark.parametrize("field", [
-        "e", "stage1.weights", "stage1.bias", "svm.weights", "svm.bias", "calib.A", "calib.B",
-    ])
+    @pytest.mark.parametrize("field", ["e", "svm.weights", "svm.bias", "calib.A", "calib.B"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_number_names_its_field(self, tmp_path, model_text, field, value):
         import json
@@ -776,33 +721,92 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError, match=re.escape(f"model key '{field}' must be a finite number, not {value!r}")):
             load_model(path)
 
+    @pytest.mark.parametrize("section, key, message", [
+        (None, "stage1", "unknown model key 'stage1'; the model takes version, layout, e, svm, calib, seed"),
+        (None, "layout_hash", "unknown model key 'layout_hash'; the model takes"),
+        (None, "lexicon_hashes", "unknown model key 'lexicon_hashes'; the model takes"),
+        ("svm", "hyper", "unknown model key 'svm.hyper'; svm takes weights, bias"),
+        ("layout", "version", "unknown model key 'layout.version'; layout takes mode, scored, category, vocab"),
+        ("layout", "blocks", "unknown model key 'layout.blocks'; layout takes"),
+        ("layout", "general_width", "unknown model key 'layout.general_width'; layout takes"),
+    ])
+    def test_a_key_of_older_files_is_rejected_not_ignored(self, tmp_path, model_text, section, key, message):
+        """Each key that older files carry and no reader uses fails the load by name,
+        so no stored copy of a derived fact can disagree with the one derived."""
+        import json
 
-SCORED_V1 = "#scored mrc imagery imagery:0:100\nalpha\timagery\t10\nbeta\timagery\t90\n"
-SCORED_V2 = "#scored mrc imagery imagery:0:100\nalpha\timagery\t11\nbeta\timagery\t90\n"
-CATS_TSV = "#categories inq NEG\nalpha\tNEG\n"
+        obj = json.loads(model_text)
+        (obj if section is None else obj[section])[key] = {}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert message in str(info.value)
+
+    @pytest.fixture(scope="class")
+    def dictionary_model_text(self, tmp_path_factory):
+        """A dictionary model of 17 columns: 10 imagery bins, one category, the general block."""
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        model, ex = TestSentenceClassifier().train_text_model(SCORED_V1)
+        assert ex.layout.total_dim == 17
+        save_model(model, ex.layout, path)
+        return path.read_text()
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda lay: lay["scored"][0].update(bins="10"), "model key 'layout.scored.bins' must be of type int, not '10'"),
+        (lambda lay: lay["scored"][0].pop("content_hash"), "model field 'layout.scored.content_hash' is mandatory"),
+        (lambda lay: lay["scored"][0].update(width=10), "unknown model key 'layout.scored.width'; layout.scored takes"),
+        (lambda lay: lay["category"][0].update(categories="NEG"), "model key 'layout.category.categories' must be a list"),
+        (lambda lay: lay["scored"][0].update(bins=11), "model field 'svm.weights' holds 17 weights; its layout has 18 columns"),
+        (lambda lay: lay["category"][0]["categories"].append("POS"),
+         "model field 'svm.weights' holds 17 weights; its layout has 18 columns"),
+        (lambda lay: lay.update(mode="dictionary-no-general"),
+         "model field 'svm.weights' holds 17 weights; its layout has 11 columns"),
+    ])
+    def test_inconsistent_lexicon_spec_is_rejected(self, tmp_path, dictionary_model_text, mutate, message):
+        """A dictionary layout's specs are decoded field by field, and a spec that
+        widens or narrows the row no longer matches the SVM's weight count."""
+        import json
+
+        obj = json.loads(dictionary_model_text)
+        mutate(obj["layout"])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert message in str(info.value)
+
+
+def imagery_lexicon(alpha_score):
+    """A one-attribute scored lexicon of two words, alpha at `alpha_score` and beta at 90."""
+    return ScoredLexicon(
+        "mrc", ("imagery",), {"alpha": {"imagery": alpha_score}, "beta": {"imagery": 90.0}},
+        {"imagery": (0.0, 100.0)}, bins=10,
+    )
+
+
+SCORED_V1 = imagery_lexicon(10.0)
+SCORED_V2 = imagery_lexicon(11.0)
+CATS = CategoryLexicon("inq", ("NEG",), {"alpha": frozenset({0})}, {})
 
 
 class TestSentenceClassifier:
-    def train_text_model(self, scored_tsv):
-        scored = load_scored_lexicon(io.StringIO(scored_tsv), bins=10)
-        cats = load_category_lexicon(io.StringIO(CATS_TSV))
-        layout = dictionary_layout([scored], [cats])
-        ex = FeatureExtractor(layout, [scored], [cats])
+    def train_text_model(self, scored, include_general=True):
+        layout = dictionary_layout([scored], [CATS], include_general)
+        ex = FeatureExtractor(layout, [scored], [CATS])
         sents = [make_sentence(i, "alpha alpha alpha beta") for i in range(8)]
         sents += [make_sentence(i, "beta beta gamma delta epsilon") for i in range(8)]
         X = CsrMatrix.from_rows([ex.extract(s) for s in sents], layout.total_dim)
         o = np.array([1] * 8 + [0] * 8)
-        model = train_pu_model(X, o, TOY_L2, TOY_L2, seed=0)
+        model, _ = train_pu_model(X, o, TOY_L2, TOY_L2, seed=0)
         return model, ex
 
     def test_mutated_lexicon_rejected_at_predict(self, tmp_path):
         model, ex = self.train_text_model(SCORED_V1)
         save_model(model, ex.layout, tmp_path / "model.json")
         _, layout = load_model(tmp_path / "model.json")
-        scored2 = load_scored_lexicon(io.StringIO(SCORED_V2), bins=10)
-        cats = load_category_lexicon(io.StringIO(CATS_TSV))
         with pytest.raises(LayoutMismatchError):
-            FeatureExtractor(layout, [scored2], [cats])
+            FeatureExtractor(layout, [SCORED_V2], [CATS])
 
     def test_classifier_probabilities(self):
         model, ex = self.train_text_model(SCORED_V1)

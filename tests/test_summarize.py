@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infosum.corpus import Corpus, build_document, make_sentence, word_count
+from infosum.corpus import Corpus, build_document, make_sentence
 from infosum.metrics import chi2_sf_1df
 from infosum.summarize import (
     TRUNCATE_WORDS,
@@ -35,7 +35,7 @@ class TestLeadWords:
         assert res.selected == (0, 1)
         assert res.word_total == 100
         # sentence 1 contributes exactly its first 40 words
-        assert word_count([doc.sentences[0]]) == 60
+        assert len(doc.sentences[0].words) == 60
         assert len(res.text.split()) >= 100
 
     def test_budget_one(self):
@@ -54,7 +54,7 @@ class TestLeadWords:
         doc = doc_with_word_counts([7, 9, 11])
         res = lead_words(doc, SummaryBudget(12))
         joined = build_document("t", "", [res.text])
-        assert word_count(joined.sentences) == 12
+        assert sum(len(s.words) for s in joined.sentences) == 12
 
 
 class TestSummarySentences:
@@ -109,12 +109,15 @@ class TestInfoRank:
 
 
 class TestInfoFilter:
-    def test_all_important_equals_whole_sentence_lead(self):
+    @pytest.mark.parametrize("mode", [TRUNCATE_WORDS, WHOLE_SENTENCE])
+    def test_all_important_equals_lead(self, mode):
         doc = doc_with_word_counts([30, 40, 50, 20])
-        filt = info_filter(doc, [0.9] * 4, SummaryBudget(100))
-        lead = lead_words(doc, SummaryBudget(100, WHOLE_SENTENCE))
+        budget = SummaryBudget(100, mode)
+        filt = info_filter(doc, [0.9] * 4, budget)
+        lead = lead_words(doc, budget)
         assert filt.text == lead.text
         assert filt.selected == lead.selected
+        assert filt.word_total == lead.word_total
         assert filt.removed == ()
         assert not filt.fallback
 
@@ -125,11 +128,33 @@ class TestInfoFilter:
         assert res.selected == (1, 2)
         assert res.text.startswith("w1x0")
 
-    def test_stops_at_first_overflowing_kept_sentence(self):
+    @pytest.mark.parametrize("mode, selected, word_total", [(TRUNCATE_WORDS, (0, 1), 50), (WHOLE_SENTENCE, (0,), 30)])
+    def test_first_overflowing_kept_sentence_ends_the_summary(self, mode, selected, word_total):
         doc = doc_with_word_counts([30, 80, 10])
-        res = info_filter(doc, [0.9] * 3, SummaryBudget(50))
-        # sentence 1 would overflow: stop, do not skip ahead to sentence 2
-        assert res.selected == (0,)
+        budget = SummaryBudget(50, mode)
+        res = info_filter(doc, [0.9] * 3, budget)
+        # sentence 1 would overflow: cut it or stop before it, as lead_words
+        # does, and never skip ahead to sentence 2
+        assert (res.selected, res.word_total) == (selected, word_total)
+        assert res.text == lead_words(doc, budget).text
+
+    def test_fills_the_budget_its_kept_sentences_reach(self):
+        """In truncate-words mode InfoFilter ends on exactly max_words words whenever
+        its kept sentences hold that many, and on all of them otherwise."""
+        rng = np.random.default_rng(4)
+        filled = 0
+        for _ in range(200):
+            doc = doc_with_word_counts([int(rng.integers(3, 40)) for _ in range(int(rng.integers(1, 12)))])
+            probs = [float(rng.random()) for _ in doc.sentences]
+            budget = SummaryBudget(int(rng.integers(5, 120)))
+            kept_words = sum(len(s.words) for s, p in zip(doc.sentences, probs) if p >= 0.5)
+            res = info_filter(doc, probs, budget)
+            if kept_words >= budget.max_words:
+                assert res.word_total == budget.max_words
+                filled += 1
+            elif kept_words:
+                assert res.word_total == kept_words
+        assert filled > 50
 
     def test_all_unimportant_falls_back_to_lead(self):
         doc = doc_with_word_counts([30, 40])
