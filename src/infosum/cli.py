@@ -76,7 +76,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Literal
 
-from .constants import DEFAULT_BINS, FEATURE_MODES, L2, L2_MAX, MODE_BOW, MODE_DICTIONARY
+from .constants import DEFAULT_BINS, FEATURE_MODES, L2, MODE_BOW, MODE_DICTIONARY
 from .corpus import (
     Corpus,
     InputFormatError,
@@ -172,15 +172,13 @@ class StageSection:
     l2: float = L2
 
     def __post_init__(self) -> None:
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
-        if self.l2 > L2_MAX:
-            raise ValueError(f"l2 must be <= {L2_MAX} (2 / the initial learning rate); training diverges above it")
+        if not self.l2 > 0:
+            raise ValueError(f"l2 must be > 0, not {self.l2!r}; without a penalty the fit may have no optimum")
 
 
 @dataclass(frozen=True)
 class HyperSection:
-    """The L2 penalty of each training stage; the training schedule is fixed."""
+    """The L2 penalty of each training stage: the whole penalty of the objective it solves."""
 
     stage1: StageSection = StageSection()
     stage2: StageSection = StageSection()

@@ -87,10 +87,14 @@ class FeatureLayout:
         if self.mode != MODE_BOW:
             if self.vocab is not None:
                 raise ValueError(f"vocab must be null in {self.mode} mode, not {len(self.vocab)} words")
-        elif self.vocab is None:
+            return
+        if self.vocab is None:
             raise ValueError("vocab must be a list of words in bow mode, not None")
-        elif len(set(self.vocab)) != len(self.vocab):
+        if len(set(self.vocab)) != len(self.vocab):
             raise ValueError(f"vocab must not repeat a word: {Counter(self.vocab).most_common(1)[0][0]!r}")
+        for name, specs in (("scored", self.scored), ("category", self.category)):
+            if specs:
+                raise ValueError(f"{name} must be empty in bow mode, not {len(specs)} lexicon specs")
 
     @cached_property
     def general_width(self) -> int:
@@ -115,8 +119,6 @@ def dictionary_layout(
     """The specs of the scored lexicons, then of the category lexicons, in order."""
     names = [lex.name for lex in scored_lexicons] + [lex.name for lex in category_lexicons]
     for i, name in enumerate(names):
-        if name in ("general", "bow"):
-            raise LexiconFormatError(f"lexicon name {name!r} is reserved for a feature block")
         if name in names[:i]:
             raise LexiconFormatError(f"two lexicons are named {name!r}; lexicon names must be unique")
     return FeatureLayout(

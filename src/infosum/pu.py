@@ -14,9 +14,9 @@ is the posterior that the unlabeled example is truly positive. This is
 Elkan & Noto's weighting, which counts an unlabeled example once as a
 positive of weight w and once as a negative of weight 1 - w; here both
 counts sit on the one row. Stage 2 trains a linear SVM on the two-sided
-weighted hinge loss of those rows (`hinge_loss`), and a sigmoid fitted on
-the held-out rows' margins and weights (`calibrate`) converts SVM scores
-into probabilities.
+weighted, smoothed hinge loss of those rows (`hinge_loss`), and a sigmoid
+fitted on the held-out rows' margins and weights (`calibrate`) converts SVM
+scores into probabilities.
 
 The learner sees only (X, o): a `PUModel` holds no feature layout. Each
 stage is a `Linear` score, X @ weights + bias, and the calibration is a
@@ -31,8 +31,8 @@ only `len`, `.shape`, `X[rows]`, `X @ w` and `X.T @ r`, so a dense array
 works as well.
 Stage 1 scores X once: e and the unlabeled weights both read that one
 vector of probabilities. Stage 2 reads only its fit rows: `train_pu_model`
-copies them out of X once, so no epoch multiplies a row held out for
-calibration, and each epoch multiplies each fit row once.
+copies them out of X once, so no loss evaluation multiplies a row held out
+for calibration, and each multiplies each fit row once.
 
 Predict scores with train's product: `SentenceClassifier.prob` stacks the
 rows of each PROB_BLOCK test sentences into a CsrMatrix and calls
@@ -42,30 +42,25 @@ each sentence the bits one matrix of all of them would, without holding
 all their entries at once (72,605 on the paper-150 test corpus, 5.3 MB of
 heap). With X a CsrMatrix, no step that writes model.json or
 predictions.jsonl calls BLAS: the CSR products are numpy gathers and
-`reduceat`, and `calibrate` takes its sums with numpy reductions, so those
-bytes do not depend on the OpenBLAS kernel the CPU selects. They still
-depend on numpy's float64 `exp`, which takes an AVX-512 path on a CPU that
-has one and a scalar path elsewhere.
+`reduceat`, and every other sum, the loss values and the solver's dot
+products included, is a numpy reduction (`_dot`), so those bytes do not
+depend on the OpenBLAS kernel the CPU selects. They still depend on numpy's
+float64 `exp`, which takes an AVX-512 path on a CPU that has one and a
+scalar path elsewhere.
 
-Both stages run one fixed schedule of full-batch (sub)gradient descent,
-EPOCHS steps from zero at learning rate LR0 / (1 + t / LR_TAU); only each
-stage's L2 penalty can be set. The schedule is part of the model: stopping
-after a fixed budget regularizes it, and exact solvers of the same
-objectives give a worse detector. On the benchmark bundles at seed 0,
-Newton on stage 1 (l2 = 1e-4) moves e from 0.73 to 0.96 and detector F1
-from 0.969 to 0.891 on bow-align-hivocab; pure-Python dual coordinate
-descent for the hinge SVM had not converged after 10,000 epochs (97 s) on
-paper-150; Newton on a squared hinge loses at least 3.5 % F1 on
-bow-align-hivocab at every l2 in {1e-4, 1e-3, 1e-2, 1e-1}.
-
-One epoch computes two products, X @ w and X.T @ r, and O(n) elementwise
-work on the n margins, in place where it can be; a step changes w and b
-exactly as the out-of-place formulas would. The loss value itself is
-computed only on the epochs that `_gradient_descent` logs: the first, every
-50th and the last at DEBUG, and the last, with its gradient norm, at INFO.
+Each stage's objective is its loss plus 0.5 * l2 * |w|^2, l2 the whole
+penalty, and `_minimize` solves it by L-BFGS to a stated gradient tolerance,
+logging its iterations, loss evaluations and whether it met the tolerance;
+stage 2's hinge is smoothed so that it has a gradient everywhere. Exact
+solves at the l2 of 1e-4 that a fixed descent schedule used before gave a
+worse detector (on bow-align-hivocab, Newton on stage 1 moved F1 from 0.969
+to 0.891), because stopping gradient descent early is itself a ridge penalty
+of about 1 / (sum of the learning rates), 0.013 for that schedule (Yao,
+Rosasco & Caponnetto, Constructive Approximation 2007). The default l2 of
+1e-2 (`constants.L2`) stands in for both.
 
 Objectives normalize the data term by the total weight, so duplicating
-the dataset or rescaling all weights leaves the optimization path unchanged.
+the dataset or rescaling all weights leaves the optimum unchanged.
 """
 
 from __future__ import annotations
@@ -73,13 +68,14 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .constants import L2, L2_MAX
+from .constants import L2
 from .corpus import InputFormatError, Sentence, decode, read_json
 from .features import FeatureExtractor, FeatureLayout, LayoutMismatchError
 from .rng import default_rng
@@ -95,12 +91,16 @@ logger = logging.getLogger(__name__)
 MODEL_VERSION = 2
 PROB_EPS = 1e-12
 
-# The fixed training schedule of both stages (see the module docstring);
-# the default L2 penalty of each is `constants.L2`, and its bound
-# `constants.L2_MAX` is 2 / LR0 (see `_gradient_descent`).
-EPOCHS = 4000
-LR0 = 0.08
-LR_TAU = 400.0
+# `_minimize`, the solver of both stages: its gradient tolerance relative to
+# the gradient at zero, its iteration cap, the correction pairs it keeps, its
+# Armijo fraction and the step cuts it tries per iteration; and the half-width
+# of the quadratic zone of stage 2's smoothed hinge (`hinge_loss`).
+GRAD_TOL = 1e-8
+MAX_ITER = 1000
+MEMORY = 10
+ARMIJO = 1e-4
+MAX_BACKTRACKS = 40
+HINGE_H = 0.5
 
 # Sentences whose rows `SentenceClassifier.prob` stacks into one CsrMatrix.
 PROB_BLOCK = 512
@@ -139,15 +139,14 @@ class Linear:
         return np.clip(_sigmoid(self.decision(X)), PROB_EPS, 1.0 - PROB_EPS)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b as a numpy reduction: a 1-d `a @ b` calls BLAS, whose kernel varies by CPU."""
+    return float(np.add.reduce(a * b))
+
+
 def logistic_loss(
-    w: np.ndarray,
-    b: float,
-    X: np.ndarray,
-    pos: np.ndarray,
-    neg: np.ndarray,
-    l2: float,
-    value: bool = True,
-) -> tuple[float | None, np.ndarray, float]:
+    w: np.ndarray, b: float, X: np.ndarray, pos: np.ndarray, neg: np.ndarray, l2: float
+) -> tuple[float, np.ndarray, float]:
     """Two-sided weighted logistic loss with an L2 penalty on w (not b).
 
     Row i, with logit z_i = X[i] @ w + b, is a positive of weight pos[i] and
@@ -155,18 +154,15 @@ def logistic_loss(
 
         sum_i pos[i] * log(1 + exp(-z_i)) + neg[i] * log(1 + exp(z_i)),
 
-    divided by the total weight. Returns (loss, grad_w, grad_b); the loss is
-    None unless `value`. Row i's gradient term is ((pos[i] + neg[i]) *
-    sigmoid(z_i) - pos[i]) / total; for 0/1 labels y given as (y, 1 - y), it
-    rounds as (sigmoid(z_i) - y) / n does.
+    divided by the total weight. Returns (loss, grad_w, grad_b). Row i's
+    gradient term is ((pos[i] + neg[i]) * sigmoid(z_i) - pos[i]) / total; for
+    0/1 labels y given as (y, 1 - y), it rounds as (sigmoid(z_i) - y) / n does.
     """
     total = float(pos.sum()) + float(neg.sum())
     z = X @ w
     z += b
-    loss = None
-    if value:
-        data = float(pos @ np.logaddexp(0.0, -z)) + float(neg @ np.logaddexp(0.0, z))
-        loss = data / total + 0.5 * l2 * float(w @ w)
+    data = _dot(pos, np.logaddexp(0.0, -z)) + _dot(neg, np.logaddexp(0.0, z))
+    loss = data / total + 0.5 * l2 * _dot(w, w)
     resid = _sigmoid(z)
     resid *= pos + neg
     resid -= pos
@@ -176,38 +172,37 @@ def logistic_loss(
     return loss, grad_w, float(resid.sum())
 
 
+def _smoothed_hinge(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H(t) and H'(t) of `hinge_loss`; (t + h)^2 / (4h) is h * H'(t)^2 where |t| < h."""
+    slope = np.clip((t + HINGE_H) / (2.0 * HINGE_H), 0.0, 1.0)
+    return np.where(t >= HINGE_H, t, HINGE_H * slope * slope), slope
+
+
 def hinge_loss(
-    w: np.ndarray,
-    b: float,
-    X: np.ndarray,
-    pos: np.ndarray,
-    neg: np.ndarray,
-    l2: float,
-    value: bool = True,
-) -> tuple[float | None, np.ndarray, float]:
-    """Two-sided weighted hinge loss with an L2 penalty on w (not b).
+    w: np.ndarray, b: float, X: np.ndarray, pos: np.ndarray, neg: np.ndarray, l2: float
+) -> tuple[float, np.ndarray, float]:
+    """Two-sided weighted smoothed hinge loss with an L2 penalty on w (not b).
 
     Row i, with margin m_i = X[i] @ w + b, is a positive of weight pos[i] and
     a negative of weight neg[i] at once:
 
-        sum_i pos[i] * max(0, 1 - m_i) + neg[i] * max(0, 1 + m_i),
+        sum_i pos[i] * H(1 - m_i) + neg[i] * H(1 + m_i),
 
-    divided by the total weight. Returns (loss, grad_w, grad_b); the loss is
-    None unless `value`. The subgradient at a hinge point (m_i exactly 1 for
-    the positive term, -1 for the negative one) is taken as 0.
+    divided by the total weight. H is the hinge max(0, t) made quadratic
+    within h = HINGE_H of its kink, in the line of Chapelle (Neural
+    Computation 2007): H(t) = 0 for t <= -h, (t + h)^2 / (4h) for -h < t < h
+    and t for t >= h. H is C1, so the loss has a gradient everywhere. Returns
+    (loss, grad_w, grad_b).
     """
     total = float(pos.sum()) + float(neg.sum())
     margins = X @ w
     margins += b
-    loss = None
-    if value:
-        slack = float(pos @ np.maximum(0.0, 1.0 - margins)) + float(neg @ np.maximum(0.0, 1.0 + margins))
-        loss = slack / total + 0.5 * l2 * float(w @ w)
-    coef = neg * (margins > -1.0)
+    h_pos, d_pos = _smoothed_hinge(1.0 - margins)
+    h_neg, d_neg = _smoothed_hinge(1.0 + margins)
+    loss = (_dot(pos, h_pos) + _dot(neg, h_neg)) / total + 0.5 * l2 * _dot(w, w)
+    coef = neg * d_neg
+    coef -= pos * d_pos
     coef /= total
-    active = pos * (margins < 1.0)
-    active /= total
-    coef -= active
     grad_w = X.T @ coef
     grad_w += l2 * w
     return loss, grad_w, float(coef.sum())
@@ -222,47 +217,80 @@ def _require_both_sides(pos: np.ndarray, neg: np.ndarray, what: str) -> None:
         )
 
 
-def _gradient_descent(loss, X, pos, neg, l2: float, tag: str) -> tuple[np.ndarray, float]:
-    """EPOCHS full-batch steps of `loss(w, b, X, pos, neg, l2)` from zero,
-    learning rate LR0 / (1 + t / LR_TAU).
+def _minimize(loss, X, pos, neg, l2: float, tag: str) -> tuple[np.ndarray, float]:
+    """(w, b) minimizing `loss(w, b, X, pos, neg, l2)`, by L-BFGS from zero.
 
-    pos and neg are each row's weight as a positive and as a negative, the
-    form of both losses; rows without weight on both sides are rejected here.
-    The loss value is asked for only on the epochs that are logged (see the
-    module docstring). l2 may not exceed L2_MAX = 2 / LR0. Apart from the
-    data term, the first steps multiply w by 1 - LR0 * l2, which is below -1
-    above that bound: w grows with each step until the decaying rate brings
-    it back or it overflows to NaN.
+    pos and neg are each row's weight as a positive and as a negative; rows
+    without weight on both sides are rejected, and so is an l2 that is not
+    finite and > 0, which may leave the loss without a minimum. Each iteration
+    takes the two-loop direction of the last MEMORY steps (Nocedal, Math.
+    Comp. 1980) and backtracks from a step of 1, to the minimum of a quadratic
+    fit kept within [0.1, 0.5] of the last try, until the loss falls by ARMIJO
+    of its slope (less calibrate's margin for rounding). It stops when the
+    sup-norm of (grad_w, grad_b) is GRAD_TOL of its value at zero or less; it
+    stops short of that, and logs a WARNING, after MAX_ITER iterations or when
+    no step lowers the loss.
     """
     pos = np.asarray(pos, dtype=float)
     neg = np.asarray(neg, dtype=float)
     _require_both_sides(pos, neg, tag)
-    if not (math.isfinite(l2) and 0.0 <= l2 <= L2_MAX):
-        raise ValueError(f"l2 must be in [0, {L2_MAX}], got {l2}")
-    debug = logger.isEnabledFor(logging.DEBUG)
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    for t in range(EPOCHS):
-        lr = LR0 / (1.0 + t / LR_TAU)
-        last = t == EPOCHS - 1
-        logged = last or (debug and (t == 0 or (t + 1) % 50 == 0))
-        value, grad_w, grad_b = loss(w, b, X, pos, neg, l2, value=logged)
-        if logged:
-            logger.debug("%s epoch %d loss %.6f", tag, t + 1, value)
-        if last:
-            grad_norm = math.hypot(float(np.linalg.norm(grad_w)), grad_b)
-            logger.info("%s final loss %.6f, gradient norm %.3e", tag, value, grad_norm)
-        grad_w *= lr
-        w -= grad_w
-        b = b - lr * grad_b
-    return w, b
+    if not (math.isfinite(l2) and l2 > 0.0):
+        raise ValueError(f"l2 must be finite and > 0, got {l2}")
+
+    def at(x: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad_w, grad_b = loss(x[:-1], float(x[-1]), X, pos, neg, l2)
+        return value, np.append(grad_w, grad_b)
+
+    x = np.zeros(X.shape[1] + 1)
+    value, g = at(x)
+    evals, iterations = 1, 0
+    gnorm = float(np.abs(g).max())
+    tol = GRAD_TOL * gnorm
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=MEMORY)  # (s, y, 1 / s.y)
+    scale = 1.0 / gnorm if gnorm else 0.0  # s.y / y.y of the newest pair; at first, a step of sup-norm 1
+    while gnorm > tol and iterations < MAX_ITER:
+        p = -g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * _dot(s, p))
+            p -= alphas[-1] * y
+        p *= scale
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            p += (alpha - rho * _dot(y, p)) * s
+        slope = _dot(g, p)
+        step = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            cand = x + step * p
+            cand_value, cand_g = at(cand)
+            evals += 1
+            if cand_value <= value + ARMIJO * step * slope + 1e-13 * abs(value):
+                break
+            curv = cand_value - value - step * slope  # > 0 when the test fails on a descent direction
+            step = min(0.5 * step, max(0.1 * step, -0.5 * slope * step * step / curv)) if curv > 0 else 0.5 * step
+        else:
+            break
+        s, y = cand - x, cand_g - g
+        sy = _dot(s, y)
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
+            scale = sy / _dot(y, y)
+        x, value, g = cand, cand_value, cand_g
+        gnorm = float(np.abs(g).max())
+        iterations += 1
+        logger.debug("%s iteration %d loss %.6f, gradient sup-norm %.3e", tag, iterations, value, gnorm)
+    met = gnorm <= tol
+    logger.log(logging.INFO if met else logging.WARNING,
+               "%s %s: %d iterations (cap %d), %d loss evaluations, loss %.6f, gradient sup-norm %.3e "
+               "(tolerance %.3e)", tag, "converged" if met else "did not meet its gradient tolerance",
+               iterations, MAX_ITER, evals, value, gnorm, tol)
+    return x[:-1], float(x[-1])
 
 
 def train_stage1(X: np.ndarray, o: np.ndarray, l2: float = L2) -> Linear:
     """Logistic regression on o labels, treating unlabeled rows as negative: the
     rows (o, 1 - o) of `logistic_loss`."""
     o = np.asarray(o, dtype=float)
-    w, b = _gradient_descent(logistic_loss, X, o, 1.0 - o, l2, "stage1")
+    w, b = _minimize(logistic_loss, X, o, 1.0 - o, l2, "stage1")
     return Linear(tuple(w.tolist()), b)
 
 
@@ -303,8 +331,8 @@ def build_relabeled(p1: np.ndarray, o: np.ndarray, e: float) -> tuple[np.ndarray
 
 def train_stage2(X: np.ndarray, pos: np.ndarray, neg: np.ndarray, l2: float = L2) -> Linear:
     """Linear SVM on rows weighted as positives by `pos` and as negatives by
-    `neg` (`hinge_loss`), by subgradient descent."""
-    w, b = _gradient_descent(hinge_loss, X, pos, neg, l2, "stage2")
+    `neg`: the minimum of the smoothed `hinge_loss`."""
+    w, b = _minimize(hinge_loss, X, pos, neg, l2, "stage2")
     return Linear(tuple(w.tolist()), b)
 
 

@@ -172,16 +172,13 @@ def info_filter(doc: Document, probs: Sequence[float], budget: SummaryBudget) ->
     first one that would overflow the budget is cut to fill it, and in
     whole-sentence mode selection stops before it. When every sentence is
     predicted unimportant, the result is lead_words of the whole document in
-    truncate-words mode, with fallback flagged. Either way every sentence
-    below 0.5 is recorded as removed.
+    the same mode, with fallback flagged. Either way every sentence below 0.5
+    is recorded as removed.
     """
     _check_probs(doc, probs)
     kept = tuple(s for s, p in zip(doc.sentences, probs) if p >= 0.5)
     removed = tuple(s.id for s, p in zip(doc.sentences, probs) if p < 0.5)
-    if kept:
-        lead = lead_words(replace(doc, sentences=kept), budget)
-    else:
-        lead = lead_words(doc, replace(budget, mode=TRUNCATE_WORDS))
+    lead = lead_words(replace(doc, sentences=kept) if kept else doc, budget)
     return replace(lead, system=INFOFILTER, removed=removed, fallback=not kept)
 
 

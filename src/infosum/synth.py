@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .constants import L2
 from .corpus import write_jsonl
 from .lexicons import CategoryLexicon, ScoredLexicon, category_lexicon_to_tsv, scored_lexicon_to_tsv
 from .rng import Generator, default_rng
@@ -194,8 +195,8 @@ def write_synth_bundle(out_dir: str | Path, params: SynthParams) -> dict[str, st
         },
         "features": {"mode": "dictionary", "bins": 230},
         "hyper": {
-            "stage1": {"l2": 1e-4},
-            "stage2": {"l2": 1e-4},
+            "stage1": {"l2": L2},
+            "stage2": {"l2": L2},
         },
         "budget": {"max_words": 100, "mode": "truncate-words"},
         "systems": ["leadwords", "inforank", "infofilter", "randomrank"],

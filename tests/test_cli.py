@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import platform
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from infosum.cli import EXIT_OK, EXIT_VALIDATION, RunConfig, build_extractor, main
+from infosum.constants import L2
 from infosum.corpus import load_corpus
 from infosum.pu import load_model, train_pu_model, save_model
 from infosum.sparse import CsrMatrix
@@ -390,25 +392,30 @@ class TestSummarizeFromPredictions:
 class TestTrainingConfig:
     def test_l2_defaults_to_the_shipped_penalty(self):
         cfg = RunConfig.from_dict({"seed": 0, "out_dir": "x"})
-        assert (cfg.hyper.stage1.l2, cfg.hyper.stage2.l2) == (1e-4, 1e-4)
-        assert asdict(cfg)["hyper"] == {"stage1": {"l2": 1e-4}, "stage2": {"l2": 1e-4}}
+        assert (cfg.hyper.stage1.l2, cfg.hyper.stage2.l2) == (L2, L2) == (1e-2, 1e-2)
+        assert asdict(cfg)["hyper"] == {"stage1": {"l2": 1e-2}, "stage2": {"l2": 1e-2}}
 
-    def test_l2_at_its_bound_trains(self, bundle, pipeline, tmp_path):
-        """25 is 2 / pu.LR0, the largest penalty the config accepts."""
+    def test_l2_of_25_trains_each_stage_to_its_tolerance(self, bundle, pipeline, tmp_path, caplog):
+        """25 was the largest penalty the descent schedule took; the solve takes any
+        finite positive one."""
         _, run_dir = pipeline
         out = tmp_path / "run"
         out.mkdir()
         (out / "labels.jsonl").write_bytes((run_dir / "labels.jsonl").read_bytes())
-        assert main(["train", "-c", bundle["config"], "--out-dir", str(out),
-                     "--set", "hyper.stage1.l2=25", "--set", "hyper.stage2.l2=25"]) == EXIT_OK
+        with caplog.at_level(logging.INFO, logger="infosum.pu"):
+            assert main(["train", "-c", bundle["config"], "--out-dir", str(out),
+                         "--set", "hyper.stage1.l2=25", "--set", "hyper.stage2.l2=25"]) == EXIT_OK
+        solved = [r.getMessage().split(":")[0] for r in caplog.records if " converged: " in r.getMessage()]
+        assert solved == ["stage1 converged", "stage2 converged"]
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert (out / "model.json").exists()
 
     def test_l2_override(self, bundle, tmp_path):
         out = tmp_path / "l2"
         assert main(["label", "-c", bundle["config"], "--out-dir", str(out),
-                     "--set", "hyper.stage2.l2=0.01"]) == EXIT_OK
+                     "--set", "hyper.stage2.l2=0.05"]) == EXIT_OK
         resolved = json.loads((out / "resolved_config.label.json").read_text())
-        assert resolved["hyper"] == {"stage1": {"l2": 1e-4}, "stage2": {"l2": 0.01}}
+        assert resolved["hyper"] == {"stage1": {"l2": L2}, "stage2": {"l2": 0.05}}
 
     @pytest.mark.parametrize("override, key", [
         ("hyper.stage1.epochs=50", "hyper.stage1.epochs"),
@@ -450,8 +457,8 @@ BAD_CONFIG_OVERRIDES = [
     ('label={"mode": "extract", "mode": "alignment"}', "config key 'label': key 'mode' is given twice"),
     pytest.param("label.t_pos=1" + "0" * 400, "'label.t_pos' must be a finite number", id="huge-int"),
     ("label.mode=bogus", "'label.mode' must be one of"),
-    ("hyper.stage1.l2=100", "hyper.stage1.l2 must be <= 25.0"),
-    ("hyper.stage2.l2=100", "hyper.stage2.l2 must be <= 25.0"),
+    ("hyper.stage1.l2=0", "hyper.stage1.l2 must be > 0, not 0.0"),
+    ("hyper.stage2.l2=-1e-3", "hyper.stage2.l2 must be > 0, not -0.001"),
 ]
 
 
@@ -676,6 +683,9 @@ BAD_MODEL_FILES = [
     ("calib.C", 0.5, "unknown model key 'calib.C'; calib takes A, B"),
     ("calib", [0.5], "model section 'calib' must be an object"),
     ("svm", {"weights": "0.5", "bias": 0.5}, "model key 'svm.weights' must be a list, not '0.5'"),
+    pytest.param(None, lambda text: json.dumps({**json.loads(text), "layout": {
+        **json.loads(text)["layout"], "mode": "bow", "vocab": ["a"]}}),
+        "layout.scored must be empty in bow mode, not 1 lexicon specs", id="bow-layout-with-lexicon-specs"),
 ]
 
 
@@ -757,31 +767,19 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         assert "attribute 'a' has the single score 5.0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind, rename, message", [
-        ("scored", None, "two lexicons are named 'synthmrc'"),
-        ("category", None, "two lexicons are named 'synthcats'"),
-        ("scored", "general", "lexicon name 'general' is reserved"),
-        ("category", "bow", "lexicon name 'bow' is reserved"),
+    @pytest.mark.parametrize("kind, message", [
+        ("scored", "two lexicons are named 'synthmrc'"),
+        ("category", "two lexicons are named 'synthcats'"),
     ])
-    def test_clashing_lexicon_name_is_validation_error(
-        self, bundle, pipeline, tmp_path, capsys, kind, rename, message
-    ):
+    def test_clashing_lexicon_name_is_validation_error(self, bundle, pipeline, tmp_path, capsys, kind, message):
         _, run_dir = pipeline
         out = tmp_path / "clash"
         out.mkdir()
         (out / "labels.jsonl").write_bytes((run_dir / "labels.jsonl").read_bytes())
-        lex = Path(bundle[f"{kind}_lexicon"])
-        if rename is None:
-            paths = [str(lex), str(lex)]
-        else:
-            text = lex.read_text()
-            name = text.split(" ")[1]  # the header is `#scored <name> ...` or `#categories <name> ...`
-            renamed = tmp_path / f"{rename}.tsv"
-            renamed.write_text(text.replace(f" {name} ", f" {rename} ", 1))
-            paths = [str(renamed)]
+        lex = str(bundle[f"{kind}_lexicon"])
         capsys.readouterr()
         code = main(["train", "-c", bundle["config"], "--out-dir", str(out),
-                     "--set", f"lexicons.{kind}={json.dumps(paths)}"])
+                     "--set", f"lexicons.{kind}={json.dumps([lex, lex])}"])
         assert code == EXIT_VALIDATION
         assert message in capsys.readouterr().err
 

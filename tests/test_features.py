@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from infosum.features import (
 )
 from infosum.lexicons import (
     CategoryLexicon,
+    LexiconFormatError,
     ScoredLexicon,
     bin_index,
     read_category_lexicon,
@@ -268,6 +269,22 @@ class TestLayout:
         )
         assert dictionary_layout([mutated], [liwc]) != layout
 
+
+    def test_block_names_are_lexicon_names_like_any_other(self):
+        """The layout names no block, so no lexicon name is reserved; only a repeat is refused."""
+        general = replace(CATS, name="general")
+        bow = replace(SCORED, name="bow")
+        layout = dictionary_layout([bow], [general])
+        assert [spec.name for spec in (*layout.scored, *layout.category)] == ["bow", "general"]
+        with pytest.raises(LexiconFormatError, match="two lexicons are named 'general'"):
+            dictionary_layout([replace(SCORED, name="general")], [general])
+
+    @pytest.mark.parametrize("key", ["scored", "category"])
+    def test_bow_layout_holds_no_lexicon_spec(self, key):
+        spec = dictionary_layout([SCORED], [CATS])
+        layout = {**asdict(bow_layout(("a", "b"))), key: asdict(spec)[key]}
+        with pytest.raises(ValueError, match=f"^{key} must be empty in bow mode, not 1 lexicon specs$"):
+            decode(FeatureLayout, layout, "layout")
 
 class TestExtractFeatures:
     def test_full_vector(self):

@@ -18,9 +18,7 @@ from infosum.features import (
 )
 from infosum.lexicons import CategoryLexicon, ScoredLexicon
 from infosum.pu import (
-    EPOCHS,
-    LR0,
-    LR_TAU,
+    GRAD_TOL,
     DegenerateTrainingSetError,
     Linear,
     ModelFormatError,
@@ -39,7 +37,6 @@ from infosum.pu import (
     train_stage2,
     unlabeled_weight,
 )
-from infosum.constants import L2_MAX
 from infosum.sparse import CsrMatrix
 
 TOY_L2 = 0.01
@@ -138,9 +135,9 @@ class TestGradients:
             checked += 1
 
 
-# The training loop as it ran before its per-epoch work was trimmed: the
-# two-branch sigmoid, out-of-place arithmetic and the loss value on every
-# epoch. The trimmed loop must give the same bits.
+# The losses in their plain out-of-place form, with the two-branch sigmoid and
+# the smoothed hinge written piece by piece. The in-place losses must give the
+# same bits.
 
 
 def masked_sigmoid(z):
@@ -152,11 +149,15 @@ def masked_sigmoid(z):
     return out
 
 
+def reduce_dot(a, b):
+    return float(np.add.reduce(a * b))
+
+
 def eager_logistic_loss(w, b, X, pos, neg, l2):
     total = float(pos.sum()) + float(neg.sum())
     z = X @ w + b
-    data = float(pos @ np.logaddexp(0.0, -z)) + float(neg @ np.logaddexp(0.0, z))
-    loss = data / total + 0.5 * l2 * float(w @ w)
+    data = reduce_dot(pos, np.logaddexp(0.0, -z)) + reduce_dot(neg, np.logaddexp(0.0, z))
+    loss = data / total + 0.5 * l2 * reduce_dot(w, w)
     resid = ((pos + neg) * masked_sigmoid(z) - pos) / total
     return loss, X.T @ resid + l2 * w, float(resid.sum())
 
@@ -167,32 +168,26 @@ def labeled_logistic_loss(w, b, X, y, sample_weight, l2):
     total = float(sample_weight.sum())
     z = X @ w + b
     per = np.logaddexp(0.0, z) - y * z
-    loss = float(sample_weight @ per) / total + 0.5 * l2 * float(w @ w)
+    loss = reduce_dot(sample_weight, per) / total + 0.5 * l2 * reduce_dot(w, w)
     resid = sample_weight * (masked_sigmoid(z) - y) / total
     return loss, X.T @ resid + l2 * w, float(resid.sum())
+
+
+def smoothed_hinge(t, h=0.5):
+    """0 for t <= -h, (t + h)^2 / (4h) within h of 0, t for t >= h; and its derivative."""
+    value = np.where(t >= h, t, np.where(t > -h, (t + h) ** 2 / (4.0 * h), 0.0))
+    slope = np.where(t >= h, 1.0, np.where(t > -h, (t + h) / (2.0 * h), 0.0))
+    return value, slope
 
 
 def eager_hinge_loss(w, b, X, pos, neg, l2):
     total = float(pos.sum()) + float(neg.sum())
     margins = X @ w + b
-    slack = float(pos @ np.maximum(0.0, 1.0 - margins)) + float(neg @ np.maximum(0.0, 1.0 + margins))
-    loss = slack / total + 0.5 * l2 * float(w @ w)
-    coef = np.where(margins > -1.0, neg, 0.0) / total - np.where(margins < 1.0, pos, 0.0) / total
+    h_pos, d_pos = smoothed_hinge(1.0 - margins)
+    h_neg, d_neg = smoothed_hinge(1.0 + margins)
+    loss = (reduce_dot(pos, h_pos) + reduce_dot(neg, h_neg)) / total + 0.5 * l2 * reduce_dot(w, w)
+    coef = (neg * d_neg - pos * d_pos) / total
     return loss, X.T @ coef + l2 * w, float(coef.sum())
-
-
-def eager_descent(loss, X, u, v, l2):
-    """(w, b, loss value per epoch from 1, gradient norm at the last epoch)."""
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    values = {}
-    for t in range(EPOCHS):
-        lr = LR0 / (1.0 + t / LR_TAU)
-        values[t + 1], grad_w, grad_b = loss(w, b, X, u, v, l2)
-        grad_norm = math.hypot(float(np.linalg.norm(grad_w)), grad_b)
-        w = w - lr * grad_w
-        b = b - lr * grad_b
-    return w, b, values, grad_norm
 
 
 def overlapping_set(n=120, d=6, seed=0):
@@ -238,7 +233,7 @@ class TestEagerReference:
         [(logistic_loss, eager_logistic_loss, logistic_data), (hinge_loss, eager_hinge_loss, hinge_data)],
     )
     @pytest.mark.parametrize("matrix", ["dense", "csr", "selected"])
-    def test_gradient_bits_with_and_without_the_value(self, loss, eager, draw, matrix):
+    def test_value_and_gradient_bits_of_the_plain_form(self, loss, eager, draw, matrix):
         """"selected" is the rows `train_pu_model` copies out for stage 2: a CsrMatrix of
         chosen rows of another, here with repeats."""
         rng = np.random.default_rng(3)
@@ -249,8 +244,6 @@ class TestEagerReference:
         ref_value, ref_gw, ref_gb = eager(w, b, X, u, v, 0.01)
         value, gw, gb = loss(w, b, X, u, v, 0.01)
         assert value == ref_value and same_bits(gw, ref_gw) and same_bits(gb, ref_gb)
-        value, gw, gb = loss(w, b, X, u, v, 0.01, value=False)
-        assert value is None and same_bits(gw, ref_gw) and same_bits(gb, ref_gb)
 
     @pytest.mark.parametrize("matrix", ["dense", "csr"])
     def test_zero_one_rows_give_the_gradient_bits_of_labels(self, matrix):
@@ -262,39 +255,97 @@ class TestEagerReference:
         for _ in range(5):
             w, b = rng.normal(size=X.shape[1]), float(rng.normal())
             _, ref_gw, ref_gb = labeled_logistic_loss(w, b, X, y, np.ones(len(y)), 0.01)
-            _, gw, gb = logistic_loss(w, b, X, y, 1.0 - y, 0.01, value=False)
+            _, gw, gb = logistic_loss(w, b, X, y, 1.0 - y, 0.01)
             assert same_bits(gw, ref_gw) and same_bits(gb, ref_gb)
 
+
+def gradient_ratio(loss, fitted, X, pos, neg, l2):
+    """The sup-norm of (grad_w, grad_b) of `loss` at a fitted Linear over its sup-norm at
+    zero, the ratio the solver stops at GRAD_TOL."""
+
+    def sup_norm(w, b):
+        _, gw, gb = loss(w, b, X, pos, neg, l2)
+        return max(float(np.abs(gw).max()), abs(gb))
+
+    return sup_norm(np.array(fitted.weights), fitted.bias) / sup_norm(np.zeros(X.shape[1]), 0.0)
+
+
+def stage_ratios(X, o, model, stage1, l2, seed):
+    """`gradient_ratio` of stage 1 on every row and of the SVM on the fit rows of a
+    `train_pu_model` result."""
+    pos, neg = build_relabeled(stage1.predict_proba(X), o, model.e)
+    fit, _ = calibration_split(len(o), seed)
+    return (
+        gradient_ratio(logistic_loss, stage1, X, o * 1.0, 1.0 - o, l2),
+        gradient_ratio(hinge_loss, model.svm, X[fit], pos[fit], neg[fit], l2),
+    )
+
+
+class TestSolver:
     @pytest.mark.parametrize("matrix", ["dense", "csr"])
-    def test_train_pu_model_has_the_bits_of_the_eager_loop(self, monkeypatch, matrix):
+    def test_each_stage_meets_its_gradient_tolerance(self, matrix):
         X, o = overlapping_set()
         X = X if matrix == "dense" else as_csr(X)
         model, stage1 = train_pu_model(X, o, TOY_L2, TOY_L2, seed=2)
-        with monkeypatch.context() as m:
-            m.setattr(pu, "_sigmoid", masked_sigmoid)
-            m.setattr(pu, "logistic_loss", eager_logistic_loss)
-            m.setattr(pu, "hinge_loss", eager_hinge_loss)
-            m.setattr(pu, "_gradient_descent", lambda loss, X, u, v, l2, tag: eager_descent(loss, X, u, v, l2)[:2])
-            ref, ref_stage1 = train_pu_model(X, o, TOY_L2, TOY_L2, seed=2)
-        assert same_bits(stage1.weights, ref_stage1.weights)
-        assert same_bits(stage1.bias, ref_stage1.bias)
-        assert same_bits(model.e, ref.e)
-        assert same_bits(model.svm.weights, ref.svm.weights)
-        assert same_bits(model.svm.bias, ref.svm.bias)
-        assert same_bits(astuple(model.calib), astuple(ref.calib))
+        assert all(ratio <= GRAD_TOL for ratio in stage_ratios(X, o, model, stage1, TOY_L2, 2))
+
+    @pytest.mark.parametrize("stage", ["stage1", "stage2"])
+    def test_log_reports_the_returned_solution(self, caplog, monkeypatch, stage):
+        X, o = overlapping_set()
+        pos, neg = (o * 1.0, 1.0 - o) if stage == "stage1" else hinge_data(np.random.default_rng(1), len(X))
+        loss = logistic_loss if stage == "stage1" else hinge_loss
+        calls = []
+        monkeypatch.setattr(pu, loss.__name__, lambda *args: (calls.append(1), loss(*args))[1])
+        with caplog.at_level(logging.INFO, logger="infosum.pu"):
+            fitted = train_stage1(X, o, TOY_L2) if stage == "stage1" else train_stage2(X, pos, neg, TOY_L2)
+        value, gw, gb = loss(np.array(fitted.weights), fitted.bias, X, pos, neg, TOY_L2)
+        _, gw0, gb0 = loss(np.zeros(X.shape[1]), 0.0, X, pos, neg, TOY_L2)
+        sup_norm = max(float(np.abs(gw).max()), abs(gb))
+        tol = GRAD_TOL * max(float(np.abs(gw0).max()), abs(gb0))
+        [record] = caplog.records
+        match = re.fullmatch(
+            rf"{stage} converged: (\d+) iterations \(cap {pu.MAX_ITER}\), (\d+) loss evaluations, "
+            r"loss (\S+), gradient sup-norm (\S+) \(tolerance (\S+)\)",
+            record.getMessage(),
+        )
+        assert record.levelno == logging.INFO and match
+        assert int(match[1]) < int(match[2]) == len(calls)
+        assert match.group(3, 4, 5) == (f"{value:.6f}", f"{sup_norm:.3e}", f"{tol:.3e}")
+        assert sup_norm <= tol
+
+    def test_a_zero_gradient_at_zero_is_already_solved(self, caplog):
+        """Empty rows with as much positive as negative weight: zero is the optimum."""
+        with caplog.at_level(logging.INFO, logger="infosum.pu"):
+            stage1 = train_stage1(np.zeros((4, 2)), np.array([1, 1, 0, 0]), TOY_L2)
+        assert stage1 == Linear((0.0, 0.0), 0.0)
+        [record] = caplog.records
+        assert record.getMessage().startswith("stage1 converged: 0 iterations (cap ")
+
+    def test_the_cap_stops_each_stage_with_a_warning_and_a_finite_model(self, caplog, monkeypatch):
+        monkeypatch.setattr(pu, "MAX_ITER", 2)
+        X, o = overlapping_set()
+        with caplog.at_level(logging.INFO, logger="infosum.pu"):
+            model, stage1 = train_pu_model(X, o, TOY_L2, TOY_L2)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert [w.split(":")[0] for w in warnings] == [
+            f"{stage} did not meet its gradient tolerance" for stage in ("stage1", "stage2")
+        ]
+        assert all(" 2 iterations (cap 2), " in w for w in warnings)
+        values = [stage1.weights, stage1.bias, model.e, model.svm.weights, model.svm.bias, astuple(model.calib)]
+        assert all(np.isfinite(v).all() for v in values)
 
 
 def duplicated_entry_hinge_loss(w, b, X, pos, neg, l2):
     """Stage 2's objective in the form it had before a row carried two weights: each
     row enters twice, as a +1 entry of weight pos and a -1 entry of weight neg, and the
-    one-sided weighted hinge loss sums over the entries."""
+    one-sided weighted smoothed hinge loss sums over the entries."""
     rows = np.repeat(np.arange(len(X)), 2)
     y_pm = np.tile([1.0, -1.0], len(X))
     sw = np.column_stack([pos, neg]).ravel()
     total = float(sw.sum())
-    margins = y_pm * (X[rows] @ w + b)
-    loss = float(sw @ np.maximum(0.0, 1.0 - margins)) / total + 0.5 * l2 * float(w @ w)
-    coef = np.where(margins < 1.0, -y_pm, 0.0) * sw / total
+    value, slope = smoothed_hinge(1.0 - y_pm * (X[rows] @ w + b))
+    loss = float(sw @ value) / total + 0.5 * l2 * float(w @ w)
+    coef = -y_pm * slope * sw / total
     return loss, X[rows].T @ coef + l2 * w, float(coef.sum())
 
 
@@ -315,27 +366,6 @@ class TestTwoSidedHinge:
             assert loss == pytest.approx(ref_loss, rel=1e-12)
             assert rel_err((gw, gb), (ref_gw, ref_gb)) <= 1e-12
         assert exact == {0.0, 1.0}
-
-
-class TestLoggedLosses:
-    @pytest.mark.parametrize("stage", ["stage1", "stage2"])
-    def test_logged_values_follow_the_eager_formula(self, caplog, stage):
-        X, o = overlapping_set()
-        pos, neg = hinge_data(np.random.default_rng(1), len(X))
-        with caplog.at_level(logging.DEBUG, logger="infosum.pu"):
-            if stage == "stage1":
-                train_stage1(X, o, TOY_L2)
-                _, _, values, grad_norm = eager_descent(eager_logistic_loss, X, o * 1.0, 1.0 - o, TOY_L2)
-            else:
-                train_stage2(X, pos, neg, TOY_L2)
-                _, _, values, grad_norm = eager_descent(eager_hinge_loss, X, pos, neg, TOY_L2)
-        epochs = [1, *range(50, EPOCHS + 1, 50)]
-        assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == [
-            f"{stage} epoch {t} loss {values[t]:.6f}" for t in epochs
-        ]
-        assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
-            f"{stage} final loss {values[EPOCHS]:.6f}, gradient norm {grad_norm:.3e}"
-        ]
 
 
 class TestEstimateE:
@@ -433,11 +463,12 @@ class TestBuildRelabeled:
 
 
 class TestStage2:
-    def test_separable_no_hinge_violations(self):
+    def test_separable_every_margin_has_its_sign(self):
+        """The smoothed hinge still charges margins below 1.5, so the optimum may leave
+        some in (0.5, 1); none has the wrong sign."""
         X, o = separable_set()
         margins = (2.0 * o - 1.0) * train_stage2(X, o, 1 - o, 1e-4).decision(X)
         assert np.all(margins > 0)
-        assert float(np.mean(margins >= 1.0)) > 0.95
 
     def test_zero_weight_example_is_inert(self):
         X, o = separable_set(n_per_side=8)
@@ -458,23 +489,47 @@ class TestStage2:
             train_stage2(X, np.array([1.0, 0.0]), np.array([0.0, 0.0]), TOY_L2)
 
 
-class TestL2Bound:
-    def test_bound_is_two_over_the_initial_learning_rate(self):
-        assert L2_MAX == 2 / LR0
-
-    def test_above_the_bound_is_rejected_before_training(self):
+class TestPenalty:
+    @pytest.mark.parametrize("l2", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_a_penalty_not_finite_and_positive_is_rejected_before_training(self, l2):
         X, o = separable_set()
-        above = float(np.nextafter(L2_MAX, np.inf))
-        with pytest.raises(ValueError, match=f"l2 must be in \\[0, {L2_MAX}\\]"):
-            train_stage1(X, o, above)
-        with pytest.raises(ValueError, match=f"l2 must be in \\[0, {L2_MAX}\\]"):
-            train_stage2(X, o, 1 - o, above)
+        with pytest.raises(ValueError, match=re.escape(f"l2 must be finite and > 0, got {l2}")):
+            train_stage1(X, o, l2)
+        with pytest.raises(ValueError, match=re.escape(f"l2 must be finite and > 0, got {l2}")):
+            train_stage2(X, o, 1 - o, l2)
 
-    def test_the_bound_itself_trains_a_finite_model(self):
+    @pytest.mark.parametrize("l2", [1e-6, 25.0])
+    def test_weak_and_strong_penalties_meet_the_tolerance(self, l2):
+        """Separable rows at 1e-6 put the logistic optimum far from zero; 25 puts it
+        close to it."""
         X, o = separable_set()
-        model, stage1 = train_pu_model(X, o, L2_MAX, L2_MAX)
-        values = [stage1.weights, stage1.bias, model.e, model.svm.weights, model.svm.bias, astuple(model.calib)]
-        assert all(np.isfinite(v).all() for v in values)
+        model, stage1 = train_pu_model(X, o, l2, l2)
+        assert all(ratio <= GRAD_TOL for ratio in stage_ratios(X, o, model, stage1, l2, 0))
+
+
+class TestPaperScaleSolve:
+    def test_each_stage_meets_its_tolerance_within_1000_loss_evaluations(self, tmp_path, monkeypatch, caplog):
+        """`infosum train` on a bundle the size of the paper-150 benchmark workload (150
+        train and 300 test documents, seed 0). The fixed descent schedule took 8000 loss
+        evaluations there."""
+        from infosum.cli import EXIT_OK, main
+        from infosum.synth import SynthParams, write_synth_bundle
+
+        paths = write_synth_bundle(tmp_path, SynthParams(n_train_docs=150, n_test_docs=300, seed=0))
+        assert main(["label", "-c", paths["config"]]) == EXIT_OK
+        calls, seen = [], []
+        for name in ("logistic_loss", "hinge_loss"):
+            loss = getattr(pu, name)
+            monkeypatch.setattr(pu, name, lambda *args, loss=loss: (calls.append(1), loss(*args))[1])
+        monkeypatch.setattr(pu, "train_pu_model", lambda *args, **kw: (
+            seen.append((args, kw, train_pu_model(*args, **kw))), seen[-1][2])[1])
+        with caplog.at_level(logging.INFO, logger="infosum.pu"):
+            assert main(["train", "-c", paths["config"]]) == EXIT_OK
+        [((X, o, l2, stage2_l2), kw, (model, stage1))] = seen
+        assert l2 == stage2_l2 == pu.L2
+        assert all(ratio <= GRAD_TOL for ratio in stage_ratios(X, o, model, stage1, l2, kw["seed"]))
+        assert len(calls) < 1000
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 class TestCalibrate:

@@ -163,6 +163,14 @@ class TestInfoFilter:
         assert res.removed == (0, 1)
         assert res.text == lead_words(doc, SummaryBudget(100)).text
 
+    def test_fallback_keeps_the_budget_mode(self):
+        doc = doc_with_word_counts([30, 30])
+        budget = SummaryBudget(40, WHOLE_SENTENCE)
+        res = info_filter(doc, [0.1, 0.1], budget)
+        lead = lead_words(doc, budget)
+        assert res.fallback
+        assert (res.selected, res.word_total) == (lead.selected, lead.word_total) == ((0,), 30)
+
     def test_half_is_important(self):
         doc = doc_with_word_counts([10, 10])
         res = info_filter(doc, [0.5, np.nextafter(0.5, 0.0)], SummaryBudget(100))

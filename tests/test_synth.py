@@ -9,7 +9,7 @@ from infosum.synth import SynthParams, write_synth_bundle
 # drew from it, so they pin `infosum.rng` and synth's order of draws.
 BUNDLE_SHA256 = {
     "a": (SynthParams(n_train_docs=20, n_test_docs=5), {
-        "config.json": "fc8c666dab7950b1c135e89ba4371881fb465fd9050441e4ec1f74e029a3896a",
+        "config.json": "35a729abd62f49ce67f07511839cdbfa4b01abfb8310111362e09d8b3361899a",
         "corpus_test.jsonl": "78649c50e59ff129af5bc4537d17e1d9c4986683d9a84da0461e426d2938a87e",
         "corpus_train.jsonl": "675949eb41250afe1d05d064efd756030fdd3d418d6d0fb469ff25e2988f6990",
         "extracts_train.jsonl": "a7df353cce1260e35e2e7ca451f89803f35365e524d46e27cad55b63bb4842be",
@@ -18,7 +18,7 @@ BUNDLE_SHA256 = {
         "synthmrc.tsv": "f4ac37cf533e627b41b6eceb1910c76190003eb72326c70cd43337719533de5f",
     }),
     "b": (SynthParams(n_train_docs=6, n_test_docs=4, sentences_per_doc=3, label_rate=0.3, seed=2**33 + 5), {
-        "config.json": "499a1bf8bed50630cf6e9f84fe91412b20e5b7e9e38405c13b3eca3116dcaa14",
+        "config.json": "53f8cf0f6602f040b850944c9d82736333d9f6618b30d0df1ce2bf04eb305798",
         "corpus_test.jsonl": "7ba7cbebed22b148b09a33d81b0ec4fa94b5df23fae3325ed77f9a1002ef24ad",
         "corpus_train.jsonl": "c5e721cbaa80ae5ec7ce7d7fc8b0bb762319640a9795fb120fa8e9d19174d413",
         "extracts_train.jsonl": "17dbc8ed9cfef3a8bd22dc0366697a10036c894bab677b0883c5721cfb48d044",
