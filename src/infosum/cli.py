@@ -55,7 +55,10 @@ input file that does not parse (bytes that are not UTF-8, bad JSON, a key
 given twice in one object, a bad field) is a validation error named by file
 kind and line. So are a labels file without both positive and unlabeled
 sentences and a `label.balance_ratio` that samples none of the unlabeled
-ones; train fails on them before it extracts a feature.
+ones; train fails on them before it extracts a feature. So are features
+that leave every training sentence's row empty (a `features.bow_min_df`
+above every word's document count, or lexicons that match no word); train
+fails on them before it fits a stage.
 
 The config is `RunConfig`, one frozen dataclass per JSON object, read by
 the decoder of every record (`corpus.decode`; its rule is in the `corpus`
@@ -423,6 +426,13 @@ def cmd_train(cfg: RunConfig) -> int:
         )
     extractor = build_extractor(cfg, train_corpus=corpus)
     X, o = build_examples(corpus, sampled, extractor)
+    if not X.data.size:
+        if cfg.features.mode == MODE_BOW:
+            cause = f"features.bow_min_df {cfg.features.bow_min_df} keeps {extractor.layout.total_dim} words"
+        else:
+            cause = (f"lexicons.scored {list(cfg.lexicons.scored)} and lexicons.category "
+                     f"{list(cfg.lexicons.category)} match none of their words")
+        raise ConfigError(f"none of the {len(o)} training sentences has a nonzero feature: {cause}")
     model, _ = train_pu_model(X, o, cfg.hyper.stage1.l2, cfg.hyper.stage2.l2, seed=cfg.seed)
     _write_resolved_config(cfg, "train")
     save_model(model, extractor.layout, cfg.path("model.json"))
@@ -576,6 +586,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+CONFIG_COMMANDS = {
+    "label": cmd_label,
+    "train": cmd_train,
+    "predict": cmd_predict,
+    "summarize": cmd_summarize,
+    "evaluate": cmd_evaluate,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infosum",
@@ -613,18 +632,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "synth":
             return cmd_synth(args)
-        cfg = load_config(args)
-        if args.command == "label":
-            return cmd_label(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "predict":
-            return cmd_predict(cfg)
-        if args.command == "summarize":
-            return cmd_summarize(cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return CONFIG_COMMANDS[args.command](load_config(args))
     except (ConfigError, InputFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

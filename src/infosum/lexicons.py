@@ -44,7 +44,7 @@ CATEGORY = "category lexicon"
 
 class LexiconFormatError(InputFormatError):
     """Malformed lexicon input, reported with the kind and line number, or a
-    lexicon name that clashes with another lexicon or a feature block."""
+    lexicon name that clashes with another lexicon."""
 
 
 def sha256_hex(text: str) -> str:

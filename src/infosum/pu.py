@@ -15,8 +15,9 @@ Elkan & Noto's weighting, which counts an unlabeled example once as a
 positive of weight w and once as a negative of weight 1 - w; here both
 counts sit on the one row. Stage 2 trains a linear SVM on the two-sided
 weighted, smoothed hinge loss of those rows (`hinge_loss`), and a sigmoid
-fitted on the held-out rows' margins and weights (`calibrate`) converts SVM
-scores into probabilities.
+fitted on the held-out rows' margins and weights (`calibrate`, Platt's
+logistic regression of the rows on their margins) converts SVM scores into
+probabilities.
 
 The learner sees only (X, o): a `PUModel` holds no feature layout. Each
 stage is a `Linear` score, X @ weights + bias, and the calibration is a
@@ -48,10 +49,12 @@ depend on the OpenBLAS kernel the CPU selects. They still depend on numpy's
 float64 `exp`, which takes an AVX-512 path on a CPU that has one and a
 scalar path elsewhere.
 
-Each stage's objective is its loss plus 0.5 * l2 * |w|^2, l2 the whole
+Each fit's objective is its loss plus 0.5 * l2 * |w|^2, l2 the whole
 penalty, and `_minimize` solves it by L-BFGS to a stated gradient tolerance,
 logging its iterations, loss evaluations and whether it met the tolerance;
-stage 2's hinge is smoothed so that it has a gradient everywhere. Exact
+stage 2's hinge is smoothed so that it has a gradient everywhere. Both
+stages need l2 > 0; the calibration, whose smoothed targets give every row
+weight on both sides, has a minimum at l2 = 0 and takes no penalty. Exact
 solves at the l2 of 1e-4 that a fixed descent schedule used before gave a
 worse detector (on bow-align-hivocab, Newton on stage 1 moved F1 from 0.969
 to 0.891), because stopping gradient descent early is itself a ridge penalty
@@ -91,10 +94,11 @@ logger = logging.getLogger(__name__)
 MODEL_VERSION = 2
 PROB_EPS = 1e-12
 
-# `_minimize`, the solver of both stages: its gradient tolerance relative to
-# the gradient at zero, its iteration cap, the correction pairs it keeps, its
-# Armijo fraction and the step cuts it tries per iteration; and the half-width
-# of the quadratic zone of stage 2's smoothed hinge (`hinge_loss`).
+# `_minimize`, the solver of both stages and the calibration: its gradient
+# tolerance relative to the gradient at zero, its iteration cap, the
+# correction pairs it keeps, its Armijo fraction and the step cuts it tries
+# per iteration; and the half-width of the quadratic zone of stage 2's
+# smoothed hinge (`hinge_loss`).
 GRAD_TOL = 1e-8
 MAX_ITER = 1000
 MEMORY = 10
@@ -220,22 +224,25 @@ def _require_both_sides(pos: np.ndarray, neg: np.ndarray, what: str) -> None:
 def _minimize(loss, X, pos, neg, l2: float, tag: str) -> tuple[np.ndarray, float]:
     """(w, b) minimizing `loss(w, b, X, pos, neg, l2)`, by L-BFGS from zero.
 
-    pos and neg are each row's weight as a positive and as a negative; rows
-    without weight on both sides are rejected, and so is an l2 that is not
-    finite and > 0, which may leave the loss without a minimum. Each iteration
-    takes the two-loop direction of the last MEMORY steps (Nocedal, Math.
-    Comp. 1980) and backtracks from a step of 1, to the minimum of a quadratic
-    fit kept within [0.1, 0.5] of the last try, until the loss falls by ARMIJO
-    of its slope (less calibrate's margin for rounding). It stops when the
-    sup-norm of (grad_w, grad_b) is GRAD_TOL of its value at zero or less; it
-    stops short of that, and logs a WARNING, after MAX_ITER iterations or when
-    no step lowers the loss.
+    pos and neg are each row's weight as a positive and as a negative; a set
+    of rows without weight on both sides is rejected. So is an l2 that is not
+    finite and >= 0, and an l2 of 0 unless each row carries weight on both
+    sides or on neither: a one-sided row's term keeps falling as its score
+    moves its way, so without a penalty the loss may have no minimum, while a
+    two-sided row's term grows in both directions. Each iteration takes the
+    two-loop direction of the last MEMORY steps (Nocedal, Math. Comp. 1980)
+    and backtracks from a step of 1, to the minimum of a quadratic fit kept
+    within [0.1, 0.5] of the last try, until the loss falls by ARMIJO of its
+    slope, less 1e-13 of the loss, so that a rise of rounding size rejects no
+    step. It stops when the sup-norm of (grad_w, grad_b) is GRAD_TOL of its
+    value at zero or less; it stops short of that, and logs a WARNING, after
+    MAX_ITER iterations or when no step lowers the loss.
     """
     pos = np.asarray(pos, dtype=float)
     neg = np.asarray(neg, dtype=float)
     _require_both_sides(pos, neg, tag)
-    if not (math.isfinite(l2) and l2 > 0.0):
-        raise ValueError(f"l2 must be finite and > 0, got {l2}")
+    if not (math.isfinite(l2) and (l2 > 0.0 or (l2 == 0.0 and np.all((pos > 0.0) == (neg > 0.0))))):
+        raise ValueError(f"l2 must be finite and > 0, got {l2} (0 only when each weighted row is two-sided)")
 
     def at(x: np.ndarray) -> tuple[float, np.ndarray]:
         value, grad_w, grad_b = loss(x[:-1], float(x[-1]), X, pos, neg, l2)
@@ -340,14 +347,13 @@ def calibrate(margins: Sequence[float], pos: Sequence[float], neg: Sequence[floa
     """Fit p = 1 / (1 + exp(A*m + B)) on margins by weighted logistic regression.
 
     Row i, at margin m_i, is a positive of weight pos[i] and a negative of
-    weight neg[i]. With n+ and n- the two weight totals, the targets are
-    smoothed to (n+ + 1)/(n+ + 2) and 1/(n- + 2), so perfectly separated
-    margins still give a finite slope: the loss at u = -(A*m + B) is
-    sum sw * log(1 + exp(u)) - t * u, with sw = pos + neg and target mass
-    t = pos * (n+ + 1)/(n+ + 2) + neg / (n- + 2), solved by damped Newton
-    iterations. Weighted sums are numpy reductions, not BLAS dot products,
-    and the line search ignores loss changes below rounding, so the order of
-    the inputs moves (A, B) by rounding alone.
+    weight neg[i]. With n+ and n- the two weight totals, Platt's smoothed
+    targets (Platt, "Probabilistic outputs for SVMs", 1999) move each row's
+    weight t = pos * (n+ + 1)/(n+ + 2) + neg / (n- + 2) to the positive side
+    and pos + neg - t to the negative side, so every weighted row carries
+    both and perfectly separated margins still give a finite slope. The fit
+    is the `logistic_loss` solve of those rows on the one-column matrix of
+    the margins, with no penalty, and (A, B) is minus its (w, b).
     """
     m = np.asarray(margins, dtype=float)
     pos = np.asarray(pos, dtype=float)
@@ -357,45 +363,10 @@ def calibrate(margins: Sequence[float], pos: Sequence[float], neg: Sequence[floa
     _require_both_sides(pos, neg, "calibration")
     n_pos = float(pos.sum())
     n_neg = float(neg.sum())
-    sw = pos + neg
     t = pos * ((n_pos + 1.0) / (n_pos + 2.0)) + neg / (n_neg + 2.0)
-
-    def loss_at(a: float, b: float) -> float:
-        u = -(a * m + b)
-        return float((sw * np.logaddexp(0.0, u) - t * u).sum())
-
-    A = 0.0
-    B = math.log((n_neg + 1.0) / (n_pos + 1.0))
-    prev = loss_at(A, B)
-    for _ in range(100):
-        p = _sigmoid(-(A * m + B))
-        d = sw * p - t
-        grad_a = -float((d * m).sum())
-        grad_b = -float(d.sum())
-        h = sw * p * (1.0 - p)
-        h_aa = float((h * (m * m)).sum())
-        h_ab = float((h * m).sum())
-        h_bb = float(h.sum())
-        det = h_aa * h_bb - h_ab * h_ab
-        if det <= 1e-24:
-            break
-        step_a = (h_bb * grad_a - h_ab * grad_b) / det
-        step_b = (h_aa * grad_b - h_ab * grad_a) / det
-        # A rise below 1e-13 of the loss is rounding, not a worse fit. Without
-        # this margin the search can reject the last Newton step on noise and
-        # stop short of the optimum, at a point set by the order of the sums.
-        scale = 1.0
-        for _ in range(30):
-            cand = loss_at(A - scale * step_a, B - scale * step_b)
-            if cand <= prev + 1e-13 * abs(prev):
-                break
-            scale *= 0.5
-        A -= scale * step_a
-        B -= scale * step_b
-        prev = loss_at(A, B)
-        if max(abs(scale * step_a), abs(scale * step_b)) < 1e-13:
-            break
-    return A, B
+    M = CsrMatrix(np.arange(len(m) + 1), np.zeros(len(m), np.intp), m, 1)  # a dense column's product calls BLAS
+    w, b = _minimize(logistic_loss, M, t, pos + neg - t, 0.0, "calibration")
+    return -float(w[0]), -b
 
 
 @dataclass(frozen=True)

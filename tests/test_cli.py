@@ -406,7 +406,7 @@ class TestTrainingConfig:
             assert main(["train", "-c", bundle["config"], "--out-dir", str(out),
                          "--set", "hyper.stage1.l2=25", "--set", "hyper.stage2.l2=25"]) == EXIT_OK
         solved = [r.getMessage().split(":")[0] for r in caplog.records if " converged: " in r.getMessage()]
-        assert solved == ["stage1 converged", "stage2 converged"]
+        assert solved == ["stage1 converged", "stage2 converged", "calibration converged"]
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert (out / "model.json").exists()
 
@@ -1055,6 +1055,36 @@ class TestExitCodes:
                      "--set", "label.balance_ratio=0.0001"]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "error: label.balance_ratio 0.0001 samples none of the" in err
+        assert not (out / "model.json").exists()
+
+    def test_a_bow_vocabulary_that_keeps_no_word_exits_2_before_training(self, bundle, pipeline, tmp_path, capsys):
+        _, run_dir = pipeline
+        out = tmp_path / "no-vocab"
+        out.mkdir()
+        (out / "labels.jsonl").write_bytes((run_dir / "labels.jsonl").read_bytes())
+        capsys.readouterr()
+        assert main(["train", "-c", bundle["config"], "--out-dir", str(out), "--set", "features.mode=bow",
+                     "--set", "features.bow_min_df=100000"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "training sentences has a nonzero feature: features.bow_min_df 100000 keeps 0 words" in err
+        assert not (out / "model.json").exists()
+
+    def test_lexicons_that_match_no_word_exit_2_before_training(self, bundle, pipeline, tmp_path, capsys, caplog):
+        _, run_dir = pipeline
+        out = tmp_path / "no-match"
+        out.mkdir()
+        (out / "labels.jsonl").write_bytes((run_dir / "labels.jsonl").read_bytes())
+        lexicon = tmp_path / "nomatch.tsv"
+        lexicon.write_text("#categories nomatch IMP\nzzzqqq\tIMP\n", encoding="utf-8")
+        capsys.readouterr()
+        with caplog.at_level(logging.INFO, logger="infosum.pu"):
+            assert main(["train", "-c", bundle["config"], "--out-dir", str(out),
+                         "--set", "features.mode=dictionary-no-general", "--set", "lexicons.scored=[]",
+                         "--set", f"lexicons.category={json.dumps([str(lexicon)])}"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert (f"training sentences has a nonzero feature: lexicons.scored [] and lexicons.category "
+                f"[{str(lexicon)!r}] match none of their words") in err
+        assert not caplog.records  # no stage ran
         assert not (out / "model.json").exists()
 
     def test_alignment_labels_without_positives_exit_2_at_train(self, bundle, tmp_path, capsys):

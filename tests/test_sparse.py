@@ -95,7 +95,7 @@ def per_entry_product(X, v):
     return out
 
 
-# Few distinct values, 0.0 beside -0.0, so (column, value) pairs repeat; and
+# Few distinct values, 0.0 beside -0.0, so values repeat within a column; and
 # other doubles, subnormals included, since the bits must match exactly. The
 # bound keeps every product and sum finite.
 STORED = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0]), st.floats(-1e100, 1e100))
@@ -115,7 +115,7 @@ def stored_matrices(draw):
 
 
 @given(stored_matrices())
-@example(  # row 2 and column 0 sum to -0.0 if the pair table took -0.0 for 0.0
+@example(  # row 2 and column 0 sum to -0.0, and to 0.0 if a product took -0.0 for 0.0
     (CsrMatrix([0, 2, 2, 3, 5], [0, 1, 0, 2, 2], [0.0, -0.0, -0.0, 2.0, 2.0], 4),
      np.array([-1.0, 2.0, 0.0, 5.0]), np.array([-0.0, 3.0, 1.0, 0.0]))
 )
