@@ -54,8 +54,10 @@ bytes. Exit codes: 0 success, 2 validation error, 1 runtime error. An
 input file that does not parse (bytes that are not UTF-8, bad JSON, a key
 given twice in one object, a bad field) is a validation error named by file
 kind and line. So are a labels file without both positive and unlabeled
-sentences and a `label.balance_ratio` that samples none of the unlabeled
-ones; train fails on them before it extracts a feature. So are features
+sentences, a `label.balance_ratio` that samples none of the unlabeled
+ones, and a `seed` whose calibration split holds out every sampled
+unlabeled one, which leaves stage 2 nothing but positives to fit; train
+fails on them before it extracts a feature. So are features
 that leave every training sentence's row empty (a `features.bow_min_df`
 above every word's document count, or lexicons that match no word); train
 fails on them before it fits a stage.
@@ -111,7 +113,6 @@ from .weak_label import (
     EXCLUDED,
     POSITIVE,
     UNLABELED,
-    LabelConfig,
     label_by_alignment,
     label_by_extract,
     label_counts,
@@ -149,12 +150,15 @@ class LexiconsSection:
 class LabelSection:
     mode: Literal[LABEL_MODES] = "alignment"
     extracts: str | None = None
-    t_pos: float = LabelConfig.t_pos
-    t_unl: float = LabelConfig.t_unl
-    balance_ratio: float = LabelConfig.balance_ratio
+    t_pos: float = 14.0
+    t_unl: float = 10.0
+    balance_ratio: float = 1.2
 
     def __post_init__(self) -> None:
-        LabelConfig(self.t_pos, self.t_unl, self.balance_ratio)  # for its range checks
+        if not self.t_unl < self.t_pos:
+            raise ValueError(f"t_unl ({self.t_unl}) must be strictly below t_pos ({self.t_pos})")
+        if self.balance_ratio <= 0:
+            raise ValueError("balance_ratio must be positive")
 
 
 @dataclass(frozen=True)
@@ -227,9 +231,6 @@ class RunConfig:
             return decode(cls, raw, "config")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-    def label_config(self) -> LabelConfig:
-        return LabelConfig(self.label.t_pos, self.label.t_unl, self.label.balance_ratio, self.seed)
 
     def path(self, name: str) -> Path:
         return Path(self.out_dir) / name
@@ -317,7 +318,6 @@ class Prediction(SentenceLabel):
 
 def compute_labels(cfg: RunConfig, corpus: Corpus):
     """Weak labels for every document, per the configured labeling mode."""
-    label_cfg = cfg.label_config()
     labels = []
     if cfg.label.mode == "extract":
         by_doc: dict[str, list] = {}
@@ -344,7 +344,7 @@ def compute_labels(cfg: RunConfig, corpus: Corpus):
                 raise ConfigError(
                     f"alignment labeling needs summaries; document {doc.doc_id!r} has none"
                 )
-            labels.extend(label_by_alignment(doc, label_cfg, idf))
+            labels.extend(label_by_alignment(doc, cfg.label.t_pos, cfg.label.t_unl, idf))
     return labels
 
 
@@ -409,7 +409,7 @@ def build_examples(corpus: Corpus, labels, extractor: FeatureExtractor) -> tuple
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    from .pu import save_model, train_pu_model
+    from .pu import calibration_split, save_model, train_pu_model
 
     corpus = load_corpus(_require_file(cfg.train_corpus, "train corpus"))
     labels = read_labels(_require_file(str(cfg.path("labels.jsonl")), "labels file"), corpus)
@@ -417,12 +417,18 @@ def cmd_train(cfg: RunConfig) -> int:
     for flag in (POSITIVE, UNLABELED):
         if not held[flag]:
             raise ConfigError(f"labels.jsonl holds no {flag} label; training needs positive and unlabeled ones")
-    sampled = sample_unlabeled(labels, cfg.label_config())
+    sampled = sample_unlabeled(labels, cfg.label.balance_ratio, cfg.seed)
     counts = label_counts(sampled)
     if not counts[UNLABELED]:
         raise ConfigError(
             f"label.balance_ratio {cfg.label.balance_ratio} samples none of the {held[UNLABELED]} unlabeled "
             f"sentences for {held[POSITIVE]} positive ones; training needs at least one"
+        )
+    fit, _ = calibration_split(len(sampled), cfg.seed)
+    if all(sampled[i].flag == POSITIVE for i in fit):
+        raise ConfigError(
+            f"seed {cfg.seed} holds out every sampled unlabeled sentence for calibration: stage 2 would fit "
+            f"{len(fit)} of the {len(sampled)} sampled rows, all positive; it needs an unlabeled one"
         )
     extractor = build_extractor(cfg, train_corpus=corpus)
     X, o = build_examples(corpus, sampled, extractor)

@@ -1,8 +1,13 @@
 """Evaluation machinery: ROUGE-N, classification scores, and paired tests.
 
+Each function returns the dict that report.json holds for it, with the same
+keys, so `report` places it as it comes: `rouge_n` a per-document score,
+`prf` a classification row, `mcnemar` and `wilcoxon_signed_rank` a test.
+
 ROUGE here is the declared deterministic variant: lowercased word tokens,
 punctuation stripped, clipped n-gram counts within sentences, no stemming.
-`rouge_n` counts one pair's n-grams in a `Counter` per text.
+`rouge_n` reads each text as its sentences' word tuples and counts one
+pair's n-grams in a `Counter` per text.
 Tail probabilities come from the platform erfc; tests check them against a
 numerical integration oracle. This module loads no numpy.
 """
@@ -12,45 +17,14 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import Sentence
+Words = Sequence[str]
 
 
-@dataclass(frozen=True)
-class RougeScore:
-    n: int
-    recall: float
-    precision: float
-    f1: float
-    overlap_count: int
-    ref_count: int
-    cand_count: int
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-    precision: float
-    recall: float
-    f1: float
-
-
-@dataclass(frozen=True)
-class TestResult:
-    statistic: float
-    p_value: float
-    method: str
-
-
-def rouge_n(
-    reference: Sequence[Sentence], candidate: Sequence[Sentence], n: int
-) -> RougeScore:
-    """Clipped n-gram overlap of one pair; n-grams do not cross sentence boundaries.
+def rouge_n(reference: Sequence[Words], candidate: Sequence[Words], n: int) -> dict[str, float]:
+    """Recall, precision and F1 of the clipped n-gram overlap of one pair, each text
+    given as its sentences' words; n-grams do not cross sentence boundaries.
 
     The overlap counts each n-gram min(reference count, candidate count)
     times. Recall, precision and F1 are each 0.0 where their denominator is 0.
@@ -62,21 +36,13 @@ def rouge_n(
     ref_count, cand_count = ref.total(), cand.total()
     recall = overlap / ref_count if ref_count else 0.0
     precision = overlap / cand_count if cand_count else 0.0
-    return RougeScore(
-        n=n,
-        recall=recall,
-        precision=precision,
-        f1=f1_score(precision, recall),
-        overlap_count=overlap,
-        ref_count=ref_count,
-        cand_count=cand_count,
-    )
+    return {"recall": recall, "precision": precision, "f1": f1_score(precision, recall)}
 
 
-def _ngram_counts(sentences: Sequence[Sentence], n: int) -> Counter:
+def _ngram_counts(sentences: Sequence[Words], n: int) -> Counter:
     counts: Counter = Counter()
-    for sent in sentences:
-        counts.update(zip(*(sent.words[i:] for i in range(n))))
+    for words in sentences:
+        counts.update(zip(*(words[i:] for i in range(n))))
     return counts
 
 
@@ -86,16 +52,16 @@ def f1_score(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def prf(tp: int, fp: int, fn: int, tn: int) -> ClassificationReport:
-    """Precision/recall/F1 with the 0/0 -> 0 convention."""
+def prf(tp: int, fp: int, fn: int, tn: int) -> dict:
+    """The counts and their precision/recall/F1, with the 0/0 -> 0 convention."""
     if min(tp, fp, fn, tn) < 0:
         raise ValueError("counts must be non-negative")
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
-    return ClassificationReport(
-        tp=tp, fp=fp, fn=fn, tn=tn, precision=precision, recall=recall,
-        f1=f1_score(precision, recall),
-    )
+    return {
+        "tp": tp, "fp": fp, "fn": fn, "tn": tn,
+        "precision": precision, "recall": recall, "f1": f1_score(precision, recall),
+    }
 
 
 def normal_sf(z: float) -> float:
@@ -110,7 +76,11 @@ def chi2_sf_1df(x: float) -> float:
     return math.erfc(math.sqrt(x / 2.0))
 
 
-def mcnemar(pred_a: Sequence[int], pred_b: Sequence[int], truth: Sequence[int]) -> TestResult:
+def _test(statistic: float, p_value: float, method: str) -> dict:
+    return {"statistic": statistic, "p_value": p_value, "method": method}
+
+
+def mcnemar(pred_a: Sequence[int], pred_b: Sequence[int], truth: Sequence[int]) -> dict:
     """Paired test on discordant correctness counts between two classifiers.
 
     The continuity-corrected chi-square form (|b - c| - 1)^2 / (b + c).
@@ -120,9 +90,9 @@ def mcnemar(pred_a: Sequence[int], pred_b: Sequence[int], truth: Sequence[int]) 
     b = sum(1 for pa, pb, t in zip(pred_a, pred_b, truth) if pa == t and pb != t)
     c = sum(1 for pa, pb, t in zip(pred_a, pred_b, truth) if pa != t and pb == t)
     if b + c == 0:
-        return TestResult(0.0, 1.0, "mcnemar-chi2")
+        return _test(0.0, 1.0, "mcnemar-chi2")
     stat = (abs(b - c) - 1.0) ** 2 / (b + c)
-    return TestResult(stat, chi2_sf_1df(stat), "mcnemar-chi2")
+    return _test(stat, chi2_sf_1df(stat), "mcnemar-chi2")
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:
@@ -153,9 +123,7 @@ def _wilcoxon_exact_p(ranks: Sequence[float], w: float) -> float:
     return min(1.0, 2.0 * cdf / 2 ** len(doubled))
 
 
-def wilcoxon_signed_rank(
-    x: Sequence[float], y: Sequence[float], mode: str = "auto"
-) -> TestResult:
+def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float], mode: str = "auto") -> dict:
     """Two-sided Wilcoxon signed-rank test on paired samples.
 
     Zero differences are dropped; tied absolute differences get average
@@ -170,20 +138,20 @@ def wilcoxon_signed_rank(
     d = [diff for diff in (float(a) - float(b) for a, b in zip(x, y)) if diff != 0]
     n = len(d)
     if n == 0:
-        return TestResult(0.0, 1.0, "wilcoxon-exact")
+        return _test(0.0, 1.0, "wilcoxon-exact")
     abs_d = [abs(diff) for diff in d]
     ranks = _average_ranks(abs_d)
     w_pos = math.fsum(r for r, diff in zip(ranks, d) if diff > 0)
     w_neg = math.fsum(r for r, diff in zip(ranks, d) if diff < 0)
     w = min(w_pos, w_neg)
     if mode == "exact" or (mode == "auto" and n <= 25):
-        return TestResult(w, _wilcoxon_exact_p(ranks, w), "wilcoxon-exact")
+        return _test(w, _wilcoxon_exact_p(ranks, w), "wilcoxon-exact")
     mu = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0 - float(
         sum(t**3 - t for t in Counter(abs_d).values())
     ) / 48.0
     if var <= 0:
-        return TestResult(w, 1.0, "wilcoxon-normal")
+        return _test(w, 1.0, "wilcoxon-normal")
     z = (w - mu + 0.5) / math.sqrt(var)
-    return TestResult(w, min(1.0, 2.0 * normal_sf(-z)), "wilcoxon-normal")
+    return _test(w, min(1.0, 2.0 * normal_sf(-z)), "wilcoxon-normal")
 

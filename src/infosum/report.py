@@ -1,11 +1,12 @@
 """The evaluation report: detector scores, ROUGE per system, paired tests, text table.
 
 `infosum evaluate` reads and checks its inputs, then builds report.json
-from these sections and report.txt with `render_table`. Only evaluate
-imports this module, so no other command loads `metrics` or compiles it.
-The ROUGE section scores each summary with `metrics.rouge_n`; each mean is
-the exact sum of its scores (`math.fsum`), rounded once and divided by
-their number. Neither module loads numpy.
+from these sections and report.txt with `render_table`. Each score and
+test entry is the dict a `metrics` function returned, placed as it is.
+Only evaluate imports this module, so no other command loads `metrics` or
+compiles it. The ROUGE section scores each summary's `summary_words` with
+`metrics.rouge_n`; each mean is the exact sum of its scores (`math.fsum`),
+rounded once and divided by their number. Neither module loads numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import math
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .corpus import Corpus
-from .metrics import RougeScore, mcnemar, prf, rouge_n, wilcoxon_signed_rank
-from .summarize import SummaryResult, summary_sentences
+from .metrics import mcnemar, prf, rouge_n, wilcoxon_signed_rank
+from .summarize import SummaryResult, summary_words
 
 if TYPE_CHECKING:
     from .cli import SentenceLabel
@@ -38,22 +39,13 @@ def classification_section(gold: SentenceLabels, preds: SentenceLabels) -> dict:
         fp = sum(1 for p, t in zip(pred, truth) if p == 1 and t == 0)
         fn = sum(1 for p, t in zip(pred, truth) if p == 0 and t == 1)
         tn = sum(1 for p, t in zip(pred, truth) if p == 0 and t == 0)
-        r = prf(tp, fp, fn, tn)
-        return {
-            "tp": r.tp, "fp": r.fp, "fn": r.fn, "tn": r.tn,
-            "precision": r.precision, "recall": r.recall, "f1": r.f1,
-        }
+        return prf(tp, fp, fn, tn)
 
-    test = mcnemar(model_pred, baseline_pred, truth)
     return {
         "n": len(keys),
         "model": report(model_pred),
         "baseline_all_positive": report(baseline_pred),
-        "mcnemar_model_vs_baseline": {
-            "statistic": test.statistic,
-            "p_value": test.p_value,
-            "method": test.method,
-        },
+        "mcnemar_model_vs_baseline": mcnemar(model_pred, baseline_pred, truth),
     }
 
 
@@ -70,8 +62,9 @@ def rouge_section(corpus: Corpus, summaries: Mapping[str, Sequence[SummaryResult
         per_doc = {}
         for result in results:
             doc = corpus.document(result.doc_id)
-            candidate = summary_sentences(doc, result)
-            per_doc[result.doc_id] = {f"r{n}": _stats(rouge_n(doc.summary, candidate, n)) for n in orders}
+            reference = [sent.words for sent in doc.summary]
+            candidate = summary_words(doc, result)
+            per_doc[result.doc_id] = {f"r{n}": rouge_n(reference, candidate, n) for n in orders}
         means = {
             f"r{n}": {
                 stat: math.fsum(row[f"r{n}"][stat] for row in per_doc.values()) / len(per_doc)
@@ -88,10 +81,6 @@ def rouge_section(corpus: Corpus, summaries: Mapping[str, Sequence[SummaryResult
     return rouge
 
 
-def _stats(score: RougeScore) -> dict[str, float]:
-    return {stat: getattr(score, stat) for stat in ROUGE_STATS}
-
-
 def wilcoxon_section(rouge: dict, orders) -> list[dict]:
     """A paired Wilcoxon signed-rank test on per-document ROUGE-n recall for
     each pair of systems in `rouge` and each n in `orders`."""
@@ -106,17 +95,9 @@ def wilcoxon_section(rouge: dict, orders) -> list[dict]:
             key = f"r{n}"
             xs = [rouge[sys_a]["per_doc"][d][key]["recall"] for d in shared]
             ys = [rouge[sys_b]["per_doc"][d][key]["recall"] for d in shared]
-            result = wilcoxon_signed_rank(xs, ys)
             tests.append(
-                {
-                    "system_a": sys_a,
-                    "system_b": sys_b,
-                    "metric": f"{key}-recall",
-                    "n": len(shared),
-                    "statistic": result.statistic,
-                    "p_value": result.p_value,
-                    "method": result.method,
-                }
+                {"system_a": sys_a, "system_b": sys_b, "metric": f"{key}-recall", "n": len(shared)}
+                | wilcoxon_signed_rank(xs, ys)
             )
     return tests
 

@@ -15,8 +15,11 @@ sentences once each, in document order, so a selection is strictly
 ascending, and `read_summaries` rejects any other. Only lead_words, which
 InfoFilter runs, reads the budget's mode, and only it cuts a sentence: the
 last it selects, to at least one word. `_words_cut` holds that rule for
-`read_summaries` and `summary_sentences`. A ranked fill's last sentence in
-document order need not be its last selected, so it never cuts one.
+`read_summaries` and `summary_words`. A cut keeps a prefix of the sentence's
+words (see `corpus`), so `summary_words`, which ROUGE scores, slices the
+last sentence's words and tokenizes nothing again. A ranked fill's last
+sentence in document order need not be its last selected, so it never cuts
+one.
 
 This module imports no numpy. RandomRank's order is numpy's
 `default_rng(seed).permutation(n)`, drawn by `rng`, the package's
@@ -29,7 +32,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
-from .corpus import Corpus, Document, Sentence, decode, make_sentence, read_jsonl, write_jsonl
+from .corpus import Corpus, Document, Sentence, decode, read_jsonl, write_jsonl
 from .rng import default_rng
 
 WHOLE_SENTENCE = "whole-sentence"
@@ -182,14 +185,14 @@ def info_filter(doc: Document, probs: Sequence[float], budget: SummaryBudget) ->
     return replace(lead, system=INFOFILTER, removed=removed, fallback=not kept)
 
 
-def summary_sentences(doc: Document, result: SummaryResult) -> list[Sentence]:
-    """The summary's sentences, the last one cut as lead_words cut it."""
-    sentences = [doc.sentences[i] for i in result.selected]
+def summary_words(doc: Document, result: SummaryResult) -> list[tuple[str, ...]]:
+    """The words of each of the summary's sentences, the last one's cut to the prefix
+    that lead_words kept."""
+    words = [doc.sentences[i].words for i in result.selected]
     cut = _words_cut(doc, result)
     if cut:
-        last = sentences[-1]
-        sentences[-1] = make_sentence(last.id, _truncate(last, len(last.words) - cut))
-    return sentences
+        words[-1] = words[-1][:-cut]
+    return words
 
 
 def random_rank(doc: Document, budget: SummaryBudget, seed) -> SummaryResult:

@@ -35,22 +35,6 @@ class WeakLabel:
             raise ValueError(f"negative sentence_id {self.sentence_id}")
 
 
-@dataclass(frozen=True)
-class LabelConfig:
-    t_pos: float = 14.0
-    t_unl: float = 10.0
-    balance_ratio: float = 1.2
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.t_unl < self.t_pos:
-            raise ValueError(
-                f"t_unl ({self.t_unl}) must be strictly below t_pos ({self.t_pos})"
-            )
-        if self.balance_ratio <= 0:
-            raise ValueError("balance_ratio must be positive")
-
-
 def align_score(source: Sentence, target: Sentence, idf: IdfTable) -> float:
     """Sum of IDF weights over word types shared by the two sentences."""
     shared = source.word_types() & target.word_types()
@@ -73,16 +57,16 @@ def best_alignment(
     return best_id, best
 
 
-def label_by_alignment(doc: Document, cfg: LabelConfig, idf: IdfTable) -> list[WeakLabel]:
+def label_by_alignment(doc: Document, t_pos: float, t_unl: float, idf: IdfTable) -> list[WeakLabel]:
     """positive if best score > t_pos, unlabeled if <= t_unl, else excluded."""
     if not doc.summary:
         raise ValueError(f"document {doc.doc_id!r} has no summary to align against")
     labels = []
     for sent in doc.sentences:
         _, score = best_alignment(sent, doc.summary, idf)
-        if score > cfg.t_pos:
+        if score > t_pos:
             flag = POSITIVE
-        elif score <= cfg.t_unl:
+        elif score <= t_unl:
             flag = UNLABELED
         else:
             flag = EXCLUDED
@@ -108,7 +92,7 @@ def label_by_extract(
     ]
 
 
-def sample_unlabeled(labels: Sequence[WeakLabel], cfg: LabelConfig) -> list[WeakLabel]:
+def sample_unlabeled(labels: Sequence[WeakLabel], balance_ratio: float, seed) -> list[WeakLabel]:
     """Keep every positive plus a seeded uniform sample of the unlabeled pool.
 
     The target pool size is round(balance_ratio * positives); excluded labels
@@ -118,9 +102,9 @@ def sample_unlabeled(labels: Sequence[WeakLabel], cfg: LabelConfig) -> list[Weak
     """
     n_pos = sum(1 for lab in labels if lab.flag == POSITIVE)
     pool = [i for i, lab in enumerate(labels) if lab.flag == UNLABELED]
-    target = min(len(pool), int(round(cfg.balance_ratio * n_pos)))
+    target = min(len(pool), int(round(balance_ratio * n_pos)))
     if target < len(pool):
-        keep = {pool[i] for i in default_rng(cfg.seed).choice(len(pool), target)}
+        keep = {pool[i] for i in default_rng(seed).choice(len(pool), target)}
     else:
         keep = set(pool)
     out = []

@@ -57,7 +57,7 @@ def _f1(preds: np.ndarray, truth: np.ndarray) -> float:
     fp = int(np.sum((preds == 1) & (truth == 0)))
     fn = int(np.sum((preds == 0) & (truth == 1)))
     tn = int(np.sum((preds == 0) & (truth == 0)))
-    return prf(tp, fp, fn, tn).f1
+    return prf(tp, fp, fn, tn)["f1"]
 
 
 def test_criterion_1_estimator_recovery():
@@ -97,11 +97,11 @@ def test_criterion_2_pu_gain():
 def test_criterion_3_formula_anchors():
     nyt_f1 = f1_score(0.582, 0.846)
     baseline = prf(tp=451, fp=549, fn=0, tn=0)
-    ok = abs(nyt_f1 - 0.689) <= 1e-3 and abs(baseline.f1 - 0.621) <= 1e-3
+    ok = abs(nyt_f1 - 0.689) <= 1e-3 and abs(baseline["f1"] - 0.621) <= 1e-3
     _report(
         "criterion-3 formula anchors (0.582/0.846 -> 0.689; 451/549 all-positive -> 0.621)",
         ok,
-        f"nyt_f1={nyt_f1:.4f}, baseline_f1={baseline.f1:.4f}",
+        f"nyt_f1={nyt_f1:.4f}, baseline_f1={baseline['f1']:.4f}",
     )
 
 
@@ -173,8 +173,7 @@ def test_criterion_5_gradient_checks():
 def _brute_force_rouge(reference, candidate, n):
     def grams(sentences):
         out = []
-        for s in sentences:
-            words = s.words
+        for words in sentences:
             out.extend(tuple(words[i : i + n]) for i in range(len(words) - n + 1))
         return out
 
@@ -182,7 +181,7 @@ def _brute_force_rouge(reference, candidate, n):
     overlap = sum(min(ref.count(g), cand.count(g)) for g in set(ref))
     recall = overlap / len(ref) if ref else 0.0
     precision = overlap / len(cand) if cand else 0.0
-    return overlap, recall, precision
+    return recall, precision
 
 
 def test_criterion_6_rouge_oracle():
@@ -190,12 +189,11 @@ def test_criterion_6_rouge_oracle():
     vocab = [f"w{i}" for i in range(10)]
     mismatches = 0
     for _ in range(50):
-        ref = [make_sentence(0, " ".join(rng.choice(vocab, size=int(rng.integers(1, 13)))))]
-        cand = [make_sentence(0, " ".join(rng.choice(vocab, size=int(rng.integers(1, 13)))))]
+        ref = [make_sentence(0, " ".join(rng.choice(vocab, size=int(rng.integers(1, 13))))).words]
+        cand = [make_sentence(0, " ".join(rng.choice(vocab, size=int(rng.integers(1, 13))))).words]
         for n in (1, 2):
             got = rouge_n(ref, cand, n)
-            overlap, recall, precision = _brute_force_rouge(ref, cand, n)
-            if (got.overlap_count, got.recall, got.precision) != (overlap, recall, precision):
+            if (got["recall"], got["precision"]) != _brute_force_rouge(ref, cand, n):
                 mismatches += 1
     _report(
         "criterion-6 ROUGE matches brute-force n-gram oracle exactly (n in {1,2})",
@@ -215,7 +213,7 @@ def test_criterion_7_statistics_oracles():
             hits += 1
     enumerated = hits / 2**5
     got_w = wilcoxon_signed_rank(diffs.tolist(), [0.0] * 5, mode="exact")
-    wilcoxon_ok = got_w.p_value == pytest.approx(0.0625, abs=1e-15) and enumerated == 0.0625
+    wilcoxon_ok = got_w["p_value"] == pytest.approx(0.0625, abs=1e-15) and enumerated == 0.0625
 
     truth = [1] * 12 + [0] * 8
     pred_a = [1] * 10 + [0] * 2 + [0] * 8
@@ -224,13 +222,13 @@ def test_criterion_7_statistics_oracles():
     tail, _ = integrate.quad(
         lambda t: math.exp(-t / 2.0) / math.sqrt(2.0 * math.pi * t), 49 / 12, np.inf
     )
-    mcnemar_ok = abs(got_m.statistic - 49 / 12) <= 1e-9 and abs(got_m.p_value - tail) <= 1e-6
+    mcnemar_ok = abs(got_m["statistic"] - 49 / 12) <= 1e-9 and abs(got_m["p_value"] - tail) <= 1e-6
 
     _report(
         "criterion-7 statistics oracles (Wilcoxon 1/16, McNemar 49/12)",
         wilcoxon_ok and mcnemar_ok,
-        f"wilcoxon p={got_w.p_value}, mcnemar stat={got_m.statistic:.6f} "
-        f"p={got_m.p_value:.6f}",
+        f"wilcoxon p={got_w['p_value']}, mcnemar stat={got_m['statistic']:.6f} "
+        f"p={got_m['p_value']:.6f}",
     )
 
 

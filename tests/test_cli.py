@@ -248,7 +248,7 @@ class TestPipelineCompositionality:
         cfg = RunConfig.from_dict(json.loads(Path(cfg_path).read_text()))
         corpus = load_corpus(cfg.train_corpus)
         labels = read_labels(run_dir / "labels.jsonl", corpus)
-        sampled = sample_unlabeled(labels, cfg.label_config())
+        sampled = sample_unlabeled(labels, cfg.label.balance_ratio, cfg.seed)
         extractor = build_extractor(cfg, train_corpus=corpus)
         X, o = build_examples(corpus, sampled, extractor)
         model, _ = train_pu_model(X, o, cfg.hyper.stage1.l2, cfg.hyper.stage2.l2, seed=cfg.seed)
@@ -497,10 +497,10 @@ class TestRougeCandidate:
         assert main(["evaluate", "-c", str(cfg)]) == EXIT_OK
         scores = json.loads((tmp_path / "run" / "report.json").read_text())
         scores = scores["rouge"]["leadwords"]["per_doc"]["d"]
-        ref = [make_sentence(0, "a b"), make_sentence(1, "c d")]
-        joined = [make_sentence(0, "a b c d")]  # the summary text as one sentence
-        assert scores["r1"]["precision"] == rouge_n(ref, joined, 1).precision == 1.0
-        assert rouge_n(ref, joined, 2).precision == pytest.approx(2 / 3)
+        ref = [make_sentence(0, "a b").words, make_sentence(1, "c d").words]
+        joined = [make_sentence(0, "a b c d").words]  # the summary text as one sentence
+        assert scores["r1"]["precision"] == rouge_n(ref, joined, 1)["precision"] == 1.0
+        assert rouge_n(ref, joined, 2)["precision"] == pytest.approx(2 / 3)
         assert scores["r2"]["precision"] == 1.0
 
 
@@ -1095,6 +1095,32 @@ class TestExitCodes:
         assert main(["train", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
         assert "labels.jsonl holds no positive label" in capsys.readouterr().err
         assert not (out / "model.json").exists()
+
+    @pytest.fixture
+    def one_doc_labels(self, tmp_path):
+        """A one-document bundle, labeled: one positive and one unlabeled sentence."""
+        out = tmp_path / "tiny"
+        assert main(["synth", "--out-dir", str(out), "--train-docs", "1", "--test-docs", "2",
+                     "--sentences", "2", "--label-rate", "1.0", "--seed", "1"]) == EXIT_OK
+        config = str(out / "config.json")
+        assert main(["label", "-c", config]) == EXIT_OK
+        return config, Path(json.loads(Path(config).read_text())["out_dir"])
+
+    def test_a_split_that_fits_stage_2_on_positives_alone_exits_2_before_training(
+            self, one_doc_labels, capsys, caplog):
+        config, run_dir = one_doc_labels
+        capsys.readouterr()
+        with caplog.at_level(logging.INFO, logger="infosum.pu"):
+            assert main(["train", "-c", config, "--set", "seed=3"]) == EXIT_VALIDATION
+        assert ("error: seed 3 holds out every sampled unlabeled sentence for calibration: stage 2 would fit "
+                "1 of the 2 sampled rows, all positive") in capsys.readouterr().err
+        assert not [r for r in caplog.records if r.getMessage().startswith("stage1")]
+        assert not (run_dir / "model.json").exists()
+
+    def test_a_split_that_fits_stage_2_on_both_flags_trains(self, one_doc_labels):
+        config, run_dir = one_doc_labels
+        assert main(["train", "-c", config, "--set", "seed=0"]) == EXIT_OK
+        assert (run_dir / "model.json").is_file()
 
     def test_summaries_of_another_system_exit_2_naming_file_and_line(self, bundle, pipeline, tmp_path, capsys):
         _, run_dir = pipeline

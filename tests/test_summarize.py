@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infosum.corpus import Corpus, build_document, make_sentence
+from infosum.corpus import Corpus, build_document, load_corpus, make_sentence
 from infosum.metrics import chi2_sf_1df
 from infosum.summarize import (
     TRUNCATE_WORDS,
@@ -10,11 +10,13 @@ from infosum.summarize import (
     info_filter,
     info_rank,
     lead_words,
+    _truncate,
     random_rank,
     read_summaries,
-    summary_sentences,
+    summary_words,
     write_summaries,
 )
+from infosum.synth import SynthParams, write_synth_bundle
 
 
 def doc_with_word_counts(counts, doc_id="d"):
@@ -57,21 +59,47 @@ class TestLeadWords:
         assert sum(len(s.words) for s in joined.sentences) == 12
 
 
-class TestSummarySentences:
+def words_of_retokenized_cut(doc, result):
+    """The path summary_words replaced: the selected sentences' words, the last
+    sentence's tokenized again from its text as lead_words cut it."""
+    sentences = [doc.sentences[i] for i in result.selected]
+    words = [sent.words for sent in sentences]
+    if result.word_total < sum(map(len, words)):
+        last = sentences[-1]
+        words[-1] = make_sentence(last.id, _truncate(last, result.word_total - sum(map(len, words[:-1])))).words
+    return words
+
+
+class TestSummaryWords:
     def test_whole_sentences_as_selected(self):
         doc = build_document("d", "", ["a b", "c d", "e f"])
         res = info_rank(doc, [0.9, 0.1, 0.8], SummaryBudget(4))
-        assert [s.text for s in summary_sentences(doc, res)] == ["a b", "e f"]
+        assert summary_words(doc, res) == [("a", "b"), ("e", "f")]
 
     @pytest.mark.parametrize("max_words", [1, 3, 4, 5, 12, 100])
     def test_cut_like_lead_words(self, max_words):
         doc = build_document("d", "", ["Alpha, beta gamma.", "We're here: now !", "x y z"])
         res = lead_words(doc, SummaryBudget(max_words))
-        sents = summary_sentences(doc, res)
-        words = tuple(w for s in sents for w in s.words)
-        assert len(words) == res.word_total
-        assert words == make_sentence(0, res.text).words
-        assert " ".join(s.text for s in sents) == res.text
+        words = summary_words(doc, res)
+        assert sum(map(len, words)) == res.word_total
+        assert tuple(w for sent in words for w in sent) == make_sentence(0, res.text).words
+        assert words == words_of_retokenized_cut(doc, res)
+
+    def test_every_cut_of_a_synth_bundle_keeps_the_retokenized_words(self, tmp_path):
+        """On the test corpus of a synth bundle, LeadWords and InfoFilter at many
+        budgets: each cut summary's words equal those of its cut text tokenized again."""
+        paths = write_synth_bundle(tmp_path, SynthParams(n_train_docs=1, n_test_docs=30, seed=4))
+        corpus = load_corpus(paths["test_corpus"])
+        rng = np.random.default_rng(4)
+        cuts = 0
+        for doc in corpus:
+            probs = rng.random(len(doc.sentences)).tolist()
+            for max_words in range(1, 160, 3):
+                budget = SummaryBudget(max_words)
+                for res in (lead_words(doc, budget), info_filter(doc, probs, budget)):
+                    cuts += sum(len(doc.sentences[i].words) for i in res.selected) > res.word_total
+                    assert summary_words(doc, res) == words_of_retokenized_cut(doc, res), (doc.doc_id, max_words)
+        assert cuts > 1000
 
 
 class TestInfoRank:

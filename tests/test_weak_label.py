@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from infosum.cli import LabelSection
 from infosum.corpus import Corpus, IdfTable, build_document, make_sentence
 from infosum.weak_label import (
     EXCLUDED,
     POSITIVE,
     UNLABELED,
-    LabelConfig,
     WeakLabel,
     align_score,
     best_alignment,
@@ -98,7 +98,7 @@ class TestLabelByAlignment:
 
     def test_all_zero_scores_all_unlabeled(self):
         doc = build_document("d", "", ["a b", "c d"], ["z y"])
-        labels = label_by_alignment(doc, LabelConfig(), flat_idf("abcdzy"))
+        labels = label_by_alignment(doc, 14.0, 10.0, flat_idf("abcdzy"))
         assert [l.flag for l in labels] == [UNLABELED, UNLABELED]
 
     def test_threshold_bands(self):
@@ -113,30 +113,31 @@ class TestLabelByAlignment:
             n_docs=10,
             weights={"p1": 5.0, "p2": 5.0, "p3": 5.0, "m1": 4.0, "m2": 4.0, "m3": 4.0, "u1": 4.0, "u2": 4.0},
         )
-        labels = label_by_alignment(doc, LabelConfig(), idf)
+        labels = label_by_alignment(doc, 14.0, 10.0, idf)
         assert [l.flag for l in labels] == [POSITIVE, EXCLUDED, UNLABELED]
         assert [l.align_score for l in labels] == [15.0, 12.0, 8.0]
 
     def test_score_exactly_t_pos_not_positive(self):
         doc = build_document("d", "", ["a b"], ["a b"])
         idf = IdfTable(n_docs=10, weights={"a": 7.0, "b": 7.0})
-        (label,) = label_by_alignment(doc, LabelConfig(), idf)
+        (label,) = label_by_alignment(doc, 14.0, 10.0, idf)
         assert label.flag == EXCLUDED
 
     def test_missing_summary(self):
         doc = build_document("d", "", ["a"])
         with pytest.raises(ValueError, match="summary"):
-            label_by_alignment(doc, LabelConfig(), FLAT_IDF)
+            label_by_alignment(doc, 14.0, 10.0, FLAT_IDF)
 
     def test_partition_covers_all_sentences(self):
         doc = build_document("d", "", ["a", "b", "c d e f g h i"], ["c d e f g h i"])
-        labels = label_by_alignment(doc, LabelConfig(), flat_idf("abcdefghi", 2.5))
+        labels = label_by_alignment(doc, 14.0, 10.0, flat_idf("abcdefghi", 2.5))
         counts = label_counts(labels)
         assert sum(counts.values()) == 3
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            LabelConfig(t_pos=10.0, t_unl=10.0)
+        """The config section that holds the thresholds refuses bands that do not nest."""
+        with pytest.raises(ValueError, match=r"t_unl \(10.0\) must be strictly below t_pos \(10.0\)"):
+            LabelSection(t_pos=10.0, t_unl=10.0)
 
 
 class TestLabelByExtract:
@@ -185,38 +186,38 @@ class TestSampleUnlabeled:
     def test_paper_proportion(self):
         # 1833 positives at ratio 1.2 keeps 2200 unlabeled
         labels = make_labels(1833, 3000)
-        kept = sample_unlabeled(labels, LabelConfig(seed=3))
+        kept = sample_unlabeled(labels, 1.2, 3)
         counts = label_counts(kept)
         assert counts[POSITIVE] == 1833
         assert counts[UNLABELED] == 2200
 
     def test_small_pool_kept_entirely(self):
         labels = make_labels(10, 5)
-        kept = sample_unlabeled(labels, LabelConfig(seed=0))
+        kept = sample_unlabeled(labels, 1.2, 0)
         assert label_counts(kept)[UNLABELED] == 5
 
     def test_deterministic(self):
         labels = make_labels(50, 500)
-        a = sample_unlabeled(labels, LabelConfig(seed=11))
-        b = sample_unlabeled(labels, LabelConfig(seed=11))
+        a = sample_unlabeled(labels, 1.2, 11)
+        b = sample_unlabeled(labels, 1.2, 11)
         assert a == b
 
     def test_different_seeds_differ(self):
         labels = make_labels(50, 500)
-        a = sample_unlabeled(labels, LabelConfig(seed=1))
-        b = sample_unlabeled(labels, LabelConfig(seed=2))
+        a = sample_unlabeled(labels, 1.2, 1)
+        b = sample_unlabeled(labels, 1.2, 2)
         assert a != b
 
     def test_never_drops_positive_and_drops_excluded(self):
         labels = make_labels(20, 100, 30)
-        kept = sample_unlabeled(labels, LabelConfig(seed=5))
+        kept = sample_unlabeled(labels, 1.2, 5)
         counts = label_counts(kept)
         assert counts[POSITIVE] == 20
         assert counts[EXCLUDED] == 0
 
     def test_preserves_input_order(self):
         labels = make_labels(5, 50)
-        kept = sample_unlabeled(labels, LabelConfig(seed=9))
+        kept = sample_unlabeled(labels, 1.2, 9)
         ids = [l.sentence_id for l in kept]
         assert ids == sorted(ids)
 
@@ -224,7 +225,7 @@ class TestSampleUnlabeled:
         labels = make_labels(40, 300, 20)
         pool = [lab for lab in labels if lab.flag == UNLABELED]
         picked = np.random.default_rng(4).choice(len(pool), size=48, replace=False)
-        kept = sample_unlabeled(labels, LabelConfig(seed=4))
+        kept = sample_unlabeled(labels, 1.2, 4)
         assert [lab for lab in kept if lab.flag == UNLABELED] == [pool[i] for i in sorted(picked)]
 
 
