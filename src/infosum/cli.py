@@ -31,8 +31,8 @@ covers every test document.
 
 Each command runs in a process of its own and imports only the modules it
 runs. This file's top level imports the config schema's modules, none of
-which loads numpy: `constants`, `corpus`, `weak_label` and `summarize`
-(with `rng`). The rest is imported inside the command that uses it:
+which loads numpy: `constants`, `corpus`, `rng`, `weak_label` and
+`summarize`. The rest is imported inside the command that uses it:
 
     label      nothing more (no numpy)
     train      lexicons, features, sparse, pu and numpy
@@ -43,9 +43,9 @@ which loads numpy: `constants`, `corpus`, `weak_label` and `summarize`
 
 So a command pays neither the import nor, without a bytecode cache, the
 compile time of code it never runs; at the package root `infosum` imports
-only `corpus`. No command loads numpy.random, since `rng` draws numpy's
-streams in pure Python, nor OpenSSL, since `lexicons` hashes with CPython's
-own SHA-256.
+only `corpus`. No command loads numpy.random, since `rng` draws from the
+standard library's `random.Random`, nor OpenSSL, since `lexicons` hashes
+with CPython's own SHA-256.
 
 Every command takes a JSON config (-c) plus optional `--set dotted.key=value`
 overrides, writes a resolved-config copy next to its outputs, and is a pure
@@ -94,6 +94,7 @@ from .corpus import (
     read_sentence_records,
     write_jsonl,
 )
+from .rng import RANDOMRANK_ORDER, stream
 from .summarize import (
     INFOFILTER,
     INFORANK,
@@ -274,9 +275,18 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
+def _make_out_dir(path: str) -> Path:
+    """The directory `path`, made with its parents if missing; a ConfigError if a file is in the way."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"cannot make out dir {path}: {exc.strerror}") from None
+    return out
+
+
 def _write_resolved_config(cfg: RunConfig, command: str) -> None:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(cfg.out_dir)
     payload = json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"
     (out / f"resolved_config.{command}.json").write_text(payload, encoding="utf-8")
 
@@ -494,11 +504,12 @@ def cmd_summarize(cfg: RunConfig) -> int:
     if any(s in (INFORANK, INFOFILTER) for s in cfg.systems):
         probs = _test_probs(cfg, corpus)
     _write_resolved_config(cfg, "summarize")
+    rand = stream(cfg.seed, RANDOMRANK_ORDER)
     summarizers = {
         LEADWORDS: lambda di, doc: lead_words(doc, cfg.budget),
         INFORANK: lambda di, doc: info_rank(doc, probs[di], cfg.budget),
         INFOFILTER: lambda di, doc: info_filter(doc, probs[di], cfg.budget),
-        RANDOMRANK: lambda di, doc: random_rank(doc, cfg.budget, seed=(cfg.seed, di)),
+        RANDOMRANK: lambda di, doc: random_rank(doc, cfg.budget, rand),
     }
     for system in cfg.systems:
         summarize = summarizers[system]
@@ -583,11 +594,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
             n_test_docs=args.test_docs,
             sentences_per_doc=args.sentences,
             label_rate=args.label_rate,
-            seed=args.seed if args.seed is not None else 0,
+            seed=args.seed,
         )
     except ValueError as exc:
         raise ConfigError(f"synth: {exc}") from None
-    paths = write_synth_bundle(args.out_dir, params)
+    paths = write_synth_bundle(_make_out_dir(args.out_dir), params)
     print(f"synth bundle -> {args.out_dir} (config: {paths['config']})")
     return EXIT_OK
 

@@ -296,14 +296,17 @@ def read_sentence_records(
     return records
 
 
+# One encoder for every line: `json.dumps` with these arguments builds a new one a call.
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, allow_nan=False)
+
+
 def to_jsonl(records: Iterable[dict]) -> str:
     """One JSON object per line, keys sorted and non-ASCII kept as UTF-8.
 
     NaN and the infinities are not JSON: a record holding one raises ValueError.
     """
-    return "".join(
-        json.dumps(rec, ensure_ascii=False, sort_keys=True, allow_nan=False) + "\n" for rec in records
-    )
+    encode = _LINE_ENCODER.encode
+    return "".join(encode(rec) + "\n" for rec in records)
 
 
 def write_jsonl(records: Iterable[dict], path: str | Path) -> None:

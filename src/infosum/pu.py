@@ -81,7 +81,7 @@ import numpy as np
 from .constants import L2
 from .corpus import InputFormatError, Sentence, decode, read_json
 from .features import FeatureExtractor, FeatureLayout, LayoutMismatchError
-from .rng import default_rng
+from .rng import CALIBRATION_SPLIT, choice, stream
 from .sparse import CsrMatrix
 
 logger = logging.getLogger(__name__)
@@ -426,11 +426,12 @@ def calibration_split(n_rows: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(fit, calibration) row indices, each ascending.
 
     A seeded 20% of the n_rows rows, at least one, is held out for
-    calibration: the first of numpy's `default_rng(seed).permutation(n_rows)`.
+    calibration: `rng.choice` of the rows, drawn from the (seed,
+    CALIBRATION_SPLIT) stream.
     """
     n_cal = max(1, round(0.2 * n_rows))
     held = np.zeros(n_rows, dtype=bool)
-    held[default_rng(seed).permutation(n_rows)[:n_cal]] = True
+    held[choice(stream(seed, CALIBRATION_SPLIT), n_rows, n_cal)] = True
     return np.flatnonzero(~held), np.flatnonzero(held)
 
 

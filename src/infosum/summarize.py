@@ -21,9 +21,8 @@ last sentence's words and tokenizes nothing again. A ranked fill's last
 sentence in document order need not be its last selected, so it never cuts
 one.
 
-This module imports no numpy. RandomRank's order is numpy's
-`default_rng(seed).permutation(n)`, drawn by `rng`, the package's
-pure-Python copy of numpy's seeding, PCG64 generator and shuffle.
+This module imports no numpy. RandomRank draws each document's order from
+one stream of the standard library's generator (`rng`), in document order.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
 from .corpus import Corpus, Document, Sentence, decode, read_jsonl, write_jsonl
-from .rng import default_rng
+from .rng import Stream, permutation
 
 WHOLE_SENTENCE = "whole-sentence"
 TRUNCATE_WORDS = "truncate-words"
@@ -195,10 +194,9 @@ def summary_words(doc: Document, result: SummaryResult) -> list[tuple[str, ...]]
     return words
 
 
-def random_rank(doc: Document, budget: SummaryBudget, seed) -> SummaryResult:
-    """The ranked fill in a seeded uniform order: numpy's
-    `default_rng(seed).permutation`, drawn by `rng`."""
-    return _ranked_fill(doc, RANDOMRANK, default_rng(seed).permutation(len(doc.sentences)), budget)
+def random_rank(doc: Document, budget: SummaryBudget, rand: Stream) -> SummaryResult:
+    """The ranked fill in a uniform order drawn from `rand` (`rng.permutation`)."""
+    return _ranked_fill(doc, RANDOMRANK, permutation(rand, len(doc.sentences)), budget)
 
 
 def write_summaries(results: Iterable[SummaryResult], path: str | Path) -> None:

@@ -4,14 +4,11 @@
 extracts, gold labels and a ready-to-run pipeline config, so the CLI can be
 exercised end to end without licensed data.
 
-Every draw comes from `rng`, the package's pure-Python copy of numpy's
-`default_rng`: its SeedSequence seeding and PCG64 stream, `random`,
-`uniform` and Lemire-bounded `integers`, so this module imports no numpy and
-writes the bytes numpy's generator gave. The lexicons draw from seed
-(seed, 17), the train split from (seed, 59) and the test split from
-(seed, 101). The texts are written as drawn, never tokenized.
-tests/test_synth.py pins the sha256 of every file of two bundles, and
-tests/test_rng.py compares each draw with numpy.
+Every draw comes from `rng.stream`, the standard library's generator, so
+this module imports no numpy. The lexicons, the train split and the test
+split each draw from a stream of their own. The texts are written as drawn,
+never tokenized. tests/test_synth.py pins the sha256 of every file of two
+bundles.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from pathlib import Path
 from .constants import L2
 from .corpus import write_jsonl
 from .lexicons import CategoryLexicon, ScoredLexicon, category_lexicon_to_tsv, scored_lexicon_to_tsv
-from .rng import Generator, default_rng
+from .rng import SYNTH_LEXICONS, SYNTH_TEST, SYNTH_TRAIN, Stream, stream
 
 
 SCORED_ATTRIBUTES = ("imagery", "concreteness")
@@ -31,6 +28,8 @@ SCORE_RANGE = (100.0, 700.0)
 CATEGORIES = ("IMP", "BKG", "COMMON")
 # Words per pool: imp, bkg and com are lexicon words, puff is filler.
 POOL_SIZES = {"imp": 160, "bkg": 160, "com": 40, "puff": 60}
+# Each lexicon pool's category and the band its scores are drawn from.
+LEXICON_POOLS = (("imp", 0, (520.0, 680.0)), ("bkg", 1, (120.0, 280.0)), ("com", 2, (350.0, 450.0)))
 
 
 def _vocab(prefix: str, n: int) -> list[str]:
@@ -39,31 +38,16 @@ def _vocab(prefix: str, n: int) -> list[str]:
 
 def build_synth_lexicons(seed: int = 0) -> tuple[ScoredLexicon, CategoryLexicon]:
     """Scored and category lexicons whose word pools separate two sentence classes."""
-    rng = default_rng((seed, 17))
-    imp = _vocab("imp", POOL_SIZES["imp"])
-    bkg = _vocab("bkg", POOL_SIZES["bkg"])
-    com = _vocab("com", POOL_SIZES["com"])
-    bands = {"imp": (520.0, 680.0), "bkg": (120.0, 280.0), "com": (350.0, 450.0)}
+    rand = stream(seed, SYNTH_LEXICONS)
     entries: dict[str, dict[str, float]] = {}
-    for words, key in ((imp, "imp"), (bkg, "bkg"), (com, "com")):
-        lo, hi = bands[key]
-        for word in words:
-            entries[word] = {
-                attr: rng.uniform(lo, hi) for attr in SCORED_ATTRIBUTES
-            }
-    scored = ScoredLexicon(
-        name="synthmrc",
-        attributes=SCORED_ATTRIBUTES,
-        entries=entries,
-        ranges={attr: SCORE_RANGE for attr in SCORED_ATTRIBUTES},
-    )
-    cat_entries = {w: frozenset({0}) for w in imp}
-    cat_entries.update({w: frozenset({1}) for w in bkg})
-    cat_entries.update({w: frozenset({2}) for w in com})
-    category = CategoryLexicon(
-        name="synthcats", categories=CATEGORIES, entries=cat_entries, wildcards={}
-    )
-    return scored, category
+    categories: dict[str, frozenset[int]] = {}
+    for pool, category, (lo, hi) in LEXICON_POOLS:
+        for word in _vocab(pool, POOL_SIZES[pool]):
+            entries[word] = {attr: lo + (hi - lo) * rand() for attr in SCORED_ATTRIBUTES}
+            categories[word] = frozenset({category})
+    scored = ScoredLexicon(name="synthmrc", attributes=SCORED_ATTRIBUTES, entries=entries,
+                           ranges={attr: SCORE_RANGE for attr in SCORED_ATTRIBUTES})
+    return scored, CategoryLexicon(name="synthcats", categories=CATEGORIES, entries=categories, wildcards={})
 
 
 @dataclass
@@ -88,24 +72,18 @@ class SynthParams:
             raise ValueError(f"seed must be >= 0, not {self.seed!r}")
 
 
-def _make_sentence_words(rng: Generator, positive: bool, params: SynthParams) -> str:
-    length = rng.integers(8, 15)
-    own = "imp" if positive else "bkg"
-    other = "bkg" if positive else "imp"
+def _make_sentence(rand: Stream, pools: tuple[list[str], ...], thresholds: tuple[float, float, float]) -> str:
+    """A sentence of 8 to 14 words. A word comes from the pool of `pools` (own,
+    other, com, puff) whose cumulative threshold its draw first falls below."""
+    own, other, com, puff = pools
+    signal, crossover, common = thresholds
     words = []
-    for _ in range(length):
-        u = rng.random()
-        if u < params.signal_rate:
-            pool = own
-        elif u < params.signal_rate + params.crossover_rate:
-            pool = other
-        elif u < params.signal_rate + params.crossover_rate + 0.14:
-            pool = "com"
-        else:
-            pool = "puff"
-        words.append(f"{pool}{rng.integers(POOL_SIZES[pool]):03d}")
+    for _ in range(8 + int(rand() * 7)):
+        u = rand()
+        pool = own if u < signal else other if u < crossover else com if u < common else puff
+        words.append(pool[int(rand() * len(pool))])
     text = " ".join(words)
-    u = rng.random()
+    u = rand()
     if u < 0.08:
         text += " !"
     elif u < 0.16:
@@ -126,7 +104,12 @@ def synth_records(params: SynthParams, test: bool = False) -> tuple[list[dict], 
     label_rate; the extract's texts double as the reference summary, and a
     document with an empty extract has none.
     """
-    rng = default_rng((params.seed, 101 if test else 59))
+    rand = stream(params.seed, SYNTH_TEST if test else SYNTH_TRAIN)
+    vocab = {pool: _vocab(pool, size) for pool, size in POOL_SIZES.items()}
+    pools = {y: (vocab[own], vocab[other], vocab["com"], vocab["puff"])
+             for y, (own, other) in ((1, ("imp", "bkg")), (0, ("bkg", "imp")))}
+    thresholds = (params.signal_rate, params.signal_rate + params.crossover_rate,
+                  params.signal_rate + params.crossover_rate + 0.14)
     n_docs = params.n_test_docs if test else params.n_train_docs
     prefix = "test" if test else "train"
     documents: list[dict] = []
@@ -138,10 +121,10 @@ def synth_records(params: SynthParams, test: bool = False) -> tuple[list[dict], 
         texts = []
         ys = []
         for _ in range(params.sentences_per_doc):
-            y = 1 if rng.random() < params.positive_rate else 0
+            y = 1 if rand() < params.positive_rate else 0
             ys.append(y)
-            texts.append(_make_sentence_words(rng, y == 1, params))
-        extract = [i for i, y in enumerate(ys) if y == 1 and rng.random() < params.label_rate]
+            texts.append(_make_sentence(rand, pools[y], thresholds))
+        extract = [i for i, y in enumerate(ys) if y == 1 and rand() < params.label_rate]
         document = {"doc_id": doc_id, "section": section, "sentences": texts}
         if extract:
             document["summary"] = [texts[i] for i in extract]

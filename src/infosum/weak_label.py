@@ -5,7 +5,7 @@ at least one human extract) and alignment thresholds (positive when the best
 IDF-weighted overlap with a summary sentence clears t_pos, unlabeled at or
 below t_unl, excluded in between). Balanced unlabeled sampling keeps the
 training set near a configurable unlabeled:positive ratio, drawn from
-`infosum.rng`, so this module loads no numpy.
+the standard library's generator (`rng`), so this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
 from .corpus import Corpus, Document, IdfTable, Sentence, read_sentence_records, write_jsonl
-from .rng import default_rng
+from .rng import UNLABELED_SAMPLE, choice, stream
 
 POSITIVE = "positive"
 UNLABELED = "unlabeled"
@@ -96,15 +96,15 @@ def sample_unlabeled(labels: Sequence[WeakLabel], balance_ratio: float, seed) ->
     """Keep every positive plus a seeded uniform sample of the unlabeled pool.
 
     The target pool size is round(balance_ratio * positives); excluded labels
-    never enter the training set. The sample is numpy's
-    `default_rng(seed).choice(len(pool), target, replace=False)`; only its
-    set is used, and input order is preserved.
+    never enter the training set. The sample is `rng.choice` of the pool's
+    places, drawn from the (seed, UNLABELED_SAMPLE) stream; only its set is
+    used, and input order is preserved.
     """
     n_pos = sum(1 for lab in labels if lab.flag == POSITIVE)
     pool = [i for i, lab in enumerate(labels) if lab.flag == UNLABELED]
     target = min(len(pool), int(round(balance_ratio * n_pos)))
     if target < len(pool):
-        keep = {pool[i] for i in default_rng(seed).choice(len(pool), target)}
+        keep = {pool[i] for i in choice(stream(seed, UNLABELED_SAMPLE), len(pool), target)}
     else:
         keep = set(pool)
     out = []

@@ -28,6 +28,7 @@ from infosum.pu import (
     train_pu_model,
     unlabeled_weight,
 )
+from infosum.rng import RANDOMRANK_ORDER, stream
 from infosum.summarize import (
     SummaryBudget,
     info_filter,
@@ -248,6 +249,7 @@ def _random_documents(n, seed):
 def test_criterion_8_summarizer_invariants():
     rng = np.random.default_rng(8)
     docs = _random_documents(100, seed=88)
+    rand = stream(8, RANDOMRANK_ORDER)
     budget_ok = lead_equiv_ok = monotone_ok = True
     for doc in docs:
         budget = SummaryBudget(int(rng.integers(5, 120)))
@@ -256,7 +258,7 @@ def test_criterion_8_summarizer_invariants():
             lead_words(doc, budget),
             info_rank(doc, probs, budget),
             info_filter(doc, probs, budget),
-            random_rank(doc, budget, seed=doc.doc_id.encode().hex().__hash__() % 2**31),
+            random_rank(doc, budget, rand),
         ]
         budget_ok &= all(r.word_total <= budget.max_words for r in results)
 
@@ -270,8 +272,11 @@ def test_criterion_8_summarizer_invariants():
             == info_rank(doc, squashed, budget).selected
         )
 
-    fixed = [random_rank(doc, SummaryBudget(40), seed=9) for doc in docs]
-    again = [random_rank(doc, SummaryBudget(40), seed=9) for doc in docs]
+    def random_ranks():
+        rand = stream(9, RANDOMRANK_ORDER)
+        return [random_rank(doc, SummaryBudget(40), rand) for doc in docs]
+
+    fixed, again = random_ranks(), random_ranks()
     bytes_ok = to_jsonl(map(asdict, fixed)).encode() == to_jsonl(map(asdict, again)).encode()
 
     _report(

@@ -12,7 +12,7 @@ import pytest
 
 from infosum.cli import EXIT_OK, EXIT_VALIDATION, RunConfig, build_extractor, main
 from infosum.constants import L2
-from infosum.corpus import load_corpus
+from infosum.corpus import load_corpus, write_jsonl
 from infosum.pu import load_model, train_pu_model, save_model
 from infosum.sparse import CsrMatrix
 from infosum.synth import SynthParams, write_synth_bundle
@@ -24,6 +24,16 @@ def bundle(tmp_path_factory):
     params = SynthParams(n_train_docs=60, n_test_docs=24, sentences_per_doc=10, seed=11)
     paths = write_synth_bundle(root, params)
     return paths
+
+
+@pytest.fixture(scope="module")
+def summarized_corpus(bundle, tmp_path_factory):
+    """The bundle's train corpus without the documents that have no summary, which
+    alignment labeling rejects (perfbench's high-vocabulary rewrite drops them too)."""
+    docs = [json.loads(line) for line in Path(bundle["train_corpus"]).read_text(encoding="utf-8").splitlines()]
+    path = tmp_path_factory.mktemp("summarized") / "corpus_train.jsonl"
+    write_jsonl([doc for doc in docs if "summary" in doc], path)
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +55,19 @@ class TestSynthCommand:
                      "extracts_train.jsonl", "gold_test.jsonl",
                      "synthmrc.tsv", "synthcats.tsv"):
             assert (out / name).is_file()
+
+    def test_out_dir_that_is_a_file_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "f"
+        out.write_text("")
+        assert main(["synth", "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert f"error: cannot make out dir {out}: " in capsys.readouterr().err
+        assert out.read_text() == ""
+
+    def test_out_dir_under_a_file_exits_2_naming_it(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("")
+        out = tmp_path / "f" / "sub"
+        assert main(["synth", "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert f"error: cannot make out dir {out}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--sentences", "0", "sentences_per_doc must be >= 1, not 0"),
@@ -258,10 +281,11 @@ class TestPipelineCompositionality:
 
 
 class TestModesAndOverrides:
-    def test_alignment_mode_smoke(self, bundle, tmp_path, capsys):
+    def test_alignment_mode_smoke(self, bundle, summarized_corpus, tmp_path, capsys):
         out = tmp_path / "alignrun"
         code = main([
             "label", "-c", bundle["config"], "--set", "label.mode=alignment",
+            "--set", f"train_corpus={summarized_corpus}",
             "--out-dir", str(out), "--set", "label.t_pos=6", "--set", "label.t_unl=3",
         ])
         assert code == EXIT_OK
@@ -1087,12 +1111,13 @@ class TestExitCodes:
         assert not caplog.records  # no stage ran
         assert not (out / "model.json").exists()
 
-    def test_alignment_labels_without_positives_exit_2_at_train(self, bundle, tmp_path, capsys):
+    def test_alignment_labels_without_positives_exit_2_at_train(self, bundle, summarized_corpus, tmp_path, capsys):
         out = tmp_path / "nopos"
+        corpus = f"train_corpus={summarized_corpus}"
         assert main(["label", "-c", bundle["config"], "--out-dir", str(out), "--set", "label.mode=alignment",
-                     "--set", "label.t_pos=1000", "--set", "label.t_unl=999"]) == EXIT_OK
+                     "--set", corpus, "--set", "label.t_pos=1000", "--set", "label.t_unl=999"]) == EXIT_OK
         capsys.readouterr()
-        assert main(["train", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert main(["train", "-c", bundle["config"], "--out-dir", str(out), "--set", corpus]) == EXIT_VALIDATION
         assert "labels.jsonl holds no positive label" in capsys.readouterr().err
         assert not (out / "model.json").exists()
 
@@ -1111,15 +1136,21 @@ class TestExitCodes:
         config, run_dir = one_doc_labels
         capsys.readouterr()
         with caplog.at_level(logging.INFO, logger="infosum.pu"):
-            assert main(["train", "-c", config, "--set", "seed=3"]) == EXIT_VALIDATION
-        assert ("error: seed 3 holds out every sampled unlabeled sentence for calibration: stage 2 would fit "
+            assert main(["train", "-c", config, "--set", "seed=0"]) == EXIT_VALIDATION
+        assert ("error: seed 0 holds out every sampled unlabeled sentence for calibration: stage 2 would fit "
                 "1 of the 2 sampled rows, all positive") in capsys.readouterr().err
         assert not [r for r in caplog.records if r.getMessage().startswith("stage1")]
         assert not (run_dir / "model.json").exists()
 
+    def test_label_out_dir_that_is_a_file_exits_2_naming_it(self, bundle, tmp_path, capsys):
+        out = tmp_path / "f"
+        out.write_text("")
+        assert main(["label", "-c", bundle["config"], "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert f"error: cannot make out dir {out}: " in capsys.readouterr().err
+
     def test_a_split_that_fits_stage_2_on_both_flags_trains(self, one_doc_labels):
         config, run_dir = one_doc_labels
-        assert main(["train", "-c", config, "--set", "seed=0"]) == EXIT_OK
+        assert main(["train", "-c", config, "--set", "seed=3"]) == EXIT_OK
         assert (run_dir / "model.json").is_file()
 
     def test_summaries_of_another_system_exit_2_naming_file_and_line(self, bundle, pipeline, tmp_path, capsys):

@@ -201,6 +201,17 @@ class TestLoadCorpus:
         assert to_jsonl([]) == ""
         assert to_jsonl([{"b": 1, "a": "é"}, {}]) == '{"a": "é", "b": 1}\n{}\n'
 
+    def test_to_jsonl_writes_what_json_dumps_gives_each_record(self):
+        records = [
+            {"doc_id": "ü-1", "sentences": ["ü ∑ 😀", "a b c\x85d \"q\" \\ \t"], "summary": None},
+            {"z": [[1, 2.5, -0.0], [], [{"b": True, "a": "∑"}]], "a": {"y": [3, "x"], "b": 1e-300}},
+            {"prob": 0.1 + 0.2, "label": 1, "removed": [0, 3], "nested": {"c": {"b": {"a": []}}}},
+        ]
+        expected = "".join(
+            json.dumps(rec, ensure_ascii=False, sort_keys=True, allow_nan=False) + "\n" for rec in records
+        )
+        assert to_jsonl(records) == expected
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_to_jsonl_rejects_non_finite_numbers(self, value):
         with pytest.raises(ValueError, match="not JSON compliant"):

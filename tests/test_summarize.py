@@ -3,6 +3,7 @@ import pytest
 
 from infosum.corpus import Corpus, build_document, load_corpus, make_sentence
 from infosum.metrics import chi2_sf_1df
+from infosum.rng import RANDOMRANK_ORDER, stream
 from infosum.summarize import (
     TRUNCATE_WORDS,
     WHOLE_SENTENCE,
@@ -221,13 +222,13 @@ class TestInfoFilter:
 class TestRandomRank:
     def test_reproducible(self):
         doc = doc_with_word_counts([10, 20, 30, 40])
-        a = random_rank(doc, SummaryBudget(50), seed=42)
-        b = random_rank(doc, SummaryBudget(50), seed=42)
+        a = random_rank(doc, SummaryBudget(50), stream(42, RANDOMRANK_ORDER))
+        b = random_rank(doc, SummaryBudget(50), stream(42, RANDOMRANK_ORDER))
         assert a == b
 
     def test_single_sentence_under_budget(self):
         doc = doc_with_word_counts([10])
-        res = random_rank(doc, SummaryBudget(50), seed=0)
+        res = random_rank(doc, SummaryBudget(50), stream(0, RANDOMRANK_ORDER))
         assert res.selected == (0,)
 
     def test_first_pick_uniform_chi_square(self):
@@ -235,7 +236,7 @@ class TestRandomRank:
         n_seeds = 2000
         counts = [0, 0, 0, 0]
         for seed in range(n_seeds):
-            res = random_rank(doc, SummaryBudget(10), seed=seed)
+            res = random_rank(doc, SummaryBudget(10), stream(seed, RANDOMRANK_ORDER))
             assert len(res.selected) == 1
             counts[res.selected[0]] += 1
         expected = n_seeds / 4
@@ -262,13 +263,14 @@ class TestBudgetSafetyAndSerialization:
                 lead_words(doc, budget),
                 info_rank(doc, probs, budget),
                 info_filter(doc, probs, budget),
-                random_rank(doc, budget, seed=7),
+                random_rank(doc, budget, stream(7, RANDOMRANK_ORDER)),
             ):
                 assert res.word_total <= budget.max_words
 
     def test_jsonl_round_trip(self, tmp_path):
         doc = doc_with_word_counts([10, 20])
-        for result in (lead_words(doc, SummaryBudget(15)), random_rank(doc, SummaryBudget(15), seed=3)):
+        for result in (lead_words(doc, SummaryBudget(15)),
+                       random_rank(doc, SummaryBudget(15), stream(3, RANDOMRANK_ORDER))):
             path = tmp_path / f"summaries_{result.system}.jsonl"
             write_summaries([result], path)
             assert read_summaries(path, result.system, Corpus((doc,))) == [result]
@@ -277,7 +279,6 @@ class TestBudgetSafetyAndSerialization:
         docs = self.random_docs(n=10, seed=5)
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for out in (out1, out2):
-            write_summaries(
-                [random_rank(doc, SummaryBudget(30), seed=11) for doc in docs], out
-            )
+            rand = stream(11, RANDOMRANK_ORDER)
+            write_summaries([random_rank(doc, SummaryBudget(30), rand) for doc in docs], out)
         assert out1.read_bytes() == out2.read_bytes()

@@ -5,26 +5,25 @@ import pytest
 from infosum.synth import SynthParams, write_synth_bundle
 
 # The sha256 of every bundle file, written to a relative out dir (the config
-# holds the paths). The bytes are those numpy's `default_rng` gave when synth
-# drew from it, so they pin `infosum.rng` and synth's order of draws.
+# holds the paths). They pin `infosum.rng`'s streams and synth's order of draws.
 BUNDLE_SHA256 = {
     "a": (SynthParams(n_train_docs=20, n_test_docs=5), {
         "config.json": "35a729abd62f49ce67f07511839cdbfa4b01abfb8310111362e09d8b3361899a",
-        "corpus_test.jsonl": "78649c50e59ff129af5bc4537d17e1d9c4986683d9a84da0461e426d2938a87e",
-        "corpus_train.jsonl": "675949eb41250afe1d05d064efd756030fdd3d418d6d0fb469ff25e2988f6990",
-        "extracts_train.jsonl": "a7df353cce1260e35e2e7ca451f89803f35365e524d46e27cad55b63bb4842be",
-        "gold_test.jsonl": "c4fd1529f4ecdb08ccf460dffec67d0f864b9e72d0a5537110a720d357f270f6",
+        "corpus_test.jsonl": "bc093bbe2b6f494acdde87d1f8bca6fdbb183b87d8e03efd7eefd7fbd4b64f17",
+        "corpus_train.jsonl": "ffba8afda53e252cf78ef9f553c065b4c89d4986476073cbffacecb2f917cbf0",
+        "extracts_train.jsonl": "4b04e760876b3566bca922844ac4c421196f319b26ca6ae6d4010fabbc1f258e",
+        "gold_test.jsonl": "88a590ee63693456cb00a0186865c25daad4b64d32953b880d7cf176bda776c5",
         "synthcats.tsv": "54d0b7363dde1ed64e2978fec6655cb2052bede0dc4e7684916621c49f1df1db",
-        "synthmrc.tsv": "f4ac37cf533e627b41b6eceb1910c76190003eb72326c70cd43337719533de5f",
+        "synthmrc.tsv": "a3152540afa8f472626dc2012635877e40ad2391b20c81ebf22354c313e29342",
     }),
     "b": (SynthParams(n_train_docs=6, n_test_docs=4, sentences_per_doc=3, label_rate=0.3, seed=2**33 + 5), {
         "config.json": "53f8cf0f6602f040b850944c9d82736333d9f6618b30d0df1ce2bf04eb305798",
-        "corpus_test.jsonl": "7ba7cbebed22b148b09a33d81b0ec4fa94b5df23fae3325ed77f9a1002ef24ad",
-        "corpus_train.jsonl": "c5e721cbaa80ae5ec7ce7d7fc8b0bb762319640a9795fb120fa8e9d19174d413",
-        "extracts_train.jsonl": "17dbc8ed9cfef3a8bd22dc0366697a10036c894bab677b0883c5721cfb48d044",
-        "gold_test.jsonl": "75bbf5cac89adb1e036417d2ec6b45614c0c753fda3970afe27133db129a3e56",
+        "corpus_test.jsonl": "61483c947fc3a588af048b9706d7ae3b3d002cbc79a349f9e9eb9fd5160870af",
+        "corpus_train.jsonl": "76a6c687b673e2ca9008d38d99f2e108e6cb564be7e6547b8dd9379ed510346d",
+        "extracts_train.jsonl": "363fd6917beab43312615d379e90b9629d64516e53e425352de2ad5fc7253b35",
+        "gold_test.jsonl": "2006b0710ec9736658825630a4410b1c17538a1478085dfd5096cd6c060f8ff8",
         "synthcats.tsv": "54d0b7363dde1ed64e2978fec6655cb2052bede0dc4e7684916621c49f1df1db",
-        "synthmrc.tsv": "a44595f9352c0109092c7e2560e182a50a74b1ba9dda8002d748b894e859e3ed",
+        "synthmrc.tsv": "0bdbaedeb51b173b37a3407f27e8dcedec88826a7bd9fe36eb58a496ff0a5609",
     }),
 }
 

@@ -1,4 +1,5 @@
-import numpy as np
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -221,12 +222,18 @@ class TestSampleUnlabeled:
         ids = [l.sentence_id for l in kept]
         assert ids == sorted(ids)
 
-    def test_keeps_numpys_sample_of_the_pool(self):
+    def test_samples_each_of_the_pool_about_equally_often(self):
+        """Over 500 seeds, each of the 300 unlabeled is kept 500 * 48 / 300 = 80 times in
+        expectation, with a standard deviation of 8.2; 5 of them bound every count."""
         labels = make_labels(40, 300, 20)
-        pool = [lab for lab in labels if lab.flag == UNLABELED]
-        picked = np.random.default_rng(4).choice(len(pool), size=48, replace=False)
-        kept = sample_unlabeled(labels, 1.2, 4)
-        assert [lab for lab in kept if lab.flag == UNLABELED] == [pool[i] for i in sorted(picked)]
+        pool = {lab for lab in labels if lab.flag == UNLABELED}
+        counts = Counter()
+        for seed in range(500):
+            kept = [lab for lab in sample_unlabeled(labels, 1.2, seed) if lab.flag == UNLABELED]
+            assert len(set(kept)) == 48 and pool.issuperset(kept)
+            counts.update(kept)
+        assert set(counts) == pool
+        assert 80 - 41 < min(counts.values()) and max(counts.values()) < 80 + 41
 
 
 class TestLabelSerialization:
