@@ -67,7 +67,10 @@ the decoder of every record (`corpus.decode`; its rule is in the `corpus`
 docstring). An unknown key at any depth, a value of the wrong JSON type or
 one out of its range is a ConfigError naming the dotted key, raised when
 the config is loaded, and so is a `--set` value that gives a key twice in
-one object; every config error exits 2.
+one object; every config error exits 2. Each default is declared once, by
+its field here: `hyper.l2`, the penalty of both PU stages, included. The
+config synth writes names only the seed, the out dir, the input paths and
+`label.mode`, and a synth flag left out keeps the `SynthParams` default.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Literal
 
-from .constants import DEFAULT_BINS, FEATURE_MODES, L2, MODE_BOW, MODE_DICTIONARY
+from .constants import DEFAULT_BINS, FEATURE_MODES, MODE_BOW, MODE_DICTIONARY
 from .corpus import (
     Corpus,
     InputFormatError,
@@ -106,6 +109,7 @@ from .summarize import (
     info_filter,
     info_rank,
     lead_words,
+    predicted_important,
     random_rank,
     read_summaries,
     write_summaries,
@@ -176,20 +180,16 @@ class FeaturesSection:
 
 
 @dataclass(frozen=True)
-class StageSection:
-    l2: float = L2
+class HyperSection:
+    """The L2 penalty of both PU training stages: the whole penalty of the objective each solves."""
+
+    # Of {1e-3, 2e-3, 5e-3, 1e-2, 1.3e-2}, the one that lost least detector F1
+    # against the descent schedule the exact solves replaced (see CHANGES.md).
+    l2: float = 1e-2
 
     def __post_init__(self) -> None:
         if not self.l2 > 0:
             raise ValueError(f"l2 must be > 0, not {self.l2!r}; without a penalty the fit may have no optimum")
-
-
-@dataclass(frozen=True)
-class HyperSection:
-    """The L2 penalty of each training stage: the whole penalty of the objective it solves."""
-
-    stage1: StageSection = StageSection()
-    stage2: StageSection = StageSection()
 
 
 @dataclass(frozen=True)
@@ -223,6 +223,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if not self.systems:
+            raise ValueError("systems must hold at least one system")
         if len(set(self.systems)) < len(self.systems):
             raise ValueError(f"systems must not repeat a system: {list(self.systems)}")
 
@@ -314,7 +316,7 @@ class SentenceLabel:
 
 @dataclass(frozen=True)
 class Prediction(SentenceLabel):
-    """A predictions line: prob in [0, 1] and label `int(prob >= 0.5)`, as predict writes them."""
+    """A predictions line: prob in [0, 1] and label `int(predicted_important(prob))`, as predict writes them."""
 
     prob: float
 
@@ -322,7 +324,7 @@ class Prediction(SentenceLabel):
         super().__post_init__()
         if not 0.0 <= self.prob <= 1.0:
             raise ValueError(f"prob must be a number in [0, 1], not {self.prob!r}")
-        if self.label != int(self.prob >= 0.5):
+        if self.label != int(predicted_important(self.prob)):
             raise ValueError(f"label {self.label} disagrees with prob {self.prob!r}: label must be int(prob >= 0.5)")
 
 
@@ -449,7 +451,7 @@ def cmd_train(cfg: RunConfig) -> int:
             cause = (f"lexicons.scored {list(cfg.lexicons.scored)} and lexicons.category "
                      f"{list(cfg.lexicons.category)} match none of their words")
         raise ConfigError(f"none of the {len(o)} training sentences has a nonzero feature: {cause}")
-    model, _ = train_pu_model(X, o, cfg.hyper.stage1.l2, cfg.hyper.stage2.l2, seed=cfg.seed)
+    model, _ = train_pu_model(X, o, cfg.hyper.l2, cfg.seed)
     _write_resolved_config(cfg, "train")
     save_model(model, extractor.layout, cfg.path("model.json"))
     print(
@@ -468,7 +470,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     sentences = [(doc.doc_id, sent) for doc in corpus for sent in doc.sentences]
     probs = classifier.prob([sent for _, sent in sentences]).tolist()
     records = [
-        {"doc_id": doc_id, "sentence_id": sent.id, "prob": prob, "label": int(prob >= 0.5)}
+        {"doc_id": doc_id, "sentence_id": sent.id, "prob": prob, "label": int(predicted_important(prob))}
         for (doc_id, sent), prob in zip(sentences, probs)
     ]
     _write_resolved_config(cfg, "predict")
@@ -588,14 +590,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     from .synth import SynthParams, write_synth_bundle
 
+    given = {name: value for name, value in vars(args).items() if name not in ("command", "out_dir")}
     try:
-        params = SynthParams(
-            n_train_docs=args.train_docs,
-            n_test_docs=args.test_docs,
-            sentences_per_doc=args.sentences,
-            label_rate=args.label_rate,
-            seed=args.seed,
-        )
+        params = SynthParams(**given)
     except ValueError as exc:
         raise ConfigError(f"synth: {exc}") from None
     paths = write_synth_bundle(_make_out_dir(args.out_dir), params)
@@ -619,13 +616,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    synth = sub.add_parser("synth", help="write a synthetic corpus bundle and config")
+    # An absent flag sets no SynthParams field, which so keeps its default.
+    synth = sub.add_parser("synth", help="write a synthetic corpus bundle and config",
+                           argument_default=argparse.SUPPRESS)
     synth.add_argument("--out-dir", required=True)
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--train-docs", type=int, default=120)
-    synth.add_argument("--test-docs", type=int, default=60)
-    synth.add_argument("--sentences", type=int, default=12)
-    synth.add_argument("--label-rate", type=float, default=0.7)
+    synth.add_argument("--seed", type=int)
+    synth.add_argument("--train-docs", type=int, dest="n_train_docs")
+    synth.add_argument("--test-docs", type=int, dest="n_test_docs")
+    synth.add_argument("--sentences", type=int, dest="sentences_per_doc")
+    synth.add_argument("--label-rate", type=float, dest="label_rate")
 
     def add_common(p):
         p.add_argument("-c", "--config", required=True, help="JSON run config")

@@ -75,9 +75,6 @@ class Sentence:
     tokens: tuple[str, ...]
     words: tuple[str, ...]
 
-    def word_types(self) -> frozenset[str]:
-        return frozenset(self.words)
-
 
 @dataclass(frozen=True)
 class Document:
@@ -85,24 +82,6 @@ class Document:
     section: str
     sentences: tuple[Sentence, ...]
     summary: tuple[Sentence, ...] | None = None
-
-
-@dataclass(frozen=True)
-class IdfTable:
-    """Add-one smoothed inverse document frequency over article word types.
-
-    weight(t) = ln((1 + N) / (1 + df(t))) + 1, so every observed type weighs
-    at least 1 and unseen types get the df = 0 value instead of a zero split.
-    """
-
-    n_docs: int
-    weights: dict[str, float]
-
-    def weight(self, lower_token: str) -> float:
-        got = self.weights.get(lower_token)
-        if got is not None:
-            return got
-        return math.log(1.0 + self.n_docs) + 1.0
 
 
 @dataclass
@@ -206,12 +185,11 @@ def document_frequencies(documents: Sequence[Document]) -> Counter[str]:
     return df
 
 
-def compute_idf(documents: Sequence[Document]) -> IdfTable:
-    """Document-frequency weights over article word types (summaries excluded)."""
+def compute_idf(documents: Sequence[Document]) -> dict[str, float]:
+    """Add-one smoothed inverse document frequency of each article word type (summaries
+    excluded): ln((1 + N) / (1 + df(t))) + 1 over N documents, so every type weighs at least 1."""
     n = len(documents)
-    df = document_frequencies(documents)
-    weights = {t: math.log((1.0 + n) / (1.0 + c)) + 1.0 for t, c in df.items()}
-    return IdfTable(n_docs=n, weights=weights)
+    return {t: math.log((1.0 + n) / (1.0 + c)) + 1.0 for t, c in document_frequencies(documents).items()}
 
 
 def read_lines(path: str | Path, kind: str) -> Iterator[tuple[int, str]]:

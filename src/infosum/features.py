@@ -134,7 +134,7 @@ def bow_layout(vocab: Sequence[str]) -> FeatureLayout:
     return FeatureLayout(mode=MODE_BOW, vocab=tuple(vocab))
 
 
-def bow_vocabulary(corpus: Corpus, min_df: int = 2) -> tuple[str, ...]:
+def bow_vocabulary(corpus: Corpus, min_df: int) -> tuple[str, ...]:
     """Alphabetical word types whose document frequency is at least min_df."""
     df = document_frequencies(corpus.documents)
     return tuple(sorted(t for t, c in df.items() if c >= min_df))

@@ -59,8 +59,9 @@ solves at the l2 of 1e-4 that a fixed descent schedule used before gave a
 worse detector (on bow-align-hivocab, Newton on stage 1 moved F1 from 0.969
 to 0.891), because stopping gradient descent early is itself a ridge penalty
 of about 1 / (sum of the learning rates), 0.013 for that schedule (Yao,
-Rosasco & Caponnetto, Constructive Approximation 2007). The default l2 of
-1e-2 (`constants.L2`) stands in for both.
+Rosasco & Caponnetto, Constructive Approximation 2007). Both stages take
+one l2, the run config's `hyper.l2`, whose default of 1e-2 stands in for
+that term.
 
 Objectives normalize the data term by the total weight, so duplicating
 the dataset or rescaling all weights leaves the optimum unchanged.
@@ -78,7 +79,6 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .constants import L2
 from .corpus import InputFormatError, Sentence, decode, read_json
 from .features import FeatureExtractor, FeatureLayout, LayoutMismatchError
 from .rng import CALIBRATION_SPLIT, choice, stream
@@ -293,7 +293,7 @@ def _minimize(loss, X, pos, neg, l2: float, tag: str) -> tuple[np.ndarray, float
     return x[:-1], float(x[-1])
 
 
-def train_stage1(X: np.ndarray, o: np.ndarray, l2: float = L2) -> Linear:
+def train_stage1(X: np.ndarray, o: np.ndarray, l2: float) -> Linear:
     """Logistic regression on o labels, treating unlabeled rows as negative: the
     rows (o, 1 - o) of `logistic_loss`."""
     o = np.asarray(o, dtype=float)
@@ -336,7 +336,7 @@ def build_relabeled(p1: np.ndarray, o: np.ndarray, e: float) -> tuple[np.ndarray
     return pos, 1.0 - pos
 
 
-def train_stage2(X: np.ndarray, pos: np.ndarray, neg: np.ndarray, l2: float = L2) -> Linear:
+def train_stage2(X: np.ndarray, pos: np.ndarray, neg: np.ndarray, l2: float) -> Linear:
     """Linear SVM on rows weighted as positives by `pos` and as negatives by
     `neg`: the minimum of the smoothed `hinge_loss`."""
     w, b = _minimize(hinge_loss, X, pos, neg, l2, "stage2")
@@ -435,17 +435,12 @@ def calibration_split(n_rows: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(~held), np.flatnonzero(held)
 
 
-def train_pu_model(
-    X: CsrMatrix | np.ndarray,
-    o: np.ndarray,
-    stage1_l2: float = L2,
-    stage2_l2: float = L2,
-    seed: int = 0,
-) -> tuple[PUModel, Linear]:
+def train_pu_model(X: CsrMatrix | np.ndarray, o: np.ndarray, l2: float, seed: int) -> tuple[PUModel, Linear]:
     """Full two-stage pipeline with a 20% held-out calibration split: the model
     and, beside it, stage 1, which nothing reads after training.
 
-    X holds one feature row per example, o its 0/1 labels. The SVM trains on
+    X holds one feature row per example, o its 0/1 labels; both stages take
+    the penalty l2, and `seed` draws the split. The SVM trains on
     80% of the rows, with their weights from `build_relabeled`, and the
     sigmoid is fitted on the margins of the rest (`calibration_split`). If
     the held-out rows lack weight on one side, calibration falls back to the
@@ -456,7 +451,7 @@ def train_pu_model(
     o = np.asarray(o)
     if not np.isin(o, (0, 1)).all():
         raise ValueError("o must hold only 0 and 1")
-    stage1 = train_stage1(X, o, stage1_l2)
+    stage1 = train_stage1(X, o, l2)
     p1 = stage1.predict_proba(X)
     e = estimate_e(p1[o == 1])
     pos, neg = build_relabeled(p1, o, e)
@@ -467,7 +462,7 @@ def train_pu_model(
         e,
     )
     fit, cal = calibration_split(len(X), seed)
-    svm = train_stage2(X[fit], pos[fit], neg[fit], stage2_l2)
+    svm = train_stage2(X[fit], pos[fit], neg[fit], l2)
     margins = svm.decision(X)
     try:
         calib = Calib(*calibrate(margins[cal], pos[cal], neg[cal]))

@@ -44,6 +44,12 @@ RANDOMRANK = "randomrank"
 SYSTEMS = (LEADWORDS, INFORANK, INFOFILTER, RANDOMRANK)
 
 
+def predicted_important(prob: float) -> bool:
+    """The detector's decision: predict labels a sentence 1, and InfoFilter keeps it,
+    exactly when this holds of its probability."""
+    return prob >= 0.5
+
+
 @dataclass(frozen=True)
 class SummaryBudget:
     max_words: int = 100
@@ -168,18 +174,18 @@ def info_rank(doc: Document, probs: Sequence[float], budget: SummaryBudget) -> S
 
 
 def info_filter(doc: Document, probs: Sequence[float], budget: SummaryBudget) -> SummaryResult:
-    """lead_words over the sentences predicted important (prob >= 0.5), in the budget's mode.
+    """lead_words over the sentences `predicted_important`, in the budget's mode.
 
     Kept sentences are taken in document order; in truncate-words mode the
     first one that would overflow the budget is cut to fill it, and in
     whole-sentence mode selection stops before it. When every sentence is
     predicted unimportant, the result is lead_words of the whole document in
-    the same mode, with fallback flagged. Either way every sentence below 0.5
-    is recorded as removed.
+    the same mode, with fallback flagged. Either way every sentence not
+    predicted important is recorded as removed.
     """
     _check_probs(doc, probs)
-    kept = tuple(s for s, p in zip(doc.sentences, probs) if p >= 0.5)
-    removed = tuple(s.id for s, p in zip(doc.sentences, probs) if p < 0.5)
+    kept = tuple(s for s, p in zip(doc.sentences, probs) if predicted_important(p))
+    removed = tuple(s.id for s, p in zip(doc.sentences, probs) if not predicted_important(p))
     lead = lead_words(replace(doc, sentences=kept) if kept else doc, budget)
     return replace(lead, system=INFOFILTER, removed=removed, fallback=not kept)
 

@@ -17,7 +17,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .constants import L2
 from .corpus import write_jsonl
 from .lexicons import CategoryLexicon, ScoredLexicon, category_lexicon_to_tsv, scored_lexicon_to_tsv
 from .rng import SYNTH_LEXICONS, SYNTH_TEST, SYNTH_TRAIN, Stream, stream
@@ -135,7 +134,11 @@ def synth_records(params: SynthParams, test: bool = False) -> tuple[list[dict], 
 
 
 def write_synth_bundle(out_dir: str | Path, params: SynthParams) -> dict[str, str]:
-    """Write corpora, lexicons, extracts, gold labels and a pipeline config."""
+    """Write corpora, lexicons, extracts, gold labels and a pipeline config.
+
+    The config names the seed, the out dir, the input paths and extract
+    labels; every other setting keeps the run config's own default.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     scored, category = build_synth_lexicons(params.seed)
@@ -169,20 +172,7 @@ def write_synth_bundle(out_dir: str | Path, params: SynthParams) -> dict[str, st
             "scored": [str(paths["scored_lexicon"])],
             "category": [str(paths["category_lexicon"])],
         },
-        "label": {
-            "mode": "extract",
-            "extracts": str(paths["extracts"]),
-            "t_pos": 14.0,
-            "t_unl": 10.0,
-            "balance_ratio": 1.2,
-        },
-        "features": {"mode": "dictionary", "bins": 230},
-        "hyper": {
-            "stage1": {"l2": L2},
-            "stage2": {"l2": L2},
-        },
-        "budget": {"max_words": 100, "mode": "truncate-words"},
-        "systems": ["leadwords", "inforank", "infofilter", "randomrank"],
+        "label": {"mode": "extract", "extracts": str(paths["extracts"])},
         "evaluate": {"gold_labels": str(paths["gold_labels"])},
     }
     paths["config"].write_text(

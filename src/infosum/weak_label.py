@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
-from .corpus import Corpus, Document, IdfTable, Sentence, read_sentence_records, write_jsonl
+from .corpus import Corpus, Document, read_sentence_records, write_jsonl
 from .rng import UNLABELED_SAMPLE, choice, stream
 
 POSITIVE = "positive"
@@ -35,35 +35,26 @@ class WeakLabel:
             raise ValueError(f"negative sentence_id {self.sentence_id}")
 
 
-def align_score(source: Sentence, target: Sentence, idf: IdfTable) -> float:
-    """Sum of IDF weights over word types shared by the two sentences."""
-    shared = source.word_types() & target.word_types()
+def align_score(source: frozenset[str], target: frozenset[str], idf: dict[str, float]) -> float:
+    """Sum of the IDF weights (`corpus.compute_idf`) of the word types two sentences share."""
     # sorted so the float sum has one deterministic order
-    return float(sum(idf.weight(t) for t in sorted(shared)))
+    return float(sum(idf[t] for t in sorted(source & target)))
 
 
-def best_alignment(
-    source: Sentence, summary: Sequence[Sentence], idf: IdfTable
-) -> tuple[int, float]:
-    """Summary sentence with the highest score; ties keep the lowest id."""
-    if not summary:
-        raise ValueError("summary is empty")
-    best_id = summary[0].id
-    best = align_score(source, summary[0], idf)
-    for target in summary[1:]:
-        score = align_score(source, target, idf)
-        if score > best:
-            best, best_id = score, target.id
-    return best_id, best
+def label_by_alignment(doc: Document, t_pos: float, t_unl: float, idf: dict[str, float]) -> list[WeakLabel]:
+    """positive if the sentence's best score against a summary sentence is > t_pos,
+    unlabeled if <= t_unl, else excluded.
 
-
-def label_by_alignment(doc: Document, t_pos: float, t_unl: float, idf: IdfTable) -> list[WeakLabel]:
-    """positive if best score > t_pos, unlabeled if <= t_unl, else excluded."""
+    A type a sentence shares with a summary sentence is a word of the article,
+    so `corpus.compute_idf` over a corpus that holds the document weighs it.
+    """
     if not doc.summary:
         raise ValueError(f"document {doc.doc_id!r} has no summary to align against")
+    summary = [frozenset(target.words) for target in doc.summary]
     labels = []
     for sent in doc.sentences:
-        _, score = best_alignment(sent, doc.summary, idf)
+        types = frozenset(sent.words)
+        score = max(align_score(types, target, idf) for target in summary)
         if score > t_pos:
             flag = POSITIVE
         elif score <= t_unl:

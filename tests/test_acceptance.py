@@ -66,7 +66,7 @@ def test_criterion_1_estimator_recovery():
     errors = []
     for seed in SEEDS:
         data = gaussian_pu_dataset(seed=seed)
-        model, _ = train_pu_model(data.X_train, data.o, ACCEPT_L2, ACCEPT_L2, seed=seed)
+        model, _ = train_pu_model(data.X_train, data.o, ACCEPT_L2, seed)
         errors.append(abs(model.e - 0.7))
     elapsed = time.time() - start
     _report(
@@ -81,7 +81,7 @@ def test_criterion_2_pu_gain():
     gains = []
     for seed in SEEDS:
         data = gaussian_pu_dataset(seed=seed)
-        model, stage1 = train_pu_model(data.X_train, data.o, ACCEPT_L2, ACCEPT_L2, seed=seed)
+        model, stage1 = train_pu_model(data.X_train, data.o, ACCEPT_L2, seed)
         X = data.X_test
         naive = (stage1.predict_proba(X) >= 0.5).astype(int)
         two_stage = (np.asarray(model.prob_from_margin(model.margins(X))) >= 0.5).astype(int)

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from infosum.cli import EXIT_OK, EXIT_VALIDATION, RunConfig, build_extractor, main
-from infosum.constants import L2
 from infosum.corpus import load_corpus, write_jsonl
 from infosum.pu import load_model, train_pu_model, save_model
 from infosum.sparse import CsrMatrix
@@ -46,7 +45,46 @@ def pipeline(bundle):
     return cfg_path, run_dir
 
 
+def _leaves(obj: dict, prefix: str = ""):
+    """Each (dotted key, value) of a JSON object whose value is not an object."""
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
 class TestSynthCommand:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The SynthParams of each bundle the synth command writes, which writes none."""
+        from infosum import synth
+
+        built = []
+        monkeypatch.setattr(synth, "write_synth_bundle", lambda out, params: built.append(params) or {"config": ""})
+        return built
+
+    def test_absent_flags_keep_the_params_defaults(self, tmp_path, built):
+        assert main(["synth", "--out-dir", str(tmp_path / "x")]) == EXIT_OK
+        assert built == [SynthParams()]
+
+    def test_each_flag_sets_its_params_field(self, tmp_path, built):
+        assert main(["synth", "--out-dir", str(tmp_path / "x"), "--seed", "3", "--train-docs", "8",
+                     "--test-docs", "4", "--sentences", "5", "--label-rate", "0.25"]) == EXIT_OK
+        assert built == [SynthParams(n_train_docs=8, n_test_docs=4, sentences_per_doc=5, label_rate=0.25, seed=3)]
+
+    def test_config_sets_only_what_the_run_config_cannot_default(self, tmp_path):
+        """Each key is an input path, the seed, the out dir or the label mode, and none
+        restates its RunConfig default, which so stays the one that runs."""
+        paths = write_synth_bundle(tmp_path, SynthParams(n_train_docs=2, n_test_docs=1))
+        raw = json.loads(Path(paths["config"]).read_text())
+        inputs = set(paths.values()) - {paths["config"]}
+        defaults = dict(_leaves(asdict(RunConfig(seed=0, out_dir=""))))
+        for key, value in _leaves(raw):
+            assert key in ("seed", "out_dir", "label.mode") or set(value if isinstance(value, list) else [value]) <= inputs, key
+            assert key in ("seed", "out_dir") or value != defaults[key], key
+        assert RunConfig.from_dict(raw).label.mode == "extract"
+
     def test_writes_bundle(self, tmp_path):
         out = tmp_path / "b"
         assert main(["synth", "--out-dir", str(out), "--seed", "3",
@@ -274,7 +312,7 @@ class TestPipelineCompositionality:
         sampled = sample_unlabeled(labels, cfg.label.balance_ratio, cfg.seed)
         extractor = build_extractor(cfg, train_corpus=corpus)
         X, o = build_examples(corpus, sampled, extractor)
-        model, _ = train_pu_model(X, o, cfg.hyper.stage1.l2, cfg.hyper.stage2.l2, seed=cfg.seed)
+        model, _ = train_pu_model(X, o, cfg.hyper.l2, cfg.seed)
         path = tmp_path / "inprocess.json"
         save_model(model, extractor.layout, path)
         assert path.read_bytes() == (run_dir / "model.json").read_bytes()
@@ -416,8 +454,8 @@ class TestSummarizeFromPredictions:
 class TestTrainingConfig:
     def test_l2_defaults_to_the_shipped_penalty(self):
         cfg = RunConfig.from_dict({"seed": 0, "out_dir": "x"})
-        assert (cfg.hyper.stage1.l2, cfg.hyper.stage2.l2) == (L2, L2) == (1e-2, 1e-2)
-        assert asdict(cfg)["hyper"] == {"stage1": {"l2": 1e-2}, "stage2": {"l2": 1e-2}}
+        assert cfg.hyper.l2 == 1e-2
+        assert asdict(cfg)["hyper"] == {"l2": 1e-2}
 
     def test_l2_of_25_trains_each_stage_to_its_tolerance(self, bundle, pipeline, tmp_path, caplog):
         """25 was the largest penalty the descent schedule took; the solve takes any
@@ -428,7 +466,7 @@ class TestTrainingConfig:
         (out / "labels.jsonl").write_bytes((run_dir / "labels.jsonl").read_bytes())
         with caplog.at_level(logging.INFO, logger="infosum.pu"):
             assert main(["train", "-c", bundle["config"], "--out-dir", str(out),
-                         "--set", "hyper.stage1.l2=25", "--set", "hyper.stage2.l2=25"]) == EXIT_OK
+                         "--set", "hyper.l2=25"]) == EXIT_OK
         solved = [r.getMessage().split(":")[0] for r in caplog.records if " converged: " in r.getMessage()]
         assert solved == ["stage1 converged", "stage2 converged", "calibration converged"]
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
@@ -437,17 +475,18 @@ class TestTrainingConfig:
     def test_l2_override(self, bundle, tmp_path):
         out = tmp_path / "l2"
         assert main(["label", "-c", bundle["config"], "--out-dir", str(out),
-                     "--set", "hyper.stage2.l2=0.05"]) == EXIT_OK
+                     "--set", "hyper.l2=0.05"]) == EXIT_OK
         resolved = json.loads((out / "resolved_config.label.json").read_text())
-        assert resolved["hyper"] == {"stage1": {"l2": L2}, "stage2": {"l2": 0.05}}
+        assert resolved["hyper"] == {"l2": 0.05}
 
     @pytest.mark.parametrize("override, key", [
-        ("hyper.stage1.epochs=50", "hyper.stage1.epochs"),
-        ("hyper.stage2.lr0=0.1", "hyper.stage2.lr0"),
-        ("hyper.stage1.l2=-1", "hyper.stage1.l2"),
-        ("hyper.stage2.l2=NaN", "hyper.stage2.l2"),
-        ("hyper.stage1.l2=high", "hyper.stage1.l2"),
-        ("hyper.stage3.l2=1", "hyper"),
+        ("hyper.epochs=50", "hyper.epochs"),
+        ("hyper.lr0=0.1", "hyper.lr0"),
+        ("hyper.l2=-1", "hyper.l2"),
+        ("hyper.l2=NaN", "hyper.l2"),
+        ("hyper.l2=high", "hyper.l2"),
+        ("hyper.stage1.l2=1", "hyper.stage1"),
+        ("hyper.stage2.l2=1", "hyper.stage2"),
     ])
     def test_bad_training_key_is_validation_error(self, bundle, tmp_path, capsys, override, key):
         code = main(["label", "-c", bundle["config"], "--out-dir", str(tmp_path / "run"),
@@ -481,8 +520,10 @@ BAD_CONFIG_OVERRIDES = [
     ('label={"mode": "extract", "mode": "alignment"}', "config key 'label': key 'mode' is given twice"),
     pytest.param("label.t_pos=1" + "0" * 400, "'label.t_pos' must be a finite number", id="huge-int"),
     ("label.mode=bogus", "'label.mode' must be one of"),
-    ("hyper.stage1.l2=0", "hyper.stage1.l2 must be > 0, not 0.0"),
-    ("hyper.stage2.l2=-1e-3", "hyper.stage2.l2 must be > 0, not -0.001"),
+    ("systems=[]", "systems must hold at least one system"),
+    ("hyper.l2=0", "hyper.l2 must be > 0, not 0.0"),
+    ("hyper.l2=-1e-3", "hyper.l2 must be > 0, not -0.001"),
+    ("hyper.stage1.l2=1", "unknown config key 'hyper.stage1'; hyper takes l2"),
 ]
 
 

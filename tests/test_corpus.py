@@ -146,7 +146,7 @@ class TestLoadCorpus:
     def test_empty_file(self, corpus_of):
         corpus = corpus_of("")
         assert len(corpus) == 0
-        assert compute_idf(corpus.documents).weights == {}
+        assert compute_idf(corpus.documents) == {}
 
     def test_sentence_ids_contiguous(self, corpus_of):
         corpus = corpus_of('{"doc_id": "a", "section": "", "sentences": ["one", "two"]}')
@@ -155,20 +155,19 @@ class TestLoadCorpus:
     def test_idf_formula(self, corpus_of):
         idf = compute_idf(corpus_of(CORPUS_3DOCS).documents)
         # 3 documents, "iran" occurs in one of them
-        assert idf.weight("iran") == pytest.approx(math.log(4 / 2) + 1, abs=1e-12)
-        assert idf.weight("iran") == pytest.approx(1.693, abs=1e-3)
+        assert idf["iran"] == pytest.approx(math.log(4 / 2) + 1, abs=1e-12)
+        assert idf["iran"] == pytest.approx(1.693, abs=1e-3)
 
     def test_idf_excludes_summaries(self, corpus_of):
         idf = compute_idf(corpus_of(CORPUS_3DOCS).documents)
-        # "resume" appears only in a summary, so it gets the unseen weight
-        assert idf.weight("resume") == pytest.approx(math.log(4) + 1)
-        assert "resume" not in idf.weights
+        # "resume" appears only in a summary
+        assert "resume" not in idf
 
     def test_idf_at_least_one_and_monotone(self, corpus_of):
         idf = compute_idf(corpus_of(CORPUS_3DOCS).documents)
-        assert all(w >= 1.0 for w in idf.weights.values())
+        assert all(w >= 1.0 for w in idf.values())
         # df("text") = 2 > df("iran") = 1, so idf("text") < idf("iran")
-        assert idf.weight("text") < idf.weight("iran")
+        assert idf["text"] < idf["iran"]
 
     def test_malformed_record_names_line(self, corpus_of):
         with pytest.raises(InputFormatError, match="corpus line 2"):

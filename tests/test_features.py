@@ -418,4 +418,4 @@ class TestMatchesReference:
         for include_general in (True, False):
             layout = dictionary_layout(scored, category, include_general=include_general)
             assert_matches_reference(layout, scored, category, sentences)
-        assert_matches_reference(bow_layout(bow_vocabulary(corpus)), [], [], sentences)
+        assert_matches_reference(bow_layout(bow_vocabulary(corpus, 2)), [], [], sentences)

@@ -297,7 +297,7 @@ class TestSolver:
     def test_each_stage_meets_its_gradient_tolerance(self, matrix):
         X, o = overlapping_set()
         X = X if matrix == "dense" else as_csr(X)
-        model, stage1 = train_pu_model(X, o, TOY_L2, TOY_L2, seed=2)
+        model, stage1 = train_pu_model(X, o, TOY_L2, 2)
         assert all(ratio <= GRAD_TOL for ratio in stage_ratios(X, o, model, stage1, TOY_L2, 2))
 
     @pytest.mark.parametrize("stage", ["stage1", "stage2"])
@@ -336,7 +336,7 @@ class TestSolver:
         monkeypatch.setattr(pu, "MAX_ITER", 2)
         X, o = overlapping_set()
         with caplog.at_level(logging.INFO, logger="infosum.pu"):
-            model, stage1 = train_pu_model(X, o, TOY_L2, TOY_L2)
+            model, stage1 = train_pu_model(X, o, TOY_L2, 0)
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert [w.split(":")[0] for w in warnings] == [
             f"{stage} did not meet its gradient tolerance" for stage in ("stage1", "stage2", "calibration")
@@ -514,7 +514,7 @@ class TestPenalty:
         """Separable rows at 1e-6 put the logistic optimum far from zero; 25 puts it
         close to it."""
         X, o = separable_set()
-        model, stage1 = train_pu_model(X, o, l2, l2)
+        model, stage1 = train_pu_model(X, o, l2, 0)
         assert all(ratio <= GRAD_TOL for ratio in stage_ratios(X, o, model, stage1, l2, 0))
 
     @pytest.mark.parametrize("loss", [logistic_loss, hinge_loss])
@@ -540,7 +540,7 @@ class TestPaperScaleSolve:
         """`infosum train` on a bundle the size of the paper-150 benchmark workload (150
         train and 300 test documents, seed 0). The fixed descent schedule took 8000 loss
         evaluations there."""
-        from infosum.cli import EXIT_OK, main
+        from infosum.cli import EXIT_OK, HyperSection, main
         from infosum.synth import SynthParams, write_synth_bundle
 
         paths = write_synth_bundle(tmp_path, SynthParams(n_train_docs=150, n_test_docs=300, seed=0))
@@ -553,9 +553,9 @@ class TestPaperScaleSolve:
             seen.append((args, kw, train_pu_model(*args, **kw))), seen[-1][2])[1])
         with caplog.at_level(logging.INFO, logger="infosum.pu"):
             assert main(["train", "-c", paths["config"]]) == EXIT_OK
-        [((X, o, l2, stage2_l2), kw, (model, stage1))] = seen
-        assert l2 == stage2_l2 == pu.L2
-        assert all(ratio <= GRAD_TOL for ratio in stage_ratios(X, o, model, stage1, l2, kw["seed"]))
+        [((X, o, l2, seed), kw, (model, stage1))] = seen
+        assert (l2, seed, kw) == (HyperSection().l2, 0, {})
+        assert all(ratio <= GRAD_TOL for ratio in stage_ratios(X, o, model, stage1, l2, seed))
         assert len(calls) < 1000
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
@@ -640,7 +640,7 @@ class TestCalibrationSplit:
 
 def trained_toy_model(seed=0):
     X, o = separable_set(seed=seed)
-    return train_pu_model(X, o, TOY_L2, TOY_L2, seed=seed)[0], X, o
+    return train_pu_model(X, o, TOY_L2, seed)[0], X, o
 
 
 class TestPUModel:
@@ -668,15 +668,15 @@ class TestPUModel:
     def test_labels_must_be_zero_or_one(self):
         X, o = separable_set()
         with pytest.raises(ValueError):
-            train_pu_model(X, o + 1, TOY_L2, TOY_L2)
+            train_pu_model(X, o + 1, TOY_L2, 0)
 
     def test_sparse_and_dense_matrices_train_the_same_model(self):
         X, o = separable_set()
         X = np.hstack([X, np.zeros((len(X), 1)), (X[:, :1] > 1.2) * 1.0])  # an empty column, a sparse one
         X[3] = 0.0  # an empty row
         sparse = CsrMatrix.from_rows([(np.flatnonzero(x), x[x != 0]) for x in X], X.shape[1])
-        dense_model, dense_stage1 = train_pu_model(X, o, TOY_L2, TOY_L2, seed=1)
-        sparse_model, sparse_stage1 = train_pu_model(sparse, o, TOY_L2, TOY_L2, seed=1)
+        dense_model, dense_stage1 = train_pu_model(X, o, TOY_L2, 1)
+        sparse_model, sparse_stage1 = train_pu_model(sparse, o, TOY_L2, 1)
         assert sparse_model.e == pytest.approx(dense_model.e, rel=1e-12)
         np.testing.assert_allclose(sparse_stage1.weights, dense_stage1.weights, atol=1e-10)
         np.testing.assert_allclose(sparse_model.svm.weights, dense_model.svm.weights, atol=1e-10)
@@ -687,7 +687,7 @@ class TestPUModel:
         X, o = overlapping_set()
         seen = []
         monkeypatch.setattr(pu, "train_stage2", lambda *args: (seen.append(args), train_stage2(*args))[1])
-        _, stage1 = train_pu_model(X if matrix == "dense" else as_csr(X), o, TOY_L2, TOY_L2, seed=2)
+        _, stage1 = train_pu_model(X if matrix == "dense" else as_csr(X), o, TOY_L2, 2)
         p1 = stage1.predict_proba(X if matrix == "dense" else as_csr(X))
         pos, neg = build_relabeled(p1, o, estimate_e(p1[o == 1]))
         fit, cal = calibration_split(len(X), 2)
@@ -881,7 +881,7 @@ class TestSentenceClassifier:
         sents += [make_sentence(i, "beta beta gamma delta epsilon") for i in range(8)]
         X = CsrMatrix.from_rows([ex.extract(s) for s in sents], layout.total_dim)
         o = np.array([1] * 8 + [0] * 8)
-        model, _ = train_pu_model(X, o, TOY_L2, TOY_L2, seed=0)
+        model, _ = train_pu_model(X, o, TOY_L2, 0)
         return model, ex
 
     def test_mutated_lexicon_rejected_at_predict(self, tmp_path):

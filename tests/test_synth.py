@@ -8,7 +8,7 @@ from infosum.synth import SynthParams, write_synth_bundle
 # holds the paths). They pin `infosum.rng`'s streams and synth's order of draws.
 BUNDLE_SHA256 = {
     "a": (SynthParams(n_train_docs=20, n_test_docs=5), {
-        "config.json": "35a729abd62f49ce67f07511839cdbfa4b01abfb8310111362e09d8b3361899a",
+        "config.json": "370b9a7ab0c4391d0464d9248d446951a0759a26b25d5d44fd2f7f7fca5a6212",
         "corpus_test.jsonl": "bc093bbe2b6f494acdde87d1f8bca6fdbb183b87d8e03efd7eefd7fbd4b64f17",
         "corpus_train.jsonl": "ffba8afda53e252cf78ef9f553c065b4c89d4986476073cbffacecb2f917cbf0",
         "extracts_train.jsonl": "4b04e760876b3566bca922844ac4c421196f319b26ca6ae6d4010fabbc1f258e",
@@ -17,7 +17,7 @@ BUNDLE_SHA256 = {
         "synthmrc.tsv": "a3152540afa8f472626dc2012635877e40ad2391b20c81ebf22354c313e29342",
     }),
     "b": (SynthParams(n_train_docs=6, n_test_docs=4, sentences_per_doc=3, label_rate=0.3, seed=2**33 + 5), {
-        "config.json": "53f8cf0f6602f040b850944c9d82736333d9f6618b30d0df1ce2bf04eb305798",
+        "config.json": "3a6bb8dd02649e184d5d4781bf28bcc13b39f5a8fbe05e493210bb3d9f654667",
         "corpus_test.jsonl": "61483c947fc3a588af048b9706d7ae3b3d002cbc79a349f9e9eb9fd5160870af",
         "corpus_train.jsonl": "76a6c687b673e2ca9008d38d99f2e108e6cb564be7e6547b8dd9379ed510346d",
         "extracts_train.jsonl": "363fd6917beab43312615d379e90b9629d64516e53e425352de2ad5fc7253b35",

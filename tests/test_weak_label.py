@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from infosum.cli import LabelSection
-from infosum.corpus import Corpus, IdfTable, build_document, make_sentence
+from infosum.corpus import Corpus, build_document, make_sentence
 from infosum.weak_label import (
     EXCLUDED,
     POSITIVE,
     UNLABELED,
     WeakLabel,
     align_score,
-    best_alignment,
     label_by_alignment,
     label_by_extract,
     label_counts,
@@ -20,77 +19,47 @@ from infosum.weak_label import (
     write_labels,
 )
 
-FLAT_IDF = IdfTable(n_docs=0, weights={})
-
-
 def flat_idf(words, value=2.0):
-    return IdfTable(n_docs=10, weights={w: value for w in words})
+    return {w: value for w in words}
+
+
+def types(text):
+    """The word types of the sentence `text`, as `label_by_alignment` aligns them."""
+    return frozenset(make_sentence(0, text).words)
 
 
 class TestAlignScore:
     def test_disjoint(self):
-        idf = flat_idf(["a", "b", "c", "d"])
-        a = make_sentence(0, "a b")
-        b = make_sentence(0, "c d")
-        assert align_score(a, b, idf) == 0.0
+        assert align_score(types("a b"), types("c d"), flat_idf("abcd")) == 0.0
 
     def test_identical_is_sum_of_types(self):
-        idf = flat_idf(["iran", "nuclear", "talks"], 2.0)
-        s = make_sentence(0, "iran nuclear talks nuclear")
-        assert align_score(s, s, idf) == pytest.approx(6.0)
+        s = types("iran nuclear talks nuclear")
+        assert align_score(s, s, flat_idf(["iran", "nuclear", "talks"], 2.0)) == pytest.approx(6.0)
 
     def test_shared_types_weighted(self):
         idf = flat_idf(["iran", "nuclear", "talks", "resume"], 2.0)
-        src = make_sentence(0, "iran nuclear talks")
-        tgt = make_sentence(0, "nuclear talks resume")
-        assert align_score(src, tgt, idf) == pytest.approx(4.0)
+        assert align_score(types("iran nuclear talks"), types("nuclear talks resume"), idf) == pytest.approx(4.0)
 
     def test_punctuation_excluded(self):
-        idf = flat_idf(["a"], 5.0)
-        assert align_score(make_sentence(0, "a !"), make_sentence(0, "a ?"), idf) == 5.0
+        assert align_score(types("a !"), types("a ?"), flat_idf(["a"], 5.0)) == 5.0
+
+    def test_sums_in_sorted_order(self):
+        """Summed in another order, these weights give another float."""
+        idf = {"a": 0.1, "b": 1e16, "c": -1e16}
+        assert align_score(types("c b a"), types("a b c"), idf) == (0.1 + 1e16) - 1e16
+        assert (0.1 + 1e16) - 1e16 != 0.1 + (1e16 - 1e16)
 
     @given(st.lists(st.sampled_from("abcdef"), max_size=8), st.lists(st.sampled_from("abcdef"), max_size=8))
     def test_symmetry(self, xs, ys):
         idf = flat_idf("abcdef", 1.5)
-        a = make_sentence(0, " ".join(xs))
-        b = make_sentence(0, " ".join(ys))
+        a, b = types(" ".join(xs)), types(" ".join(ys))
         assert align_score(a, b, idf) == align_score(b, a, idf)
 
     @given(st.lists(st.sampled_from("abcde"), max_size=6))
     def test_adding_shared_word_never_decreases(self, xs):
         idf = flat_idf("abcdef", 1.5)
-        a = make_sentence(0, " ".join(xs))
-        b = make_sentence(0, " ".join(xs + ["f"]))
-        shared = make_sentence(0, " ".join(xs + ["f"]))
-        assert align_score(b, shared, idf) >= align_score(a, shared, idf)
-
-
-class TestBestAlignment:
-    def test_single_sentence_summary(self):
-        idf = flat_idf(["a"], 1.0)
-        summary = [make_sentence(0, "a")]
-        assert best_alignment(make_sentence(0, "a"), summary, idf) == (0, 1.0)
-
-    def test_argmax(self):
-        idf = flat_idf(["a", "b", "c"], 1.0)
-        src = make_sentence(0, "a b c")
-        summary = [
-            make_sentence(0, "a x"),
-            make_sentence(1, "a b c"),
-            make_sentence(2, "z"),
-        ]
-        sid, score = best_alignment(src, summary, idf)
-        assert (sid, score) == (1, 3.0)
-
-    def test_tie_keeps_lowest_id(self):
-        idf = flat_idf(["a"], 1.0)
-        src = make_sentence(0, "a")
-        summary = [make_sentence(0, "a"), make_sentence(1, "a")]
-        assert best_alignment(src, summary, idf)[0] == 0
-
-    def test_empty_summary(self):
-        with pytest.raises(ValueError):
-            best_alignment(make_sentence(0, "a"), [], FLAT_IDF)
+        shared = types(" ".join(xs + ["f"]))
+        assert align_score(shared, shared, idf) >= align_score(types(" ".join(xs)), shared, idf)
 
 
 class TestLabelByAlignment:
@@ -110,24 +79,26 @@ class TestLabelByAlignment:
             ["p1 p2 p3", "m1 m2 m3", "u1 u2"],
             ["p1 p2 p3 m1 m2 m3 u1 u2"],
         )
-        idf = IdfTable(
-            n_docs=10,
-            weights={"p1": 5.0, "p2": 5.0, "p3": 5.0, "m1": 4.0, "m2": 4.0, "m3": 4.0, "u1": 4.0, "u2": 4.0},
-        )
+        idf = {"p1": 5.0, "p2": 5.0, "p3": 5.0, "m1": 4.0, "m2": 4.0, "m3": 4.0, "u1": 4.0, "u2": 4.0}
         labels = label_by_alignment(doc, 14.0, 10.0, idf)
         assert [l.flag for l in labels] == [POSITIVE, EXCLUDED, UNLABELED]
         assert [l.align_score for l in labels] == [15.0, 12.0, 8.0]
 
     def test_score_exactly_t_pos_not_positive(self):
         doc = build_document("d", "", ["a b"], ["a b"])
-        idf = IdfTable(n_docs=10, weights={"a": 7.0, "b": 7.0})
+        idf = {"a": 7.0, "b": 7.0}
         (label,) = label_by_alignment(doc, 14.0, 10.0, idf)
         assert label.flag == EXCLUDED
 
     def test_missing_summary(self):
         doc = build_document("d", "", ["a"])
         with pytest.raises(ValueError, match="summary"):
-            label_by_alignment(doc, 14.0, 10.0, FLAT_IDF)
+            label_by_alignment(doc, 14.0, 10.0, {})
+
+    def test_score_is_the_best_over_the_summary_sentences(self):
+        doc = build_document("d", "", ["a b c", "z"], ["a x", "a b c", "z"])
+        labels = label_by_alignment(doc, 14.0, 10.0, flat_idf("abcxz", 1.0))
+        assert [l.align_score for l in labels] == [3.0, 1.0]
 
     def test_partition_covers_all_sentences(self):
         doc = build_document("d", "", ["a", "b", "c d e f g h i"], ["c d e f g h i"])
