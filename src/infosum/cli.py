@@ -21,13 +21,18 @@ Summarize takes each sentence's probability for InfoRank and InfoFilter
 from the `prob` fields of predictions.jsonl; LeadWords and RandomRank need
 no predictions.
 
-Each record file is checked against its corpus as it is read: labels,
-predictions and gold labels by `corpus.read_sentence_records`, summaries by
-`summarize.read_summaries` (with the cut rule beside `lead_words`). A line
-naming a sentence or document its corpus lacks, or one an earlier line
-named, fails at that line. Here, summarize and evaluate check only that the
-predictions cover every test sentence, and evaluate that a summaries file
-covers every test document.
+Each record file is checked against its corpus as it is read, by
+`corpus.read_records`: extracts (`compute_labels`), labels
+(`weak_label.read_labels`), predictions and gold labels here, and summaries
+through `summarize.read_summaries`, which also checks each summary with the
+cut rule beside `lead_words`. A line naming a sentence or document its
+corpus lacks, or one an earlier line named, fails at that line. Here,
+summarize and evaluate check only that the predictions cover every test
+sentence, and evaluate that a summaries file covers every test document.
+
+Train builds a dictionary layout with `features.bins` intervals per scored
+attribute; the layout, not the lexicon, holds the bins, so predict bins as
+the model's layout says and reads no `features.bins`.
 
 Each command runs in a process of its own and imports only the modules it
 runs. This file's top level imports the config schema's modules, none of
@@ -80,21 +85,21 @@ import json
 import logging
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Literal
 
-from .constants import DEFAULT_BINS, FEATURE_MODES, MODE_BOW, MODE_DICTIONARY
+from .constants import FEATURE_MODES, MODE_BOW, MODE_DICTIONARY
 from .corpus import (
     Corpus,
+    Document,
     InputFormatError,
     _parse_json,
     compute_idf,
     decode,
     load_corpus,
     read_json,
-    read_jsonl,
-    read_sentence_records,
+    read_records,
     write_jsonl,
 )
 from .rng import RANDOMRANK_ORDER, stream
@@ -169,7 +174,8 @@ class LabelSection:
 @dataclass(frozen=True)
 class FeaturesSection:
     mode: Literal[FEATURE_MODES] = MODE_DICTIONARY
-    bins: int = DEFAULT_BINS
+    # the intervals of each scored attribute in the layout train builds; predict bins as its model says
+    bins: int = 230
     bow_min_df: int = 2
 
     def __post_init__(self) -> None:
@@ -334,19 +340,10 @@ def compute_labels(cfg: RunConfig, corpus: Corpus):
     if cfg.label.mode == "extract":
         by_doc: dict[str, list] = {}
 
-        def parse(rec: dict) -> None:
-            """Label the document an extracts line names: once, and only a train document."""
-            record = decode(Extracts, rec)
-            try:
-                doc = corpus.document(record.doc_id)
-            except KeyError:
-                raise ValueError(f"document {record.doc_id!r} is not in the train corpus") from None
-            doc_labels = label_by_extract(doc, record.extracts)
-            if record.doc_id in by_doc:
-                raise ValueError(f"document {record.doc_id!r} appears twice")
-            by_doc[record.doc_id] = doc_labels
+        def label(record: Extracts, doc: Document) -> None:
+            by_doc[doc.doc_id] = label_by_extract(doc, record.extracts)
 
-        read_jsonl(_require_file(cfg.label.extracts, "extracts file"), "extracts", parse)
+        read_records(_require_file(cfg.label.extracts, "extracts file"), "extracts", Extracts, corpus, "train", label)
         for doc in corpus:
             labels.extend(by_doc[doc.doc_id] if doc.doc_id in by_doc else label_by_extract(doc, ()))
     else:
@@ -377,9 +374,9 @@ def build_extractor(cfg: RunConfig, train_corpus: Corpus | None = None, layout: 
     """Extractor for the configured feature mode, or for a trained model's `layout`.
 
     A model's layout comes from its model file: BOW layouts embed their
-    vocabulary, and dictionary layouts are re-validated against the lexicon
-    files, binned as the model was, so any content change surfaces as a
-    hash mismatch.
+    vocabulary, and the extractor checks the lexicon files against a
+    dictionary layout's specs, each binned as its spec says, so any content
+    change surfaces as a hash mismatch and `features.bins` is not read.
     """
     from .features import FeatureExtractor, bow_layout, bow_vocabulary, dictionary_layout
     from .lexicons import read_category_lexicon, read_scored_lexicon
@@ -390,18 +387,12 @@ def build_extractor(cfg: RunConfig, train_corpus: Corpus | None = None, layout: 
         if train_corpus is None:
             raise ConfigError("bow feature mode needs the training corpus")
         return FeatureExtractor(bow_layout(bow_vocabulary(train_corpus, cfg.features.bow_min_df)))
-    scored = [
-        read_scored_lexicon(_require_file(p, "scored lexicon"), bins=cfg.features.bins)
-        for p in cfg.lexicons.scored
-    ]
+    scored = [read_scored_lexicon(_require_file(p, "scored lexicon")) for p in cfg.lexicons.scored]
     category = [read_category_lexicon(_require_file(p, "category lexicon")) for p in cfg.lexicons.category]
-    if layout is not None:
-        bins = {spec.name: spec.bins for spec in layout.scored}
-        scored = [replace(lex, bins=bins.get(lex.name, lex.bins)) for lex in scored]
-        return FeatureExtractor(layout, scored, category)
-    if not scored and not category:
-        raise ConfigError("dictionary feature mode needs at least one lexicon")
-    layout = dictionary_layout(scored, category, include_general=cfg.features.mode == MODE_DICTIONARY)
+    if layout is None:
+        if not scored and not category:
+            raise ConfigError("dictionary feature mode needs at least one lexicon")
+        layout = dictionary_layout(scored, category, cfg.features.bins, cfg.features.mode == MODE_DICTIONARY)
     return FeatureExtractor(layout, scored, category)
 
 
@@ -481,7 +472,7 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 def _read_predictions(path: Path, corpus: Corpus) -> dict[tuple[str, int], Prediction]:
     """The predictions at `path`, which must hold exactly the test corpus's sentences."""
-    preds = read_sentence_records(path, "predictions", Prediction, corpus, "test")
+    preds = read_records(path, "predictions", Prediction, corpus, "test")
     for doc in corpus:
         for sent in doc.sentences:
             if (doc.doc_id, sent.id) not in preds:
@@ -538,7 +529,10 @@ def _evaluated_summaries(cfg: RunConfig, corpus: Corpus) -> dict[str, list[Summa
         path = cfg.path(f"summaries_{system}.jsonl")
         if not path.is_file():
             continue
-        results = read_summaries(path, system, corpus)
+        try:
+            results = read_summaries(path, system, corpus)
+        except InputFormatError as exc:
+            raise InputFormatError(f"{exc}; run summarize again") from None
         missing = {doc.doc_id for doc in corpus}.difference(result.doc_id for result in results)
         if missing:
             raise ConfigError(f"{path.name} lacks test document {min(missing)!r}; run summarize again")
@@ -554,7 +548,7 @@ def _classification(cfg: RunConfig, corpus: Corpus, pred_path: Path) -> dict:
     from .report import classification_section
 
     gold_path = _require_file(cfg.evaluate.gold_labels, "gold labels file")
-    gold = read_sentence_records(gold_path, "gold labels", SentenceLabel, corpus, "test")
+    gold = read_records(gold_path, "gold labels", SentenceLabel, corpus, "test")
     if not gold:
         raise ConfigError(f"gold labels file {gold_path} holds no labels")
     return classification_section(gold, _read_predictions(pred_path, corpus))

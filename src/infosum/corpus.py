@@ -28,9 +28,11 @@ bad JSON, a key given twice in one object and a bad field all raise
 InputFormatError naming the file kind and the 1-based line. Every JSONL
 artifact is written by `write_jsonl`.
 
-Labels, predictions and gold labels are read by `read_sentence_records`,
-which fails at a line naming a sentence its corpus lacks or one an earlier
-line named; summaries by `summarize.read_summaries`.
+Every record file is read by `read_records`, which fails at a line naming a
+sentence or document its corpus lacks or one an earlier line named: labels
+by `weak_label.read_labels`, extracts, predictions and gold labels by `cli`,
+and summaries by `summarize.read_summaries`, which checks each against its
+document too.
 
 A JSON object becomes a record, a frozen dataclass, by one rule (`decode`):
 each field's type hint is its key's JSON type, exactly (a bool is not an
@@ -252,22 +254,32 @@ def read_jsonl(path: str | Path, kind: str, parse: Callable[[dict], T]) -> list[
     return out
 
 
-def read_sentence_records(
-    path: str | Path, kind: str, cls: type[T], corpus: Corpus, corpus_name: str
-) -> dict[tuple[str, int], T]:
-    """Each record `cls` (with a `doc_id` and a `sentence_id`) of the JSONL file at `path`
-    by its (doc_id, sentence_id), in file order. A line that names a sentence the corpus
-    lacks, or one that an earlier line named, is an error at that line."""
-    records: dict[tuple[str, int], T] = {}
+def read_records(
+    path: str | Path, kind: str, cls: type[T], corpus: Corpus, corpus_name: str,
+    check: Callable[[T, Document], None] | None = None,
+) -> dict:
+    """Each record `cls` of the JSONL file at `path` by its (doc_id, sentence_id), or by its
+    doc_id if `cls` has no `sentence_id`, in file order. A line that names a sentence or
+    document the corpus lacks, or one that an earlier line named, is an error at that line,
+    and so is a ValueError of `check(record, document)`, called after those checks."""
+    by_sentence = "sentence_id" in {f.name for f in fields(cls)}
+    records: dict = {}
 
     def parse(rec: dict) -> None:
         record = decode(cls, rec)
-        doc_id, sentence_id = key = record.doc_id, record.sentence_id
-        doc = corpus._index.get(doc_id)
-        if doc is None or not 0 <= sentence_id < len(doc.sentences):
-            raise ValueError(f"sentence {sentence_id} of document {doc_id!r} is not in the {corpus_name} corpus")
+        doc = corpus._index.get(record.doc_id)
+        if by_sentence:
+            key = (record.doc_id, record.sentence_id)
+            what = f"sentence {record.sentence_id} of document {record.doc_id!r}"
+            known = doc is not None and 0 <= record.sentence_id < len(doc.sentences)
+        else:
+            key, what, known = record.doc_id, f"document {record.doc_id!r}", doc is not None
+        if not known:
+            raise ValueError(f"{what} is not in the {corpus_name} corpus")
         if key in records:
-            raise ValueError(f"sentence {sentence_id} of document {doc_id!r} appears twice")
+            raise ValueError(f"{what} appears twice")
+        if check is not None:
+            check(record, doc)
         records[key] = record
 
     read_jsonl(path, kind, parse)

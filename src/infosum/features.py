@@ -8,9 +8,15 @@ each fact that fixes the columns once: the mode, each lexicon's name, its
 attributes and bins or its categories, and its content hash, or the
 vocabulary. Block order follows from the specs, and `total_dim` and
 `general_width` are derived from them, once per layout. Its JSON is `asdict`
-of it, `pu.save_model` writes it inside model.json, `corpus.decode` reads it
-back, and an extractor built on it rejects lexicons whose content has
-changed since.
+of it, `pu.save_model` writes it inside model.json, and `corpus.decode` reads
+it back.
+
+The layout alone bins: `dictionary_layout` records the configured bins in
+each scored spec, and the extractor bins each score by its spec. One rule
+builds a spec from a lexicon (`_scored_spec`, `_category_spec`); an
+extractor checks the lexicon of each spec's name by building the spec again
+with its bins, so a lexicon changed since the layout was built is rejected.
+Lexicon names must be distinct, in a layout and in an extractor.
 
 Every lexicon or vocabulary feature is a per-word count, so the extractor
 resolves each lowercased word type once into the columns it adds to and
@@ -105,28 +111,39 @@ class FeatureLayout:
     def total_dim(self) -> int:
         """The row's width: a column per vocabulary word, or in order a block of
         bins per scored attribute, a column per category and the general block."""
-        if self.mode == MODE_BOW:
-            return len(self.vocab)
         scored = sum(len(spec.attributes) * spec.bins for spec in self.scored)
-        return scored + sum(len(spec.categories) for spec in self.category) + self.general_width
+        category = sum(len(spec.categories) for spec in self.category)
+        return len(self.vocab or ()) + scored + category + self.general_width
+
+
+def _scored_spec(lex: ScoredLexicon, bins: int) -> ScoredSpec:
+    return ScoredSpec(lex.name, lex.attributes, bins, lex.content_hash(bins))
+
+
+def _category_spec(lex: CategoryLexicon) -> CategorySpec:
+    return CategorySpec(lex.name, lex.categories, lex.content_hash())
+
+
+def _check_unique_names(scored: Sequence[ScoredLexicon], category: Sequence[CategoryLexicon]) -> None:
+    names = [lex.name for lex in (*scored, *category)]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise LexiconFormatError(f"two lexicons are named {name!r}; lexicon names must be unique")
 
 
 def dictionary_layout(
     scored_lexicons: Sequence[ScoredLexicon],
     category_lexicons: Sequence[CategoryLexicon],
+    bins: int,
     include_general: bool = True,
 ) -> FeatureLayout:
-    """The specs of the scored lexicons, then of the category lexicons, in order."""
-    names = [lex.name for lex in scored_lexicons] + [lex.name for lex in category_lexicons]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise LexiconFormatError(f"two lexicons are named {name!r}; lexicon names must be unique")
+    """The specs of the scored lexicons, each attribute binned into `bins` intervals,
+    then of the category lexicons, in order."""
+    _check_unique_names(scored_lexicons, category_lexicons)
     return FeatureLayout(
         mode=MODE_DICTIONARY if include_general else MODE_DICTIONARY_NO_GENERAL,
-        scored=tuple(
-            ScoredSpec(lex.name, lex.attributes, lex.bins, lex.content_hash()) for lex in scored_lexicons
-        ),
-        category=tuple(CategorySpec(lex.name, lex.categories, lex.content_hash()) for lex in category_lexicons),
+        scored=tuple(_scored_spec(lex, bins) for lex in scored_lexicons),
+        category=tuple(_category_spec(lex) for lex in category_lexicons),
     )
 
 
@@ -149,55 +166,32 @@ class FeatureExtractor:
         scored_lexicons: Sequence[ScoredLexicon] = (),
         category_lexicons: Sequence[CategoryLexicon] = (),
     ):
+        """Each of the layout's specs takes the lexicon of its name, which must rebuild
+        the spec exactly; the lexicons must have distinct names, as in `dictionary_layout`."""
+        _check_unique_names(scored_lexicons, category_lexicons)
         self.layout = layout
-        self._scored: list[ScoredLexicon] = []
-        self._category: list[CategoryLexicon] = []
-        self._columns: dict[str, tuple[int, ...]] = {}
-        if layout.mode == MODE_BOW:
-            self._columns = {w: (i,) for i, w in enumerate(layout.vocab)}
-            return
-        by_name_scored = {lex.name: lex for lex in scored_lexicons}
-        for spec in layout.scored:
-            lex = by_name_scored.get(spec.name)
-            if (
-                lex is None
-                or lex.attributes != spec.attributes
-                or lex.bins != spec.bins
-                or lex.content_hash() != spec.content_hash
-            ):
-                raise LayoutMismatchError(
-                    f"scored lexicon {spec.name!r} missing or does not match layout"
-                )
-            self._scored.append(lex)
-        by_name_cat = {lex.name: lex for lex in category_lexicons}
-        for spec in layout.category:
-            lex = by_name_cat.get(spec.name)
-            if (
-                lex is None
-                or lex.categories != spec.categories
-                or lex.content_hash() != spec.content_hash
-            ):
-                raise LayoutMismatchError(
-                    f"category lexicon {spec.name!r} missing or does not match layout"
-                )
-            self._category.append(lex)
+        scored = {lex.name: lex for lex in scored_lexicons}
+        category = {lex.name: lex for lex in category_lexicons}
+        self._scored = [scored.get(spec.name) for spec in layout.scored]
+        self._category = [category.get(spec.name) for spec in layout.category]
+        rebuilt = [lex and _scored_spec(lex, spec.bins) for lex, spec in zip(self._scored, layout.scored)]
+        rebuilt += [lex and _category_spec(lex) for lex in self._category]
+        for spec, again in zip((*layout.scored, *layout.category), rebuilt):
+            if again != spec:
+                raise LayoutMismatchError(f"lexicon {spec.name!r} missing or does not match layout")
+        self._columns: dict[str, tuple[int, ...]] = {w: (i,) for i, w in enumerate(layout.vocab or ())}
 
     def _resolve(self, word: str) -> tuple[int, ...]:
-        """Columns one occurrence of a lowercased word adds 1 to.
-
-        BOW vocabulary words are preset in the column map, so a BOW word that
-        reaches here is out of vocabulary.
-        """
-        if self.layout.mode == MODE_BOW:
-            return ()
+        """Columns one occurrence of a lowercased word adds 1 to, other than a vocabulary
+        word's, which the column map holds from the start."""
         cols: list[int] = []
         pos = 0
-        for lex in self._scored:
+        for lex, spec in zip(self._scored, self.layout.scored):
             entry = lex.entries.get(word, {})
             for attr in lex.attributes:
                 if attr in entry:
-                    cols.append(pos + bin_index(entry[attr], lex.ranges[attr], lex.bins))
-                pos += lex.bins
+                    cols.append(pos + bin_index(entry[attr], lex.ranges[attr], spec.bins))
+                pos += spec.bins
         for lex in self._category:
             cols.extend(pos + cat for cat in lex.lookup(word))
             pos += len(lex.categories)
@@ -218,7 +212,8 @@ class FeatureExtractor:
                 hit = self._columns[word] = self._resolve(word)
             for col in hit:
                 counts[col] = counts.get(col, 0) + 1
-        scale = 1 if self.layout.mode == MODE_BOW else len(words)
+        # a lexicon column holds the fraction of the words, a vocabulary column their count
+        scale = len(words) if self.layout.vocab is None else 1
         cols = sorted(counts)
         values = [counts[col] / scale for col in cols]
         general = general_features(sentence) if self.layout.general_width else ()

@@ -13,11 +13,17 @@ casefolded on load; a trailing `*` marks a prefix-match (wildcard) entry.
 `read_scored_lexicon` and `read_category_lexicon` read a file through
 `infosum.corpus.read_lines`, and an error names the lexicon kind and the line.
 
+A lexicon holds no binning: a feature layout's spec of a scored lexicon
+says into how many intervals each attribute is binned (`features`), and
+`bin_index` places a score in one of them.
+
 A lexicon's content hash is the SHA-256 of its canonical JSON, which a
-feature layout records for each lexicon, taken by `sha256_hex` from CPython's
-built-in module (`_sha256`, `_sha2` from Python 3.12). `hashlib` would load
-`_hashlib`, which maps OpenSSL's libcrypto: 3.5 MB more resident memory in
-train and predict. It is the fallback on a Python built without them.
+feature layout records for each lexicon; a scored lexicon's payload also
+holds the bins of the spec that records it. The hash is taken by
+`sha256_hex` from CPython's built-in module (`_sha256`, `_sha2` from Python
+3.12). `hashlib` would load `_hashlib`, which maps OpenSSL's libcrypto:
+3.5 MB more resident memory in train and predict. It is the fallback on a
+Python built without them.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .constants import DEFAULT_BINS
 from .corpus import InputFormatError, read_lines
 
 try:
@@ -58,21 +63,21 @@ def _hash_payload(payload: object) -> str:
 
 @dataclass(frozen=True)
 class ScoredLexicon:
-    """Word lists with real-valued attribute scores and a binning resolution."""
+    """Word lists with real-valued attribute scores, each attribute over its score range."""
 
     name: str
     attributes: tuple[str, ...]
     entries: dict[str, dict[str, float]]
     ranges: dict[str, tuple[float, float]]
-    bins: int = DEFAULT_BINS
 
-    def content_hash(self) -> str:
+    def content_hash(self, bins: int) -> str:
+        """The hash of the lexicon binned into `bins` intervals per attribute, as a layout records it."""
         return _hash_payload(
             {
                 "kind": "scored",
                 "name": self.name,
                 "attributes": list(self.attributes),
-                "bins": self.bins,
+                "bins": bins,
                 "ranges": {a: list(r) for a, r in sorted(self.ranges.items())},
                 "entries": {
                     w: {a: s for a, s in sorted(attrs.items())}
@@ -164,7 +169,7 @@ def _scored_header(line: str) -> tuple[str, tuple[str, ...], dict[str, tuple[flo
     return name, attributes, declared
 
 
-def read_scored_lexicon(path: str | Path, bins: int = DEFAULT_BINS) -> ScoredLexicon:
+def read_scored_lexicon(path: str | Path) -> ScoredLexicon:
     """The scored lexicon in the file at `path`; duplicate (word, attribute) rows keep the last score.
 
     Attribute ranges come from `attr:min:max` header declarations when present
@@ -217,9 +222,7 @@ def read_scored_lexicon(path: str | Path, bins: int = DEFAULT_BINS) -> ScoredLex
                     f"declare one in the header as {attr}:min:max"
                 )
             ranges[attr] = (lo, hi)
-    return ScoredLexicon(
-        name=name, attributes=attributes, entries=entries, ranges=ranges, bins=bins
-    )
+    return ScoredLexicon(name=name, attributes=attributes, entries=entries, ranges=ranges)
 
 
 def read_category_lexicon(path: str | Path) -> CategoryLexicon:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
-from .corpus import Corpus, Document, Sentence, decode, read_jsonl, write_jsonl
+from .corpus import Corpus, Document, Sentence, read_records, write_jsonl
 from .rng import Stream, permutation
 
 WHOLE_SENTENCE = "whole-sentence"
@@ -210,30 +210,20 @@ def write_summaries(results: Iterable[SummaryResult], path: str | Path) -> None:
 
 
 def read_summaries(path: str | Path, system: str, corpus: Corpus) -> list[SummaryResult]:
-    """The summaries of `system` in `path`; an error names the file and the line. A record
-    of another system, of a document summarized twice or absent from the test `corpus`, or
-    with a selection or word_total its document cannot have (a selection that is not
-    strictly ascending included) is an error."""
+    """The summaries of `system` in `path`, each of a distinct document of the test `corpus`
+    (`corpus.read_records`); an error names the file and the line. A record of another
+    system, or with a selection or word_total its document cannot have (a selection that
+    is not strictly ascending included) is an error."""
     path = Path(path)
-    seen: set[str] = set()
 
-    def parse(rec: dict) -> SummaryResult:
-        result = decode(SummaryResult, rec)
+    def check(result: SummaryResult, doc: Document) -> None:
         if result.system != system:
             raise ValueError(f"system is {result.system!r}, but the file holds {system} summaries")
-        if result.doc_id in seen:
-            raise ValueError(f"{system} summarizes document {result.doc_id!r} twice")
-        seen.add(result.doc_id)
-        try:
-            doc = corpus.document(result.doc_id)
-        except KeyError:
-            raise ValueError(f"document {result.doc_id!r} is not in the test corpus; run summarize again") from None
         if not all(0 <= i < len(doc.sentences) for i in result.selected):
             raise ValueError(f"document {result.doc_id!r} selects sentences the test corpus does not have")
         if any(a >= b for a, b in zip(result.selected, result.selected[1:])):
             raise ValueError(f"document {result.doc_id!r} selects sentences {list(result.selected)}, "
                              "not each once in ascending order")
         _words_cut(doc, result)
-        return result
 
-    return read_jsonl(path, f"{path.name}: summaries", parse)
+    return list(read_records(path, f"{path.name}: summaries", SummaryResult, corpus, "test", check).values())

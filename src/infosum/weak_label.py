@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
-from .corpus import Corpus, Document, read_sentence_records, write_jsonl
+from .corpus import Corpus, Document, read_records, write_jsonl
 from .rng import UNLABELED_SAMPLE, choice, stream
 
 POSITIVE = "positive"
@@ -118,4 +118,4 @@ def write_labels(labels: Iterable[WeakLabel], path: str | Path) -> None:
 
 def read_labels(path: str | Path, corpus: Corpus) -> list[WeakLabel]:
     """The labels at `path` in file order, each of a distinct sentence of the train `corpus`."""
-    return list(read_sentence_records(path, "labels", WeakLabel, corpus, "train").values())
+    return list(read_records(path, "labels", WeakLabel, corpus, "train").values())

@@ -697,7 +697,7 @@ class TestBadJsonlLines:
         code = self.run_with_line_2(bundle, run_dir, tmp_path, "summaries", lambda first: json.dumps(first))
         assert code == EXIT_VALIDATION
         first = json.loads((run_dir / "summaries_leadwords.jsonl").read_text().splitlines()[0])
-        assert (f"summaries_leadwords.jsonl: summaries line 2: leadwords summarizes document {first['doc_id']!r} twice"
+        assert (f"summaries_leadwords.jsonl: summaries line 2: document {first['doc_id']!r} appears twice"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("fields, message", [
@@ -716,10 +716,12 @@ class TestBadJsonlLines:
         _, run_dir = pipeline
         capsys.readouterr()
         code = self.run_with_line_2(
-            bundle, run_dir, tmp_path, "extracts", lambda first: json.dumps({**first, "extracts": [[99]]})
+            bundle, run_dir, tmp_path, "extracts",
+            lambda first: json.dumps({**first, "doc_id": "train-0001", "extracts": [[99]]}),
         )
         assert code == EXIT_VALIDATION
-        assert "extract sentence id 99 out of range for document 'train-0000'" in capsys.readouterr().err
+        assert ("extracts line 2: extract sentence id 99 out of range for document 'train-0001'"
+                in capsys.readouterr().err)
 
 
 # (dotted field of the trained model.json set to value, or None and the whole
@@ -1067,6 +1069,39 @@ class TestExitCodes:
         assert code == EXIT_OK
         predictions = (out / "predictions.jsonl").read_bytes()
         assert predictions == (run_dir / "predictions.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("edited_first", [True, False], ids=["edited-first", "edited-last"])
+    def test_predict_refuses_two_lexicons_of_one_name_in_either_order(self, bundle, pipeline, tmp_path, capsys,
+                                                                     edited_first):
+        """As train does: the matching one of two lexicons named alike does not rescue the other."""
+        _, run_dir = pipeline
+        out = tmp_path / "samename"
+        out.mkdir()
+        (out / "model.json").write_bytes((run_dir / "model.json").read_bytes())
+        lex = tmp_path / "edited.tsv"
+        lines = Path(bundle["scored_lexicon"]).read_text().splitlines()
+        word, attr, score = lines[1].split("\t")
+        lines[1] = "\t".join([word, attr, str(float(score) + 1.0)])
+        lex.write_text("\n".join(lines) + "\n")
+        paths = [str(lex), str(bundle["scored_lexicon"])]
+        capsys.readouterr()
+        code = main(["predict", "-c", bundle["config"], "--out-dir", str(out),
+                     "--set", f"lexicons.scored={json.dumps(paths if edited_first else paths[::-1])}"])
+        assert code == EXIT_VALIDATION
+        assert "two lexicons are named 'synthmrc'" in capsys.readouterr().err
+        assert not (out / "predictions.jsonl").exists()
+
+    def test_predict_ignores_a_lexicon_its_model_does_not_name(self, bundle, pipeline, tmp_path):
+        _, run_dir = pipeline
+        out = tmp_path / "extra"
+        out.mkdir()
+        (out / "model.json").write_bytes((run_dir / "model.json").read_bytes())
+        extra = tmp_path / "extra.tsv"
+        extra.write_text("#scored extra imagery imagery:0:10\nalpha\timagery\t3\n")
+        code = main(["predict", "-c", bundle["config"], "--out-dir", str(out),
+                     "--set", f"lexicons.scored={json.dumps([str(extra), str(bundle['scored_lexicon'])])}"])
+        assert code == EXIT_OK
+        assert (out / "predictions.jsonl").read_bytes() == (run_dir / "predictions.jsonl").read_bytes()
 
     def test_negative_label_sentence_id_names_line(self, bundle, pipeline, tmp_path, capsys):
         _, run_dir = pipeline

@@ -304,7 +304,7 @@ def test_decoding_a_written_record_gives_it_back():
     from infosum.summarize import SummaryResult
     from infosum.weak_label import WeakLabel
 
-    scored = ScoredLexicon("m", ("a",), {"x": {"a": 5.0}}, {"a": (0.0, 10.0)}, bins=4)
+    scored = ScoredLexicon("m", ("a",), {"x": {"a": 5.0}}, {"a": (0.0, 10.0)})
     category = CategoryLexicon("c", ("one",), {"x": frozenset({0})}, {})
     records = [
         WeakLabel("d", 0, "positive", 15.5),
@@ -315,8 +315,8 @@ def test_decoding_a_written_record_gives_it_back():
         SummaryResult("d", "infofilter", (0, 1), (2,), "A b. C d.", 4, fallback=True),
         RunConfig.from_dict({"seed": 3, "out_dir": "run", "systems": ["inforank"]}),
         bow_layout(("b", "a")),
-        dictionary_layout([scored], [category]),
-        dictionary_layout([scored], [category], include_general=False),
+        dictionary_layout([scored], [category], 4),
+        dictionary_layout([scored], [category], 4, include_general=False),
     ]
     for record in records:
         assert corpus.decode(type(record), json.loads(to_jsonl([asdict(record)]))) == record

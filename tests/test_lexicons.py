@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from infosum.constants import DEFAULT_BINS
 from infosum.lexicons import (
     LexiconFormatError,
     bin_index,
@@ -27,10 +26,10 @@ happ*\tPOSEMO
 @pytest.fixture
 def scored(tmp_path):
     """The scored lexicon that `read_scored_lexicon` reads from a file holding the given TSV."""
-    def read(tsv, bins=DEFAULT_BINS):
+    def read(tsv):
         path = tmp_path / "scored.tsv"
         path.write_text(tsv, encoding="utf-8")
-        return read_scored_lexicon(path, bins)
+        return read_scored_lexicon(path)
     return read
 
 
@@ -110,12 +109,18 @@ class TestScoredLexicon:
         b = "#scored m a\ny\ta\t2\nx\ta\t1\n"
         lex_a = scored(a)
         lex_b = scored(b)
-        assert lex_a.content_hash() == lex_b.content_hash()
+        assert lex_a.content_hash(10) == lex_b.content_hash(10)
 
     def test_tsv_round_trip(self, scored):
         lex = scored(SCORED_TSV)
         again = scored(scored_lexicon_to_tsv(lex))
-        assert again.content_hash() == lex.content_hash()
+        assert again.content_hash(10) == lex.content_hash(10)
+
+    def test_content_hash_keeps_its_payload(self, scored):
+        """The hash model.json files record for a layout with 10 bins; a change to its payload fails here."""
+        lex = scored(SCORED_TSV)
+        assert lex.content_hash(10) == "dc0a0844cbd5321cf6f476ec2516a2d1d22bf8da7fb2d617ff5cb92a6b6c80b9"
+        assert lex.content_hash(11) != lex.content_hash(10)
 
 
 class TestBinIndex:

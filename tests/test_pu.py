@@ -864,7 +864,7 @@ def imagery_lexicon(alpha_score):
     """A one-attribute scored lexicon of two words, alpha at `alpha_score` and beta at 90."""
     return ScoredLexicon(
         "mrc", ("imagery",), {"alpha": {"imagery": alpha_score}, "beta": {"imagery": 90.0}},
-        {"imagery": (0.0, 100.0)}, bins=10,
+        {"imagery": (0.0, 100.0)},
     )
 
 
@@ -875,7 +875,7 @@ CATS = CategoryLexicon("inq", ("NEG",), {"alpha": frozenset({0})}, {})
 
 class TestSentenceClassifier:
     def train_text_model(self, scored, include_general=True):
-        layout = dictionary_layout([scored], [CATS], include_general)
+        layout = dictionary_layout([scored], [CATS], 10, include_general)
         ex = FeatureExtractor(layout, [scored], [CATS])
         sents = [make_sentence(i, "alpha alpha alpha beta") for i in range(8)]
         sents += [make_sentence(i, "beta beta gamma delta epsilon") for i in range(8)]
