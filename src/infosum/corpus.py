@@ -11,13 +11,16 @@ it casefolds to it.
 
 A chunk's tokens depend on that whitespace-separated chunk alone, and
 text repeats its chunks (the synth corpora: 424 distinct in 174,000), so
-`tokenize` splits each distinct chunk once per process and keeps its tokens
-as a tuple in a memo bounded at CHUNK_MEMO_SIZE chunks, least recently used
-dropped first. Beside it, a memo of the same bound casefolds each distinct
-word surface once and interns the result, so a loaded corpus holds one str
-object per distinct word, not one per word token: loading the paper-150
-test corpus at seed 0 (3,600 sentences, 420 distinct words) takes 2.58 MB
-of heap instead of 5.31 MB.
+each distinct chunk is split once per process, into one entry of a memo
+bounded at CHUNK_MEMO_SIZE chunks, least recently used dropped first. The
+entry holds the chunk's (surface, is_word) pairs, which `tokenize` reads,
+and its surfaces and words, which `make_sentence` concatenates. Each word
+is casefolded and interned once, when its chunk is first seen, so a loaded
+corpus holds one str object per distinct word, not one per word token:
+loading the paper-150 test corpus at seed 0 (4,893 article and summary
+sentences, 420 distinct words) takes 2.78 MB of heap, memo included,
+instead of 5.75 MB (tracemalloc). A chunk of letters and digits alone
+(`str.isalnum`) is one word token, since none of those is punctuation.
 
 Every input file is read here: a line file (corpus, extracts, labels,
 predictions, gold labels, summaries, lexicons) one line at a time by
@@ -58,9 +61,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Literal, Sequence, TypeVar, get_args, get_origin, get_type_hints
 
 APOSTROPHES = ("'", "’")
-# Chunks the memo of `tokenize` holds. Full, it takes about 17 MB (measured
-# with random 3-14 character chunks); the benchmark corpora have 424 and
-# 4,279 distinct chunks.
+# Chunks the chunk memo holds. Full, it takes about 35 MB (measured with
+# random 3-14 character chunks, half of them holding punctuation); the
+# benchmark corpora have 424 and 4,279 distinct chunks.
 CHUNK_MEMO_SIZE = 65_536
 
 T = TypeVar("T")
@@ -116,15 +119,15 @@ def tokenize(text: str) -> list[tuple[str, bool]]:
     apostrophe with non-punctuation characters on both sides, which stays in
     the surrounding word token ("We're" is one word).
     """
-    tokens: list[tuple[str, bool]] = []
-    for chunk in text.split():
-        tokens.extend(_chunk_tokens(chunk))
-    return tokens
+    return [pair for chunk in text.split() for pair in _chunk(chunk)[0]]
 
 
 @functools.lru_cache(maxsize=CHUNK_MEMO_SIZE)
-def _chunk_tokens(chunk: str) -> tuple[tuple[str, bool], ...]:
-    """The tokens of one whitespace-free chunk, which depend on it alone."""
+def _chunk(chunk: str) -> tuple[tuple[tuple[str, bool], ...], tuple[str, ...], tuple[str, ...]]:
+    """The (surface, is_word) tokens of one whitespace-free chunk, which depend on it
+    alone, with their surfaces and their casefolded words, one str object per distinct word."""
+    if chunk.isalnum():  # no letter or digit is punctuation: the chunk is one word
+        return ((chunk, True),), (chunk,), (sys.intern(chunk.casefold()),)
     raw = [_is_punct_char(c) for c in chunk]
     flags = list(raw)
     for i, ch in enumerate(chunk):
@@ -142,23 +145,21 @@ def _chunk_tokens(chunk: str) -> tuple[tuple[str, bool], ...]:
         if i == len(chunk) or flags[i] != flags[start]:
             tokens.append((chunk[start:i], not flags[start]))
             start = i
-    return tuple(tokens)
-
-
-@functools.lru_cache(maxsize=CHUNK_MEMO_SIZE)
-def _word(surface: str) -> str:
-    """The casefolded word of a word surface, one str object per distinct word."""
-    return sys.intern(surface.casefold())
+    return (
+        tuple(tokens),
+        tuple(surface for surface, _ in tokens),
+        tuple(sys.intern(surface.casefold()) for surface, is_word in tokens if is_word),
+    )
 
 
 def make_sentence(sentence_id: int, text: str) -> Sentence:
-    pairs = tokenize(text)
-    return Sentence(
-        id=sentence_id,
-        text=text,
-        tokens=tuple(surface for surface, _ in pairs),
-        words=tuple(_word(surface) for surface, is_word in pairs if is_word),
-    )
+    tokens: list[str] = []
+    words: list[str] = []
+    for chunk in text.split():
+        _, chunk_tokens, chunk_words = _chunk(chunk)
+        tokens += chunk_tokens
+        words += chunk_words
+    return Sentence(id=sentence_id, text=text, tokens=tuple(tokens), words=tuple(words))
 
 
 def build_document(

@@ -6,8 +6,9 @@ keys, so `report` places it as it comes: `rouge_n` a per-document score,
 
 ROUGE here is the declared deterministic variant: lowercased word tokens,
 punctuation stripped, clipped n-gram counts within sentences, no stemming.
-`rouge_n` reads each text as its sentences' word tuples and counts one
-pair's n-grams in a `Counter` per text.
+`rouge_n` reads each text as its sentences' word tuples, counts each text's
+n-grams with one `Counter` call over all its sentences, and takes the
+clipped overlap in one pass over the reference's n-grams.
 Tail probabilities come from the platform erfc; tests check them against a
 numerical integration oracle. This module loads no numpy.
 """
@@ -32,7 +33,7 @@ def rouge_n(reference: Sequence[Words], candidate: Sequence[Words], n: int) -> d
     if n < 1:
         raise ValueError("n must be >= 1")
     ref, cand = _ngram_counts(reference, n), _ngram_counts(candidate, n)
-    overlap = sum((ref & cand).values())
+    overlap = sum(map(min, ref.values(), map(cand.get, ref, itertools.repeat(0))))
     ref_count, cand_count = ref.total(), cand.total()
     recall = overlap / ref_count if ref_count else 0.0
     precision = overlap / cand_count if cand_count else 0.0
@@ -40,10 +41,10 @@ def rouge_n(reference: Sequence[Words], candidate: Sequence[Words], n: int) -> d
 
 
 def _ngram_counts(sentences: Sequence[Words], n: int) -> Counter:
-    counts: Counter = Counter()
-    for words in sentences:
-        counts.update(zip(*(words[i:] for i in range(n))))
-    return counts
+    """Each n-gram's count over all sentences; for n = 1 the n-grams are the words."""
+    if n > 1:
+        sentences = [zip(*(words[i:] for i in range(n))) for words in sentences]
+    return Counter(itertools.chain.from_iterable(sentences))
 
 
 def f1_score(precision: float, recall: float) -> float:

@@ -100,26 +100,34 @@ class TestChunkMemo:
     @given(st.one_of(EDGE_TEXT, st.text(alphabet=st.characters(codec="utf-8"), max_size=60)))
     @example(text="We're ''not'' a'' ''b 'a' '' ’’a’b’ it's... a'.b x'-y")
     @example(text="'a a' ' a''b a'’b")
+    # alphanumeric chunks (superscript two, sharp s, a ligature, Arabic-Indic
+    # digits, CJK) beside chunks that take the per-character rule (a combining
+    # acute, a soft hyphen, inverted question mark, dashes, guillemets)
+    @example(text="x² Straße ﬁne ٣٤ 漢字 e\u0301 co\u00adop ¿Qué? a—b «ﬁn» ٣’٤ Ǆ’ß ¿¿ —")
     def test_memoized_equals_direct(self, text):
         first = tokenize(text)
-        assert first == direct_tokenize(text)
+        direct = direct_tokenize(text)
+        assert first == direct
         again = tokenize(text)  # every chunk now comes from the memo
         assert again == first and again is not first
         again.append(("extra", True))
         assert tokenize(text) == first
+        sentence = make_sentence(0, text)
+        assert sentence.tokens == tuple(surface for surface, _ in direct)
+        assert sentence.words == tuple(surface.casefold() for surface, is_word in direct if is_word)
 
     def test_memo_is_bounded(self):
-        assert corpus._chunk_tokens.cache_info().maxsize == CHUNK_MEMO_SIZE
-        assert corpus._word.cache_info().maxsize == CHUNK_MEMO_SIZE
+        assert corpus._chunk.cache_info().maxsize == CHUNK_MEMO_SIZE
 
     def test_one_str_object_per_distinct_word(self, tmp_path):
+        # "Cat" is an alphanumeric chunk and "cat," a punctuated one: one word, one str
         path = tmp_path / "corpus.jsonl"
         write_jsonl([
-            {"doc_id": "a", "sentences": ["The cat sat.", "THE CAT, the cat!"], "summary": ["The Cat"]},
+            {"doc_id": "a", "sentences": ["The cat sat.", "THE CAT, the cat!", "Cat cat,"], "summary": ["The Cat"]},
             {"doc_id": "b", "sentences": ["Straße strasse STRASSE cat's Cat's"]},
         ], path)
         words = [w for doc in load_corpus(path) for s in (*doc.sentences, *(doc.summary or ())) for w in s.words]
-        assert len(words) == 14
+        assert len(words) == 16
         assert len({id(w) for w in words}) == len(set(words)) == 5
 
 
