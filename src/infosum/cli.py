@@ -36,11 +36,11 @@ the model's layout says and reads no `features.bins`.
 
 Each command runs in a process of its own and imports only the modules it
 runs. This file's top level imports the config schema's modules, none of
-which loads numpy: `constants`, `corpus`, `rng`, `weak_label` and
-`summarize`. The rest is imported inside the command that uses it:
+which loads numpy: `constants`, `corpus`, `rng` and `summarize`. The rest
+is imported inside the command that uses it:
 
-    label      nothing more (no numpy)
-    train      lexicons, features, sparse, pu and numpy
+    label      weak_label (no numpy)
+    train      weak_label, lexicons, features, sparse, pu and numpy
     predict    lexicons, features, sparse, pu and numpy
     summarize  nothing more (no numpy)
     evaluate   report and metrics (no numpy)
@@ -118,17 +118,6 @@ from .summarize import (
     random_rank,
     read_summaries,
     write_summaries,
-)
-from .weak_label import (
-    EXCLUDED,
-    POSITIVE,
-    UNLABELED,
-    label_by_alignment,
-    label_by_extract,
-    label_counts,
-    read_labels,
-    sample_unlabeled,
-    write_labels,
 )
 
 if TYPE_CHECKING:
@@ -336,6 +325,8 @@ class Prediction(SentenceLabel):
 
 def compute_labels(cfg: RunConfig, corpus: Corpus):
     """Weak labels for every document, per the configured labeling mode."""
+    from .weak_label import label_by_alignment, label_by_extract
+
     labels = []
     if cfg.label.mode == "extract":
         by_doc: dict[str, list] = {}
@@ -358,6 +349,8 @@ def compute_labels(cfg: RunConfig, corpus: Corpus):
 
 
 def cmd_label(cfg: RunConfig) -> int:
+    from .weak_label import EXCLUDED, POSITIVE, UNLABELED, label_counts, write_labels
+
     corpus = load_corpus(_require_file(cfg.train_corpus, "train corpus"))
     labels = compute_labels(cfg, corpus)
     _write_resolved_config(cfg, "label")
@@ -404,6 +397,7 @@ def build_examples(corpus: Corpus, labels, extractor: FeatureExtractor) -> tuple
     import numpy as np
 
     from .sparse import CsrMatrix
+    from .weak_label import EXCLUDED, POSITIVE
 
     kept = [lab for lab in labels if lab.flag != EXCLUDED]
     rows = (extractor.extract(corpus.document(lab.doc_id).sentences[lab.sentence_id]) for lab in kept)
@@ -413,6 +407,7 @@ def build_examples(corpus: Corpus, labels, extractor: FeatureExtractor) -> tuple
 
 def cmd_train(cfg: RunConfig) -> int:
     from .pu import calibration_split, save_model, train_pu_model
+    from .weak_label import POSITIVE, UNLABELED, label_counts, read_labels, sample_unlabeled
 
     corpus = load_corpus(_require_file(cfg.train_corpus, "train corpus"))
     labels = read_labels(_require_file(str(cfg.path("labels.jsonl")), "labels file"), corpus)

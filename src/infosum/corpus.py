@@ -1,26 +1,26 @@
 """Corpus data model: sentences, documents, and JSONL ingestion.
 
-Only this module knows the token rules. A sentence is its text, its token
-surfaces (`tokens`) and its casefolded word tokens (`words`), so
-`len(tokens) - len(words)` is its number of punctuation tokens. Joining a
-sentence's tokens, or any prefix of them, with single spaces and tokenizing
-again gives the same tokens, which is what lets a summary cut a sentence
-after its n-th word and rebuild it from the kept surfaces. A punctuation
-token never casefolds to a word, so a surface is the next word exactly when
-it casefolds to it.
+Only this module knows the token rules. A sentence is its text, its
+casefolded word tokens (`words`) and its number of tokens (`n_tokens`), so
+`n_tokens - len(words)` is its number of punctuation tokens. Joining a
+sentence's token surfaces (`tokenize`), or any prefix of them, with single
+spaces and tokenizing again gives the same tokens, which is what lets a
+summary cut a sentence after its n-th word and rebuild it from the kept
+surfaces.
 
 A chunk's tokens depend on that whitespace-separated chunk alone, and
 text repeats its chunks (the synth corpora: 424 distinct in 174,000), so
 each distinct chunk is split once per process, into one entry of a memo
 bounded at CHUNK_MEMO_SIZE chunks, least recently used dropped first. The
-entry holds the chunk's (surface, is_word) pairs, which `tokenize` reads,
-and its surfaces and words, which `make_sentence` concatenates. Each word
-is casefolded and interned once, when its chunk is first seen, so a loaded
-corpus holds one str object per distinct word, not one per word token:
-loading the paper-150 test corpus at seed 0 (4,893 article and summary
-sentences, 420 distinct words) takes 2.78 MB of heap, memo included,
-instead of 5.75 MB (tracemalloc). A chunk of letters and digits alone
-(`str.isalnum`) is one word token, since none of those is punctuation.
+entry holds two tuples: the chunk's (surface, is_word) pairs, which
+`tokenize` reads and `make_sentence` counts, and its words, which
+`make_sentence` concatenates. Each word is casefolded and interned once,
+when its chunk is first seen, so a loaded corpus holds one str object per
+distinct word, not one per word token: loading the paper-150 test corpus at
+seed 0 (4,893 article and summary sentences, 420 distinct words) takes
+2.06 MB of heap, memo included, instead of 5.04 MB (tracemalloc). A
+chunk of letters and digits alone (`str.isalnum`) is one word token, since
+none of those is punctuation.
 
 Every input file is read here: a line file (corpus, extracts, labels,
 predictions, gold labels, summaries, lexicons) one line at a time by
@@ -61,9 +61,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Literal, Sequence, TypeVar, get_args, get_origin, get_type_hints
 
 APOSTROPHES = ("'", "’")
-# Chunks the chunk memo holds. Full, it takes about 35 MB (measured with
+# Chunks the chunk memo holds. Full, it takes about 33 MB (measured with
 # random 3-14 character chunks, half of them holding punctuation); the
-# benchmark corpora have 424 and 4,279 distinct chunks.
+# benchmark test corpora at seed 0 have 424 and 4,295 distinct chunks.
 CHUNK_MEMO_SIZE = 65_536
 
 T = TypeVar("T")
@@ -77,14 +77,13 @@ class InputFormatError(ValueError):
 class Sentence:
     id: int
     text: str
-    tokens: tuple[str, ...]
     words: tuple[str, ...]
+    n_tokens: int
 
 
 @dataclass(frozen=True)
 class Document:
     doc_id: str
-    section: str
     sentences: tuple[Sentence, ...]
     summary: tuple[Sentence, ...] | None = None
 
@@ -123,11 +122,11 @@ def tokenize(text: str) -> list[tuple[str, bool]]:
 
 
 @functools.lru_cache(maxsize=CHUNK_MEMO_SIZE)
-def _chunk(chunk: str) -> tuple[tuple[tuple[str, bool], ...], tuple[str, ...], tuple[str, ...]]:
+def _chunk(chunk: str) -> tuple[tuple[tuple[str, bool], ...], tuple[str, ...]]:
     """The (surface, is_word) tokens of one whitespace-free chunk, which depend on it
-    alone, with their surfaces and their casefolded words, one str object per distinct word."""
+    alone, and their casefolded words, one str object per distinct word."""
     if chunk.isalnum():  # no letter or digit is punctuation: the chunk is one word
-        return ((chunk, True),), (chunk,), (sys.intern(chunk.casefold()),)
+        return ((chunk, True),), (sys.intern(chunk.casefold()),)
     raw = [_is_punct_char(c) for c in chunk]
     flags = list(raw)
     for i, ch in enumerate(chunk):
@@ -145,26 +144,21 @@ def _chunk(chunk: str) -> tuple[tuple[tuple[str, bool], ...], tuple[str, ...], t
         if i == len(chunk) or flags[i] != flags[start]:
             tokens.append((chunk[start:i], not flags[start]))
             start = i
-    return (
-        tuple(tokens),
-        tuple(surface for surface, _ in tokens),
-        tuple(sys.intern(surface.casefold()) for surface, is_word in tokens if is_word),
-    )
+    return tuple(tokens), tuple(sys.intern(surface.casefold()) for surface, is_word in tokens if is_word)
 
 
 def make_sentence(sentence_id: int, text: str) -> Sentence:
-    tokens: list[str] = []
+    n_tokens = 0
     words: list[str] = []
     for chunk in text.split():
-        _, chunk_tokens, chunk_words = _chunk(chunk)
-        tokens += chunk_tokens
+        pairs, chunk_words = _chunk(chunk)
+        n_tokens += len(pairs)
         words += chunk_words
-    return Sentence(id=sentence_id, text=text, tokens=tuple(tokens), words=tuple(words))
+    return Sentence(id=sentence_id, text=text, words=tuple(words), n_tokens=n_tokens)
 
 
 def build_document(
     doc_id: str,
-    section: str,
     sentence_texts: Sequence[str],
     summary_texts: Sequence[str] | None = None,
 ) -> Document:
@@ -174,7 +168,7 @@ def build_document(
     summary = None
     if summary_texts:
         summary = tuple(make_sentence(i, t) for i, t in enumerate(summary_texts))
-    return Document(doc_id=doc_id, section=section, sentences=sentences, summary=summary)
+    return Document(doc_id=doc_id, sentences=sentences, summary=summary)
 
 
 def document_frequencies(documents: Sequence[Document]) -> Counter[str]:
@@ -382,8 +376,8 @@ def _is_strings(value) -> bool:
 
 def load_corpus(path: str | Path) -> Corpus:
     """The documents of the JSONL file at `path`: objects with a unique `doc_id`, `sentences`
-    (a non-empty array of strings), and optional `section` and `summary`. Unknown fields are
-    ignored; an absent or empty summary array is normalized to no summary."""
+    (a non-empty array of strings) and an optional `summary`. Any other field is ignored;
+    an absent or empty summary array is normalized to no summary."""
     seen: set[str] = set()
 
     def parse(rec: dict) -> Document:
@@ -393,15 +387,12 @@ def load_corpus(path: str | Path) -> Corpus:
         if doc_id in seen:
             raise ValueError(f"duplicate doc_id {doc_id!r}")
         seen.add(doc_id)
-        section = rec.get("section", "")
-        if not isinstance(section, str):
-            raise TypeError("section must be a string")
         sentences = rec.get("sentences")
         if not sentences or not _is_strings(sentences):
             raise TypeError("sentences must be a non-empty array of strings")
         summary = rec.get("summary")
         if summary is not None and not _is_strings(summary):
             raise TypeError("summary must be an array of strings")
-        return build_document(doc_id, section, sentences, summary)
+        return build_document(doc_id, sentences, summary)
 
     return Corpus(tuple(read_jsonl(path, "corpus", parse)))

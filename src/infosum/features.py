@@ -55,8 +55,8 @@ def general_features(sentence: Sentence) -> tuple[float, ...]:
     text = sentence.text
     double_quote = any(m in text for m in DOUBLE_QUOTE_MARKS) or "''" in text
     return (
-        float(len(sentence.tokens)),
-        float(len(sentence.tokens) - len(sentence.words)),
+        float(sentence.n_tokens),
+        float(sentence.n_tokens - len(sentence.words)),
         1.0 if "!" in text else 0.0,
         1.0 if "?" in text else 0.0,
         1.0 if ":" in text else 0.0,

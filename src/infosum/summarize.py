@@ -15,7 +15,9 @@ sentences once each, in document order, so a selection is strictly
 ascending, and `read_summaries` rejects any other. Only lead_words, which
 InfoFilter runs, reads the budget's mode, and only it cuts a sentence: the
 last it selects, to at least one word. `_words_cut` holds that rule for
-`read_summaries` and `summary_words`. A cut keeps a prefix of the sentence's
+`read_summaries` and `summary_words`. `_truncate` writes the cut: the
+sentence's token surfaces (`corpus.tokenize`) up to and including its n-th
+word token. A cut keeps a prefix of the sentence's
 words (see `corpus`), so `summary_words`, which ROUGE scores, slices the
 last sentence's words and tokenizes nothing again. A ranked fill's last
 sentence in document order need not be its last selected, so it never cuts
@@ -31,7 +33,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
-from .corpus import Corpus, Document, Sentence, read_records, write_jsonl
+from .corpus import Corpus, Document, Sentence, read_records, tokenize, write_jsonl
 from .rng import Stream, permutation
 
 WHOLE_SENTENCE = "whole-sentence"
@@ -72,21 +74,14 @@ class SummaryResult:
 
 
 def _truncate(sentence: Sentence, n_words: int) -> str:
-    """The sentence's tokens up to and including its n_words-th word, space-joined.
-
-    A surface is the next word exactly when it casefolds to it, because no
-    punctuation token casefolds to a word.
-    """
-    words = sentence.words
-    kept = len(sentence.tokens)
-    taken = 0
-    for i, surface in enumerate(sentence.tokens):
-        if taken < len(words) and surface.casefold() == words[taken]:
-            taken += 1
-            if taken == n_words:
-                kept = i + 1
-                break
-    return " ".join(sentence.tokens[:kept])
+    """The sentence's token surfaces up to and including its n_words-th word, space-joined."""
+    kept = []
+    for surface, is_word in tokenize(sentence.text):
+        kept.append(surface)
+        n_words -= is_word
+        if not n_words:
+            break
+    return " ".join(kept)
 
 
 def lead_words(doc: Document, budget: SummaryBudget) -> SummaryResult:

@@ -37,8 +37,12 @@ class WeakLabel:
 
 def align_score(source: frozenset[str], target: frozenset[str], idf: dict[str, float]) -> float:
     """Sum of the IDF weights (`corpus.compute_idf`) of the word types two sentences share."""
-    # sorted so the float sum has one deterministic order
-    return float(sum(idf[t] for t in sorted(source & target)))
+    # A left fold in sorted order: one deterministic rounding on every Python, where
+    # the builtin `sum` compensates float rounding from 3.12 on and changes the labels.
+    total = 0.0
+    for t in sorted(source & target):
+        total += idf[t]
+    return total
 
 
 def label_by_alignment(doc: Document, t_pos: float, t_unl: float, idf: dict[str, float]) -> list[WeakLabel]:

@@ -242,7 +242,7 @@ def _random_documents(n, seed):
             " ".join(f"t{d}s{i}w{j}" for j in range(int(rng.integers(3, 40)))) + " ."
             for i in range(n_sents)
         ]
-        docs.append(build_document(f"doc{d}", "", texts))
+        docs.append(build_document(f"doc{d}", texts))
     return docs
 
 

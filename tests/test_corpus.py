@@ -68,11 +68,11 @@ class TestTokenize:
     def test_word_count_invariant_under_retokenization(self, text):
         # every space-joined token prefix tokenizes back to itself, which is
         # what summarize._truncate relies on
-        sent = make_sentence(0, text)
-        for k in range(len(sent.tokens) + 1):
-            prefix = make_sentence(0, " ".join(sent.tokens[:k]))
-            assert prefix.tokens == sent.tokens[:k]
-        assert prefix.words == sent.words
+        pairs = tokenize(text)
+        for k in range(len(pairs) + 1):
+            prefix = " ".join(surface for surface, _ in pairs[:k])
+            assert tokenize(prefix) == pairs[:k]
+        assert make_sentence(0, prefix).words == make_sentence(0, text).words
 
 
 def direct_tokenize(text):
@@ -94,16 +94,26 @@ def direct_tokenize(text):
 
 # letters, both apostrophes, punctuation that forms runs with them, spaces
 EDGE_TEXT = st.text(alphabet=st.sampled_from("ab'’.,!-\"… \t\n"), max_size=40)
-
-
-class TestChunkMemo:
-    @given(st.one_of(EDGE_TEXT, st.text(alphabet=st.characters(codec="utf-8"), max_size=60)))
-    @example(text="We're ''not'' a'' ''b 'a' '' ’’a’b’ it's... a'.b x'-y")
-    @example(text="'a a' ' a''b a'’b")
+CHUNK_EXAMPLES = (
+    "We're ''not'' a'' ''b 'a' '' ’’a’b’ it's... a'.b x'-y",
+    "'a a' ' a''b a'’b",
     # alphanumeric chunks (superscript two, sharp s, a ligature, Arabic-Indic
     # digits, CJK) beside chunks that take the per-character rule (a combining
     # acute, a soft hyphen, inverted question mark, dashes, guillemets)
-    @example(text="x² Straße ﬁne ٣٤ 漢字 e\u0301 co\u00adop ¿Qué? a—b «ﬁn» ٣’٤ Ǆ’ß ¿¿ —")
+    "x² Straße ﬁne ٣٤ 漢字 e\u0301 co\u00adop ¿Qué? a—b «ﬁn» ٣’٤ Ǆ’ß ¿¿ —",
+)
+
+
+def over_chunk_texts(test):
+    """`test(self, text)` run over edge and arbitrary texts and each of CHUNK_EXAMPLES."""
+    test = given(st.one_of(EDGE_TEXT, st.text(alphabet=st.characters(codec="utf-8"), max_size=60)))(test)
+    for text in CHUNK_EXAMPLES:
+        test = example(text=text)(test)
+    return test
+
+
+class TestChunkMemo:
+    @over_chunk_texts
     def test_memoized_equals_direct(self, text):
         first = tokenize(text)
         direct = direct_tokenize(text)
@@ -113,7 +123,7 @@ class TestChunkMemo:
         again.append(("extra", True))
         assert tokenize(text) == first
         sentence = make_sentence(0, text)
-        assert sentence.tokens == tuple(surface for surface, _ in direct)
+        assert sentence.n_tokens == len(direct)
         assert sentence.words == tuple(surface.casefold() for surface, is_word in direct if is_word)
 
     def test_memo_is_bounded(self):
@@ -195,8 +205,10 @@ class TestLoadCorpus:
             corpus_of('{"doc_id": "a", "sentences": []}')
 
     def test_unknown_fields_ignored(self, corpus_of):
-        corpus = corpus_of('{"doc_id": "a", "sentences": ["x"], "extra": 5}')
-        assert corpus.documents[0].doc_id == "a"
+        """`section`, which synth writes, is one of them, whatever its type."""
+        plain = corpus_of('{"doc_id": "a", "sentences": ["x"]}')
+        for field in ('"extra": 5', '"section": "Business"', '"section": 5', '"section": null', '"section": ["a"]'):
+            assert corpus_of('{"doc_id": "a", "sentences": ["x"], %s}' % field) == plain
 
     def test_round_trip(self, corpus_of):
         """Records rewritten by the JSONL writer, keys sorted, load back as the same corpus."""

@@ -96,7 +96,7 @@ class TestRougeTexts:
 
         pairs, cuts = [], 0
         for i in range(60):
-            doc = build_document(f"d{i}", "", text(5) or ["w1"])
+            doc = build_document(f"d{i}", text(5) or ["w1"])
             reference = sents(*text(3))
             selected = tuple(sorted({int(j) for j in rng.choice(len(doc.sentences), size=rng.integers(0, 4))}))
             words = sum(len(doc.sentences[j].words) for j in selected)

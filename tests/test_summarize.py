@@ -18,11 +18,12 @@ from infosum.summarize import (
     write_summaries,
 )
 from infosum.synth import SynthParams, write_synth_bundle
+from test_corpus import direct_tokenize, over_chunk_texts
 
 
 def doc_with_word_counts(counts, doc_id="d"):
     texts = [" ".join(f"w{i}x{j}" for j in range(c)) + " ." for i, c in enumerate(counts)]
-    return build_document(doc_id, "", texts)
+    return build_document(doc_id, texts)
 
 
 class TestLeadWords:
@@ -56,8 +57,32 @@ class TestLeadWords:
     def test_truncated_text_word_budget_exact(self):
         doc = doc_with_word_counts([7, 9, 11])
         res = lead_words(doc, SummaryBudget(12))
-        joined = build_document("t", "", [res.text])
+        joined = build_document("t", [res.text])
         assert sum(len(s.words) for s in joined.sentences) == 12
+
+
+def casefold_truncate(sentence, n_words):
+    """The cut `_truncate` made before it read `tokenize`'s flags: a surface is the next
+    word exactly when it casefolds to it, because no punctuation token casefolds to a word."""
+    surfaces = [surface for surface, _ in direct_tokenize(sentence.text)]
+    words = sentence.words
+    kept = len(surfaces)
+    taken = 0
+    for i, surface in enumerate(surfaces):
+        if taken < len(words) and surface.casefold() == words[taken]:
+            taken += 1
+            if taken == n_words:
+                kept = i + 1
+                break
+    return " ".join(surfaces[:kept])
+
+
+class TestTruncate:
+    @over_chunk_texts
+    def test_cut_equals_the_casefold_walk(self, text):
+        sentence = make_sentence(0, text)
+        for n_words in range(1, len(sentence.words) + 1):
+            assert _truncate(sentence, n_words) == casefold_truncate(sentence, n_words)
 
 
 def words_of_retokenized_cut(doc, result):
@@ -73,13 +98,13 @@ def words_of_retokenized_cut(doc, result):
 
 class TestSummaryWords:
     def test_whole_sentences_as_selected(self):
-        doc = build_document("d", "", ["a b", "c d", "e f"])
+        doc = build_document("d", ["a b", "c d", "e f"])
         res = info_rank(doc, [0.9, 0.1, 0.8], SummaryBudget(4))
         assert summary_words(doc, res) == [("a", "b"), ("e", "f")]
 
     @pytest.mark.parametrize("max_words", [1, 3, 4, 5, 12, 100])
     def test_cut_like_lead_words(self, max_words):
-        doc = build_document("d", "", ["Alpha, beta gamma.", "We're here: now !", "x y z"])
+        doc = build_document("d", ["Alpha, beta gamma.", "We're here: now !", "x y z"])
         res = lead_words(doc, SummaryBudget(max_words))
         words = summary_words(doc, res)
         assert sum(map(len, words)) == res.word_total

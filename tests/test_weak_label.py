@@ -64,10 +64,10 @@ class TestAlignScore:
 
 class TestLabelByAlignment:
     def doc(self):
-        return build_document("d", "", ["w1 w2", "w3", "w4"], ["s1"])
+        return build_document("d", ["w1 w2", "w3", "w4"], ["s1"])
 
     def test_all_zero_scores_all_unlabeled(self):
-        doc = build_document("d", "", ["a b", "c d"], ["z y"])
+        doc = build_document("d", ["a b", "c d"], ["z y"])
         labels = label_by_alignment(doc, 14.0, 10.0, flat_idf("abcdzy"))
         assert [l.flag for l in labels] == [UNLABELED, UNLABELED]
 
@@ -75,7 +75,6 @@ class TestLabelByAlignment:
         # scores 15, 12, 8 against defaults (t_pos=14, t_unl=10)
         doc = build_document(
             "d",
-            "",
             ["p1 p2 p3", "m1 m2 m3", "u1 u2"],
             ["p1 p2 p3 m1 m2 m3 u1 u2"],
         )
@@ -85,23 +84,23 @@ class TestLabelByAlignment:
         assert [l.align_score for l in labels] == [15.0, 12.0, 8.0]
 
     def test_score_exactly_t_pos_not_positive(self):
-        doc = build_document("d", "", ["a b"], ["a b"])
+        doc = build_document("d", ["a b"], ["a b"])
         idf = {"a": 7.0, "b": 7.0}
         (label,) = label_by_alignment(doc, 14.0, 10.0, idf)
         assert label.flag == EXCLUDED
 
     def test_missing_summary(self):
-        doc = build_document("d", "", ["a"])
+        doc = build_document("d", ["a"])
         with pytest.raises(ValueError, match="summary"):
             label_by_alignment(doc, 14.0, 10.0, {})
 
     def test_score_is_the_best_over_the_summary_sentences(self):
-        doc = build_document("d", "", ["a b c", "z"], ["a x", "a b c", "z"])
+        doc = build_document("d", ["a b c", "z"], ["a x", "a b c", "z"])
         labels = label_by_alignment(doc, 14.0, 10.0, flat_idf("abcxz", 1.0))
         assert [l.align_score for l in labels] == [3.0, 1.0]
 
     def test_partition_covers_all_sentences(self):
-        doc = build_document("d", "", ["a", "b", "c d e f g h i"], ["c d e f g h i"])
+        doc = build_document("d", ["a", "b", "c d e f g h i"], ["c d e f g h i"])
         labels = label_by_alignment(doc, 14.0, 10.0, flat_idf("abcdefghi", 2.5))
         counts = label_counts(labels)
         assert sum(counts.values()) == 3
@@ -114,27 +113,27 @@ class TestLabelByAlignment:
 
 class TestLabelByExtract:
     def test_empty_extracts(self):
-        doc = build_document("d", "", ["a", "b"])
+        doc = build_document("d", ["a", "b"])
         labels = label_by_extract(doc, [])
         assert [l.flag for l in labels] == [UNLABELED, UNLABELED]
 
     def test_membership_in_any_extract(self):
-        doc = build_document("d", "", ["a", "b", "c"])
+        doc = build_document("d", ["a", "b", "c"])
         labels = label_by_extract(doc, [[0], [], [], [0]])
         assert [l.flag for l in labels] == [POSITIVE, UNLABELED, UNLABELED]
 
     def test_all_extracted(self):
-        doc = build_document("d", "", ["a", "b"])
+        doc = build_document("d", ["a", "b"])
         labels = label_by_extract(doc, [[0, 1]])
         assert [l.flag for l in labels] == [POSITIVE, POSITIVE]
 
     def test_out_of_range_id(self):
-        doc = build_document("d", "", ["a"])
+        doc = build_document("d", ["a"])
         with pytest.raises(ValueError, match="out of range"):
             label_by_extract(doc, [[3]])
 
     def test_never_excluded(self):
-        doc = build_document("d", "", ["a", "b", "c"])
+        doc = build_document("d", ["a", "b", "c"])
         labels = label_by_extract(doc, [[1]])
         assert all(l.flag in (POSITIVE, UNLABELED) for l in labels)
 
@@ -216,5 +215,5 @@ class TestLabelSerialization:
         ]
         path = tmp_path / "labels.jsonl"
         write_labels(labels, path)
-        corpus = Corpus((build_document("d", "", ["A b.", "C d."]), build_document("e", "", ["E f."])))
+        corpus = Corpus((build_document("d", ["A b.", "C d."]), build_document("e", ["E f."])))
         assert read_labels(path, corpus) == labels
