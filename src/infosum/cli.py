@@ -11,12 +11,11 @@ dir:
     evaluate   test corpus, gold labels, predictions.jsonl,
                summaries_<system>.jsonl                -> report.json, report.txt
 
-Predict is the only command that scores test sentences. It stacks the
-sparse feature rows of a fixed block of test sentences at a time into a
-CsrMatrix and scores it with the product train uses
-(`pu.SentenceClassifier.prob`); a sentence's score does not depend on its
-block. No artifact's bytes depend on the BLAS kernel; `pu` says what still
-varies by host.
+Predict is the only command that scores test sentences. It scores each
+sentence's sparse feature row in pure Python, with the bits of train's
+numpy product for that row (`model.SentenceClassifier.prob`). No
+artifact's bytes depend on the BLAS kernel; `pu` says what still varies by
+host.
 Summarize takes each sentence's probability for InfoRank and InfoFilter
 from the `prob` fields of predictions.jsonl; LeadWords and RandomRank need
 no predictions.
@@ -40,8 +39,8 @@ which loads numpy: `constants`, `corpus`, `rng` and `summarize`. The rest
 is imported inside the command that uses it:
 
     label      weak_label (no numpy)
-    train      weak_label, lexicons, features, sparse, pu and numpy
-    predict    lexicons, features, sparse, pu and numpy
+    train      weak_label, lexicons, features, model, sparse, pu and numpy
+    predict    lexicons, features, model (no numpy)
     summarize  nothing more (no numpy)
     evaluate   report and metrics (no numpy)
     synth      synth and lexicons (no numpy)
@@ -448,13 +447,13 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
-    from .pu import SentenceClassifier, load_model
+    from .model import SentenceClassifier, load_model
 
     corpus = load_corpus(_require_file(cfg.test_corpus, "test corpus"))
     model, layout = load_model(_require_file(str(cfg.path("model.json")), "model file"))
     classifier = SentenceClassifier(model, build_extractor(cfg, layout=layout))
     sentences = [(doc.doc_id, sent) for doc in corpus for sent in doc.sentences]
-    probs = classifier.prob([sent for _, sent in sentences]).tolist()
+    probs = classifier.prob([sent for _, sent in sentences])
     records = [
         {"doc_id": doc_id, "sentence_id": sent.id, "prob": prob, "label": int(predicted_important(prob))}
         for (doc_id, sent), prob in zip(sentences, probs)

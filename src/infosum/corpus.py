@@ -165,9 +165,9 @@ def build_document(
     if not sentence_texts:
         raise ValueError(f"document {doc_id!r} has no sentences")
     sentences = tuple(make_sentence(i, t) for i, t in enumerate(sentence_texts))
-    summary = None
-    if summary_texts:
-        summary = tuple(make_sentence(i, t) for i, t in enumerate(summary_texts))
+    summary = tuple(make_sentence(i, t) for i, t in enumerate(summary_texts or ()))
+    if not any(sent.words for sent in summary):  # absent, empty or wordless: no summary
+        summary = None
     return Document(doc_id=doc_id, sentences=sentences, summary=summary)
 
 
@@ -377,7 +377,8 @@ def _is_strings(value) -> bool:
 def load_corpus(path: str | Path) -> Corpus:
     """The documents of the JSONL file at `path`: objects with a unique `doc_id`, `sentences`
     (a non-empty array of strings) and an optional `summary`. Any other field is ignored;
-    an absent or empty summary array is normalized to no summary."""
+    an absent summary, an empty summary array and one none of whose sentences has a word
+    are normalized to no summary."""
     seen: set[str] = set()
 
     def parse(rec: dict) -> Document:

@@ -8,7 +8,7 @@ each fact that fixes the columns once: the mode, each lexicon's name, its
 attributes and bins or its categories, and its content hash, or the
 vocabulary. Block order follows from the specs, and `total_dim` and
 `general_width` are derived from them, once per layout. Its JSON is `asdict`
-of it, `pu.save_model` writes it inside model.json, and `corpus.decode` reads
+of it, `model.save_model` writes it inside model.json, and `corpus.decode` reads
 it back.
 
 The layout alone bins: `dictionary_layout` records the configured bins in
@@ -25,8 +25,9 @@ sentence's word count.
 
 A sentence's features are one sparse row: its nonzero columns in ascending
 order and their values, computed in pure Python. Most entries are zero
-(96-98 % on the benchmark bundles). Train and predict both stack these rows
-into a `sparse.CsrMatrix` and score it with the same numpy product, so a
+(96-98 % on the benchmark bundles). Train stacks these rows into a
+`sparse.CsrMatrix` and scores it with a numpy product; predict scores each
+row in pure Python in that product's order (`model.Linear.margin`), so a
 sentence gets the same margin in either command and no BLAS kernel enters
 it (`pu` says what still varies by host).
 """

@@ -20,34 +20,31 @@ logistic regression of the rows on their margins) converts SVM scores into
 probabilities.
 
 The learner sees only (X, o): a `PUModel` holds no feature layout. Each
-stage is a `Linear` score, X @ weights + bias, and the calibration is a
-`Calib`. `train_pu_model` returns the model, which holds only what predict
-reads (e, the SVM, its calibration and the split's seed), and stage 1 beside
-it. `save_model` writes a `ModelFile`, the model beside the `FeatureLayout` of
-X's columns, and `load_model` reads it back with `corpus.decode`, so
-model.json's fields are declared once, by that record, for the writer and
-the reader alike. The CLI passes X as a
-`sparse.CsrMatrix` of one sparse row per sentence; the functions here use
-only `len`, `.shape`, `X[rows]`, `X @ w` and `X.T @ r`, so a dense array
-works as well.
+stage is a `Linear` score, X @ weights + bias (`decision`, and
+`predict_proba` its sigmoid), and the calibration is a `Calib`.
+`train_pu_model` returns the model, which holds only what predict reads (e,
+the SVM, its calibration and the split's seed), and stage 1 beside it.
+Those records, model.json's reader and writer and predict's scorer live in
+`model`, which imports no numpy; this module re-exports them. The CLI
+passes X as a `sparse.CsrMatrix` of one sparse row per sentence; the
+functions here use only `len`, `.shape`, `X[rows]`, `X @ w` and `X.T @ r`,
+so a dense array works as well.
 Stage 1 scores X once: e and the unlabeled weights both read that one
 vector of probabilities. Stage 2 reads only its fit rows: `train_pu_model`
 copies them out of X once, so no loss evaluation multiplies a row held out
 for calibration, and each multiplies each fit row once.
 
-Predict scores with train's product: `SentenceClassifier.prob` stacks the
-rows of each PROB_BLOCK test sentences into a CsrMatrix and calls
-`PUModel.margins`, the `Linear` train uses for its calibration margins. A
-row's margin and probability depend on that row alone, so the blocks give
-each sentence the bits one matrix of all of them would, without holding
-all their entries at once (72,605 on the paper-150 test corpus, 5.3 MB of
-heap). With X a CsrMatrix, no step that writes model.json or
-predictions.jsonl calls BLAS: the CSR products are numpy gathers and
-`reduceat`, and every other sum, the loss values and the solver's dot
-products included, is a numpy reduction (`_dot`), so those bytes do not
-depend on the OpenBLAS kernel the CPU selects. They still depend on numpy's
-float64 `exp`, which takes an AVX-512 path on a CPU that has one and a
-scalar path elsewhere.
+Predict scores with train's product, in pure Python: `model.Linear.margin`
+adds a sentence's products in the order `np.add.reduceat` adds its row of
+`decision`'s CSR product, so each margin has the bits train computes for
+that row, and `Calib.prob` takes the sigmoid with `math.exp`. With X a
+CsrMatrix, no step that writes model.json calls BLAS: the CSR products are
+numpy gathers and `reduceat`, and every other sum, the loss values and the
+solver's dot products included, is a numpy reduction (`_dot`), so
+model.json's bytes do not depend on the OpenBLAS kernel the CPU selects.
+They still depend on numpy's float64 `exp`, which takes an AVX-512 path on
+a CPU that has one and a scalar path elsewhere. Predictions depend on the
+host only through the model and libm's `exp`.
 
 Each fit's objective is its loss plus 0.5 * l2 * |w|^2, l2 the whole
 penalty, and `_minimize` solves it by L-BFGS to a stated gradient tolerance,
@@ -69,30 +66,29 @@ the dataset or rescaling all weights leaves the optimum unchanged.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections import deque
-from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import InputFormatError, Sentence, decode, read_json
-from .features import FeatureExtractor, FeatureLayout, LayoutMismatchError
+# The model record and predict's scorer, re-exported: the trainer's callers and
+# perfbench/tracer.py read them from here.
+from .model import (
+    PROB_EPS,
+    Calib,
+    Linear,
+    ModelFormatError,
+    PUModel,
+    SentenceClassifier,
+    load_model,
+    save_model,
+)
 from .rng import CALIBRATION_SPLIT, choice, stream
 from .sparse import CsrMatrix
 
 logger = logging.getLogger(__name__)
-
-# Version 2 dropped stage 1, `layout_hash` and the layout's derived fields
-# (`version`, `blocks`, `total_dim`, `general_width`). `decode` looks for
-# undeclared keys before it reads any field, so a version-1 file fails at the
-# first key it holds that version 2 dropped; the new number still marks the
-# format, and a file that lost those keys but says version 1 fails on it.
-MODEL_VERSION = 2
-PROB_EPS = 1e-12
 
 # `_minimize`, the solver of both stages and the calibration: its gradient
 # tolerance relative to the gradient at zero, its iteration cap, the
@@ -106,16 +102,9 @@ ARMIJO = 1e-4
 MAX_BACKTRACKS = 40
 HINGE_H = 0.5
 
-# Sentences whose rows `SentenceClassifier.prob` stacks into one CsrMatrix.
-PROB_BLOCK = 512
-
 
 class DegenerateTrainingSetError(ValueError):
     """Training or calibration data carries only one effective class."""
-
-
-class ModelFormatError(InputFormatError):
-    """Model file is corrupted, has a bad version, or fails a check of its fields."""
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -128,19 +117,14 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
-@dataclass(frozen=True)
-class Linear:
-    """The affine score X @ weights + bias: stage 1's logit and the SVM's margin."""
+def decision(linear: Linear, X: np.ndarray) -> np.ndarray:
+    """X @ weights + bias: stage 1's logits or the SVM's margins of every row of X."""
+    return X @ np.array(linear.weights) + linear.bias
 
-    weights: tuple[float, ...]
-    bias: float
 
-    def decision(self, X: np.ndarray) -> np.ndarray:
-        return X @ np.array(self.weights) + self.bias
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """The logistic probability of `decision`, clipped into the open interval (0, 1)."""
-        return np.clip(_sigmoid(self.decision(X)), PROB_EPS, 1.0 - PROB_EPS)
+def predict_proba(linear: Linear, X: np.ndarray) -> np.ndarray:
+    """The logistic probability of `decision`, clipped into [PROB_EPS, 1 - PROB_EPS]."""
+    return np.clip(_sigmoid(decision(linear, X)), PROB_EPS, 1.0 - PROB_EPS)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -369,59 +353,6 @@ def calibrate(margins: Sequence[float], pos: Sequence[float], neg: Sequence[floa
     return -float(w[0]), -b
 
 
-@dataclass(frozen=True)
-class Calib:
-    """The sigmoid p = 1 / (1 + exp(A * margin + B)) that `calibrate` fits."""
-
-    A: float
-    B: float
-
-
-@dataclass(frozen=True)
-class PUModel:
-    """What predict reads of a trained model: the label frequency e, the SVM,
-    the SVM's calibration and the seed of the calibration split."""
-
-    e: float
-    svm: Linear
-    calib: Calib
-    seed: int
-
-    def margins(self, X: np.ndarray) -> np.ndarray:
-        return self.svm.decision(X)
-
-    def prob_from_margin(self, margin: np.ndarray | float) -> np.ndarray | float:
-        z = -(self.calib.A * np.asarray(margin, dtype=float) + self.calib.B)
-        return np.clip(_sigmoid(z), PROB_EPS, 1.0 - PROB_EPS)
-
-
-@dataclass(frozen=True)
-class ModelFile:
-    """model.json: its format version, the FeatureLayout of the model's columns,
-    then the fields of a `PUModel`. `save_model` writes `asdict` of one, and
-    `load_model` decodes one, so `decode` reads the version and the layout
-    before the numbers.
-    """
-
-    version: Literal[MODEL_VERSION]
-    layout: FeatureLayout
-    e: float
-    svm: Linear
-    calib: Calib
-    seed: int
-
-    def __post_init__(self) -> None:
-        count = len(self.svm.weights)
-        if count != self.layout.total_dim:
-            raise ValueError(
-                f"model field 'svm.weights' holds {count} weights; its layout has {self.layout.total_dim} columns"
-            )
-        if not 0.0 < self.e <= 1.0:
-            raise ValueError(f"model field 'e' must be in (0, 1], not {self.e!r}")
-        if self.seed < 0:
-            raise ValueError(f"model field 'seed' must be >= 0, not {self.seed!r}")
-
-
 def calibration_split(n_rows: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(fit, calibration) row indices, each ascending.
 
@@ -452,7 +383,7 @@ def train_pu_model(X: CsrMatrix | np.ndarray, o: np.ndarray, l2: float, seed: in
     if not np.isin(o, (0, 1)).all():
         raise ValueError("o must hold only 0 and 1")
     stage1 = train_stage1(X, o, l2)
-    p1 = stage1.predict_proba(X)
+    p1 = predict_proba(stage1, X)
     e = estimate_e(p1[o == 1])
     pos, neg = build_relabeled(p1, o, e)
     logger.info(
@@ -463,55 +394,10 @@ def train_pu_model(X: CsrMatrix | np.ndarray, o: np.ndarray, l2: float, seed: in
     )
     fit, cal = calibration_split(len(X), seed)
     svm = train_stage2(X[fit], pos[fit], neg[fit], l2)
-    margins = svm.decision(X)
+    margins = decision(svm, X)
     try:
         calib = Calib(*calibrate(margins[cal], pos[cal], neg[cal]))
     except DegenerateTrainingSetError:
         logger.info("held-out calibration rows degenerate; calibrating on all rows")
         calib = Calib(*calibrate(margins, pos, neg))
     return PUModel(e=e, svm=svm, calib=calib, seed=seed), stage1
-
-
-class SentenceClassifier:
-    """Couples a trained model with an extractor on the layout `load_model` returned with it."""
-
-    def __init__(self, model: PUModel, extractor: FeatureExtractor):
-        if extractor.layout.total_dim != len(model.svm.weights):
-            raise LayoutMismatchError(
-                f"extractor gives {extractor.layout.total_dim} features, the model takes {len(model.svm.weights)}"
-            )
-        self.model = model
-        self.extractor = extractor
-
-    def prob(self, sentences: Sequence[Sentence]) -> np.ndarray:
-        """Each sentence's probability, from a CsrMatrix of the `extract` rows of
-        each PROB_BLOCK sentences in turn."""
-        out = np.empty(len(sentences))
-        for start in range(0, len(sentences), PROB_BLOCK):
-            block = sentences[start:start + PROB_BLOCK]
-            X = CsrMatrix.from_rows(map(self.extractor.extract, block), self.extractor.layout.total_dim)
-            out[start:start + len(block)] = self.model.prob_from_margin(self.model.margins(X))
-        return out
-
-
-def save_model(model: PUModel, layout: FeatureLayout, path: str | Path) -> None:
-    """`asdict` of the ModelFile of a model and its layout, as JSON with sorted keys;
-    shortest round-trip floats make reloads bit-exact."""
-    record = ModelFile(MODEL_VERSION, layout, model.e, model.svm, model.calib, model.seed)
-    payload = json.dumps(asdict(record), indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
-    Path(path).write_text(payload + "\n", encoding="utf-8")
-
-
-def load_model(path: str | Path) -> tuple[PUModel, FeatureLayout]:
-    """The model and the feature layout that `save_model` wrote to `path`.
-
-    A key the ModelFile does not declare, or a field that fails its checks, is a
-    ModelFormatError naming the dotted key; a version-1 file fails at the first
-    key that version 2 dropped (see MODEL_VERSION).
-    """
-    obj = read_json(path, "model")
-    try:
-        record = decode(ModelFile, obj, "model")
-    except ValueError as exc:
-        raise ModelFormatError(str(exc)) from None
-    return PUModel(record.e, record.svm, record.calib, record.seed), record.layout

@@ -1,7 +1,7 @@
 """Compressed sparse row (CSR) matrices in numpy alone.
 
 Sentence feature rows are mostly zero (1.7-4.3 % nonzero on the benchmark
-bundles), so train and predict hold their feature matrices as a CsrMatrix.
+bundles), so train holds its feature matrices as a CsrMatrix.
 The type supports what training does with X and nothing more: `len`, `.shape`,
 `X[rows]`, `X @ w` and `X.T @ r`; dense numpy arrays support the same
 operations, so the training code accepts either. scipy.sparse is not used:
@@ -11,7 +11,8 @@ on a 2-vCPU VM, importing it after numpy raised peak resident memory from
 `X @ w` multiplies each stored value by its column's weight and sums each
 row's products with one `np.add.reduceat`. `X.T @ r` is the same product on
 the transposed matrix, a column-sorted copy built on first use and kept. A
-row's sum depends only on that row's stored entries in stored order.
+row's sum depends only on that row's stored entries in stored order, and
+`model.Linear.margin` computes it in pure Python with reduceat's bits.
 reduceat returns the next element, not 0, for an empty segment, so the sums
 are taken over the non-empty rows only and scattered into zeros.
 

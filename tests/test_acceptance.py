@@ -21,9 +21,11 @@ from infosum.cli import EXIT_OK, main
 from infosum.corpus import build_document, make_sentence, to_jsonl
 from infosum.metrics import f1_score, mcnemar, prf, rouge_n, wilcoxon_signed_rank
 from infosum.pu import (
+    decision,
     hinge_loss,
     load_model,
     logistic_loss,
+    predict_proba,
     save_model,
     train_pu_model,
     unlabeled_weight,
@@ -83,8 +85,8 @@ def test_criterion_2_pu_gain():
         data = gaussian_pu_dataset(seed=seed)
         model, stage1 = train_pu_model(data.X_train, data.o, ACCEPT_L2, seed)
         X = data.X_test
-        naive = (stage1.predict_proba(X) >= 0.5).astype(int)
-        two_stage = (np.asarray(model.prob_from_margin(model.margins(X))) >= 0.5).astype(int)
+        naive = (predict_proba(stage1, X) >= 0.5).astype(int)
+        two_stage = np.array([model.calib.prob(m) >= 0.5 for m in decision(model.svm, X).tolist()], dtype=int)
         gains.append(_f1(two_stage, data.test_y) - _f1(naive, data.test_y))
     elapsed = time.time() - start
     median_gain = float(np.median(gains))
@@ -312,10 +314,9 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
     reloaded, _ = load_model(reload_path)
     rng = np.random.default_rng(9)
     probes = rng.normal(size=(100, layout.total_dim))
-    bit_exact = np.array_equal(
-        model.prob_from_margin(model.margins(probes)),
-        reloaded.prob_from_margin(reloaded.margins(probes)),
-    )
+    bit_exact = [model.calib.prob(m) for m in decision(model.svm, probes).tolist()] == [
+        reloaded.calib.prob(m) for m in decision(reloaded.svm, probes).tolist()
+    ]
     elapsed = time.time() - start
     _report(
         "criterion-9 pipeline reruns byte-identical; save/load bit-exact on 100 probes",

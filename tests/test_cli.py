@@ -12,9 +12,11 @@ import pytest
 
 from infosum.cli import EXIT_OK, EXIT_VALIDATION, RunConfig, build_extractor, main
 from infosum.corpus import load_corpus, write_jsonl
-from infosum.pu import load_model, train_pu_model, save_model
+from infosum.pu import decision, load_model, train_pu_model, save_model
 from infosum.sparse import CsrMatrix
 from infosum.synth import SynthParams, write_synth_bundle
+
+from test_model import math_sigmoid_prob
 
 
 @pytest.fixture(scope="module")
@@ -132,19 +134,20 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-# What each command must leave unimported: only train and predict load numpy
-# and run the learner (synth writes lexicons but reads none), and only
-# evaluate scores ROUGE. No command needs numpy.random
+# What each command must leave unimported: only train loads numpy and runs the
+# learner, predict reads lexicons and scores without numpy, synth writes
+# lexicons but reads none, and only evaluate scores ROUGE. No command needs numpy.random
 # (`infosum.rng` draws its streams) or `_hashlib`, which maps OpenSSL's libcrypto.
-LEARNER = ("infosum.lexicons", "infosum.features", "infosum.pu", "infosum.sparse")
+LEARNER = ("infosum.lexicons", "infosum.features", "infosum.model", "infosum.pu", "infosum.sparse")
 NOT_LOADED = {
     "label": ("numpy", *LEARNER, "infosum.metrics", "infosum.synth", "_hashlib"),
     "train": ("numpy.random", "infosum.metrics", "infosum.synth", "_hashlib"),
-    "predict": ("numpy.random", "infosum.metrics", "infosum.synth", "infosum.weak_label", "_hashlib"),
+    "predict": ("numpy", "infosum.pu", "infosum.sparse", "infosum.metrics", "infosum.synth", "infosum.weak_label",
+                "_hashlib"),
     "summarize": ("numpy", *LEARNER, "infosum.metrics", "infosum.synth", "infosum.weak_label", "_hashlib"),
     "evaluate": ("numpy", *LEARNER, "infosum.synth", "infosum.weak_label", "_hashlib"),
-    "synth": ("numpy", "infosum.features", "infosum.pu", "infosum.sparse", "infosum.metrics", "infosum.weak_label",
-              "_hashlib"),
+    "synth": ("numpy", "infosum.features", "infosum.model", "infosum.pu", "infosum.sparse", "infosum.metrics",
+              "infosum.weak_label", "_hashlib"),
 }
 
 
@@ -286,7 +289,8 @@ class TestPipelineArtifacts:
             assert (run_dir / name).read_bytes() == blob, name
 
     def test_each_prediction_is_its_row_scored_by_the_training_product(self, pipeline):
-        """Predict scores all test sentences at once; each gets the bits of its own one-row matrix."""
+        """Each prediction is the math.exp sigmoid of the margin train's numpy product
+        gives the sentence's row, to the bit."""
         cfg_path, run_dir = pipeline
         cfg = RunConfig.from_dict(json.loads(Path(cfg_path).read_text()))
         model, layout = load_model(run_dir / "model.json")
@@ -297,7 +301,8 @@ class TestPipelineArtifacts:
         for pred, (doc_id, sent) in zip(predictions, sentences):
             row = CsrMatrix.from_rows([extractor.extract(sent)], layout.total_dim)
             assert (pred["doc_id"], pred["sentence_id"]) == (doc_id, sent.id)
-            assert pred["prob"] == model.prob_from_margin(model.margins(row))[0], (doc_id, sent.id)
+            expected = math_sigmoid_prob(model.calib, decision(model.svm, row)[0])
+            assert pred["prob"].hex() == expected.hex(), (doc_id, sent.id)
 
 
 class TestPipelineCompositionality:
@@ -1366,6 +1371,33 @@ def test_bad_corpus_or_lexicon_line_exits_2_naming_kind_and_line(bundle, pipelin
     capsys.readouterr()
     assert run_on_bad_copy(bundle, run_dir, tmp_path, kind, write_copy) == EXIT_VALIDATION
     assert f"{kind} line {lineno}: {message}" in capsys.readouterr().err
+
+
+def test_a_summary_without_a_word_is_no_summary(tmp_path, capsys):
+    """Evaluate leaves out a test document whose summary holds no word, as it leaves
+    out one without a summary, and alignment labeling rejects such a training document."""
+    paths = write_synth_bundle(tmp_path / "bundle", SynthParams(n_train_docs=20, n_test_docs=5, seed=0))
+    test_corpus = Path(paths["test_corpus"])
+    docs = [json.loads(line) for line in test_corpus.read_text(encoding="utf-8").splitlines()]
+    assert docs[0]["doc_id"] == "test-0000" and all(doc.get("summary") for doc in docs)
+    docs[0]["summary"] = [""]
+    write_jsonl(docs, test_corpus)
+    for command in ("label", "train", "predict", "summarize", "evaluate"):
+        assert main([command, "-c", paths["config"]]) == EXIT_OK, command
+    run_dir = Path(json.loads(Path(paths["config"]).read_text())["out_dir"])
+    report = json.loads((run_dir / "report.json").read_text())
+    for row in report["rouge"].values():
+        assert row["n_docs"] == 4 and "test-0000" not in row["per_doc"]
+
+    train = [json.loads(line) for line in Path(paths["train_corpus"]).read_text(encoding="utf-8").splitlines()]
+    summarized = [doc for doc in train if "summary" in doc]
+    summarized[1]["summary"] = ["...", "!"]
+    write_jsonl(summarized, tmp_path / "corpus_train.jsonl")
+    capsys.readouterr()
+    assert main(["label", "-c", paths["config"], "--set", "label.mode=alignment",
+                 "--set", f"train_corpus={tmp_path / 'corpus_train.jsonl'}", "--out-dir", str(tmp_path / "align")]) \
+        == EXIT_VALIDATION
+    assert f"document {summarized[1]['doc_id']!r} has none" in capsys.readouterr().err
 
 
 def test_line_separators_inside_a_sentence_survive_the_pipeline(tmp_path):

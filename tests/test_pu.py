@@ -27,10 +27,12 @@ from infosum.pu import (
     build_relabeled,
     calibrate,
     calibration_split,
+    decision,
     estimate_e,
     hinge_loss,
     load_model,
     logistic_loss,
+    predict_proba,
     save_model,
     train_pu_model,
     train_stage1,
@@ -38,6 +40,8 @@ from infosum.pu import (
     unlabeled_weight,
 )
 from infosum.sparse import CsrMatrix
+
+from test_model import math_sigmoid_prob
 
 TOY_L2 = 0.01
 
@@ -58,7 +62,7 @@ class TestStage1:
     def test_separable_positives_above_half(self):
         X, o = separable_set()
         model = train_stage1(X, o, TOY_L2)
-        probs = model.predict_proba(X[:20])
+        probs = predict_proba(model, X[:20])
         assert np.all(probs > 0.5)
 
     def test_single_class_rejected(self):
@@ -76,7 +80,7 @@ class TestStage1:
     def test_outputs_in_open_interval(self):
         X, o = separable_set()
         model = train_stage1(X, o, TOY_L2)
-        probs = model.predict_proba(np.array([[1e6, 1e6], [-1e6, -1e6]]))
+        probs = predict_proba(model, np.array([[1e6, 1e6], [-1e6, -1e6]]))
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
     def test_deterministic(self):
@@ -277,13 +281,13 @@ def stage_ratios(X, o, model, stage1, l2, seed):
     The calibration is the unpenalized `logistic_loss` of the held-out rows, or of
     every row when the held-out ones lack weight on a side, on the one-column matrix
     of their margins, with Platt's targets as weights; its fit is (-A, -B)."""
-    pos, neg = build_relabeled(stage1.predict_proba(X), o, model.e)
+    pos, neg = build_relabeled(predict_proba(stage1, X), o, model.e)
     fit, cal = calibration_split(len(o), seed)
     if not (pos[cal].sum() > 0.0 and neg[cal].sum() > 0.0):
         cal = np.arange(len(o))
     cal_pos, cal_neg = pos[cal], neg[cal]
     t = cal_pos * (cal_pos.sum() + 1.0) / (cal_pos.sum() + 2.0) + cal_neg / (cal_neg.sum() + 2.0)
-    margins = model.margins(X)[cal]
+    margins = decision(model.svm, X)[cal]
     calib = Linear((-model.calib.A,), -model.calib.B)
     return (
         gradient_ratio(logistic_loss, stage1, X, o * 1.0, 1.0 - o, l2),
@@ -384,18 +388,18 @@ class TestEstimateE:
         # weights chosen so the two positives score 0.8 and 0.6 exactly
         model = Linear(weights=(1.0,), bias=0.0)
         positives = np.array([[np.log(0.8 / 0.2)], [np.log(0.6 / 0.4)]])
-        assert estimate_e(model.predict_proba(positives)) == pytest.approx(0.7, abs=1e-12)
+        assert estimate_e(predict_proba(model, positives)) == pytest.approx(0.7, abs=1e-12)
 
     def test_empty_positive_set(self):
         X, o = separable_set()
         model = train_stage1(X, o, TOY_L2)
         with pytest.raises(ValueError):
-            estimate_e(model.predict_proba(X[:0]))
+            estimate_e(predict_proba(model, X[:0]))
 
     def test_upper_limit(self):
         X, o = separable_set(spread=0.05)
         model = train_stage1(X, o, 1e-6)
-        e = estimate_e(model.predict_proba(X)[o == 1])
+        e = estimate_e(predict_proba(model, X)[o == 1])
         assert 0.9 < e < 1.0
 
 
@@ -452,7 +456,7 @@ class TestBuildRelabeled:
         order = np.array([0, 5, 1, 6, 2, 7, 3, 8, 4, 9])
         self.X, self.o = X[order], o[order]
         self.model = train_stage1(self.X, self.o, TOY_L2)
-        self.p1 = self.model.predict_proba(self.X)
+        self.p1 = predict_proba(self.model, self.X)
         self.e = estimate_e(self.p1[self.o == 1])
 
     def test_one_pair_of_weights_per_row(self):
@@ -468,7 +472,7 @@ class TestBuildRelabeled:
     def test_unlabeled_rows_get_w_and_one_minus_w(self):
         pos, neg = build_relabeled(self.p1, self.o, self.e)
         for i in np.flatnonzero(self.o == 0):
-            lr_x = self.model.predict_proba(self.X[i][None, :])[0]
+            lr_x = predict_proba(self.model, self.X[i][None, :])[0]
             assert pos[i] == pytest.approx(unlabeled_weight(lr_x, self.e), abs=1e-15)
             assert neg[i] == 1.0 - pos[i]
 
@@ -478,7 +482,7 @@ class TestStage2:
         """The smoothed hinge still charges margins below 1.5, so the optimum may leave
         some in (0.5, 1); none has the wrong sign."""
         X, o = separable_set()
-        margins = (2.0 * o - 1.0) * train_stage2(X, o, 1 - o, 1e-4).decision(X)
+        margins = (2.0 * o - 1.0) * decision(train_stage2(X, o, 1 - o, 1e-4), X)
         assert np.all(margins > 0)
 
     def test_zero_weight_example_is_inert(self):
@@ -643,20 +647,23 @@ def trained_toy_model(seed=0):
     return train_pu_model(X, o, TOY_L2, seed)[0], X, o
 
 
+def calibrated(model, margins):
+    """`Calib.prob` of each margin, as an array."""
+    return np.array([model.calib.prob(m) for m in np.asarray(margins).tolist()])
+
+
 class TestPUModel:
     def test_predict_prob_deterministic_and_monotone_in_margin(self):
         model, X, o = trained_toy_model()
-        assert model.prob_from_margin(model.margins(X[0])) == model.prob_from_margin(
-            model.margins(X[0])
-        )
-        margins = model.margins(X)
-        probs = np.asarray(model.prob_from_margin(margins))
+        assert same_bits(calibrated(model, decision(model.svm, X[:1])), calibrated(model, decision(model.svm, X[:1])))
+        margins = decision(model.svm, X)
+        probs = calibrated(model, margins)
         order = np.argsort(margins)
         assert np.all(np.diff(probs[order]) >= 0)
 
     def test_training_positives_score_higher(self):
         model, X, o = trained_toy_model()
-        probs = np.asarray(model.prob_from_margin(model.margins(X)))
+        probs = calibrated(model, decision(model.svm, X))
         assert probs[o == 1].mean() > probs[o == 0].mean()
 
     def test_layout_mismatch_on_predict(self):
@@ -688,7 +695,7 @@ class TestPUModel:
         seen = []
         monkeypatch.setattr(pu, "train_stage2", lambda *args: (seen.append(args), train_stage2(*args))[1])
         _, stage1 = train_pu_model(X if matrix == "dense" else as_csr(X), o, TOY_L2, 2)
-        p1 = stage1.predict_proba(X if matrix == "dense" else as_csr(X))
+        p1 = predict_proba(stage1, X if matrix == "dense" else as_csr(X))
         pos, neg = build_relabeled(p1, o, estimate_e(p1[o == 1]))
         fit, cal = calibration_split(len(X), 2)
         [(X_fit, pos_fit, neg_fit, _)] = seen
@@ -713,11 +720,9 @@ class TestSaveLoad:
         save_model(model, TOY_LAYOUT, path)
         loaded, layout = load_model(path)
         assert layout == TOY_LAYOUT
-        rng = np.random.default_rng(0)
-        for row in rng.normal(size=(100, 2)):
-            assert loaded.prob_from_margin(loaded.margins(row)) == model.prob_from_margin(
-                model.margins(row)
-            )
+        rows = np.random.default_rng(0).normal(size=(100, 2))
+        assert loaded == model
+        assert same_bits(calibrated(loaded, decision(loaded.svm, rows)), calibrated(model, decision(model.svm, rows)))
 
     @pytest.mark.parametrize("mode", ["dictionary", "dictionary-no-general", "bow"])
     def test_resaving_a_loaded_model_rewrites_its_bytes(self, tmp_path, mode):
@@ -896,19 +901,20 @@ class TestSentenceClassifier:
         clf = SentenceClassifier(model, ex)
         sents = [make_sentence(0, "alpha alpha alpha beta"), make_sentence(1, "..."), make_sentence(2, "beta gamma")]
         probs = clf.prob(sents)
-        assert probs.shape == (3,) and np.all((0.0 < probs) & (probs < 1.0))
+        assert type(probs) is list and len(probs) == 3 and all(0.0 < p < 1.0 for p in probs)
         for sent, p in zip(sents, probs):
             row = CsrMatrix.from_rows([ex.extract(sent)], ex.layout.total_dim)
-            assert p == model.prob_from_margin(model.margins(row))[0]
-        assert clf.prob([]).shape == (0,)
+            assert same_bits(p, math_sigmoid_prob(model.calib, decision(model.svm, row)[0]))
+        assert clf.prob([]) == []
 
-    def test_blocks_score_as_one_matrix(self):
+    def test_scores_as_one_matrix(self):
+        """Each probability is the math.exp sigmoid of the sentence's margin in the
+        training product of one matrix of all the rows."""
         model, ex = self.train_text_model(SCORED_V1)
         draw = np.random.default_rng(5)
         words = np.array(["alpha", "beta", "gamma", "delta", "epsilon", "!", "?", ":", '"'])
-        sents = [make_sentence(i, " ".join(draw.choice(words, size=draw.integers(1, 12))))
-                 for i in range(2 * pu.PROB_BLOCK + 7)]
+        sents = [make_sentence(i, " ".join(draw.choice(words, size=draw.integers(1, 12)))) for i in range(1031)]
         X = CsrMatrix.from_rows([ex.extract(s) for s in sents], ex.layout.total_dim)
-        whole = model.prob_from_margin(model.margins(X))
-        assert len(np.unique(whole)) > 100
+        whole = [math_sigmoid_prob(model.calib, m) for m in decision(model.svm, X).tolist()]
+        assert len(set(whole)) > 100
         assert same_bits(SentenceClassifier(model, ex).prob(sents), whole)
