@@ -404,8 +404,14 @@ def build_examples(corpus: Corpus, labels, extractor: FeatureExtractor) -> tuple
     return CsrMatrix.from_rows(rows, extractor.layout.total_dim), o
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    from .pu import calibration_split, save_model, train_pu_model
+def training_rows(cfg: RunConfig) -> tuple[CsrMatrix, np.ndarray, FeatureExtractor]:
+    """The rows train fits: X and o over the positives and the sampled unlabeled
+    sentences of labels.jsonl, in label order, and the extractor of X's columns.
+
+    The checks of the labels, the sample, the calibration split and the
+    features that the module docstring names raise their ConfigError here.
+    """
+    from .pu import calibration_split
     from .weak_label import POSITIVE, UNLABELED, label_counts, read_labels, sample_unlabeled
 
     corpus = load_corpus(_require_file(cfg.train_corpus, "train corpus"))
@@ -415,8 +421,7 @@ def cmd_train(cfg: RunConfig) -> int:
         if not held[flag]:
             raise ConfigError(f"labels.jsonl holds no {flag} label; training needs positive and unlabeled ones")
     sampled = sample_unlabeled(labels, cfg.label.balance_ratio, cfg.seed)
-    counts = label_counts(sampled)
-    if not counts[UNLABELED]:
+    if not label_counts(sampled)[UNLABELED]:
         raise ConfigError(
             f"label.balance_ratio {cfg.label.balance_ratio} samples none of the {held[UNLABELED]} unlabeled "
             f"sentences for {held[POSITIVE]} positive ones; training needs at least one"
@@ -436,11 +441,19 @@ def cmd_train(cfg: RunConfig) -> int:
             cause = (f"lexicons.scored {list(cfg.lexicons.scored)} and lexicons.category "
                      f"{list(cfg.lexicons.category)} match none of their words")
         raise ConfigError(f"none of the {len(o)} training sentences has a nonzero feature: {cause}")
+    return X, o, extractor
+
+
+def cmd_train(cfg: RunConfig) -> int:
+    from .pu import save_model, train_pu_model
+
+    X, o, extractor = training_rows(cfg)
     model, _ = train_pu_model(X, o, cfg.hyper.l2, cfg.seed)
     _write_resolved_config(cfg, "train")
     save_model(model, extractor.layout, cfg.path("model.json"))
+    positives = int(o.sum())
     print(
-        f"train: positives={counts[POSITIVE]} unlabeled={counts[UNLABELED]} "
+        f"train: positives={positives} unlabeled={len(o) - positives} "
         f"dim={extractor.layout.total_dim} e={model.e:.6f} -> {cfg.path('model.json')}"
     )
     return EXIT_OK

@@ -1,8 +1,9 @@
 """The trained model's record, its file, and the scorer predict runs, without numpy.
 
-A `PUModel` holds what predict reads of a trained model: the label
-frequency e, the SVM (a `Linear`), the SVM's calibration (a `Calib`) and the
-seed of the calibration split. `save_model` writes a `ModelFile`, the model
+A `PUModel` is a trained model: the SVM (a `Linear`) and its calibration (a
+`Calib`), which predict reads, and the label frequency e and the seed of the
+calibration split, which `load_model` checks and keeps as the record of its
+training; predict reads neither. `save_model` writes a `ModelFile`, the model
 beside the `FeatureLayout` of its columns, and `load_model` reads it back
 with `corpus.decode`, so model.json's fields are declared once, by that
 record, for the writer and the reader alike. `pu` trains the model and
@@ -106,8 +107,8 @@ class Calib:
 
 @dataclass(frozen=True)
 class PUModel:
-    """What predict reads of a trained model: the label frequency e, the SVM,
-    the SVM's calibration and the seed of the calibration split."""
+    """A trained model: the SVM and its calibration, which predict reads, and the
+    label frequency e and the calibration split's seed, the record of its training."""
 
     e: float
     svm: Linear

@@ -22,8 +22,9 @@ probabilities.
 The learner sees only (X, o): a `PUModel` holds no feature layout. Each
 stage is a `Linear` score, X @ weights + bias (`decision`, and
 `predict_proba` its sigmoid), and the calibration is a `Calib`.
-`train_pu_model` returns the model, which holds only what predict reads (e,
-the SVM, its calibration and the split's seed), and stage 1 beside it.
+`train_pu_model` returns the model, and stage 1 beside it. Of the model
+predict reads the SVM and its calibration; e and the split's seed are the
+record of the training, checked when model.json is loaded.
 Those records, model.json's reader and writer and predict's scorer live in
 `model`, which imports no numpy; this module re-exports them. The CLI
 passes X as a `sparse.CsrMatrix` of one sparse row per sentence; the

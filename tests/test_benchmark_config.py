@@ -2,27 +2,21 @@
 
 The config rejects unknown keys and ill-typed values, so a benchmark
 override that names a renamed key would fail each benchmark command with
-exit 2. This test makes it fail here instead: it loads `perfbench/run.py`,
-and resolves a fresh synth config with each workload's overrides, per
-pipeline command, through the CLI's own argument parser and `load_config`.
+exit 2. This test makes it fail here instead: it loads `perfbench/run.py`
+through `regimes.perfbench_run`, the loader the regime table builds its
+benchmark bundles with, and resolves a fresh synth config with each
+workload's overrides, per pipeline command, through the CLI's own argument
+parser and `load_config`.
 """
-
-import importlib.util
-import sys
-from pathlib import Path
 
 from infosum.cli import build_parser, load_config
 from infosum.synth import SynthParams, write_synth_bundle
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from regimes import perfbench_run
 
 
-def test_every_workload_config_loads(tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports its siblings
-    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look their module up
-    spec.loader.exec_module(run)
+def test_every_workload_config_loads(tmp_path):
+    run = perfbench_run()
     params = SynthParams(n_train_docs=4, n_test_docs=2, sentences_per_doc=4, seed=0)
     config = write_synth_bundle(tmp_path, params)["config"]
     assert run.WORKLOADS

@@ -308,16 +308,10 @@ class TestPipelineArtifacts:
 class TestPipelineCompositionality:
     def test_cmd_train_equals_in_process_pipeline(self, bundle, pipeline, tmp_path):
         cfg_path, run_dir = pipeline
-        from infosum.cli import build_examples, build_extractor
-        from infosum.corpus import load_corpus
-        from infosum.weak_label import read_labels, sample_unlabeled
+        from infosum.cli import training_rows
 
         cfg = RunConfig.from_dict(json.loads(Path(cfg_path).read_text()))
-        corpus = load_corpus(cfg.train_corpus)
-        labels = read_labels(run_dir / "labels.jsonl", corpus)
-        sampled = sample_unlabeled(labels, cfg.label.balance_ratio, cfg.seed)
-        extractor = build_extractor(cfg, train_corpus=corpus)
-        X, o = build_examples(corpus, sampled, extractor)
+        X, o, extractor = training_rows(cfg)
         model, _ = train_pu_model(X, o, cfg.hyper.l2, cfg.seed)
         path = tmp_path / "inprocess.json"
         save_model(model, extractor.layout, path)

@@ -540,26 +540,19 @@ class TestPenalty:
 
 
 class TestPaperScaleSolve:
-    def test_each_stage_meets_its_tolerance_within_1000_loss_evaluations(self, tmp_path, monkeypatch, caplog):
-        """`infosum train` on a bundle the size of the paper-150 benchmark workload (150
-        train and 300 test documents, seed 0). The fixed descent schedule took 8000 loss
-        evaluations there."""
-        from infosum.cli import EXIT_OK, HyperSection, main
-        from infosum.synth import SynthParams, write_synth_bundle
-
-        paths = write_synth_bundle(tmp_path, SynthParams(n_train_docs=150, n_test_docs=300, seed=0))
-        assert main(["label", "-c", paths["config"]]) == EXIT_OK
-        calls, seen = [], []
+    def test_each_stage_meets_its_tolerance_within_1000_loss_evaluations(self, regime, monkeypatch, caplog):
+        """The rows `infosum train` fits on the paper-150 benchmark bundle (150 train and
+        300 test documents, seed 0), at its penalty and seed. The fixed descent schedule
+        took 8000 loss evaluations there."""
+        rows = regime("paper-150", 0)
+        calls = []
         for name in ("logistic_loss", "hinge_loss"):
             loss = getattr(pu, name)
             monkeypatch.setattr(pu, name, lambda *args, loss=loss: (calls.append(1), loss(*args))[1])
-        monkeypatch.setattr(pu, "train_pu_model", lambda *args, **kw: (
-            seen.append((args, kw, train_pu_model(*args, **kw))), seen[-1][2])[1])
+        l2, seed = rows.cfg.hyper.l2, rows.cfg.seed
         with caplog.at_level(logging.INFO, logger="infosum.pu"):
-            assert main(["train", "-c", paths["config"]]) == EXIT_OK
-        [((X, o, l2, seed), kw, (model, stage1))] = seen
-        assert (l2, seed, kw) == (HyperSection().l2, 0, {})
-        assert all(ratio <= GRAD_TOL for ratio in stage_ratios(X, o, model, stage1, l2, seed))
+            model, stage1 = train_pu_model(rows.X, rows.o, l2, seed)
+        assert all(ratio <= GRAD_TOL for ratio in stage_ratios(rows.X, rows.o, model, stage1, l2, seed))
         assert len(calls) < 1000
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
