@@ -99,6 +99,7 @@ from .corpus import (
     load_corpus,
     read_json,
     read_records,
+    write_json,
     write_jsonl,
 )
 from .rng import RANDOMRANK_ORDER, stream
@@ -235,7 +236,7 @@ class RunConfig:
 
 def _require_file(path: str | None, what: str) -> Path:
     if not path:
-        raise ConfigError(f"config does not name a {what}")
+        raise ConfigError(f"config names no {what}")
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"{what} not found: {p}")
@@ -282,9 +283,7 @@ def _make_out_dir(path: str) -> Path:
 
 
 def _write_resolved_config(cfg: RunConfig, command: str) -> None:
-    out = _make_out_dir(cfg.out_dir)
-    payload = json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"
-    (out / f"resolved_config.{command}.json").write_text(payload, encoding="utf-8")
+    write_json(asdict(cfg), _make_out_dir(cfg.out_dir) / f"resolved_config.{command}.json")
 
 
 @dataclass(frozen=True)
@@ -341,7 +340,7 @@ def compute_labels(cfg: RunConfig, corpus: Corpus):
         for doc in corpus:
             if not doc.summary:
                 raise ConfigError(
-                    f"alignment labeling needs summaries; document {doc.doc_id!r} has none"
+                    f"label.mode alignment needs summaries; document {doc.doc_id!r} has none"
                 )
             labels.extend(label_by_alignment(doc, cfg.label.t_pos, cfg.label.t_unl, idf))
     return labels
@@ -578,9 +577,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             "nothing to evaluate: run predict (with gold labels configured) or summarize first"
         )
     _write_resolved_config(cfg, "evaluate")
-    cfg.path("report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(report, cfg.path("report.json"))
     table = render_table(report, cfg.evaluate.rouge)
     cfg.path("report.txt").write_text(table, encoding="utf-8")
     print(table, end="")

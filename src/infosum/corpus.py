@@ -29,7 +29,9 @@ UTF-8, a line ends at a line feed alone (U+2028, U+2029 and U+0085 are text,
 as `to_jsonl` writes them), and blank lines are skipped. Undecodable bytes,
 bad JSON, a key given twice in one object and a bad field all raise
 InputFormatError naming the file kind and the 1-based line. Every JSONL
-artifact is written by `write_jsonl`.
+artifact is written by `write_jsonl`, and every JSON file (model, config,
+resolved config, report) by `write_json`, each with sorted keys and non-ASCII
+kept as UTF-8.
 
 Every record file is read by `read_records`, which fails at a line naming a
 sentence or document its corpus lacks or one an earlier line named: labels
@@ -297,6 +299,13 @@ def to_jsonl(records: Iterable[dict]) -> str:
 def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
     """`to_jsonl` of `records`, written to `path` as UTF-8."""
     Path(path).write_text(to_jsonl(records), encoding="utf-8")
+
+
+def write_json(obj: dict, path: str | Path) -> None:
+    """`obj` as one JSON document at `path`, UTF-8, indented by 2 with keys sorted and a
+    final line feed. NaN and the infinities are not JSON: holding one raises ValueError."""
+    payload = json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
+    Path(path).write_text(payload + "\n", encoding="utf-8")
 
 
 def decode(cls: type[T], value, noun: str = "record") -> T:

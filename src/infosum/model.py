@@ -22,7 +22,6 @@ depends on libm as IDF's `math.log` does.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from functools import reduce
@@ -30,7 +29,7 @@ from operator import add
 from pathlib import Path
 from typing import Literal, Sequence
 
-from .corpus import InputFormatError, Sentence, decode, read_json
+from .corpus import InputFormatError, Sentence, decode, read_json, write_json
 from .features import FeatureExtractor, FeatureLayout, LayoutMismatchError
 
 # Version 2 dropped stage 1, `layout_hash` and the layout's derived fields
@@ -164,8 +163,7 @@ def save_model(model: PUModel, layout: FeatureLayout, path: str | Path) -> None:
     """`asdict` of the ModelFile of a model and its layout, as JSON with sorted keys;
     shortest round-trip floats make reloads bit-exact."""
     record = ModelFile(MODEL_VERSION, layout, model.e, model.svm, model.calib, model.seed)
-    payload = json.dumps(asdict(record), indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
-    Path(path).write_text(payload + "\n", encoding="utf-8")
+    write_json(asdict(record), path)
 
 
 def load_model(path: str | Path) -> tuple[PUModel, FeatureLayout]:

@@ -13,11 +13,10 @@ bundles.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import write_jsonl
+from .corpus import write_json, write_jsonl
 from .lexicons import CategoryLexicon, ScoredLexicon, category_lexicon_to_tsv, scored_lexicon_to_tsv
 from .rng import SYNTH_LEXICONS, SYNTH_TEST, SYNTH_TRAIN, Stream, stream
 
@@ -175,7 +174,5 @@ def write_synth_bundle(out_dir: str | Path, params: SynthParams) -> dict[str, st
         "label": {"mode": "extract", "extracts": str(paths["extracts"])},
         "evaluate": {"gold_labels": str(paths["gold_labels"])},
     }
-    paths["config"].write_text(
-        json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(config, paths["config"])
     return {k: str(v) for k, v in paths.items()}

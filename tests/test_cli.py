@@ -17,6 +17,7 @@ from infosum.sparse import CsrMatrix
 from infosum.synth import SynthParams, write_synth_bundle
 
 from test_model import math_sigmoid_prob
+from variants import COMMANDS, VARIANTS, out_files, set_args
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +25,39 @@ def bundle(tmp_path_factory):
     root = tmp_path_factory.mktemp("synth")
     params = SynthParams(n_train_docs=60, n_test_docs=24, sentences_per_doc=10, seed=11)
     paths = write_synth_bundle(root, params)
+    return paths
+
+
+SEPARATORS = ("\u2028", "\u2029", "\x85")
+NON_ASCII_DOC_ID = "tést-ü∑-0000"
+# Each word of letters and digits in sentence 1 of the first test document gains one
+# of these endings, in turn: a non-ASCII letter, Arabic-Indic and ASCII digits, an
+# inner curly apostrophe and a letter that casefolds to two, and a run of dashes.
+NON_ASCII_ENDINGS = ("{}É", "{}٣4", "{}’ß", "{}——ø")
+
+
+@pytest.fixture(scope="module")
+def rewritten_bundle(tmp_path_factory):
+    """A 20/5-document bundle whose first test document has a non-ASCII id, in the test
+    corpus and the gold labels, and holds U+2028, U+2029 and U+0085 in place of three
+    spaces of sentence 0 and non-ASCII words in sentence 1. So every command reads
+    chunks of letters and digits alone and chunks that the punctuation rule splits."""
+    paths = write_synth_bundle(tmp_path_factory.mktemp("rewritten"), SynthParams(n_train_docs=20, n_test_docs=5))
+    gold = [json.loads(line) for line in Path(paths["gold_labels"]).read_text(encoding="utf-8").splitlines()]
+    test_corpus = Path(paths["test_corpus"])
+    lines = test_corpus.read_bytes().split(b"\n")
+    doc = json.loads(lines[0])
+    for record in gold:
+        if record["doc_id"] == doc["doc_id"]:
+            record["doc_id"] = NON_ASCII_DOC_ID
+    write_jsonl(gold, paths["gold_labels"])
+    doc["doc_id"] = NON_ASCII_DOC_ID
+    for separator in SEPARATORS:
+        doc["sentences"][0] = doc["sentences"][0].replace(" ", separator, 1)
+    doc["sentences"][1] = " ".join(NON_ASCII_ENDINGS[k % 4].format(word) if word.isalnum() else word
+                                   for k, word in enumerate(doc["sentences"][1].split()))
+    lines[0] = json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    test_corpus.write_bytes(b"\n".join(lines))
     return paths
 
 
@@ -124,34 +158,32 @@ class TestSynthCommand:
         assert not out.exists()
 
 
-def test_cli_import_loads_no_scipy():
-    """The CLI's runtime needs numpy alone; importing scipy.sparse would cost every
-    command about 22 MB of resident memory."""
-    code = "import sys, infosum.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert proc.stdout.strip() == "[]"
-
-
 # What each command must leave unimported: only train loads numpy and runs the
-# learner, predict reads lexicons and scores without numpy, synth writes
-# lexicons but reads none, and only evaluate scores ROUGE. No command needs numpy.random
-# (`infosum.rng` draws its streams) or `_hashlib`, which maps OpenSSL's libcrypto.
+# learner, predict reads lexicons and scores without numpy in either feature mode,
+# synth writes lexicons but reads none, and only evaluate scores ROUGE. No command
+# needs numpy.random (`infosum.rng` draws its streams) or `_hashlib`, which maps
+# OpenSSL's libcrypto, and none imports the test extra or pytest: scipy.sparse
+# alone would cost a command about 22 MB of resident memory.
+TEST_ONLY = ("scipy", "hypothesis", "pytest")
 LEARNER = ("infosum.lexicons", "infosum.features", "infosum.model", "infosum.pu", "infosum.sparse")
+PREDICT_NOT_LOADED = ("numpy", "infosum.pu", "infosum.sparse", "infosum.metrics", "infosum.synth",
+                      "infosum.weak_label", "_hashlib", *TEST_ONLY)
 NOT_LOADED = {
-    "label": ("numpy", *LEARNER, "infosum.metrics", "infosum.synth", "_hashlib"),
-    "train": ("numpy.random", "infosum.metrics", "infosum.synth", "_hashlib"),
-    "predict": ("numpy", "infosum.pu", "infosum.sparse", "infosum.metrics", "infosum.synth", "infosum.weak_label",
-                "_hashlib"),
-    "summarize": ("numpy", *LEARNER, "infosum.metrics", "infosum.synth", "infosum.weak_label", "_hashlib"),
-    "evaluate": ("numpy", *LEARNER, "infosum.synth", "infosum.weak_label", "_hashlib"),
-    "synth": ("numpy", "infosum.features", "infosum.model", "infosum.pu", "infosum.sparse", "infosum.metrics",
-              "infosum.weak_label", "_hashlib"),
+    ("label", "default"): ("numpy", *LEARNER, "infosum.metrics", "infosum.synth", "_hashlib", *TEST_ONLY),
+    ("train", "default"): ("numpy.random", "infosum.metrics", "infosum.synth", "_hashlib", *TEST_ONLY),
+    ("predict", "default"): PREDICT_NOT_LOADED,
+    ("predict", "bow"): PREDICT_NOT_LOADED,
+    ("summarize", "default"): ("numpy", *LEARNER, "infosum.metrics", "infosum.synth", "infosum.weak_label", "_hashlib",
+                               *TEST_ONLY),
+    ("evaluate", "default"): ("numpy", *LEARNER, "infosum.synth", "infosum.weak_label", "_hashlib", *TEST_ONLY),
+    ("synth", "default"): ("numpy", "infosum.features", "infosum.model", "infosum.pu", "infosum.sparse",
+                           "infosum.metrics", "infosum.weak_label", "_hashlib", *TEST_ONLY),
 }
 
 
 def test_each_command_imports_only_what_it_runs(tmp_path):
+    """Each command runs in a fresh interpreter; a variant other than the default runs
+    in an out dir of its own, which holds what its upstream commands wrote in-process."""
     paths = write_synth_bundle(tmp_path, SynthParams(n_train_docs=20, n_test_docs=5))
     code = (
         "import json, sys, infosum.cli\n"
@@ -159,14 +191,21 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         "print(json.dumps([rc, sorted(sys.modules)]))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    for command, unwanted in NOT_LOADED.items():
-        args = ["--out-dir", str(tmp_path / "synth"), "--train-docs", "2"] if command == "synth" else ["-c", paths["config"]]
+    for (command, variant), unwanted in NOT_LOADED.items():
+        if command == "synth":
+            args = ["--out-dir", str(tmp_path / "synth"), "--train-docs", "2"]
+        elif variant == "default":
+            args = ["-c", paths["config"]]
+        else:
+            args = ["-c", paths["config"], "--out-dir", str(tmp_path / variant), *set_args(variant)]
+            for upstream in COMMANDS[:COMMANDS.index(command)]:
+                assert main([upstream, *args]) == EXIT_OK, (upstream, variant)
         proc = subprocess.run([sys.executable, "-c", code, command, *args],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         rc, loaded = json.loads(proc.stdout.splitlines()[-1])
         assert rc == EXIT_OK, proc.stderr
-        assert sorted(set(unwanted) & set(loaded)) == [], command
+        assert sorted(set(unwanted) & set(loaded)) == [], (command, variant)
 
 
 @pytest.mark.parametrize("text", ["", "abc", "ü ∑ 😀 \u2028", '{"a":[1,2]}' * 5000])
@@ -278,15 +317,27 @@ class TestPipelineArtifacts:
             row_line = next(line for line in table[header + 1:] if line.startswith(f"{system:<14}"))
             assert row_line.endswith(f"{row['mean_words']:>8.1f}")
 
-    def test_byte_identical_rerun(self, pipeline):
-        cfg_path, run_dir = pipeline
-        snapshot = {
-            p.name: p.read_bytes() for p in sorted(run_dir.iterdir()) if p.is_file()
-        }
-        for command in ("label", "train", "predict", "summarize", "evaluate"):
-            assert main([command, "-c", cfg_path]) == EXIT_OK
-        for name, blob in snapshot.items():
-            assert (run_dir / name).read_bytes() == blob, name
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_byte_identical_rerun(self, rewritten_bundle, tmp_path, caplog, variant):
+        """Run twice into two out dirs, the pipeline writes the same bytes, and its model
+        keeps them when loaded and saved again. Each train run logs that stage 1,
+        stage 2 and the calibration met their gradient tolerance, and nothing logs a
+        warning."""
+        runs = []
+        for out in (tmp_path / "run", tmp_path / "rerun"):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="infosum"):
+                for command in COMMANDS:
+                    assert main([command, "-c", rewritten_bundle["config"], "--out-dir", str(out),
+                                 *set_args(variant)]) == EXIT_OK, command
+            solved = [r.getMessage().split(":")[0] for r in caplog.records if " converged: " in r.getMessage()]
+            assert solved == ["stage1 converged", "stage2 converged", "calibration converged"]
+            assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+            runs.append(out_files(out))
+        assert runs[1].keys() == runs[0].keys()
+        assert [name for name, blob in runs[0].items() if runs[1][name] != blob] == []
+        save_model(*load_model(tmp_path / "run" / "model.json"), tmp_path / "resaved.json")
+        assert (tmp_path / "resaved.json").read_bytes() == runs[0]["model.json"]
 
     def test_each_prediction_is_its_row_scored_by_the_training_product(self, pipeline):
         """Each prediction is the math.exp sigmoid of the margin train's numpy product
@@ -1119,6 +1170,18 @@ class TestExitCodes:
     def test_missing_config_file(self):
         assert main(["train", "-c", "/nonexistent/config.json"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("command, key, what", [
+        ("label", "label.extracts", "extracts file"),
+        ("label", "train_corpus", "train corpus"),
+        ("predict", "test_corpus", "test corpus"),
+    ])
+    def test_config_without_an_input_path_exits_2_naming_the_input(self, bundle, tmp_path, capsys, command, key,
+                                                                    what):
+        capsys.readouterr()
+        assert main([command, "-c", bundle["config"], "--out-dir", str(tmp_path / "run"),
+                     "--set", f"{key}=null"]) == EXIT_VALIDATION
+        assert f"error: config names no {what}\n" in capsys.readouterr().err
+
     def test_seed_mandatory(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text('{"out_dir": "x"}')
@@ -1394,24 +1457,31 @@ def test_a_summary_without_a_word_is_no_summary(tmp_path, capsys):
     assert f"document {summarized[1]['doc_id']!r} has none" in capsys.readouterr().err
 
 
-def test_line_separators_inside_a_sentence_survive_the_pipeline(tmp_path):
-    """U+2028, U+2029 and U+0085 are text, not line ends, in every file the pipeline reads back."""
-    paths = write_synth_bundle(tmp_path / "bundle", SynthParams(n_train_docs=20, n_test_docs=5, seed=0))
-    test_corpus = Path(paths["test_corpus"])
-    lines = test_corpus.read_bytes().split(b"\n")
-    doc = json.loads(lines[0])
-    sentence = doc["sentences"][0]
-    for separator in ("\u2028", "\u2029", "\x85"):
-        sentence = sentence.replace(" ", separator, 1)
-    doc["sentences"][0] = sentence
-    lines[0] = json.dumps(doc, ensure_ascii=False).encode("utf-8")
-    test_corpus.write_bytes(b"\n".join(lines))
-    for command in ("label", "train", "predict", "summarize", "evaluate"):
-        assert main([command, "-c", paths["config"]]) == EXIT_OK, command
-    run_dir = Path(json.loads(Path(paths["config"]).read_text())["out_dir"])
-    lead = json.loads((run_dir / "summaries_leadwords.jsonl").read_bytes().split(b"\n")[0])
-    assert lead["doc_id"] == doc["doc_id"] and sentence in lead["text"]
-    report = json.loads((run_dir / "report.json").read_text())
+def test_line_separators_and_non_ascii_text_survive_the_pipeline(rewritten_bundle, tmp_path):
+    """U+2028, U+2029 and U+0085 are text, not line ends, in every file the pipeline reads
+    back; a chunk is one word exactly when it holds no punctuation, or only an inner
+    apostrophe, whatever its script; and report.json holds a non-ASCII id as UTF-8."""
+    paths = rewritten_bundle
+    doc = json.loads(Path(paths["test_corpus"]).read_bytes().split(b"\n")[0])
+    assert all(separator in doc["sentences"][0] for separator in SEPARATORS)
+    words = load_corpus(paths["test_corpus"]).document(doc["doc_id"]).sentences[1].words
+    expected = []
+    for chunk in doc["sentences"][1].split():
+        if chunk.endswith("——ø"):
+            expected += [chunk[:-3], "ø"]
+        elif chunk.isalnum() or "’" in chunk:
+            expected.append(chunk.casefold())
+    assert words == tuple(expected) and any(word.endswith("’ss") for word in words)
+
+    out = tmp_path / "run"
+    for command in COMMANDS:
+        assert main([command, "-c", paths["config"], "--out-dir", str(out)]) == EXIT_OK, command
+    lead = json.loads((out / "summaries_leadwords.jsonl").read_bytes().split(b"\n")[0])
+    assert lead["doc_id"] == doc["doc_id"]
+    assert " ".join(doc["sentences"][:2]) in lead["text"]
+    blob = (out / "report.json").read_bytes()
+    assert f'"{NON_ASCII_DOC_ID}": {{'.encode("utf-8") in blob and b"\\u" not in blob
+    report = json.loads(blob.decode("utf-8"))
     assert set(report["rouge"]) == {"leadwords", "inforank", "infofilter", "randomrank"}
     for row in report["rouge"].values():
-        assert doc["doc_id"] in row["per_doc"]
+        assert NON_ASCII_DOC_ID in row["per_doc"]
